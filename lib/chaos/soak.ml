@@ -180,7 +180,7 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
      few anti-entropy rounds before the quiescent audit. The engine never
      runs dry on its own (gossip reschedules forever), hence the explicit
      horizon. *)
-  let drain_ms = Float.max 240_000.0 (4.0 *. config.Samya.Config.anti_entropy_ms) in
+  let drain_ms = Float.max 240_000.0 (4.0 *. Samya.Site.anti_entropy_ms) in
   facade.Facade.run_until (duration_ms +. drain_ms);
   let violations =
     Auditor.check_cluster auditor cluster ~entity ~maximum ~quiescent:true

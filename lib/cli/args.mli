@@ -34,7 +34,7 @@ val with_captures :
   experiment:string ->
   quick:bool ->
   jobs:int ->
-  (Harness.Exp_trace.capture list -> int) ->
+  (Harness.Scenario.capture list -> int) ->
   int
 (** The trace-replay preamble shared by [trace]/[explain]/[slo]: set the
     worker pool, build the lab context, run {!Harness.Exp_trace.run} and

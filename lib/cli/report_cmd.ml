@@ -30,7 +30,7 @@ let run experiment quick jobs format out =
       Args.emit ~what:"run report" ~path (render meta captures);
       let incidents =
         List.fold_left
-          (fun acc c -> acc + List.length c.Harness.Exp_trace.incidents)
+          (fun acc c -> acc + List.length c.Harness.Scenario.incidents)
           0 captures
       in
       Format.printf "report: %s (%d system%s, %d incident%s)@." path

@@ -21,14 +21,14 @@ let run experiment quick jobs out no_fail =
       let unhealthy =
         List.filter
           (fun c ->
-            not (Obs.Slo.healthy (Obs.Slo.report c.Harness.Exp_trace.slo)))
+            not (Obs.Slo.healthy (Obs.Slo.report c.Harness.Scenario.slo)))
           captures
       in
       if unhealthy <> [] then begin
         Format.eprintf "slo: %d system(s) in violation: %s@."
           (List.length unhealthy)
           (String.concat ", "
-             (List.map (fun c -> c.Harness.Exp_trace.label) unhealthy));
+             (List.map (fun c -> c.Harness.Scenario.arm.Harness.Scenario.name) unhealthy));
         if no_fail then 0 else 1
       end
       else 0)

@@ -75,28 +75,6 @@ let entity = "hotkey"
 
 let home = 0
 
-type arm = { a_id : string; a_label : string; a_policy : Samya.Config.Controller.policy }
-
-let arms =
-  [
-    {
-      a_id = "escrow";
-      a_label = "static escrow";
-      a_policy = Samya.Config.Controller.(Static Escrow);
-    };
-    {
-      a_id = "borrow";
-      a_label = "static borrow";
-      a_policy = Samya.Config.Controller.(Static Borrow);
-    };
-    {
-      a_id = "redistribute";
-      a_label = "static redistribute";
-      a_policy = Samya.Config.Controller.(Static Redistribute);
-    };
-    { a_id = "adaptive"; a_label = "adaptive"; a_policy = Samya.Config.Controller.Adaptive };
-  ]
-
 (* Every arm runs the controller — the statics just pin its policy, so
    the dispatch overhead is identical and the comparison isolates the
    decision, not the plumbing. *)
@@ -148,96 +126,19 @@ let boundaries ~scale:s =
   | [] -> [||]
   | _last :: rest -> Array.of_list (List.rev_map (fun p -> p.ph_until_ms) rest)
 
-type capture = {
-  scale : scale;
-  arm : arm;
-  cluster : Samya.Cluster.t;
-  offered : int;
-  sink : Obs.Sink.t option;
-  slo : Obs.Slo.t;
-  result : Driver.result;
-  stats : Systems.stats;
-  final_mechanism : string;  (* the home site's mechanism at the end *)
-  flight : Obs.Flight_recorder.t;  (* always-on black box *)
-  hot : Obs.Heavy_hitters.Windowed.w;  (* request-path hot-key sketch *)
-  incidents : Obs.Watchdog.incident list;
-}
-
-let capture ?engine_jobs ?(observe = false) ~quick ~arm () =
-  let s = scale ~quick in
-  let hooks = Facade.samya_hooks () in
-  let engine_jobs =
-    match engine_jobs with Some n -> n | None -> Pool.engine_jobs ()
-  in
-  let regions = Exp_common.client_regions () in
-  let cluster =
-    Samya.Cluster.create ~seed:Exp_common.seed ~engine_jobs
-      ~config:(config ~policy:arm.a_policy) ~regions
-      ~on_protocol_event:(Facade.protocol_event_hook hooks)
-      ~obs:(Facade.obs_port hooks) ()
-  in
-  Samya.Cluster.init_entity cluster ~entity ~maximum:s.quota;
-  let t_system =
-    Facade.of_samya_cluster ~name:"Samya contention" ~hooks ~regions ~entity
-      cluster
-  in
-  let sink =
-    if observe then begin
-      let sink =
-        Obs.Sink.create ~now:(fun () -> Des.Engine.now t_system.Systems.engine) ()
-      in
-      t_system.Systems.subscribe sink;
-      Some sink
-    end
-    else None
-  in
-  (* The always-on incident layer: mechanism switches land in the
-     recorder, so the watchdog's flap rule watches the controller. *)
-  let flight = Obs.Flight_recorder.create () in
-  let hot = Obs.Heavy_hitters.Windowed.create ~k:8 ~window_ms:2_000.0 () in
-  t_system.Systems.arm { Obs.Flight_recorder.recorder = flight; hot = Some hot };
-  let slo = Obs.Slo.create ~window_ms:2_000.0 () in
-  let requests = requests ~scale:s in
-  let spec =
-    {
-      (Driver.default_spec ~client_regions:regions ~requests
-         ~duration_ms:s.duration_ms)
-      with
-      drain_ms = 10_000.0;
-      window_ms = 1_000.0;
-      grant_driven_release_ms = Some s.hold_ms;
-      obs = sink;
-      slo = Some slo;
-      flight = Some flight;
-      phases = boundaries ~scale:s;
-    }
-  in
-  let result = Driver.run ~t_system spec in
-  {
-    scale = s;
-    arm;
-    cluster;
-    offered = Array.length requests;
-    sink;
-    slo;
-    result;
-    stats = t_system.Systems.stats ();
-    final_mechanism =
-      (match Samya.Site.mechanism (Samya.Cluster.site cluster home) ~entity with
-      | Some m -> Samya.Config.Controller.mechanism_name m
-      | None -> "-");
-    flight;
-    hot;
-    incidents = Obs.Watchdog.detect (Obs.Flight_recorder.events flight);
-  }
+(* The home site's token-movement mechanism at the end of the run. *)
+let final_mechanism (c : Scenario.capture) =
+  match Samya.Site.mechanism (Samya.Cluster.site (Option.get c.cluster) home) ~entity with
+  | Some m -> Samya.Config.Controller.mechanism_name m
+  | None -> "-"
 
 (* Per-phase view: committed txn/s over the phase's wall time, p99 of
    its committed latencies. *)
 type phase_row = { v_name : string; v_tps : float; v_p99 : float }
 
-let phase_rows c =
+let phase_rows_at s (c : Scenario.capture) =
   let starts =
-    0.0 :: List.map (fun p -> p.ph_until_ms) c.scale.phases |> Array.of_list
+    0.0 :: List.map (fun p -> p.ph_until_ms) s.phases |> Array.of_list
   in
   List.mapi
     (fun i p ->
@@ -248,7 +149,9 @@ let phase_rows c =
         v_tps = float_of_int stats.Driver.p_committed /. dur_s;
         v_p99 = Stats.Sample_set.percentile stats.Driver.p_latencies 99.0;
       })
-    c.scale.phases
+    s.phases
+
+let phase_rows ~quick = phase_rows_at (scale ~quick)
 
 (* The verdict: in each phase, the benchmark is the static arm with the
    highest committed throughput (ties broken by lower p99 — the Pareto
@@ -277,18 +180,17 @@ type verdict_row = {
   w_ok : bool;
 }
 
-let verdicts captures =
-  let rows c = Array.of_list (phase_rows c) in
-  let statics =
-    List.filter (fun c -> c.arm.a_id <> "adaptive") captures
-    |> List.map (fun c -> (c.arm.a_label, rows c))
+let verdicts_at s (captures : Scenario.capture list) =
+  let rows c = Array.of_list (phase_rows_at s c) in
+  let adaptive, statics =
+    List.partition (fun (c : Scenario.capture) -> c.arm.id = "adaptive") captures
   in
-  let adaptive_capture =
-    match List.find_opt (fun c -> c.arm.a_id = "adaptive") captures with
-    | Some c -> c
-    | None -> invalid_arg "Exp_contention.verdicts: no adaptive arm"
+  let statics = List.map (fun (c : Scenario.capture) -> (c.arm.label, rows c)) statics in
+  let adaptive =
+    match adaptive with
+    | c :: _ -> rows c
+    | [] -> invalid_arg "Exp_contention.verdicts: no adaptive arm"
   in
-  let adaptive = rows adaptive_capture in
   List.mapi
     (fun i p ->
       let label, best =
@@ -319,10 +221,9 @@ let verdicts captures =
         w_adaptive_p99 = a.v_p99;
         w_ok = tps_ok && p99_ok;
       })
-    adaptive_capture.scale.phases
+    s.phases
 
-let run _ctx ~quick fmt =
-  let s = scale ~quick in
+let report s ~offered fmt (captures : Scenario.capture list) =
   Format.fprintf fmt
     "@.== contention controller: skew ramp on one entity (%d tokens, %d sites) ==@."
     s.quota n_sites;
@@ -336,7 +237,6 @@ let run _ctx ~quick fmt =
              (100.0 *. p.ph_affinity) ))
        s.phases
     @ [ ("grant lifetime", Report.ms s.hold_ms) ]);
-  let captures = List.map (fun arm -> capture ~quick ~arm ()) arms in
   (* Outcomes: totals per arm, with the mechanism traffic that produced
      them. *)
   Report.table fmt ~title:"contention: arm outcomes"
@@ -347,11 +247,11 @@ let run _ctx ~quick fmt =
       ]
     ~rows:
       (List.map
-         (fun c ->
+         (fun (c : Scenario.capture) ->
            let r = c.result in
            [
-             c.arm.a_label;
-             string_of_int c.offered;
+             c.arm.label;
+             string_of_int offered;
              string_of_int r.Driver.committed;
              string_of_int r.Driver.rejected;
              Report.ms (Driver.percentile r 50.0);
@@ -359,7 +259,7 @@ let run _ctx ~quick fmt =
              string_of_int c.stats.Systems.redistributions;
              string_of_int c.stats.Systems.borrows;
              string_of_int c.stats.Systems.mechanism_switches;
-             c.final_mechanism;
+             final_mechanism c;
            ])
          captures);
   (* The per-phase breakdown: who wins where. *)
@@ -367,27 +267,20 @@ let run _ctx ~quick fmt =
     ~header:("policy" :: List.map (fun p -> p.ph_name) s.phases)
     ~rows:
       (List.map
-         (fun c ->
-           c.arm.a_label :: List.map (fun v -> Report.f1 v.v_tps) (phase_rows c))
+         (fun (c : Scenario.capture) ->
+           c.arm.label :: List.map (fun v -> Report.f1 v.v_tps) (phase_rows_at s c))
          captures);
   Report.table fmt ~title:"contention: p99 latency by phase"
     ~header:("policy" :: List.map (fun p -> p.ph_name) s.phases)
     ~rows:
       (List.map
-         (fun c ->
-           c.arm.a_label :: List.map (fun v -> Report.ms v.v_p99) (phase_rows c))
+         (fun (c : Scenario.capture) ->
+           c.arm.label :: List.map (fun v -> Report.ms v.v_p99) (phase_rows_at s c))
          captures);
   (* The figure: committed throughput over time — the static arms each
      fall off in the phase that defeats their mechanism, the adaptive
      line hugs the upper envelope. *)
-  Report.series fmt ~title:"contention: committed throughput (figure)"
-    ~unit_label:"txn/s"
-    (List.map
-       (fun c ->
-         ( c.arm.a_label,
-           Stats.Throughput.series c.result.Driver.throughput
-             ~until_ms:(s.duration_ms -. 1.0) () ))
-       captures);
+  Scenario.figure fmt ~title:"contention: committed throughput (figure)" captures;
   (* The verdict: adaptive vs the best static, per phase, both axes. *)
   Report.table fmt ~title:"contention: adaptive vs best static (verdict)"
     ~header:
@@ -404,28 +297,21 @@ let run _ctx ~quick fmt =
              Report.ms w.w_adaptive_p99;
              (if w.w_ok then "adaptive MATCHES" else "adaptive TRAILS");
            ])
-         (verdicts captures));
+         (verdicts_at s captures));
   (* SLO + abort attribution per arm. *)
   List.iter
-    (fun c ->
+    (fun (c : Scenario.capture) ->
       let lines = Obs.Slo.report c.slo in
-      Format.fprintf fmt "%s: SLO %s@." c.arm.a_label
+      Format.fprintf fmt "%s: SLO %s@." c.arm.label
         (if Obs.Slo.healthy lines then "healthy" else "VIOLATED"))
     captures;
   (* Token conservation per arm, after the drain: borrowing moves tokens
      ledger-to-ledger and must never mint or leak. *)
-  List.iter
-    (fun c ->
-      match Samya.Cluster.check_invariant c.cluster ~entity ~maximum:s.quota with
-      | Ok () -> Format.fprintf fmt "token conservation (%s): OK@." c.arm.a_label
-      | Error reason ->
-          Format.fprintf fmt "token conservation (%s): VIOLATED: %s@."
-            c.arm.a_label reason)
-    captures;
+  Scenario.conservation fmt captures;
   (* The adaptive arm's controller decisions, straight from the black
      box: when it switched, from what, to what — the attribution a
      post-incident review starts from. *)
-  (match List.find_opt (fun c -> c.arm.a_id = "adaptive") captures with
+  (match List.find_opt (fun (c : Scenario.capture) -> c.arm.id = "adaptive") captures with
   | None -> ()
   | Some c ->
       let switches =
@@ -450,3 +336,54 @@ let run _ctx ~quick fmt =
         (Obs.Flight_recorder.recorded c.flight)
         (Obs.Flight_recorder.dropped c.flight)
         (List.length c.incidents) by_rule)
+
+let plan ~quick : Scenario.plan =
+  let s = scale ~quick in
+  let requests = requests ~scale:s in
+  let arm id label policy : Scenario.arm =
+    {
+      id;
+      label;
+      name = Printf.sprintf "Samya skew ramp (%s)" label;
+      system = Samya (config ~policy);
+      spec = Fun.id;
+    }
+  in
+  {
+    duration_ms = s.duration_ms;
+    requests;
+    entities = Hot { entity; maximum = s.quota };
+    faults = [];
+    window_ms = 2_000.0;
+    sketch_k = 8;
+    spec =
+      (fun spec ->
+        {
+          spec with
+          window_ms = 1_000.0;
+          grant_driven_release_ms = Some s.hold_ms;
+          phases = boundaries ~scale:s;
+        });
+    (* Mechanism switches land in the recorder, so the watchdog's flap
+       rule watches the controller of every arm. *)
+    arms =
+      Samya.Config.Controller.
+        [
+          arm "escrow" "static escrow" (Static Escrow);
+          arm "borrow" "static borrow" (Static Borrow);
+          arm "redistribute" "static redistribute" (Static Redistribute);
+          arm "adaptive" "adaptive" Adaptive;
+        ];
+    (* Mechanism switches appear as zero-width mech.switch phases, borrow
+       conversations as mech.borrow phases on the requests they parked. *)
+    traced = [ "adaptive" ];
+    report = report s ~offered:(Array.length requests);
+  }
+
+let scenario =
+  {
+    Scenario.id = "contention";
+    paper_artifact = "controller ext.";
+    description = "skew-ramp contention: static mechanisms vs adaptive controller";
+    plan = (fun _ctx ~quick -> plan ~quick);
+  }

@@ -9,10 +9,10 @@
    batched Avantan instances; the cold tail is served from the compact
    core ledgers without ever materialising protocol state.
 
-   The capture path mirrors Exp_trace: the same driver, the same online
-   SLO monitor, plus the per-key attribution the multi-entity driver
-   collects ([track_entities]). Quick mode is the CI smoke: the same
-   shape at 1/50 the keys and 1/20 the rate. *)
+   The scenario is data for the shared runner (Scenario) plus the
+   per-key attribution the multi-entity driver collects
+   ([track_entities]). Quick mode is the CI smoke: the same shape at 1/50
+   the keys and 1/20 the rate. *)
 
 type scale = {
   keys : int;
@@ -90,145 +90,32 @@ let config ~scale =
     entity_capacity = scale.keys;
   }
 
-let build ?engine_jobs ~scale ~quotas () =
-  let hooks = Facade.samya_hooks () in
-  let engine_jobs =
-    match engine_jobs with Some n -> n | None -> Pool.engine_jobs ()
-  in
-  let regions = Exp_common.client_regions () in
-  let cluster =
-    Samya.Cluster.create ~seed:Exp_common.seed ~engine_jobs
-      ~config:(config ~scale) ~regions
-      ~on_protocol_event:(Facade.protocol_event_hook hooks)
-      ~obs:(Facade.obs_port hooks) ()
-  in
-  Samya.Cluster.register_entities cluster
-    (List.init scale.keys (fun r -> (key_name r, quotas.(r))));
-  let t_system =
-    Facade.of_samya_cluster ~name:"Samya gateway fleet" ~hooks ~regions
-      ~entity:(key_name 0) cluster
-  in
-  (cluster, t_system)
-
 let requests ~scale zipf =
   let rng = Des.Rng.stream Exp_common.seed 1009 in
   Trace.Workload.gateway ~rng ~zipf ~key_name ~key_home ~n_clients:n_sites
     ~rate_per_s:scale.rate_per_s ~duration_ms:scale.duration_ms ~read_ratio ()
 
-type capture = {
-  scale : scale;
-  quotas : int array;
-  cluster : Samya.Cluster.t;
-  offered : int;  (* requests in the stream *)
-  sink : Obs.Sink.t option;
-  slo : Obs.Slo.t;
-  result : Driver.result;
-  hot : int;
-  stats : Systems.stats;
-  flight : Obs.Flight_recorder.t;  (* always-on black box *)
-  hotkeys : Obs.Heavy_hitters.Windowed.w;
-      (* request-path Misra-Gries sketch: gateway-scale hot-key telemetry
-         without per-key driver attribution *)
-  incidents : Obs.Watchdog.incident list;
-}
-
-let capture ?engine_jobs ?(observe = false) ~quick () =
-  let scale = scale ~quick in
-  let zipf = Trace.Zipf.create scale.keys in
-  let quotas = quotas ~scale zipf in
-  let cluster, t_system = build ?engine_jobs ~scale ~quotas () in
-  let sink =
-    if observe then begin
-      let sink =
-        Obs.Sink.create ~now:(fun () -> Des.Engine.now t_system.Systems.engine) ()
-      in
-      t_system.Systems.subscribe sink;
-      Some sink
-    end
-    else None
-  in
-  (* The always-on incident layer: at a million keys the per-key driver
-     attribution is the expensive path — the sketch tracks the hot head
-     in O(k) from the request path itself. *)
-  let flight = Obs.Flight_recorder.create () in
-  let hotkeys = Obs.Heavy_hitters.Windowed.create ~k:16 ~window_ms:2_000.0 () in
-  t_system.Systems.arm { Obs.Flight_recorder.recorder = flight; hot = Some hotkeys };
-  (* 2 s tumbling windows: the cold-start transient (shares chasing the
-     home-skewed demand) lands in the first window or two and the
-     steady-state windows show the converged fleet. *)
-  let slo = Obs.Slo.create ~window_ms:2_000.0 () in
-  let requests = requests ~scale zipf in
-  let clients = Exp_common.client_regions () in
-  let spec =
-    {
-      (Driver.default_spec ~client_regions:clients ~requests
-         ~duration_ms:scale.duration_ms)
-      with
-      drain_ms = 10_000.0;
-      window_ms = 1_000.0;
-      grant_driven_release_ms = Some scale.hold_ms;
-      obs = sink;
-      slo = Some slo;
-      flight = Some flight;
-      track_entities = true;
-    }
-  in
-  let result = Driver.run ~t_system spec in
-  {
-    scale;
-    quotas;
-    cluster;
-    offered = Array.length requests;
-    sink;
-    slo;
-    result;
-    hot = Samya.Cluster.hot_entities cluster;
-    stats = t_system.Systems.stats ();
-    flight;
-    hotkeys;
-    incidents = Obs.Watchdog.detect (Obs.Flight_recorder.events flight);
-  }
-
-(* Token conservation, key by key: Equation 1 against each key's own
-   quota. Run after the drain, when the grant-driven releases have come
-   home and the fleet is quiescent. *)
-let audit c =
-  let violations = ref [] and bad = ref 0 in
-  Array.iteri
-    (fun r quota ->
-      match
-        Samya.Cluster.check_invariant c.cluster ~entity:(key_name r)
-          ~maximum:quota
-      with
-      | Ok () -> ()
-      | Error reason ->
-          incr bad;
-          if List.length !violations < 5 then
-            violations := (key_name r, reason) :: !violations)
-    c.quotas;
-  (Array.length c.quotas - !bad, List.rev !violations)
-
 let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
 
-let run _ctx ~quick fmt =
-  let c = capture ~quick () in
-  let conserved, violations = audit c in
+let report ~scale ~quotas ~offered fmt (c : Scenario.capture) =
+  let cluster = Option.get c.cluster in
+  let hot = Samya.Cluster.hot_entities cluster in
   Format.fprintf fmt
     "@.== gateway fleet: %d keys, %.0f req/s offered (Zipf 0.99, %.0f s) ==@."
-    c.scale.keys c.scale.rate_per_s
-    (c.scale.duration_ms /. 1000.0);
+    scale.keys scale.rate_per_s
+    (scale.duration_ms /. 1000.0);
   let r = c.result in
   let counted = r.Driver.committed + r.Driver.rejected + r.Driver.unavailable in
   Report.kv fmt
     [
-      ("registered keys", string_of_int (Samya.Cluster.entity_count c.cluster));
+      ("registered keys", string_of_int (Samya.Cluster.entity_count cluster));
       ( "hot keys after run",
-        Printf.sprintf "%d (%s of fleet, summed over %d sites)" c.hot
-          (pct (float_of_int c.hot /. float_of_int (n_sites * c.scale.keys)))
+        Printf.sprintf "%d (%s of fleet, summed over %d sites)" hot
+          (pct (float_of_int hot /. float_of_int (n_sites * scale.keys)))
           n_sites );
-      ("protocol batch", string_of_int c.scale.batch);
-      ("entity shards/site", string_of_int c.scale.shards);
-      ("offered requests", string_of_int c.offered);
+      ("protocol batch", string_of_int scale.batch);
+      ("entity shards/site", string_of_int scale.shards);
+      ("offered requests", string_of_int offered);
       ( "counted replies",
         Printf.sprintf "%d (%d no-reply)" counted r.Driver.no_reply );
       ("redistributions", string_of_int c.stats.Systems.redistributions);
@@ -249,13 +136,7 @@ let run _ctx ~quick fmt =
         ];
       ];
   (* The figure: committed throughput over the run, 1 s windows. *)
-  Report.series fmt ~title:"gateway fleet: committed throughput (figure)"
-    ~unit_label:"txn/s"
-    [
-      ( "Samya gateway fleet",
-        Stats.Throughput.series r.Driver.throughput
-          ~until_ms:(c.scale.duration_ms -. 1.0) () );
-    ];
+  Scenario.figure fmt ~title:"gateway fleet: committed throughput (figure)" [ c ];
   (* Per-key attribution: the hottest keys by committed traffic. *)
   let top =
     List.stable_sort
@@ -272,7 +153,7 @@ let run _ctx ~quick fmt =
            let rank = int_of_string (String.sub key 3 (String.length key - 3)) in
            [
              key;
-             string_of_int c.quotas.(rank);
+             string_of_int quotas.(rank);
              string_of_int e.Driver.e_committed;
              string_of_int e.Driver.e_rejected;
              (if e.Driver.e_committed = 0 then "-"
@@ -288,7 +169,7 @@ let run _ctx ~quick fmt =
      (acquires, releases, reads, before shedding), so estimates sit above
      the committed column; the Misra-Gries bound guarantees
      estimate <= true <= estimate + err. *)
-  let sketch = Obs.Heavy_hitters.Windowed.cumulative c.hotkeys in
+  let sketch = Obs.Heavy_hitters.Windowed.cumulative c.hot in
   Report.table fmt
     ~title:"hot-key telemetry (request-path Misra-Gries sketch, k=16)"
     ~header:[ "key"; "estimate"; "+err"; "committed (exact)" ]
@@ -333,14 +214,63 @@ let run _ctx ~quick fmt =
              value l.Obs.Slo.overall;
            ])
          lines);
-  (* Conservation, key by key. *)
-  if violations = [] then
-    Format.fprintf fmt "token conservation: all %d keys audited OK@." conserved
-  else begin
-    Format.fprintf fmt "token conservation: %d keys VIOLATED (of %d):@."
-      (Array.length c.quotas - conserved)
-      (Array.length c.quotas);
-    List.iter
-      (fun (key, reason) -> Format.fprintf fmt "  %s: %s@." key reason)
-      violations
-  end
+  (* Conservation, key by key: Equation 1 against each key's own quota,
+     after the drain, when the grant-driven releases have come home. *)
+  match c.violations with
+  | [] -> Format.fprintf fmt "token conservation: all %d keys audited OK@." scale.keys
+  | violations ->
+      Format.fprintf fmt "token conservation: %d keys VIOLATED (of %d):@."
+        (List.length violations) scale.keys;
+      List.iteri
+        (fun i (key, reason) -> if i < 5 then Format.fprintf fmt "  %s: %s@." key reason)
+        violations
+
+let plan ~quick : Scenario.plan =
+  let scale = scale ~quick in
+  let zipf = Trace.Zipf.create scale.keys in
+  let quotas = quotas ~scale zipf in
+  let requests = requests ~scale zipf in
+  {
+    duration_ms = scale.duration_ms;
+    requests;
+    entities = Fleet { count = scale.keys; name = key_name; quota = Array.get quotas };
+    faults = [];
+    (* 2 s tumbling windows: the cold-start transient (shares chasing the
+       home-skewed demand) lands in the first window or two and the
+       steady-state windows show the converged fleet. *)
+    window_ms = 2_000.0;
+    (* At a million keys the per-key driver attribution is the expensive
+       path — the sketch tracks the hot head in O(k) from the request path
+       itself. *)
+    sketch_k = 16;
+    spec =
+      (fun spec ->
+        {
+          spec with
+          window_ms = 1_000.0;
+          grant_driven_release_ms = Some scale.hold_ms;
+          track_entities = true;
+        });
+    arms =
+      [
+        {
+          id = "fleet";
+          label = "Samya gateway fleet";
+          name = "Samya gateway fleet";
+          system = Samya (config ~scale);
+          spec = Fun.id;
+        };
+      ];
+    traced = [ "fleet" ];
+    report =
+      (fun fmt captures ->
+        List.iter (report ~scale ~quotas ~offered:(Array.length requests) fmt) captures);
+  }
+
+let scenario =
+  {
+    Scenario.id = "gateway";
+    paper_artifact = "multi-entity ext.";
+    description = "million-key gateway fleet: Zipfian load over batched Avantan";
+    plan = (fun _ctx ~quick -> plan ~quick);
+  }

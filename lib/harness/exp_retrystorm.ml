@@ -79,15 +79,17 @@ let home = 0
 
 let home_affinity = 0.9
 
-type arm = {
-  a_id : string;  (* stable key for tests and docs *)
-  a_label : string;
-  a_retry : Driver.retry option;
-  a_admission : bool;  (* deadlines + admission gate + circuit breaker *)
-}
-
 (* One jitter root for every arm: arms differ by policy, not by luck. *)
 let jitter_seed = 7_767L
+
+let naive_retry =
+  {
+    Driver.max_attempts = 4;
+    base_backoff_ms = 0.0;
+    max_backoff_ms = 0.0;
+    jitter = 0.0;
+    jitter_seed;
+  }
 
 let backoff_retry =
   {
@@ -97,37 +99,6 @@ let backoff_retry =
     jitter = 0.5;
     jitter_seed;
   }
-
-let arms =
-  [
-    { a_id = "none"; a_label = "no retry"; a_retry = None; a_admission = false };
-    {
-      a_id = "naive";
-      a_label = "naive immediate";
-      a_retry =
-        Some
-          {
-            Driver.max_attempts = 4;
-            base_backoff_ms = 0.0;
-            max_backoff_ms = 0.0;
-            jitter = 0.0;
-            jitter_seed;
-          };
-      a_admission = false;
-    };
-    {
-      a_id = "backoff";
-      a_label = "backoff+jitter";
-      a_retry = Some backoff_retry;
-      a_admission = false;
-    };
-    {
-      a_id = "admission";
-      a_label = "backoff+admission";
-      a_retry = Some backoff_retry;
-      a_admission = true;
-    };
-  ]
 
 let config ~scale:s ~admission =
   let base =
@@ -163,149 +134,12 @@ let requests ~scale:s =
     ~spike_start_ms:s.spike_start_ms ~spike_end_ms:s.spike_end_ms
     ~duration_ms:s.duration_ms ~home_affinity ()
 
-let build ?engine_jobs ~scale:s ~admission () =
-  let hooks = Facade.samya_hooks () in
-  let engine_jobs =
-    match engine_jobs with Some n -> n | None -> Pool.engine_jobs ()
-  in
-  let regions = Exp_common.client_regions () in
-  let cluster =
-    Samya.Cluster.create ~seed:Exp_common.seed ~engine_jobs
-      ~config:(config ~scale:s ~admission) ~regions
-      ~on_protocol_event:(Facade.protocol_event_hook hooks)
-      ~obs:(Facade.obs_port hooks) ()
-  in
-  Samya.Cluster.init_entity cluster ~entity ~maximum:s.quota;
-  let t_system =
-    Facade.of_samya_cluster ~name:"Samya flash sale" ~hooks ~regions ~entity
-      cluster
-  in
-  (cluster, t_system)
-
-type capture = {
-  scale : scale;
-  arm : arm;
-  cluster : Samya.Cluster.t;
-  offered : int;  (* requests in the stream (before any retries) *)
-  sink : Obs.Sink.t option;
-  slo : Obs.Slo.t;
-  result : Driver.result;
-  stats : Systems.stats;
-  shed_deadline : int;  (* dead-on-arrival sheds, summed over sites *)
-  shed_admission : int;  (* admission-gate sheds, summed over sites *)
-  shed_expired : int;  (* queue entries expired while parked *)
-  queue_peak : int;  (* per-entity queue high-water mark, max over sites *)
-  breaker_trips : int;  (* circuit-breaker openings, summed over sites *)
-  flight : Obs.Flight_recorder.t;  (* always-on black box *)
-  hot : Obs.Heavy_hitters.Windowed.w;
-  incidents : Obs.Watchdog.incident list;
-}
-
-let capture ?engine_jobs ?(observe = false) ~quick ~arm () =
-  let s = scale ~quick in
-  let cluster, t_system = build ?engine_jobs ~scale:s ~admission:arm.a_admission () in
-  let sink =
-    if observe then begin
-      let sink =
-        Obs.Sink.create ~now:(fun () -> Des.Engine.now t_system.Systems.engine) ()
-      in
-      t_system.Systems.subscribe sink;
-      Some sink
-    end
-    else None
-  in
-  (* The always-on incident layer: every arm flies with the recorder and
-     the request-path hot-key sketch armed. *)
-  let flight = Obs.Flight_recorder.create () in
-  let hot = Obs.Heavy_hitters.Windowed.create ~k:8 ~window_ms:2_000.0 () in
-  t_system.Systems.arm { Obs.Flight_recorder.recorder = flight; hot = Some hot };
-  (* 2 s windows resolve the spike, the outage and the recovery ramp. *)
-  let slo = Obs.Slo.create ~window_ms:2_000.0 () in
-  let requests = requests ~scale:s in
-  let clients = Exp_common.client_regions () in
-  let fault =
-    Chaos.Nemesis.spike_partition ~site:home ~n_sites ~at_ms:s.partition_at_ms
-      ~heal_ms:s.partition_heal_ms ~duration_ms:s.duration_ms
-  in
-  let events =
-    List.concat_map
-      (fun { Chaos.Nemesis.kind; at_ms; heal_ms } ->
-        match kind with
-        | Chaos.Nemesis.Partition { groups } ->
-            [
-              {
-                Driver.at_ms;
-                action = (fun () -> t_system.Systems.partition groups);
-              };
-              {
-                Driver.at_ms = heal_ms;
-                action = (fun () -> t_system.Systems.heal ());
-              };
-            ]
-        | _ -> [])
-      fault.Chaos.Nemesis.faults
-  in
-  let spec =
-    {
-      (Driver.default_spec ~client_regions:clients ~requests
-         ~duration_ms:s.duration_ms)
-      with
-      drain_ms = 10_000.0;
-      window_ms = 1_000.0;
-      events;
-      client_timeout_ms = s.timeout_ms;
-      grant_driven_release_ms = Some s.hold_ms;
-      obs = sink;
-      slo = Some slo;
-      flight = Some flight;
-      track_entities = true;
-      retry = arm.a_retry;
-      deadline_budget_ms = (if arm.a_admission then s.timeout_ms else infinity);
-    }
-  in
-  let result = Driver.run ~t_system spec in
-  (* Auditor failures become recorder events too, so the watchdog's
-     invariant rule sees them. (The figure re-checks and prints below.) *)
-  (match Samya.Cluster.check_invariant cluster ~entity ~maximum:s.quota with
-  | Ok () -> ()
-  | Error reason ->
-      Obs.Flight_recorder.record flight ~lane:(-1)
-        ~ts:(Samya.Cluster.now cluster) ~kind:Obs.Flight_recorder.Invariant
-        ~entity reason);
-  let incidents = Obs.Watchdog.detect (Obs.Flight_recorder.events flight) in
-  let sum f =
-    Array.fold_left (fun acc site -> acc + f site) 0 (Samya.Cluster.sites cluster)
-  in
-  let peak f =
-    Array.fold_left
-      (fun acc site -> max acc (f site))
-      0 (Samya.Cluster.sites cluster)
-  in
-  {
-    scale = s;
-    arm;
-    cluster;
-    offered = Array.length requests;
-    sink;
-    slo;
-    result;
-    stats = t_system.Systems.stats ();
-    shed_deadline = sum Samya.Site.shed_deadline;
-    shed_admission = sum Samya.Site.shed_admission;
-    shed_expired = sum Samya.Site.shed_queue_expired;
-    queue_peak = peak (fun site -> Samya.Site.queue_peak site ~entity);
-    breaker_trips = sum (fun site -> Samya.Site.breaker_trips site ~entity);
-    flight;
-    hot;
-    incidents;
-  }
-
 (* Mean committed throughput over [from_ms, until_ms), from the driver's
    1 s windows. *)
-let goodput c ~from_ms ~until_ms =
+let goodput s (c : Scenario.capture) ~from_ms ~until_ms =
   let wins =
     Stats.Throughput.series c.result.Driver.throughput
-      ~until_ms:(c.scale.duration_ms -. 1.0) ()
+      ~until_ms:(s.duration_ms -. 1.0) ()
   in
   let sum = ref 0.0 and n = ref 0 in
   List.iter
@@ -317,16 +151,37 @@ let goodput c ~from_ms ~until_ms =
     wins;
   if !n = 0 then 0.0 else !sum /. float_of_int !n
 
-let recovery c =
-  let pre = goodput c ~from_ms:c.scale.pre_from_ms ~until_ms:c.scale.spike_start_ms in
-  let post = goodput c ~from_ms:c.scale.post_from_ms ~until_ms:c.scale.duration_ms in
+let recovery_at s c =
+  let pre = goodput s c ~from_ms:s.pre_from_ms ~until_ms:s.spike_start_ms in
+  let post = goodput s c ~from_ms:s.post_from_ms ~until_ms:s.duration_ms in
   let ratio = if pre > 0.0 then post /. pre else Float.nan in
   (pre, post, ratio)
 
+let recovery ~quick = recovery_at (scale ~quick)
+
+type resilience = {
+  shed_deadline : int;
+  shed_admission : int;
+  shed_expired : int;
+  queue_peak : int;
+  breaker_trips : int;
+}
+
+let resilience (c : Scenario.capture) =
+  let sites = Samya.Cluster.sites (Option.get c.cluster) in
+  let sum f = Array.fold_left (fun acc site -> acc + f site) 0 sites in
+  let peak f = Array.fold_left (fun acc site -> max acc (f site)) 0 sites in
+  {
+    shed_deadline = sum Samya.Site.shed_deadline;
+    shed_admission = sum Samya.Site.shed_admission;
+    shed_expired = sum Samya.Site.shed_queue_expired;
+    queue_peak = peak (fun site -> Samya.Site.queue_peak site ~entity);
+    breaker_trips = sum (fun site -> Samya.Site.breaker_trips site ~entity);
+  }
+
 let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
 
-let run _ctx ~quick fmt =
-  let s = scale ~quick in
+let report s ~offered fmt (captures : Scenario.capture list) =
   Format.fprintf fmt
     "@.== retry storm: flash sale %.0f -> %.0f req/s (%.0f-%.0f s), home \
      region partitioned %.0f-%.0f s ==@."
@@ -348,18 +203,17 @@ let run _ctx ~quick fmt =
           (s.post_from_ms /. 1000.0)
           (s.duration_ms /. 1000.0) );
     ];
-  let captures = List.map (fun arm -> capture ~quick ~arm ()) arms in
   (* Outcomes: what each client population experienced. *)
   Report.table fmt ~title:"retry storm: client outcomes"
     ~header:
       [ "clients"; "offered"; "committed"; "rejected"; "shed"; "timed out"; "retries"; "p50"; "p99" ]
     ~rows:
       (List.map
-         (fun c ->
+         (fun (c : Scenario.capture) ->
            let r = c.result in
            [
-             c.arm.a_label;
-             string_of_int c.offered;
+             c.arm.label;
+             string_of_int offered;
              string_of_int r.Driver.committed;
              string_of_int r.Driver.rejected;
              string_of_int r.Driver.shed;
@@ -375,46 +229,40 @@ let run _ctx ~quick fmt =
       [ "clients"; "shed deadline"; "shed admission"; "queue expired"; "queue peak"; "breaker trips" ]
     ~rows:
       (List.map
-         (fun c ->
+         (fun (c : Scenario.capture) ->
+           let r = resilience c in
            [
-             c.arm.a_label;
-             string_of_int c.shed_deadline;
-             string_of_int c.shed_admission;
-             string_of_int c.shed_expired;
-             string_of_int c.queue_peak;
-             string_of_int c.breaker_trips;
+             c.arm.label;
+             string_of_int r.shed_deadline;
+             string_of_int r.shed_admission;
+             string_of_int r.shed_expired;
+             string_of_int r.queue_peak;
+             string_of_int r.breaker_trips;
            ])
          captures);
   (* The figure: committed throughput per arm — the metastable arm stays
      on the floor after the heal, the admission arm climbs back. *)
-  Report.series fmt ~title:"retry storm: committed throughput (figure)"
-    ~unit_label:"txn/s"
-    (List.map
-       (fun c ->
-         ( c.arm.a_label,
-           Stats.Throughput.series c.result.Driver.throughput
-             ~until_ms:(s.duration_ms -. 1.0) () ))
-       captures);
+  Scenario.figure fmt ~title:"retry storm: committed throughput (figure)" captures;
   (* The verdict: post-heal goodput against each arm's own pre-fault
      goodput. *)
   Report.table fmt ~title:"retry storm: recovery verdict"
     ~header:[ "clients"; "pre-fault tps"; "post-heal tps"; "post/pre"; "verdict" ]
     ~rows:
       (List.map
-         (fun c ->
-           let pre, post, ratio = recovery c in
+         (fun (c : Scenario.capture) ->
+           let pre, post, ratio = recovery_at s c in
            let verdict =
              if Float.is_nan ratio then "no pre-fault traffic"
              else if ratio < 0.5 then "METASTABLE"
              else if ratio >= 0.9 then "recovered"
              else "degraded"
            in
-           [ c.arm.a_label; Report.f1 pre; Report.f1 post; pct ratio; verdict ])
+           [ c.arm.label; Report.f1 pre; Report.f1 post; pct ratio; verdict ])
          captures);
   (* SLO with the abort-class breakdown: the same monitor as every other
      scenario, plus who-killed-it attribution. *)
   List.iter
-    (fun c ->
+    (fun (c : Scenario.capture) ->
       let lines = Obs.Slo.report c.slo in
       let classes = Obs.Slo.abort_classes c.slo in
       let breakdown =
@@ -423,21 +271,13 @@ let run _ctx ~quick fmt =
           String.concat ", "
             (List.map (fun (cls, n) -> Printf.sprintf "%s %d" cls n) classes)
       in
-      Format.fprintf fmt "%s: SLO %s; aborts by class: %s@." c.arm.a_label
+      Format.fprintf fmt "%s: SLO %s; aborts by class: %s@." c.arm.label
         (if Obs.Slo.healthy lines then "healthy" else "VIOLATED")
         breakdown)
     captures;
   (* Token conservation per arm, after the drain: shedding and retries
      must never mint or leak tokens. *)
-  List.iter
-    (fun c ->
-      match Samya.Cluster.check_invariant c.cluster ~entity ~maximum:s.quota with
-      | Ok () ->
-          Format.fprintf fmt "token conservation (%s): OK@." c.arm.a_label
-      | Error reason ->
-          Format.fprintf fmt "token conservation (%s): VIOLATED: %s@."
-            c.arm.a_label reason)
-    captures;
+  Scenario.conservation fmt captures;
   (* The always-on black box: what the watchdog caught without anyone
      re-running the workload with tracing on. One bundle is materialised
      for the resilient arm's first SLO breach — it names the breaching
@@ -447,7 +287,7 @@ let run _ctx ~quick fmt =
     ~header:[ "clients"; "recorded"; "dropped"; "incidents"; "by rule" ]
     ~rows:
       (List.map
-         (fun c ->
+         (fun (c : Scenario.capture) ->
            let by_rule =
              match Obs.Watchdog.count_by_rule c.incidents with
              | [] -> "-"
@@ -458,7 +298,7 @@ let run _ctx ~quick fmt =
                       counts)
            in
            [
-             c.arm.a_label;
+             c.arm.label;
              string_of_int (Obs.Flight_recorder.recorded c.flight);
              string_of_int (Obs.Flight_recorder.dropped c.flight);
              string_of_int (List.length c.incidents);
@@ -466,11 +306,11 @@ let run _ctx ~quick fmt =
            ])
          captures);
   (match
-     List.find_opt (fun c -> c.arm.a_admission && c.arm.a_retry <> None) captures
+     List.find_opt (fun (c : Scenario.capture) -> c.arm.id = "admission") captures
    with
   | None -> ()
   | Some c ->
-      Format.fprintf fmt "@.black box (%s):@." c.arm.a_label;
+      Format.fprintf fmt "@.black box (%s):@." c.arm.label;
       (match
          List.find_opt (fun i -> i.Obs.Watchdog.i_rule = "slo-breach") c.incidents
        with
@@ -507,3 +347,63 @@ let run _ctx ~quick fmt =
       | Some trip ->
           Format.fprintf fmt "  first breaker trip: %s@."
             (Obs.Watchdog.incident_line trip)))
+
+let arm ~scale:s ~id ~label ?retry ?(admission = false) () : Scenario.arm =
+  {
+    id;
+    label;
+    name = Printf.sprintf "Samya flash sale (%s)" label;
+    system = Samya (config ~scale:s ~admission);
+    spec =
+      (fun spec ->
+        {
+          spec with
+          retry;
+          deadline_budget_ms = (if admission then s.timeout_ms else infinity);
+        });
+  }
+
+let plan ~quick : Scenario.plan =
+  let s = scale ~quick in
+  let requests = requests ~scale:s in
+  {
+    duration_ms = s.duration_ms;
+    requests;
+    entities = Hot { entity; maximum = s.quota };
+    faults =
+      (Chaos.Nemesis.spike_partition ~site:home ~n_sites ~at_ms:s.partition_at_ms
+         ~heal_ms:s.partition_heal_ms ~duration_ms:s.duration_ms)
+        .Chaos.Nemesis.faults;
+    (* 2 s windows resolve the spike, the outage and the recovery ramp. *)
+    window_ms = 2_000.0;
+    sketch_k = 8;
+    spec =
+      (fun spec ->
+        {
+          spec with
+          window_ms = 1_000.0;
+          client_timeout_ms = s.timeout_ms;
+          grant_driven_release_ms = Some s.hold_ms;
+          track_entities = true;
+        });
+    arms =
+      [
+        arm ~scale:s ~id:"none" ~label:"no retry" ();
+        arm ~scale:s ~id:"naive" ~label:"naive immediate" ~retry:naive_retry ();
+        arm ~scale:s ~id:"backoff" ~label:"backoff+jitter" ~retry:backoff_retry ();
+        arm ~scale:s ~id:"admission" ~label:"backoff+admission" ~retry:backoff_retry
+          ~admission:true ();
+      ];
+    (* The headline resilience arm: retries appear in the trace as linked
+       attempts on one root and sheds as driver.shed counters. *)
+    traced = [ "admission" ];
+    report = report s ~offered:(Array.length requests);
+  }
+
+let scenario =
+  {
+    Scenario.id = "retrystorm";
+    paper_artifact = "robustness ext.";
+    description = "flash-sale overload: retry policies vs deadline/admission stack";
+    plan = (fun _ctx ~quick -> plan ~quick);
+  }

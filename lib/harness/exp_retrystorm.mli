@@ -3,77 +3,34 @@
     A flash sale spikes one entity's demand past its home site's CPU
     capacity just after a partition cuts the home region off from its
     peers, so redistribution aborts repeatedly and the circuit breaker
-    trips mid-storm. Four
-    client populations replay the identical stream — no retries, naive
-    immediate retries, exponential backoff with jitter, and backoff
-    against the full overload-resilience stack (deadline propagation,
-    the CoDel-style admission gate, the redistribution circuit breaker).
-    Output: the per-arm outcome and server-resilience tables, the
-    throughput figure, the recovery verdict (post-heal goodput vs each
-    arm's own pre-fault goodput: naive retries stay metastable, backoff
-    plus admission recovers), per-arm SLO summaries with the abort-class
-    breakdown, and a token-conservation audit. *)
+    trips mid-storm. Four client populations replay the identical stream
+    — no retries (arm ["none"]), naive immediate retries (["naive"]),
+    exponential backoff with jitter (["backoff"]), and backoff against
+    the full overload-resilience stack: deadline propagation, the
+    CoDel-style admission gate, the redistribution circuit breaker
+    (["admission"], the traced arm). Output: the per-arm outcome and
+    server-resilience tables, the throughput figure, the recovery verdict
+    (post-heal goodput vs each arm's own pre-fault goodput: naive retries
+    stay metastable, backoff plus admission recovers), per-arm SLO
+    summaries with the abort-class breakdown, a token-conservation audit
+    and the resilient arm's black box. *)
 
-type scale = {
-  base_rate_per_s : float;
-  spike_rate_per_s : float;
-  spike_start_ms : float;
-  spike_end_ms : float;
-  partition_at_ms : float;
-  partition_heal_ms : float;
-  duration_ms : float;
-  hold_ms : float;
-  quota : int;
-  timeout_ms : float;
-  pre_from_ms : float;
-  post_from_ms : float;
+val plan : quick:bool -> Scenario.plan
+
+val scenario : Scenario.t
+
+val recovery : quick:bool -> Scenario.capture -> float * float * float
+(** [(pre_fault_tps, post_heal_tps, post/pre)] of a capture at that
+    scale — the metastability measure ([nan] ratio if the pre-fault
+    window saw no commits). *)
+
+type resilience = {
+  shed_deadline : int;  (** dead-on-arrival sheds, summed over sites *)
+  shed_admission : int;  (** admission-gate sheds, summed over sites *)
+  shed_expired : int;  (** queue entries expired while parked *)
+  queue_peak : int;  (** per-entity queue high-water mark, max over sites *)
+  breaker_trips : int;  (** circuit-breaker openings, summed over sites *)
 }
 
-val scale : quick:bool -> scale
-
-type arm = {
-  a_id : string;  (** stable key: "none", "naive", "backoff", "admission" *)
-  a_label : string;
-  a_retry : Driver.retry option;
-  a_admission : bool;
-      (** deadlines + admission gate + circuit breaker on the cluster *)
-}
-
-val arms : arm list
-(** The four client populations, in report order. *)
-
-type capture = {
-  scale : scale;
-  arm : arm;
-  cluster : Samya.Cluster.t;
-  offered : int;
-  sink : Obs.Sink.t option;  (** present when captured with [~observe] *)
-  slo : Obs.Slo.t;
-  result : Driver.result;
-  stats : Systems.stats;
-  shed_deadline : int;
-  shed_admission : int;
-  shed_expired : int;
-  queue_peak : int;
-  breaker_trips : int;
-  flight : Obs.Flight_recorder.t;
-      (** the always-on black box (armed for every arm) *)
-  hot : Obs.Heavy_hitters.Windowed.w;  (** request-path hot-key sketch *)
-  incidents : Obs.Watchdog.incident list;
-      (** watchdog verdict over the recorder dump, default rules *)
-}
-
-val capture :
-  ?engine_jobs:int -> ?observe:bool -> quick:bool -> arm:arm -> unit -> capture
-(** Build one arm's cluster, replay the flash-sale stream through its
-    retry policy, return the instrumented outcome. [engine_jobs] defaults
-    to the process-wide {!Pool} setting; [observe] (default false)
-    additionally subscribes a full observability sink — the
-    [explain]/[slo] command path. *)
-
-val recovery : capture -> float * float * float
-(** [(pre_fault_tps, post_heal_tps, post/pre)] — the metastability
-    measure ([nan] ratio if the pre-fault window saw no commits). *)
-
-val run : Lab.context -> quick:bool -> Format.formatter -> unit
-(** The registry experiment: all four arms, tables, figure, verdict. *)
+val resilience : Scenario.capture -> resilience
+(** What the sites did to survive, read from the capture's cluster. *)

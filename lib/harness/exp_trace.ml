@@ -1,30 +1,47 @@
-type capture = {
-  label : string;
-  sink : Obs.Sink.t;
-  slo : Obs.Slo.t;
-  result : Driver.result;
-  stats : Systems.stats;
-  flight : Obs.Flight_recorder.t;
-  hot : Obs.Heavy_hitters.Windowed.w;
-  incidents : Obs.Watchdog.incident list;
-}
+(* The paper's systems under tracing: the headline's five systems, or
+   the fig3f prediction-on/off Samya pair, each captured through the same
+   facade/obs path so the ablation is explainable and SLO-monitored like
+   everything else. The arms are prebuilt (their own entity and engine
+   setting), and every arm is traced. *)
+let paper_plan ctx ~quick builders : Scenario.plan =
+  (* Tracing is for inspecting behaviour, not reproducing the paper's
+     numbers: a shorter horizon keeps the trace loadable (every message
+     hop and protocol instance becomes a span). The first proactive
+     redistribution trigger fires around 90 s of virtual time, so even
+     the quick horizon runs past it. *)
+  let duration_ms = if quick then 100_000.0 else 180_000.0 in
+  (* Start at the daily peak with an inflated usage footprint (the
+     fig3e/fig3c setup) so the short window still shows redistributions —
+     otherwise the protocol lanes of the trace would be empty. *)
+  let requests =
+    Lab.workload ctx ~client_regions:(Exp_common.client_regions ()) ~duration_ms
+      ~usage_scale:2.2 ~start_hours:6.0 ~seed:Exp_common.seed ()
+  in
+  let arms =
+    List.map
+      (fun (label, build) ->
+        { Scenario.id = label; label; name = label; system = Built build; spec = Fun.id })
+      builders
+  in
+  {
+    duration_ms;
+    requests;
+    entities = Hot { entity = Exp_common.entity; maximum = Exp_common.maximum };
+    faults = [];
+    window_ms = 10_000.0;
+    sketch_k = 8;
+    spec = Fun.id;
+    arms;
+    traced = List.map (fun (a : Scenario.arm) -> a.id) arms;
+    report = (fun _ _ -> ());
+  }
 
-(* Accept the registry spellings of the headline run too. *)
-let experiments =
-  [
-    "headline"; "table2b"; "fig3b"; "prediction"; "gateway"; "retrystorm";
-    "contention";
-  ]
+(* Trace capture pins [engine_jobs] to 0 (see {!Scenario.trace}); the
+   prebuilt Samya systems pin it at build time. *)
+let headline ctx ~quick =
+  paper_plan ctx ~quick (Exp_headline.builders ~engine_jobs:0 ctx)
 
-(* The fig3f pair — prediction on vs off — captured through the same
-   facade/obs path as the headline systems, so the ablation is explainable
-   and SLO-monitored like everything else.
-
-   Trace capture pins [engine_jobs] to 0: full observability forces
-   sequential window drains on a sharded system anyway, so sharding buys
-   nothing here — pinning keeps trace/explain/SLO output byte-identical at
-   every --engine-jobs setting. *)
-let prediction_builders ctx : (string * (unit -> Systems.facade)) list =
+let prediction ctx ~quick =
   let maj = Exp_common.samya_config Samya.Config.Majority in
   let forecaster = Lab.runtime_forecaster ctx in
   let samya ~name config () =
@@ -32,156 +49,56 @@ let prediction_builders ctx : (string * (unit -> Systems.facade)) list =
       ~regions:(Exp_common.client_regions ())
       ~forecaster ~entity:Exp_common.entity ~maximum:Exp_common.maximum ()
   in
-  [
-    ("Samya w/ prediction", samya ~name:"Samya w/ prediction" maj);
-    ( "Samya w/o prediction",
-      samya ~name:"Samya w/o prediction"
-        { maj with Samya.Config.prediction_enabled = false } );
-  ]
+  paper_plan ctx ~quick
+    [
+      ("Samya w/ prediction", samya ~name:"Samya w/ prediction" maj);
+      ( "Samya w/o prediction",
+        samya ~name:"Samya w/o prediction"
+          { maj with Samya.Config.prediction_enabled = false } );
+    ]
 
-let capture ctx ~quick ~builders =
-  (* Tracing is for inspecting behaviour, not reproducing the paper's
-     numbers: a shorter horizon keeps the trace loadable (every message
-     hop and protocol instance becomes a span). *)
-  (* The first proactive redistribution trigger fires around 90 s of
-     virtual time, so even the quick horizon runs past it. *)
-  let duration_ms = if quick then 100_000.0 else 180_000.0 in
-  let clients = Exp_common.client_regions () in
-  (* Start at the daily peak with an inflated usage footprint (the
-     fig3e/fig3c setup) so the short window still shows redistributions —
-     otherwise the protocol lanes of the trace would be empty. *)
-  let requests =
-    Lab.workload ctx ~client_regions:clients ~duration_ms ~usage_scale:2.2
-      ~start_hours:6.0 ~seed:Exp_common.seed ()
-  in
-  Pool.map
-    (fun (label, build) ->
-      let t_system = build () in
-      let sink =
-        Obs.Sink.create ~now:(fun () -> Des.Engine.now t_system.Systems.engine) ()
-      in
-      t_system.Systems.subscribe sink;
-      (* The always-on incident layer rides along, so `report` renders
-         the black box for every traceable system (no-op on baselines). *)
-      let flight = Obs.Flight_recorder.create () in
-      let hot = Obs.Heavy_hitters.Windowed.create ~k:8 ~window_ms:10_000.0 () in
-      t_system.Systems.arm { Obs.Flight_recorder.recorder = flight; hot = Some hot };
-      let slo = Obs.Slo.create () in
-      let spec =
-        {
-          (Driver.default_spec ~client_regions:clients ~requests ~duration_ms) with
-          drain_ms = 10_000.0;
-          obs = Some sink;
-          slo = Some slo;
-          flight = Some flight;
-        }
-      in
-      let result = Driver.run ~t_system spec in
-      {
-        label;
-        sink;
-        slo;
-        result;
-        stats = t_system.Systems.stats ();
-        flight;
-        hot;
-        incidents = Obs.Watchdog.detect (Obs.Flight_recorder.events flight);
-      })
-    builders
+(* One lookup by experiment id; the headline also answers to its
+   registry spellings. *)
+let traceable =
+  [
+    ("headline", headline);
+    ("table2b", headline);
+    ("fig3b", headline);
+    ("prediction", prediction);
+  ]
+  @ List.map (fun (s : Scenario.t) -> (s.id, s.plan)) Registry.scenarios
+
+let experiments = List.map fst traceable
 
 let run ctx ~quick ~experiment =
-  if experiment = "gateway" then begin
-    (* The multi-entity fleet, captured through the same obs/SLO path.
-       [engine_jobs] pinned like the other trace captures (see above). *)
-    let g = Exp_gateway.capture ~engine_jobs:0 ~observe:true ~quick () in
-    Ok
-      [
-        {
-          label = "Samya gateway fleet";
-          sink = Option.get g.Exp_gateway.sink;
-          slo = g.Exp_gateway.slo;
-          result = g.Exp_gateway.result;
-          stats = g.Exp_gateway.stats;
-          flight = g.Exp_gateway.flight;
-          hot = g.Exp_gateway.hotkeys;
-          incidents = g.Exp_gateway.incidents;
-        };
-      ]
-  end
-  else if experiment = "retrystorm" then begin
-    (* The headline resilience arm (backoff clients + the full
-       deadline/admission/breaker stack): retries appear in the trace as
-       linked attempts on one root and sheds as driver.shed counters. *)
-    let arm =
-      List.find
-        (fun a -> a.Exp_retrystorm.a_id = "admission")
-        Exp_retrystorm.arms
-    in
-    let c = Exp_retrystorm.capture ~engine_jobs:0 ~observe:true ~quick ~arm () in
-    Ok
-      [
-        {
-          label = "Samya flash sale (backoff+admission)";
-          sink = Option.get c.Exp_retrystorm.sink;
-          slo = c.Exp_retrystorm.slo;
-          result = c.Exp_retrystorm.result;
-          stats = c.Exp_retrystorm.stats;
-          flight = c.Exp_retrystorm.flight;
-          hot = c.Exp_retrystorm.hot;
-          incidents = c.Exp_retrystorm.incidents;
-        };
-      ]
-  end
-  else if experiment = "contention" then begin
-    (* The adaptive arm of the skew ramp: mechanism switches appear as
-       zero-width mech.switch phases, borrow conversations as mech.borrow
-       phases on the requests they parked. *)
-    let arm =
-      List.find
-        (fun a -> a.Exp_contention.a_id = "adaptive")
-        Exp_contention.arms
-    in
-    let c = Exp_contention.capture ~engine_jobs:0 ~observe:true ~quick ~arm () in
-    Ok
-      [
-        {
-          label = "Samya skew ramp (adaptive)";
-          sink = Option.get c.Exp_contention.sink;
-          slo = c.Exp_contention.slo;
-          result = c.Exp_contention.result;
-          stats = c.Exp_contention.stats;
-          flight = c.Exp_contention.flight;
-          hot = c.Exp_contention.hot;
-          incidents = c.Exp_contention.incidents;
-        };
-      ]
-  end
-  else if experiment = "prediction" then
-    Ok (capture ctx ~quick ~builders:(prediction_builders ctx))
-  else if List.mem experiment experiments then
-    Ok (capture ctx ~quick ~builders:(Exp_headline.builders ~engine_jobs:0 ctx))
-  else
-    Error
-      (Printf.sprintf "unknown traceable experiment %S; known: %s" experiment
-         (String.concat ", " experiments))
+  match List.assoc_opt experiment traceable with
+  | Some plan -> Ok (Scenario.trace (plan ctx ~quick))
+  | None ->
+      Error
+        (Printf.sprintf "unknown traceable experiment %S; known: %s" experiment
+           (String.concat ", " experiments))
+
+let label (c : Scenario.capture) = c.arm.name
+
+let sink (c : Scenario.capture) = Option.get c.sink
 
 let trace_json captures =
   let buf = Buffer.create (1 lsl 16) in
   Obs.Export.trace_json buf
-    (List.map (fun c -> (c.label, c.sink.Obs.Sink.spans)) captures);
+    (List.map (fun c -> (label c, (sink c).Obs.Sink.spans)) captures);
   Buffer.contents buf
 
 let metrics_json ?meta captures =
   let buf = Buffer.create (1 lsl 14) in
   Obs.Export.metrics_json buf ?meta
-    (List.map (fun c -> (c.label, c.sink.Obs.Sink.metrics)) captures);
+    (List.map (fun c -> (label c, (sink c).Obs.Sink.metrics)) captures);
   Buffer.contents buf
 
 let slo_json ?meta captures =
   let buf = Buffer.create (1 lsl 12) in
   Obs.Export.slo_json buf ?meta
     (List.map
-       (fun c -> (c.label, Obs.Slo.window_ms c.slo, Obs.Slo.report c.slo))
+       (fun (c : Scenario.capture) -> (label c, Obs.Slo.window_ms c.slo, Obs.Slo.report c.slo))
        captures);
   Buffer.contents buf
 
@@ -190,11 +107,11 @@ let summary fmt captures =
     ~header:[ "system"; "committed"; "spans+instants"; "messages" ]
     ~rows:
       (List.map
-         (fun c ->
+         (fun (c : Scenario.capture) ->
            [
-             c.label;
+             label c;
              string_of_int c.result.Driver.committed;
-             string_of_int (Obs.Span.event_count c.sink.Obs.Sink.spans);
+             string_of_int (Obs.Span.event_count (sink c).Obs.Sink.spans);
              string_of_int c.stats.Systems.messages_sent;
            ])
          captures)
@@ -202,7 +119,7 @@ let summary fmt captures =
 (* ------------------------------------------------------------------ *)
 (* Critical-path explanation                                            *)
 
-let breakdowns c = Obs.Critical_path.analyze (Obs.Causal.events c.sink.Obs.Sink.causal)
+let breakdowns c = Obs.Critical_path.analyze (Obs.Causal.events (sink c).Obs.Sink.causal)
 
 let pct x = Printf.sprintf "%.1f%%" (100.0 *. x)
 
@@ -226,10 +143,10 @@ let mechanism_bucket comp =
 let explain fmt ?(by_mechanism = false) ~slowest captures =
   List.iter
     (fun c ->
-      let events = Obs.Causal.events c.sink.Obs.Sink.causal in
+      let events = Obs.Causal.events (sink c).Obs.Sink.causal in
       let bds = Obs.Critical_path.analyze events in
       let n = List.length bds in
-      Format.fprintf fmt "@.== %s ==@." c.label;
+      Format.fprintf fmt "@.== %s ==@." (label c);
       if n = 0 then Format.fprintf fmt "no completed traced requests@."
       else begin
         let fractions = List.map Obs.Critical_path.attributed_fraction bds in
@@ -332,9 +249,9 @@ let explain fmt ?(by_mechanism = false) ~slowest captures =
 
 let slo_summary fmt captures =
   List.iter
-    (fun c ->
+    (fun (c : Scenario.capture) ->
       let lines = Obs.Slo.report c.slo in
-      Format.fprintf fmt "@.== %s (window %.0f s) ==@." c.label
+      Format.fprintf fmt "@.== %s (window %.0f s) ==@." (label c)
         (Obs.Slo.window_ms c.slo /. 1000.0);
       Report.table fmt
         ~title:

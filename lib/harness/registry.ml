@@ -5,6 +5,18 @@ type experiment = {
   run : Lab.context -> quick:bool -> Format.formatter -> unit;
 }
 
+(* The scenario experiments: data for the shared runner, one list for
+   the registry rows and the trace path. *)
+let scenarios = [ Exp_gateway.scenario; Exp_retrystorm.scenario; Exp_contention.scenario ]
+
+let of_scenario (s : Scenario.t) =
+  {
+    id = s.id;
+    paper_artifact = s.paper_artifact;
+    description = s.description;
+    run = (fun ctx ~quick fmt -> Scenario.run ctx ~quick fmt s);
+  }
+
 let all =
   [
     {
@@ -85,25 +97,8 @@ let all =
       description = "multi-seed nemesis soak with crash-amnesia recovery + auditor";
       run = (fun ctx ~quick fmt -> Exp_chaos.run ctx ~quick fmt);
     };
-    {
-      id = "gateway";
-      paper_artifact = "multi-entity ext.";
-      description = "million-key gateway fleet: Zipfian load over batched Avantan";
-      run = (fun ctx ~quick fmt -> Exp_gateway.run ctx ~quick fmt);
-    };
-    {
-      id = "retrystorm";
-      paper_artifact = "robustness ext.";
-      description = "flash-sale overload: retry policies vs deadline/admission stack";
-      run = (fun ctx ~quick fmt -> Exp_retrystorm.run ctx ~quick fmt);
-    };
-    {
-      id = "contention";
-      paper_artifact = "controller ext.";
-      description = "skew-ramp contention: static mechanisms vs adaptive controller";
-      run = (fun ctx ~quick fmt -> Exp_contention.run ctx ~quick fmt);
-    };
   ]
+  @ List.map of_scenario scenarios
 
 let find id = List.find_opt (fun e -> String.equal e.id id) all
 

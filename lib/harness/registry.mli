@@ -8,6 +8,10 @@ type experiment = {
   run : Lab.context -> quick:bool -> Format.formatter -> unit;
 }
 
+val scenarios : Scenario.t list
+(** The scenario experiments ([gateway], [retrystorm], [contention]):
+    their registry rows, and the traceable scenarios of {!Exp_trace}. *)
+
 val all : experiment list
 
 val find : string -> experiment option

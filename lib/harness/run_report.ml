@@ -24,8 +24,8 @@ let slo_value (l : Obs.Slo.report_line) v =
 (* ------------------------------------------------------------------ *)
 (* The computed view shared by both renderers                           *)
 
-let outcome_pairs (c : Exp_trace.capture) =
-  let r = c.Exp_trace.result in
+let outcome_pairs (c : Scenario.capture) =
+  let r = c.Scenario.result in
   [
     ("committed", string_of_int r.Driver.committed);
     ("rejected", string_of_int r.Driver.rejected);
@@ -41,14 +41,14 @@ let outcome_pairs (c : Exp_trace.capture) =
 
 (* What the defenses and the protocol did, straight from the recorder:
    event counts by kind, sheds split by cause, mechanism transitions. *)
-let attribution_pairs (c : Exp_trace.capture) =
-  let events = Obs.Flight_recorder.events c.Exp_trace.flight in
+let attribution_pairs (c : Scenario.capture) =
+  let events = Obs.Flight_recorder.events c.Scenario.flight in
   let count p = List.length (List.filter p events) in
   let kind k (ev : Obs.Flight_recorder.event) = ev.Obs.Flight_recorder.kind = k in
   let shed why (ev : Obs.Flight_recorder.event) =
     kind Obs.Flight_recorder.Shed ev && ev.Obs.Flight_recorder.detail = why
   in
-  let s = c.Exp_trace.stats in
+  let s = c.Scenario.stats in
   [
     ("redistributions", string_of_int s.Systems.redistributions);
     ("borrows", string_of_int s.Systems.borrows);
@@ -62,28 +62,28 @@ let attribution_pairs (c : Exp_trace.capture) =
     ("SLO breaches", string_of_int (count (kind Obs.Flight_recorder.Slo_breach)));
     ( "recorder",
       Printf.sprintf "%d events (%d dropped)"
-        (Obs.Flight_recorder.recorded c.Exp_trace.flight)
-        (Obs.Flight_recorder.dropped c.Exp_trace.flight) );
+        (Obs.Flight_recorder.recorded c.Scenario.flight)
+        (Obs.Flight_recorder.dropped c.Scenario.flight) );
   ]
 
-let hot_top (c : Exp_trace.capture) =
+let hot_top (c : Scenario.capture) =
   Obs.Heavy_hitters.top ~n:8
-    (Obs.Heavy_hitters.Windowed.cumulative c.Exp_trace.hot)
+    (Obs.Heavy_hitters.Windowed.cumulative c.Scenario.hot)
 
 (* The first incident's black box: the bundle a post-incident review
    starts from. *)
-let first_bundle (c : Exp_trace.capture) =
-  match c.Exp_trace.incidents with
+let first_bundle (c : Scenario.capture) =
+  match c.Scenario.incidents with
   | [] -> None
   | incident :: _ ->
       Some
-        (Obs.Watchdog.bundle ~hot:c.Exp_trace.hot
-           (Obs.Flight_recorder.events c.Exp_trace.flight)
+        (Obs.Watchdog.bundle ~hot:c.Scenario.hot
+           (Obs.Flight_recorder.events c.Scenario.flight)
            incident)
 
-let throughput_points (c : Exp_trace.capture) =
-  Stats.Throughput.series c.Exp_trace.result.Driver.throughput
-    ~until_ms:c.Exp_trace.result.Driver.duration_ms ()
+let throughput_points (c : Scenario.capture) =
+  Stats.Throughput.series c.Scenario.result.Driver.throughput
+    ~until_ms:c.Scenario.result.Driver.duration_ms ()
 
 (* Downsample a windowed series to at most [target] buckets (mean within
    each bucket) — keeps the markdown sparkline and the SVG polyline
@@ -133,7 +133,7 @@ let md_sparkline buf points =
     points;
   Buffer.add_string buf "```\n\n"
 
-let slo_rows (c : Exp_trace.capture) =
+let slo_rows (c : Scenario.capture) =
   List.map
     (fun (l : Obs.Slo.report_line) ->
       [
@@ -144,15 +144,15 @@ let slo_rows (c : Exp_trace.capture) =
         string_of_int l.Obs.Slo.violations;
         slo_value l l.Obs.Slo.overall;
       ])
-    (Obs.Slo.report c.Exp_trace.slo)
+    (Obs.Slo.report c.Scenario.slo)
 
-let md_capture buf (c : Exp_trace.capture) =
-  Buffer.add_string buf (Printf.sprintf "## %s\n\n" c.Exp_trace.label);
+let md_capture buf (c : Scenario.capture) =
+  Buffer.add_string buf (Printf.sprintf "## %s\n\n" c.Scenario.arm.Scenario.name);
   md_table buf ~header:[ "outcome"; "value" ]
     (List.map (fun (k, v) -> [ k; v ]) (outcome_pairs c));
   Buffer.add_string buf "### Committed throughput\n\n";
   md_sparkline buf (throughput_points c);
-  let healthy = Obs.Slo.healthy (Obs.Slo.report c.Exp_trace.slo) in
+  let healthy = Obs.Slo.healthy (Obs.Slo.report c.Scenario.slo) in
   Buffer.add_string buf
     (Printf.sprintf "### SLO (samya-slo/1): %s\n\n"
        (if healthy then "healthy" else "**VIOLATED**"));
@@ -168,7 +168,7 @@ let md_capture buf (c : Exp_trace.capture) =
       Buffer.add_string buf "### Hot keys (request-path sketch)\n\n";
       md_table buf ~header:[ "key"; "estimate" ]
         (List.map (fun (k, n) -> [ k; string_of_int n ]) top));
-  let incidents = c.Exp_trace.incidents in
+  let incidents = c.Scenario.incidents in
   Buffer.add_string buf
     (Printf.sprintf "### Watchdog: %d incident%s\n\n" (List.length incidents)
        (if List.length incidents = 1 then "" else "s"));
@@ -302,15 +302,15 @@ let html_figure buf points =
            w h w h w h (String.concat " " coords) (w -. 8.0) vmax
            (tmax /. 1000.0))
 
-let html_capture buf (c : Exp_trace.capture) =
+let html_capture buf (c : Scenario.capture) =
   Buffer.add_string buf
-    (Printf.sprintf "<h2>%s</h2>\n" (escape c.Exp_trace.label));
+    (Printf.sprintf "<h2>%s</h2>\n" (escape c.Scenario.arm.Scenario.name));
   Buffer.add_string buf "<h3>Outcome</h3>\n";
   html_table buf ~header:[ "outcome"; "value" ]
     (List.map (fun (k, v) -> [ k; v ]) (outcome_pairs c));
   Buffer.add_string buf "<h3>Committed throughput</h3>\n";
   html_figure buf (throughput_points c);
-  let healthy = Obs.Slo.healthy (Obs.Slo.report c.Exp_trace.slo) in
+  let healthy = Obs.Slo.healthy (Obs.Slo.report c.Scenario.slo) in
   Buffer.add_string buf
     (Printf.sprintf
        "<h3>SLO (samya-slo/1): <span class=\"%s\">%s</span></h3>\n"
@@ -328,7 +328,7 @@ let html_capture buf (c : Exp_trace.capture) =
       Buffer.add_string buf "<h3>Hot keys (request-path sketch)</h3>\n";
       html_table buf ~header:[ "key"; "estimate" ]
         (List.map (fun (k, n) -> [ k; string_of_int n ]) top));
-  let incidents = c.Exp_trace.incidents in
+  let incidents = c.Scenario.incidents in
   Buffer.add_string buf
     (Printf.sprintf "<h3>Watchdog: %d incident%s</h3>\n"
        (List.length incidents)

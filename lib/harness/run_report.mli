@@ -13,10 +13,10 @@
 
 type meta = { experiment : string; quick : bool; seed : int64 }
 
-val markdown : meta -> Exp_trace.capture list -> string
+val markdown : meta -> Scenario.capture list -> string
 (** GitHub-flavoured markdown: pipe tables, fenced code blocks for the
     incident log and black box, an ASCII sparkline for throughput. *)
 
-val html : meta -> Exp_trace.capture list -> string
+val html : meta -> Scenario.capture list -> string
 (** One self-contained HTML page (inline styles, inline-SVG throughput
     figure, no external assets) — the CI artifact. *)

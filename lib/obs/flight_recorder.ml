@@ -106,11 +106,13 @@ let ring_clear r =
   r.start <- 0;
   r.size <- 0
 
+(* Each lane owns one ring, and the ring counts its own events
+   ([next_seq]): lanes running on different domains never write a shared
+   field. [recorded] sums the rings on read. *)
 type t = {
   lane_capacity : int;
   mutable rings : ring array; (* index lane+1 *)
   global : ring;
-  mutable events_recorded : int;
 }
 
 let default_lane_capacity = 32_768
@@ -118,29 +120,27 @@ let default_global_capacity = 131_072
 
 let create ?(lane_capacity = default_lane_capacity)
     ?(global_capacity = default_global_capacity) () =
-  {
-    lane_capacity;
-    rings = [||];
-    global = ring_create global_capacity;
-    events_recorded = 0;
-  }
+  { lane_capacity; rings = [||]; global = ring_create global_capacity }
+
+let grow t n =
+  let have = Array.length t.rings in
+  if n > have then
+    t.rings <-
+      Array.init n (fun i ->
+          if i < have then t.rings.(i) else ring_create t.lane_capacity)
+
+let reserve t ~lanes = grow t (lanes + 1)
 
 let ring_for t lane =
   let idx = lane + 1 in
   if idx < 0 then invalid_arg "Flight_recorder.record: lane < -1";
-  let n = Array.length t.rings in
-  if idx >= n then begin
-    let grown = Array.init (idx + 1) (fun _ -> ring_create t.lane_capacity) in
-    Array.blit t.rings 0 grown 0 n;
-    t.rings <- grown
-  end;
+  if idx >= Array.length t.rings then grow t (idx + 1);
   t.rings.(idx)
 
 let record t ~lane ~ts ~kind ?(site = -1) ?(entity = "") detail =
   let r = ring_for t lane in
   let ev = { seq = r.next_seq; lane; ts; kind; site; entity; detail } in
   r.next_seq <- r.next_seq + 1;
-  t.events_recorded <- t.events_recorded + 1;
   ring_push r ev
 
 (* Move every lane ring's contents into the global buffer, in lane
@@ -165,7 +165,7 @@ let dropped t =
   Array.iter (fun r -> d := !d + r.dropped) t.rings;
   !d
 
-let recorded t = t.events_recorded
+let recorded t = Array.fold_left (fun n r -> n + r.next_seq) 0 t.rings
 
 (* One-line rendering shared by the retrystorm figure, incident bundles
    and the run report. *)

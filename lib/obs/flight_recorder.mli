@@ -40,6 +40,11 @@ val create : ?lane_capacity:int -> ?global_capacity:int -> unit -> t
 (** Defaults: 32768 events per lane ring, 131072 in the global buffer.
     Overflow drops the oldest event and counts it in {!dropped}. *)
 
+val reserve : t -> lanes:int -> unit
+(** Allocate the rings of lanes [-1 .. lanes-1] up front. A ring is
+    otherwise created on its lane's first write, which grows an array
+    every lane shares: reserve before lanes write from parallel domains. *)
+
 val record :
   t ->
   lane:int ->

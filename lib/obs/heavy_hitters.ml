@@ -126,15 +126,18 @@ module Windowed = struct
 
   let fresh_lane () = { cur = None; cur_start = 0.0; closed = [] }
 
+  let grow w n =
+    let have = Array.length w.lanes in
+    if n > have then
+      w.lanes <-
+        Array.init n (fun i -> if i < have then w.lanes.(i) else fresh_lane ())
+
+  let reserve w ~lanes = grow w (lanes + 1)
+
   let lane_state w lane =
     let idx = lane + 1 in
     if idx < 0 then invalid_arg "Heavy_hitters.Windowed.observe: lane < -1";
-    let n = Array.length w.lanes in
-    if idx >= n then begin
-      let grown = Array.init (idx + 1) (fun _ -> fresh_lane ()) in
-      Array.blit w.lanes 0 grown 0 n;
-      w.lanes <- grown
-    end;
+    if idx >= Array.length w.lanes then grow w (idx + 1);
     w.lanes.(idx)
 
   let aligned w now_ms =

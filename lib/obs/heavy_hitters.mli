@@ -47,6 +47,12 @@ module Windowed : sig
   type w
 
   val create : k:int -> window_ms:float -> unit -> w
+
+  val reserve : w -> lanes:int -> unit
+  (** Allocate the slots of lanes [-1 .. lanes-1] up front, as
+      {!Flight_recorder.reserve} does: reserve before lanes observe from
+      parallel domains. *)
+
   val observe : w -> lane:int -> now_ms:float -> string -> unit
 
   val windows : w -> (float * t) list

@@ -72,6 +72,63 @@ type policy = {
     n_sites:int -> participants:int list -> acks:(int, unit) Hashtbl.t -> bool;
 }
 
+(* Avantan[(n+1)/2] (Algorithm 1, §4.3.1): majority-of-n construction
+   and decision quorums, accepted values carried across instances, and a
+   silent leader's cohorts re-run the leader code with a higher ballot. *)
+let majority =
+  {
+    name = "Avantan[(n+1)/2]";
+    seed_self = true;
+    carry_accept_state = true;
+    busy_cohort_rejects = false;
+    scope_to_participants = false;
+    abort_when_all_reported = false;
+    discard_unheard_on_abort = false;
+    discard_stragglers = false;
+    cohort_recovery = `Rerun_leader;
+    construct_ready =
+      (fun ~n_sites ~own:_ ~reports -> Hashtbl.length reports >= (n_sites / 2) + 1);
+    salvage_on_timeout = (fun ~reports:_ -> false);
+    decide_ready =
+      (fun ~n_sites ~participants:_ ~acks -> Hashtbl.length acks >= (n_sites / 2) + 1);
+  }
+
+let pooled_tokens reports =
+  Hashtbl.fold
+    (fun _ r acc ->
+      List.fold_left (fun acc (_, e) -> acc + e.Protocol.tokens_left) acc r.contribs)
+    reports 0
+
+(* Avantan[*] (§4.3.2): any subset whose pooled spare covers the
+   leader's want, one instance per cohort at a time, decision by all of
+   R_t, Status-Query recovery. *)
+let star =
+  {
+    name = "Avantan[*]";
+    seed_self = false;
+    carry_accept_state = false;
+    busy_cohort_rejects = true;
+    scope_to_participants = true;
+    abort_when_all_reported = true;
+    discard_unheard_on_abort = true;
+    discard_stragglers = true;
+    cohort_recovery = `Interrogate;
+    (* The leader proceeds once the pooled spare can cover its own wants. *)
+    construct_ready =
+      (fun ~n_sites:_ ~own ~reports ->
+        let wanted =
+          List.fold_left (fun acc (_, e) -> acc + e.Protocol.tokens_wanted) 0 own
+        in
+        pooled_tokens reports >= wanted);
+    salvage_on_timeout = (fun ~reports -> pooled_tokens reports > 0);
+    (* The decision requires Accept-Oks from all of R_t, not a majority. *)
+    decide_ready =
+      (fun ~n_sites:_ ~participants ~acks ->
+        List.for_all (fun site -> Hashtbl.mem acks site) participants);
+  }
+
+let policy_of_variant = function Config.Majority -> majority | Config.Star -> star
+
 type phase =
   | Idle
   | Leading_election of { bal : Ballot.t; responses : (int, report) Hashtbl.t }
@@ -88,8 +145,7 @@ type phase =
       replies : (int, status) Hashtbl.t;
     }
 
-(* The one stats surface for every Avantan variant: the protocol modules
-   re-export this module wholesale instead of duplicating the record. *)
+(* The one stats surface for every Avantan variant. *)
 module Stats = struct
   type stats = {
     led_started : int;

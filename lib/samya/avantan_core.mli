@@ -23,7 +23,7 @@
     recovery disciplines (re-running the leader code with a higher ballot
     vs. interrogating the participant set with Status-Query).
 
-    {!Avantan_majority} and {!Avantan_star} are thin instantiations; new
+    The two protocols are the policy values {!majority} and {!star}; new
     variants (flexible quorums, reconfiguration) only need a new {!policy}
     value. *)
 
@@ -137,6 +137,36 @@ type policy = {
       (** is the accepted value decided given these acknowledgements? *)
 }
 
+val majority : policy
+(** Avantan[(n+1)/2] (Algorithm 1, §4.3.1). The construction quorum is a
+    majority of all [n] sites (the leader's own report included), the
+    decision quorum is a majority of acknowledgements, accepted values
+    persist across instances and ride along in election replies (so
+    quorum intersection forces a recovering leader to adopt any
+    possibly-decided value — Theorem 1), and a cohort whose leader goes
+    silent re-runs the same leader code with a higher ballot. A leader
+    that cannot assemble a majority in phase 1 aborts; a leader that
+    stored a value but cannot gather majority acks re-broadcasts until a
+    majority is back — the blocking case §4.3.1 describes. [recoveries]
+    stays 0 under this policy. *)
+
+val star : policy
+(** Avantan[*] (§4.3.2), the paper's three modifications as a policy:
+    the leader stops collecting ElectionOk-Values as soon as the pooled
+    [TokensLeft] covers its own [TokensWanted] (responders plus leader
+    form [R_t], everyone else is told to discard); a cohort participates
+    in at most one instance at a time and rejects other
+    Election-GetValue messages while locked (so disjoint subsets
+    redistribute concurrently); the decision requires Accept-Oks from
+    {e all} of [R_t]. A cohort that times out with no accepted value
+    aborts unilaterally; with one it interrogates [R_t] with
+    Status-Query. Decided values are applied as deltas against each
+    site's InitVal, once per instance (DESIGN.md), so the races this
+    variant admits delay tokens but never mint or destroy them. *)
+
+val policy_of_variant : Config.variant -> policy
+(** [majority] for [Config.Majority], [star] for [Config.Star]. *)
+
 (** {1 The machine} *)
 
 type t
@@ -172,9 +202,7 @@ val restore : t -> image -> unit
 
 (** {1 Statistics}
 
-    One stats surface shared by every variant: {!Avantan_majority} and
-    {!Avantan_star} re-export {!Stats} with a single
-    [include module type of] instead of duplicating the record. *)
+    One stats surface shared by every policy. *)
 
 module Stats : sig
   type stats = {

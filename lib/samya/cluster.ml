@@ -260,6 +260,13 @@ let heal t =
    barrier hook drains lane rings into the recorder's global buffer to
    bound per-lane memory; dumps are identical with or without it. *)
 let arm_flight t (attachment : Obs.Flight_recorder.attachment) =
+  (* Every lane's slot exists before any lane writes, so no lane grows
+     the recorder's or the sketch's shared lane array mid-run. *)
+  let _, _, lanes = Geonet.Region.lane_assignment t.regions in
+  Obs.Flight_recorder.reserve attachment.Obs.Flight_recorder.recorder ~lanes;
+  Option.iter
+    (fun hot -> Obs.Heavy_hitters.Windowed.reserve hot ~lanes)
+    attachment.Obs.Flight_recorder.hot;
   Obs.Flight_recorder.attach t.flight attachment;
   match t.sched with
   | Single _ -> ()

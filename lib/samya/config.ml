@@ -144,22 +144,15 @@ end
 
 type t = {
   variant : variant;
-  epoch_ms : float;
-  history_epochs : int;
-  buffer_epochs : int;
-  request_headroom : float;
   prediction_enabled : bool;
   redistribution_enabled : bool;
   enforce_constraint : bool;
-  proactive_check_ms : float;
   redistribution_cooldown_ms : float;
   election_timeout_ms : float;
   accept_timeout_ms : float;
   cohort_timeout_ms : float;
   status_retry_ms : float;
   local_processing_ms : float;
-  read_timeout_ms : float;
-  anti_entropy_ms : float;
   decided_log_retention : int;
   reallocation_policy : Reallocation.policy;
   amnesia_on_crash : bool;
@@ -176,22 +169,15 @@ type t = {
 let default =
   {
     variant = Majority;
-    epoch_ms = 5_000.0;
-    history_epochs = 64;
-    buffer_epochs = 12;
-    request_headroom = 3.0;
     prediction_enabled = true;
     redistribution_enabled = true;
     enforce_constraint = true;
-    proactive_check_ms = 1_000.0;
     redistribution_cooldown_ms = 2_000.0;
     election_timeout_ms = 800.0;
     accept_timeout_ms = 800.0;
     cohort_timeout_ms = 2_500.0;
     status_retry_ms = 1_000.0;
     local_processing_ms = 0.15;
-    read_timeout_ms = 600.0;
-    anti_entropy_ms = 30_000.0;
     decided_log_retention = 1_024;
     reallocation_policy = Reallocation.default_policy;
     amnesia_on_crash = false;
@@ -206,11 +192,7 @@ let default =
   }
 
 let validate t =
-  if t.epoch_ms <= 0.0 then Error "epoch_ms must be positive"
-  else if t.history_epochs < 1 then Error "history_epochs must be >= 1"
-  else if t.buffer_epochs < 1 then Error "buffer_epochs must be >= 1"
-  else if t.request_headroom < 1.0 then Error "request_headroom must be >= 1"
-  else if t.election_timeout_ms <= 0.0 || t.accept_timeout_ms <= 0.0 then
+  if t.election_timeout_ms <= 0.0 || t.accept_timeout_ms <= 0.0 then
     Error "protocol timeouts must be positive"
   else if t.cohort_timeout_ms <= t.election_timeout_ms then
     Error "cohort timeout must exceed the election timeout"

@@ -106,29 +106,9 @@ end
 
 type t = {
   variant : variant;
-  epoch_ms : float;
-      (** prediction look-ahead window (§4.2); 5 s of compressed trace time
-          corresponds to the paper's 5-minute epochs *)
-  history_epochs : int;  (** demand history kept for the forecaster *)
-  buffer_epochs : int;
-      (** how many epochs of predicted demand a redistribution should leave
-          the site holding. Triggering follows Equation 4 (predicted
-          next-epoch demand exceeds the local pool), but requesting only a
-          single epoch's worth would re-trigger every epoch; a multi-epoch
-          buffer amortises one synchronization over many epochs of local
-          serving, which is the point of the design. *)
-  request_headroom : float;
-      (** low/high watermark ratio: a redistribution triggers when the
-          local pool drops below the predicted need but requests
-          [headroom x need], so consecutive instances are spaced by the
-          time it takes to erode the extra headroom rather than one
-          epoch. *)
   prediction_enabled : bool;  (** [false] = reactive-only (Fig. 3f) *)
   redistribution_enabled : bool;  (** [false] = reject on exhaustion (Fig. 3e) *)
   enforce_constraint : bool;  (** [false] = no global limit (Fig. 3e) *)
-  proactive_check_ms : float;
-      (** minimum spacing of background prediction checks after served
-          acquires *)
   redistribution_cooldown_ms : float;
       (** minimum spacing between redistributions triggered by one site —
           guards against redistribution storms under global scarcity *)
@@ -137,12 +117,6 @@ type t = {
   cohort_timeout_ms : float;  (** cohort's leader-failure detector *)
   status_retry_ms : float;  (** Avantan[*] recovery retry period *)
   local_processing_ms : float;  (** CPU cost to serve one request locally *)
-  read_timeout_ms : float;  (** global-snapshot read fan-out patience *)
-  anti_entropy_ms : float;
-      (** period of the decision anti-entropy gossip: each site
-          periodically asks peers for decided redistributions involving it
-          and applies any it missed (lost Decision messages, aborted
-          recoveries). 0 disables it. Idempotent by instance origin. *)
   decided_log_retention : int;
       (** how many decided values each site keeps per entity (newest
           first) to answer the Recovery-Query of a peer that was down when

@@ -79,14 +79,20 @@ let initial_mechanism (config : Config.t) =
   | Config.Controller.Static m -> m
   | Config.Controller.Adaptive -> Config.Controller.Escrow
 
+(* Prediction look-ahead window (§4.2): 5 s of compressed trace time
+   corresponds to the paper's 5-minute epochs. *)
+let epoch_ms = 5_000.0
+
+(* Demand history kept for the forecaster, in epochs. *)
+let history_epochs = 64
+
 let create ~engine ~(config : Config.t) ~(core : t Entity_map.core) =
   {
     core;
     queue = Queue.create ();
     queue_peak = 0;
     tracker =
-      Demand_tracker.create ~engine ~epoch_ms:config.Config.epoch_ms
-        ~capacity:config.Config.history_epochs;
+      Demand_tracker.create ~engine ~epoch_ms ~capacity:history_epochs;
     applied_origins = Hashtbl.create 64;
     decided_log = [];
     decided_log_len = 0;

@@ -8,6 +8,24 @@ let create ~config ?forecaster () = { config; forecaster; proactive_triggers = 0
 
 let proactive_triggers t = t.proactive_triggers
 
+(* How many epochs of predicted demand a redistribution should leave the
+   site holding. Triggering follows Equation 4 (predicted next-epoch
+   demand exceeds the local pool), but requesting only a single epoch's
+   worth would re-trigger every epoch; a multi-epoch buffer amortises one
+   synchronization over many epochs of local serving, which is the point
+   of the design. *)
+let buffer_epochs = 12
+
+(* Low/high watermark ratio: a redistribution triggers when the local
+   pool drops below the predicted need but requests [headroom x need], so
+   consecutive instances are spaced by the time it takes to erode the
+   extra headroom rather than one epoch. *)
+let request_headroom = 3.0
+
+(* Minimum spacing of background prediction checks after served
+   acquires. *)
+let proactive_check_ms = 1_000.0
+
 (* The token pool a site wants to hold: [buffer_epochs] worth of the
    predicted per-epoch net consumption (the forecaster's job), plus
    working capital covering the peak concurrent draw observed in recent
@@ -32,7 +50,7 @@ let predicted_need t (ctx : Entity_state.t) =
     end
   in
   let target =
-    (Float.max 0.0 net *. float_of_int t.config.Config.buffer_epochs)
+    (Float.max 0.0 net *. float_of_int buffer_epochs)
     +. Float.max 0.0 capital
   in
   int_of_float (Float.ceil target)
@@ -41,10 +59,10 @@ let predicted_need t (ctx : Entity_state.t) =
    previous instances could not satisfy this site — Algorithm 2's
    rejection is all-or-nothing, so a site facing a shrinking pool must
    lower its ask to keep draining what remains. *)
-let requested_pool t (ctx : Entity_state.t) need =
+let requested_pool (ctx : Entity_state.t) need =
   int_of_float
     (Float.ceil
-       (t.config.Config.request_headroom *. ctx.request_scale *. float_of_int need))
+       (request_headroom *. ctx.request_scale *. float_of_int need))
 
 (* Algorithm 1 lines 9-11, run by cohorts before answering an election. *)
 let refresh_wanted t (ctx : Entity_state.t) =
@@ -52,7 +70,7 @@ let refresh_wanted t (ctx : Entity_state.t) =
     let need = predicted_need t ctx in
     if need > ctx.core.tokens_left then
       ctx.core.tokens_wanted <-
-        max ctx.core.tokens_wanted (requested_pool t ctx need - ctx.core.tokens_left)
+        max ctx.core.tokens_wanted (requested_pool ctx need - ctx.core.tokens_left)
   end
 
 (* Reactive redistribution's ask (Equation 5); with prediction enabled the
@@ -60,7 +78,7 @@ let refresh_wanted t (ctx : Entity_state.t) =
    covers the demand that is about to follow. *)
 let reactive_wanted t (ctx : Entity_state.t) ~amount =
   if t.config.Config.prediction_enabled then
-    max amount (requested_pool t ctx (predicted_need t ctx) - ctx.core.tokens_left)
+    max amount (requested_pool ctx (predicted_need t ctx) - ctx.core.tokens_left)
   else amount
 
 (* Proactive redistribution (Equation 4): after serving an acquire,
@@ -70,13 +88,13 @@ let proactive_check t ~now ~cooldown_ok ~trigger (ctx : Entity_state.t) =
   if
     t.config.Config.prediction_enabled
     && t.config.Config.redistribution_enabled
-    && now -. ctx.last_proactive_check_ms >= t.config.Config.proactive_check_ms
+    && now -. ctx.last_proactive_check_ms >= proactive_check_ms
   then begin
     ctx.last_proactive_check_ms <- now;
     let need = predicted_need t ctx in
     if need > ctx.core.tokens_left && (not (Entity_state.participating ctx)) && cooldown_ok ()
     then begin
-      let wanted = requested_pool t ctx need - ctx.core.tokens_left in
+      let wanted = requested_pool ctx need - ctx.core.tokens_left in
       if wanted > 0 then begin
         t.proactive_triggers <- t.proactive_triggers + 1;
         ctx.core.tokens_wanted <- wanted;

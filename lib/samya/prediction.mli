@@ -20,7 +20,7 @@ val predicted_need : t -> Entity_state.t -> int
     forecast per-epoch net consumption plus working capital covering the
     recently observed peak concurrent draw. *)
 
-val requested_pool : t -> Entity_state.t -> int -> int
+val requested_pool : Entity_state.t -> int -> int
 (** The high watermark a triggered redistribution asks for:
     [request_headroom x need], shrunk by the famine [request_scale]. *)
 

@@ -1,9 +1,10 @@
 (** Wire messages of the Avantan redistribution protocols (§4.3).
 
     Both variants share the message vocabulary; they differ in quorum rules,
-    participation and recovery, implemented in {!Avantan_majority} and
-    {!Avantan_star}. [AcceptVal] is a {e list} of per-site states — the key
-    departure from Paxos, where the value is a single client proposal.
+    participation and recovery: the {!Avantan_core.majority} and
+    {!Avantan_core.star} policies. [AcceptVal] is a {e list} of per-site
+    states — the key departure from Paxos, where the value is a single
+    client proposal.
 
     Since the multi-entity refactor a value is a list of {e groups}, one
     per entity whose deltas piggyback on the instance. Per-entity protocol

@@ -181,12 +181,11 @@ let attach t ?restore (ctx : Entity_state.t) =
       status_retry_ms = t.config.Config.status_retry_ms;
     }
   in
-  let policy =
-    match t.config.Config.variant with
-    | Config.Majority -> Avantan_majority.policy
-    | Config.Star -> Avantan_star.policy
+  let av =
+    Avantan_core.create
+      ~policy:(Avantan_core.policy_of_variant t.config.Config.variant)
+      env
   in
-  let av = Avantan_core.create ~policy env in
   ctx.av <- Some av;
   match restore with Some image -> Avantan_core.restore av image | None -> ()
 
@@ -356,13 +355,11 @@ let make_batch t =
            status_retry_ms = t.config.Config.status_retry_ms;
          }
        in
-       let policy =
-         match t.config.Config.variant with
-         | Config.Majority -> Avantan_majority.policy
-         | Config.Star -> Avantan_star.policy
-       in
        {
-         b_av = Avantan_core.create ~policy env;
+         b_av =
+           Avantan_core.create
+             ~policy:(Avantan_core.policy_of_variant t.config.Config.variant)
+             env;
          pending = Queue.create ();
          pending_set = Hashtbl.create 64;
          exposed_set = Hashtbl.create 64;

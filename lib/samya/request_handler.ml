@@ -507,6 +507,9 @@ let finish_read t rid =
       if Des.Trace_context.is_none read.r_ctx then serve ()
       else Des.Engine.with_context t.engine read.r_ctx serve
 
+(* Global-snapshot read fan-out patience. *)
+let read_timeout_ms = 600.0
+
 let serve_read_inner t ~entity ~own reply =
   (match Obs.Sink.tap t.obs with
   | None -> ()
@@ -538,7 +541,7 @@ let serve_read_inner t ~entity ~own reply =
     read.r_timer <-
       Some
         (Des.Engine.timer ~label:"samya.read.timeout" t.engine
-           ~delay_ms:t.config.Config.read_timeout_ms (fun () ->
+           ~delay_ms:read_timeout_ms (fun () ->
              if t.deps.alive () then finish_read t rid));
     t.deps.broadcast_read_query ~entity ~rid
   end

@@ -368,6 +368,8 @@ let create ~config ~network ~id ?forecaster ?on_protocol_event ?obs
       handle_net t ~src:envelope.Geonet.Network.src envelope.Geonet.Network.payload);
   t
 
+let anti_entropy_ms = 30_000.0
+
 let check_entity_name op entity =
   if String.equal entity Protocol_driver.batch_channel then
     invalid_arg (op ^ ": the empty entity name is reserved")
@@ -387,15 +389,13 @@ let init_entity t ~entity ~tokens =
   (* Anti-entropy: periodically reconcile missed decisions (a lost
      Decision message or an aborted recovery must not leave this site's
      contribution un-applied forever). *)
-  if t.config.Config.anti_entropy_ms > 0.0 then begin
-    let rec gossip () =
-      Des.Engine.schedule t.engine ~delay_ms:t.config.Config.anti_entropy_ms (fun () ->
-          if !(t.is_alive) then
-            Geonet.Network.broadcast t.network ~src:t.site_id (Recovery_query { entity });
-          gossip ())
-    in
-    gossip ()
-  end
+  let rec gossip () =
+    Des.Engine.schedule t.engine ~delay_ms:anti_entropy_ms (fun () ->
+        if !(t.is_alive) then
+          Geonet.Network.broadcast t.network ~src:t.site_id (Recovery_query { entity });
+        gossip ())
+  in
+  gossip ()
 
 (* The entities whose tokens can have moved in a redistribution: hot ones,
    plus cold cores whose InitVal is exposed to a live batched instance. *)
@@ -406,10 +406,10 @@ let involved (core : _ Entity_map.core) =
    timer per entity: each period it queries peers for the (few) entities
    whose tokens can actually have moved. *)
 let ensure_fleet_gossip t =
-  if t.config.Config.anti_entropy_ms > 0.0 && not t.fleet_gossip_armed then begin
+  if not t.fleet_gossip_armed then begin
     t.fleet_gossip_armed <- true;
     let rec gossip () =
-      Des.Engine.schedule t.engine ~delay_ms:t.config.Config.anti_entropy_ms (fun () ->
+      Des.Engine.schedule t.engine ~delay_ms:anti_entropy_ms (fun () ->
           if !(t.is_alive) then
             Entity_map.iter
               (fun core ->

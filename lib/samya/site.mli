@@ -33,6 +33,12 @@ type net_msg =
 
 type t
 
+val anti_entropy_ms : float
+(** Period of the decision anti-entropy gossip: each site periodically
+    asks peers for decided redistributions involving it and applies any
+    it missed (lost Decision messages, aborted recoveries). Idempotent by
+    instance origin. *)
+
 val create :
   config:Config.t ->
   network:net_msg Geonet.Network.t ->

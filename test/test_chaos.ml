@@ -206,7 +206,7 @@ let multi_entity_conserves_under_chaos =
       Des.Engine.run engine
         ~until_ms:
           (duration_ms
-          +. Float.max 240_000.0 (4.0 *. config.Samya.Config.anti_entropy_ms));
+          +. Float.max 240_000.0 (4.0 *. Samya.Site.anti_entropy_ms));
       if Chaos.Injector.injected injector <> Chaos.Injector.healed injector then
         QCheck.Test.fail_reportf "seed %d: unhealed faults" seed;
       List.iteri

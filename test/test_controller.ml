@@ -336,29 +336,26 @@ let contention_engine_jobs_identical () =
   (* The adaptive arm — borrow conversations, controller switches,
      per-phase accounting — must reproduce byte-identically at any
      --engine-jobs setting. *)
-  let arm =
-    List.find
-      (fun a -> a.Harness.Exp_contention.a_id = "adaptive")
-      Harness.Exp_contention.arms
-  in
+  let plan = Harness.Exp_contention.plan ~quick:true in
+  let arm = Harness.Scenario.arm plan "adaptive" in
   let fingerprint engine_jobs =
-    let c = Harness.Exp_contention.capture ~engine_jobs ~quick:true ~arm () in
-    let r = c.Harness.Exp_contention.result in
+    let c = Harness.Scenario.capture ~engine_jobs plan arm in
+    let r = c.Harness.Scenario.result in
     Format.asprintf "%d/%d/%d/%d p50=%.4f borrows=%d switches=%d final=%s %a slo=%a"
       r.Harness.Driver.committed r.Harness.Driver.rejected
       r.Harness.Driver.timed_out r.Harness.Driver.no_reply
       (Harness.Driver.percentile r 50.0)
-      c.Harness.Exp_contention.stats.Harness.Systems.borrows
-      c.Harness.Exp_contention.stats.Harness.Systems.mechanism_switches
-      c.Harness.Exp_contention.final_mechanism
+      c.Harness.Scenario.stats.Harness.Systems.borrows
+      c.Harness.Scenario.stats.Harness.Systems.mechanism_switches
+      (Harness.Exp_contention.final_mechanism c)
       (Format.pp_print_list (fun fmt (v : Harness.Exp_contention.phase_row) ->
            Format.fprintf fmt "%s:%.3f/%.4f" v.Harness.Exp_contention.v_name
              v.Harness.Exp_contention.v_tps v.Harness.Exp_contention.v_p99))
-      (Harness.Exp_contention.phase_rows c)
+      (Harness.Exp_contention.phase_rows ~quick:true c)
       (Format.pp_print_list (fun fmt (l : Obs.Slo.report_line) ->
            Format.fprintf fmt "%s:%d/%d" l.Obs.Slo.name l.Obs.Slo.violations
              l.Obs.Slo.windows))
-      (Obs.Slo.report c.Harness.Exp_contention.slo)
+      (Obs.Slo.report c.Harness.Scenario.slo)
   in
   let one = fingerprint 1 in
   check Alcotest.string "engine-jobs 2 = 1" one (fingerprint 2);

@@ -1,6 +1,5 @@
 (* Tests for the extension modules: Holt-Winters forecasting, the
-   pluggable reallocation policies, the hierarchical org tracker, and the
-   CRDT counter comparison. *)
+   pluggable reallocation policies and the hierarchical org tracker. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -200,56 +199,6 @@ let org_release_returns_every_level () =
   check int "team net" 25 (Hierarchy.Org.usage org team);
   check int "root net" 25 (Hierarchy.Org.usage org root)
 
-(* ------------------------------------------------------------------ *)
-(* CRDT counter *)
-
-let crdt_converges () =
-  let crdt = Baselines.Crdt_counter.create ~seed:3L () in
-  Baselines.Crdt_counter.init_entity crdt ~entity:"VM" ~maximum:1_000_000;
-  let engine = Baselines.Crdt_counter.engine crdt in
-  let regions = Array.of_list Geonet.Region.default_five in
-  Array.iter
-    (fun region ->
-      for _ = 1 to 100 do
-        Baselines.Crdt_counter.submit crdt ~region
-          (Samya.Types.Acquire { entity = "VM"; amount = 1; deadline_ms = infinity })
-          ~reply:(fun _ -> ())
-      done)
-    regions;
-  Des.Engine.run engine ~until_ms:30_000.0;
-  check int "converged total" 500 (Baselines.Crdt_counter.total_acquired crdt ~entity:"VM");
-  (* After gossip settles, a read anywhere sees the full total. *)
-  let seen = ref None in
-  Baselines.Crdt_counter.submit crdt ~region:Geonet.Region.Us_west1
-    (Samya.Types.Read { entity = "VM"; deadline_ms = infinity })
-    ~reply:(fun r -> seen := Some r);
-  Des.Engine.run engine ~until_ms:35_000.0;
-  check bool "read sees converged availability" true
-    (!seen = Some (Samya.Types.Read_result { tokens_available = 999_500 }))
-
-let crdt_cannot_enforce_the_constraint () =
-  (* Five regions race for a limit of 100: each local view says "fine"
-     until gossip arrives, so the converged total overshoots. Samya under
-     the same race never does (its qcheck invariants); this is the §2
-     comparison made executable. *)
-  let crdt = Baselines.Crdt_counter.create ~seed:3L () in
-  Baselines.Crdt_counter.init_entity crdt ~entity:"VM" ~maximum:100;
-  let engine = Baselines.Crdt_counter.engine crdt in
-  let regions = Array.of_list Geonet.Region.default_five in
-  Array.iter
-    (fun region ->
-      for _ = 1 to 80 do
-        Baselines.Crdt_counter.submit crdt ~region
-          (Samya.Types.Acquire { entity = "VM"; amount = 1; deadline_ms = infinity })
-          ~reply:(fun _ -> ())
-      done)
-    regions;
-  Des.Engine.run engine ~until_ms:30_000.0;
-  let overshoot = Baselines.Crdt_counter.overshoot crdt ~entity:"VM" in
-  check bool
-    (Printf.sprintf "constraint violated by %d tokens" overshoot)
-    true (overshoot > 0)
-
 let suite =
   [
     Alcotest.test_case "holt-winters: beats RW on seasonal data" `Quick hw_learns_seasonality;
@@ -266,7 +215,4 @@ let suite =
     Alcotest.test_case "org: team limit binds with compensation" `Quick org_team_limit_binds;
     Alcotest.test_case "org: release returns every level" `Quick
       org_release_returns_every_level;
-    Alcotest.test_case "crdt: converges" `Quick crdt_converges;
-    Alcotest.test_case "crdt: cannot enforce Equation 1" `Quick
-      crdt_cannot_enforce_the_constraint;
   ]

@@ -219,15 +219,16 @@ let gateway_engine_jobs_identical () =
      site-level instances — must report identically whether the regions
      run on one domain or four. *)
   let fingerprint engine_jobs =
-    let c = Harness.Exp_gateway.capture ~engine_jobs ~quick:true () in
-    let r = c.Harness.Exp_gateway.result in
+    let plan = Harness.Exp_gateway.plan ~quick:true in
+    let c = Harness.Scenario.capture ~engine_jobs plan (Harness.Scenario.arm plan "fleet") in
+    let r = c.Harness.Scenario.result in
     Format.asprintf "%d/%d/%d/%d p50=%.3f p95=%.3f slo=%a by=%a"
       r.Harness.Driver.committed r.Harness.Driver.rejected r.Harness.Driver.unavailable r.Harness.Driver.no_reply
       (Harness.Driver.percentile r 50.0) (Harness.Driver.percentile r 95.0)
       (Format.pp_print_list (fun fmt (l : Obs.Slo.report_line) ->
            Format.fprintf fmt "%s:%d/%d" l.Obs.Slo.name l.Obs.Slo.violations
              l.Obs.Slo.windows))
-      (Obs.Slo.report c.Harness.Exp_gateway.slo)
+      (Obs.Slo.report c.Harness.Scenario.slo)
       (Format.pp_print_list (fun fmt (key, (e : Harness.Driver.entity_stats)) ->
            Format.fprintf fmt "%s=%d,%d,%.3f" key e.Harness.Driver.e_committed
              e.Harness.Driver.e_rejected e.Harness.Driver.e_latency_sum_ms))

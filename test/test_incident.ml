@@ -276,29 +276,55 @@ let bundle_names_breached_window () =
   | incidents -> fail (Printf.sprintf "expected 1 incident, got %d" (List.length incidents))
 
 (* ------------------------------------------------------------------ *)
+(* Parallel lanes: each domain writes only its own lane *)
+
+let parallel_lanes_lose_nothing () =
+  (* The sharded DES runs lanes on parallel domains. Once the lane slots
+     are reserved (as arming a cluster does), nothing a lane writes may
+     touch shared state: every event and every observation is counted. *)
+  let lanes = 4 and per_lane = 20_000 in
+  let recorder = Obs.Flight_recorder.create () in
+  let hot = Obs.Heavy_hitters.Windowed.create ~k:8 ~window_ms:100.0 () in
+  Obs.Flight_recorder.reserve recorder ~lanes;
+  Obs.Heavy_hitters.Windowed.reserve hot ~lanes;
+  let write lane () =
+    for i = 1 to per_lane do
+      let ts = float_of_int i in
+      Obs.Flight_recorder.record recorder ~lane ~ts
+        ~kind:Obs.Flight_recorder.Note ~site:lane "tick";
+      Obs.Heavy_hitters.Windowed.observe hot ~lane ~now_ms:ts
+        (Printf.sprintf "key%d" (i mod 16))
+    done
+  in
+  List.init lanes (fun lane -> Domain.spawn (write lane)) |> List.iter Domain.join;
+  check int "recorded" (lanes * per_lane) (Obs.Flight_recorder.recorded recorder);
+  check int "dropped" 0 (Obs.Flight_recorder.dropped recorder);
+  check int "events retained" (lanes * per_lane)
+    (List.length (Obs.Flight_recorder.events recorder));
+  check int "sketch total" (lanes * per_lane)
+    (Obs.Heavy_hitters.total (Obs.Heavy_hitters.Windowed.cumulative hot))
+
+(* ------------------------------------------------------------------ *)
 (* End to end: recorder dumps byte-identical at any --engine-jobs *)
 
 let retrystorm_flight_recorder_identical () =
-  let arm =
-    List.find
-      (fun a -> a.Harness.Exp_retrystorm.a_id = "admission")
-      Harness.Exp_retrystorm.arms
-  in
+  let plan = Harness.Exp_retrystorm.plan ~quick:true in
+  let arm = Harness.Scenario.arm plan "admission" in
   let snapshot engine_jobs =
-    let c = Harness.Exp_retrystorm.capture ~engine_jobs ~quick:true ~arm () in
+    let c = Harness.Scenario.capture ~engine_jobs plan arm in
     let dump =
       String.concat "\n"
         (List.map Obs.Flight_recorder.line
-           (Obs.Flight_recorder.events c.Harness.Exp_retrystorm.flight))
+           (Obs.Flight_recorder.events c.Harness.Scenario.flight))
     in
     let incidents =
       String.concat "\n"
-        (List.map Obs.Watchdog.incident_line c.Harness.Exp_retrystorm.incidents)
+        (List.map Obs.Watchdog.incident_line c.Harness.Scenario.incidents)
     in
     let hot =
       List.map
         (fun (start, sk) -> (start, Obs.Heavy_hitters.dump sk))
-        (Obs.Heavy_hitters.Windowed.windows c.Harness.Exp_retrystorm.hot)
+        (Obs.Heavy_hitters.Windowed.windows c.Harness.Scenario.hot)
     in
     (dump, incidents, hot)
   in
@@ -337,6 +363,8 @@ let suite =
     test_case "hh: zipfian error bound" `Quick zipfian_error_bound;
     test_case "hh: windowed lane independence" `Quick
       windowed_lane_independence;
+    test_case "recorder + hh: parallel lanes lose nothing" `Quick
+      parallel_lanes_lose_nothing;
     test_case "watchdog: rules fire with cooldown" `Quick watchdog_rules_fire;
     test_case "watchdog: bundle names breached window" `Quick
       bundle_names_breached_window;

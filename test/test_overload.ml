@@ -691,15 +691,12 @@ let retrystorm_engine_jobs_identical () =
   (* The heaviest arm — retries, watchdogs, jittered backoff, deadline
      sheds, buffered SLO — must reproduce byte-identically at any
      --engine-jobs setting. *)
-  let arm =
-    List.find
-      (fun a -> a.Harness.Exp_retrystorm.a_id = "admission")
-      Harness.Exp_retrystorm.arms
-  in
+  let plan = Harness.Exp_retrystorm.plan ~quick:true in
+  let arm = Harness.Scenario.arm plan "admission" in
   let fingerprint engine_jobs =
-    let c = Harness.Exp_retrystorm.capture ~engine_jobs ~quick:true ~arm () in
-    let r = c.Harness.Exp_retrystorm.result in
-    let pre, post, ratio = Harness.Exp_retrystorm.recovery c in
+    let c = Harness.Scenario.capture ~engine_jobs plan arm in
+    let r = c.Harness.Scenario.result in
+    let pre, post, ratio = Harness.Exp_retrystorm.recovery ~quick:true c in
     Format.asprintf "%d/%d/%d/%d/%d/%d p50=%.4f pre=%.3f post=%.3f r=%.5f slo=%a"
       r.Harness.Driver.committed r.Harness.Driver.rejected
       r.Harness.Driver.shed r.Harness.Driver.timed_out r.Harness.Driver.retries
@@ -709,7 +706,7 @@ let retrystorm_engine_jobs_identical () =
       (Format.pp_print_list (fun fmt (l : Obs.Slo.report_line) ->
            Format.fprintf fmt "%s:%d/%d" l.Obs.Slo.name l.Obs.Slo.violations
              l.Obs.Slo.windows))
-      (Obs.Slo.report c.Harness.Exp_retrystorm.slo)
+      (Obs.Slo.report c.Harness.Scenario.slo)
   in
   let one = fingerprint 1 in
   check bool "produced data" true (String.length one > 40);
@@ -719,17 +716,12 @@ let retrystorm_engine_jobs_identical () =
 let retrystorm_metastable_gap () =
   (* The scenario's reason to exist: naive immediate retries stay
      metastable after the heal while backoff+admission recovers. *)
-  let capture id =
-    let arm =
-      List.find (fun a -> a.Harness.Exp_retrystorm.a_id = id)
-        Harness.Exp_retrystorm.arms
-    in
-    Harness.Exp_retrystorm.capture ~quick:true ~arm ()
-  in
+  let plan = Harness.Exp_retrystorm.plan ~quick:true in
+  let capture id = Harness.Scenario.capture plan (Harness.Scenario.arm plan id) in
   let naive = capture "naive" in
   let admission = capture "admission" in
-  let _, _, naive_ratio = Harness.Exp_retrystorm.recovery naive in
-  let _, _, adm_ratio = Harness.Exp_retrystorm.recovery admission in
+  let _, _, naive_ratio = Harness.Exp_retrystorm.recovery ~quick:true naive in
+  let _, _, adm_ratio = Harness.Exp_retrystorm.recovery ~quick:true admission in
   check bool
     (Printf.sprintf "naive metastable (post/pre %.2f)" naive_ratio)
     true (naive_ratio < 0.5);
@@ -737,14 +729,15 @@ let retrystorm_metastable_gap () =
     (Printf.sprintf "admission recovers (post/pre %.2f)" adm_ratio)
     true (adm_ratio >= 0.9);
   check bool "admission shed load" true
-    (naive.Harness.Exp_retrystorm.shed_admission = 0
-    && admission.Harness.Exp_retrystorm.shed_admission > 0);
+    ((Harness.Exp_retrystorm.resilience naive).shed_admission = 0
+    && (Harness.Exp_retrystorm.resilience admission).shed_admission > 0);
   List.iter
-    (fun c ->
+    (fun (c : Harness.Scenario.capture) ->
       check bool "conservation" true
-        (Samya.Cluster.check_invariant c.Harness.Exp_retrystorm.cluster
-           ~entity:"sale" ~maximum:c.Harness.Exp_retrystorm.scale.Harness.Exp_retrystorm.quota
-        = Ok ()))
+        (Samya.Cluster.check_invariant (Option.get c.cluster) ~entity:"sale"
+           ~maximum:3_000
+        = Ok ());
+      check bool "runner audit agrees" true (c.violations = []))
     [ naive; admission ]
 
 let suite =

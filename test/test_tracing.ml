@@ -302,45 +302,34 @@ let explain_deterministic_and_attributed () =
       ("cockroach", fun () -> Harness.Systems.cockroach ~seed:3L ~entity ~maximum:500 ());
     ]
   in
+  let arms =
+    List.map
+      (fun (label, build) ->
+        {
+          Harness.Scenario.id = label;
+          label;
+          name = label;
+          system = Built build;
+          spec = Fun.id;
+        })
+      builders
+  in
+  let plan =
+    {
+      Harness.Scenario.duration_ms;
+      requests;
+      entities = Hot { entity; maximum = 500 };
+      faults = [];
+      window_ms = 10_000.0;
+      sketch_k = 8;
+      spec = (fun spec -> { spec with Harness.Driver.drain_ms = 30_000.0 });
+      arms;
+      traced = List.map (fun (a : Harness.Scenario.arm) -> a.id) arms;
+      report = (fun _ _ -> ());
+    }
+  in
   let capture () =
-    let captures =
-      Harness.Pool.map
-        (fun (label, build) ->
-          let t_system = build () in
-          let sink =
-            Obs.Sink.create
-              ~now:(fun () -> Des.Engine.now t_system.Harness.Systems.engine)
-              ()
-          in
-          t_system.Harness.Systems.subscribe sink;
-          let flight = Obs.Flight_recorder.create () in
-          let hot = Obs.Heavy_hitters.Windowed.create ~k:8 ~window_ms:10_000.0 () in
-          t_system.Harness.Systems.arm
-            { Obs.Flight_recorder.recorder = flight; hot = Some hot };
-          let slo = Obs.Slo.create () in
-          let spec =
-            {
-              (Harness.Driver.default_spec ~client_regions:regions ~requests
-                 ~duration_ms)
-              with
-              Harness.Driver.obs = Some sink;
-              slo = Some slo;
-              flight = Some flight;
-            }
-          in
-          let result = Harness.Driver.run ~t_system spec in
-          {
-            Harness.Exp_trace.label;
-            sink;
-            slo;
-            result;
-            stats = t_system.Harness.Systems.stats ();
-            flight;
-            hot;
-            incidents = Obs.Watchdog.detect (Obs.Flight_recorder.events flight);
-          })
-        builders
-    in
+    let captures = Harness.Scenario.trace plan in
     let explain =
       Format.asprintf "%t" (fun fmt ->
           Harness.Exp_trace.explain fmt ~slowest:5 captures)
@@ -353,17 +342,17 @@ let explain_deterministic_and_attributed () =
   check string "explain byte-identical across jobs" explain1 explain2;
   check string "slo json byte-identical across jobs" slo1 slo2;
   List.iter
-    (fun c ->
+    (fun (c : Harness.Scenario.capture) ->
       let bds = Harness.Exp_trace.breakdowns c in
       check bool
-        (c.Harness.Exp_trace.label ^ ": has completed traced requests")
+        (c.arm.name ^ ": has completed traced requests")
         true (bds <> []);
       List.iter
         (fun b ->
           let f = Obs.Critical_path.attributed_fraction b in
           if f < 0.95 then
             Alcotest.failf "%s trace %d: only %.1f%% of %.2f ms attributed"
-              c.Harness.Exp_trace.label b.Obs.Critical_path.trace (100.0 *. f)
+              c.arm.name b.Obs.Critical_path.trace (100.0 *. f)
               b.Obs.Critical_path.wall_ms)
         bds)
     captures
