@@ -115,27 +115,31 @@ let demo_cmd =
     let variant = if star then Samya.Config.Star else Samya.Config.Majority in
     let config = { Samya.Config.default with variant } in
     let regions = Array.of_list Geonet.Region.default_five in
-    (* The hook needs the virtual clock, which only exists once the cluster
-       does: close over a forward cell. *)
-    let engine_cell = ref None in
+    (* The hook needs the virtual clock of the reporting site's lane,
+       which only exists once the cluster does: close over a forward
+       cell. *)
+    let cluster_cell = ref None in
     let on_protocol_event =
       if not events then None
       else
         Some
           (fun ~site ~entity:_ event ->
             let now =
-              match !engine_cell with Some e -> Des.Engine.now e | None -> 0.0
+              match !cluster_cell with
+              | Some c -> Des.Engine.now (Samya.Cluster.engine_of_region c regions.(site))
+              | None -> 0.0
             in
             Format.printf "  [%8.1f ms] site %d: %a@." now site
               Samya.Avantan_core.pp_event event)
     in
     let cluster = Samya.Cluster.create ~config ~regions ?on_protocol_event () in
-    let engine = Samya.Cluster.engine cluster in
-    engine_cell := Some engine;
+    cluster_cell := Some cluster;
     Samya.Cluster.init_entity cluster ~entity:"VM" ~maximum:5_000;
     Format.printf "5-site Samya cluster, M_e(VM) = 5000, variant %s@."
       (match variant with Samya.Config.Majority -> "Avantan[(n+1)/2]" | _ -> "Avantan[*]");
     let granted = ref 0 and rejected = ref 0 in
+    (* The burst comes from region 0's clients, on that region's lane. *)
+    let engine = Samya.Cluster.engine_of_region cluster regions.(0) in
     for i = 0 to 2_499 do
       Des.Engine.schedule engine ~delay_ms:(float_of_int i *. 1.5) (fun () ->
           Samya.Cluster.submit cluster ~region:regions.(0)
@@ -144,7 +148,7 @@ let demo_cmd =
               | Samya.Types.Granted -> incr granted
               | _ -> incr rejected))
     done;
-    Des.Engine.run engine ~until_ms:600_000.0;
+    Samya.Cluster.run_until cluster ~until_ms:600_000.0;
     Format.printf
       "region %s acquired %d VMs (rejected %d) against a local share of 1000:@."
       (Geonet.Region.name regions.(0))

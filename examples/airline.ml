@@ -18,40 +18,47 @@ let () =
   let cluster =
     Samya.Cluster.create ~config:Samya.Config.default ~regions ~seed:31L ()
   in
-  let engine = Samya.Cluster.engine cluster in
   Samya.Cluster.init_entity cluster ~entity:flight ~maximum:seats;
-  let rng = Des.Rng.split (Des.Engine.rng engine) in
+  let rng = Des.Rng.create 31L in
   let booked = ref 0 and turned_away = ref 0 and cancelled = ref 0 in
 
   (* Bookings arrive worldwide; 6% of them cancel later. Demand (700+
-     attempts) deliberately exceeds the cabin. *)
-  let book region at =
+     attempts) deliberately exceeds the cabin. A booking is issued, and
+     its cancellation scheduled, on its agency region's simulation lane;
+     its randomness is drawn up front. *)
+  let book region at ~cancel_after =
+    let engine = Samya.Cluster.engine_of_region cluster region in
     Des.Engine.schedule_at engine ~time_ms:at (fun () ->
         Samya.Cluster.submit cluster ~region
           (Samya.Types.Acquire { entity = flight; amount = 1; deadline_ms = infinity })
           ~reply:(function
-            | Samya.Types.Granted ->
+            | Samya.Types.Granted -> (
                 incr booked;
-                if Des.Rng.bool rng 0.06 then
-                  Des.Engine.schedule engine
-                    ~delay_ms:(Des.Rng.float rng 60_000.0)
-                    (fun () ->
-                      Samya.Cluster.submit cluster ~region
-                        (Samya.Types.Release { entity = flight; amount = 1; deadline_ms = infinity })
-                        ~reply:(function
-                          | Samya.Types.Granted ->
-                              decr booked;
-                              incr cancelled
-                          | _ -> ()))
+                match cancel_after with
+                | None -> ()
+                | Some delay_ms ->
+                    Des.Engine.schedule engine ~delay_ms (fun () ->
+                        Samya.Cluster.submit cluster ~region
+                          (Samya.Types.Release
+                             { entity = flight; amount = 1; deadline_ms = infinity })
+                          ~reply:(function
+                            | Samya.Types.Granted ->
+                                decr booked;
+                                incr cancelled
+                            | _ -> ())))
             | Samya.Types.Rejected | Samya.Types.Rejected_deadline | Samya.Types.Unavailable ->
                 incr turned_away
             | Samya.Types.Read_result _ -> ()))
   in
   for _ = 1 to 700 do
     let region = Des.Rng.pick rng regions in
-    book region (Des.Rng.float rng 120_000.0)
+    let at = Des.Rng.float rng 120_000.0 in
+    let cancel_after =
+      if Des.Rng.bool rng 0.06 then Some (Des.Rng.float rng 60_000.0) else None
+    in
+    book region at ~cancel_after
   done;
-  Des.Engine.run engine ~until_ms:600_000.0;
+  Samya.Cluster.run_until cluster ~until_ms:600_000.0;
 
   Format.printf "flight %s, %d seats, 700 booking attempts across 5 continents:@.@."
     flight seats;

@@ -18,14 +18,15 @@ let () =
   let cluster =
     Samya.Cluster.create ~config:Samya.Config.default ~regions ~seed:11L ()
   in
-  let engine = Samya.Cluster.engine cluster in
   Samya.Cluster.init_entity cluster ~entity:sku ~maximum:listed;
   let sold = Array.make (Array.length regions) 0 in
   let missed = Array.make (Array.length regions) 0 in
-  let rng = Des.Rng.split (Des.Engine.rng engine) in
+  let rng = Des.Rng.create 11L in
 
-  (* Background shopping everywhere: ~20 orders/s per region. *)
+  (* Background shopping everywhere: ~20 orders/s per region. Each order
+     is issued on its storefront region's simulation lane. *)
   let order region_index at =
+    let engine = Samya.Cluster.engine_of_region cluster regions.(region_index) in
     Des.Engine.schedule_at engine ~time_ms:at (fun () ->
         Samya.Cluster.submit cluster ~region:regions.(region_index)
           (Samya.Types.Acquire { entity = sku; amount = 1; deadline_ms = infinity })
@@ -54,7 +55,7 @@ let () =
   in
   surge 120_000.0;
 
-  Des.Engine.run engine ~until_ms:600_000.0;
+  Samya.Cluster.run_until cluster ~until_ms:600_000.0;
   Format.printf "flash sale on %s (%d listed):@.@." sku listed;
   Array.iteri
     (fun i _ ->

@@ -10,7 +10,6 @@
 let () =
   let regions = Array.of_list Geonet.Region.default_five in
   let cluster = Samya.Cluster.create ~config:Samya.Config.default ~regions ~seed:77L () in
-  let engine = Samya.Cluster.engine cluster in
   let org = Hierarchy.Org.create ~cluster ~org_name:"eCommerce.com" ~root_limit:3_000 in
   let root = Hierarchy.Org.root org in
   let retail = Hierarchy.Org.add_unit org ~parent:root ~name:"retail" () in
@@ -23,9 +22,10 @@ let () =
   let bump table node =
     Hashtbl.replace table node (1 + Option.value (Hashtbl.find_opt table node) ~default:0)
   in
-  let rng = Des.Rng.split (Des.Engine.rng engine) in
-  (* Each team creates VMs from its home region; demand exceeds several
-     budgets so both team limits and the root limit end up binding. *)
+  let rng = Des.Rng.create 77L in
+  (* Each team creates VMs from its home region (on that region's
+     simulation lane); demand exceeds several budgets so both team limits
+     and the root limit end up binding. *)
   let teams =
     [ (clothing, Geonet.Region.Us_west1, 1_000);
       (electronics, Geonet.Region.Europe_west2, 1_800);
@@ -33,6 +33,7 @@ let () =
   in
   List.iter
     (fun (team, region, demand) ->
+      let engine = Samya.Cluster.engine_of_region cluster region in
       for _ = 1 to demand do
         Des.Engine.schedule engine ~delay_ms:(Des.Rng.float rng 480_000.0) (fun () ->
             Hierarchy.Org.consume org ~node:team ~region ~amount:1 ~reply:(function
@@ -40,7 +41,7 @@ let () =
               | _ -> bump denied team))
       done)
     teams;
-  Des.Engine.run engine ~until_ms:900_000.0;
+  Samya.Cluster.run_until cluster ~until_ms:900_000.0;
   Format.printf "eCommerce.com on ultraCloud: root limit 3000 VMs@.@.";
   List.iter
     (fun (team, _, demand) ->

@@ -12,14 +12,12 @@ let () =
   let cluster =
     Samya.Cluster.create ~config:Samya.Config.default ~regions ~seed:7L ()
   in
-  let engine = Samya.Cluster.engine cluster in
-
   (* 2. An entity: clients may hold at most 5000 "VM" tokens in total.
         Each site starts with an equal share (1000). *)
   Samya.Cluster.init_entity cluster ~entity:"VM" ~maximum:5_000;
 
   (* 3. Clients: acquire from two regions, release from one. Replies are
-        callbacks; the simulation engine delivers them with realistic
+        callbacks; the simulation delivers them with realistic
         geo-latency. *)
   let show label response =
     Format.printf "  %-28s -> %a@." label Samya.Types.pp_response response
@@ -39,8 +37,9 @@ let () =
     (Samya.Types.Read { entity = "VM"; deadline_ms = infinity })
     ~reply:(show "europe reads availability");
 
-  (* 5. Run the virtual clock until everything settles. *)
-  Des.Engine.run engine ~until_ms:60_000.0;
+  (* 5. Run the virtual clock (every region's lane) until everything
+        settles. *)
+  Samya.Cluster.run_until cluster ~until_ms:60_000.0;
 
   Format.printf "@.per-site state:@.";
   Array.iter

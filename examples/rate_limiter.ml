@@ -42,10 +42,9 @@ let () =
     }
   in
   let cluster = Samya.Cluster.create ~config ~regions ~seed:23L () in
-  let engine = Samya.Cluster.engine cluster in
   Samya.Cluster.register_entities cluster
     (List.init keys (fun r -> (key r, quota r)));
-  let rng = Des.Rng.split (Des.Engine.rng engine) in
+  let rng = Des.Rng.create 23L in
   let admitted = ref 0 and throttled = ref 0 in
   let per_key_admitted = Hashtbl.create 256 in
   let bump table k =
@@ -55,9 +54,11 @@ let () =
   (* Open-loop Zipfian arrivals: each call draws its customer from the
      popularity curve and lands on the customer's home gateway 80% of the
      time (a geo-pinned customer base), anywhere otherwise. A granted
-     call returns its token when the window expires. *)
+     call returns its token when the window expires. Calls and returns
+     run on the gateway region's simulation lane. *)
   let call at rank gateway =
     let entity = key rank in
+    let engine = Samya.Cluster.engine_of_region cluster regions.(gateway) in
     Des.Engine.schedule_at engine ~time_ms:at (fun () ->
         Samya.Cluster.submit cluster ~region:regions.(gateway)
           (Samya.Types.Acquire { entity; amount = 1; deadline_ms = infinity })
@@ -86,7 +87,7 @@ let () =
   in
   arrivals (Des.Rng.float rng 10.0);
   (* Run past the end so the last windows expire and quota comes home. *)
-  Des.Engine.run engine ~until_ms:(duration_ms +. 60_000.0);
+  Samya.Cluster.run_until cluster ~until_ms:(duration_ms +. 60_000.0);
 
   Format.printf "gateway fleet rate limiter (%d keys, 2 simulated minutes):@.@."
     keys;

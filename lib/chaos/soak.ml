@@ -99,7 +99,7 @@ let spawn_client ~engine ~(facade : Facade.t) ~rng ~region ~duration_ms ~granted
   step ()
 
 let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
-    ?(amnesia = true) ?(sync = Storage.Durable.Sync_always) ?(engine_jobs = 0)
+    ?(amnesia = true) ?(sync = Storage.Durable.Sync_always) ?(engine_jobs = 1)
     ~variant ~seed () =
   let schedule = Nemesis.generate ~seed ~n_sites ~duration_ms in
   let root = Des.Rng.create (Int64.of_int seed) in
@@ -129,11 +129,11 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
       ~obs:(Facade.obs_port hooks) ()
   in
   (* The auditor taps every site's protocol stream into one shared
-     structure and the client counters span regions, so a sharded soak
-     drains its windows sequentially (same rule as observability): the
-     windowed scheduler, cross-lane channels and barrier-aligned faults
-     are all exercised, without cross-lane data races — and the report
-     is byte-identical at every [engine_jobs] setting. *)
+     structure and the client counters span regions, so the soak drains
+     its windows sequentially (same rule as observability): the windowed
+     scheduler, cross-lane channels and barrier-aligned faults are all
+     exercised, without cross-lane data races — and the report is
+     byte-identical at every [engine_jobs] setting. *)
   Option.iter Des.Shard.force_sequential (Samya.Cluster.shard cluster);
   Samya.Cluster.init_entity cluster ~entity ~maximum;
   (* Clients and the fault injector drive the cluster through the same

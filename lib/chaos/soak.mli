@@ -40,10 +40,10 @@ val run :
   report
 (** Defaults: 5 sites, 120 s of traffic (plus a drain tail), maximum 5000,
     crash-amnesia with write-through ([Sync_always]) durability,
-    [engine_jobs = 0] (legacy single-engine simulation). [engine_jobs >= 1]
-    builds the cluster region-sharded; the soak forces sequential window
-    drains (the auditor and counters are cross-lane shared state), so the
-    report is byte-identical at every jobs setting. *)
+    [engine_jobs = 1] (the region-sharded cluster's worker domains). The
+    soak forces sequential window drains (the auditor and counters are
+    cross-lane shared state), so the report is byte-identical at every
+    jobs setting. *)
 
 val passed : report -> bool
 (** No violations. *)

@@ -49,25 +49,24 @@ let engine_jobs =
       & opt (some int) None
       & info [ "engine-jobs" ] ~docv:"N"
           ~doc:
-            "Region-sharded simulation: split the event loop into per-region \
-             lanes driven by N worker domains (env SAMYA_ENGINE_JOBS; \
-             default 0 = single-engine). Figure output is identical for any \
-             N >= 1; wall time is what changes.")
+            "Worker domains draining the region-sharded simulation's \
+             per-region lanes (env SAMYA_ENGINE_JOBS; default 1). Output is \
+             identical for any N >= 1; wall time is what changes.")
   in
   let resolve = function
-    | Some n when n >= 0 -> Ok n
+    | Some n when n >= 1 -> Ok n
     | Some n ->
-        Error (Printf.sprintf "--engine-jobs expects a non-negative integer, got %d" n)
+        Error (Printf.sprintf "--engine-jobs expects a positive integer, got %d" n)
     | None -> (
         match Sys.getenv_opt "SAMYA_ENGINE_JOBS" with
-        | None -> Ok 0
+        | None -> Ok 1
         | Some v -> (
             match int_of_string_opt v with
-            | Some n when n >= 0 -> Ok n
+            | Some n when n >= 1 -> Ok n
             | Some _ | None ->
                 Error
                   (Printf.sprintf
-                     "SAMYA_ENGINE_JOBS must be a non-negative integer, got %S" v)))
+                     "SAMYA_ENGINE_JOBS must be a positive integer, got %S" v)))
   in
   Term.term_result' Term.(const resolve $ opt)
 
@@ -103,8 +102,9 @@ let run_meta ~experiment ~quick =
     ("seed", Int64.to_string Harness.Exp_common.seed);
   ]
 
-let with_captures ?banner ~experiment ~quick ~jobs f =
+let with_captures ?banner ~experiment ~quick ~jobs ~engine_jobs f =
   Harness.Pool.set_jobs jobs;
+  Harness.Pool.set_engine_jobs engine_jobs;
   Format.eprintf "jobs: %d@." jobs;
   let ctx = Harness.Lab.create () in
   match Harness.Exp_trace.run ctx ~quick ~experiment with

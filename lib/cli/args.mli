@@ -10,9 +10,9 @@ val jobs : int Cmdliner.Term.t
     parallelism. Always >= 1. *)
 
 val engine_jobs : int Cmdliner.Term.t
-(** [--engine-jobs N] or the env fallback SAMYA_ENGINE_JOBS; 0 (the
-    default) keeps the single-engine simulation, N >= 1 region-shards it
-    across N worker domains. Always >= 0. *)
+(** [--engine-jobs N] or the env fallback SAMYA_ENGINE_JOBS: the worker
+    domains draining each region-sharded simulation (default 1). Always
+    >= 1; 0 and negative values are rejected with an error. *)
 
 val metrics_out : string option Cmdliner.Term.t
 (** [--metrics-out PATH]. *)
@@ -34,10 +34,12 @@ val with_captures :
   experiment:string ->
   quick:bool ->
   jobs:int ->
+  engine_jobs:int ->
   (Harness.Scenario.capture list -> int) ->
   int
-(** The trace-replay preamble shared by [trace]/[explain]/[slo]: set the
-    worker pool, build the lab context, run {!Harness.Exp_trace.run} and
+(** The trace-replay preamble shared by [trace]/[explain]/[slo]/[report]:
+    set the worker pool and the engine worker count, build the lab
+    context, run {!Harness.Exp_trace.run} and
     hand the captures to the continuation (printing the [== banner: … ==]
     header first when [banner] is given). Renders unknown-experiment
     errors and returns exit code 2 for them. *)

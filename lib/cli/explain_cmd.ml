@@ -5,8 +5,9 @@
 
 open Cmdliner
 
-let run experiment quick jobs slowest by_mechanism out =
-  Args.with_captures ~banner:"explain" ~experiment ~quick ~jobs (fun captures ->
+let run experiment quick jobs engine_jobs slowest by_mechanism out =
+  Args.with_captures ~banner:"explain" ~experiment ~quick ~jobs ~engine_jobs
+    (fun captures ->
       Harness.Exp_trace.explain Format.std_formatter ~by_mechanism ~slowest
         captures;
       Option.iter
@@ -41,5 +42,5 @@ let cmd =
           replication, service). Deterministic: byte-identical output at \
           any --jobs level.")
     Term.(
-      const run $ Args.traceable_experiment $ Args.quick $ Args.jobs $ slowest
-      $ by_mechanism $ out)
+      const run $ Args.traceable_experiment $ Args.quick $ Args.jobs
+      $ Args.engine_jobs $ slowest $ by_mechanism $ out)

@@ -229,7 +229,8 @@ let check_walls ~wall_tolerance ~failures baseline current =
             walls)
 
 (* --trend ID:FACTOR — the sharded-engine speedup target. The baseline is
-   the reference (single-engine) run, the current file the sharded one;
+   the reference run (one engine worker), the current file the one with
+   more worker domains;
    anything that would make the wall times incomparable *other than*
    engine-jobs skips the check, as does a current host with fewer cores
    than worker domains (it cannot demonstrate parallel speedup). *)

@@ -9,8 +9,8 @@
 
 open Cmdliner
 
-let run experiment quick jobs format out =
-  Args.with_captures ~experiment ~quick ~jobs (fun captures ->
+let run experiment quick jobs engine_jobs format out =
+  Args.with_captures ~experiment ~quick ~jobs ~engine_jobs (fun captures ->
       let meta =
         {
           Harness.Run_report.experiment;
@@ -61,5 +61,5 @@ let cmd =
           incidents with the first black-box bundle. Deterministic: \
           byte-identical output at any --jobs level.")
     Term.(
-      const run $ Args.traceable_experiment $ Args.quick $ Args.jobs $ format
-      $ out)
+      const run $ Args.traceable_experiment $ Args.quick $ Args.jobs
+      $ Args.engine_jobs $ format $ out)

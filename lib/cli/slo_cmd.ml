@@ -8,8 +8,8 @@
 
 open Cmdliner
 
-let run experiment quick jobs out no_fail =
-  Args.with_captures ~banner:"slo" ~experiment ~quick ~jobs (fun captures ->
+let run experiment quick jobs engine_jobs out no_fail =
+  Args.with_captures ~banner:"slo" ~experiment ~quick ~jobs ~engine_jobs (fun captures ->
       Harness.Exp_trace.slo_summary Format.std_formatter captures;
       Option.iter
         (fun path ->
@@ -51,5 +51,5 @@ let cmd =
           report violation windows per system. Exits non-zero on any \
           violated objective unless $(b,--no-fail) is given.")
     Term.(
-      const run $ Args.traceable_experiment $ Args.quick $ Args.jobs $ out
-      $ no_fail)
+      const run $ Args.traceable_experiment $ Args.quick $ Args.jobs
+      $ Args.engine_jobs $ out $ no_fail)

@@ -1,7 +1,7 @@
 open Cmdliner
 
-let run experiment quick jobs out metrics_out =
-  Args.with_captures ~experiment ~quick ~jobs (fun captures ->
+let run experiment quick jobs engine_jobs out metrics_out =
+  Args.with_captures ~experiment ~quick ~jobs ~engine_jobs (fun captures ->
       let out =
         Option.value out ~default:(Printf.sprintf "trace-%s.json" experiment)
       in
@@ -38,5 +38,5 @@ let cmd =
           Deterministic: same seed and experiment give a byte-identical \
           trace at any --jobs level.")
     Term.(
-      const run $ Args.traceable_experiment $ Args.quick $ Args.jobs $ out
-      $ Args.metrics_out)
+      const run $ Args.traceable_experiment $ Args.quick $ Args.jobs
+      $ Args.engine_jobs $ out $ Args.metrics_out)

@@ -10,12 +10,11 @@ type stats = {
 
 type t = {
   name : string;
-  engine : Des.Engine.t;
   now : unit -> float;
+  lane_now : unit -> float;
   sched_region : Geonet.Region.t -> Des.Engine.t;
   schedule_global : time_ms:float -> (unit -> unit) -> unit;
   run_until : float -> unit;
-  engine_lanes : int;
   acquire :
     region:Geonet.Region.t ->
     amount:int ->
@@ -274,29 +273,25 @@ let protocol_event_hook hooks ~site ~entity event =
   match hooks.sh_observer with Some f -> f ~site ~entity event | None -> ()
 
 let of_samya_cluster ?(name = "Samya") ~hooks ~regions ~entity cluster =
-  let engine = Samya.Cluster.engine cluster in
   let network = Samya.Cluster.network cluster in
+  let shard = Option.get (Samya.Cluster.shard cluster) in
   let submit ~region request ~reply =
     Samya.Cluster.submit cluster ~region request ~reply
   in
-  (* Ambient-context/now getters for the observability wiring. A sharded
-     run is forced sequential on subscribe, so "the executing engine" is
-     well-defined: the lane currently draining its window. *)
-  let current_engine =
-    match Samya.Cluster.shard cluster with
-    | None -> fun () -> engine
-    | Some shard -> fun () -> Des.Shard.current_engine shard
-  in
+  (* Ambient-context/clock getters for the observability wiring. A
+     subscribed run drains its windows sequentially, so "the executing
+     engine" is well-defined: the lane currently draining its window (lane
+     0 between windows, where every lane clock agrees). *)
+  let current_engine () = Des.Shard.current_engine shard in
   let context () = Des.Engine.current_context (current_engine ()) in
-  let obs_now () = Des.Engine.now (current_engine ()) in
+  let lane_now () = Des.Engine.now (current_engine ()) in
   {
     name;
-    engine;
     now = (fun () -> Samya.Cluster.now cluster);
+    lane_now;
     sched_region = (fun region -> Samya.Cluster.engine_of_region cluster region);
     schedule_global = (fun ~time_ms f -> Samya.Cluster.schedule_global cluster ~time_ms f);
     run_until = (fun until_ms -> Samya.Cluster.run_until cluster ~until_ms);
-    engine_lanes = Samya.Cluster.lanes cluster;
     acquire =
       (fun ~region ~amount ~reply ->
         submit ~region (Samya.Types.Acquire { entity; amount; deadline_ms = infinity }) ~reply);
@@ -329,19 +324,16 @@ let of_samya_cluster ?(name = "Samya") ~hooks ~regions ~entity cluster =
     subscribe =
       (fun sink ->
         Obs.Sink.attach hooks.sh_obs sink;
-        (* Observability callbacks are not thread-safe: a sharded run
+        (* Observability callbacks are not thread-safe: a subscribed run
            drops to sequential windows (results are unchanged by
            construction — only wall time). Every lane engine gets the
            tracer so no event escapes observation. *)
-        (match Samya.Cluster.shard cluster with
-        | None -> Des.Engine.set_tracer engine (Some (engine_tracer sink))
-        | Some shard ->
-            Des.Shard.force_sequential shard;
-            Array.iter
-              (fun e -> Des.Engine.set_tracer e (Some (engine_tracer sink)))
-              (Des.Shard.engines shard));
+        Des.Shard.force_sequential shard;
+        Array.iter
+          (fun e -> Des.Engine.set_tracer e (Some (engine_tracer sink)))
+          (Des.Shard.engines shard);
         Geonet.Network.set_tracer network (Some (network_tracer ~context sink));
-        hooks.sh_observer <- Some (avantan_observer ~now:obs_now ~context sink);
+        hooks.sh_observer <- Some (avantan_observer ~now:lane_now ~context sink);
         Array.iteri
           (fun i region ->
             Obs.Span.thread_name sink.Obs.Sink.spans ~tid:i

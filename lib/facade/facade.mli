@@ -39,22 +39,23 @@ type stats = {
 
 type t = {
   name : string;
-  engine : Des.Engine.t;
-      (** the single engine of a legacy system; lane 0's engine of a
-          region-sharded one (schedule client work via [sched_region]) *)
   now : unit -> float;
       (** virtual time; barrier time on a sharded system — stable at the
           points the harness reads it (setup, global events, end of run) *)
+  lane_now : unit -> float;
+      (** the clock of the lane executing the current event — what an
+          observer stamps spans with from inside an event (on a subscribed
+          sharded system, the lane draining its window; between windows
+          every lane agrees with [now]) *)
   sched_region : Geonet.Region.t -> Des.Engine.t;
       (** the engine that executes events homed in a region — where the
           driver schedules that region's client issue/reply events *)
   schedule_global : time_ms:float -> (unit -> unit) -> unit;
       (** barrier-aligned scheduling: the only safe slot for fault
-          injection on a sharded system (plain [schedule_at] otherwise) *)
+          injection on a sharded system (plain [schedule_at] on a
+          single-engine baseline) *)
   run_until : float -> unit;
       (** advance the whole simulation (all lanes) to an absolute time *)
-  engine_lanes : int;
-      (** number of simulation lanes (1 = single-engine legacy path) *)
   acquire :
     region:Geonet.Region.t ->
     amount:int ->

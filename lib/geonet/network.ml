@@ -19,9 +19,9 @@ type tracer = {
   on_drop : src:int -> dst:int -> sent_at:float -> now_ms:float -> unit;
 }
 
-(* How the network schedules work. [Single] is the legacy shape: one
-   engine, one jitter/drop RNG split from its root — byte-identical to
-   the pre-sharding code. [Sharded] routes every event to the lane of
+(* How the network schedules work. [Single] (the baselines' networks):
+   one engine, one jitter/drop RNG split from its root. [Sharded] (every
+   Samya cluster) routes every event to the lane of
    the node executing it: randomness comes from that lane's own stream
    (so lane-local draw order — hence the whole run — is independent of
    how many domains drain the windows) and counters are per-lane slots
@@ -161,7 +161,7 @@ let reachable t a b = t.up.(a) && t.up.(b) && same_partition t a b
 let link_open t ~src ~dst = reachable t src dst && not (link_blocked t ~src ~dst)
 
 (* Route the delivery event to the destination node's lane. Same-lane (and
-   legacy single-engine) deliveries go straight into the local heap;
+   single-engine) deliveries go straight into the local heap;
    cross-lane ones travel over the shard's bounded channels and carry the
    sender's ambient trace context explicitly, because the flush at the
    window barrier happens outside any event — there is no ambient context

@@ -35,7 +35,7 @@ type spec = {
       (* when set, the driver records per-request spans (client lanes,
          tid 1000+) and driver.* metrics into the sink *)
   slo : Obs.Slo.t option;
-      (* when set, every counted reply feeds the online SLO monitor:
+      (* when set, every counted reply feeds the SLO monitor:
          commits with their latency, rejections/unavailables as aborts *)
   flight : Obs.Flight_recorder.t option;
       (* when set (with [slo]), SLO window breaches are recorded into
@@ -116,13 +116,11 @@ let span_name = function
   | Trace.Workload.Release -> "req.release"
   | Trace.Workload.Read -> "req.read"
 
-(* Per-slot accumulators. On the legacy single-engine path there is one
-   slot and accumulation is exactly the historical global order (keeping
-   float sums bit-identical to earlier releases). On a sharded system a
-   client's replies execute on its region's lane, concurrently with other
-   lanes, so each client accumulates into its own slot and the slots are
-   merged in client order after the run — an order that is a function of
-   the simulation alone, never of the domain count. *)
+(* Per-client accumulators. A client's replies execute on its region's
+   lane, concurrently with other lanes, so each client accumulates into
+   its own slot and the slots are merged in client order after the run —
+   an order that is a function of the simulation alone, never of the
+   domain count. *)
 type ent_acc = {
   mutable ec : int;
   mutable er : int;
@@ -140,7 +138,7 @@ let cls_name = function
   | _ -> "timeout"
 
 type acc = {
-  slots : int;
+  window_ms : float;
   lat : Stats.Sample_set.t array;
   tp : Stats.Throughput.t array;
   committed : int array;
@@ -152,20 +150,19 @@ type acc = {
   submitted : int array;
   replied : int array;
   ents : (string, ent_acc) Hashtbl.t array;
-  (* deferred SLO events on a sharded system, newest first per slot:
-     (reply time rel. t0, commit latency, outcome tag) *)
+  (* deferred SLO events, newest first per slot: (reply time rel. t0,
+     commit latency, outcome tag) *)
   slo_buf : (float * float * int) list ref array;
-  (* per-phase accounting (slots x phases); empty unless [spec.phases] *)
+  (* per-phase accounting (clients x phases); empty unless [spec.phases] *)
   n_phases : int;
   ph_lat : Stats.Sample_set.t array array;
   ph_committed : int array array;
   ph_aborted : int array array;
 }
 
-let acc_create ?(n_phases = 0) ~lanes ~n_clients ~window_ms () =
-  let slots = if lanes > 1 then n_clients else 1 in
+let acc_create ?(n_phases = 0) ~n_clients:slots ~window_ms () =
   {
-    slots;
+    window_ms;
     lat = Array.init slots (fun _ -> Stats.Sample_set.create ());
     tp = Array.init slots (fun _ -> Stats.Throughput.create ~window_ms);
     committed = Array.make slots 0;
@@ -194,29 +191,15 @@ let ent_for tbl entity =
       Hashtbl.add tbl entity e;
       e
 
-let acc_slot acc client = if acc.slots = 1 then 0 else client
-
 let acc_result acc ~duration_ms : result =
   let sum = Array.fold_left ( + ) 0 in
-  let latencies =
-    if acc.slots = 1 then acc.lat.(0)
-    else begin
-      let merged = Stats.Sample_set.create () in
-      Array.iter (fun s -> Stats.Sample_set.merge_into s ~into:merged) acc.lat;
-      merged
-    end
-  in
-  let throughput =
-    if acc.slots = 1 then acc.tp.(0)
-    else begin
-      let merged = Stats.Throughput.create ~window_ms:(Stats.Throughput.window_ms acc.tp.(0)) in
-      Array.iter (fun t -> Stats.Throughput.merge_into t ~into:merged) acc.tp;
-      merged
-    end
-  in
+  let latencies = Stats.Sample_set.create () in
+  Array.iter (fun s -> Stats.Sample_set.merge_into s ~into:latencies) acc.lat;
+  let throughput = Stats.Throughput.create ~window_ms:acc.window_ms in
+  Array.iter (fun t -> Stats.Throughput.merge_into t ~into:throughput) acc.tp;
   (* Per-entity merge: slots in slot order, each slot's entries in entity
      order — a deterministic order whatever the hash-table iteration
-     happens to be, so sharded runs stay reproducible. *)
+     happens to be, so runs stay reproducible. *)
   let by_entity =
     let merged : (string, ent_acc) Hashtbl.t = Hashtbl.create 64 in
     Array.iter
@@ -250,7 +233,7 @@ let acc_result acc ~duration_ms : result =
     Array.init acc.n_phases (fun p ->
         let lat = Stats.Sample_set.create () in
         let committed = ref 0 and aborted = ref 0 in
-        for s = 0 to acc.slots - 1 do
+        for s = 0 to Array.length acc.lat - 1 do
           Stats.Sample_set.merge_into acc.ph_lat.(s).(p) ~into:lat;
           committed := !committed + acc.ph_committed.(s).(p);
           aborted := !aborted + acc.ph_aborted.(s).(p)
@@ -328,12 +311,11 @@ let run ~(t_system : Systems.facade) spec =
   validate_spec spec;
   let n_clients = Array.length spec.client_regions in
   let engines = Array.map t_system.Systems.sched_region spec.client_regions in
-  let lanes = t_system.Systems.engine_lanes in
   let t0 = t_system.Systems.now () in
   let n_phases =
     if Array.length spec.phases = 0 then 0 else Array.length spec.phases + 1
   in
-  let acc = acc_create ~n_phases ~lanes ~n_clients ~window_ms:spec.window_ms () in
+  let acc = acc_create ~n_phases ~n_clients ~window_ms:spec.window_ms () in
   (* Phase of a first-send instant (relative to t0): the number of
      boundaries at or before it. Linear scan — phase counts are tiny. *)
   let phase_of rel =
@@ -369,9 +351,9 @@ let run ~(t_system : Systems.facade) spec =
           }
   in
   (* SLO window breaches feed the flight recorder's driver lane (-1).
-     The stamp is the window's nominal end, in absolute virtual time —
-     identical whether breaches surface online (single-slot feed) or
-     from the deterministic post-run replay of a sharded run. *)
+     The stamp is the window's nominal end, in absolute virtual time, so
+     breaches surfacing from the post-run replay land where they
+     happened. *)
   (match (spec.slo, spec.flight) with
   | Some slo, Some recorder ->
       Obs.Slo.on_violation slo
@@ -388,7 +370,7 @@ let run ~(t_system : Systems.facade) spec =
                (render value) (render target)))
   | _ -> ());
   (* Failure schedule: crash/partition/heal actions mutate state every
-     lane reads, so on a sharded system they run at window barriers. *)
+     lane reads, so they run at window barriers. *)
   List.iter
     (fun { at_ms; action } ->
       t_system.Systems.schedule_global ~time_ms:(t0 +. at_ms) action)
@@ -402,10 +384,9 @@ let run ~(t_system : Systems.facade) spec =
   let outstanding = Array.make n_clients 0 in
   let max_attempts = match spec.retry with None -> 1 | Some r -> r.max_attempts in
   (* Per-client jitter streams, created only when a policy actually draws
-     from them: a jitterless run (including every legacy spec) consumes no
-     randomness at all. Each client draws from its own stream on its own
-     lane, so the schedule is a function of the simulation alone, never of
-     the domain count. *)
+     from them: a jitterless run consumes no randomness at all. Each
+     client draws from its own stream on its own lane, so the schedule is
+     a function of the simulation alone, never of the domain count. *)
   let retry_rngs =
     match spec.retry with
     | Some r when r.jitter > 0.0 ->
@@ -427,7 +408,6 @@ let run ~(t_system : Systems.facade) spec =
   let rec issue ~synthetic (request : Trace.Workload.request) =
     let client = request.site in
     let engine = engines.(client) in
-    let s = acc_slot acc client in
     let skip_release =
       (not synthetic)
       && request.kind = Trace.Workload.Release
@@ -513,23 +493,16 @@ let run ~(t_system : Systems.facade) spec =
       let slo_feed ~now ~lat ~tag =
         match spec.slo with
         | None -> ()
-        | Some slo ->
-            if acc.slots = 1 then
-              (* Legacy backend: reply order is globally sequential, so
-                 the shared monitor is fed online (the historical path,
-                 byte-identical to earlier releases). *)
-              (if tag = 0 then Obs.Slo.commit slo ~now_ms:(now -. t0) ~latency_ms:lat
-               else Obs.Slo.abort ~cls:(cls_name tag) slo ~now_ms:(now -. t0))
-            else
-              (* Sharded backend: lanes reply concurrently, so events are
-                 buffered per slot and replayed in merged time order
-                 after the run — deterministic at any domain count. *)
-              acc.slo_buf.(s) := (now -. t0, lat, tag) :: !(acc.slo_buf.(s))
+        | Some _ ->
+            (* Lanes reply concurrently, so events are buffered per slot
+               and replayed in merged time order after the run —
+               deterministic at any domain count. *)
+            acc.slo_buf.(client) := (now -. t0, lat, tag) :: !(acc.slo_buf.(client))
       in
       let rec attempt n_attempt =
-        acc.submitted.(s) <- acc.submitted.(s) + 1;
+        acc.submitted.(client) <- acc.submitted.(client) + 1;
         if n_attempt > 1 then begin
-          acc.retries.(s) <- acc.retries.(s) + 1;
+          acc.retries.(client) <- acc.retries.(client) + 1;
           match inst with
           | Some (i, _, _) -> Obs.Metrics.incr i.i_retry
           | None -> ()
@@ -545,18 +518,18 @@ let run ~(t_system : Systems.facade) spec =
         in
         let commit_terminal ~now =
           let lat = now -. first_sent in
-          acc.committed.(s) <- acc.committed.(s) + 1;
-          Stats.Sample_set.add acc.lat.(s) lat;
-          Stats.Throughput.record acc.tp.(s) ~time_ms:(now -. t0);
+          acc.committed.(client) <- acc.committed.(client) + 1;
+          Stats.Sample_set.add acc.lat.(client) lat;
+          Stats.Throughput.record acc.tp.(client) ~time_ms:(now -. t0);
           if acc.n_phases > 0 then begin
             (* Retry attempts share [first_sent], so a whole request
                buckets into the phase that originated it. *)
             let p = phase_of (first_sent -. t0) in
-            acc.ph_committed.(s).(p) <- acc.ph_committed.(s).(p) + 1;
-            Stats.Sample_set.add acc.ph_lat.(s).(p) lat
+            acc.ph_committed.(client).(p) <- acc.ph_committed.(client).(p) + 1;
+            Stats.Sample_set.add acc.ph_lat.(client).(p) lat
           end;
           if spec.track_entities && request.entity <> "" then begin
-            let e = ent_for acc.ents.(s) request.entity in
+            let e = ent_for acc.ents.(client) request.entity in
             e.ec <- e.ec + 1;
             e.elsum <- e.elsum +. lat;
             if lat > e.elmax then e.elmax <- lat
@@ -571,15 +544,15 @@ let run ~(t_system : Systems.facade) spec =
         in
         let abort_terminal ~now ~tag =
           (match tag with
-          | 1 -> acc.rejected.(s) <- acc.rejected.(s) + 1
-          | 2 -> acc.unavailable.(s) <- acc.unavailable.(s) + 1
-          | 3 -> acc.shed.(s) <- acc.shed.(s) + 1
-          | _ -> acc.timedout.(s) <- acc.timedout.(s) + 1);
+          | 1 -> acc.rejected.(client) <- acc.rejected.(client) + 1
+          | 2 -> acc.unavailable.(client) <- acc.unavailable.(client) + 1
+          | 3 -> acc.shed.(client) <- acc.shed.(client) + 1
+          | _ -> acc.timedout.(client) <- acc.timedout.(client) + 1);
           (if acc.n_phases > 0 then
              let p = phase_of (first_sent -. t0) in
-             acc.ph_aborted.(s).(p) <- acc.ph_aborted.(s).(p) + 1);
+             acc.ph_aborted.(client).(p) <- acc.ph_aborted.(client).(p) + 1);
           if spec.track_entities && request.entity <> "" then begin
-            let e = ent_for acc.ents.(s) request.entity in
+            let e = ent_for acc.ents.(client) request.entity in
             match tag with
             | 1 -> e.er <- e.er + 1
             | 2 -> e.eu <- e.eu + 1
@@ -623,7 +596,7 @@ let run ~(t_system : Systems.facade) spec =
           | _ -> None
         in
         let reply response =
-          acc.replied.(s) <- acc.replied.(s) + 1;
+          acc.replied.(client) <- acc.replied.(client) + 1;
           (* Token bookkeeping runs on every reply, even abandoned ones: a
              grant that arrives after the client gave up still moved real
              tokens, and grant-driven releases must return them. *)
@@ -707,55 +680,35 @@ let run ~(t_system : Systems.facade) spec =
       attempt 1
     end
   in
-  if lanes <= 1 then begin
-    (* Legacy: one global chain, exactly the historical scheduling shape
-       (byte-identical event order to earlier releases). *)
-    let engine = t_system.Systems.engine in
-    let rec dispatch i =
-      if i < n then begin
-        let request = spec.requests.(i) in
-        if request.Trace.Workload.time_ms > spec.duration_ms then ()
-        else
-          Des.Engine.schedule_at engine ~time_ms:(t0 +. request.Trace.Workload.time_ms)
-            (fun () ->
-              issue ~synthetic:false request;
-              (* Schedule the next arrival lazily so the event heap stays
-                 small even for million-request streams. *)
-              dispatch (i + 1))
-      end
-    in
-    dispatch 0
-  end
-  else begin
-    (* Sharded: one chain per client on the client's own lane, so a lane
-       only ever schedules onto itself and the global chain never forces
-       a cross-lane dependency between consecutive arrivals. *)
-    let per_client = Array.make n_clients [] in
-    for i = n - 1 downto 0 do
-      let client = spec.requests.(i).Trace.Workload.site in
-      per_client.(client) <- i :: per_client.(client)
-    done;
-    Array.iteri
-      (fun client indices ->
-        let engine = engines.(client) in
-        let rec dispatch = function
-          | [] -> ()
-          | i :: rest ->
-              let request = spec.requests.(i) in
-              if request.Trace.Workload.time_ms > spec.duration_ms then ()
-              else
-                Des.Engine.schedule_at engine
-                  ~time_ms:(t0 +. request.Trace.Workload.time_ms)
-                  (fun () ->
-                    issue ~synthetic:false request;
-                    dispatch rest)
-        in
-        dispatch indices)
-      per_client
-  end;
+  (* One chain per client on the client's own lane, so a lane only ever
+     schedules onto itself and consecutive arrivals never form a
+     cross-lane dependency. Each chain schedules its next arrival lazily,
+     keeping the event heap small even for million-request streams. *)
+  let per_client = Array.make n_clients [] in
+  for i = n - 1 downto 0 do
+    let client = spec.requests.(i).Trace.Workload.site in
+    per_client.(client) <- i :: per_client.(client)
+  done;
+  Array.iteri
+    (fun client indices ->
+      let engine = engines.(client) in
+      let rec dispatch = function
+        | [] -> ()
+        | i :: rest ->
+            let request = spec.requests.(i) in
+            if request.Trace.Workload.time_ms > spec.duration_ms then ()
+            else
+              Des.Engine.schedule_at engine
+                ~time_ms:(t0 +. request.Trace.Workload.time_ms)
+                (fun () ->
+                  issue ~synthetic:false request;
+                  dispatch rest)
+      in
+      dispatch indices)
+    per_client;
   t_system.Systems.run_until (t0 +. spec.duration_ms +. spec.drain_ms);
   (match spec.slo with
-  | Some slo when acc.slots > 1 ->
+  | Some slo ->
       (* Replay the buffered SLO events in (time, slot, arrival) order —
          a pure function of the simulation, never of the domain count. *)
       let events = ref [] in
@@ -778,12 +731,13 @@ let run ~(t_system : Systems.facade) spec =
         (fun (t, _, _, lat, tag) ->
           if tag = 0 then Obs.Slo.commit slo ~now_ms:t ~latency_ms:lat
           else Obs.Slo.abort ~cls:(cls_name tag) slo ~now_ms:t)
-        arr
-  | _ -> ());
-  (* Close the final partial SLO window now, so its breaches reach the
-     flight recorder before anyone dumps it; the eventual [report] call
-     then finds an empty window and counts nothing twice. *)
-  (match spec.slo with Some slo -> Obs.Slo.flush slo | None -> ());
+        arr;
+      (* Close the final partial SLO window now, so its breaches reach
+         the flight recorder before anyone dumps it; the eventual
+         [report] call then finds an empty window and counts nothing
+         twice. *)
+      Obs.Slo.flush slo
+  | None -> ());
   acc_result acc ~duration_ms:spec.duration_ms
 
 let average_tps (result : result) =
@@ -795,9 +749,8 @@ let run_closed ~(t_system : Systems.facade) ~client_regions ~requests ~duration_
     ~workers_per_client ~window_ms =
   let n_clients = Array.length client_regions in
   let engines = Array.map t_system.Systems.sched_region client_regions in
-  let lanes = t_system.Systems.engine_lanes in
   let t0 = t_system.Systems.now () in
-  let acc = acc_create ~lanes ~n_clients ~window_ms () in
+  let acc = acc_create ~n_clients ~window_ms () in
   (* Partition the stream per client; workers consume their client's
      requests back to back (arrival times are ignored: the loop is closed).
      All of a client's state — its queue, outstanding tokens, worker
@@ -806,11 +759,10 @@ let run_closed ~(t_system : Systems.facade) ~client_regions ~requests ~duration_
   Array.iter
     (fun (r : Trace.Workload.request) -> Queue.push r per_client.(r.site))
     requests;
-  let no_reply = Array.make acc.slots 0 in
+  let no_reply = Array.make n_clients 0 in
   let outstanding = Array.make n_clients 0 in
   let rec worker client =
     let engine = engines.(client) in
-    let s = acc_slot acc client in
     if Des.Engine.now engine -. t0 < duration_ms then begin
       match Queue.take_opt per_client.(client) with
       | None -> ()
@@ -826,7 +778,7 @@ let run_closed ~(t_system : Systems.facade) ~client_regions ~requests ~duration_
               Des.Engine.timer engine ~delay_ms:5_000.0 (fun () ->
                   if not !settled then begin
                     settled := true;
-                    no_reply.(s) <- no_reply.(s) + 1;
+                    no_reply.(client) <- no_reply.(client) + 1;
                     worker client
                   end)
             in
@@ -844,14 +796,16 @@ let run_closed ~(t_system : Systems.facade) ~client_regions ~requests ~duration_
                 (match response with
                 | Samya.Types.Granted | Samya.Types.Read_result _ ->
                     if now -. t0 <= duration_ms then begin
-                      acc.committed.(s) <- acc.committed.(s) + 1;
-                      Stats.Sample_set.add acc.lat.(s) (now -. sent_at);
-                      Stats.Throughput.record acc.tp.(s) ~time_ms:(now -. t0)
+                      acc.committed.(client) <- acc.committed.(client) + 1;
+                      Stats.Sample_set.add acc.lat.(client) (now -. sent_at);
+                      Stats.Throughput.record acc.tp.(client) ~time_ms:(now -. t0)
                     end
-                | Samya.Types.Rejected -> acc.rejected.(s) <- acc.rejected.(s) + 1
-                | Samya.Types.Rejected_deadline -> acc.shed.(s) <- acc.shed.(s) + 1
+                | Samya.Types.Rejected ->
+                    acc.rejected.(client) <- acc.rejected.(client) + 1
+                | Samya.Types.Rejected_deadline ->
+                    acc.shed.(client) <- acc.shed.(client) + 1
                 | Samya.Types.Unavailable ->
-                    acc.unavailable.(s) <- acc.unavailable.(s) + 1);
+                    acc.unavailable.(client) <- acc.unavailable.(client) + 1);
                 worker client
               end
             in

@@ -59,16 +59,14 @@ type spec = {
   slo : Obs.Slo.t option;
       (** when set, every counted reply feeds the SLO monitor — commits
           with their client-measured latency, rejections and unavailables
-          as aborts. On the legacy backend the monitor is fed online; on a
-          sharded system events buffer per client and replay in merged
+          as aborts. Events buffer per client and replay in merged
           (time, client) order after the run, so the report is identical
           at every [--engine-jobs] setting (default [None]) *)
   flight : Obs.Flight_recorder.t option;
       (** when set alongside [slo], each violated objective is recorded
           into lane -1 of the recorder as the window closes, stamped with
-          the window's nominal end in absolute virtual time — the same
-          (ts, seq) stream whether breaches surface online or from the
-          sharded post-run replay (default [None]) *)
+          the window's nominal end in absolute virtual time, as the
+          post-run replay surfaces it (default [None]) *)
   track_entities : bool;
       (** when set, counted replies of entity-named requests (the stream's
           [entity <> ""]) additionally accumulate per-entity outcome counts
@@ -126,11 +124,12 @@ type result = {
   by_entity : (string * entity_stats) list;
       (** sorted by entity name; empty unless [spec.track_entities] — the
           merge across client slots is deterministic (slot order, then
-          entity order), so sharded runs reproduce byte-identically *)
+          entity order), so runs reproduce byte-identically at any
+          [--engine-jobs] *)
   by_phase : phase_stats array;
       (** one entry per phase of [spec.phases] (empty when no boundaries
           were given); merged across client slots in slot order, so
-          sharded runs reproduce byte-identically *)
+          runs reproduce byte-identically at any [--engine-jobs] *)
 }
 
 val run : t_system:Systems.facade -> spec -> result

@@ -1,4 +1,4 @@
-let builders ?engine_jobs ctx : (string * (unit -> Systems.facade)) list =
+let builders ctx : (string * (unit -> Systems.facade)) list =
   let entity = Exp_common.entity and maximum = Exp_common.maximum in
   let seed = Exp_common.seed in
   let regions = Exp_common.client_regions () in
@@ -6,12 +6,12 @@ let builders ?engine_jobs ctx : (string * (unit -> Systems.facade)) list =
   [
     ( "Samya w/ Av.[(n+1)/2]",
       fun () ->
-        Systems.samya ?engine_jobs ~seed
+        Systems.samya ~seed
           ~config:(Exp_common.samya_config Samya.Config.Majority)
           ~regions ~forecaster ~entity ~maximum () );
     ( "Samya w/ Av.[*]",
       fun () ->
-        Systems.samya ?engine_jobs ~seed
+        Systems.samya ~seed
           ~config:(Exp_common.samya_config Samya.Config.Star) ~regions
           ~forecaster ~entity ~maximum () );
     ("Dem./Escrow", fun () -> Systems.demarcation ~seed ~regions ~entity ~maximum ());

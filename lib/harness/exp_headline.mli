@@ -10,11 +10,9 @@
     - Avantan[(n+1)/2] executes far fewer redistributions than Avantan[*]
       (208 vs 792 in the paper). *)
 
-val builders :
-  ?engine_jobs:int -> Lab.context -> (string * (unit -> Systems.facade)) list
+val builders : Lab.context -> (string * (unit -> Systems.facade)) list
 (** The five systems in fixed display order, as thunks (shared with the
-    trace capture, {!Exp_trace}). [engine_jobs] overrides the pool-level
-    engine-sharding setting for the Samya systems (the trace capture pins
-    it to [0]); omitted, they follow {!Pool.engine_jobs}. *)
+    trace capture, {!Exp_trace}). The Samya systems follow
+    {!Pool.engine_jobs}. *)
 
 val run : Lab.context -> quick:bool -> Format.formatter -> unit

@@ -1,8 +1,8 @@
 (* The paper's systems under tracing: the headline's five systems, or
    the fig3f prediction-on/off Samya pair, each captured through the same
    facade/obs path so the ablation is explainable and SLO-monitored like
-   everything else. The arms are prebuilt (their own entity and engine
-   setting), and every arm is traced. *)
+   everything else. The arms are prebuilt (their own entity), and every
+   arm is traced. *)
 let paper_plan ctx ~quick builders : Scenario.plan =
   (* Tracing is for inspecting behaviour, not reproducing the paper's
      numbers: a shorter horizon keeps the trace loadable (every message
@@ -36,16 +36,13 @@ let paper_plan ctx ~quick builders : Scenario.plan =
     report = (fun _ _ -> ());
   }
 
-(* Trace capture pins [engine_jobs] to 0 (see {!Scenario.trace}); the
-   prebuilt Samya systems pin it at build time. *)
-let headline ctx ~quick =
-  paper_plan ctx ~quick (Exp_headline.builders ~engine_jobs:0 ctx)
+let headline ctx ~quick = paper_plan ctx ~quick (Exp_headline.builders ctx)
 
 let prediction ctx ~quick =
   let maj = Exp_common.samya_config Samya.Config.Majority in
   let forecaster = Lab.runtime_forecaster ctx in
   let samya ~name config () =
-    Systems.samya ~engine_jobs:0 ~seed:Exp_common.seed ~name ~config
+    Systems.samya ~seed:Exp_common.seed ~name ~config
       ~regions:(Exp_common.client_regions ())
       ~forecaster ~entity:Exp_common.entity ~maximum:Exp_common.maximum ()
   in

@@ -18,13 +18,15 @@ let jobs () = Atomic.get configured
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
-(* Engine sharding level (the CLI's --engine-jobs): 0 = legacy
-   single-engine simulation, n >= 1 = region-sharded with up to n domains
-   per run. A process-wide default rather than a parameter thread because
-   the experiment registry builds systems many layers below the CLI. *)
-let engine_jobs_level = Atomic.make 0
+(* Engine worker domains per run (the CLI's --engine-jobs). A
+   process-wide default rather than a parameter thread because the
+   experiment registry builds systems many layers below the CLI. *)
+let engine_jobs_level = Atomic.make 1
 
-let set_engine_jobs n = Atomic.set engine_jobs_level (max 0 n)
+let set_engine_jobs n =
+  if n < 1 then
+    invalid_arg (Printf.sprintf "Pool.set_engine_jobs: expected >= 1, got %d" n);
+  Atomic.set engine_jobs_level n
 
 let engine_jobs () = Atomic.get engine_jobs_level
 

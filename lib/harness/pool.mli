@@ -24,15 +24,14 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism. *)
 
 val set_engine_jobs : int -> unit
-(** Process-wide default for the {e engine-sharding} level picked up by
-    {!Systems.samya} (the CLI's [--engine-jobs]): [0] (the default) keeps
-    the legacy single-engine simulation; [n >= 1] shards the simulation
-    by region with up to [n] domains draining windows. Orthogonal to
-    {!set_jobs}, which parallelises {e across} independent runs; results
-    are byte-identical for every [n >= 1]. Clamped to at least 0. *)
+(** Process-wide default for the worker-domain count of every sharded
+    Samya simulation built by {!Systems.samya} (the CLI's
+    [--engine-jobs]). Orthogonal to {!set_jobs}, which parallelises
+    {e across} independent runs; results are byte-identical for every
+    value. Raises [Invalid_argument] below 1. *)
 
 val engine_jobs : unit -> int
-(** The configured engine-sharding level (default 0). *)
+(** The configured engine worker count (default 1). *)
 
 val map : ('a -> 'b) -> 'a list -> 'b list
 (** [map f items] applies [f] to every item, possibly in parallel, and

@@ -109,9 +109,7 @@ let capture ?engine_jobs ?(observe = false) plan arm =
   let t_system, cluster = build ?engine_jobs plan arm in
   let sink =
     if observe then begin
-      let sink =
-        Obs.Sink.create ~now:(fun () -> Des.Engine.now t_system.Systems.engine) ()
-      in
+      let sink = Obs.Sink.create ~now:t_system.Systems.lane_now () in
       t_system.Systems.subscribe sink;
       Some sink
     end
@@ -190,5 +188,5 @@ let run ctx ~quick fmt t =
 
 let trace plan =
   Pool.map
-    (capture ~engine_jobs:0 ~observe:true plan)
+    (capture ~observe:true plan)
     (List.filter (fun (a : arm) -> List.mem a.id plan.traced) plan.arms)

@@ -102,7 +102,7 @@ val run : Lab.context -> quick:bool -> Format.formatter -> t -> unit
 (** Every arm on the {!Pool}, then the scenario's report. *)
 
 val trace : plan -> capture list
-(** The traced arms, observed, in arm order. [engine_jobs] is pinned to
-    [0]: full observability forces sequential window drains on a sharded
-    system anyway, and pinning keeps trace/explain/SLO output
-    byte-identical at every [--engine-jobs]. *)
+(** The traced arms, observed, in arm order, at the process-wide
+    {!Pool} engine setting. Full observability drains windows
+    sequentially, and the output is byte-identical at every
+    [--engine-jobs]. *)

@@ -1,5 +1,5 @@
 (* Re-export the facade record so harness code reads
-   [t.Systems.engine]; the type lives in [lib/facade] (below chaos) so
+   [t.Systems.now]; the type lives in [lib/facade] (below chaos) so
    the soak can drive clusters through the same interface. *)
 type stats = Facade.stats = {
   redistributions : int;
@@ -13,12 +13,11 @@ type stats = Facade.stats = {
 
 type facade = Facade.t = {
   name : string;
-  engine : Des.Engine.t;
   now : unit -> float;
+  lane_now : unit -> float;
   sched_region : Geonet.Region.t -> Des.Engine.t;
   schedule_global : time_ms:float -> (unit -> unit) -> unit;
   run_until : float -> unit;
-  engine_lanes : int;
   acquire :
     region:Geonet.Region.t ->
     amount:int ->
@@ -53,7 +52,7 @@ let samya ?seed ?engine_jobs ?name ~config ~regions ?forecaster ?on_protocol_eve
   let hooks = Facade.samya_hooks ?on_protocol_event () in
   (* The CLI's --engine-jobs knob reaches every Samya built by the
      experiment registry through the Pool default; an explicit argument
-     (tests, the trace path) overrides it. *)
+     (tests) overrides it. *)
   let engine_jobs =
     match engine_jobs with Some n -> n | None -> Pool.engine_jobs ()
   in
@@ -78,16 +77,16 @@ let samya ?seed ?engine_jobs ?name ~config ~regions ?forecaster ?on_protocol_eve
 let baseline ?(borrows = fun () -> 0) ~name ~engine ~regions ~entity ~submit
     ~crash_site ~recover_site ~partition ~heal ~redistributions ~net_stats
     ~set_net_tracer ~obs_port ~invariant () =
+  (* Baselines run on one engine: the record's scheduling surface
+     degenerates to the plain engine operations. *)
+  let now () = Des.Engine.now engine in
   {
     name;
-    engine;
-    (* Baselines stay on the legacy single-engine path: the record's
-       scheduling surface degenerates to the plain engine operations. *)
-    now = (fun () -> Des.Engine.now engine);
+    now;
+    lane_now = now;
     sched_region = (fun _ -> engine);
     schedule_global = (fun ~time_ms f -> Des.Engine.schedule_at engine ~time_ms f);
     run_until = (fun until_ms -> Des.Engine.run engine ~until_ms);
-    engine_lanes = 1;
     acquire =
       (fun ~region ~amount ~reply ->
         submit ~region (Samya.Types.Acquire { entity; amount; deadline_ms = infinity }) ~reply);

@@ -16,15 +16,13 @@ type stats = Facade.stats = {
 
 type facade = Facade.t = {
   name : string;
-  engine : Des.Engine.t;
-      (** single engine of a legacy system; lane 0's of a sharded one *)
   now : unit -> float;  (** virtual (barrier) time *)
+  lane_now : unit -> float;  (** clock of the lane executing the event *)
   sched_region : Geonet.Region.t -> Des.Engine.t;
       (** engine executing a region's client events *)
   schedule_global : time_ms:float -> (unit -> unit) -> unit;
       (** barrier-aligned slot for fault injection *)
   run_until : float -> unit;  (** advance all lanes to an absolute time *)
-  engine_lanes : int;  (** simulation lanes; 1 = legacy single engine *)
   acquire :
     region:Geonet.Region.t ->
     amount:int ->
@@ -81,7 +79,7 @@ val samya :
     [config.variant] unless [?name] overrides). [on_protocol_event] taps
     the structured {!Samya.Avantan_core.event} feed of every site; it
     composes with the span observer installed by [subscribe].
-    [engine_jobs] selects the simulation backend as in
+    [engine_jobs] is the shard's worker-domain count as in
     {!Samya.Cluster.create}; when omitted it follows the process-wide
     {!Pool.engine_jobs} default (the CLI's [--engine-jobs] knob). *)
 

@@ -7,16 +7,14 @@
    a per-lane sequence number assigned at record time. Lane event
    streams depend only on virtual time, never on the worker count: the
    sharded DES replays each lane's schedule identically at any
-   [--engine-jobs], and jobs 0 runs the same logical lanes on one
-   engine. [drain] — called from the shard barrier hook — only *moves*
+   [--engine-jobs]. [drain] — called from the shard barrier hook — only *moves*
    events from lane rings into the global buffer to bound per-lane
    memory; [events] always re-sorts the union of the global buffer and
    lane leftovers by the total key (ts, lane, kind rank, seq), so the
    dump is byte-identical no matter when (or whether) barriers ran. The
    kind rank breaks cross-source ties at equal (ts, lane) — e.g. a heal
    fault landing on the same virtual millisecond as an SLO window edge —
-   where per-lane seq assignment order may legitimately differ between
-   the single-engine and sharded schedulers. *)
+   so the order never depends on which source recorded first. *)
 
 type kind =
   | Protocol

@@ -1,21 +1,13 @@
-(* Legacy deployments run on one engine with one client-leg RNG split
-   from its root — byte-identical to the pre-sharding code. A sharded
-   deployment ([engine_jobs >= 1] with at least two hosting regions)
-   places each site on its region's shard lane and gives every lane its
-   own deterministic client-leg stream: leg jitter is drawn by whichever
-   lane executes the leg (client lane outbound, site lane for the
-   return), so the draw order — and therefore the whole run — does not
-   depend on how many domains drain the windows. *)
-type sched =
-  | Single of { engine : Des.Engine.t; rng : Des.Rng.t }
-  | Sharded of {
-      shard : Des.Shard.t;
-      region_lane : int array; (* lane per Region.index *)
-      lane_leg_rngs : Des.Rng.t array;
-    }
-
+(* Every deployment runs on a region-sharded {!Des.Shard}: each site sits
+   on its hosting region's lane (one lane when all sites share a region),
+   and every lane has its own deterministic client-leg stream: leg jitter
+   is drawn by whichever lane executes the leg (client lane outbound,
+   site lane for the return), so the draw order — and therefore the whole
+   run — does not depend on how many domains drain the windows. *)
 type t = {
-  sched : sched;
+  shard : Des.Shard.t;
+  region_lane : int array; (* lane per Region.index *)
+  lane_leg_rngs : Des.Rng.t array;
   network : Site.net_msg Geonet.Network.t;
   regions : Geonet.Region.t array;
   sites : Site.t array;
@@ -24,84 +16,43 @@ type t = {
          by the cluster itself for fault events (lane -1) *)
 }
 
-let make_sites ~config ~network ~regions ~flight ~node_lane ?forecaster
-    ?on_protocol_event ?obs () =
-  Array.init (Array.length regions) (fun id ->
-      let on_protocol_event =
-        Option.map (fun f -> fun ~entity event -> f ~site:id ~entity event)
-          on_protocol_event
-      in
-      Site.create ~config ~network ~id ?forecaster ?on_protocol_event ?obs
-        ~flight ~lane:node_lane.(id) ())
-
-let create ?(seed = 42L) ?(engine_jobs = 0) ~config ~regions ?forecaster
+let create ?(seed = 42L) ?(engine_jobs = 1) ~config ~regions ?forecaster
     ?(drop_probability = 0.0) ?on_protocol_event ?obs () =
   if Array.length regions = 0 then invalid_arg "Cluster.create: no regions";
+  if engine_jobs < 1 then
+    invalid_arg
+      (Printf.sprintf "Cluster.create: engine_jobs must be >= 1 (got %d)" engine_jobs);
   let node_lane, region_lane, lanes = Geonet.Region.lane_assignment regions in
-  (* Sites record into their *logical* lane's ring in every mode — a
-     jobs-0 run and a sharded one produce the same per-lane streams. *)
+  let lookahead_ms = Geonet.Region.min_cross_one_way_ms () in
+  let shard = Des.Shard.create ~seed ~workers:engine_jobs ~lanes ~lookahead_ms () in
+  let network =
+    Geonet.Network.create_sharded shard ~node_lane ~seed ~regions ~drop_probability ()
+  in
   let flight = Obs.Flight_recorder.port () in
-  if engine_jobs >= 1 && lanes >= 2 then begin
-    let lookahead_ms = Geonet.Region.min_cross_one_way_ms () in
-    let shard = Des.Shard.create ~seed ~workers:engine_jobs ~lanes ~lookahead_ms () in
-    let network =
-      Geonet.Network.create_sharded shard ~node_lane ~seed ~regions ~drop_probability ()
-    in
-    let sites =
-      make_sites ~config ~network ~regions ~flight ~node_lane ?forecaster
-        ?on_protocol_event ?obs ()
-    in
-    (* Leg streams hang off reserved namespace 62 of the root seed — the
-       network uses 63, lane engines use 0 .. lanes-1; none overlap. *)
-    let root = Des.Rng.stream_seed seed 62 in
-    let lane_leg_rngs = Array.init lanes (Des.Rng.stream root) in
-    {
-      sched = Sharded { shard; region_lane; lane_leg_rngs };
-      network;
-      regions;
-      sites;
-      flight;
-    }
-  end
-  else begin
-    let engine = Des.Engine.create ~seed () in
-    let network = Geonet.Network.create engine ~regions ~drop_probability () in
-    let sites =
-      make_sites ~config ~network ~regions ~flight ~node_lane ?forecaster
-        ?on_protocol_event ?obs ()
-    in
-    let sched = Single { engine; rng = Des.Rng.split (Des.Engine.rng engine) } in
-    { sched; network; regions; sites; flight }
-  end
+  let sites =
+    Array.init (Array.length regions) (fun id ->
+        let on_protocol_event =
+          Option.map (fun f -> fun ~entity event -> f ~site:id ~entity event)
+            on_protocol_event
+        in
+        Site.create ~config ~network ~id ?forecaster ?on_protocol_event ?obs ~flight
+          ~lane:node_lane.(id) ())
+  in
+  (* Leg streams hang off reserved namespace 62 of the root seed — the
+     network uses 63, lane engines use 0 .. lanes-1; none overlap. *)
+  let root = Des.Rng.stream_seed seed 62 in
+  let lane_leg_rngs = Array.init lanes (Des.Rng.stream root) in
+  { shard; region_lane; lane_leg_rngs; network; regions; sites; flight }
 
-let engine t =
-  match t.sched with
-  | Single s -> s.engine
-  | Sharded s -> Des.Shard.engine s.shard 0
+let engine t = Des.Shard.engine t.shard 0
+let shard t = Some t.shard
+let lanes t = Des.Shard.lanes t.shard
 
-let shard t = match t.sched with Single _ -> None | Sharded s -> Some s.shard
-
-let lanes t = match t.sched with Single _ -> 1 | Sharded s -> Des.Shard.lanes s.shard
-
-let engine_of_region t region =
-  match t.sched with
-  | Single s -> s.engine
-  | Sharded s -> Des.Shard.engine s.shard s.region_lane.(Geonet.Region.index region)
-
-let now t =
-  match t.sched with
-  | Single s -> Des.Engine.now s.engine
-  | Sharded s -> Des.Shard.now s.shard
-
-let run_until t ~until_ms =
-  match t.sched with
-  | Single s -> Des.Engine.run s.engine ~until_ms
-  | Sharded s -> Des.Shard.run s.shard ~until_ms
-
-let schedule_global t ~time_ms f =
-  match t.sched with
-  | Single s -> Des.Engine.schedule_at s.engine ~time_ms f
-  | Sharded s -> Des.Shard.schedule_global s.shard ~time_ms f
+let region_lane t region = t.region_lane.(Geonet.Region.index region)
+let engine_of_region t region = Des.Shard.engine t.shard (region_lane t region)
+let now t = Des.Shard.now t.shard
+let run_until t ~until_ms = Des.Shard.run t.shard ~until_ms
+let schedule_global t ~time_ms f = Des.Shard.schedule_global t.shard ~time_ms f
 
 let network t = t.network
 let n_sites t = Array.length t.sites
@@ -180,33 +131,19 @@ let submit_to_site t ~site request ~reply = Site.submit t.sites.(site) request ~
    [Shard.schedule_cross] enforces. Same-lane legs (client co-located
    with the site, or homed to it as nearest hosted region) stay local. *)
 let schedule_leg t ~from_lane ~to_lane ~delay_ms f =
-  match t.sched with
-  | Single s -> Des.Engine.schedule s.engine ~delay_ms f
-  | Sharded s ->
-      let src_engine = Des.Shard.engine s.shard from_lane in
-      let time_ms = Des.Engine.now src_engine +. delay_ms in
-      if from_lane = to_lane then Des.Engine.schedule_at src_engine ~time_ms f
-      else Des.Shard.schedule_cross s.shard ~src:from_lane ~dst:to_lane ~time_ms f
-
-let leg_rng t ~lane =
-  match t.sched with Single s -> s.rng | Sharded s -> s.lane_leg_rngs.(lane)
+  let src_engine = Des.Shard.engine t.shard from_lane in
+  let time_ms = Des.Engine.now src_engine +. delay_ms in
+  if from_lane = to_lane then Des.Engine.schedule_at src_engine ~time_ms f
+  else Des.Shard.schedule_cross t.shard ~src:from_lane ~dst:to_lane ~time_ms f
 
 let submit t ~region request ~reply =
   match route t ~region with
   | None -> reply Types.Unavailable
   | Some (site_index, _) ->
-      let client_lane =
-        match t.sched with
-        | Single _ -> 0
-        | Sharded s -> s.region_lane.(Geonet.Region.index region)
-      in
-      let site_lane =
-        match t.sched with
-        | Single _ -> 0
-        | Sharded s -> s.region_lane.(Geonet.Region.index t.regions.(site_index))
-      in
+      let client_lane = region_lane t region in
+      let site_lane = region_lane t t.regions.(site_index) in
       (* Executes on the client's lane: the outbound draw comes from it. *)
-      let there = client_leg_ms t (leg_rng t ~lane:client_lane) ~region ~site_index in
+      let there = client_leg_ms t t.lane_leg_rngs.(client_lane) ~region ~site_index in
       schedule_leg t ~from_lane:client_lane ~to_lane:site_lane ~delay_ms:there (fun () ->
           let target = t.sites.(site_index) in
           if not (Site.alive target) then
@@ -217,14 +154,14 @@ let submit t ~region request ~reply =
             Site.submit target request ~reply:(fun response ->
                 (* Executes on the site's lane: the return draw is its. *)
                 let back =
-                  client_leg_ms t (leg_rng t ~lane:site_lane) ~region ~site_index
+                  client_leg_ms t t.lane_leg_rngs.(site_lane) ~region ~site_index
                 in
                 schedule_leg t ~from_lane:site_lane ~to_lane:client_lane ~delay_ms:back
                   (fun () -> reply response)))
 
 (* Fault events land in lane -1: they are injected between windows (via
-   barrier-aligned globals on a sharded run), so stamping them from the
-   coordinating domain is race-free in every mode. *)
+   barrier-aligned globals), so stamping them from the coordinating
+   domain is race-free. *)
 let flight_fault t detail =
   match Obs.Flight_recorder.tap t.flight with
   | None -> ()
@@ -256,23 +193,20 @@ let heal t =
 (* Arm the always-on incident layer: every site starts recording into
    its lane's ring and feeding the attachment's hot-key sketch. Unlike an
    observability subscription this does NOT force sequential windows —
-   lane rings are single-writer by construction. On a sharded run the
-   barrier hook drains lane rings into the recorder's global buffer to
-   bound per-lane memory; dumps are identical with or without it. *)
+   lane rings are single-writer by construction. The barrier hook drains
+   lane rings into the recorder's global buffer to bound per-lane memory;
+   dumps are identical with or without it. *)
 let arm_flight t (attachment : Obs.Flight_recorder.attachment) =
   (* Every lane's slot exists before any lane writes, so no lane grows
      the recorder's or the sketch's shared lane array mid-run. *)
-  let _, _, lanes = Geonet.Region.lane_assignment t.regions in
+  let lanes = lanes t in
   Obs.Flight_recorder.reserve attachment.Obs.Flight_recorder.recorder ~lanes;
   Option.iter
     (fun hot -> Obs.Heavy_hitters.Windowed.reserve hot ~lanes)
     attachment.Obs.Flight_recorder.hot;
   Obs.Flight_recorder.attach t.flight attachment;
-  match t.sched with
-  | Single _ -> ()
-  | Sharded s ->
-      Des.Shard.set_barrier_hook s.shard (fun () ->
-          Obs.Flight_recorder.drain attachment.Obs.Flight_recorder.recorder)
+  Des.Shard.set_barrier_hook t.shard (fun () ->
+      Obs.Flight_recorder.drain attachment.Obs.Flight_recorder.recorder)
 
 let total_tokens_left t ~entity =
   Array.fold_left (fun acc site -> acc + Site.tokens_left site ~entity) 0 t.sites

@@ -1,5 +1,5 @@
-(** A complete Samya deployment: engine, geo network, sites, and the
-    app-manager routing layer between clients and sites.
+(** A complete Samya deployment: region-sharded simulation, geo network,
+    sites, and the app-manager routing layer between clients and sites.
 
     App managers are stateless relays co-located with clients (the paper's
     evaluation merges them, §5.2); routing picks the nearest live site and
@@ -31,40 +31,43 @@ val create :
     by every site's request handler and protocol driver (a facade's
     [subscribe] attaches a sink to it).
 
-    [engine_jobs] (default [0]) selects the simulation backend. [0] is
-    the legacy single-engine path, byte-identical to earlier releases.
-    [n >= 1] shards the simulation by hosting region onto one engine per
-    lane (see {!Des.Shard}), drained by up to [n] domains; results are
-    byte-identical for every [n >= 1] — the value changes wall time
-    only. Falls back to the legacy path when fewer than two distinct
-    regions host sites. *)
+    Every deployment is region-sharded (see {!Des.Shard}): one lane per
+    distinct hosting region, so a cluster whose sites all share a region
+    runs on a one-lane shard. [engine_jobs] (default [1]) is the number
+    of domains draining the lanes' windows; results are byte-identical
+    for every value — it changes wall time only. Raises
+    [Invalid_argument] if [engine_jobs < 1]. *)
 
 val engine : t -> Des.Engine.t
-(** The engine of a legacy deployment; lane 0's engine of a sharded one
-    (callers that need a specific lane use {!engine_of_region}). *)
+(** Lane 0's engine. Scheduling onto it directly is only correct for
+    events homed in lane 0's region; drive the simulation with
+    {!run_until}, schedule client work on {!engine_of_region} and faults
+    with {!schedule_global}. *)
 
 val shard : t -> Des.Shard.t option
-(** The shard coordinator of a sharded deployment, [None] on legacy. *)
+(** The shard coordinator — always [Some]: every deployment is sharded.
+    (The option survives for callers written against the two-backend
+    interface.) *)
 
 val lanes : t -> int
-(** Number of simulation lanes ([1] on the legacy path). *)
+(** Number of simulation lanes (distinct hosting regions). *)
 
 val engine_of_region : t -> Geonet.Region.t -> Des.Engine.t
 (** The engine that executes events homed in [region] — where the driver
     schedules that region's client issue events. *)
 
 val now : t -> float
-(** Virtual time. On a sharded deployment, barrier time (meaningful
-    between {!run_until} windows and at global events). *)
+(** Virtual barrier time: meaningful between {!run_until} windows and at
+    global events. From inside an event, read the executing lane's engine
+    clock instead. *)
 
 val run_until : t -> until_ms:float -> unit
-(** Advance the simulation to [until_ms] (all lanes, on a sharded
-    deployment). *)
+(** Advance every lane of the simulation to [until_ms]. *)
 
 val schedule_global : t -> time_ms:float -> (unit -> unit) -> unit
 (** Schedule a barrier-aligned event — the only safe way to mutate
-    cross-lane shared state (crashes, partitions, link faults) in a
-    sharded run. On the legacy path this is plain [schedule_at]. *)
+    cross-lane shared state (crashes, partitions, link faults): it runs
+    alone between windows, with every lane clock at [time_ms]. *)
 
 val network : t -> Site.net_msg Geonet.Network.t
 val n_sites : t -> int
@@ -111,9 +114,9 @@ val arm_flight : t -> Obs.Flight_recorder.attachment -> unit
     breaker trips, sheds and mechanism switches into per-lane rings, the
     cluster records injected faults (lane -1), and the attachment's
     hot-key sketch is fed from the request path. Does {e not} force
-    sequential windows — per-lane rings are single-writer, and on a
-    sharded run the barrier hook drains them into the recorder's global
-    buffer. Dumps are byte-identical at any [--engine-jobs]. *)
+    sequential windows — per-lane rings are single-writer, and the
+    shard's barrier hook drains them into the recorder's global buffer.
+    Dumps are byte-identical at any [--engine-jobs]. *)
 
 val total_tokens_left : t -> entity:Types.entity -> int
 val total_acquired : t -> entity:Types.entity -> int

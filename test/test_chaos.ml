@@ -93,9 +93,7 @@ let soak_replays_exactly () =
 let soak_engine_jobs_sweep () =
   (* A region-sharded soak must report byte-identically at every worker
      count — one domain or four, same windows, same channel flush order,
-     same report — and still pass the auditor. (Seed 5 is a seed whose
-     sharded run genuinely diverges from the legacy single-engine one, so
-     this exercises the sharded scheduler, not a degenerate fallback.) *)
+     same report — and still pass the auditor. *)
   let render (r : Chaos.Soak.report) = Format.asprintf "%a" Chaos.Soak.pp_report r in
   let run engine_jobs =
     Chaos.Soak.run ~duration_ms:30_000.0 ~engine_jobs ~variant:Samya.Config.Majority
@@ -161,10 +159,9 @@ let multi_entity_conserves_under_chaos =
       in
       Samya.Cluster.register_entities cluster
         (List.init n_entities (fun r -> (key r, quota)));
-      let engine = Samya.Cluster.engine cluster in
       let injector =
         Chaos.Injector.install
-          ~schedule_at:(Des.Engine.schedule_at engine)
+          ~schedule_at:(Samya.Cluster.schedule_global cluster)
           ~network:(Samya.Cluster.network cluster)
           ~crash:(Samya.Cluster.crash_site cluster)
           ~recover:(fun site ->
@@ -177,6 +174,7 @@ let multi_entity_conserves_under_chaos =
       Array.iter
         (fun region ->
           let rng = Des.Rng.split root in
+          let engine = Samya.Cluster.engine_of_region cluster region in
           let held = Array.make n_entities 0 in
           let rec step () =
             Des.Engine.schedule engine
@@ -203,7 +201,7 @@ let multi_entity_conserves_under_chaos =
           in
           step ())
         regions;
-      Des.Engine.run engine
+      Samya.Cluster.run_until cluster
         ~until_ms:
           (duration_ms
           +. Float.max 240_000.0 (4.0 *. Samya.Site.anti_entropy_ms));

@@ -32,15 +32,15 @@ let make_cluster ?(policy = C.Adaptive) ?(config_f = fun c -> c) ?(seed = 42L)
   Samya.Cluster.init_entity cluster ~entity ~maximum;
   cluster
 
+(* Client work is scheduled on the client region's lane. *)
 let submit_at cluster ~time_ms ~region request callback =
   Des.Engine.schedule_at
-    (Samya.Cluster.engine cluster)
+    (Samya.Cluster.engine_of_region cluster region)
     ~time_ms
     (fun () -> Samya.Cluster.submit cluster ~region request ~reply:callback)
 
 let drain ?(extra = 120_000.0) cluster =
-  let engine = Samya.Cluster.engine cluster in
-  Des.Engine.run engine ~until_ms:(Des.Engine.now engine +. extra)
+  Samya.Cluster.run_until cluster ~until_ms:(Samya.Cluster.now cluster +. extra)
 
 (* ------------------------------------------------------------------ *)
 (* Config validation *)

@@ -107,7 +107,7 @@ let cluster_uses_configured_policy () =
   let regions = Array.of_list Geonet.Region.default_five in
   let cluster = Samya.Cluster.create ~seed:9L ~config ~regions () in
   Samya.Cluster.init_entity cluster ~entity:"VM" ~maximum:2_000;
-  let engine = Samya.Cluster.engine cluster in
+  let engine = Samya.Cluster.engine_of_region cluster regions.(0) in
   let granted = ref 0 in
   for i = 0 to 1_499 do
     Des.Engine.schedule_at engine
@@ -117,7 +117,7 @@ let cluster_uses_configured_policy () =
           (Samya.Types.Acquire { entity = "VM"; amount = 1; deadline_ms = infinity })
           ~reply:(function Samya.Types.Granted -> incr granted | _ -> ()))
   done;
-  Des.Engine.run engine ~until_ms:120_000.0;
+  Samya.Cluster.run_until cluster ~until_ms:120_000.0;
   check bool "served beyond the local share" true (!granted > 500);
   check bool "invariant" true
     (Samya.Cluster.check_invariant cluster ~entity:"VM" ~maximum:2_000 = Ok ())
@@ -146,21 +146,21 @@ let org_paths_and_ancestors () =
 
 let org_charges_every_level () =
   let cluster, org = org_setup () in
-  let engine = Samya.Cluster.engine cluster in
+  let engine = Samya.Cluster.engine_of_region cluster Geonet.Region.Us_west1 in
   let root = Hierarchy.Org.root org in
   let team = Hierarchy.Org.add_unit org ~parent:root ~name:"team" ~limit:300 () in
   let response = ref None in
   Des.Engine.schedule engine ~delay_ms:1.0 (fun () ->
       Hierarchy.Org.consume org ~node:team ~region:Geonet.Region.Us_west1 ~amount:50
         ~reply:(fun r -> response := Some r));
-  Des.Engine.run engine ~until_ms:60_000.0;
+  Samya.Cluster.run_until cluster ~until_ms:60_000.0;
   check bool "granted" true (!response = Some Samya.Types.Granted);
   check int "team charged" 50 (Hierarchy.Org.usage org team);
   check int "root charged" 50 (Hierarchy.Org.usage org root)
 
 let org_team_limit_binds () =
   let cluster, org = org_setup () in
-  let engine = Samya.Cluster.engine cluster in
+  let engine = Samya.Cluster.engine_of_region cluster Geonet.Region.Us_west1 in
   let root = Hierarchy.Org.root org in
   let team = Hierarchy.Org.add_unit org ~parent:root ~name:"team" ~limit:100 () in
   let granted = ref 0 and denied = ref 0 in
@@ -173,7 +173,7 @@ let org_team_limit_binds () =
             | Samya.Types.Granted -> incr granted
             | _ -> incr denied))
   done;
-  Des.Engine.run engine ~until_ms:300_000.0;
+  Samya.Cluster.run_until cluster ~until_ms:300_000.0;
   (* Avantan[(n+1)/2] pools a majority of sites per instance, so only the
      quorum's share of the team budget flows to the hot region; the limit
      itself can never be exceeded. *)
@@ -187,7 +187,7 @@ let org_team_limit_binds () =
 
 let org_release_returns_every_level () =
   let cluster, org = org_setup () in
-  let engine = Samya.Cluster.engine cluster in
+  let engine = Samya.Cluster.engine_of_region cluster Geonet.Region.Us_west1 in
   let root = Hierarchy.Org.root org in
   let team = Hierarchy.Org.add_unit org ~parent:root ~name:"team" ~limit:300 () in
   Des.Engine.schedule engine ~delay_ms:1.0 (fun () ->
@@ -195,7 +195,7 @@ let org_release_returns_every_level () =
         ~reply:(fun _ ->
           Hierarchy.Org.return_resources org ~node:team ~region:Geonet.Region.Us_west1
             ~amount:15 ~reply:(fun _ -> ())));
-  Des.Engine.run engine ~until_ms:60_000.0;
+  Samya.Cluster.run_until cluster ~until_ms:60_000.0;
   check int "team net" 25 (Hierarchy.Org.usage org team);
   check int "root net" 25 (Hierarchy.Org.usage org root)
 

@@ -191,7 +191,7 @@ let registry_parallel_run_deterministic () =
 
 let with_engine_jobs engine_jobs f =
   Harness.Pool.set_engine_jobs engine_jobs;
-  Fun.protect ~finally:(fun () -> Harness.Pool.set_engine_jobs 0) f
+  Fun.protect ~finally:(fun () -> Harness.Pool.set_engine_jobs 1) f
 
 let registry_engine_jobs_sweep_deterministic () =
   (* The region-sharded simulation contract: the same experiment renders

@@ -218,9 +218,7 @@ let trace_deterministic_across_jobs () =
         (fun (label, build) ->
           let t_system = build () in
           let sink =
-            Obs.Sink.create
-              ~now:(fun () -> Des.Engine.now t_system.Harness.Systems.engine)
-              ()
+            Obs.Sink.create ~now:t_system.Harness.Systems.lane_now ()
           in
           t_system.Harness.Systems.subscribe sink;
           let spec =
@@ -272,9 +270,7 @@ let unsubscribed_run_matches_baseline () =
     let spec =
       if observe then begin
         let sink =
-          Obs.Sink.create
-            ~now:(fun () -> Des.Engine.now t_system.Harness.Systems.engine)
-            ()
+          Obs.Sink.create ~now:t_system.Harness.Systems.lane_now ()
         in
         t_system.Harness.Systems.subscribe sink;
         { spec with Harness.Driver.obs = Some sink }
@@ -289,6 +285,44 @@ let unsubscribed_run_matches_baseline () =
   check
     (Alcotest.triple int int int)
     "observing does not perturb the run" (run ~observe:false) (run ~observe:true)
+
+let observed_spans_use_executing_lane_clock () =
+  (* An observed sharded run stamps each span with the clock of the lane
+     executing the event. Client request spans open and close on the
+     client's lane; stamped with another lane's clock (say lane 0's,
+     lagging while the client's lane drains), a request could look faster
+     than the network allows. So no span may be shorter than the
+     smallest client round trip: client -> app manager -> a site in the
+     client's own region, and back. *)
+  let plan = Harness.Exp_retrystorm.plan ~quick:true in
+  let c =
+    Harness.Scenario.capture ~engine_jobs:1 ~observe:true plan
+      (Harness.Scenario.arm plan "admission")
+  in
+  let min_rtt =
+    Array.fold_left
+      (fun acc r ->
+        Float.min acc
+          (Geonet.Region.client_site_rtt_ms +. (2.0 *. Geonet.Region.one_way_ms r r)))
+      infinity
+      (Harness.Exp_common.client_regions ())
+  in
+  let sink = Option.get c.Harness.Scenario.sink in
+  let durations =
+    List.filter_map
+      (function
+        | Obs.Span.Complete { cat = "request"; tid; dur; _ } when tid >= 1000 ->
+            Some dur
+        | _ -> None)
+      (Obs.Span.events sink.Obs.Sink.spans)
+  in
+  check bool "request spans recorded" true (List.length durations > 1000);
+  let short = List.filter (fun d -> d < min_rtt) durations in
+  check int
+    (Printf.sprintf "request spans shorter than the %.1f ms round trip (min %.3f ms)"
+       min_rtt
+       (List.fold_left Float.min infinity durations))
+    0 (List.length short)
 
 let suite =
   [
@@ -308,4 +342,6 @@ let suite =
       trace_deterministic_across_jobs;
     Alcotest.test_case "trace: observation does not perturb" `Slow
       unsubscribed_run_matches_baseline;
+    Alcotest.test_case "obs: spans on the executing lane's clock" `Slow
+      observed_spans_use_executing_lane_clock;
   ]

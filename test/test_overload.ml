@@ -19,15 +19,16 @@ let make_cluster ?(config_f = fun c -> c) ?(seed = 42L) ?(maximum = 5_000) () =
   Samya.Cluster.init_entity cluster ~entity ~maximum;
   cluster
 
+(* Client work is scheduled on the client region's lane; faults go
+   through barrier-aligned globals. *)
 let submit_at cluster ~time_ms ~region request callback =
   Des.Engine.schedule_at
-    (Samya.Cluster.engine cluster)
+    (Samya.Cluster.engine_of_region cluster region)
     ~time_ms
     (fun () -> Samya.Cluster.submit cluster ~region request ~reply:callback)
 
 let drain ?(extra = 120_000.0) cluster =
-  let engine = Samya.Cluster.engine cluster in
-  Des.Engine.run engine ~until_ms:(Des.Engine.now engine +. extra)
+  Samya.Cluster.run_until cluster ~until_ms:(Samya.Cluster.now cluster +. extra)
 
 let sum_sites cluster f =
   Array.fold_left (fun acc site -> acc + f site) 0 (Samya.Cluster.sites cluster)
@@ -124,7 +125,7 @@ let queued_entry_expires_unreplayed () =
     ignore;
   let response = ref None in
   let reply_time = ref Float.nan in
-  let engine = Samya.Cluster.engine cluster in
+  let engine = Samya.Cluster.engine_of_region cluster Geonet.Region.Us_west1 in
   submit_at cluster ~time_ms:1_000.0 ~region:Geonet.Region.Us_west1
     (Samya.Types.acquire ~entity ~amount:10 ())
     (fun r ->
@@ -202,7 +203,7 @@ let breaker_opens_and_reprobes () =
   in
   (* Cut site 0 off, then drive it into famine: every redistribution
      attempt aborts, and after 2 consecutive aborts the breaker opens. *)
-  Des.Engine.schedule_at (Samya.Cluster.engine cluster) ~time_ms:0.0 (fun () ->
+  Samya.Cluster.schedule_global cluster ~time_ms:0.0 (fun () ->
       Samya.Cluster.partition cluster [ [ 0 ]; [ 1; 2; 3; 4 ] ]);
   submit_at cluster ~time_ms:10.0 ~region:Geonet.Region.Us_west1
     (Samya.Types.acquire ~entity ~amount:1_000 ())
@@ -221,12 +222,12 @@ let breaker_opens_and_reprobes () =
   check bool "requests failed fast" true (!rejections > 0);
   (* Heal and wait past the probe window: the breaker's half-open probe
      must let a redistribution through and close on success. *)
-  Des.Engine.schedule_at (Samya.Cluster.engine cluster)
-    ~time_ms:(Des.Engine.now (Samya.Cluster.engine cluster) +. 1.0)
+  Samya.Cluster.schedule_global cluster
+    ~time_ms:(Samya.Cluster.now cluster +. 1.0)
     (fun () -> Samya.Cluster.heal cluster);
   let healed_reply = ref None in
   submit_at cluster
-    ~time_ms:(Des.Engine.now (Samya.Cluster.engine cluster) +. 4_000.0)
+    ~time_ms:(Samya.Cluster.now cluster +. 4_000.0)
     ~region:Geonet.Region.Us_west1
     (Samya.Types.acquire ~entity ~amount:50 ())
     (fun r -> healed_reply := Some r);
@@ -245,9 +246,15 @@ let stale_accept_leader_unwedges () =
      (entering the accept phase): the cohort times out and recovers
      behind its back. Before the Election_reject NACK, the stale leader
      re-sent its accept forever and its entity stayed exposed — parked
-     requests never got a reply. *)
-  let cluster_ref = ref None in
-  let cut = ref false in
+     requests never got a reply.
+
+     A sharded network refuses shared-state changes mid-window, so the
+     cut cannot be made from inside the protocol callback. The run is
+     deterministic, so two passes make the same cut: pass one records
+     the instant site 0 first constructs a value, pass two partitions
+     at a barrier right after that instant (a global at the instant
+     itself would run before the promise delivery that triggers the
+     construction, and drop it). *)
   let config =
     {
       Samya.Config.default with
@@ -255,31 +262,52 @@ let stale_accept_leader_unwedges () =
       redistribution_cooldown_ms = 500.0;
     }
   in
-  let cluster =
-    Samya.Cluster.create ~seed:42L ~config ~regions:(regions ())
-      ~on_protocol_event:(fun ~site ~entity:_ ev ->
-        match (ev, !cluster_ref) with
-        | Samya.Avantan_core.Value_constructed _, Some c when site = 0 && not !cut
-          ->
-            cut := true;
-            Samya.Cluster.partition c [ [ 0 ]; [ 1; 2; 3; 4 ] ]
-        | _ -> ())
-      ()
+  let run ~cut_at =
+    let constructed_at = ref None in
+    let cluster_ref = ref None in
+    let cluster =
+      Samya.Cluster.create ~seed:42L ~config ~regions:(regions ())
+        ~on_protocol_event:(fun ~site ~entity:_ ev ->
+          match (ev, !cluster_ref, !constructed_at) with
+          | Samya.Avantan_core.Value_constructed _, Some c, None when site = 0 ->
+              (* Runs on site 0's lane: its engine clock is the event's. *)
+              constructed_at :=
+                Some
+                  (Des.Engine.now
+                     (Samya.Cluster.engine_of_region c Geonet.Region.Us_west1))
+          | _ -> ())
+        ()
+    in
+    cluster_ref := Some cluster;
+    Samya.Cluster.init_entity cluster ~entity ~maximum:5_000;
+    submit_at cluster ~time_ms:0.0 ~region:Geonet.Region.Us_west1
+      (Samya.Types.acquire ~entity ~amount:1_000 ())
+      ignore;
+    let response = ref None in
+    submit_at cluster ~time_ms:1_000.0 ~region:Geonet.Region.Us_west1
+      (Samya.Types.acquire ~entity ~amount:50 ())
+      (fun r -> response := Some r);
+    Option.iter
+      (fun t ->
+        Samya.Cluster.schedule_global cluster ~time_ms:(Float.succ t) (fun () ->
+            Samya.Cluster.partition cluster [ [ 0 ]; [ 1; 2; 3; 4 ] ]);
+        Samya.Cluster.schedule_global cluster ~time_ms:20_000.0 (fun () ->
+            Samya.Cluster.heal cluster))
+      cut_at;
+    drain ~extra:200_000.0 cluster;
+    (cluster, !constructed_at, !response)
   in
-  cluster_ref := Some cluster;
-  Samya.Cluster.init_entity cluster ~entity ~maximum:5_000;
-  submit_at cluster ~time_ms:0.0 ~region:Geonet.Region.Us_west1
-    (Samya.Types.acquire ~entity ~amount:1_000 ())
-    ignore;
-  let response = ref None in
-  submit_at cluster ~time_ms:1_000.0 ~region:Geonet.Region.Us_west1
-    (Samya.Types.acquire ~entity ~amount:50 ())
-    (fun r -> response := Some r);
-  Des.Engine.schedule_at (Samya.Cluster.engine cluster) ~time_ms:20_000.0 (fun () ->
-      Samya.Cluster.heal cluster);
-  drain ~extra:200_000.0 cluster;
-  check bool "partition was injected mid-accept" true !cut;
-  check bool "parked request eventually answered" true (!response <> None);
+  let _, first, _ = run ~cut_at:None in
+  let cut_at =
+    match first with
+    | Some t -> t
+    | None -> Alcotest.fail "site 0 never constructed a value"
+  in
+  check bool "partition lands before the heal" true (cut_at < 20_000.0);
+  let cluster, constructed_at, response = run ~cut_at:(Some cut_at) in
+  check bool "partition was injected mid-accept" true
+    (constructed_at = Some cut_at);
+  check bool "parked request eventually answered" true (response <> None);
   check int "no request left parked" 0
     (sum_sites cluster (fun s -> Samya.Site.queued s ~entity));
   check bool "conservation across the superseded instance" true

@@ -19,15 +19,15 @@ let make_cluster ?(variant = Samya.Config.Majority) ?(config_f = fun c -> c) ?(s
   Samya.Cluster.init_entity cluster ~entity ~maximum;
   cluster
 
+(* Client work is scheduled on the client region's lane. *)
 let submit_at cluster ~time_ms ~region request callback =
   Des.Engine.schedule_at
-    (Samya.Cluster.engine cluster)
+    (Samya.Cluster.engine_of_region cluster region)
     ~time_ms
     (fun () -> Samya.Cluster.submit cluster ~region request ~reply:callback)
 
 let drain ?(extra = 120_000.0) cluster =
-  let engine = Samya.Cluster.engine cluster in
-  Des.Engine.run engine ~until_ms:(Des.Engine.now engine +. extra)
+  Samya.Cluster.run_until cluster ~until_ms:(Samya.Cluster.now cluster +. extra)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol helpers *)
@@ -234,7 +234,7 @@ let requests_queue_during_redistribution () =
   let cluster =
     make_cluster ~config_f:(fun c -> { c with Samya.Config.prediction_enabled = false }) ()
   in
-  let engine = Samya.Cluster.engine cluster in
+  let engine = Samya.Cluster.engine_of_region cluster Geonet.Region.Us_west1 in
   (* Exhaust site 0 so the next acquire triggers a reactive instance. *)
   submit_at cluster ~time_ms:0.0 ~region:Geonet.Region.Us_west1
     (Samya.Types.Acquire { entity; amount = 1_000; deadline_ms = infinity })
@@ -355,6 +355,45 @@ let decided_log_stays_bounded () =
     (Samya.Cluster.check_invariant cluster ~entity ~maximum:5_000 = Ok ())
 
 (* ------------------------------------------------------------------ *)
+(* Single-region deployment: a one-lane shard *)
+
+let single_region_cluster_conserves () =
+  (* Every site in one region: the shard degenerates to one lane, which
+     carries the sites, the local clients and the clients of a foreign
+     region alike. A burst past the local share forces redistributions;
+     tokens must be conserved and the outcome must not depend on the
+     worker-domain count. *)
+  let run engine_jobs =
+    let regions = Array.make 3 Geonet.Region.Us_west1 in
+    let cluster =
+      Samya.Cluster.create ~seed:42L ~engine_jobs ~config:Samya.Config.default ~regions
+        ()
+    in
+    Samya.Cluster.init_entity cluster ~entity ~maximum:1_500;
+    check int "one lane" 1 (Samya.Cluster.lanes cluster);
+    let granted = ref 0 and rejected = ref 0 in
+    burst cluster ~region:Geonet.Region.Us_west1 ~start:0.0 ~count:1_200 ~gap:5.0 granted
+      rejected;
+    burst cluster ~region:Geonet.Region.Europe_west2 ~start:2.5 ~count:600 ~gap:10.0
+      granted rejected;
+    drain ~extra:200_000.0 cluster;
+    check bool "invariant" true
+      (Samya.Cluster.check_invariant cluster ~entity ~maximum:1_500 = Ok ());
+    check bool "served beyond one site's share" true (!granted > 500);
+    check int "every request answered" 1_800 (!granted + !rejected);
+    Printf.sprintf "granted=%d rejected=%d redistributions=%d left=[%s]" !granted
+      !rejected
+      (Samya.Cluster.total_redistributions cluster)
+      (String.concat ";"
+         (Array.to_list
+            (Array.map
+               (fun site -> string_of_int (Samya.Site.tokens_left site ~entity))
+               (Samya.Cluster.sites cluster))))
+  in
+  let one = run 1 in
+  check Alcotest.string "engine-jobs 4 identical" one (run 4)
+
+(* ------------------------------------------------------------------ *)
 (* Protocol-event hook *)
 
 let event_hook_observes_protocol () =
@@ -398,7 +437,6 @@ let random_schedule_invariant variant ~drop ~crash ?(part = false)
   let cluster =
     make_cluster ~variant ~seed:(Int64.of_int (seed + 1)) ~maximum ~config_f ?drop ()
   in
-  let engine = Samya.Cluster.engine cluster in
   let rng = Des.Rng.create (Int64.of_int (seed * 31)) in
   let outstanding = ref 0 in
   List.iteri
@@ -415,19 +453,20 @@ let random_schedule_invariant variant ~drop ~crash ?(part = false)
           submit_at cluster ~time_ms ~region (Samya.Types.Read { entity; deadline_ms = infinity }) ignore)
     ops;
   (if crash then
-     Des.Engine.schedule engine ~delay_ms:500.0 (fun () -> Samya.Cluster.crash_site cluster 4));
+     Samya.Cluster.schedule_global cluster ~time_ms:500.0 (fun () ->
+         Samya.Cluster.crash_site cluster 4));
   (if part then
-     Des.Engine.schedule engine ~delay_ms:800.0 (fun () ->
+     Samya.Cluster.schedule_global cluster ~time_ms:800.0 (fun () ->
          Samya.Cluster.partition cluster [ [ 0; 1 ]; [ 2; 3; 4 ] ]));
   (* Heal loss and partitions before quiescence so retry loops can finish;
      a crashed site recovers (the paper assumes sites do not crash
      indefinitely) and catches up on missed decisions before the
      conservation check. *)
-  Des.Engine.run engine ~until_ms:60_000.0;
+  Samya.Cluster.run_until cluster ~until_ms:60_000.0;
   Geonet.Network.set_drop_probability (Samya.Cluster.network cluster) 0.0;
   (if part then Samya.Cluster.heal cluster);
   (if crash then Samya.Cluster.recover_site cluster 4);
-  Des.Engine.run engine ~until_ms:600_000.0;
+  Samya.Cluster.run_until cluster ~until_ms:600_000.0;
   match Samya.Cluster.check_invariant cluster ~entity ~maximum with
   | Ok () -> true
   | Error e -> QCheck.Test.fail_reportf "invariant: %s" e
@@ -598,4 +637,6 @@ let suite =
       entity_map_iteration_shard_independent;
     Alcotest.test_case "entity map: hot tracking" `Quick entity_map_hot_tracking;
     Alcotest.test_case "entity map: validation" `Quick entity_map_validation;
+    Alcotest.test_case "single region: one-lane shard" `Quick
+      single_region_cluster_conserves;
   ]
