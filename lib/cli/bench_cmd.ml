@@ -61,22 +61,25 @@ let micro_benchmarks () =
     Test.make ~name:"lstm.predict_next(w=12,h=8)"
       (Staged.stage (fun () -> ignore (Ml.Lstm.predict_next model series)))
   in
-  (* The sharded entity arena at gateway-fleet scale: a million registered
-     keys, a Zipfian-shaped access mix of hot head and cold tail. Lookups
-     and updates must stay flat in the fleet size (hash into a shard) and
-     iteration must stay linear — these are the operations every request
-     and every batch-scope freeze pays. The ~100 MB arena is allocated per
+  (* A site's entity arena at gateway-fleet scale: a million keys in a
+     sharded directory, appended by eid as a cluster registers them, and a
+     Zipfian-shaped access mix of hot head and cold tail. Lookups and
+     updates must stay flat in the fleet size (hash into a directory
+     shard, then index the arena) and iteration must stay linear — these
+     are the operations every request and every batch-scope freeze pays. The ~100 MB arena is allocated per
      test and compacted away afterwards (make_with_resource): kept resident
      it inflates every later allocating benchmark's numbers, since each
      minor collection then drags a major-heap slice over the arena. *)
   let fleet = 1_000_000 in
   let fleet_name = Printf.sprintf "key%07d" in
   let allocate_arena () =
+    let directory = Samya.Entity_map.Directory.create ~shards:256 ~capacity:fleet () in
     let map : unit Samya.Entity_map.t =
-      Samya.Entity_map.create ~shards:256 ~capacity:fleet ()
+      Samya.Entity_map.create ~directory ~capacity:fleet ()
     in
     for r = 0 to fleet - 1 do
-      ignore (Samya.Entity_map.register map ~entity:(fleet_name r) ~tokens:10)
+      let eid = Samya.Entity_map.Directory.add directory (fleet_name r) in
+      ignore (Samya.Entity_map.append map ~eid ~tokens:10)
     done;
     (* 512 hot-head keys and 512 spread across the cold tail. *)
     let mix =

@@ -11,6 +11,9 @@ type t = {
   network : Site.net_msg Geonet.Network.t;
   regions : Geonet.Region.t array;
   sites : Site.t array;
+  directory : Entity_map.Directory.t;
+      (* the one name -> eid map every site's arena indexes by; written
+         only between windows, read concurrently by lanes inside them *)
   flight : Obs.Flight_recorder.port;
       (* one port shared by every site (each writes to its own lane) and
          by the cluster itself for fault events (lane -1) *)
@@ -29,20 +32,24 @@ let create ?(seed = 42L) ?(engine_jobs = 1) ~config ~regions ?forecaster
     Geonet.Network.create_sharded shard ~node_lane ~seed ~regions ~drop_probability ()
   in
   let flight = Obs.Flight_recorder.port () in
+  let directory =
+    Entity_map.Directory.create ~shards:config.Config.entity_shards
+      ~capacity:config.Config.entity_capacity ()
+  in
   let sites =
     Array.init (Array.length regions) (fun id ->
         let on_protocol_event =
           Option.map (fun f -> fun ~entity event -> f ~site:id ~entity event)
             on_protocol_event
         in
-        Site.create ~config ~network ~id ?forecaster ?on_protocol_event ?obs ~flight
-          ~lane:node_lane.(id) ())
+        Site.create ~config ~network ~directory ~id ?forecaster ?on_protocol_event ?obs
+          ~flight ~lane:node_lane.(id) ())
   in
   (* Leg streams hang off reserved namespace 62 of the root seed — the
      network uses 63, lane engines use 0 .. lanes-1; none overlap. *)
   let root = Des.Rng.stream_seed seed 62 in
   let lane_leg_rngs = Array.init lanes (Des.Rng.stream root) in
-  { shard; region_lane; lane_leg_rngs; network; regions; sites; flight }
+  { shard; region_lane; lane_leg_rngs; network; regions; sites; directory; flight }
 
 let engine t = Des.Shard.engine t.shard 0
 let shard t = Some t.shard
@@ -59,43 +66,67 @@ let n_sites t = Array.length t.sites
 let site t i = t.sites.(i)
 let sites t = t.sites
 
+(* Registration writes the shared directory, so — like
+   [Shard.schedule_global] — it is refused while lanes run a window.
+   Globals run between windows, so registering from one is fine. *)
+let check_between_windows t op =
+  if Des.Shard.in_window t.shard then invalid_arg (op ^ ": called inside a window")
+
+let check_entity_name op entity =
+  if String.equal entity Protocol_driver.batch_channel then
+    invalid_arg (op ^ ": the empty entity name is reserved")
+
 let init_entity_shares t ~entity ~shares =
+  let op = "Cluster.init_entity_shares" in
+  check_between_windows t op;
   if Array.length shares <> Array.length t.sites then
-    invalid_arg "Cluster.init_entity_shares: one share per site required";
-  Array.iteri (fun i tokens -> Site.init_entity t.sites.(i) ~entity ~tokens) shares
+    invalid_arg (op ^ ": one share per site required");
+  if Array.exists (fun tokens -> tokens < 0) shares then
+    invalid_arg (op ^ ": negative share");
+  check_entity_name op entity;
+  let eid = Entity_map.Directory.add t.directory entity in
+  Array.iteri (fun i tokens -> Site.init_entity t.sites.(i) ~eid ~tokens) shares
+
+(* Site [i]'s share of [maximum] split equally over [n] sites, the
+   remainder to the lowest ids. *)
+let equal_share ~n ~maximum i = (maximum / n) + if i < maximum mod n then 1 else 0
 
 let init_entity t ~entity ~maximum =
   if maximum < 0 then invalid_arg "Cluster.init_entity: negative maximum";
   let n = Array.length t.sites in
-  let share = maximum / n and extra = maximum mod n in
-  let shares = Array.init n (fun i -> share + if i < extra then 1 else 0) in
-  init_entity_shares t ~entity ~shares
+  init_entity_shares t ~entity ~shares:(Array.init n (equal_share ~n ~maximum))
 
 (* Bulk fleet registration: the same equal split as [init_entity], but the
-   entities start cold at every site (see {!Site.register_entities}). Each
-   site receives the full list in one call, in list order, so dense entity
-   ids agree across sites. *)
+   entities start cold at every site (see {!Site.register_entities}).
+   All-or-nothing: the batch is checked before any site changes, and a
+   duplicate (within the batch or already registered) rolls the directory
+   back to where it was. Each name is hashed once, into the directory; the
+   sites then append their shares by eid, in list order. *)
 let register_entities t entities =
+  let op = "Cluster.register_entities" in
+  check_between_windows t op;
+  List.iter
+    (fun (entity, maximum) ->
+      if maximum < 0 then invalid_arg (op ^ ": negative maximum");
+      check_entity_name op entity)
+    entities;
+  let first_eid = Entity_map.Directory.length t.directory in
+  (try
+     List.iter
+       (fun (entity, _) -> ignore (Entity_map.Directory.add t.directory entity))
+       entities
+   with Invalid_argument _ as e ->
+     Entity_map.Directory.truncate t.directory first_eid;
+     raise e);
+  let maxima = Array.of_list (List.map snd entities) in
   let n = Array.length t.sites in
-  let split =
-    List.map
-      (fun (entity, maximum) ->
-        if maximum < 0 then
-          invalid_arg "Cluster.register_entities: negative maximum";
-        (entity, maximum / n, maximum mod n))
-      entities
-  in
   Array.iteri
     (fun i site ->
-      Site.register_entities site
-        (List.map
-           (fun (entity, share, extra) ->
-             (entity, (share + if i < extra then 1 else 0)))
-           split))
+      Site.register_entities site ~first_eid
+        (Array.map (fun maximum -> equal_share ~n ~maximum i) maxima))
     t.sites
 
-let entity_count t =
-  if Array.length t.sites = 0 then 0 else Site.entity_count t.sites.(0)
+let entity_count t = Entity_map.Directory.length t.directory
 
 let hot_entities t =
   Array.fold_left (fun acc site -> acc + Site.hot_entities site) 0 t.sites
@@ -208,15 +239,23 @@ let arm_flight t (attachment : Obs.Flight_recorder.attachment) =
   Des.Shard.set_barrier_hook t.shard (fun () ->
       Obs.Flight_recorder.drain attachment.Obs.Flight_recorder.recorder)
 
-let total_tokens_left t ~entity =
-  Array.fold_left (fun acc site -> acc + Site.tokens_left site ~entity) 0 t.sites
+(* [(tokens left, acquired)] summed over every site, resolving the name
+   once: every site's arena holds every directory eid. *)
+let ledger t ~entity =
+  match Entity_map.Directory.find t.directory entity with
+  | None -> (0, 0)
+  | Some eid ->
+      Array.fold_left
+        (fun (left, acquired) site ->
+          let core = Entity_map.by_eid (Site.arena site) eid in
+          (left + core.Entity_map.tokens_left, acquired + core.Entity_map.acquired_net))
+        (0, 0) t.sites
 
-let total_acquired t ~entity =
-  Array.fold_left (fun acc site -> acc + Site.acquired_net site ~entity) 0 t.sites
+let total_tokens_left t ~entity = fst (ledger t ~entity)
+let total_acquired t ~entity = snd (ledger t ~entity)
 
 let check_invariant t ~entity ~maximum =
-  let acquired = total_acquired t ~entity in
-  let left = total_tokens_left t ~entity in
+  let left, acquired = ledger t ~entity in
   if acquired < 0 then Error (Printf.sprintf "negative total acquisition: %d" acquired)
   else if acquired > maximum then
     Error (Printf.sprintf "constraint violated: %d acquired > maximum %d" acquired maximum)

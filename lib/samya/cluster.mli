@@ -74,21 +74,38 @@ val n_sites : t -> int
 val site : t -> int -> Site.t
 val sites : t -> Site.t array
 
+(** {2 Registration}
+
+    The cluster owns one {!Entity_map.Directory} (sharded by
+    {!Config.t.entity_shards}, sized by {!Config.t.entity_capacity}):
+    each name is resolved to a dense eid once, and every site's arena
+    holds its share at that eid. Registration writes the directory, which
+    lanes read concurrently inside windows, so the functions below raise
+    [Invalid_argument] when called inside a window (from a lane-local
+    event); call them before running or from a {!schedule_global}
+    callback. Each is all-or-nothing: a rejected call leaves every site
+    and the directory unchanged. The empty name is reserved. *)
+
 val init_entity : t -> entity:Types.entity -> maximum:int -> unit
 (** Splits [maximum] tokens equally across sites (remainder to the lowest
-    ids), as in the paper's setup (M_e = 5000 over 5 sites → 1000 each). *)
+    ids), as in the paper's setup (M_e = 5000 over 5 sites → 1000 each).
+    Raises [Invalid_argument] on a negative maximum or a duplicate name. *)
 
 val init_entity_shares : t -> entity:Types.entity -> shares:int array -> unit
-(** Uneven initial allocation (e.g. derived from historic demand). *)
+(** Uneven initial allocation (e.g. derived from historic demand). Raises
+    [Invalid_argument] unless there is one non-negative share per site,
+    or on a duplicate name. *)
 
 val register_entities : t -> (Types.entity * int) list -> unit
 (** Bulk fleet registration: each [(entity, maximum)] is split equally
     across sites like {!init_entity}, but the entities start cold —
     compact cores that heat on first contention ({!Site.register_entities}).
-    List order fixes the dense entity ids identically at every site. *)
+    List order fixes the dense entity ids. Raises [Invalid_argument] on a
+    negative maximum or a duplicate name (within the batch or already
+    registered) before any site changes. *)
 
 val entity_count : t -> int
-(** Registered entities (identical at every site by construction). *)
+(** Registered entities (the directory's size). *)
 
 val hot_entities : t -> int
 (** Materialised hot entities, summed over sites. *)
@@ -124,7 +141,8 @@ val total_acquired : t -> entity:Types.entity -> int
 val check_invariant : t -> entity:Types.entity -> maximum:int -> (unit, string) result
 (** Equation 1 plus token conservation: [0 <= total_acquired <= maximum]
     and [total_tokens_left + total_acquired = maximum]. Meaningful at
-    quiescent points (no decision deliveries in flight). *)
+    quiescent points (no decision deliveries in flight). Resolves the
+    name once and reads every site's core by eid. *)
 
 val pin_policy : t -> entity:Types.entity -> Config.Controller.policy -> unit
 (** {!Site.pin_policy} on every site: pin the entity's token-movement

@@ -200,7 +200,7 @@ let validate t =
   else if t.decided_log_retention < 1 then Error "decided_log_retention must be >= 1"
   else if t.entity_shards < 1 then
     Error
-      (Printf.sprintf "entity_shards must be >= 1 (got %d): every site needs at least one shard for its entity map"
+      (Printf.sprintf "entity_shards must be >= 1 (got %d): the entity directory needs at least one shard"
          t.entity_shards)
   else if t.entity_capacity < 1 then
     Error

@@ -142,10 +142,13 @@ type t = {
           policies trade durability for fewer (simulated) fsyncs and are
           what the chaos auditor exists to catch. *)
   entity_shards : int;
-      (** hash shards of the per-site {!Entity_map}; 1 suffices for the
-          single-entity experiments, the gateway fleet uses hundreds *)
+      (** hash shards of the cluster's one {!Entity_map.Directory}
+          (name → dense eid, shared by every site's arena); 1 suffices
+          for the single-entity experiments, the gateway fleet uses
+          hundreds *)
   entity_capacity : int;
-      (** size hint for the entity arena (number of expected entities) *)
+      (** size hint for the entity directory and each site's arena
+          (number of expected entities) *)
   protocol_batch : int;
       (** 1 (default): one Avantan machine per entity, the original
           layout. > 1: one site-level machine whose instances piggyback up

@@ -164,7 +164,7 @@ let handle_net t ~src msg =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 
-let create ~config ~network ~id ?forecaster ?on_protocol_event ?obs
+let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event ?obs
     ?(flight = Obs.Flight_recorder.port ()) ?(lane = 0) () =
   (match Config.validate config with
   | Ok () -> ()
@@ -174,8 +174,7 @@ let create ~config ~network ~id ?forecaster ?on_protocol_event ?obs
   let is_alive = ref true in
   let incarnation = ref 0 in
   let entities =
-    Entity_map.create ~shards:config.Config.entity_shards
-      ~capacity:config.Config.entity_capacity ()
+    Entity_map.create ~directory ~capacity:config.Config.entity_capacity ()
   in
   let durable =
     if config.Config.amnesia_on_crash then
@@ -370,14 +369,9 @@ let create ~config ~network ~id ?forecaster ?on_protocol_event ?obs
 
 let anti_entropy_ms = 30_000.0
 
-let check_entity_name op entity =
-  if String.equal entity Protocol_driver.batch_channel then
-    invalid_arg (op ^ ": the empty entity name is reserved")
-
-let init_entity t ~entity ~tokens =
-  if tokens < 0 then invalid_arg "Site.init_entity: negative tokens";
-  check_entity_name "Site.init_entity" entity;
-  let core = Entity_map.register t.entities ~entity ~tokens in
+let init_entity t ~eid ~tokens =
+  let core = Entity_map.append t.entities ~eid ~tokens in
+  let entity = core.Entity_map.name in
   let ctx = Entity_state.create ~engine:t.engine ~config:t.config ~core in
   Entity_map.set_hot t.entities core ctx;
   if t.config.Config.protocol_batch = 1 then Protocol_driver.attach t.driver ctx;
@@ -422,18 +416,17 @@ let ensure_fleet_gossip t =
     gossip ()
   end
 
-let register_entities t entities =
-  List.iter
-    (fun (entity, tokens) ->
-      if tokens < 0 then invalid_arg "Site.register_entities: negative tokens";
-      check_entity_name "Site.register_entities" entity;
-      let core = Entity_map.register t.entities ~entity ~tokens in
+let register_entities t ~first_eid shares =
+  Array.iteri
+    (fun k tokens ->
+      let core = Entity_map.append t.entities ~eid:(first_eid + k) ~tokens in
       (* Crash-amnesia needs a durable image per entity from the start, so
          that mode registers hot; the freeze model keeps the fleet cold. *)
       match t.durable with None -> () | Some _ -> ignore (t.heat core))
-    entities;
+    shares;
   ensure_fleet_gossip t
 
+let arena t = t.entities
 let entity_count t = Entity_map.length t.entities
 
 let hot_entities t = Entity_map.hot_count t.entities

@@ -42,6 +42,7 @@ val anti_entropy_ms : float
 val create :
   config:Config.t ->
   network:net_msg Geonet.Network.t ->
+  directory:Entity_map.Directory.t ->
   id:int ->
   ?forecaster:Ml.Forecaster.t ->
   ?on_protocol_event:(entity:Types.entity -> Avantan_core.event -> unit) ->
@@ -50,7 +51,9 @@ val create :
   ?lane:int ->
   unit ->
   t
-(** Registers the site's handler with the network at node [id]. Without a
+(** Registers the site's handler with the network at node [id]. The
+    site's entity arena resolves names through [directory], which the
+    {!Cluster} shares among all its sites. Without a
     [forecaster] the site falls back to a persistence forecast of the last
     epoch's demand (prediction can still be disabled entirely via
     [config]). [on_protocol_event] observes every {!Avantan_core.event} of
@@ -66,19 +69,25 @@ val create :
 
 val id : t -> int
 
-val init_entity : t -> entity:Types.entity -> tokens:int -> unit
-(** Installs this site's initial share of entity [entity]'s tokens, hot:
-    the per-entity state is materialised and (per-entity mode) a protocol
-    machine attached immediately, with a per-entity anti-entropy timer.
-    Every site must be initialised consistently; {!Cluster} does this. *)
+val init_entity : t -> eid:int -> tokens:int -> unit
+(** Installs this site's initial share of the entity the directory
+    resolved to [eid], hot: the per-entity state is materialised and
+    (per-entity mode) a protocol machine attached immediately, with a
+    per-entity anti-entropy timer. Every site must be initialised
+    consistently, eids in order ({!Entity_map.append}); {!Cluster} does
+    this. *)
 
-val register_entities : t -> (Types.entity * int) list -> unit
-(** Bulk registration for large fleets: each entity starts cold — a
-    compact core holding its share, no queue/tracker/protocol state —
-    and heats on first contention. One site-level anti-entropy loop
-    covers the whole fleet (querying only entities whose tokens can have
-    moved). Under crash-amnesia the entities register hot instead, since
-    each needs a durable image from the start. *)
+val register_entities : t -> first_eid:int -> int array -> unit
+(** Bulk registration for large fleets: [shares.(k)] is this site's
+    share of eid [first_eid + k]. Each entity starts cold — a compact
+    core holding its share, no queue/tracker/protocol state — and heats
+    on first contention. One site-level anti-entropy loop covers the
+    whole fleet (querying only entities whose tokens can have moved).
+    Under crash-amnesia the entities register hot instead, since each
+    needs a durable image from the start. *)
+
+val arena : t -> Entity_state.t Entity_map.t
+(** This site's cores, indexed by the cluster directory's eids. *)
 
 val entity_count : t -> int
 

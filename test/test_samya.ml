@@ -593,6 +593,149 @@ let entity_map_validation () =
     (invalid (fun () -> Samya.Entity_map.register map ~entity:"neg" ~tokens:(-1)));
   check bool "by_eid out of range" true (invalid (fun () -> Samya.Entity_map.by_eid map 5))
 
+let entity_map_shared_directory () =
+  (* Two arenas on one directory — the shape of a cluster's sites: eids
+     come from the directory, and an arena only finds what it appended. *)
+  let directory = Samya.Entity_map.Directory.create ~shards:4 () in
+  let a : unit Samya.Entity_map.t = Samya.Entity_map.create ~directory () in
+  let b : unit Samya.Entity_map.t = Samya.Entity_map.create ~directory () in
+  for r = 0 to 9 do
+    ignore (Samya.Entity_map.register a ~entity:(Printf.sprintf "n%d" r) ~tokens:r)
+  done;
+  for eid = 0 to 4 do
+    ignore (Samya.Entity_map.append b ~eid ~tokens:(100 + eid))
+  done;
+  check int "one directory" 10 (Samya.Entity_map.Directory.length directory);
+  (match (Samya.Entity_map.find a "n3", Samya.Entity_map.find b "n3") with
+  | Some ca, Some cb ->
+      check int "same eid" ca.Samya.Entity_map.eid cb.Samya.Entity_map.eid;
+      check Alcotest.string "same name" ca.Samya.Entity_map.name cb.Samya.Entity_map.name;
+      check int "own ledger a" 3 ca.Samya.Entity_map.tokens_left;
+      check int "own ledger b" 103 cb.Samya.Entity_map.tokens_left
+  | _ -> Alcotest.fail "shared name not found in both arenas");
+  check bool "lagging arena: not yet appended" true (Samya.Entity_map.find b "n7" = None);
+  check bool "leading arena finds it" true (Samya.Entity_map.find a "n7" <> None);
+  let invalid f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check bool "out-of-order append" true
+    (invalid (fun () -> Samya.Entity_map.append b ~eid:6 ~tokens:1));
+  check bool "re-append" true
+    (invalid (fun () -> Samya.Entity_map.append b ~eid:4 ~tokens:1));
+  check bool "register on a lagging arena" true
+    (invalid (fun () -> Samya.Entity_map.register b ~entity:"late" ~tokens:1));
+  check int "rejections left b alone" 5 (Samya.Entity_map.length b);
+  ignore (Samya.Entity_map.append b ~eid:5 ~tokens:1);
+  check bool "caught up" true (Samya.Entity_map.find b "n5" <> None)
+
+let site_counts cluster =
+  Array.map Samya.Site.entity_count (Samya.Cluster.sites cluster)
+
+let register_entities_all_or_nothing () =
+  let cluster =
+    Samya.Cluster.create ~config:Samya.Config.default ~regions:(regions ()) ()
+  in
+  Samya.Cluster.register_entities cluster [ ("x", 10) ];
+  let before = site_counts cluster in
+  let rejected batch =
+    try Samya.Cluster.register_entities cluster batch; false
+    with Invalid_argument _ -> true
+  in
+  check bool "duplicate within the batch" true
+    (rejected [ ("a", 10); ("b", 10); ("a", 10) ]);
+  check (Alcotest.array int) "no site changed" before (site_counts cluster);
+  check bool "already registered" true (rejected [ ("c", 10); ("x", 10) ]);
+  check bool "negative maximum" true (rejected [ ("d", 10); ("e", -1) ]);
+  check bool "reserved empty name" true (rejected [ ("f", 10); ("", 10) ]);
+  check (Alcotest.array int) "still no site changed" before (site_counts cluster);
+  check int "directory rolled back" 1 (Samya.Cluster.entity_count cluster);
+  (* The rejected names are free again, and the batch lands whole. *)
+  Samya.Cluster.register_entities cluster [ ("a", 10); ("b", 10); ("c", 10) ];
+  List.iter
+    (fun e ->
+      check bool ("conserved " ^ e) true
+        (Samya.Cluster.check_invariant cluster ~entity:e ~maximum:10 = Ok ()))
+    [ "a"; "b"; "c"; "x" ];
+  check bool "uneven shares: negative share" true
+    (try
+       Samya.Cluster.init_entity_shares cluster ~entity:"g" ~shares:[| 1; 1; -1; 1; 1 |];
+       false
+     with Invalid_argument _ -> true);
+  check (Alcotest.array int) "shares rejected before any site" [| 4; 4; 4; 4; 4 |]
+    (site_counts cluster)
+
+let registration_between_windows_only () =
+  (* Lanes read the shared directory inside windows, so registration is
+     refused there; a global runs between windows and may register. *)
+  let cluster =
+    Samya.Cluster.create ~engine_jobs:2 ~config:Samya.Config.default ~regions:(regions ())
+      ()
+  in
+  let refused = ref None in
+  Des.Engine.schedule_at (Samya.Cluster.engine_of_region cluster Geonet.Region.Us_west1)
+    ~time_ms:5.0 (fun () ->
+      refused :=
+        Some
+          (try Samya.Cluster.init_entity cluster ~entity:"lane" ~maximum:10; false
+           with Invalid_argument _ -> true));
+  Samya.Cluster.schedule_global cluster ~time_ms:10.0 (fun () ->
+      Samya.Cluster.init_entity cluster ~entity:"global" ~maximum:10);
+  Samya.Cluster.run_until cluster ~until_ms:20.0;
+  check (Alcotest.option bool) "lane-local registration raises" (Some true) !refused;
+  check int "only the global registered" 1 (Samya.Cluster.entity_count cluster);
+  check (Alcotest.array int) "at every site" [| 1; 1; 1; 1; 1 |] (site_counts cluster);
+  check bool "global entity conserved" true
+    (Samya.Cluster.check_invariant cluster ~entity:"global" ~maximum:10 = Ok ())
+
+let sites_agree_on_eids () =
+  let cluster =
+    Samya.Cluster.create ~config:Samya.Config.default ~regions:(regions ()) ()
+  in
+  Samya.Cluster.register_entities cluster
+    (List.init 50 (fun i -> (Printf.sprintf "k%02d" i, 7)));
+  Samya.Cluster.init_entity cluster ~entity:"hot" ~maximum:100;
+  let names = "hot" :: List.init 50 (Printf.sprintf "k%02d") in
+  List.iter
+    (fun name ->
+      let eids =
+        Array.map
+          (fun site ->
+            match Samya.Entity_map.find (Samya.Site.arena site) name with
+            | Some core -> core.Samya.Entity_map.eid
+            | None -> -1)
+          (Samya.Cluster.sites cluster)
+      in
+      check bool ("registered " ^ name) true (eids.(0) >= 0);
+      Array.iter (fun eid -> check int ("same eid for " ^ name) eids.(0) eid) eids)
+    names;
+  check int "hot eid follows the fleet" 50
+    (match Samya.Entity_map.find (Samya.Site.arena (Samya.Cluster.site cluster 3)) "hot" with
+    | Some core -> core.Samya.Entity_map.eid
+    | None -> -1)
+
+let invariant_reads_every_site () =
+  (* The audit resolves a name once and reads each site by eid: an
+     imbalance planted on the last site alone must still show. *)
+  let cluster =
+    Samya.Cluster.create ~config:Samya.Config.default ~regions:(regions ()) ()
+  in
+  Samya.Cluster.register_entities cluster [ ("pad", 5) ];
+  Samya.Cluster.init_entity_shares cluster ~entity ~shares:[| 0; 0; 0; 0; 7 |];
+  check int "left on site 4 counts" 7 (Samya.Cluster.total_tokens_left cluster ~entity);
+  check
+    (Alcotest.result Alcotest.unit Alcotest.string)
+    "imbalance on site 4 reported"
+    (Error "tokens not conserved: left 7 + acquired 0 <> maximum 0")
+    (Samya.Cluster.check_invariant cluster ~entity ~maximum:0);
+  let granted = ref false in
+  Samya.Cluster.schedule_global cluster ~time_ms:1.0 (fun () ->
+      Samya.Cluster.submit_to_site cluster ~site:4
+        (Samya.Types.Acquire { entity; amount = 3; deadline_ms = infinity })
+        ~reply:(fun r -> granted := r = Samya.Types.Granted));
+  drain ~extra:1_000.0 cluster;
+  check bool "acquire on site 4 granted" true !granted;
+  check int "acquired on site 4 counts" 3 (Samya.Cluster.total_acquired cluster ~entity);
+  check bool "conserved at the true maximum" true
+    (Samya.Cluster.check_invariant cluster ~entity ~maximum:7 = Ok ())
+
 let suite =
   [
     Alcotest.test_case "protocol: value helpers" `Quick protocol_value_helpers;
@@ -639,4 +782,11 @@ let suite =
     Alcotest.test_case "entity map: validation" `Quick entity_map_validation;
     Alcotest.test_case "single region: one-lane shard" `Quick
       single_region_cluster_conserves;
+    Alcotest.test_case "entity map: shared directory" `Quick entity_map_shared_directory;
+    Alcotest.test_case "registration: all or nothing" `Quick
+      register_entities_all_or_nothing;
+    Alcotest.test_case "registration: between windows only" `Quick
+      registration_between_windows_only;
+    Alcotest.test_case "directory: sites agree on eids" `Quick sites_agree_on_eids;
+    Alcotest.test_case "invariant: reads every site" `Quick invariant_reads_every_site;
   ]
