@@ -58,15 +58,17 @@ type spec = {
           is attributable (default [None]) *)
   slo : Obs.Slo.t option;
       (** when set, every counted reply feeds the SLO monitor — commits
-          with their client-measured latency, rejections and unavailables
-          as aborts. Events buffer per client and replay in merged
-          (time, client) order after the run, so the report is identical
-          at every [--engine-jobs] setting (default [None]) *)
+          with their client-measured latency, rejections, unavailables,
+          sheds and timeouts as classed aborts. Each client writes its own
+          {!Obs.Slo.Feed} window cells; after the run they are absorbed in
+          client order and evaluated in window order. The merge is exact,
+          so the report is identical at every [--engine-jobs] setting
+          (default [None]) *)
   flight : Obs.Flight_recorder.t option;
       (** when set alongside [slo], each violated objective is recorded
-          into lane -1 of the recorder as the window closes, stamped with
-          the window's nominal end in absolute virtual time, as the
-          post-run replay surfaces it (default [None]) *)
+          into lane -1 of the recorder when the windows are evaluated
+          after the run, stamped with the window's nominal end in
+          absolute virtual time (default [None]) *)
   track_entities : bool;
       (** when set, counted replies of entity-named requests (the stream's
           [entity <> ""]) additionally accumulate per-entity outcome counts

@@ -120,8 +120,12 @@ module Windowed = struct
   }
 
   let create ~k ~window_ms () =
-    if not (window_ms > 0.0) then
-      invalid_arg "Heavy_hitters.Windowed.create: window_ms must be positive";
+    (* NaN-safe: an infinite window would align every start to NaN. *)
+    if not (window_ms > 0.0 && window_ms < infinity) then
+      invalid_arg
+        (Printf.sprintf
+           "Heavy_hitters.Windowed.create: window_ms must be positive and finite (got %g)"
+           window_ms);
     { wk = k; window_ms; lanes = [||] }
 
   let fresh_lane () = { cur = None; cur_start = 0.0; closed = [] }

@@ -47,6 +47,8 @@ module Windowed : sig
   type w
 
   val create : k:int -> window_ms:float -> unit -> w
+  (** Raises [Invalid_argument] unless [window_ms] is positive and
+      finite. *)
 
   val reserve : w -> lanes:int -> unit
   (** Allocate the slots of lanes [-1 .. lanes-1] up front, as

@@ -214,6 +214,19 @@ let windowed_lane_independence () =
     (Obs.Heavy_hitters.dump (Obs.Heavy_hitters.Windowed.cumulative one)
     = Obs.Heavy_hitters.dump (Obs.Heavy_hitters.Windowed.cumulative three))
 
+let windowed_rejects_non_finite_window () =
+  (* An infinite window passes a bare [> 0] check, then aligns every
+     window start to [infinity *. 0.] = NaN. *)
+  List.iter
+    (fun window_ms ->
+      check bool
+        (Printf.sprintf "window_ms %g rejected" window_ms)
+        true
+        (match Obs.Heavy_hitters.Windowed.create ~k:4 ~window_ms () with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ infinity; Float.nan; neg_infinity; 0.0; -1.0 ]
+
 (* ------------------------------------------------------------------ *)
 (* Watchdog *)
 
@@ -363,6 +376,8 @@ let suite =
     test_case "hh: zipfian error bound" `Quick zipfian_error_bound;
     test_case "hh: windowed lane independence" `Quick
       windowed_lane_independence;
+    test_case "hh: windowed rejects non-finite window" `Quick
+      windowed_rejects_non_finite_window;
     test_case "recorder + hh: parallel lanes lose nothing" `Quick
       parallel_lanes_lose_nothing;
     test_case "watchdog: rules fire with cooldown" `Quick watchdog_rules_fire;
