@@ -82,11 +82,7 @@ let obs_port t = t.obs
 
 (* Record a causal event for [trace] if a sink is attached ([trace] is -1
    when the transaction arrived untraced). *)
-let record_causal t ~trace event =
-  if trace >= 0 then
-    match Obs.Sink.tap t.obs with
-    | None -> ()
-    | Some sink -> Obs.Causal.record sink.Obs.Sink.causal event
+let record_causal t ~trace event = if trace >= 0 then Obs.Sink.record t.obs event
 
 let net_stats t =
   ( Geonet.Network.stats_sent t.network,
@@ -150,7 +146,7 @@ let rec pump t entity =
               (* Back on the queue: reopen its admission window so the
                  retry delay is charged as queueing, not left uncovered. *)
               record_causal t ~trace
-                (Obs.Causal.Enqueued
+                (Enqueued
                    {
                      trace;
                      site = leader_id;
@@ -166,11 +162,11 @@ let rec pump t entity =
             Des.Engine.with_context t.engine txn.ctx (fun () ->
                 let t_intent = Des.Engine.now t.engine in
                 record_causal t ~trace
-                  (Obs.Causal.Dequeued { trace; site = leader_id; ts = t_intent });
+                  (Dequeued { trace; site = leader_id; ts = t_intent });
                 let submit_commit () =
                   let t_commit = Des.Engine.now t.engine in
                   record_causal t ~trace
-                    (Obs.Causal.Phase
+                    (Phase
                        {
                          trace;
                          site = leader_id;
@@ -187,7 +183,7 @@ let rec pump t entity =
                         Hashtbl.remove t.in_flight entity;
                         let t_done = Des.Engine.now t.engine in
                         record_causal t ~trace
-                          (Obs.Causal.Phase
+                          (Phase
                              {
                                trace;
                                site = leader_id;
@@ -196,7 +192,7 @@ let rec pump t entity =
                                t1 = t_done;
                              });
                         record_causal t ~trace
-                          (Obs.Causal.Service
+                          (Service
                              {
                                trace;
                                site = leader_id;
@@ -259,13 +255,13 @@ let rec submit t ~region request ~reply =
                 in
                 let now = Des.Engine.now t.engine in
                 record_causal t ~trace
-                  (Obs.Causal.Accepted { trace; site = leader_id; ts = now });
+                  (Accepted { trace; site = leader_id; ts = now });
                 match request with
                 | Types.Read { entity; _ } ->
                     let state = t.states.(leader_id) in
                     t.committed <- t.committed + 1;
                     record_causal t ~trace
-                      (Obs.Causal.Service
+                      (Service
                          {
                            trace;
                            site = leader_id;
@@ -282,7 +278,7 @@ let rec submit t ~region request ~reply =
                     if Queue.length q >= t.max_queue then t.dropped <- t.dropped + 1
                     else begin
                       record_causal t ~trace
-                        (Obs.Causal.Enqueued
+                        (Enqueued
                            { trace; site = leader_id; label = "admission"; ts = now });
                       Queue.push { request; reply; ctx; attempts = 0 } q;
                       pump t entity

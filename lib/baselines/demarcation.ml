@@ -47,11 +47,7 @@ let obs_port t = t.obs
 
 (* Record a causal event for [trace] if a sink is attached ([trace] is -1
    when the request arrived untraced). *)
-let record_causal t ~trace event =
-  if trace >= 0 then
-    match Obs.Sink.tap t.obs with
-    | None -> ()
-    | Some sink -> Obs.Causal.record sink.Obs.Sink.causal event
+let record_causal t ~trace event = if trace >= 0 then Obs.Sink.record t.obs event
 
 let ambient_trace t =
   let ctx = Des.Engine.current_context t.engine in
@@ -91,9 +87,9 @@ let reply_after_processing t site reply response =
   if trace >= 0 then begin
     if start > now then
       record_causal t ~trace
-        (Obs.Causal.Wait { trace; site; label = "cpu"; t0 = now; t1 = start });
+        (Wait { trace; site; label = "cpu"; t0 = now; t1 = start });
     record_causal t ~trace
-      (Obs.Causal.Service { trace; site; t0 = start; t1 = finish })
+      (Service { trace; site; t0 = start; t1 = finish })
   end;
   Des.Engine.schedule_at t.engine ~time_ms:finish (fun () -> reply response)
 
@@ -133,7 +129,7 @@ let finish_borrow t site entity =
         (if not (Des.Trace_context.is_none rctx) then
            let trace = rctx.Des.Trace_context.trace in
            record_causal t ~trace
-             (Obs.Causal.Dequeued { trace; site; ts = Des.Engine.now t.engine }));
+             (Dequeued { trace; site; ts = Des.Engine.now t.engine }));
         match request with
         | Types.Release { amount; _ } ->
             ctx.tokens_left <- ctx.tokens_left + amount;
@@ -187,10 +183,10 @@ let serve t site request reply =
     if Des.Trace_context.is_none rctx then -1 else rctx.Des.Trace_context.trace
   in
   record_causal t ~trace
-    (Obs.Causal.Accepted { trace; site; ts = Des.Engine.now t.engine });
+    (Accepted { trace; site; ts = Des.Engine.now t.engine });
   let park () =
     record_causal t ~trace
-      (Obs.Causal.Enqueued
+      (Enqueued
          { trace; site; label = "borrow"; ts = Des.Engine.now t.engine });
     Queue.push (request, reply, rctx) ctx.queue
   in

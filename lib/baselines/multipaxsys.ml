@@ -84,11 +84,7 @@ let obs_port t = t.obs
 
 (* Record a causal event for [trace] if a sink is attached ([trace] is -1
    when the transaction arrived untraced). *)
-let record_causal t ~trace event =
-  if trace >= 0 then
-    match Obs.Sink.tap t.obs with
-    | None -> ()
-    | Some sink -> Obs.Causal.record sink.Obs.Sink.causal event
+let record_causal t ~trace event = if trace >= 0 then Obs.Sink.record t.obs event
 
 let net_stats t =
   ( Geonet.Network.stats_sent t.network,
@@ -134,13 +130,13 @@ let rec pump t entity =
       Des.Engine.with_context t.engine txn.ctx (fun () ->
           let t_intent = Des.Engine.now t.engine in
           record_causal t ~trace
-            (Obs.Causal.Dequeued { trace; site = t.leader; ts = t_intent });
+            (Dequeued { trace; site = t.leader; ts = t_intent });
           Consensus.Multipaxos.submit leader_replica
             { Rsm.c_entity = entity; delta = 0; intent = true }
             ~on_commit:(fun () ->
               let t_commit = Des.Engine.now t.engine in
               record_causal t ~trace
-                (Obs.Causal.Phase
+                (Phase
                    {
                      trace;
                      site = t.leader;
@@ -157,7 +153,7 @@ let rec pump t entity =
                   Hashtbl.remove t.in_flight entity;
                   let t_done = Des.Engine.now t.engine in
                   record_causal t ~trace
-                    (Obs.Causal.Phase
+                    (Phase
                        {
                          trace;
                          site = t.leader;
@@ -166,7 +162,7 @@ let rec pump t entity =
                          t1 = t_done;
                        });
                   record_causal t ~trace
-                    (Obs.Causal.Service
+                    (Service
                        {
                          trace;
                          site = t.leader;
@@ -222,14 +218,14 @@ let submit t ~region request ~reply =
             in
             let now = Des.Engine.now t.engine in
             record_causal t ~trace
-              (Obs.Causal.Accepted { trace; site = gateway; ts = now });
+              (Accepted { trace; site = gateway; ts = now });
             match request with
             | Types.Read { entity; _ } ->
                 (* Reads execute at the leader without replication (§5.8). *)
                 let state = t.states.(t.leader) in
                 t.committed <- t.committed + 1;
                 record_causal t ~trace
-                  (Obs.Causal.Service
+                  (Service
                      { trace; site = t.leader; t0 = now; t1 = now +. t.processing_ms });
                 Des.Engine.schedule t.engine ~delay_ms:t.processing_ms (fun () ->
                     reply (Types.Read_result { tokens_available = Rsm.available state ~entity }))
@@ -241,7 +237,7 @@ let submit t ~region request ~reply =
                 if Queue.length q >= t.max_queue then t.dropped <- t.dropped + 1
                 else begin
                   record_causal t ~trace
-                    (Obs.Causal.Enqueued
+                    (Enqueued
                        { trace; site = t.leader; label = "admission"; ts = now });
                   Queue.push { request; reply; ctx } q;
                   pump t entity

@@ -7,18 +7,21 @@ let pp_violation fmt { check; site; detail } =
   | Some site -> Format.fprintf fmt "[%s] site %d: %s" check site detail
   | None -> Format.fprintf fmt "[%s] %s" check detail
 
+(* Protocol events reach the auditor on the lane of the site that emits
+   them, so every piece of state is per site: a site's slots have one
+   writer at a time, and lanes draining on different domains never share
+   one. *)
 type t = {
   variant : Samya.Config.variant;
-  last_decided : (int, Ballot.t) Hashtbl.t;
+  last_decided : Ballot.t option array;
       (* per site, the last origin its protocol instance applied in its
          current incarnation; reset on recovery, since a rolled-back site
          may legitimately re-apply instances its ledger lost *)
-  mutable live : violation list;
+  live : violation list array; (* per site, newest first *)
 }
 
-let create ~variant () = { variant; last_decided = Hashtbl.create 8; live = [] }
-
-let record t violation = t.live <- violation :: t.live
+let create ~variant ~n_sites () =
+  { variant; last_decided = Array.make n_sites None; live = Array.make n_sites [] }
 
 (* Anytime check, fed from the protocol event stream: with carried accept
    state (Avantan[(n+1)/2]) a site applies decisions in strictly
@@ -28,9 +31,9 @@ let record t violation = t.live <- violation :: t.live
 let on_protocol_event t ~site event =
   match (t.variant, event) with
   | Samya.Config.Majority, Samya.Avantan_core.Decided { origin; _ } -> (
-      match Hashtbl.find_opt t.last_decided site with
+      match t.last_decided.(site) with
       | Some previous when not Ballot.(origin > previous) ->
-          record t
+          t.live.(site) <-
             {
               check = "monotone-decided-prefix";
               site = Some site;
@@ -38,12 +41,14 @@ let on_protocol_event t ~site event =
                 Format.asprintf "applied %a after %a without an intervening recovery"
                   Ballot.pp origin Ballot.pp previous;
             }
-      | Some _ | None -> Hashtbl.replace t.last_decided site origin)
+            :: t.live.(site)
+      | Some _ | None -> t.last_decided.(site) <- Some origin)
   | _ -> ()
 
-let note_recovery t ~site = Hashtbl.remove t.last_decided site
+let note_recovery t ~site = t.last_decided.(site) <- None
 
-let live_violations t = List.rev t.live
+let live_violations t =
+  Array.fold_right (fun vs acc -> List.rev_append vs acc) t.live []
 
 (* Decided-log checks, safe at any point (the logs only grow):
    - per site, no origin may appear twice (each instance moves tokens

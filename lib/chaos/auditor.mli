@@ -21,7 +21,9 @@ val pp_violation : Format.formatter -> violation -> unit
 
 type t
 
-val create : variant:Samya.Config.variant -> unit -> t
+val create : variant:Samya.Config.variant -> n_sites:int -> unit -> t
+(** State is kept per site, so sites whose lanes drain on different
+    domains never write a shared field. *)
 
 val on_protocol_event : t -> site:int -> Samya.Avantan_core.event -> unit
 (** Wire to {!Samya.Cluster.create}'s [on_protocol_event]. *)
@@ -32,7 +34,8 @@ val note_recovery : t -> site:int -> unit
     lost). *)
 
 val live_violations : t -> violation list
-(** Violations collected from the event stream so far. *)
+(** Violations collected from the event stream so far, by site, each
+    site's in the order it saw them. *)
 
 val check_logs : (int * Samya.Protocol.value list) list -> violation list
 (** Decided-log checks over [(site, log)] pairs; callable mid-run. *)

@@ -67,13 +67,13 @@ let pp_report fmt report =
    all randomness from a stream split off the seed so the whole run —
    workload, cluster, fault schedule — replays from one integer. Clients
    speak the facade verbs only (the entity is bound at construction). *)
-let spawn_client ~engine ~(facade : Facade.t) ~rng ~region ~duration_ms ~granted
-    ~rejected ~unavailable =
+let spawn_client ~engine ~(facade : Facade.t) ~rng ~region ~duration_ms ~counts =
   let outstanding = ref 0 in
+  let bump i = counts.(i) <- counts.(i) + 1 in
   let count = function
-    | Samya.Types.Granted -> incr granted
-    | Samya.Types.Rejected | Samya.Types.Rejected_deadline -> incr rejected
-    | Samya.Types.Unavailable -> incr unavailable
+    | Samya.Types.Granted -> bump 0
+    | Samya.Types.Rejected | Samya.Types.Rejected_deadline -> bump 1
+    | Samya.Types.Unavailable -> bump 2
     | Samya.Types.Read_result _ -> ()
   in
   let rec step () =
@@ -116,7 +116,7 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
   let regions =
     Array.init n_sites (fun i -> all_regions.(i mod Array.length all_regions))
   in
-  let auditor = Auditor.create ~variant () in
+  let auditor = Auditor.create ~variant ~n_sites () in
   let hooks =
     Facade.samya_hooks
       ~on_protocol_event:(fun ~site ~entity:_ event ->
@@ -128,13 +128,6 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
       ~on_protocol_event:(Facade.protocol_event_hook hooks)
       ~obs:(Facade.obs_port hooks) ()
   in
-  (* The auditor taps every site's protocol stream into one shared
-     structure and the client counters span regions, so the soak drains
-     its windows sequentially (same rule as observability): the windowed
-     scheduler, cross-lane channels and barrier-aligned faults are all
-     exercised, without cross-lane data races — and the report is
-     byte-identical at every [engine_jobs] setting. *)
-  Option.iter Des.Shard.force_sequential (Samya.Cluster.shard cluster);
   Samya.Cluster.init_entity cluster ~entity ~maximum;
   (* Clients and the fault injector drive the cluster through the same
      facade record the experiment harness uses; only the quiescent audit
@@ -152,10 +145,13 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
   in
   (* Recovery-to-service probes: right after each crash heals, one direct
      acquire against the recovered site measures how long until it answers
-     anything at all. *)
-  let recovery_probes = ref [] in
-  List.iter
-    (fun (site, _at_ms, heal_ms) ->
+     anything at all. Each probe writes only its own slot (probes on
+     different lanes may answer on different domains); they are reported
+     in reply order. *)
+  let crashes = Array.of_list (Nemesis.crash_faults schedule) in
+  let probe_replies = Array.make (Array.length crashes) None in
+  Array.iteri
+    (fun i (site, _at_ms, heal_ms) ->
       (* [submit_to_site] calls straight into the site, so the probe must
          fire on the site's own lane; its reply also lands there. *)
       let probe_engine = facade.Facade.sched_region regions.(site) in
@@ -164,16 +160,17 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
           Samya.Cluster.submit_to_site cluster ~site
             (Samya.Types.Acquire { entity; amount = 1; deadline_ms = infinity })
             ~reply:(fun _ ->
-              recovery_probes :=
-                (site, Des.Engine.now probe_engine -. sent) :: !recovery_probes)))
-    (Nemesis.crash_faults schedule);
-  let granted = ref 0 and rejected = ref 0 and unavailable = ref 0 in
-  Array.iter
-    (fun region ->
+              let now = Des.Engine.now probe_engine in
+              probe_replies.(i) <- Some (now, site, now -. sent))))
+    crashes;
+  (* Outcome counters per client region, summed after the run. *)
+  let counts = Array.map (fun _ -> Array.make 3 0) regions in
+  Array.iteri
+    (fun i region ->
       let rng = Des.Rng.split root in
       spawn_client
         ~engine:(facade.Facade.sched_region region)
-        ~facade ~rng ~region ~duration_ms ~granted ~rejected ~unavailable)
+        ~facade ~rng ~region ~duration_ms ~counts:counts.(i))
     regions;
   (* Drain: traffic stops at [duration_ms] and every fault healed by 70%
      of it; the tail covers in-flight instances, recovery catch-up and a
@@ -190,6 +187,12 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
       (fun acc site -> acc + Samya.Site.durable_syncs site)
       0 (Samya.Cluster.sites cluster)
   in
+  let total k = Array.fold_left (fun acc c -> acc + c.(k)) 0 counts in
+  let recovery_probes =
+    List.filter_map Fun.id (Array.to_list probe_replies)
+    |> List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
+    |> List.map (fun (_, site, ms) -> (site, ms))
+  in
   {
     seed;
     variant;
@@ -198,11 +201,11 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
     schedule;
     injected = Injector.injected injector;
     healed = Injector.healed injector;
-    granted = !granted;
-    rejected = !rejected;
-    unavailable = !unavailable;
+    granted = total 0;
+    rejected = total 1;
+    unavailable = total 2;
     redistributions = Samya.Cluster.total_redistributions cluster;
-    recovery_probes = List.rev !recovery_probes;
+    recovery_probes;
     durable_syncs;
     duplicated = Geonet.Network.stats_duplicated network;
     violations;

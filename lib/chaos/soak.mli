@@ -40,10 +40,10 @@ val run :
   report
 (** Defaults: 5 sites, 120 s of traffic (plus a drain tail), maximum 5000,
     crash-amnesia with write-through ([Sync_always]) durability,
-    [engine_jobs = 1] (the region-sharded cluster's worker domains). The
-    soak forces sequential window drains (the auditor and counters are
-    cross-lane shared state), so the report is byte-identical at every
-    jobs setting. *)
+    [engine_jobs = 1] (the region-sharded cluster's worker domains).
+    Windows drain in parallel: the auditor keeps its state per site and
+    the soak its counters per region and probe, merged in a fixed order,
+    so the report is byte-identical at every jobs setting. *)
 
 val passed : report -> bool
 (** No violations. *)

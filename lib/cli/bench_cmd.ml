@@ -245,7 +245,7 @@ let write_json ~path ~quick ~jobs ~engine_jobs ~experiments ~micro ~total_wall_s
 (* The same results through the observability exporter: wall times and
    micro measurements as one metrics registry. *)
 let write_metrics ~path ~quick ~jobs ~engine_jobs ~experiments ~micro ~total_wall_s =
-  let m = Obs.Metrics.create () in
+  let m = Obs.Metrics.create (Obs.Lane_log.single (fun () -> 0.0)) in
   let wall_h = Obs.Metrics.histogram m "bench.wall_s" in
   List.iter
     (fun (id, seconds) ->

@@ -1,3 +1,3 @@
 val cmd : int Cmdliner.Cmd.t
 (** [samya_cli explain EXPERIMENT [--slowest N]]: critical-path latency
-    attribution from the causal request log. *)
+    attribution from the causal events of the trace log. *)

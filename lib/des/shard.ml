@@ -49,10 +49,9 @@ type t = {
   chans : channel array array; (* chans.(dst).(src): single writer = src lane *)
   globals : (unit -> unit) Pheap.t;
   workers : int; (* configured domains (1 = sequential windows) *)
-  mutable seq_only : bool; (* forced by observability subscription *)
   mutable in_window : bool;
   mutable horizon : float; (* lower bound for cross sends in this window *)
-  mutable current : int; (* lane executing in a sequential window, or -1 *)
+  mutable epoch : int; (* barriers passed; written only between windows *)
   mutable on_barrier : unit -> unit;
       (* runs on the coordinating domain after every channel flush, while
          no window is draining — safe to touch any lane's state *)
@@ -74,10 +73,9 @@ let create ?(seed = 42L) ?(workers = 1) ~lanes ~lookahead_ms () =
     chans = Array.init lanes (fun _ -> Array.init lanes (fun _ -> channel_create ()));
     globals = Pheap.create ();
     workers = max 1 workers;
-    seq_only = false;
     in_window = false;
     horizon = neg_infinity;
-    current = -1;
+    epoch = 0;
     on_barrier = (fun () -> ());
   }
 
@@ -93,9 +91,14 @@ let engines t = t.engines
 
 let in_window t = t.in_window
 
-let force_sequential t = t.seq_only <- true
+let epoch t = t.epoch
 
-let current_engine t = if t.current >= 0 then t.engines.(t.current) else t.engines.(0)
+(* The lane the calling domain is draining. Domain-local, so lanes that
+   drain in parallel each see their own; -1 whenever no window is
+   draining on this domain. *)
+let executing = Domain.DLS.new_key (fun () -> -1)
+
+let executing_lane () = Domain.DLS.get executing
 
 (* Barrier semantics: all lane clocks agree between windows; [now] is the
    maximum so it is also meaningful before the first run (0.0) and after
@@ -141,10 +144,17 @@ let flush t =
       done;
       c.c_size <- 0
     done
-  done
+  done;
+  t.epoch <- t.epoch + 1
 
-let drain_lane engine ~limit ~inclusive =
-  if inclusive then Engine.run engine ~until_ms:limit else Engine.run_before engine ~limit
+let drain_lane t i ~limit ~inclusive =
+  let engine = t.engines.(i) in
+  Domain.DLS.set executing i;
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set executing (-1))
+    (fun () ->
+      if inclusive then Engine.run engine ~until_ms:limit
+      else Engine.run_before engine ~limit)
 
 (* The worker fleet: persistent domains woken per window. Lanes are
    handed out through an atomic counter, so an idle domain steals the
@@ -168,7 +178,7 @@ type fleet = {
 let rec fleet_drain t fl =
   let i = Atomic.fetch_and_add fl.next 1 in
   if i < Array.length t.engines then begin
-    drain_lane t.engines.(i) ~limit:fl.limit ~inclusive:fl.inclusive;
+    drain_lane t i ~limit:fl.limit ~inclusive:fl.inclusive;
     fleet_drain t fl
   end
 
@@ -245,18 +255,14 @@ let exec_window_fleet t fl ~limit ~inclusive =
 let exec_window_seq t ~limit ~inclusive =
   t.in_window <- true;
   Fun.protect
-    ~finally:(fun () ->
-      t.current <- -1;
-      t.in_window <- false)
+    ~finally:(fun () -> t.in_window <- false)
     (fun () ->
-      Array.iteri
-        (fun i engine ->
-          t.current <- i;
-          drain_lane engine ~limit ~inclusive)
-        t.engines)
+      for i = 0 to Array.length t.engines - 1 do
+        drain_lane t i ~limit ~inclusive
+      done)
 
 let run t ~until_ms =
-  let n_extra = if t.seq_only then 0 else min (t.workers - 1) (lanes t - 1) in
+  let n_extra = min (t.workers - 1) (lanes t - 1) in
   let fl = if n_extra > 0 then Some (fleet_create t n_extra) else None in
   let exec ~limit ~inclusive =
     match fl with

@@ -64,25 +64,18 @@ val run : t -> until_ms:float -> unit
     Events and globals beyond [until_ms] stay queued; every lane clock
     ends at [until_ms] exactly. *)
 
-(** {2 Observability hooks}
-
-    Tracing callbacks are not thread-safe and their interleaving across
-    domains would be unordered, so a subscribed run forces windows onto
-    the calling domain. Determinism guarantees the traced run is
-    byte-identical to the untraced parallel one. *)
-
-val force_sequential : t -> unit
-(** Permanently pin window execution to the calling domain (used when an
-    observability sink subscribes). Results are unchanged. *)
-
-val current_engine : t -> Engine.t
-(** During sequential window execution, the engine of the lane currently
-    draining — the engine whose ambient {!Engine.current_context} is
-    meaningful. Outside a window (or before any run) lane 0's engine.
-    Only meaningful under {!force_sequential}. *)
-
 val in_window : t -> bool
 (** [true] while a window is draining. *)
+
+val epoch : t -> int
+(** Barriers passed so far: every channel flush ends an epoch. A window
+    drains within one epoch, and the globals after its barrier run in the
+    next, before that epoch's window. Written only between windows, so
+    lanes read it race-free mid-window. *)
+
+val executing_lane : unit -> int
+(** The lane the calling domain is draining, or [-1] when it drains none:
+    setup, barrier-aligned globals, the barrier hook and post-run code. *)
 
 val set_barrier_hook : t -> (unit -> unit) -> unit
 (** Install a callback run on the coordinating domain after every

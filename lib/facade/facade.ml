@@ -11,7 +11,6 @@ type stats = {
 type t = {
   name : string;
   now : unit -> float;
-  lane_now : unit -> float;
   sched_region : Geonet.Region.t -> Des.Engine.t;
   schedule_global : time_ms:float -> (unit -> unit) -> unit;
   run_until : float -> unit;
@@ -37,7 +36,7 @@ type t = {
   partition : int list list -> unit;
   heal : unit -> unit;
   stats : unit -> stats;
-  subscribe : Obs.Sink.t -> unit;
+  subscribe : unit -> Obs.Sink.t;
   arm : Obs.Flight_recorder.attachment -> unit;
       (* always-on incident capture; a no-op on baselines, which have no
          breaker/controller/shed machinery to record *)
@@ -51,8 +50,8 @@ let sites_in regions region =
 
 (* ------------------------------------------------------------------ *)
 (* Observability wiring parts. Instruments are resolved once at
-   subscription, so the per-event cost while tracing is a field update
-   (metrics) or one list cons (spans).                                  *)
+   subscription, so the per-event cost while tracing is a cell update
+   (metrics) or one append to the executing lane's trace buffer.        *)
 
 let engine_tracer (sink : Obs.Sink.t) =
   let m = sink.Obs.Sink.metrics in
@@ -66,7 +65,7 @@ let engine_tracer (sink : Obs.Sink.t) =
         (* A fired labelled timer is an expired timeout (protocol failure
            detectors cancel on progress): span it armed -> fired. *)
         Obs.Metrics.incr fired;
-        Obs.Span.complete sink.Obs.Sink.spans ~cat:"timer" ~name:label ~ts:armed_ms
+        Obs.Trace_log.complete sink.Obs.Sink.log ~cat:"timer" ~name:label ~ts:armed_ms
           ~dur:(now_ms -. armed_ms) ());
     on_timer_cancelled =
       (fun ~label:_ ~armed_ms:_ ~now_ms:_ -> Obs.Metrics.incr cancelled);
@@ -88,8 +87,9 @@ let network_tracer ~context (sink : Obs.Sink.t) =
       (fun ~src ~dst ~sent_at ~now_ms ->
         Obs.Metrics.incr delivered;
         Obs.Metrics.observe hop_ms (now_ms -. sent_at);
-        Obs.Span.complete sink.Obs.Sink.spans ~cat:"net" ~tid:dst ~name:"net.hop"
-          ~ts:sent_at ~dur:(now_ms -. sent_at)
+        let log = sink.Obs.Sink.log in
+        Obs.Trace_log.complete log ~cat:"net" ~tid:dst ~name:"net.hop" ~ts:sent_at
+          ~dur:(now_ms -. sent_at)
           ~args:[ ("src", string_of_int src); ("dst", string_of_int dst) ]
           ();
         (* Delivery runs under the message's child context: its [parent]
@@ -97,29 +97,28 @@ let network_tracer ~context (sink : Obs.Sink.t) =
            hop and the Perfetto flow arrow binding the two lanes. *)
         let ctx = context () in
         if not (Des.Trace_context.is_none ctx) then begin
-          let edge = ctx.Des.Trace_context.parent in
-          Obs.Causal.record sink.Obs.Sink.causal
-            (Obs.Causal.Hop
-               {
-                 trace = ctx.Des.Trace_context.trace;
-                 edge;
-                 src;
-                 dst;
-                 t0 = sent_at;
-                 t1 = now_ms;
-               });
-          Obs.Span.flow_start sink.Obs.Sink.spans ~cat:"net" ~tid:src ~ts:sent_at
-            ~id:edge "net.flow";
-          Obs.Span.flow_finish sink.Obs.Sink.spans ~cat:"net" ~tid:dst ~ts:now_ms
-            ~id:edge "net.flow"
+          let id = ctx.Des.Trace_context.parent in
+          let trace = ctx.Des.Trace_context.trace in
+          Obs.Trace_log.record log (Hop { trace; edge = id; src; dst; t0 = sent_at; t1 = now_ms });
+          Obs.Trace_log.record log
+            (Flow_start { name = "net.flow"; cat = "net"; tid = src; ts = sent_at; id });
+          Obs.Trace_log.record log
+            (Flow_finish { name = "net.flow"; cat = "net"; tid = dst; ts = now_ms; id })
         end);
     on_drop =
       (fun ~src ~dst ~sent_at ~now_ms:_ ->
         Obs.Metrics.incr dropped;
-        Obs.Span.instant sink.Obs.Sink.spans ~cat:"net" ~tid:dst
+        Obs.Trace_log.instant sink.Obs.Sink.log ~cat:"net" ~tid:dst
           ~args:[ ("src", string_of_int src); ("sent_at", Printf.sprintf "%.3f" sent_at) ]
           "net.drop");
   }
+
+let name_site_lanes (sink : Obs.Sink.t) regions =
+  Array.iteri
+    (fun tid region ->
+      let name = Printf.sprintf "site %d (%s)" tid (Geonet.Region.name region) in
+      Obs.Trace_log.record sink.Obs.Sink.log (Thread_name { tid; name }))
+    regions
 
 (* ------------------------------------------------------------------ *)
 (* Avantan span observer: instance spans with role, rounds and outcome,
@@ -127,63 +126,65 @@ let network_tracer ~context (sink : Obs.Sink.t) =
 
 module Ballot = Consensus.Ballot
 
-let avantan_observer ~now ~context (sink : Obs.Sink.t) =
+let avantan_observer ~context ~sites (sink : Obs.Sink.t) =
   let m = sink.Obs.Sink.metrics in
-  let sp = sink.Obs.Sink.spans in
+  let sp = sink.Obs.Sink.log in
+  let now () = Obs.Trace_log.now sp in
   let elections = Obs.Metrics.counter m "avantan.elections" in
   let joined = Obs.Metrics.counter m "avantan.joined" in
   let decided = Obs.Metrics.counter m "avantan.decided" in
   let aborted = Obs.Metrics.counter m "avantan.aborted" in
   let recoveries = Obs.Metrics.counter m "avantan.recoveries" in
   let rounds_h = Obs.Metrics.histogram m "avantan.rounds" in
-  (* One open span per (site, entity): a site participates in at most one
-     instance at a time, and Decided/Instance_aborted always closes it. *)
-  let open_spans : (int * string, Obs.Span.span) Hashtbl.t = Hashtbl.create 16 in
+  (* Open state is kept per site, keyed by entity: a site's events arrive
+     on its own lane, so lanes draining on different domains never share
+     a table. One open span per (site, entity): a site participates in at
+     most one instance at a time, and Decided/Instance_aborted always
+     closes it. *)
+  let open_spans : (string, Obs.Trace_log.span) Hashtbl.t array =
+    Array.init sites (fun _ -> Hashtbl.create 16)
+  in
   (* Causal phase windows: each (site, entity) is in at most one protocol
      phase — election, accept, recovery — and the window is charged to the
      trace that was ambient when the phase opened (the request whose
      arrival triggered the instance). *)
-  let open_phases : (int * string, string * float * int) Hashtbl.t =
-    Hashtbl.create 16
+  let open_phases : (string, string * float * int) Hashtbl.t array =
+    Array.init sites (fun _ -> Hashtbl.create 16)
   in
   let causal_trace () =
     let ctx = context () in
     if Des.Trace_context.is_none ctx then -1 else ctx.Des.Trace_context.trace
   in
   let close_phase ~site ~entity =
-    match Hashtbl.find_opt open_phases (site, entity) with
+    match Hashtbl.find_opt open_phases.(site) entity with
     | None -> ()
     | Some (name, t0, trace) ->
-        Hashtbl.remove open_phases (site, entity);
+        Hashtbl.remove open_phases.(site) entity;
         if trace >= 0 then
-          Obs.Causal.record sink.Obs.Sink.causal
-            (Obs.Causal.Phase { trace; site; name; t0; t1 = now () })
+          Obs.Trace_log.record sp (Phase { trace; site; name; t0; t1 = now () })
   in
   let to_phase ~site ~entity name =
-    match Hashtbl.find_opt open_phases (site, entity) with
+    match Hashtbl.find_opt open_phases.(site) entity with
     | Some (current, _, _) when String.equal current name -> ()
     | Some _ ->
         close_phase ~site ~entity;
-        Hashtbl.replace open_phases (site, entity) (name, now (), causal_trace ())
-    | None ->
-        Hashtbl.replace open_phases (site, entity) (name, now (), causal_trace ())
+        Hashtbl.replace open_phases.(site) entity (name, now (), causal_trace ())
+    | None -> Hashtbl.replace open_phases.(site) entity (name, now (), causal_trace ())
   in
   let ensure_open ~site ~entity =
-    let key = (site, entity) in
-    if not (Hashtbl.mem open_spans key) then
-      Hashtbl.replace open_spans key
-        (Obs.Span.start sp ~cat:"avantan" ~tid:site "avantan.instance")
+    if not (Hashtbl.mem open_spans.(site) entity) then
+      Hashtbl.replace open_spans.(site) entity
+        (Obs.Trace_log.start sp ~cat:"avantan" ~tid:site "avantan.instance")
   in
   let close ~site ~entity args =
-    let key = (site, entity) in
-    match Hashtbl.find_opt open_spans key with
+    match Hashtbl.find_opt open_spans.(site) entity with
     | Some span ->
-        Hashtbl.remove open_spans key;
-        Obs.Span.finish sp ~args span
+        Hashtbl.remove open_spans.(site) entity;
+        Obs.Trace_log.finish sp ~args span
     | None ->
         (* Decision applied with no open instance here (e.g. delivered by
            anti-entropy): record it as an instant instead. *)
-        Obs.Span.instant sp ~cat:"avantan" ~tid:site ~args "avantan.apply"
+        Obs.Trace_log.instant sp ~cat:"avantan" ~tid:site ~args "avantan.apply"
   in
   fun ~site ~entity (event : Samya.Avantan_core.event) ->
     match event with
@@ -191,7 +192,7 @@ let avantan_observer ~now ~context (sink : Obs.Sink.t) =
         Obs.Metrics.incr elections;
         ensure_open ~site ~entity;
         to_phase ~site ~entity "election";
-        Obs.Span.instant sp ~cat:"avantan" ~tid:site
+        Obs.Trace_log.instant sp ~cat:"avantan" ~tid:site
           ~args:
             [ ("ballot", Ballot.to_string ballot); ("round", string_of_int round) ]
           "election.started"
@@ -199,13 +200,13 @@ let avantan_observer ~now ~context (sink : Obs.Sink.t) =
         Obs.Metrics.incr joined;
         ensure_open ~site ~entity;
         to_phase ~site ~entity "election";
-        Obs.Span.instant sp ~cat:"avantan" ~tid:site
+        Obs.Trace_log.instant sp ~cat:"avantan" ~tid:site
           ~args:
             [ ("ballot", Ballot.to_string ballot); ("leader", string_of_int leader) ]
           "election.joined"
     | Samya.Avantan_core.Value_constructed { ballot; participants } ->
         to_phase ~site ~entity "accept";
-        Obs.Span.instant sp ~cat:"avantan" ~tid:site
+        Obs.Trace_log.instant sp ~cat:"avantan" ~tid:site
           ~args:
             [
               ("ballot", Ballot.to_string ballot);
@@ -215,7 +216,7 @@ let avantan_observer ~now ~context (sink : Obs.Sink.t) =
     | Samya.Avantan_core.Value_accepted { ballot; leader } ->
         ensure_open ~site ~entity;
         to_phase ~site ~entity "accept";
-        Obs.Span.instant sp ~cat:"avantan" ~tid:site
+        Obs.Trace_log.instant sp ~cat:"avantan" ~tid:site
           ~args:
             [ ("ballot", Ballot.to_string ballot); ("leader", string_of_int leader) ]
           "value.accepted"
@@ -223,7 +224,7 @@ let avantan_observer ~now ~context (sink : Obs.Sink.t) =
         Obs.Metrics.incr recoveries;
         ensure_open ~site ~entity;
         to_phase ~site ~entity "recovery";
-        Obs.Span.instant sp ~cat:"avantan" ~tid:site
+        Obs.Trace_log.instant sp ~cat:"avantan" ~tid:site
           ~args:[ ("ballot", Ballot.to_string ballot) ]
           "recovery.started"
     | Samya.Avantan_core.Decided { origin; participants; led; rounds } ->
@@ -278,17 +279,28 @@ let of_samya_cluster ?(name = "Samya") ~hooks ~regions ~entity cluster =
   let submit ~region request ~reply =
     Samya.Cluster.submit cluster ~region request ~reply
   in
-  (* Ambient-context/clock getters for the observability wiring. A
-     subscribed run drains its windows sequentially, so "the executing
-     engine" is well-defined: the lane currently draining its window (lane
-     0 between windows, where every lane clock agrees). *)
-  let current_engine () = Des.Shard.current_engine shard in
-  let context () = Des.Engine.current_context (current_engine ()) in
-  let lane_now () = Des.Engine.now (current_engine ()) in
+  (* The observability wiring reads the clock and ambient trace context of
+     the lane executing the write; between windows that is lane -1, on
+     barrier time with no ambient context. *)
+  let context () =
+    let lane = Des.Shard.executing_lane () in
+    if lane < 0 then Des.Trace_context.none
+    else Des.Engine.current_context (Des.Shard.engine shard lane)
+  in
+  let clock =
+    {
+      Obs.Lane_log.lanes = Des.Shard.lanes shard;
+      lane = Des.Shard.executing_lane;
+      epoch = (fun () -> Des.Shard.epoch shard);
+      now =
+        (fun lane ->
+          if lane < 0 then Des.Shard.now shard
+          else Des.Engine.now (Des.Shard.engine shard lane));
+    }
+  in
   {
     name;
     now = (fun () -> Samya.Cluster.now cluster);
-    lane_now;
     sched_region = (fun region -> Samya.Cluster.engine_of_region cluster region);
     schedule_global = (fun ~time_ms f -> Samya.Cluster.schedule_global cluster ~time_ms f);
     run_until = (fun until_ms -> Samya.Cluster.run_until cluster ~until_ms);
@@ -322,23 +334,17 @@ let of_samya_cluster ?(name = "Samya") ~hooks ~regions ~entity cluster =
           messages_dropped = Geonet.Network.stats_dropped network;
         });
     subscribe =
-      (fun sink ->
+      (fun () ->
+        let sink = Obs.Sink.create clock in
         Obs.Sink.attach hooks.sh_obs sink;
-        (* Observability callbacks are not thread-safe: a subscribed run
-           drops to sequential windows (results are unchanged by
-           construction — only wall time). Every lane engine gets the
-           tracer so no event escapes observation. *)
-        Des.Shard.force_sequential shard;
         Array.iter
           (fun e -> Des.Engine.set_tracer e (Some (engine_tracer sink)))
           (Des.Shard.engines shard);
         Geonet.Network.set_tracer network (Some (network_tracer ~context sink));
-        hooks.sh_observer <- Some (avantan_observer ~now:lane_now ~context sink);
-        Array.iteri
-          (fun i region ->
-            Obs.Span.thread_name sink.Obs.Sink.spans ~tid:i
-              (Printf.sprintf "site %d (%s)" i (Geonet.Region.name region)))
-          regions);
+        hooks.sh_observer <-
+          Some (avantan_observer ~context ~sites:(Array.length regions) sink);
+        name_site_lanes sink regions;
+        sink);
     arm = (fun attachment -> Samya.Cluster.arm_flight cluster attachment);
     invariant =
       (fun ~maximum -> Samya.Cluster.check_invariant cluster ~entity ~maximum);

@@ -42,11 +42,6 @@ type t = {
   now : unit -> float;
       (** virtual time; barrier time on a sharded system — stable at the
           points the harness reads it (setup, global events, end of run) *)
-  lane_now : unit -> float;
-      (** the clock of the lane executing the current event — what an
-          observer stamps spans with from inside an event (on a subscribed
-          sharded system, the lane draining its window; between windows
-          every lane agrees with [now]) *)
   sched_region : Geonet.Region.t -> Des.Engine.t;
       (** the engine that executes events homed in a region — where the
           driver schedules that region's client issue/reply events *)
@@ -80,13 +75,14 @@ type t = {
   partition : int list list -> unit;
   heal : unit -> unit;
   stats : unit -> stats;
-  subscribe : Obs.Sink.t -> unit;
-      (** wire an observability sink through every layer of the system;
-          call at most once, before driving load *)
+  subscribe : unit -> Obs.Sink.t;
+      (** wire a fresh observability sink through every layer of the
+          system and return it; call at most once, before driving load.
+          Its lanes are the system's: each write lands on the lane that
+          executes it, so a subscribed run keeps parallel windows *)
   arm : Obs.Flight_recorder.attachment -> unit;
       (** arm the always-on incident layer (flight recorder + hot-key
-          sketch). Unlike [subscribe] this keeps parallel windows — lane
-          rings are single-writer. A no-op on baselines. *)
+          sketch); lane rings are single-writer. A no-op on baselines. *)
   invariant : maximum:int -> (unit, string) result;
 }
 
@@ -104,10 +100,13 @@ val network_tracer :
 (** Per-hop [net.hop] spans on the destination's lane, [net.*] counters
     and the [net.hop_ms] latency histogram. [context] reads the ambient
     trace context of the engine executing the delivery (on a sharded
-    system, the current lane's engine). Deliveries that carry an ambient
+    system, the executing lane's engine). Deliveries that carry an ambient
     {!Des.Trace_context} additionally record a causal [Hop] and a
     Perfetto flow arrow ([s]/[f] pair keyed by the hop's edge id) from the
     sender's lane to the receiver's. *)
+
+val name_site_lanes : Obs.Sink.t -> Geonet.Region.t array -> unit
+(** Label timeline lane [i] ["site i (region)"]. *)
 
 (** {2 The Samya adapter} *)
 
@@ -145,7 +144,9 @@ val of_samya_cluster :
   Samya.Cluster.t ->
   t
 (** Wrap a cluster created with [~obs:(obs_port hooks)
-    ~on_protocol_event:(protocol_event_hook hooks)]. [subscribe] attaches
-    the sink to the port, installs engine and network tracers, starts the
+    ~on_protocol_event:(protocol_event_hook hooks)]. [subscribe] creates
+    a sink over the shard's lanes ({!Des.Shard.executing_lane} and
+    {!Des.Shard.epoch}), attaches it to the port, installs engine and
+    network tracers, starts the
     Avantan span observer (instance spans with ballot, rounds, role and
     outcome), and names the per-site trace lanes. *)

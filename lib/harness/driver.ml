@@ -331,8 +331,8 @@ let run ~(t_system : Systems.facade) spec =
         let m = sink.Obs.Sink.metrics in
         Array.iteri
           (fun i region ->
-            Obs.Span.thread_name sink.Obs.Sink.spans ~tid:(client_tid i)
-              (Printf.sprintf "client %d (%s)" i (Geonet.Region.name region)))
+            let name = Printf.sprintf "client %d (%s)" i (Geonet.Region.name region) in
+            Obs.Trace_log.record sink.Obs.Sink.log (Thread_name { tid = client_tid i; name }))
           spec.client_regions;
         Some
           {
@@ -469,12 +469,12 @@ let run ~(t_system : Systems.facade) spec =
         | None -> None
         | Some i ->
             let span =
-              Obs.Span.start i.i_sink.Obs.Sink.spans ~cat:"request"
+              Obs.Trace_log.start i.i_sink.Obs.Sink.log ~cat:"request"
                 ~tid:(client_tid client) (span_name request.kind)
             in
             let trace = Des.Engine.fresh_id engine in
-            Obs.Causal.record i.i_sink.Obs.Sink.causal
-              (Obs.Causal.Submitted
+            Obs.Trace_log.record i.i_sink.Obs.Sink.log
+              (Submitted
                  {
                    trace;
                    client;
@@ -488,11 +488,11 @@ let run ~(t_system : Systems.facade) spec =
         match inst with
         | None -> ()
         | Some (i, span, trace) ->
-            Obs.Span.finish i.i_sink.Obs.Sink.spans
+            Obs.Trace_log.finish i.i_sink.Obs.Sink.log
               ~args:[ ("outcome", outcome) ]
               span;
-            Obs.Causal.record i.i_sink.Obs.Sink.causal
-              (Obs.Causal.Completed { trace; outcome; ts = now })
+            Obs.Trace_log.record i.i_sink.Obs.Sink.log
+              (Completed { trace; outcome; ts = now })
       in
       let rec attempt n_attempt =
         acc.submitted.(client) <- acc.submitted.(client) + 1;

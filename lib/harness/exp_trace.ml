@@ -82,7 +82,7 @@ let sink (c : Scenario.capture) = Option.get c.sink
 let trace_json captures =
   let buf = Buffer.create (1 lsl 16) in
   Obs.Export.trace_json buf
-    (List.map (fun c -> (label c, (sink c).Obs.Sink.spans)) captures);
+    (List.map (fun c -> (label c, (sink c).Obs.Sink.log)) captures);
   Buffer.contents buf
 
 let metrics_json ?meta captures =
@@ -99,6 +99,9 @@ let slo_json ?meta captures =
        captures);
   Buffer.contents buf
 
+let spans_and_instants c =
+  List.length (List.filter Obs.Trace_log.is_span (Obs.Trace_log.events (sink c).Obs.Sink.log))
+
 let summary fmt captures =
   Report.table fmt ~title:"trace capture"
     ~header:[ "system"; "committed"; "spans+instants"; "messages" ]
@@ -108,7 +111,7 @@ let summary fmt captures =
            [
              label c;
              string_of_int c.result.Driver.committed;
-             string_of_int (Obs.Span.event_count (sink c).Obs.Sink.spans);
+             string_of_int (spans_and_instants c);
              string_of_int c.stats.Systems.messages_sent;
            ])
          captures)
@@ -116,7 +119,7 @@ let summary fmt captures =
 (* ------------------------------------------------------------------ *)
 (* Critical-path explanation                                            *)
 
-let breakdowns c = Obs.Critical_path.analyze (Obs.Causal.events (sink c).Obs.Sink.causal)
+let breakdowns c = Obs.Critical_path.analyze (Obs.Trace_log.events (sink c).Obs.Sink.log)
 
 let pct x = Printf.sprintf "%.1f%%" (100.0 *. x)
 
@@ -140,7 +143,7 @@ let mechanism_bucket comp =
 let explain fmt ?(by_mechanism = false) ~slowest captures =
   List.iter
     (fun c ->
-      let events = Obs.Causal.events (sink c).Obs.Sink.causal in
+      let events = Obs.Trace_log.events (sink c).Obs.Sink.log in
       let bds = Obs.Critical_path.analyze events in
       let n = List.length bds in
       Format.fprintf fmt "@.== %s ==@." (label c);

@@ -1,14 +1,14 @@
 (** Trace capture: re-runs an experiment's traced arms through the
     {!Scenario} runner with an observability sink subscribed to each
     facade (DES timers, network hops, Avantan instances, request spans,
-    the causal request log) and an online SLO monitor fed by the driver,
+    causal request events) and an online SLO monitor fed by the driver,
     then exports Chrome [trace_event] JSON, the flat metrics JSON, the
     [samya-slo/1] report and the critical-path explanation.
 
     Determinism: each system runs on its own engine with its own sink, and
     captures are assembled in arm order, so every export is byte-identical
-    for a given seed regardless of [--jobs]. The functions below take the
-    observed captures {!run} returns. *)
+    for a given seed regardless of [--jobs] and [--engine-jobs]. The
+    functions below take the observed captures {!run} returns. *)
 
 val experiments : string list
 (** Traceable experiment ids: "headline" (plus its registry aliases) and
@@ -37,7 +37,8 @@ val slo_json : ?meta:(string * string) list -> Scenario.capture list -> string
 val summary : Format.formatter -> Scenario.capture list -> unit
 
 val breakdowns : Scenario.capture -> Obs.Critical_path.breakdown list
-(** Per-request latency attributions from the capture's causal log. *)
+(** Per-request latency attributions from the causal events of the
+    capture's trace log. *)
 
 val mechanism_bucket : string -> string
 (** Folds a critical-path component name into the token-movement

@@ -107,14 +107,7 @@ let audit plan cluster =
 
 let capture ?engine_jobs ?(observe = false) plan arm =
   let t_system, cluster = build ?engine_jobs plan arm in
-  let sink =
-    if observe then begin
-      let sink = Obs.Sink.create ~now:t_system.Systems.lane_now () in
-      t_system.Systems.subscribe sink;
-      Some sink
-    end
-    else None
-  in
+  let sink = if observe then Some (t_system.Systems.subscribe ()) else None in
   (* The always-on incident layer: every arm flies with the recorder and
      the request-path hot-key sketch armed. *)
   let flight = Obs.Flight_recorder.create () in

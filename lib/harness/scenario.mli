@@ -103,6 +103,6 @@ val run : Lab.context -> quick:bool -> Format.formatter -> t -> unit
 
 val trace : plan -> capture list
 (** The traced arms, observed, in arm order, at the process-wide
-    {!Pool} engine setting. Full observability drains windows
-    sequentially, and the output is byte-identical at every
+    {!Pool} engine setting. Observed windows drain in parallel like
+    any other, and the output is byte-identical at every
     [--engine-jobs]. *)

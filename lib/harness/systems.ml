@@ -14,7 +14,6 @@ type stats = Facade.stats = {
 type facade = Facade.t = {
   name : string;
   now : unit -> float;
-  lane_now : unit -> float;
   sched_region : Geonet.Region.t -> Des.Engine.t;
   schedule_global : time_ms:float -> (unit -> unit) -> unit;
   run_until : float -> unit;
@@ -40,7 +39,7 @@ type facade = Facade.t = {
   partition : int list list -> unit;
   heal : unit -> unit;
   stats : unit -> stats;
-  subscribe : Obs.Sink.t -> unit;
+  subscribe : unit -> Obs.Sink.t;
   arm : Obs.Flight_recorder.attachment -> unit;
   invariant : maximum:int -> (unit, string) result;
 }
@@ -83,7 +82,6 @@ let baseline ?(borrows = fun () -> 0) ~name ~engine ~regions ~entity ~submit
   {
     name;
     now;
-    lane_now = now;
     sched_region = (fun _ -> engine);
     schedule_global = (fun ~time_ms f -> Des.Engine.schedule_at engine ~time_ms f);
     run_until = (fun until_ms -> Des.Engine.run engine ~until_ms);
@@ -113,7 +111,9 @@ let baseline ?(borrows = fun () -> 0) ~name ~engine ~regions ~entity ~submit
           messages_dropped = dropped;
         });
     subscribe =
-      (fun sink ->
+      (fun () ->
+        (* One engine, no windows: every write stays in arrival order. *)
+        let sink = Obs.Sink.create (Obs.Lane_log.single now) in
         Obs.Sink.attach obs_port sink;
         Des.Engine.set_tracer engine (Some (Facade.engine_tracer sink));
         set_net_tracer
@@ -121,11 +121,8 @@ let baseline ?(borrows = fun () -> 0) ~name ~engine ~regions ~entity ~submit
              (Facade.network_tracer
                 ~context:(fun () -> Des.Engine.current_context engine)
                 sink));
-        Array.iteri
-          (fun i region ->
-            Obs.Span.thread_name sink.Obs.Sink.spans ~tid:i
-              (Printf.sprintf "site %d (%s)" i (Geonet.Region.name region)))
-          regions);
+        Facade.name_site_lanes sink regions;
+        sink);
     (* Baselines have no breaker/controller/shed machinery to record. *)
     arm = (fun (_ : Obs.Flight_recorder.attachment) -> ());
     invariant;

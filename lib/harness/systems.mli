@@ -17,7 +17,6 @@ type stats = Facade.stats = {
 type facade = Facade.t = {
   name : string;
   now : unit -> float;  (** virtual (barrier) time *)
-  lane_now : unit -> float;  (** clock of the lane executing the event *)
   sched_region : Geonet.Region.t -> Des.Engine.t;
       (** engine executing a region's client events *)
   schedule_global : time_ms:float -> (unit -> unit) -> unit;
@@ -49,12 +48,12 @@ type facade = Facade.t = {
   partition : int list list -> unit;  (** groups of server indices *)
   heal : unit -> unit;
   stats : unit -> stats;
-  subscribe : Obs.Sink.t -> unit;
-      (** wire an observability sink through every layer; call at most
-          once, before driving load *)
+  subscribe : unit -> Obs.Sink.t;
+      (** wire a fresh observability sink through every layer and return
+          it; call at most once, before driving load *)
   arm : Obs.Flight_recorder.attachment -> unit;
       (** arm the always-on incident layer (flight recorder + hot-key
-          sketch) without forcing sequential windows; no-op on baselines *)
+          sketch); no-op on baselines *)
   invariant : maximum:int -> (unit, string) result;
 }
 

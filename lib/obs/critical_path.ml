@@ -82,20 +82,19 @@ let push a prio comp t0 t1 = a.intervals <- (prio, comp, t0, t1) :: a.intervals
 let collect events =
   let table : (int, acc) Hashtbl.t = Hashtbl.create 256 in
   List.iter
-    (fun (event : Causal.event) ->
+    (fun (event : Trace_log.event) ->
       match event with
-      | Causal.Submitted { trace; client; kind; entity; ts } ->
+      | Trace_log.Submitted { trace; client; kind; entity; ts } ->
           let a = acc_for table trace in
           a.client <- client;
           a.kind <- kind;
           a.entity <- entity;
           a.t0 <- ts;
           a.has_submit <- true
-      | Causal.Accepted _ -> ()
-      | Causal.Enqueued { trace; site; label; ts } ->
+      | Trace_log.Enqueued { trace; site; label; ts } ->
           let a = acc_for table trace in
           a.open_queues <- (site, "queue." ^ label, ts) :: a.open_queues
-      | Causal.Dequeued { trace; site; ts } -> (
+      | Trace_log.Dequeued { trace; site; ts } -> (
           let a = acc_for table trace in
           (* Entries for one site nest LIFO at worst; the newest open
              enqueue on that site is the one this dequeue closes. *)
@@ -110,18 +109,19 @@ let collect events =
               a.open_queues <- rest;
               push a prio_queue comp t0 ts
           | None -> ())
-      | Causal.Wait { trace; site = _; label; t0; t1 } ->
+      | Trace_log.Wait { trace; site = _; label; t0; t1 } ->
           push (acc_for table trace) prio_wait (wait_component label) t0 t1
-      | Causal.Service { trace; site = _; t0; t1 } ->
+      | Trace_log.Service { trace; site = _; t0; t1 } ->
           push (acc_for table trace) prio_service "local.service" t0 t1
-      | Causal.Phase { trace; site = _; name; t0; t1 } ->
+      | Trace_log.Phase { trace; site = _; name; t0; t1 } ->
           push (acc_for table trace) prio_phase ("protocol." ^ name) t0 t1
-      | Causal.Hop { trace; edge = _; src = _; dst = _; t0; t1 } ->
+      | Trace_log.Hop { trace; edge = _; src = _; dst = _; t0; t1 } ->
           push (acc_for table trace) prio_hop "wan.replication" t0 t1
-      | Causal.Completed { trace; outcome; ts } ->
+      | Trace_log.Completed { trace; outcome; ts } ->
           let a = acc_for table trace in
           a.outcome <- Some outcome;
-          a.t1 <- ts)
+          a.t1 <- ts
+      | _ -> () (* [Accepted] and the timeline events carry no interval *))
     events;
   table
 
@@ -254,7 +254,7 @@ let analyze events =
 
 let submitted_count events =
   List.fold_left
-    (fun acc e -> match e with Causal.Submitted _ -> acc + 1 | _ -> acc)
+    (fun acc e -> match e with Trace_log.Submitted _ -> acc + 1 | _ -> acc)
     0 events
 
 let slowest n breakdowns =

@@ -1,4 +1,4 @@
-(** Critical-path analysis over a {!Causal} log.
+(** Critical-path analysis over a {!Trace_log}.
 
     For every completed request the analyzer walks the causal intervals
     recorded on its behalf — queue residencies, cpu waits, local service,
@@ -28,7 +28,7 @@ type breakdown = {
   attributed_ms : float;  (** wall minus the ["other"] share *)
 }
 
-val analyze : Causal.event list -> breakdown list
+val analyze : Trace_log.event list -> breakdown list
 (** One breakdown per request with both a [Submitted] and a [Completed]
     event, sorted by trace id. *)
 
@@ -38,5 +38,5 @@ val attributed_fraction : breakdown -> float
 val slowest : int -> breakdown list -> breakdown list
 (** Top [n] by wall time (ties by trace id) — the [--slowest] view. *)
 
-val submitted_count : Causal.event list -> int
+val submitted_count : Trace_log.event list -> int
 (** Requests with a root, completed or not. *)

@@ -1,7 +1,8 @@
 (* ------------------------------------------------------------------ *)
 (* JSON emission. Numbers print through %.3f (timestamps are virtual ms
    with sub-ms precision; three decimals of a microsecond is plenty) or
-   %.6g for metric values — both locale-independent in OCaml. *)
+   %.6g for metric values — both locale-independent in OCaml. JSON has no
+   NaN or infinity, so every non-finite metric value prints as null. *)
 
 let escape buf s =
   Buffer.add_char buf '"';
@@ -20,7 +21,7 @@ let escape buf s =
   Buffer.add_char buf '"'
 
 let number buf v =
-  if Float.is_nan v then Buffer.add_string buf "null"
+  if not (Float.is_finite v) then Buffer.add_string buf "null"
   else Buffer.add_string buf (Printf.sprintf "%.6g" v)
 
 let us buf ms = Buffer.add_string buf (Printf.sprintf "%.3f" (ms *. 1000.0))
@@ -47,7 +48,7 @@ let event_json buf ~pid event =
     Buffer.add_string buf (Printf.sprintf ",\"ph\":\"%s\",\"pid\":%d,\"tid\":%d" ph pid tid)
   in
   (match event with
-  | Span.Complete { name; cat; tid; ts; dur; args } ->
+  | Trace_log.Complete { name; cat; tid; ts; dur; args } ->
       common ~name ~cat ~ph:"X" ~tid;
       Buffer.add_string buf ",\"ts\":";
       us buf ts;
@@ -57,7 +58,7 @@ let event_json buf ~pid event =
         Buffer.add_string buf ",\"args\":";
         args_obj buf args
       end
-  | Span.Instant { name; cat; tid; ts; args } ->
+  | Trace_log.Instant { name; cat; tid; ts; args } ->
       common ~name ~cat ~ph:"i" ~tid;
       Buffer.add_string buf ",\"ts\":";
       us buf ts;
@@ -66,31 +67,25 @@ let event_json buf ~pid event =
         Buffer.add_string buf ",\"args\":";
         args_obj buf args
       end
-  | Span.Counter_sample { name; tid; ts; value } ->
-      common ~name ~cat:"" ~ph:"C" ~tid;
-      Buffer.add_string buf ",\"ts\":";
-      us buf ts;
-      Buffer.add_string buf ",\"args\":{\"value\":";
-      number buf value;
-      Buffer.add_string buf "}"
-  | Span.Thread_name { tid; name } ->
+  | Trace_log.Thread_name { tid; name } ->
       common ~name:"thread_name" ~cat:"" ~ph:"M" ~tid;
       Buffer.add_string buf ",\"ts\":0,\"args\":{\"name\":";
       escape buf name;
       Buffer.add_string buf "}"
-  | Span.Flow_start { name; cat; tid; ts; id } ->
+  | Trace_log.Flow_start { name; cat; tid; ts; id } ->
       common ~name ~cat ~ph:"s" ~tid;
       Buffer.add_string buf (Printf.sprintf ",\"id\":%d,\"ts\":" id);
       us buf ts
-  | Span.Flow_finish { name; cat; tid; ts; id } ->
+  | Trace_log.Flow_finish { name; cat; tid; ts; id } ->
       common ~name ~cat ~ph:"f" ~tid;
       (* bp:"e" binds the arrow to the enclosing slice, the pre-Perfetto
          Chrome convention both viewers accept. *)
       Buffer.add_string buf (Printf.sprintf ",\"id\":%d,\"bp\":\"e\",\"ts\":" id);
-      us buf ts);
+      us buf ts
+  | _ -> () (* causal events: [trace_json] passes span events only *));
   Buffer.add_string buf "}"
 
-let trace_json buf recorders =
+let trace_json buf logs =
   Buffer.add_string buf "{\"traceEvents\":[";
   let first = ref true in
   let emit f =
@@ -98,7 +93,7 @@ let trace_json buf recorders =
     f ()
   in
   List.iteri
-    (fun pid (process, recorder) ->
+    (fun pid (process, log) ->
       emit (fun () ->
           Buffer.add_string buf
             (Printf.sprintf
@@ -106,9 +101,10 @@ let trace_json buf recorders =
                pid);
           escape buf process;
           Buffer.add_string buf "}}");
-      List.iter (fun event -> emit (fun () -> event_json buf ~pid event))
-        (Span.events recorder))
-    recorders;
+      List.iter
+        (fun event -> if Trace_log.is_span event then emit (fun () -> event_json buf ~pid event))
+        (Trace_log.events log))
+    logs;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}\n"
 
 (* ------------------------------------------------------------------ *)

@@ -2,7 +2,7 @@
 
     {!trace_json} writes Chrome [trace_event] JSON Array Format (the object
     form, [{"traceEvents": [...]}]) loadable in [chrome://tracing] and
-    Perfetto. Each named recorder becomes one process ([pid] = list index),
+    Perfetto. Each named trace log becomes one process ([pid] = list index),
     announced with a [process_name] metadata event; virtual milliseconds
     become the format's microseconds. Output is a pure function of the
     recorded events — byte-stable for byte-stable recordings.
@@ -10,9 +10,9 @@
     {!metrics_json} writes a flat self-describing document
     ([samya-metrics/1]) with one section per named registry. *)
 
-val trace_json : Buffer.t -> (string * Span.t) list -> unit
-(** [trace_json buf [(process, recorder); ...]] appends the trace document
-    to [buf]. *)
+val trace_json : Buffer.t -> (string * Trace_log.t) list -> unit
+(** [trace_json buf [(process, log); ...]] appends the trace document of
+    each log's span events to [buf]; causal events are not exported. *)
 
 val metrics_json :
   Buffer.t -> ?meta:(string * string) list -> (string * Metrics.t) list -> unit

@@ -118,6 +118,12 @@ let default_global_capacity = 131_072
 
 let create ?(lane_capacity = default_lane_capacity)
     ?(global_capacity = default_global_capacity) () =
+  let positive what n =
+    if n <= 0 then
+      invalid_arg (Printf.sprintf "Flight_recorder.create: %s must be positive (got %d)" what n)
+  in
+  positive "lane_capacity" lane_capacity;
+  positive "global_capacity" global_capacity;
   { lane_capacity; rings = [||]; global = ring_create global_capacity }
 
 let grow t n =

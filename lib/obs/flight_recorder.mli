@@ -38,7 +38,8 @@ type t
 
 val create : ?lane_capacity:int -> ?global_capacity:int -> unit -> t
 (** Defaults: 32768 events per lane ring, 131072 in the global buffer.
-    Overflow drops the oldest event and counts it in {!dropped}. *)
+    Overflow drops the oldest event and counts it in {!dropped}. Raises
+    [Invalid_argument] if either capacity is not positive. *)
 
 val reserve : t -> lanes:int -> unit
 (** Allocate the rings of lanes [-1 .. lanes-1] up front. A ring is

@@ -15,124 +15,100 @@ let bucket_of v =
 
 let bucket_upper_bound i = if i <= 0 then lo else lo *. Float.pow gamma (float_of_int i)
 
-type counter = { c_name : string; mutable c_value : int; c_live : bool }
+(* Every instrument keeps one cell per lane (index lane + 1): a write
+   touches only the executing lane's cell, and reads combine the cells.
+   Counters sum; a gauge's last value is the write with the highest
+   (epoch, lane); a histogram logs its observations per lane and folds
+   them in (epoch, lane, sequence) order on read, so even the float [sum]
+   is the one a single domain would have accumulated. *)
+type counter = { c_clock : Lane_log.clock; c_cells : int array }
 
 type gauge = {
-  g_name : string;
-  mutable g_last : float;
-  mutable g_max : float;
-  mutable g_written : bool;
-  g_live : bool;
+  g_clock : Lane_log.clock;
+  g_last : float array;
+  g_max : float array;
+  g_epoch : int array; (* epoch of the lane's last write; -1 = never *)
 }
 
-type histogram = {
-  h_name : string;
-  h_buckets : int array;
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-  h_live : bool;
-}
+type histogram = float Lane_log.t
 
+(* Interning may happen mid-window on any lane (instrumented code resolves
+   by name), so the name tables sit behind a lock; updates never take it. *)
 type t = {
-  enabled : bool;
+  clock : Lane_log.clock;
+  lock : Mutex.t;
   counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
 }
 
-let create ?(enabled = true) () =
+let create clock =
   {
-    enabled;
+    clock;
+    lock = Mutex.create ();
     counters = Hashtbl.create 16;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
   }
 
-let null = create ~enabled:false ()
-let enabled t = t.enabled
+let intern t table make name =
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt table name with
+      | Some cell -> cell
+      | None ->
+          let cell = make () in
+          Hashtbl.add table name cell;
+          cell)
 
-let dead_counter = { c_name = ""; c_value = 0; c_live = false }
-
-let dead_gauge =
-  { g_name = ""; g_last = 0.0; g_max = 0.0; g_written = false; g_live = false }
-
-let dead_histogram =
-  {
-    h_name = "";
-    h_buckets = [||];
-    h_count = 0;
-    h_sum = 0.0;
-    h_min = Float.nan;
-    h_max = Float.nan;
-    h_live = false;
-  }
-
-let intern table ~dead ~make t name =
-  if not t.enabled then dead
-  else
-    match Hashtbl.find_opt table name with
-    | Some cell -> cell
-    | None ->
-        let cell = make name in
-        Hashtbl.add table name cell;
-        cell
+let cells t = t.clock.Lane_log.lanes + 1
 
 let counter t name =
-  intern t.counters ~dead:dead_counter
-    ~make:(fun c_name -> { c_name; c_value = 0; c_live = true })
-    t name
+  intern t t.counters (fun () -> { c_clock = t.clock; c_cells = Array.make (cells t) 0 }) name
 
-let incr c = if c.c_live then c.c_value <- c.c_value + 1
-let add c n = if c.c_live then c.c_value <- c.c_value + n
-let counter_value c = c.c_value
+let add c n =
+  let i = c.c_clock.Lane_log.lane () + 1 in
+  c.c_cells.(i) <- c.c_cells.(i) + n
+
+let incr c = add c 1
+let counter_value c = Array.fold_left ( + ) 0 c.c_cells
 
 let gauge t name =
-  intern t.gauges ~dead:dead_gauge
-    ~make:(fun g_name ->
-      { g_name; g_last = 0.0; g_max = 0.0; g_written = false; g_live = true })
-    t name
+  intern t t.gauges
+    (fun () ->
+      {
+        g_clock = t.clock;
+        g_last = Array.make (cells t) 0.0;
+        g_max = Array.make (cells t) 0.0;
+        g_epoch = Array.make (cells t) (-1);
+      })
+    name
 
 let set g v =
-  if g.g_live then begin
-    g.g_last <- v;
-    if (not g.g_written) || v > g.g_max then g.g_max <- v;
-    g.g_written <- true
-  end
+  let i = g.g_clock.Lane_log.lane () + 1 in
+  if g.g_epoch.(i) < 0 || v > g.g_max.(i) then g.g_max.(i) <- v;
+  g.g_last.(i) <- v;
+  g.g_epoch.(i) <- g.g_clock.Lane_log.epoch ()
 
-let gauge_value g = if g.g_written then Some g.g_last else None
-let gauge_max g = if g.g_written then Some g.g_max else None
+(* [(last, max)] over the written lanes. The last write is the one with
+   the highest (epoch, lane): on equal epochs the higher lane drained
+   later. *)
+let gauge_read g =
+  let last = ref (-1) and max = ref Float.nan in
+  Array.iteri
+    (fun i e ->
+      if e >= 0 then begin
+        if !last < 0 || e >= g.g_epoch.(!last) then last := i;
+        if Float.is_nan !max || g.g_max.(i) > !max then max := g.g_max.(i)
+      end)
+    g.g_epoch;
+  if !last < 0 then None else Some (g.g_last.(!last), !max)
 
-let histogram t name =
-  intern t.histograms ~dead:dead_histogram
-    ~make:(fun h_name ->
-      {
-        h_name;
-        h_buckets = Array.make n_buckets 0;
-        h_count = 0;
-        h_sum = 0.0;
-        h_min = Float.nan;
-        h_max = Float.nan;
-        h_live = true;
-      })
-    t name
+let gauge_value g = Option.map fst (gauge_read g)
+let gauge_max g = Option.map snd (gauge_read g)
 
-let observe h v =
-  if h.h_live && not (Float.is_nan v) then begin
-    let i = bucket_of v in
-    h.h_buckets.(i) <- h.h_buckets.(i) + 1;
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum +. v;
-    if h.h_count = 1 then begin
-      h.h_min <- v;
-      h.h_max <- v
-    end
-    else begin
-      if v < h.h_min then h.h_min <- v;
-      if v > h.h_max then h.h_max <- v
-    end
-  end
+let histogram t name = intern t t.histograms (fun () -> Lane_log.create t.clock) name
+
+let observe h v = if not (Float.is_nan v) then Lane_log.push h v
 
 type histogram_snapshot = {
   count : int;
@@ -143,11 +119,22 @@ type histogram_snapshot = {
 }
 
 let snapshot_histogram h =
+  let counts = Array.make n_buckets 0 in
+  let count = ref 0 and sum = ref 0.0 and lo = ref Float.nan and hi = ref Float.nan in
+  List.iter
+    (fun v ->
+      let i = bucket_of v in
+      counts.(i) <- counts.(i) + 1;
+      Stdlib.incr count;
+      sum := !sum +. v;
+      if !count = 1 || v < !lo then lo := v;
+      if !count = 1 || v > !hi then hi := v)
+    (Lane_log.to_list h);
   let buckets = ref [] in
   for i = n_buckets - 1 downto 0 do
-    if h.h_buckets.(i) > 0 then buckets := (i, h.h_buckets.(i)) :: !buckets
+    if counts.(i) > 0 then buckets := (i, counts.(i)) :: !buckets
   done;
-  { count = h.h_count; sum = h.h_sum; min = h.h_min; max = h.h_max; buckets = !buckets }
+  { count = !count; sum = !sum; min = !lo; max = !hi; buckets = !buckets }
 
 let merge a b =
   let rec merge_buckets xs ys =
@@ -193,20 +180,16 @@ type snapshot = {
   histograms : (string * histogram_snapshot) list;
 }
 
-let sorted_values table key =
-  Hashtbl.fold (fun _ v acc -> v :: acc) table []
-  |> List.sort (fun a b -> String.compare (key a) (key b))
+let sorted table f =
+  Hashtbl.fold (fun name v acc -> (name, v) :: acc) table []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.filter_map (fun (name, v) -> f name v)
 
 let snapshot (t : t) : snapshot =
   {
-    counters =
-      sorted_values t.counters (fun c -> c.c_name)
-      |> List.map (fun c -> (c.c_name, c.c_value));
+    counters = sorted t.counters (fun name c -> Some (name, counter_value c));
     gauges =
-      sorted_values t.gauges (fun g -> g.g_name)
-      |> List.filter (fun g -> g.g_written)
-      |> List.map (fun g -> (g.g_name, g.g_last, g.g_max));
-    histograms =
-      sorted_values t.histograms (fun h -> h.h_name)
-      |> List.map (fun h -> (h.h_name, snapshot_histogram h));
+      sorted t.gauges (fun name g ->
+          Option.map (fun (last, max) -> (name, last, max)) (gauge_read g));
+    histograms = sorted t.histograms (fun name h -> Some (name, snapshot_histogram h));
   }

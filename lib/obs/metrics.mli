@@ -2,10 +2,14 @@
     histograms.
 
     Instruments are interned by name — looking one up twice returns the same
-    mutable cell, so hot paths can resolve an instrument once and update it
-    with a field write. A registry created with [null] (or
-    [create ~enabled:false]) hands out dead instruments whose updates are a
-    single load-and-branch; nothing is recorded and nothing allocates.
+    instrument, so hot paths can resolve an instrument once and update it
+    with a field write. Every instrument keeps one cell per lane of the
+    registry's {!Lane_log.clock}; a write touches only the executing lane's
+    cell, so lanes draining on different domains never share one. Reads
+    combine the cells: counters sum, a gauge's last value is the write with
+    the highest (epoch, lane), and histograms fold their observations in
+    (epoch, lane, sequence) order — the same numbers, to the bit, at any
+    worker count.
 
     Histograms use logarithmic buckets (ratio [2^(1/4)] ≈ 19% per bucket,
     first boundary at 0.001), which keeps relative quantile error under ~10%
@@ -15,13 +19,9 @@
 
 type t
 
-val create : ?enabled:bool -> unit -> t
-(** Fresh registry; [enabled] defaults to [true]. *)
-
-val null : t
-(** Shared disabled registry: instruments are dead, updates are no-ops. *)
-
-val enabled : t -> bool
+val create : Lane_log.clock -> t
+(** Fresh registry over the lanes of [clock] ({!Lane_log.single} for a
+    plain one-writer registry). *)
 
 (** {2 Counters} — monotonic integer totals. *)
 

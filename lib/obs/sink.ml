@@ -1,12 +1,6 @@
-type t = { spans : Span.t; metrics : Metrics.t; causal : Causal.t }
+type t = { log : Trace_log.t; metrics : Metrics.t }
 
-let create ~now () =
-  { spans = Span.create ~now (); metrics = Metrics.create (); causal = Causal.create () }
-
-let null = { spans = Span.null; metrics = Metrics.null; causal = Causal.null }
-
-let enabled t =
-  Span.enabled t.spans || Metrics.enabled t.metrics || Causal.enabled t.causal
+let create clock = { log = Trace_log.create clock; metrics = Metrics.create clock }
 
 type port = { mutable sink : t option }
 
@@ -14,3 +8,6 @@ let port () = { sink = None }
 let attach port sink = port.sink <- Some sink
 let detach port = port.sink <- None
 let tap port = port.sink
+
+let record port event =
+  match port.sink with Some sink -> Trace_log.record sink.log event | None -> ()

@@ -1,5 +1,5 @@
-(** An observability sink bundles one span recorder, one metric registry
-    and one causal request log — the unit a system's [subscribe] accepts.
+(** An observability sink bundles one trace log and one metric registry
+    over the same lanes — the unit a system's [subscribe] hands out.
 
     The {!port} half solves the wiring-order problem: instrumented modules
     (request handler, protocol driver) are constructed before anyone decides
@@ -7,15 +7,9 @@
     sink may be attached to afterwards. Until {!attach}, {!tap} is [None]
     and the instrumented hot paths pay one load and one branch. *)
 
-type t = { spans : Span.t; metrics : Metrics.t; causal : Causal.t }
+type t = { log : Trace_log.t; metrics : Metrics.t }
 
-val create : now:(unit -> float) -> unit -> t
-(** Enabled sink over the given virtual clock. *)
-
-val null : t
-(** Disabled sink: recorder and registry are both no-ops. *)
-
-val enabled : t -> bool
+val create : Lane_log.clock -> t
 
 (** {2 Late-bound subscription} *)
 
@@ -31,3 +25,8 @@ val detach : port -> unit
 
 val tap : port -> t option
 (** The attached sink, if any — the single check on instrumented paths. *)
+
+val record : port -> Trace_log.event -> unit
+(** Append to the attached sink's trace log; a no-op while unattached.
+    The caller builds the event either way, so allocation-guarded paths
+    match on {!tap} instead. *)

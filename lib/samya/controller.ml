@@ -152,8 +152,8 @@ let switch t (ctx : Entity_state.t) ~now next =
          lineage drove the deciding window. *)
       let tctx = Des.Engine.current_context t.engine in
       if not (Des.Trace_context.is_none tctx) then
-        Obs.Causal.record sink.Obs.Sink.causal
-          (Obs.Causal.Phase
+        Obs.Trace_log.record sink.Obs.Sink.log
+          (Phase
              {
                trace = tctx.Des.Trace_context.trace;
                site = t.site_id;

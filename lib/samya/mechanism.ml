@@ -122,8 +122,8 @@ let finish_borrow deps (ctx : Entity_state.t) (b : Entity_state.borrow)
   | None -> ()
   | Some sink ->
       if not (Des.Trace_context.is_none b.Entity_state.b_ctx) then
-        Obs.Causal.record sink.Obs.Sink.causal
-          (Obs.Causal.Phase
+        Obs.Trace_log.record sink.Obs.Sink.log
+          (Phase
              {
                trace = b.Entity_state.b_ctx.Des.Trace_context.trace;
                site = deps.bd_site;

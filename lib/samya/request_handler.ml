@@ -217,14 +217,14 @@ let reply_after_processing t reply response =
   | Some sink ->
       let trace = causal_trace t in
       if trace >= 0 then begin
-        let log = sink.Obs.Sink.causal in
+        let log = sink.Obs.Sink.log in
         let arrived = now t in
         if start > arrived then
-          Obs.Causal.record log
-            (Obs.Causal.Wait
+          Obs.Trace_log.record log
+            (Wait
                { trace; site = t.site_id; label = "cpu"; t0 = arrived; t1 = start });
-        Obs.Causal.record log
-          (Obs.Causal.Service { trace; site = t.site_id; t0 = start; t1 = finish })
+        Obs.Trace_log.record log
+          (Service { trace; site = t.site_id; t0 = start; t1 = finish })
       end);
   Des.Engine.schedule_at t.engine ~time_ms:finish (fun () -> reply response)
 
@@ -246,8 +246,8 @@ let park t (ctx : Entity_state.t) request reply ~label =
   | Some sink ->
       let trace = causal_trace t in
       if trace >= 0 then
-        Obs.Causal.record sink.Obs.Sink.causal
-          (Obs.Causal.Enqueued { trace; site = t.site_id; label; ts = now t }));
+        Obs.Trace_log.record sink.Obs.Sink.log
+          (Enqueued { trace; site = t.site_id; label; ts = now t }));
   t.s_queued_peak <- max t.s_queued_peak (Queue.length ctx.queue);
   ctx.queue_peak <- max ctx.queue_peak (Queue.length ctx.queue);
   obs_queue_depth t (Queue.length ctx.queue)
@@ -351,8 +351,8 @@ let drain_queue ?(reject_unservable = false) t (ctx : Entity_state.t) =
       | None -> ()
       | Some sink ->
           if not (Des.Trace_context.is_none qctx) then
-            Obs.Causal.record sink.Obs.Sink.causal
-              (Obs.Causal.Dequeued
+            Obs.Trace_log.record sink.Obs.Sink.log
+              (Dequeued
                  {
                    trace = qctx.Des.Trace_context.trace;
                    site = t.site_id;
@@ -373,8 +373,8 @@ let drain_queue ?(reject_unservable = false) t (ctx : Entity_state.t) =
           (match Obs.Sink.tap t.obs with
           | None -> ()
           | Some sink ->
-              Obs.Causal.record sink.Obs.Sink.causal
-                (Obs.Causal.Dequeued
+              Obs.Trace_log.record sink.Obs.Sink.log
+                (Dequeued
                    {
                      trace = qctx.Des.Trace_context.trace;
                      site = t.site_id;
@@ -411,8 +411,8 @@ let with_root_stamp t k =
       let stamp () =
         let trace = causal_trace t in
         if trace >= 0 then
-          Obs.Causal.record sink.Obs.Sink.causal
-            (Obs.Causal.Accepted { trace; site = t.site_id; ts = now t });
+          Obs.Trace_log.record sink.Obs.Sink.log
+            (Accepted { trace; site = t.site_id; ts = now t });
         k ()
       in
       if Des.Trace_context.is_none (Des.Engine.current_context t.engine) then
@@ -490,8 +490,8 @@ let finish_read t rid =
         | Some sink ->
             let trace = causal_trace t in
             if trace >= 0 then
-              Obs.Causal.record sink.Obs.Sink.causal
-                (Obs.Causal.Wait
+              Obs.Trace_log.record sink.Obs.Sink.log
+                (Wait
                    {
                      trace;
                      site = t.site_id;
@@ -516,8 +516,8 @@ let serve_read_inner t ~entity ~own reply =
   | Some sink ->
       let trace = causal_trace t in
       if trace >= 0 then
-        Obs.Causal.record sink.Obs.Sink.causal
-          (Obs.Causal.Accepted { trace; site = t.site_id; ts = now t }));
+        Obs.Trace_log.record sink.Obs.Sink.log
+          (Accepted { trace; site = t.site_id; ts = now t }));
   if t.n_sites = 1 then begin
     t.s_reads <- t.s_reads + 1;
     obs_incr t "samya.read.served";

@@ -150,7 +150,7 @@ let multi_entity_conserves_under_chaos =
       let regions =
         Array.init n_sites (fun i -> all_regions.(i mod Array.length all_regions))
       in
-      let auditor = Chaos.Auditor.create ~variant:config.Samya.Config.variant () in
+      let auditor = Chaos.Auditor.create ~variant:config.Samya.Config.variant ~n_sites () in
       let cluster =
         Samya.Cluster.create ~seed:cluster_seed ~config ~regions
           ~on_protocol_event:(fun ~site ~entity:_ event ->

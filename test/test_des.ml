@@ -415,6 +415,59 @@ let shard_fleet_matches_sequential () =
   in
   check bool "fleet run identical to sequential" true (run 1 = run 4)
 
+let shard_epoch_stamps_sequential_order () =
+  (* What the per-lane observability buffers rely on: every event knows
+     the lane draining it (-1 for globals and code between runs) and the
+     barrier epoch. Writes kept per lane and merged by (epoch, lane,
+     sequence) must give back the order one domain executes them in. *)
+  let lanes = 3 in
+  let run workers =
+    let shard = Des.Shard.create ~seed:5L ~workers ~lanes ~lookahead_ms:4.0 () in
+    let slots = Array.init (lanes + 1) (fun _ -> ref []) in
+    let executed = ref [] in
+    let write id =
+      let lane = Des.Shard.executing_lane () in
+      let stamped = (Des.Shard.epoch shard, lane, id) in
+      slots.(lane + 1) := stamped :: !(slots.(lane + 1));
+      if workers = 1 then executed := stamped :: !executed
+    in
+    write 0;
+    let rec hop lane time ttl =
+      if Des.Shard.executing_lane () <> lane then Alcotest.fail "wrong executing lane";
+      write ((lane * 1000) + ttl);
+      if ttl > 0 then
+        let dst = (lane + 1) mod lanes in
+        Des.Shard.schedule_cross shard ~src:lane ~dst ~time_ms:(time +. 4.0) (fun () ->
+            hop dst (time +. 4.0) (ttl - 1))
+    in
+    for lane = 0 to lanes - 1 do
+      for k = 0 to 5 do
+        let start = float_of_int ((lane * 2) + (k * 3)) in
+        Des.Shard.schedule_cross shard ~src:lane ~dst:lane ~time_ms:start (fun () ->
+            hop lane start (k mod 4))
+      done
+    done;
+    List.iter
+      (fun at ->
+        Des.Shard.schedule_global shard ~time_ms:at (fun () ->
+            if Des.Shard.executing_lane () <> -1 then Alcotest.fail "global on a lane";
+            write (-1)))
+      [ 7.0; 19.0 ];
+    Des.Shard.run shard ~until_ms:100.0;
+    write (-2);
+    let merged =
+      Array.to_list slots
+      |> List.concat_map (fun slot -> List.rev !slot)
+      |> List.stable_sort (fun (e, l, _) (e', l', _) -> compare (e, l) (e', l'))
+    in
+    (merged, List.rev !executed)
+  in
+  let merged1, executed = run 1 in
+  let merged4, _ = run 4 in
+  check bool "epochs advance" true (List.exists (fun (e, _, _) -> e > 2) executed);
+  check bool "merge gives the one-domain order" true (merged1 = executed);
+  check bool "four domains merge to the one-domain order" true (merged4 = executed)
+
 let shard_lookahead_monotone_property =
   (* Conservative-lookahead soundness is monotone: any lookahead that is
      still a lower bound on the cross-lane delivery delay yields the same
@@ -532,6 +585,8 @@ let suite =
       shard_global_barrier_aligns_clocks;
     Alcotest.test_case "shard: fleet matches sequential" `Quick
       shard_fleet_matches_sequential;
+    Alcotest.test_case "shard: epoch stamps order a sequential drain" `Quick
+      shard_epoch_stamps_sequential_order;
     QCheck_alcotest.to_alcotest shard_lookahead_monotone_property;
     QCheck_alcotest.to_alcotest shard_cross_delivery_order_property;
   ]

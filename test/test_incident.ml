@@ -76,6 +76,26 @@ let recorder_ring_overflow () =
   check (list string) "newest survive in order" [ "n6"; "n7"; "n8"; "n9" ]
     retained
 
+let recorder_rejects_non_positive_capacity () =
+  (* At 0 the first record would index an empty ring; below 0 it would
+     fail inside Array.make. [create] refuses both, naming the value. *)
+  let rejects what create =
+    List.iter
+      (fun n ->
+        match create n with
+        | _ -> failf "%s %d accepted" what n
+        | exception Invalid_argument msg ->
+            check bool
+              (Printf.sprintf "%S names %d" msg n)
+              true
+              (String.ends_with ~suffix:(Printf.sprintf "(got %d)" n) msg))
+      [ 0; -1 ]
+  in
+  rejects "lane_capacity" (fun lane_capacity ->
+      Obs.Flight_recorder.create ~lane_capacity ());
+  rejects "global_capacity" (fun global_capacity ->
+      Obs.Flight_recorder.create ~global_capacity ())
+
 let port_disarmed_is_noop () =
   let port = Obs.Flight_recorder.port () in
   check bool "disarmed tap" true (Obs.Flight_recorder.tap port = None);
@@ -370,6 +390,8 @@ let suite =
     test_case "recorder: ring overflow drops oldest" `Quick
       recorder_ring_overflow;
     test_case "recorder: port arm/disarm" `Quick port_disarmed_is_noop;
+    test_case "recorder: rejects non-positive capacity" `Quick
+      recorder_rejects_non_positive_capacity;
     qcheck merge_commutative;
     qcheck merge_associative;
     qcheck merge_lossless_on_disjoint;

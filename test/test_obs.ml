@@ -1,18 +1,22 @@
 (* Tests for the observability layer: metric registry semantics (including
-   the qcheck'd histogram-merge algebra), the span recorder, the
-   trace_event/metrics exporters, and end-to-end trace determinism across
-   pool parallelism levels. *)
+   the qcheck'd histogram-merge algebra), the per-lane trace log and its
+   merge order, the trace_event/metrics exporters, and end-to-end trace
+   determinism across pool and engine parallelism levels. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 let string = Alcotest.string
 
+(* A plain one-writer registry / log (one engine, no windows). *)
+let single_clock () = Obs.Lane_log.single (fun () -> 0.0)
+let registry () = Obs.Metrics.create (single_clock ())
+
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
 
 let metrics_instruments_interned () =
-  let m = Obs.Metrics.create () in
+  let m = registry () in
   let c = Obs.Metrics.counter m "c" in
   Obs.Metrics.incr c;
   Obs.Metrics.add (Obs.Metrics.counter m "c") 4;
@@ -25,7 +29,7 @@ let metrics_instruments_interned () =
   check bool "gauge max survives later writes" true (Obs.Metrics.gauge_max g = Some 7.0)
 
 let metrics_histogram_quantiles () =
-  let m = Obs.Metrics.create () in
+  let m = registry () in
   let h = Obs.Metrics.histogram m "h" in
   for i = 1 to 1000 do
     Obs.Metrics.observe h (float_of_int i)
@@ -41,20 +45,8 @@ let metrics_histogram_quantiles () =
   check bool "p99 near 990" true (p99 >= 900.0 && p99 <= 1300.0);
   check bool "p99 >= p50" true (p99 >= p50)
 
-let metrics_null_is_inert () =
-  let c = Obs.Metrics.counter Obs.Metrics.null "c" in
-  Obs.Metrics.incr c;
-  Obs.Metrics.add c 10;
-  check int "dead counter stays 0" 0 (Obs.Metrics.counter_value c);
-  Obs.Metrics.observe (Obs.Metrics.histogram Obs.Metrics.null "h") 1.0;
-  Obs.Metrics.set (Obs.Metrics.gauge Obs.Metrics.null "g") 1.0;
-  let s = Obs.Metrics.snapshot Obs.Metrics.null in
-  check bool "null snapshot empty" true
-    (s.Obs.Metrics.counters = [] && s.Obs.Metrics.gauges = []
-    && s.Obs.Metrics.histograms = [])
-
 let snapshot_of_values values =
-  let m = Obs.Metrics.create () in
+  let m = registry () in
   let h = Obs.Metrics.histogram m "h" in
   List.iter (Obs.Metrics.observe h) values;
   Obs.Metrics.snapshot_histogram h
@@ -105,30 +97,123 @@ let merge_is_concat =
 
 let span_records_in_order () =
   let clock = ref 0.0 in
-  let t = Obs.Span.create ~now:(fun () -> !clock) () in
-  let span = Obs.Span.start t ~cat:"c" ~tid:3 "work" in
+  let t = Obs.Trace_log.create (Obs.Lane_log.single (fun () -> !clock)) in
+  let span = Obs.Trace_log.start t ~cat:"c" ~tid:3 "work" in
   clock := 5.0;
-  Obs.Span.instant t ~tid:3 "tick";
+  Obs.Trace_log.instant t ~tid:3 "tick";
   clock := 9.0;
-  Obs.Span.finish t ~args:[ ("k", "v") ] span;
-  match Obs.Span.events t with
-  | [ Obs.Span.Instant { name = "tick"; ts = 5.0; _ };
-      Obs.Span.Complete { name = "work"; ts = 0.0; dur = 9.0; args = [ ("k", "v") ]; _ } ] ->
-      check int "event_count" 2 (Obs.Span.event_count t)
+  Obs.Trace_log.finish t ~args:[ ("k", "v") ] span;
+  Obs.Trace_log.finish t span;
+  match Obs.Trace_log.events t with
+  | [ Obs.Trace_log.Instant { name = "tick"; ts = 5.0; _ };
+      Obs.Trace_log.Complete { name = "work"; ts = 0.0; dur = 9.0; args = [ ("k", "v") ]; _ } ] ->
+      ()
   | events -> Alcotest.failf "unexpected events (%d)" (List.length events)
 
-let span_disabled_records_nothing () =
-  let t = Obs.Span.null in
-  let span = Obs.Span.start t "work" in
-  Obs.Span.finish t span;
-  Obs.Span.instant t "tick";
-  Obs.Span.counter_sample t ~value:1.0 "c";
-  check int "no events" 0 (Obs.Span.event_count t)
+(* The per-lane merge. A random program writes from lanes -1..k-1 across
+   barrier epochs: in each epoch, lane -1 (the coordinator: setup,
+   globals) writes first, then the window's lanes write in a random
+   cross-lane interleaving, as parallel domains would. The trace log must
+   read back exactly what one domain draining the windows in turn would
+   have appended, and the registry must hold exactly the values of that
+   sequential order — including the float sum and the gauge's last
+   write. *)
+type program = { lanes : int; epochs : int; writes : (int * int * int) list; seed : int }
+
+let program_gen =
+  QCheck.Gen.(
+    let* lanes = int_range 1 4 in
+    let* epochs = int_range 1 6 in
+    let* writes =
+      list_size (int_bound 80)
+        (triple (int_bound (epochs - 1)) (int_range (-1) (lanes - 1)) (int_bound 1000))
+    in
+    let* seed = int in
+    return { lanes; epochs; writes; seed })
+
+let print_program p =
+  Printf.sprintf "lanes=%d epochs=%d seed=%d writes=[%s]" p.lanes p.epochs p.seed
+    (String.concat "; "
+       (List.map (fun (e, l, v) -> Printf.sprintf "(%d,%d,%d)" e l v) p.writes))
+
+let hop ~epoch ~lane v =
+  Obs.Trace_log.Hop { trace = v; edge = epoch; src = lane; dst = 0; t0 = 0.0; t1 = 0.0 }
+
+let observed v = float_of_int v /. 7.0
+
+let lane_merge_matches_sequential_drain =
+  QCheck.Test.make ~count:300 ~name:"trace log: lane merge equals a sequential drain"
+    (QCheck.make ~print:print_program program_gen) (fun p ->
+      let lane = ref (-1) and epoch = ref 0 in
+      let clock =
+        {
+          Obs.Lane_log.lanes = p.lanes;
+          lane = (fun () -> !lane);
+          epoch = (fun () -> !epoch);
+          now = (fun _ -> 0.0);
+        }
+      in
+      let sink = Obs.Sink.create clock in
+      let m = sink.Obs.Sink.metrics in
+      let c = Obs.Metrics.counter m "c"
+      and g = Obs.Metrics.gauge m "g"
+      and h = Obs.Metrics.histogram m "h" in
+      let write l v =
+        lane := l;
+        Obs.Trace_log.record sink.Obs.Sink.log (hop ~epoch:!epoch ~lane:l v);
+        Obs.Metrics.add c v;
+        Obs.Metrics.set g (float_of_int v);
+        (* Resolving by name mid-window is what instrumented code does. *)
+        Obs.Metrics.observe (Obs.Metrics.histogram m "h") (observed v)
+      in
+      let rng = Random.State.make [| p.seed |] in
+      let of_lane e l =
+        List.filter_map (fun (e', l', v) -> if e' = e && l' = l then Some v else None) p.writes
+      in
+      for e = 0 to p.epochs - 1 do
+        epoch := e;
+        List.iter (write (-1)) (of_lane e (-1));
+        let queues = Array.init p.lanes (fun l -> ref (of_lane e l)) in
+        let rec window () =
+          match List.filter (fun l -> !(queues.(l)) <> []) (List.init p.lanes Fun.id) with
+          | [] -> ()
+          | ready ->
+              let l = List.nth ready (Random.State.int rng (List.length ready)) in
+              let queue = queues.(l) in
+              write l (List.hd !queue);
+              queue := List.tl !queue;
+              window ()
+        in
+        window ();
+        lane := -1
+      done;
+      (* The model: one domain, windows in turn, lane -1 first in each
+         epoch, then lanes ascending. *)
+      let sequential =
+        List.stable_sort (fun (e, l, _) (e', l', _) -> compare (e, l) (e', l')) p.writes
+      in
+      let values = List.map (fun (_, _, v) -> v) sequential in
+      let expected_events =
+        List.map (fun (e, l, v) -> hop ~epoch:e ~lane:l v) sequential
+      in
+      let expected_sum = List.fold_left (fun acc v -> acc +. observed v) 0.0 values in
+      let snap = Obs.Metrics.snapshot_histogram h in
+      let last = match List.rev values with [] -> None | v :: _ -> Some (float_of_int v) in
+      let max =
+        if values = [] then None
+        else Some (float_of_int (List.fold_left Stdlib.max min_int values))
+      in
+      Obs.Trace_log.events sink.Obs.Sink.log = expected_events
+      && Obs.Metrics.counter_value c = List.fold_left ( + ) 0 values
+      && Obs.Metrics.gauge_value g = last
+      && Obs.Metrics.gauge_max g = max
+      && snap.Obs.Metrics.count = List.length values
+      && Int64.bits_of_float snap.Obs.Metrics.sum = Int64.bits_of_float expected_sum)
 
 let sink_port_taps_late () =
   let port = Obs.Sink.port () in
   check bool "untapped" true (Obs.Sink.tap port = None);
-  let sink = Obs.Sink.create ~now:(fun () -> 0.0) () in
+  let sink = Obs.Sink.create (single_clock ()) in
   Obs.Sink.attach port sink;
   (match Obs.Sink.tap port with
   | Some s -> check bool "same sink" true (s == sink)
@@ -141,20 +226,20 @@ let sink_port_taps_late () =
 
 let export_valid_trace () =
   let clock = ref 0.0 in
-  let t = Obs.Span.create ~now:(fun () -> !clock) () in
-  Obs.Span.thread_name t ~tid:0 "site 0";
-  let span = Obs.Span.start t ~cat:"net" "hop \"quoted\"\n" in
+  let t = Obs.Trace_log.create (Obs.Lane_log.single (fun () -> !clock)) in
+  Obs.Trace_log.record t (Obs.Trace_log.Thread_name { tid = 0; name = "site 0" });
+  let span = Obs.Trace_log.start t ~cat:"net" "hop \"quoted\"\n" in
   clock := 1.5;
-  Obs.Span.finish t span;
-  Obs.Span.instant t ~args:[ ("why", "test") ] "drop";
-  Obs.Span.counter_sample t ~value:3.0 "depth";
+  Obs.Trace_log.finish t span;
+  Obs.Trace_log.instant t ~args:[ ("why", "test") ] "drop";
+  Obs.Trace_log.record t (Obs.Trace_log.Completed { trace = 1; outcome = "granted"; ts = 1.5 });
   let buf = Buffer.create 256 in
   Obs.Export.trace_json buf [ ("sys", t) ];
   let json = Buffer.contents buf in
   match Obs.Export.validate_trace json with
   | Ok events ->
-      (* 4 recorded + process_name metadata *)
-      check int "events" 5 events
+      (* 3 span events + process_name metadata; the causal event stays out *)
+      check int "events" 4 events
   | Error reason -> Alcotest.failf "invalid trace: %s\n%s" reason json
 
 let export_rejects_garbage () =
@@ -168,7 +253,7 @@ let export_rejects_garbage () =
     invalid
 
 let export_metrics_schema () =
-  let m = Obs.Metrics.create () in
+  let m = registry () in
   Obs.Metrics.incr (Obs.Metrics.counter m "a.b");
   Obs.Metrics.observe (Obs.Metrics.histogram m "h") 4.2;
   let buf = Buffer.create 256 in
@@ -182,6 +267,34 @@ let export_metrics_schema () =
   check bool "schema header" true (contains "samya-metrics/1");
   check bool "meta" true (contains "\"k\":\"v\"");
   check bool "counter" true (contains "a.b")
+
+(* JSON has no infinity: an infinite observation must still export a
+   document [Export.parse] accepts, with the non-finite values as null. *)
+let export_non_finite_metrics () =
+  let m = registry () in
+  let h = Obs.Metrics.histogram m "h" in
+  Obs.Metrics.observe h 2.0;
+  Obs.Metrics.observe h infinity;
+  Obs.Metrics.set (Obs.Metrics.gauge m "g") neg_infinity;
+  let buf = Buffer.create 256 in
+  Obs.Export.metrics_json buf [ ("sys", m) ];
+  let json = Buffer.contents buf in
+  match Obs.Export.parse json with
+  | Error reason -> Alcotest.failf "metrics document rejected: %s\n%s" reason json
+  | Ok doc ->
+      let lookup root path =
+        List.fold_left (fun j k -> Option.bind j (Obs.Export.member k)) (Some root) path
+      in
+      let section =
+        match lookup doc [ "sections" ] with
+        | Some (Obs.Export.Arr [ s ]) -> s
+        | _ -> Alcotest.fail "one section"
+      in
+      let is path v = lookup section path = Some v in
+      check bool "histogram sum is null" true (is [ "histograms"; "h"; "sum" ] Obs.Export.Null);
+      check bool "histogram max is null" true (is [ "histograms"; "h"; "max" ] Obs.Export.Null);
+      check bool "histogram min kept" true (is [ "histograms"; "h"; "min" ] (Obs.Export.Num 2.0));
+      check bool "gauge last is null" true (is [ "gauges"; "g"; "last" ] Obs.Export.Null)
 
 (* ------------------------------------------------------------------ *)
 (* End to end: facade subscription + driver, byte-identical across jobs *)
@@ -203,43 +316,40 @@ let trace_deterministic_across_jobs () =
   in
   (* A small maximum forces redistributions, so the Avantan observer's
      spans are part of what must be deterministic. *)
-  let builders =
-    [
-      ( "samya",
-        fun () ->
-          Harness.Systems.samya ~seed:3L ~config:Samya.Config.default ~regions
-            ~entity ~maximum:500 () );
-      ("multipaxsys", fun () -> Harness.Systems.multipaxsys ~seed:3L ~entity ~maximum:500 ());
-    ]
+  let samya engine_jobs () =
+    Harness.Systems.samya ~seed:3L ~engine_jobs ~config:Samya.Config.default ~regions
+      ~entity ~maximum:500 ()
   in
-  let capture () =
-    let recorders =
-      Harness.Pool.map
-        (fun (label, build) ->
-          let t_system = build () in
-          let sink =
-            Obs.Sink.create ~now:t_system.Harness.Systems.lane_now ()
-          in
-          t_system.Harness.Systems.subscribe sink;
-          let spec =
-            {
-              (Harness.Driver.default_spec ~client_regions:regions ~requests
-                 ~duration_ms)
-              with
-              Harness.Driver.obs = Some sink;
-            }
-          in
-          ignore (Harness.Driver.run ~t_system spec);
-          (label, sink))
-        builders
+  let observe build =
+    let t_system = build () in
+    let sink = t_system.Harness.Systems.subscribe () in
+    let spec =
+      {
+        (Harness.Driver.default_spec ~client_regions:regions ~requests ~duration_ms)
+        with
+        Harness.Driver.obs = Some sink;
+      }
     in
+    ignore (Harness.Driver.run ~t_system spec);
+    sink
+  in
+  let export captures =
     let buf = Buffer.create (1 lsl 16) in
-    Obs.Export.trace_json buf
-      (List.map (fun (l, s) -> (l, s.Obs.Sink.spans)) recorders);
+    Obs.Export.trace_json buf (List.map (fun (l, s) -> (l, s.Obs.Sink.log)) captures);
     let mbuf = Buffer.create 4096 in
     Obs.Export.metrics_json mbuf
-      (List.map (fun (l, s) -> (l, s.Obs.Sink.metrics)) recorders);
+      (List.map (fun (l, s) -> (l, s.Obs.Sink.metrics)) captures);
     (Buffer.contents buf, Buffer.contents mbuf)
+  in
+  let capture () =
+    export
+      (Harness.Pool.map
+         (fun (label, build) -> (label, observe build))
+         [
+           ("samya", samya 1);
+           ( "multipaxsys",
+             fun () -> Harness.Systems.multipaxsys ~seed:3L ~entity ~maximum:500 () );
+         ])
   in
   let trace1, metrics1 = with_jobs 1 capture in
   let trace2, metrics2 = with_jobs 2 capture in
@@ -247,7 +357,23 @@ let trace_deterministic_across_jobs () =
   | Ok events -> check bool "trace has events" true (events > 100)
   | Error reason -> Alcotest.failf "invalid trace: %s" reason);
   check string "trace byte-identical across jobs" trace1 trace2;
-  check string "metrics byte-identical across jobs" metrics1 metrics2
+  check string "metrics byte-identical across jobs" metrics1 metrics2;
+  (* The Samya arm across engine worker domains: an observed run drains
+     its windows in parallel, and every view must stay the same. *)
+  let samya_at engine_jobs =
+    let sink = observe (samya engine_jobs) in
+    let trace, metrics = export [ ("samya", sink) ] in
+    (trace, metrics, Obs.Critical_path.analyze (Obs.Trace_log.events sink.Obs.Sink.log))
+  in
+  let trace1, metrics1, paths1 = samya_at 1 in
+  check bool "critical paths found" true (List.length paths1 > 100);
+  List.iter
+    (fun n ->
+      let trace, metrics, paths = samya_at n in
+      check string (Printf.sprintf "trace at engine_jobs %d" n) trace1 trace;
+      check string (Printf.sprintf "metrics at engine_jobs %d" n) metrics1 metrics;
+      check bool (Printf.sprintf "critical paths at engine_jobs %d" n) true (paths1 = paths))
+    [ 2; 4 ]
 
 let unsubscribed_run_matches_baseline () =
   (* The facade without a sink must not change results at all. *)
@@ -268,13 +394,8 @@ let unsubscribed_run_matches_baseline () =
       Harness.Driver.default_spec ~client_regions:regions ~requests ~duration_ms
     in
     let spec =
-      if observe then begin
-        let sink =
-          Obs.Sink.create ~now:t_system.Harness.Systems.lane_now ()
-        in
-        t_system.Harness.Systems.subscribe sink;
-        { spec with Harness.Driver.obs = Some sink }
-      end
+      if observe then
+        { spec with Harness.Driver.obs = Some (t_system.Harness.Systems.subscribe ()) }
       else spec
     in
     let result = Harness.Driver.run ~t_system spec in
@@ -311,10 +432,10 @@ let observed_spans_use_executing_lane_clock () =
   let durations =
     List.filter_map
       (function
-        | Obs.Span.Complete { cat = "request"; tid; dur; _ } when tid >= 1000 ->
+        | Obs.Trace_log.Complete { cat = "request"; tid; dur; _ } when tid >= 1000 ->
             Some dur
         | _ -> None)
-      (Obs.Span.events sink.Obs.Sink.spans)
+      (Obs.Trace_log.events sink.Obs.Sink.log)
   in
   check bool "request spans recorded" true (List.length durations > 1000);
   let short = List.filter (fun d -> d < min_rtt) durations in
@@ -328,16 +449,17 @@ let suite =
   [
     Alcotest.test_case "metrics: interning" `Quick metrics_instruments_interned;
     Alcotest.test_case "metrics: histogram quantiles" `Quick metrics_histogram_quantiles;
-    Alcotest.test_case "metrics: null registry" `Quick metrics_null_is_inert;
     QCheck_alcotest.to_alcotest merge_commutative;
     QCheck_alcotest.to_alcotest merge_associative;
     QCheck_alcotest.to_alcotest merge_is_concat;
     Alcotest.test_case "span: records in order" `Quick span_records_in_order;
-    Alcotest.test_case "span: disabled is inert" `Quick span_disabled_records_nothing;
+    QCheck_alcotest.to_alcotest lane_merge_matches_sequential_drain;
     Alcotest.test_case "sink: late-bound port" `Quick sink_port_taps_late;
     Alcotest.test_case "export: valid trace_event" `Quick export_valid_trace;
     Alcotest.test_case "export: rejects malformed" `Quick export_rejects_garbage;
     Alcotest.test_case "export: metrics schema" `Quick export_metrics_schema;
+    Alcotest.test_case "export: non-finite metrics stay valid JSON" `Quick
+      export_non_finite_metrics;
     Alcotest.test_case "trace: deterministic across jobs" `Slow
       trace_deterministic_across_jobs;
     Alcotest.test_case "trace: observation does not perturb" `Slow

@@ -160,15 +160,15 @@ let feq name expected actual =
 let critical_path_partitions_window () =
   let events =
     [
-      Obs.Causal.Submitted { trace = 3; client = 0; kind = "req.acquire"; entity = ""; ts = 0.0 };
-      Obs.Causal.Accepted { trace = 3; site = 1; ts = 10.0 };
-      Obs.Causal.Enqueued { trace = 3; site = 1; label = "admission"; ts = 10.0 };
-      Obs.Causal.Dequeued { trace = 3; site = 1; ts = 25.0 };
-      Obs.Causal.Phase { trace = 3; site = 1; name = "accept"; t0 = 25.0; t1 = 60.0 };
+      Obs.Trace_log.Submitted { trace = 3; client = 0; kind = "req.acquire"; entity = ""; ts = 0.0 };
+      Obs.Trace_log.Accepted { trace = 3; site = 1; ts = 10.0 };
+      Obs.Trace_log.Enqueued { trace = 3; site = 1; label = "admission"; ts = 10.0 };
+      Obs.Trace_log.Dequeued { trace = 3; site = 1; ts = 25.0 };
+      Obs.Trace_log.Phase { trace = 3; site = 1; name = "accept"; t0 = 25.0; t1 = 60.0 };
       (* Hops under the phase lose to it; only their overhang counts. *)
-      Obs.Causal.Hop { trace = 3; edge = 9; src = 1; dst = 2; t0 = 30.0; t1 = 70.0 };
-      Obs.Causal.Service { trace = 3; site = 1; t0 = 70.0; t1 = 75.0 };
-      Obs.Causal.Completed { trace = 3; outcome = "granted"; ts = 90.0 };
+      Obs.Trace_log.Hop { trace = 3; edge = 9; src = 1; dst = 2; t0 = 30.0; t1 = 70.0 };
+      Obs.Trace_log.Service { trace = 3; site = 1; t0 = 70.0; t1 = 75.0 };
+      Obs.Trace_log.Completed { trace = 3; outcome = "granted"; ts = 90.0 };
     ]
   in
   match Obs.Critical_path.analyze events with
@@ -187,10 +187,10 @@ let critical_path_partitions_window () =
 let critical_path_reports_interior_gap () =
   let events =
     [
-      Obs.Causal.Submitted { trace = 1; client = 2; kind = "req.read"; entity = ""; ts = 0.0 };
-      Obs.Causal.Service { trace = 1; site = 0; t0 = 10.0; t1 = 20.0 };
-      Obs.Causal.Hop { trace = 1; edge = 4; src = 0; dst = 1; t0 = 32.0; t1 = 40.0 };
-      Obs.Causal.Completed { trace = 1; outcome = "granted"; ts = 50.0 };
+      Obs.Trace_log.Submitted { trace = 1; client = 2; kind = "req.read"; entity = ""; ts = 0.0 };
+      Obs.Trace_log.Service { trace = 1; site = 0; t0 = 10.0; t1 = 20.0 };
+      Obs.Trace_log.Hop { trace = 1; edge = 4; src = 0; dst = 1; t0 = 32.0; t1 = 40.0 };
+      Obs.Trace_log.Completed { trace = 1; outcome = "granted"; ts = 50.0 };
     ]
   in
   match Obs.Critical_path.analyze events with
@@ -205,9 +205,9 @@ let critical_path_reports_interior_gap () =
 let critical_path_ignores_incomplete () =
   let events =
     [
-      Obs.Causal.Submitted { trace = 1; client = 0; kind = "req.acquire"; entity = ""; ts = 0.0 };
-      Obs.Causal.Submitted { trace = 2; client = 0; kind = "req.acquire"; entity = ""; ts = 1.0 };
-      Obs.Causal.Completed { trace = 2; outcome = "rejected"; ts = 4.0 };
+      Obs.Trace_log.Submitted { trace = 1; client = 0; kind = "req.acquire"; entity = ""; ts = 0.0 };
+      Obs.Trace_log.Submitted { trace = 2; client = 0; kind = "req.acquire"; entity = ""; ts = 1.0 };
+      Obs.Trace_log.Completed { trace = 2; outcome = "rejected"; ts = 4.0 };
     ]
   in
   check int "submitted" 2 (Obs.Critical_path.submitted_count events);
