@@ -62,11 +62,11 @@ let micro_benchmarks () =
       (Staged.stage (fun () -> ignore (Ml.Lstm.predict_next model series)))
   in
   (* A site's entity arena at gateway-fleet scale: a million keys in a
-     sharded directory, appended by eid as a cluster registers them, and a
-     Zipfian-shaped access mix of hot head and cold tail. Lookups and
-     updates must stay flat in the fleet size (hash into a directory
-     shard, then index the arena) and iteration must stay linear — these
-     are the operations every request and every batch-scope freeze pays. The ~100 MB arena is allocated per
+     sharded directory, appended in bulk as a cluster registers them, and
+     a Zipfian-shaped access mix of hot head and cold tail. Lookups and
+     updates must stay flat in the fleet size (one hash into a directory
+     shard, then the arena slot) and the by-eid ledger scan every audit
+     pays must stay linear. The ~60 MB arena is allocated per
      test and compacted away afterwards (make_with_resource): kept resident
      it inflates every later allocating benchmark's numbers, since each
      minor collection then drags a major-heap slice over the arena. *)
@@ -78,9 +78,9 @@ let micro_benchmarks () =
       Samya.Entity_map.create ~directory ~capacity:fleet ()
     in
     for r = 0 to fleet - 1 do
-      let eid = Samya.Entity_map.Directory.add directory (fleet_name r) in
-      ignore (Samya.Entity_map.append map ~eid ~tokens:10)
+      ignore (Samya.Entity_map.Directory.add directory (fleet_name r))
     done;
+    Samya.Entity_map.append map ~first_eid:0 (Array.make fleet 10);
     (* 512 hot-head keys and 512 spread across the cold tail. *)
     let mix =
       Array.init 1_024 (fun i ->
@@ -113,9 +113,9 @@ let micro_benchmarks () =
       ~allocate:allocate_arena ~free:free_arena
       (Staged.stage (fun (arena, _mix) ->
            let alive = ref 0 in
-           Samya.Entity_map.iter
-             (fun core -> if core.Samya.Entity_map.tokens_left > 0 then incr alive)
-             arena;
+           for eid = 0 to Samya.Entity_map.length arena - 1 do
+             if Samya.Entity_map.tokens_left arena eid > 0 then incr alive
+           done;
            ignore !alive))
   in
   (* Instrumentation-off drains: the observability layer must not put

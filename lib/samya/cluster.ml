@@ -239,23 +239,28 @@ let arm_flight t (attachment : Obs.Flight_recorder.attachment) =
   Des.Shard.set_barrier_hook t.shard (fun () ->
       Obs.Flight_recorder.drain attachment.Obs.Flight_recorder.recorder)
 
-(* [(tokens left, acquired)] summed over every site, resolving the name
-   once: every site's arena holds every directory eid. *)
-let ledger t ~entity =
-  match Entity_map.Directory.find t.directory entity with
-  | None -> (0, 0)
-  | Some eid ->
-      Array.fold_left
-        (fun (left, acquired) site ->
-          let core = Entity_map.by_eid (Site.arena site) eid in
-          (left + core.Entity_map.tokens_left, acquired + core.Entity_map.acquired_net))
-        (0, 0) t.sites
+(* One ledger field of [eid] summed over every site ([0] for the unknown
+   eid [-1]): every site's arena holds every directory eid. Reads only —
+   no core is materialised and nothing is allocated. *)
+let total t eid field =
+  let sum = ref 0 in
+  if eid >= 0 then
+    for i = 0 to Array.length t.sites - 1 do
+      sum := !sum + field (Site.arena t.sites.(i)) eid
+    done;
+  !sum
 
-let total_tokens_left t ~entity = fst (ledger t ~entity)
-let total_acquired t ~entity = snd (ledger t ~entity)
+let total_tokens_left t ~entity =
+  total t (Entity_map.Directory.find t.directory entity) Entity_map.tokens_left
 
+let total_acquired t ~entity =
+  total t (Entity_map.Directory.find t.directory entity) Entity_map.acquired_net
+
+(* The audit resolves the name once and reads each site's ledger by eid. *)
 let check_invariant t ~entity ~maximum =
-  let left, acquired = ledger t ~entity in
+  let eid = Entity_map.Directory.find t.directory entity in
+  let left = total t eid Entity_map.tokens_left
+  and acquired = total t eid Entity_map.acquired_net in
   if acquired < 0 then Error (Printf.sprintf "negative total acquisition: %d" acquired)
   else if acquired > maximum then
     Error (Printf.sprintf "constraint violated: %d acquired > maximum %d" acquired maximum)

@@ -142,7 +142,8 @@ val check_invariant : t -> entity:Types.entity -> maximum:int -> (unit, string) 
 (** Equation 1 plus token conservation: [0 <= total_acquired <= maximum]
     and [total_tokens_left + total_acquired = maximum]. Meaningful at
     quiescent points (no decision deliveries in flight). Resolves the
-    name once and reads every site's core by eid. *)
+    name once and reads every site's ledger by eid; reads leave cold
+    entities cold and allocate nothing. *)
 
 val pin_policy : t -> entity:Types.entity -> Config.Controller.policy -> unit
 (** {!Site.pin_policy} on every site: pin the entity's token-movement

@@ -1,22 +1,31 @@
-(** Entity arena: one compact {!core} per registered entity, dense
-    entity ids, and lazily materialised "hot" state.
+(** Entity arena: dense entity ids, a starting share per cold entity,
+    a compact {!core} per touched entity, and lazily materialised "hot"
+    state.
 
     A production gateway holds millions of aggregate objects of which only
-    a few are contended at any moment. The arena keeps a cold entity at a
-    handful of words — its name, dense id, and token ledger — and defers
-    everything heavyweight (request queue, demand tracker, decided log,
-    protocol machine) to the ['hot] payload, attached on first contention
-    by the owning {!Site}.
+    a few are contended at any moment, so an entity costs what its lane
+    has done with it:
+    - {e cold}: never touched by the owning site — one [int] (its starting
+      share) in the arena, and a shared sentinel in its eid slot;
+    - {e touched}: a request, an exposure to a batch scope or heating
+      allocated its {!core} — name, dense id, token ledger — from that int;
+    - {e hot}: contended — the heavyweight ['hot] payload (request queue,
+      demand tracker, decided log, protocol machine) attached by the
+      owning {!Site}.
 
-    Names resolve through a {!Directory}: name → dense eid, hashed into
-    one of [shards] tables. The namespace is the same at every site —
-    only the token values are partitioned — so a {!Cluster} owns one
-    directory and each site's arena is a dense eid-indexed array of
-    cores pointing at it: a name is hashed once per cluster at
-    registration, not once per site. The directory is written only
+    Only the lane that owns the arena touches: {!find}, {!by_eid} and
+    {!register} materialise a core; {!peek}, {!eid} and the by-eid ledger
+    reads never allocate one.
+
+    Names resolve through a {!Directory}: name → dense eid, one
+    [Hashtbl.hash] per lookup, open-addressed into one of [shards] flat
+    [int] tables. The namespace is the same at every site — only the token
+    values are partitioned — so a {!Cluster} owns one directory and each
+    site's arena is indexed by its eids: a name is hashed once per cluster
+    at registration, not once per site. The directory is written only
     between simulation windows; lanes read it concurrently inside them.
     Iteration runs in dense-eid (registration) order, so results never
-    depend on the shard count. *)
+    depend on the shard count or on the order entities were touched. *)
 
 type 'hot core = {
   name : string;
@@ -30,7 +39,7 @@ type 'hot core = {
           per-entity machines track exposure internally instead) *)
   mutable hot : 'hot option;
       (** the heavyweight per-entity state ({!Entity_state.t} in the
-          site), [None] while the entity is cold *)
+          site), [None] until the entity turns hot *)
 }
 
 (** The shared name → eid map. *)
@@ -38,14 +47,16 @@ module Directory : sig
   type t
 
   val create : ?shards:int -> ?capacity:int -> unit -> t
-  (** [capacity] is a size hint (expected entities). Raises
-      [Invalid_argument] unless [shards >= 1] and [capacity >= 1]. *)
+  (** [capacity] is a size hint (expected entities) that pre-sizes the
+      tables. Raises [Invalid_argument] unless [shards >= 1] and
+      [capacity >= 1]. *)
 
   val add : t -> string -> int
   (** Assign the next dense eid to a new name. Raises [Invalid_argument]
       on a duplicate. *)
 
-  val find : t -> string -> int option
+  val find : t -> string -> int
+  (** The name's eid, or [-1] for an unknown name (no allocation). *)
 
   val name : t -> int -> string
   (** Raises [Invalid_argument] out of range. *)
@@ -56,6 +67,10 @@ module Directory : sig
   (** [truncate d n] forgets every name whose eid is [>= n] — the
       rollback of a rejected batch. Only valid while no arena on [d] has
       appended those eids. *)
+
+  val max_probe : t -> int
+  (** The longest probe any present name takes: [1] when every name sits
+      in its home slot ([0] when empty). A health figure for the hash. *)
 end
 
 type 'hot t
@@ -64,39 +79,56 @@ val create :
   ?directory:Directory.t -> ?shards:int -> ?capacity:int -> unit -> 'hot t
 (** An empty arena on [directory]; without one the arena gets its own,
     built with [shards] and [capacity] ([shards] is ignored otherwise).
-    [capacity] is a size hint for the core array. Raises
+    [capacity] is a size hint for the eid-indexed arrays. Raises
     [Invalid_argument] unless [shards >= 1] and [capacity >= 1]. *)
 
-val append : 'hot t -> eid:int -> tokens:int -> 'hot core
-(** Add the cold core of an entity the directory already holds, with no
-    hashing. Eids must arrive in order: [eid] must equal {!length}.
-    Raises [Invalid_argument] otherwise, on an eid the directory does
-    not hold, or on negative tokens. *)
+val append : 'hot t -> first_eid:int -> int array -> unit
+(** [append t ~first_eid shares] adds cold entities the directory already
+    holds, eids [first_eid ..] with starting tokens [shares], with no
+    hashing and no core. Eids must arrive in order: [first_eid] must
+    equal {!length}. Raises [Invalid_argument] otherwise, on an eid the
+    directory does not hold, or on negative tokens. *)
 
 val register : 'hot t -> entity:string -> tokens:int -> 'hot core
-(** Add a new name to the directory and {!append} its cold core holding
-    [tokens]. Raises [Invalid_argument] on a duplicate name, negative
-    tokens, or an arena that has not appended every eid of its
-    directory. *)
+(** Add a new name to the directory, {!append} it and return its core.
+    Raises [Invalid_argument] on a duplicate name, negative tokens, or
+    an arena that has not appended every eid of its directory. *)
 
 val find : 'hot t -> string -> 'hot core option
-(** One directory lookup; [None] for an unknown name or an eid this
-    arena has not appended yet. *)
+(** One directory lookup, then the entity's core, materialised on first
+    touch; [None] for an unknown name or an eid this arena has not
+    appended yet. Owning lane only. *)
 
 val by_eid : 'hot t -> int -> 'hot core
-(** Raises [Invalid_argument] out of range. *)
+(** The core of an appended eid, materialised on first touch. Owning
+    lane only. Raises [Invalid_argument] out of range. *)
+
+val peek : 'hot t -> string -> 'hot core option
+(** The core if the entity has been touched, [None] if it is cold or
+    unknown. Never allocates a core. *)
+
+val eid : 'hot t -> string -> int
+(** The entity's eid, or [-1] if unknown or not appended yet. *)
+
+(** Ledger reads by eid, cold or touched; none allocates. Each raises
+    [Invalid_argument] on an eid this arena has not appended. *)
+
+val tokens_left : 'hot t -> int -> int
+val acquired_net : 'hot t -> int -> int
+val tokens_wanted : 'hot t -> int -> int
 
 val set_hot : 'hot t -> 'hot core -> 'hot -> unit
 (** Attach hot state to a core (keeps {!hot_count} correct). *)
 
 val length : 'hot t -> int
-(** Cores appended so far. *)
+(** Entities appended so far. *)
 
 val hot_count : 'hot t -> int
 
 val iter : ('hot core -> unit) -> 'hot t -> unit
-(** Dense-eid order — deterministic, shard-count independent. *)
+(** Every touched core, in dense-eid order — deterministic, independent
+    of the shard count and of touch order. Cold entities have no core
+    and are skipped. *)
 
 val iter_hot : ('hot core -> 'hot -> unit) -> 'hot t -> unit
-
-val fold : ('hot core -> 'a -> 'a) -> 'hot t -> 'a -> 'a
+(** The hot cores, in dense-eid order. *)

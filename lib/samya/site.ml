@@ -29,10 +29,11 @@ type stats = {
 }
 
 (* The site is a thin coordinator: per-entity state lives in the
-   {!Entity_map} arena (cold cores, lazily heated {!Entity_state}
-   records), and the four Fig. 2 modules — {!Request_handler},
-   {!Prediction}, {!Protocol_driver}, {!Redistribution_policy} — are
-   wired to each other through closures built in {!create}. *)
+   {!Entity_map} arena (a starting share per cold entity, a core per
+   touched one, lazily heated {!Entity_state} records), and the four
+   Fig. 2 modules — {!Request_handler}, {!Prediction}, {!Protocol_driver},
+   {!Redistribution_policy} — are wired to each other through closures
+   built in {!create}. *)
 type t = {
   config : Config.t;
   engine : Des.Engine.t;
@@ -68,12 +69,20 @@ let id t = t.site_id
 
 let alive t = !(t.is_alive)
 
+(* Materialises the entity's core: write paths on the site's own lane
+   only. Reads go through [get_ctx] and [read], which never allocate one. *)
 let get_core t entity = Entity_map.find t.entities entity
 
 let get_ctx t entity =
-  match get_core t entity with
+  match Entity_map.peek t.entities entity with
   | Some { Entity_map.hot = Some ctx; _ } -> Some ctx
   | Some _ | None -> None
+
+(* A ledger field by name, cold or touched; 0 for an unknown entity. *)
+let read t entity field =
+  match Entity_map.eid t.entities entity with
+  | -1 -> 0
+  | eid -> field t.entities eid
 
 (* ------------------------------------------------------------------ *)
 (* Network dispatch                                                     *)
@@ -89,11 +98,7 @@ let handle_net t ~src msg =
           | Some ctx -> Protocol_driver.handle t.driver ctx ~src msg
           | None -> ())
     | Read_query { entity; rid } ->
-        let tokens_left =
-          match get_core t entity with
-          | Some core -> core.Entity_map.tokens_left
-          | None -> 0
-        in
+        let tokens_left = read t entity Entity_map.tokens_left in
         Geonet.Network.send t.network ~src:t.site_id ~dst:src
           (Read_reply { entity; rid; tokens_left })
     | Read_reply { entity = _; rid; tokens_left } ->
@@ -107,16 +112,10 @@ let handle_net t ~src msg =
               Geonet.Network.send t.network ~src:t.site_id ~dst:src
                 (Recovery_reply { entity; decisions = relevant }))
     | Recovery_reply { entity; decisions } -> (
-        match get_core t entity with
-        | None -> ()
-        | Some core ->
-            if decisions <> [] then
-              let ctx =
-                match core.Entity_map.hot with
-                | Some ctx -> ctx
-                | None -> t.heat core
-              in
-              Protocol_driver.apply_recovery t.driver ctx decisions)
+        if decisions <> [] then
+          match get_core t entity with
+          | None -> ()
+          | Some core -> Protocol_driver.apply_recovery t.driver (t.heat core) decisions)
     | Borrow_request { entity; needed } ->
         (* Lender side: grant from local headroom (shortfall plus a
            quantum, never more than the pool), unless the ledger is
@@ -370,7 +369,8 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event ?obs
 let anti_entropy_ms = 30_000.0
 
 let init_entity t ~eid ~tokens =
-  let core = Entity_map.append t.entities ~eid ~tokens in
+  Entity_map.append t.entities ~first_eid:eid [| tokens |];
+  let core = Entity_map.by_eid t.entities eid in
   let entity = core.Entity_map.name in
   let ctx = Entity_state.create ~engine:t.engine ~config:t.config ~core in
   Entity_map.set_hot t.entities core ctx;
@@ -392,7 +392,8 @@ let init_entity t ~eid ~tokens =
   gossip ()
 
 (* The entities whose tokens can have moved in a redistribution: hot ones,
-   plus cold cores whose InitVal is exposed to a live batched instance. *)
+   plus cores whose InitVal is exposed to a live batched instance. Only
+   touched cores can qualify, and {!Entity_map.iter} visits only those. *)
 let involved (core : _ Entity_map.core) =
   core.Entity_map.hot <> None || core.Entity_map.exposed
 
@@ -417,13 +418,13 @@ let ensure_fleet_gossip t =
   end
 
 let register_entities t ~first_eid shares =
-  Array.iteri
-    (fun k tokens ->
-      let core = Entity_map.append t.entities ~eid:(first_eid + k) ~tokens in
-      (* Crash-amnesia needs a durable image per entity from the start, so
-         that mode registers hot; the freeze model keeps the fleet cold. *)
-      match t.durable with None -> () | Some _ -> ignore (t.heat core))
-    shares;
+  Entity_map.append t.entities ~first_eid shares;
+  (* Crash-amnesia needs a durable image per entity from the start, so
+     that mode registers hot; the freeze model keeps the fleet cold. *)
+  if Option.is_some t.durable then
+    for eid = first_eid to first_eid + Array.length shares - 1 do
+      ignore (t.heat (Entity_map.by_eid t.entities eid))
+    done;
   ensure_fleet_gossip t
 
 let arena t = t.entities
@@ -453,11 +454,7 @@ let submit t request ~reply =
         let entity = Types.request_entity request in
         match request with
         | Types.Read _ ->
-            let own =
-              match get_core t entity with
-              | Some core -> core.Entity_map.tokens_left
-              | None -> 0
-            in
+            let own = read t entity Entity_map.tokens_left in
             Request_handler.serve_read t.handler
               ~deadline_ms:(Types.request_deadline request) ~entity ~own reply
         | Types.Acquire _ | Types.Release _ -> (
@@ -469,11 +466,9 @@ let submit t request ~reply =
 (* ------------------------------------------------------------------ *)
 (* Accessors / failure injection                                        *)
 
-let with_core t entity f = match get_core t entity with Some core -> f core | None -> 0
-
-let tokens_left t ~entity = with_core t entity (fun core -> core.Entity_map.tokens_left)
-let tokens_wanted t ~entity = with_core t entity (fun core -> core.Entity_map.tokens_wanted)
-let acquired_net t ~entity = with_core t entity (fun core -> core.Entity_map.acquired_net)
+let tokens_left t ~entity = read t entity Entity_map.tokens_left
+let tokens_wanted t ~entity = read t entity Entity_map.tokens_wanted
+let acquired_net t ~entity = read t entity Entity_map.acquired_net
 
 let queued t ~entity =
   match get_ctx t entity with
@@ -534,7 +529,7 @@ let durable_syncs t =
   match t.durable with Some store -> Storage.Durable.sync_count store | None -> 0
 
 let participating t ~entity =
-  match get_core t entity with
+  match Entity_map.peek t.entities entity with
   | Some { Entity_map.hot = Some ctx; _ } -> Entity_state.participating ctx
   | Some core -> core.Entity_map.exposed
   | None -> false
@@ -589,14 +584,12 @@ let recover t =
     t.entities
 
 let protocol_stats t =
-  Entity_map.fold
-    (fun core acc ->
-      match core.Entity_map.hot with
-      | Some ctx ->
-          Avantan_core.add_stats acc (Protocol_driver.protocol_stats t.driver ctx)
-      | None -> acc)
-    t.entities
-    (Protocol_driver.batch_stats t.driver)
+  let acc = ref (Protocol_driver.batch_stats t.driver) in
+  Entity_map.iter_hot
+    (fun _ ctx ->
+      acc := Avantan_core.add_stats !acc (Protocol_driver.protocol_stats t.driver ctx))
+    t.entities;
+  !acc
 
 let stats t =
   let proto = protocol_stats t in

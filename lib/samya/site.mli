@@ -79,15 +79,17 @@ val init_entity : t -> eid:int -> tokens:int -> unit
 
 val register_entities : t -> first_eid:int -> int array -> unit
 (** Bulk registration for large fleets: [shares.(k)] is this site's
-    share of eid [first_eid + k]. Each entity starts cold — a compact
-    core holding its share, no queue/tracker/protocol state — and heats
-    on first contention. One site-level anti-entropy loop covers the
+    share of eid [first_eid + k]. Each entity starts cold — one int
+    holding its share, no core, no queue/tracker/protocol state — gets
+    its core when this site first touches it and heats on first
+    contention. One site-level anti-entropy loop covers the
     whole fleet (querying only entities whose tokens can have moved).
     Under crash-amnesia the entities register hot instead, since each
     needs a durable image from the start. *)
 
 val arena : t -> Entity_state.t Entity_map.t
-(** This site's cores, indexed by the cluster directory's eids. *)
+(** This site's ledgers, indexed by the cluster directory's eids. Only
+    the site's own lane may materialise a core in it. *)
 
 val entity_count : t -> int
 

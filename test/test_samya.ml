@@ -559,7 +559,9 @@ let entity_map_iteration_shard_independent () =
     for r = 0 to 199 do
       ignore (Samya.Entity_map.register map ~entity:(Printf.sprintf "k%03d" r) ~tokens:1)
     done;
-    Samya.Entity_map.fold (fun core acc -> core.Samya.Entity_map.name :: acc) map []
+    let acc = ref [] in
+    Samya.Entity_map.iter (fun core -> acc := core.Samya.Entity_map.name :: !acc) map;
+    !acc
   in
   let one = names 1 in
   check bool "1 vs 7 shards" true (one = names 7);
@@ -602,9 +604,7 @@ let entity_map_shared_directory () =
   for r = 0 to 9 do
     ignore (Samya.Entity_map.register a ~entity:(Printf.sprintf "n%d" r) ~tokens:r)
   done;
-  for eid = 0 to 4 do
-    ignore (Samya.Entity_map.append b ~eid ~tokens:(100 + eid))
-  done;
+  Samya.Entity_map.append b ~first_eid:0 (Array.init 5 (fun eid -> 100 + eid));
   check int "one directory" 10 (Samya.Entity_map.Directory.length directory);
   (match (Samya.Entity_map.find a "n3", Samya.Entity_map.find b "n3") with
   | Some ca, Some cb ->
@@ -617,13 +617,15 @@ let entity_map_shared_directory () =
   check bool "leading arena finds it" true (Samya.Entity_map.find a "n7" <> None);
   let invalid f = try ignore (f ()); false with Invalid_argument _ -> true in
   check bool "out-of-order append" true
-    (invalid (fun () -> Samya.Entity_map.append b ~eid:6 ~tokens:1));
+    (invalid (fun () -> Samya.Entity_map.append b ~first_eid:6 [| 1 |]));
   check bool "re-append" true
-    (invalid (fun () -> Samya.Entity_map.append b ~eid:4 ~tokens:1));
+    (invalid (fun () -> Samya.Entity_map.append b ~first_eid:4 [| 1 |]));
+  check bool "past the directory" true
+    (invalid (fun () -> Samya.Entity_map.append b ~first_eid:5 (Array.make 6 1)));
   check bool "register on a lagging arena" true
     (invalid (fun () -> Samya.Entity_map.register b ~entity:"late" ~tokens:1));
   check int "rejections left b alone" 5 (Samya.Entity_map.length b);
-  ignore (Samya.Entity_map.append b ~eid:5 ~tokens:1);
+  Samya.Entity_map.append b ~first_eid:5 [| 1 |];
   check bool "caught up" true (Samya.Entity_map.find b "n5" <> None)
 
 let site_counts cluster =
@@ -736,6 +738,105 @@ let invariant_reads_every_site () =
   check bool "conserved at the true maximum" true
     (Samya.Cluster.check_invariant cluster ~entity ~maximum:7 = Ok ())
 
+(* The directory against a Hashtbl model: adds (duplicates included),
+   finds (absent names included), truncations followed by re-adds, and
+   growth far past the capacity hint, at shard counts 1, 3 and 256. *)
+type directory_op = Add of int | Find of int | Truncate of int
+
+let directory_ops =
+  let open QCheck.Gen in
+  let name = int_bound 299 in
+  list_size (int_range 1 400)
+    (frequency
+       [
+         (6, map (fun i -> Add i) name);
+         (3, map (fun i -> Find i) name);
+         (1, map (fun i -> Truncate i) (int_bound 100));
+       ])
+
+let directory_op_to_string = function
+  | Add i -> Printf.sprintf "add n%d" i
+  | Find i -> Printf.sprintf "find n%d" i
+  | Truncate k -> Printf.sprintf "truncate -%d" k
+
+let directory_matches_model =
+  QCheck.Test.make ~count:200 ~name:"directory: matches a Hashtbl model (shards 1/3/256)"
+    (QCheck.make ~print:(QCheck.Print.list directory_op_to_string) directory_ops)
+    (fun ops ->
+      List.for_all
+        (fun shards ->
+          let module D = Samya.Entity_map.Directory in
+          let d = D.create ~shards ~capacity:4 () in
+          let model = Hashtbl.create 64 and names = ref [||] in
+          let agrees name =
+            D.find d name = Option.value (Hashtbl.find_opt model name) ~default:(-1)
+          in
+          List.for_all
+            (fun op ->
+              match op with
+              | Add i ->
+                  let name = Printf.sprintf "n%d" i in
+                  let fresh = not (Hashtbl.mem model name) in
+                  (match D.add d name with
+                  | eid ->
+                      Hashtbl.replace model name eid;
+                      names := Array.append !names [| name |];
+                      fresh && eid = Array.length !names - 1
+                  | exception Invalid_argument _ -> not fresh)
+                  && agrees name
+              | Find i -> agrees (Printf.sprintf "n%d" i)
+              | Truncate k ->
+                  let n = max 0 (Array.length !names - k) in
+                  D.truncate d n;
+                  Array.iteri (fun eid name -> if eid >= n then Hashtbl.remove model name) !names;
+                  names := Array.sub !names 0 n;
+                  D.length d = n)
+            ops
+          && D.length d = Array.length !names
+          && Array.for_all agrees !names
+          && Array.for_all
+               (fun eid -> D.name d eid = !names.(eid))
+               (Array.init (Array.length !names) Fun.id))
+        [ 1; 3; 256 ])
+
+let directory_probe_runs_stay_short () =
+  (* Shard and home slot come from disjoint bits of one hash. Taking both
+     from the same low bits leaves 255/256 of each shard's slots unused
+     and runs of hundreds of probes; measured here: a longest run of 16. *)
+  let d = Samya.Entity_map.Directory.create ~shards:256 ~capacity:100_000 () in
+  for r = 0 to 99_999 do
+    ignore (Samya.Entity_map.Directory.add d (Printf.sprintf "key%07d" r))
+  done;
+  let longest = Samya.Entity_map.Directory.max_probe d in
+  if longest > 40 then
+    Alcotest.failf "longest probe run %d over 100k names exceeds 40" longest
+
+let cold_reads_stay_cold () =
+  (* The audit reads every site's ledger by eid: a cold entity has no core
+     to read, and reading must not give it one (a core is 8 words). *)
+  let cluster =
+    Samya.Cluster.create ~config:Samya.Config.default ~regions:(regions ()) ()
+  in
+  let keys = Array.init 10_000 (Printf.sprintf "key%05d") in
+  Samya.Cluster.register_entities cluster
+    (Array.to_list (Array.map (fun key -> (key, 50)) keys));
+  let before = Gc.minor_words () in
+  let ok = ref 0 in
+  for i = 0 to Array.length keys - 1 do
+    match Samya.Cluster.check_invariant cluster ~entity:keys.(i) ~maximum:50 with
+    | Ok () -> incr ok
+    | Error _ -> ()
+  done;
+  let words_per_key = (Gc.minor_words () -. before) /. float_of_int (Array.length keys) in
+  check int "every key conserved" (Array.length keys) !ok;
+  check int "no entity heated" 0 (Samya.Cluster.hot_entities cluster);
+  check bool "no core materialised" true
+    (Array.for_all
+       (fun site -> Samya.Entity_map.peek (Samya.Site.arena site) keys.(4_242) = None)
+       (Samya.Cluster.sites cluster));
+  if words_per_key > 3.0 then
+    Alcotest.failf "audit allocates %.1f minor words per key (bound 3)" words_per_key
+
 let suite =
   [
     Alcotest.test_case "protocol: value helpers" `Quick protocol_value_helpers;
@@ -789,4 +890,8 @@ let suite =
       registration_between_windows_only;
     Alcotest.test_case "directory: sites agree on eids" `Quick sites_agree_on_eids;
     Alcotest.test_case "invariant: reads every site" `Quick invariant_reads_every_site;
+    QCheck_alcotest.to_alcotest directory_matches_model;
+    Alcotest.test_case "directory: probe runs stay short" `Quick
+      directory_probe_runs_stay_short;
+    Alcotest.test_case "invariant: cold reads stay cold" `Quick cold_reads_stay_cold;
   ]
