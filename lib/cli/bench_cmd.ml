@@ -66,12 +66,13 @@ let micro_benchmarks () =
      a Zipfian-shaped access mix of hot head and cold tail. Lookups and
      updates must stay flat in the fleet size (one hash into a directory
      shard, then the arena slot) and the by-eid ledger scan every audit
-     pays must stay linear. The ~60 MB arena is allocated per
-     test and compacted away afterwards (make_with_resource): kept resident
+     pays must stay linear. The ~57 MB of directory and arena (names,
+     tables, one share per key) is allocated per test, outside the timed
+     part, and compacted away afterwards (make_with_resource): kept resident
      it inflates every later allocating benchmark's numbers, since each
      minor collection then drags a major-heap slice over the arena. *)
   let fleet = 1_000_000 in
-  let fleet_name = Printf.sprintf "key%07d" in
+  let fleet_name = Harness.Exp_gateway.key_name in
   let allocate_arena () =
     let directory = Samya.Entity_map.Directory.create ~shards:256 ~capacity:fleet () in
     let map : unit Samya.Entity_map.t =
@@ -80,7 +81,10 @@ let micro_benchmarks () =
     for r = 0 to fleet - 1 do
       ignore (Samya.Entity_map.Directory.add directory (fleet_name r))
     done;
-    Samya.Entity_map.append map ~first_eid:0 (Array.make fleet 10);
+    Samya.Entity_map.append map ~first_eid:0 ~count:fleet;
+    for eid = 0 to fleet - 1 do
+      Samya.Entity_map.set_share map eid 10
+    done;
     (* 512 hot-head keys and 512 spread across the cold tail. *)
     let mix =
       Array.init 1_024 (fun i ->

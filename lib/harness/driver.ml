@@ -266,7 +266,11 @@ type instr = {
 (* NaN-safe spec validation (a NaN budget or backoff fails every
    comparison, so each knob is written as "reject unless provably
    sane"). *)
-let validate_spec spec =
+let validate_spec (spec : spec) =
+  if not (spec.window_ms > 0.0 && spec.window_ms < infinity) then
+    invalid_arg
+      (Printf.sprintf "Driver.run: window_ms must be positive and finite (got %g)"
+         spec.window_ms);
   if not (spec.deadline_budget_ms > 0.0) then
     invalid_arg
       (Printf.sprintf "Driver.run: deadline_budget_ms must be positive (got %g)"

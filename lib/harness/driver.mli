@@ -135,6 +135,8 @@ type result = {
 }
 
 val run : t_system:Systems.facade -> spec -> result
+(** Raises [Invalid_argument] before the run starts on an invalid spec:
+    a [window_ms] that is not positive and finite, among others. *)
 
 val average_tps : result -> float
 

@@ -45,7 +45,21 @@ let scale ~quick =
 
 let n_sites = 5
 
-let key_name r = Printf.sprintf "key%07d" r
+(* [Printf.sprintf "key%07d" r], written directly: a fleet names its
+   keys twice (registration and audit), 10^6 at a time. *)
+let key_name r =
+  if r < 0 || r > 9_999_999 then Printf.sprintf "key%07d" r
+  else begin
+    let b = Bytes.of_string "key0000000" in
+    let rec digits i r =
+      if r > 0 then begin
+        Bytes.unsafe_set b i (Char.unsafe_chr (48 + (r mod 10)));
+        digits (i - 1) (r / 10)
+      end
+    in
+    digits 9 r;
+    Bytes.unsafe_to_string b
+  end
 
 let key_home r = r mod n_sites
 

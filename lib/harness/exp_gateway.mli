@@ -12,7 +12,7 @@
     audit. *)
 
 val key_name : int -> string
-(** Key of popularity rank [r] (0 = hottest). *)
+(** Key of popularity rank [r] (0 = hottest): ["key%07d"]. *)
 
 val plan : quick:bool -> Scenario.plan
 (** One arm, ["fleet"], which is also the traced one. *)

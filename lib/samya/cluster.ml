@@ -98,33 +98,35 @@ let init_entity t ~entity ~maximum =
 
 (* Bulk fleet registration: the same equal split as [init_entity], but the
    entities start cold at every site (see {!Site.register_entities}).
-   All-or-nothing: the batch is checked before any site changes, and a
-   duplicate (within the batch or already registered) rolls the directory
-   back to where it was. Each name is hashed once, into the directory; the
-   sites then append their shares by eid, in list order. *)
+   All-or-nothing: a bad entry or a duplicate (within the batch or already
+   registered) rolls the directory back before any site changes. Each
+   name is hashed once, into the directory; one more pass over the batch
+   writes every site's share by eid, in list order. *)
 let register_entities t entities =
   let op = "Cluster.register_entities" in
   check_between_windows t op;
-  List.iter
-    (fun (entity, maximum) ->
-      if maximum < 0 then invalid_arg (op ^ ": negative maximum");
-      check_entity_name op entity)
-    entities;
   let first_eid = Entity_map.Directory.length t.directory in
   (try
      List.iter
-       (fun (entity, _) -> ignore (Entity_map.Directory.add t.directory entity))
+       (fun (entity, maximum) ->
+         if maximum < 0 then invalid_arg (op ^ ": negative maximum");
+         check_entity_name op entity;
+         ignore (Entity_map.Directory.add t.directory entity))
        entities
    with Invalid_argument _ as e ->
      Entity_map.Directory.truncate t.directory first_eid;
      raise e);
-  let maxima = Array.of_list (List.map snd entities) in
-  let n = Array.length t.sites in
-  Array.iteri
-    (fun i site ->
-      Site.register_entities site ~first_eid
-        (Array.map (fun maximum -> equal_share ~n ~maximum i) maxima))
-    t.sites
+  let count = Entity_map.Directory.length t.directory - first_eid in
+  let arenas = Array.map Site.arena t.sites in
+  let n = Array.length arenas in
+  Array.iter (fun arena -> Entity_map.append arena ~first_eid ~count) arenas;
+  List.iteri
+    (fun k (_, maximum) ->
+      for i = 0 to n - 1 do
+        Entity_map.set_share arenas.(i) (first_eid + k) (equal_share ~n ~maximum i)
+      done)
+    entities;
+  Array.iter (fun site -> Site.register_entities site ~first_eid ~count) t.sites
 
 let entity_count t = Entity_map.Directory.length t.directory
 

@@ -1,14 +1,17 @@
-(** Entity arena: dense entity ids, a starting share per cold entity,
-    a compact {!core} per touched entity, and lazily materialised "hot"
+(** Entity arena: dense entity ids, one [int] slot per entity holding a
+    cold entity's starting share or a touched entity's core index, a
+    compact {!core} per touched entity, and lazily materialised "hot"
     state.
 
     A production gateway holds millions of aggregate objects of which only
     a few are contended at any moment, so an entity costs what its lane
     has done with it:
-    - {e cold}: never touched by the owning site — one [int] (its starting
-      share) in the arena, and a shared sentinel in its eid slot;
+    - {e cold}: never touched by the owning site — exactly one [int] in
+      the arena, its starting share ([>= 0]);
     - {e touched}: a request, an exposure to a batch scope or heating
-      allocated its {!core} — name, dense id, token ledger — from that int;
+      allocated its {!core} — name, dense id, token ledger — from that
+      share; the same slot now holds [-1 - k], the core's index in a dense
+      core vector;
     - {e hot}: contended — the heavyweight ['hot] payload (request queue,
       demand tracker, decided log, protocol machine) attached by the
       owning {!Site}.
@@ -19,10 +22,11 @@
 
     Names resolve through a {!Directory}: name → dense eid, one
     [Hashtbl.hash] per lookup, open-addressed into one of [shards] flat
-    [int] tables. The namespace is the same at every site — only the token
-    values are partitioned — so a {!Cluster} owns one directory and each
-    site's arena is indexed by its eids: a name is hashed once per cluster
-    at registration, not once per site. The directory is written only
+    [int] tables whose slots tag each eid with its name's hash. The
+    namespace is the same at every site — only the token values are
+    partitioned — so a {!Cluster} owns one directory and each site's arena
+    is indexed by its eids: a name is hashed once per cluster at
+    registration, not once per site. The directory is written only
     between simulation windows; lanes read it concurrently inside them.
     Iteration runs in dense-eid (registration) order, so results never
     depend on the shard count or on the order entities were touched. *)
@@ -53,7 +57,7 @@ module Directory : sig
 
   val add : t -> string -> int
   (** Assign the next dense eid to a new name. Raises [Invalid_argument]
-      on a duplicate. *)
+      on a duplicate, or past 2^31 names (eids fill 31 bits of a slot). *)
 
   val find : t -> string -> int
   (** The name's eid, or [-1] for an unknown name (no allocation). *)
@@ -82,12 +86,16 @@ val create :
     [capacity] is a size hint for the eid-indexed arrays. Raises
     [Invalid_argument] unless [shards >= 1] and [capacity >= 1]. *)
 
-val append : 'hot t -> first_eid:int -> int array -> unit
-(** [append t ~first_eid shares] adds cold entities the directory already
-    holds, eids [first_eid ..] with starting tokens [shares], with no
-    hashing and no core. Eids must arrive in order: [first_eid] must
-    equal {!length}. Raises [Invalid_argument] otherwise, on an eid the
-    directory does not hold, or on negative tokens. *)
+val append : 'hot t -> first_eid:int -> count:int -> unit
+(** [append t ~first_eid ~count] adds cold entities the directory already
+    holds, eids [first_eid ..], with share 0, no hashing and no core.
+    [first_eid] must equal {!length}. Raises [Invalid_argument]
+    otherwise, or on an eid the directory does not hold. *)
+
+val set_share : 'hot t -> int -> int -> unit
+(** [set_share t eid tokens]: a cold entity's starting share. Raises
+    [Invalid_argument] on an eid not appended, negative tokens or a
+    touched entity. *)
 
 val register : 'hot t -> entity:string -> tokens:int -> 'hot core
 (** Add a new name to the directory, {!append} it and return its core.

@@ -369,7 +369,8 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event ?obs
 let anti_entropy_ms = 30_000.0
 
 let init_entity t ~eid ~tokens =
-  Entity_map.append t.entities ~first_eid:eid [| tokens |];
+  Entity_map.append t.entities ~first_eid:eid ~count:1;
+  Entity_map.set_share t.entities eid tokens;
   let core = Entity_map.by_eid t.entities eid in
   let entity = core.Entity_map.name in
   let ctx = Entity_state.create ~engine:t.engine ~config:t.config ~core in
@@ -417,12 +418,11 @@ let ensure_fleet_gossip t =
     gossip ()
   end
 
-let register_entities t ~first_eid shares =
-  Entity_map.append t.entities ~first_eid shares;
+let register_entities t ~first_eid ~count =
   (* Crash-amnesia needs a durable image per entity from the start, so
      that mode registers hot; the freeze model keeps the fleet cold. *)
   if Option.is_some t.durable then
-    for eid = first_eid to first_eid + Array.length shares - 1 do
+    for eid = first_eid to first_eid + count - 1 do
       ignore (t.heat (Entity_map.by_eid t.entities eid))
     done;
   ensure_fleet_gossip t

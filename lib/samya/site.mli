@@ -77,13 +77,13 @@ val init_entity : t -> eid:int -> tokens:int -> unit
     consistently, eids in order ({!Entity_map.append}); {!Cluster} does
     this. *)
 
-val register_entities : t -> first_eid:int -> int array -> unit
-(** Bulk registration for large fleets: [shares.(k)] is this site's
-    share of eid [first_eid + k]. Each entity starts cold — one int
-    holding its share, no core, no queue/tracker/protocol state — gets
-    its core when this site first touches it and heats on first
-    contention. One site-level anti-entropy loop covers the
-    whole fleet (querying only entities whose tokens can have moved).
+val register_entities : t -> first_eid:int -> count:int -> unit
+(** Bulk registration for large fleets, once {!Cluster} has appended
+    [count] eids from [first_eid] to this site's {!arena} with their
+    shares. Each entity stays cold — one int, no core, no queue/tracker/
+    protocol state — gets its core when this site first touches it and
+    heats on first contention. One site-level anti-entropy loop covers
+    the whole fleet (querying only entities whose tokens can have moved).
     Under crash-amnesia the entities register hot instead, since each
     needs a durable image from the start. *)
 

@@ -30,6 +30,8 @@ let ensure_sorted t =
   end
 
 let percentile t p =
+  if Float.is_nan p then
+    invalid_arg (Printf.sprintf "Sample_set.percentile: p must be a number (got %g)" p);
   if p < 0.0 || p > 100.0 then invalid_arg "Sample_set.percentile";
   if t.size = 0 then nan
   else begin

@@ -15,7 +15,7 @@ val count : t -> int
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0, 100\]], nearest-rank with linear
     interpolation (same convention as numpy's default). [nan] when empty.
-    Raises [Invalid_argument] for [p] outside the range. *)
+    Raises [Invalid_argument] for [p] outside the range or NaN. *)
 
 val median : t -> float
 

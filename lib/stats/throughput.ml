@@ -6,7 +6,10 @@ type t = {
 }
 
 let create ~window_ms =
-  if window_ms <= 0.0 then invalid_arg "Throughput.create: window must be positive";
+  if not (window_ms > 0.0 && window_ms < infinity) then
+    invalid_arg
+      (Printf.sprintf "Throughput.create: window must be positive and finite (got %g)"
+         window_ms);
   { window_width = window_ms; counts = Hashtbl.create 64; total = 0; max_window = -1 }
 
 let record_n t ~time_ms n =

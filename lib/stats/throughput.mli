@@ -7,6 +7,7 @@
 type t
 
 val create : window_ms:float -> t
+(** Raises [Invalid_argument] unless [window_ms] is positive and finite. *)
 
 val record : t -> time_ms:float -> unit
 (** Counts one event at the given virtual time. Times may arrive out of

@@ -72,6 +72,61 @@ let driver_never_releases_unacquired () =
   check bool "invariant with tiny maximum" true
     (t_system.Harness.Systems.invariant ~maximum:50 = Ok ())
 
+let driver_rejects_non_finite_window () =
+  (* Refused before the run: a NaN window used to surface only after it,
+     as a "window width mismatch" in the per-client merge. *)
+  let submitted = ref 0 in
+  let t_system = samya_system () in
+  let t_system =
+    {
+      t_system with
+      Harness.Systems.acquire =
+        (fun ~region ~amount ~reply ->
+          incr submitted;
+          t_system.Harness.Systems.acquire ~region ~amount ~reply);
+    }
+  in
+  let requests =
+    [|
+      {
+        Trace.Workload.time_ms = 1.0;
+        site = 0;
+        kind = Trace.Workload.Acquire;
+        amount = 1;
+        entity = "";
+      };
+    |]
+  in
+  List.iter
+    (fun window_ms ->
+      let spec =
+        {
+          (Harness.Driver.default_spec ~client_regions:(regions ()) ~requests
+             ~duration_ms:1_000.0)
+          with
+          Harness.Driver.window_ms;
+        }
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "window_ms %g" window_ms)
+        (Invalid_argument
+           (Printf.sprintf "Driver.run: window_ms must be positive and finite (got %g)"
+              window_ms))
+        (fun () -> ignore (Harness.Driver.run ~t_system spec)))
+    [ Float.nan; infinity; 0.0; -1.0 ];
+  check int "nothing submitted" 0 !submitted
+
+let gateway_key_names () =
+  (* The fleet's namer writes its digits directly; it must name every key
+     exactly as the format it replaced, fallback range included. *)
+  let rng = Random.State.make [| 19 |] in
+  List.iter
+    (fun r ->
+      check Alcotest.string (string_of_int r) (Printf.sprintf "key%07d" r)
+        (Harness.Exp_gateway.key_name r))
+    ([ 0; 9; 10; 9_999_999; 10_000_000; 123_456_789; -1 ]
+    @ List.init 1_000 (fun _ -> Random.State.int rng 10_000_000))
+
 let driver_closed_loop_runs () =
   let ctx = small_ctx () in
   let requests =
@@ -245,6 +300,9 @@ let suite =
     Alcotest.test_case "driver: client crash" `Quick driver_client_crash_stops_stream;
     Alcotest.test_case "driver: no phantom releases" `Quick driver_never_releases_unacquired;
     Alcotest.test_case "driver: closed loop" `Quick driver_closed_loop_runs;
+    Alcotest.test_case "driver: rejects non-finite window" `Quick
+      driver_rejects_non_finite_window;
+    Alcotest.test_case "gateway: key names" `Quick gateway_key_names;
     Alcotest.test_case "lab: deterministic workload" `Quick lab_workload_deterministic;
     Alcotest.test_case "lab: read ratio" `Quick lab_read_ratio_applies;
     Alcotest.test_case "registry: ids" `Quick registry_ids_unique_and_complete;

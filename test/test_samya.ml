@@ -604,7 +604,10 @@ let entity_map_shared_directory () =
   for r = 0 to 9 do
     ignore (Samya.Entity_map.register a ~entity:(Printf.sprintf "n%d" r) ~tokens:r)
   done;
-  Samya.Entity_map.append b ~first_eid:0 (Array.init 5 (fun eid -> 100 + eid));
+  Samya.Entity_map.append b ~first_eid:0 ~count:5;
+  for eid = 0 to 4 do
+    Samya.Entity_map.set_share b eid (100 + eid)
+  done;
   check int "one directory" 10 (Samya.Entity_map.Directory.length directory);
   (match (Samya.Entity_map.find a "n3", Samya.Entity_map.find b "n3") with
   | Some ca, Some cb ->
@@ -617,15 +620,15 @@ let entity_map_shared_directory () =
   check bool "leading arena finds it" true (Samya.Entity_map.find a "n7" <> None);
   let invalid f = try ignore (f ()); false with Invalid_argument _ -> true in
   check bool "out-of-order append" true
-    (invalid (fun () -> Samya.Entity_map.append b ~first_eid:6 [| 1 |]));
+    (invalid (fun () -> Samya.Entity_map.append b ~first_eid:6 ~count:1));
   check bool "re-append" true
-    (invalid (fun () -> Samya.Entity_map.append b ~first_eid:4 [| 1 |]));
+    (invalid (fun () -> Samya.Entity_map.append b ~first_eid:4 ~count:1));
   check bool "past the directory" true
-    (invalid (fun () -> Samya.Entity_map.append b ~first_eid:5 (Array.make 6 1)));
+    (invalid (fun () -> Samya.Entity_map.append b ~first_eid:5 ~count:6));
   check bool "register on a lagging arena" true
     (invalid (fun () -> Samya.Entity_map.register b ~entity:"late" ~tokens:1));
   check int "rejections left b alone" 5 (Samya.Entity_map.length b);
-  Samya.Entity_map.append b ~first_eid:5 [| 1 |];
+  Samya.Entity_map.append b ~first_eid:5 ~count:1;
   check bool "caught up" true (Samya.Entity_map.find b "n5" <> None)
 
 let site_counts cluster =
@@ -811,6 +814,212 @@ let directory_probe_runs_stay_short () =
   if longest > 40 then
     Alcotest.failf "longest probe run %d over 100k names exceeds 40" longest
 
+let directory_hash_collisions () =
+  (* Slots tag each eid with its name's 30-bit hash, so two names on equal
+     hashes must still be told apart by their strings. By the birthday
+     bound ~40k names hold a colliding pair; find one by brute force. *)
+  let seen = Hashtbl.create 65_536 in
+  let rec collide i =
+    let name = Printf.sprintf "c%d" i in
+    let h = Hashtbl.hash name in
+    match Hashtbl.find_opt seen h with
+    | Some other -> (other, name)
+    | None ->
+        Hashtbl.add seen h name;
+        collide (i + 1)
+  in
+  let a, b = collide 0 in
+  check bool "distinct names, one hash" true
+    (a <> b && Hashtbl.hash a = Hashtbl.hash b);
+  List.iter
+    (fun shards ->
+      let module D = Samya.Entity_map.Directory in
+      let d = D.create ~shards ~capacity:4 () in
+      let label what = Printf.sprintf "%s (shards %d)" what shards in
+      check int (label "first") 0 (D.add d a);
+      check int (label "second on the same hash") (-1) (D.find d b);
+      check int (label "second added") 1 (D.add d b);
+      check int (label "a resolves") 0 (D.find d a);
+      check int (label "b resolves") 1 (D.find d b);
+      check bool (label "duplicate of b refused") true
+        (try ignore (D.add d b); false with Invalid_argument _ -> true);
+      D.truncate d 1;
+      check int (label "a survives the truncate") 0 (D.find d a);
+      check int (label "b is gone") (-1) (D.find d b);
+      check int (label "b re-added") 1 (D.add d b);
+      D.truncate d 0;
+      check int (label "a is gone") (-1) (D.find d a);
+      check int (label "b added first") 0 (D.add d b);
+      check int (label "a after it") 1 (D.add d a);
+      check int (label "b still first") 0 (D.find d b))
+    [ 1; 3; 256 ]
+
+(* Two arenas on one directory against a model: per arena, each eid's
+   starting share and, once touched, its ledger and heat. Names are added
+   to the directory and appended to both arenas together; every other
+   operation acts on one arena. *)
+type arena_op =
+  | Register of int  (* this many new names *)
+  | By_eid of bool * int
+  | Find of bool * int  (* indices past the end name unknown entities *)
+  | Peek of bool * int
+  | Read of bool * int
+  | Bump of bool * int * int  (* touch and move the ledger by a delta *)
+  | Heat of bool * int
+
+let arena_ops =
+  let open QCheck.Gen in
+  let side = bool and index = int_bound 199 in
+  list_size (int_range 1 120)
+    (frequency
+       [
+         (2, map (fun n -> Register n) (int_range 1 40));
+         (2, map2 (fun s i -> By_eid (s, i)) side index);
+         (2, map2 (fun s i -> Find (s, i)) side (int_bound 239));
+         (2, map2 (fun s i -> Peek (s, i)) side index);
+         (3, map2 (fun s i -> Read (s, i)) side index);
+         (2, map3 (fun s i d -> Bump (s, i, d)) side index (int_range (-5) 5));
+         (1, map2 (fun s i -> Heat (s, i)) side index);
+       ])
+
+let arena_op_to_string = function
+  | Register n -> Printf.sprintf "register %d" n
+  | By_eid (s, i) -> Printf.sprintf "by_eid %b %d" s i
+  | Find (s, i) -> Printf.sprintf "find %b %d" s i
+  | Peek (s, i) -> Printf.sprintf "peek %b %d" s i
+  | Read (s, i) -> Printf.sprintf "read %b %d" s i
+  | Bump (s, i, d) -> Printf.sprintf "bump %b %d %+d" s i d
+  | Heat (s, i) -> Printf.sprintf "heat %b %d" s i
+
+(* A touched eid's ledger in the model: (left, acquired, wanted, hot). *)
+type model_ledger = { mutable left : int; mutable acq : int; mutable want : int; mutable heat : bool }
+
+let arena_matches_model =
+  QCheck.Test.make ~count:150 ~name:"entity map: two arenas match a model (shards 1/3/256)"
+    (QCheck.make ~print:(QCheck.Print.list arena_op_to_string) arena_ops)
+    (fun ops ->
+      List.for_all
+        (fun shards ->
+          let module M = Samya.Entity_map in
+          let directory = M.Directory.create ~shards ~capacity:4 () in
+          let arenas : string M.t array =
+            [| M.create ~directory ~capacity:2 (); M.create ~directory ~capacity:2 () |]
+          in
+          let share side eid = ((eid * 7) + side) mod 50 in
+          let touched = [| Hashtbl.create 16; Hashtbl.create 16 |] in
+          let n = ref 0 in
+          let name eid = Printf.sprintf "a%d" eid in
+          let side s = if s then 1 else 0 in
+          (* A write path's touch: the model's ledger, made from the share
+             on first touch. *)
+          let touch s eid =
+            match Hashtbl.find_opt touched.(s) eid with
+            | Some l -> l
+            | None ->
+                let l = { left = share s eid; acq = 0; want = 0; heat = false } in
+                Hashtbl.replace touched.(s) eid l;
+                l
+          in
+          (* A core the arena returned: the right entity, touched in the
+             model, carrying the model's ledger. *)
+          let same_core s eid (core : string M.core) =
+            match Hashtbl.find_opt touched.(s) eid with
+            | None -> false
+            | Some l ->
+                core.M.eid = eid && core.M.name = name eid && core.M.tokens_left = l.left
+                && core.M.acquired_net = l.acq && core.M.tokens_wanted = l.want
+                && (core.M.hot <> None) = l.heat
+          in
+          let reads_agree s eid =
+            let left, acq, want =
+              match Hashtbl.find_opt touched.(s) eid with
+              | Some l -> (l.left, l.acq, l.want)
+              | None -> (share s eid, 0, 0)
+            in
+            M.tokens_left arenas.(s) eid = left
+            && M.acquired_net arenas.(s) eid = acq
+            && M.tokens_wanted arenas.(s) eid = want
+          in
+          (* After every step: [iter] visits exactly the touched eids, in
+             eid order; a cold name peeks [None]; [hot_count] matches; and
+             none of these reads materialised a core. *)
+          let consistent () =
+            Array.for_all
+              (fun s ->
+                let a = arenas.(s) in
+                let visited = ref [] in
+                M.iter (fun core -> visited := core.M.eid :: !visited) a;
+                let expected =
+                  List.sort Int.compare (Hashtbl.fold (fun eid _ acc -> eid :: acc) touched.(s) [])
+                in
+                let hot = Hashtbl.fold (fun _ l acc -> if l.heat then acc + 1 else acc) touched.(s) 0 in
+                List.rev !visited = expected
+                && M.hot_count a = hot
+                && M.length a = !n
+                && List.for_all
+                     (fun eid ->
+                       reads_agree s eid
+                       && (match M.peek a (name eid) with
+                          | None -> not (Hashtbl.mem touched.(s) eid)
+                          | Some core -> same_core s eid core))
+                     (List.init !n Fun.id))
+              [| 0; 1 |]
+          in
+          List.for_all
+            (fun op ->
+              let in_range _ = !n > 0 in
+              (match op with
+              | Register k ->
+                  let first_eid = !n in
+                  for eid = first_eid to first_eid + k - 1 do
+                    ignore (M.Directory.add directory (name eid))
+                  done;
+                  n := !n + k;
+                  Array.iteri
+                    (fun s a ->
+                      M.append a ~first_eid ~count:k;
+                      for eid = first_eid to !n - 1 do
+                        M.set_share a eid (share s eid)
+                      done)
+                    arenas;
+                  true
+              | By_eid (s, i) when in_range i ->
+                  let s = side s and eid = i mod !n in
+                  ignore (touch s eid);
+                  same_core s eid (M.by_eid arenas.(s) eid)
+              | Find (s, i) -> (
+                  let s = side s in
+                  match M.find arenas.(s) (name i) with
+                  | None -> i >= !n
+                  | Some core -> i < !n && (ignore (touch s i); same_core s i core))
+              | Peek (s, i) -> (
+                  let s = side s in
+                  match M.peek arenas.(s) (name i) with
+                  | None -> not (Hashtbl.mem touched.(s) i)
+                  | Some core -> same_core s i core)
+              | Read (s, i) when in_range i -> reads_agree (side s) (i mod !n)
+              | Bump (s, i, d) when in_range i ->
+                  let s = side s and eid = i mod !n in
+                  let core = M.by_eid arenas.(s) eid in
+                  let l = touch s eid in
+                  core.M.tokens_left <- core.M.tokens_left + d;
+                  core.M.acquired_net <- core.M.acquired_net - d;
+                  core.M.tokens_wanted <- core.M.tokens_wanted + abs d;
+                  l.left <- l.left + d;
+                  l.acq <- l.acq - d;
+                  l.want <- l.want + abs d;
+                  true
+              | Heat (s, i) when in_range i ->
+                  let s = side s and eid = i mod !n in
+                  let core = M.by_eid arenas.(s) eid in
+                  M.set_hot arenas.(s) core "hot";
+                  (touch s eid).heat <- true;
+                  same_core s eid core
+              | By_eid _ | Read _ | Bump _ | Heat _ -> true)
+              && consistent ())
+            ops)
+        [ 1; 3; 256 ])
+
 let cold_reads_stay_cold () =
   (* The audit reads every site's ledger by eid: a cold entity has no core
      to read, and reading must not give it one (a core is 8 words). *)
@@ -834,8 +1043,8 @@ let cold_reads_stay_cold () =
     (Array.for_all
        (fun site -> Samya.Entity_map.peek (Samya.Site.arena site) keys.(4_242) = None)
        (Samya.Cluster.sites cluster));
-  if words_per_key > 3.0 then
-    Alcotest.failf "audit allocates %.1f minor words per key (bound 3)" words_per_key
+  if words_per_key > 0.01 then
+    Alcotest.failf "audit allocates %.3f minor words per key (bound 0.01)" words_per_key
 
 let suite =
   [
@@ -891,6 +1100,8 @@ let suite =
     Alcotest.test_case "directory: sites agree on eids" `Quick sites_agree_on_eids;
     Alcotest.test_case "invariant: reads every site" `Quick invariant_reads_every_site;
     QCheck_alcotest.to_alcotest directory_matches_model;
+    Alcotest.test_case "directory: equal hashes stay apart" `Quick directory_hash_collisions;
+    QCheck_alcotest.to_alcotest arena_matches_model;
     Alcotest.test_case "directory: probe runs stay short" `Quick
       directory_probe_runs_stay_short;
     Alcotest.test_case "invariant: cold reads stay cold" `Quick cold_reads_stay_cold;

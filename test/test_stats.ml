@@ -62,6 +62,13 @@ let sample_set_bounds () =
   Alcotest.check_raises "p > 100" (Invalid_argument "Sample_set.percentile") (fun () ->
       ignore (Stats.Sample_set.percentile s 101.0))
 
+let sample_set_rejects_nan () =
+  let s = Stats.Sample_set.create () in
+  Stats.Sample_set.add s 1.0;
+  Alcotest.check_raises "p = nan"
+    (Invalid_argument "Sample_set.percentile: p must be a number (got nan)") (fun () ->
+      ignore (Stats.Sample_set.percentile s Float.nan))
+
 let sample_set_percentile_property =
   QCheck.Test.make ~count:100 ~name:"percentiles are monotone and within range"
     QCheck.(list_of_size Gen.(int_range 1 200) (float_range 0.0 1000.0))
@@ -97,6 +104,19 @@ let throughput_empty_windows_included () =
   let series = Stats.Throughput.series t () in
   check int "four windows including empties" 4 (List.length series);
   check feq "empty window zero" 0.0 (List.nth series 1 |> snd)
+
+let throughput_rejects_non_finite_window () =
+  (* [nan <= 0.0] is false, so a bare sign check let a NaN window through
+     to report NaN rates. *)
+  List.iter
+    (fun window_ms ->
+      Alcotest.check_raises
+        (Printf.sprintf "window_ms %g" window_ms)
+        (Invalid_argument
+           (Printf.sprintf
+              "Throughput.create: window must be positive and finite (got %g)" window_ms))
+        (fun () -> ignore (Stats.Throughput.create ~window_ms)))
+    [ Float.nan; infinity; neg_infinity; 0.0; -1.0 ]
 
 let series_diff_undiff =
   QCheck.Test.make ~count:100 ~name:"undiff inverts diff"
@@ -141,9 +161,12 @@ let suite =
     Alcotest.test_case "sample_set: percentiles" `Quick sample_set_percentiles;
     Alcotest.test_case "sample_set: unsorted input" `Quick sample_set_unsorted_input;
     Alcotest.test_case "sample_set: bounds" `Quick sample_set_bounds;
+    Alcotest.test_case "sample_set: rejects NaN p" `Quick sample_set_rejects_nan;
     QCheck_alcotest.to_alcotest sample_set_percentile_property;
     Alcotest.test_case "throughput: windows" `Quick throughput_windows;
     Alcotest.test_case "throughput: empty windows" `Quick throughput_empty_windows_included;
+    Alcotest.test_case "throughput: rejects non-finite window" `Quick
+      throughput_rejects_non_finite_window;
     QCheck_alcotest.to_alcotest series_diff_undiff;
     Alcotest.test_case "series: moving average" `Quick series_moving_average;
     Alcotest.test_case "series: autocorrelation" `Quick series_autocorrelation_periodic;
