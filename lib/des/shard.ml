@@ -52,9 +52,6 @@ type t = {
   mutable in_window : bool;
   mutable horizon : float; (* lower bound for cross sends in this window *)
   mutable epoch : int; (* barriers passed; written only between windows *)
-  mutable on_barrier : unit -> unit;
-      (* runs on the coordinating domain after every channel flush, while
-         no window is draining — safe to touch any lane's state *)
 }
 
 let create ?(seed = 42L) ?(workers = 1) ~lanes ~lookahead_ms () =
@@ -76,10 +73,7 @@ let create ?(seed = 42L) ?(workers = 1) ~lanes ~lookahead_ms () =
     in_window = false;
     horizon = neg_infinity;
     epoch = 0;
-    on_barrier = (fun () -> ());
   }
-
-let set_barrier_hook t f = t.on_barrier <- f
 
 let lanes t = Array.length t.engines
 
@@ -287,8 +281,7 @@ let run t ~until_ms =
                land strictly beyond [until_ms] and stay queued. *)
             t.horizon <- cap;
             exec ~limit:until_ms ~inclusive:true;
-            flush t;
-            t.on_barrier ()
+            flush t
           end
           else if t_global <= cap then begin
             (* A barrier-aligned mutation: drain strictly below it, agree
@@ -297,7 +290,6 @@ let run t ~until_ms =
             t.horizon <- t_global;
             exec ~limit:t_global ~inclusive:false;
             flush t;
-            t.on_barrier ();
             Array.iter (fun e -> Engine.catch_up_to e ~time_ms:t_global) t.engines;
             Pheap.drain_to t.globals ~limit:t_global (fun _ f -> f ());
             loop ()
@@ -307,7 +299,6 @@ let run t ~until_ms =
             t.horizon <- cap;
             exec ~limit:cap ~inclusive:false;
             flush t;
-            t.on_barrier ();
             loop ()
           end
         end

@@ -75,10 +75,4 @@ val epoch : t -> int
 
 val executing_lane : unit -> int
 (** The lane the calling domain is draining, or [-1] when it drains none:
-    setup, barrier-aligned globals, the barrier hook and post-run code. *)
-
-val set_barrier_hook : t -> (unit -> unit) -> unit
-(** Install a callback run on the coordinating domain after every
-    channel flush, between windows (no lane is draining). Used by the
-    flight recorder to drain per-lane rings; must not schedule events.
-    Last installation wins. *)
+    setup, barrier-aligned globals and post-run code. *)

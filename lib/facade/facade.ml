@@ -287,17 +287,6 @@ let of_samya_cluster ?(name = "Samya") ~hooks ~regions ~entity cluster =
     if lane < 0 then Des.Trace_context.none
     else Des.Engine.current_context (Des.Shard.engine shard lane)
   in
-  let clock =
-    {
-      Obs.Lane_log.lanes = Des.Shard.lanes shard;
-      lane = Des.Shard.executing_lane;
-      epoch = (fun () -> Des.Shard.epoch shard);
-      now =
-        (fun lane ->
-          if lane < 0 then Des.Shard.now shard
-          else Des.Engine.now (Des.Shard.engine shard lane));
-    }
-  in
   {
     name;
     now = (fun () -> Samya.Cluster.now cluster);
@@ -335,7 +324,7 @@ let of_samya_cluster ?(name = "Samya") ~hooks ~regions ~entity cluster =
         });
     subscribe =
       (fun () ->
-        let sink = Obs.Sink.create clock in
+        let sink = Obs.Sink.create (Samya.Cluster.clock cluster) in
         Obs.Sink.attach hooks.sh_obs sink;
         Array.iter
           (fun e -> Des.Engine.set_tracer e (Some (engine_tracer sink)))

@@ -82,7 +82,8 @@ type t = {
           executes it, so a subscribed run keeps parallel windows *)
   arm : Obs.Flight_recorder.attachment -> unit;
       (** arm the always-on incident layer (flight recorder + hot-key
-          sketch); lane rings are single-writer. A no-op on baselines. *)
+          sketch) on the system's port, binding the recorder to its lanes;
+          call before driving load. A no-op on baselines. *)
   invariant : maximum:int -> (unit, string) result;
 }
 

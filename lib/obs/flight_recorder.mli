@@ -1,13 +1,13 @@
-(** Always-on flight recorder: bounded per-lane rings of recent
-    causal/protocol events, merged deterministically.
+(** Always-on flight recorder: every causal/protocol event of a run, on
+    the per-lane log ({!Lane_log}), merged deterministically.
 
-    Each event is written by exactly one engine lane (a site's hosting
-    region's lane, or lane [-1] for the driver/cluster injector) and
-    stamped with a per-lane sequence number. {!drain} — hooked to the
-    sharded DES barrier — moves lane rings into a bounded global buffer;
-    {!events} always re-sorts the union by (ts, lane, kind rank, seq),
-    so dumps are byte-identical at any [--engine-jobs] and independent
-    of when barriers ran. See DESIGN.md §16. *)
+    Each event names the engine lane it belongs to (a site's hosting
+    region's lane, or lane [-1] for the driver/cluster injector) and is
+    written into the buffer of the lane executing the write. {!events}
+    stable-sorts the log's merge order by (ts, lane, kind rank): the
+    merge order is the order one domain runs the writes in, so dumps are
+    byte-identical at any [--engine-jobs]. Nothing is dropped. See
+    DESIGN.md §16. *)
 
 type kind =
   | Protocol  (** Avantan decide/abort/recovery, leader-side *)
@@ -22,7 +22,6 @@ type kind =
 val kind_name : kind -> string
 
 type event = {
-  seq : int;
   lane : int;
   ts : float;
   kind : kind;
@@ -32,19 +31,19 @@ type event = {
 }
 
 val compare_event : event -> event -> int
-(** Total order (ts, lane, kind rank, seq) — the dump order. *)
+(** (ts, lane, kind rank) — the dump order's key; {!events} keeps record
+    order among equal keys. *)
 
 type t
 
-val create : ?lane_capacity:int -> ?global_capacity:int -> unit -> t
-(** Defaults: 32768 events per lane ring, 131072 in the global buffer.
-    Overflow drops the oldest event and counts it in {!dropped}. Raises
-    [Invalid_argument] if either capacity is not positive. *)
+val create : unit -> t
+(** An empty recorder on a one-buffer clock ({!Lane_log.single}): for
+    writes from one domain until {!bind}. *)
 
-val reserve : t -> lanes:int -> unit
-(** Allocate the rings of lanes [-1 .. lanes-1] up front. A ring is
-    otherwise created on its lane's first write, which grows an array
-    every lane shares: reserve before lanes write from parallel domains. *)
+val bind : t -> Lane_log.clock -> unit
+(** Move the recorder onto a system's lane clock, so writes from
+    parallel lanes land in their own buffers. Arming a system does this.
+    Raises [Invalid_argument] once events exist. *)
 
 val record :
   t ->
@@ -56,32 +55,18 @@ val record :
   string ->
   unit
 
-val drain : t -> unit
-(** Move lane rings into the global buffer (lane order). Called from the
-    shard barrier hook purely to bound per-lane memory; {!events} gives
-    the same answer whether or not it ever ran. *)
-
 val events : t -> event list
-(** Everything retained, sorted by {!compare_event}. *)
+(** Every event, stable-sorted by {!compare_event}. *)
 
 val dropped : t -> int
-(** Events lost to ring overflow (honesty counter for dumps). *)
+(** Always [0]: the recorder keeps every event. *)
 
 val recorded : t -> int
-(** Total events ever recorded, including dropped ones. *)
+(** Total events recorded. *)
 
 val line : event -> string
 (** One-line human rendering used by figures and incident bundles. *)
 
 type attachment = { recorder : t; hot : Heavy_hitters.Windowed.w option }
-(** What arming a system hands it: the recorder plus an optional
-    request-path hot-key sketch. *)
-
-(** Late-binding port, same idiom as {!Sink.port}: the disarmed hot path
-    costs one load and one branch. *)
-type port
-
-val port : unit -> port
-val attach : port -> attachment -> unit
-val detach : port -> unit
-val tap : port -> attachment option
+(** What arming a system hands it, through its {!Sink.port}: the recorder
+    plus an optional request-path hot-key sketch. *)

@@ -26,7 +26,8 @@ type t = {
 }
 
 let create ~k () =
-  if k <= 0 then invalid_arg "Heavy_hitters.create: k must be positive";
+  if k <= 0 then
+    invalid_arg (Printf.sprintf "Heavy_hitters.create: k must be positive (got %d)" k);
   { k; counts = Hashtbl.create (2 * k); decrements = 0; total = 0 }
 
 let copy t =
@@ -120,6 +121,11 @@ module Windowed = struct
   }
 
   let create ~k ~window_ms () =
+    (* Each lane builds its sketch on its first observation: refuse a bad
+       [k] here, not inside a lane's window. *)
+    if k <= 0 then
+      invalid_arg
+        (Printf.sprintf "Heavy_hitters.Windowed.create: k must be positive (got %d)" k);
     (* NaN-safe: an infinite window would align every start to NaN. *)
     if not (window_ms > 0.0 && window_ms < infinity) then
       invalid_arg

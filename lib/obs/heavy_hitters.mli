@@ -11,6 +11,8 @@
 type t
 
 val create : k:int -> unit -> t
+(** Raises [Invalid_argument] unless [k] is positive. *)
+
 val copy : t -> t
 
 val observe : ?count:int -> t -> string -> unit
@@ -47,13 +49,14 @@ module Windowed : sig
   type w
 
   val create : k:int -> window_ms:float -> unit -> w
-  (** Raises [Invalid_argument] unless [window_ms] is positive and
-      finite. *)
+  (** Raises [Invalid_argument] unless [k] is positive and [window_ms]
+      is positive and finite. *)
 
   val reserve : w -> lanes:int -> unit
-  (** Allocate the slots of lanes [-1 .. lanes-1] up front, as
-      {!Flight_recorder.reserve} does: reserve before lanes observe from
-      parallel domains. *)
+  (** Allocate the slots of lanes [-1 .. lanes-1] up front. A slot is
+      otherwise created on its lane's first observation, which grows an
+      array every lane shares: arming a system reserves its lanes before
+      they observe from parallel domains. *)
 
   val observe : w -> lane:int -> now_ms:float -> string -> unit
 

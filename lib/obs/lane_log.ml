@@ -37,6 +37,8 @@ let push t x =
   b.items.(b.size) <- x;
   b.size <- b.size + 1
 
+let length t = Array.fold_left (fun n b -> n + b.size) 0 t.bufs
+
 (* Cut every lane into its epoch segments and order them by (epoch,
    lane). Walking the segments backwards and consing each one's items
    backwards yields the list in order in one pass. *)

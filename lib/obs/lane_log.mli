@@ -31,5 +31,8 @@ val push : 'a t -> 'a -> unit
 (** Append to the executing lane's buffer, stamped with the current
     epoch. *)
 
+val length : 'a t -> int
+(** Writes so far, over every lane. *)
+
 val to_list : 'a t -> 'a list
 (** Every write, in (epoch, lane, sequence) order. *)

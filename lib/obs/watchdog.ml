@@ -46,12 +46,23 @@ type incident = {
 }
 
 (* Sliding-window counter keyed by entity: push a timestamp, expire
-   everything older than [within_ms], report the window size. *)
+   everything older than [within_ms], report the window size. Events
+   arrive sorted by ts, so the stamps a key holds are ascending and the
+   expired ones are always at the front of its queue. *)
 let slide tbl key ~ts ~within_ms =
-  let window = match Hashtbl.find_opt tbl key with Some l -> l | None -> [] in
-  let window = ts :: List.filter (fun t -> ts -. t <= within_ms) window in
-  Hashtbl.replace tbl key window;
-  List.length window
+  let window =
+    match Hashtbl.find_opt tbl key with
+    | Some q -> q
+    | None ->
+        let q = Queue.create () in
+        Hashtbl.add tbl key q;
+        q
+  in
+  while (not (Queue.is_empty window)) && ts -. Queue.peek window > within_ms do
+    ignore (Queue.pop window)
+  done;
+  Queue.push ts window;
+  window
 
 let detect ?(spec = default_spec) events =
   let cooldown = Hashtbl.create 16 in
@@ -90,17 +101,19 @@ let detect ?(spec = default_spec) events =
           | Breaker_trip, Flight_recorder.Breaker ->
               cooled_fire ~rule ~key:ev.entity ev ev.detail
           | Mechanism_flap { switches; within_ms }, Flight_recorder.Mech ->
-              let n = slide flaps ev.entity ~ts:ev.ts ~within_ms in
+              let window = slide flaps ev.entity ~ts:ev.ts ~within_ms in
+              let n = Queue.length window in
               if n >= switches then begin
-                Hashtbl.replace flaps ev.entity [];
+                Queue.clear window;
                 cooled_fire ~rule ~key:ev.entity ev
                   (Printf.sprintf "%d mechanism switches within %.0f ms (last: %s)"
                      n within_ms ev.detail)
               end
           | Shed_burst { sheds; within_ms }, Flight_recorder.Shed ->
-              let n = slide bursts "" ~ts:ev.ts ~within_ms in
+              let window = slide bursts "" ~ts:ev.ts ~within_ms in
+              let n = Queue.length window in
               if n >= sheds then begin
-                Hashtbl.replace bursts "" [];
+                Queue.clear window;
                 cooled_fire ~rule ~key:"" ev
                   (Printf.sprintf "%d requests shed within %.0f ms (last: %s)"
                      n within_ms ev.detail)

@@ -30,7 +30,10 @@ type incident = {
 }
 
 val detect : ?spec:spec -> Flight_recorder.event list -> incident list
-(** Incidents in event order. *)
+(** Incidents in event order. [events] must be ascending in [ts], as
+    {!Flight_recorder.events} returns them: the windowed rules expire
+    stamps from the front of a per-key queue, in time linear in the
+    dump. *)
 
 type bundle = {
   b_incident : incident;

@@ -14,13 +14,13 @@ type t = {
   directory : Entity_map.Directory.t;
       (* the one name -> eid map every site's arena indexes by; written
          only between windows, read concurrently by lanes inside them *)
-  flight : Obs.Flight_recorder.port;
+  obs : Obs.Sink.port;
       (* one port shared by every site (each writes to its own lane) and
          by the cluster itself for fault events (lane -1) *)
 }
 
 let create ?(seed = 42L) ?(engine_jobs = 1) ~config ~regions ?forecaster
-    ?(drop_probability = 0.0) ?on_protocol_event ?obs () =
+    ?(drop_probability = 0.0) ?on_protocol_event ?(obs = Obs.Sink.port ()) () =
   if Array.length regions = 0 then invalid_arg "Cluster.create: no regions";
   if engine_jobs < 1 then
     invalid_arg
@@ -31,7 +31,6 @@ let create ?(seed = 42L) ?(engine_jobs = 1) ~config ~regions ?forecaster
   let network =
     Geonet.Network.create_sharded shard ~node_lane ~seed ~regions ~drop_probability ()
   in
-  let flight = Obs.Flight_recorder.port () in
   let directory =
     Entity_map.Directory.create ~shards:config.Config.entity_shards
       ~capacity:config.Config.entity_capacity ()
@@ -42,14 +41,14 @@ let create ?(seed = 42L) ?(engine_jobs = 1) ~config ~regions ?forecaster
           Option.map (fun f -> fun ~entity event -> f ~site:id ~entity event)
             on_protocol_event
         in
-        Site.create ~config ~network ~directory ~id ?forecaster ?on_protocol_event ?obs
-          ~flight ~lane:node_lane.(id) ())
+        Site.create ~config ~network ~directory ~id ?forecaster ?on_protocol_event ~obs
+          ~lane:node_lane.(id) ())
   in
   (* Leg streams hang off reserved namespace 62 of the root seed — the
      network uses 63, lane engines use 0 .. lanes-1; none overlap. *)
   let root = Des.Rng.stream_seed seed 62 in
   let lane_leg_rngs = Array.init lanes (Des.Rng.stream root) in
-  { shard; region_lane; lane_leg_rngs; network; regions; sites; directory; flight }
+  { shard; region_lane; lane_leg_rngs; network; regions; sites; directory; obs }
 
 let engine t = Des.Shard.engine t.shard 0
 let shard t = Some t.shard
@@ -58,6 +57,17 @@ let lanes t = Des.Shard.lanes t.shard
 let region_lane t region = t.region_lane.(Geonet.Region.index region)
 let engine_of_region t region = Des.Shard.engine t.shard (region_lane t region)
 let now t = Des.Shard.now t.shard
+
+let clock t =
+  {
+    Obs.Lane_log.lanes = lanes t;
+    lane = Des.Shard.executing_lane;
+    epoch = (fun () -> Des.Shard.epoch t.shard);
+    now =
+      (fun lane ->
+        if lane < 0 then now t else Des.Engine.now (Des.Shard.engine t.shard lane));
+  }
+
 let run_until t ~until_ms = Des.Shard.run t.shard ~until_ms
 let schedule_global t ~time_ms f = Des.Shard.schedule_global t.shard ~time_ms f
 
@@ -196,7 +206,7 @@ let submit t ~region request ~reply =
    barrier-aligned globals), so stamping them from the coordinating
    domain is race-free. *)
 let flight_fault t detail =
-  match Obs.Flight_recorder.tap t.flight with
+  match Obs.Sink.flight t.obs with
   | None -> ()
   | Some a ->
       Obs.Flight_recorder.record a.Obs.Flight_recorder.recorder ~lane:(-1)
@@ -223,23 +233,17 @@ let heal t =
   flight_fault t "heal";
   Geonet.Network.clear_partition t.network
 
-(* Arm the always-on incident layer: every site starts recording into
-   its lane's ring and feeding the attachment's hot-key sketch. Unlike an
-   observability subscription this does NOT force sequential windows —
-   lane rings are single-writer by construction. The barrier hook drains
-   lane rings into the recorder's global buffer to bound per-lane memory;
-   dumps are identical with or without it. *)
+(* Arm the always-on incident layer on the cluster's port: every site
+   starts recording and feeding the attachment's hot-key sketch. Before
+   any lane writes, the recorder moves onto the cluster's lane clock and
+   every lane's sketch slot exists, so parallel windows never share a
+   buffer or grow a shared array. *)
 let arm_flight t (attachment : Obs.Flight_recorder.attachment) =
-  (* Every lane's slot exists before any lane writes, so no lane grows
-     the recorder's or the sketch's shared lane array mid-run. *)
-  let lanes = lanes t in
-  Obs.Flight_recorder.reserve attachment.Obs.Flight_recorder.recorder ~lanes;
+  Obs.Flight_recorder.bind attachment.Obs.Flight_recorder.recorder (clock t);
   Option.iter
-    (fun hot -> Obs.Heavy_hitters.Windowed.reserve hot ~lanes)
+    (fun hot -> Obs.Heavy_hitters.Windowed.reserve hot ~lanes:(lanes t))
     attachment.Obs.Flight_recorder.hot;
-  Obs.Flight_recorder.attach t.flight attachment;
-  Des.Shard.set_barrier_hook t.shard (fun () ->
-      Obs.Flight_recorder.drain attachment.Obs.Flight_recorder.recorder)
+  Obs.Sink.arm t.obs attachment
 
 (* One ledger field of [eid] summed over every site ([0] for the unknown
    eid [-1]): every site's arena holds every directory eid. Reads only —

@@ -27,9 +27,11 @@ val create :
 (** One site per entry of [regions] (node ids follow array order). The
     forecaster, when given, is shared by all sites' Prediction Modules.
     [on_protocol_event] observes every protocol instance of every site —
-    see {!Site.create}. [obs] is one late-bound observability port shared
-    by every site's request handler and protocol driver (a facade's
-    [subscribe] attaches a sink to it).
+    see {!Site.create}. [obs] is the one late-bound observability port
+    shared by every site's request handler, protocol driver and
+    controller (a facade's [subscribe] attaches a sink to it, and
+    {!arm_flight} arms the incident layer on it); without it the cluster
+    makes its own.
 
     Every deployment is region-sharded (see {!Des.Shard}): one lane per
     distinct hosting region, so a cluster whose sites all share a region
@@ -60,6 +62,12 @@ val now : t -> float
 (** Virtual barrier time: meaningful between {!run_until} windows and at
     global events. From inside an event, read the executing lane's engine
     clock instead. *)
+
+val clock : t -> Obs.Lane_log.clock
+(** The shard's lanes as a per-lane log clock: the executing lane
+    ({!Des.Shard.executing_lane}), the barrier epoch and each lane's
+    virtual time (barrier time for lane [-1]). Observability sinks and the
+    flight recorder write through it. *)
 
 val run_until : t -> until_ms:float -> unit
 (** Advance every lane of the simulation to [until_ms]. *)
@@ -127,13 +135,14 @@ val partition : t -> int list list -> unit
 val heal : t -> unit
 
 val arm_flight : t -> Obs.Flight_recorder.attachment -> unit
-(** Arm the always-on incident layer: sites record protocol outcomes,
-    breaker trips, sheds and mechanism switches into per-lane rings, the
+(** Arm the always-on incident layer on the cluster's port: sites record
+    protocol outcomes, breaker trips, sheds and mechanism switches, the
     cluster records injected faults (lane -1), and the attachment's
-    hot-key sketch is fed from the request path. Does {e not} force
-    sequential windows — per-lane rings are single-writer, and the
-    shard's barrier hook drains them into the recorder's global buffer.
-    Dumps are byte-identical at any [--engine-jobs]. *)
+    hot-key sketch is fed from the request path. The recorder is bound to
+    {!clock} (so it must still be empty) and the sketch's lane slots are
+    reserved. Does {e not} force sequential windows: each lane writes its
+    own buffer and slot. Dumps are byte-identical at any
+    [--engine-jobs]. *)
 
 val total_tokens_left : t -> entity:Types.entity -> int
 val total_acquired : t -> entity:Types.entity -> int

@@ -5,7 +5,6 @@ type t = {
   engine : Des.Engine.t;
   site_id : int;
   obs : Obs.Sink.port;
-  flight : Obs.Flight_recorder.port;
   lane : int;
   escrow : Mechanism.t;
   borrow : Mechanism.t;
@@ -17,15 +16,13 @@ type t = {
 }
 
 let create ~(cfg : Config.Controller.t) ~engine ~site_id
-    ?(obs = Obs.Sink.port ()) ?(flight = Obs.Flight_recorder.port ())
-    ?(lane = 0) ~bdeps ~redistribute () =
+    ?(obs = Obs.Sink.port ()) ?(lane = 0) ~bdeps ~redistribute () =
   let t =
     {
       cfg;
       engine;
       site_id;
       obs;
-      flight;
       lane;
       escrow = Mechanism.escrow ();
       borrow = Mechanism.borrow bdeps;
@@ -135,7 +132,7 @@ let switch t (ctx : Entity_state.t) ~now next =
     now +. t.cfg.Config.Controller.cooldown_ms;
   ctx.Entity_state.ctl_switches <- ctx.Entity_state.ctl_switches + 1;
   t.switches <- t.switches + 1;
-  (match Obs.Flight_recorder.tap t.flight with
+  (match Obs.Sink.flight t.obs with
   | None -> ()
   | Some a ->
       Obs.Flight_recorder.record a.Obs.Flight_recorder.recorder ~lane:t.lane

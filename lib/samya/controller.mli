@@ -33,7 +33,6 @@ val create :
   engine:Des.Engine.t ->
   site_id:int ->
   ?obs:Obs.Sink.port ->
-  ?flight:Obs.Flight_recorder.port ->
   ?lane:int ->
   bdeps:Mechanism.borrow_deps ->
   redistribute:Mechanism.t ->
@@ -41,8 +40,9 @@ val create :
   t
 (** Builds the three mechanisms (escrow and borrow internally, the
     redistribute wrapper passed in) and installs the borrow outcome feed
-    on [bdeps]. [flight]/[lane] route mechanism-switch events to the
-    always-on flight recorder when armed. *)
+    on [bdeps]. When [obs] has the incident layer armed, mechanism
+    switches are recorded into its flight recorder under [lane] (the
+    site's hosting-region lane). *)
 
 val mechanism : t -> Entity_state.t -> Mechanism.t
 (** The mechanism currently handling this entity's shortfalls. *)

@@ -40,7 +40,6 @@ type t = {
   n_sites : int;
   deps : deps;
   obs : Obs.Sink.port;
-  flight : Obs.Flight_recorder.port;
   lane : int; (* hosting region's engine lane, for flight-recorder writes *)
   pending_reads : (int, read_ctx) Hashtbl.t;
   mutable next_rid : int;
@@ -71,8 +70,8 @@ type t = {
   mutable s_shed_expired : int;
 }
 
-let create ~config ~engine ~site_id ~n_sites ?(obs = Obs.Sink.port ())
-    ?(flight = Obs.Flight_recorder.port ()) ?(lane = 0) deps =
+let create ~config ~engine ~site_id ~n_sites ?(obs = Obs.Sink.port ()) ?(lane = 0)
+    deps =
   {
     config;
     engine;
@@ -80,7 +79,6 @@ let create ~config ~engine ~site_id ~n_sites ?(obs = Obs.Sink.port ())
     n_sites;
     deps;
     obs;
-    flight;
     lane;
     pending_reads = Hashtbl.create 16;
     next_rid = 0;
@@ -132,7 +130,7 @@ let now t = Des.Engine.now t.engine
    watchdog's shed-burst rule reads them back. Disarmed cost: one load,
    one branch. *)
 let flight_shed t ~entity why =
-  match Obs.Flight_recorder.tap t.flight with
+  match Obs.Sink.flight t.obs with
   | None -> ()
   | Some a ->
       Obs.Flight_recorder.record a.Obs.Flight_recorder.recorder ~lane:t.lane

@@ -37,7 +37,6 @@ val create :
   site_id:int ->
   n_sites:int ->
   ?obs:Obs.Sink.port ->
-  ?flight:Obs.Flight_recorder.port ->
   ?lane:int ->
   deps ->
   t
@@ -49,10 +48,10 @@ val create :
     events stamped with [site_id]). Requests that arrive without an
     ambient {!Des.Trace_context} get a fresh root stamped here.
 
-    [flight] is the always-on flight-recorder port ([lane] = the site's
-    hosting-region engine lane): shed decisions (deadline / admission /
-    queue expiry) are recorded when armed, at the same
-    one-load-one-branch disarmed cost. *)
+    When the always-on incident layer is armed on [obs], shed decisions
+    (deadline / admission / queue expiry) are recorded into its flight
+    recorder under [lane] (the site's hosting-region engine lane), at
+    the same one-load-one-branch disarmed cost. *)
 
 val accept :
   t -> Entity_state.t -> Types.request -> (Types.response -> unit) -> unit

@@ -56,10 +56,10 @@ type t = {
       (* Some iff [config.controller.enabled]: the adaptive contention
          controller owning the per-entity mechanism choice *)
   heat : Entity_state.t Entity_map.core -> Entity_state.t;
-  flight : Obs.Flight_recorder.port;
+  obs : Obs.Sink.port;
   lane : int;
-      (* hosting region's engine lane — flight-recorder events written
-         from this site land in that lane's ring *)
+      (* hosting region's engine lane — the lane flight-recorder events
+         and hot-key observations from this site are stamped with *)
   mutable fleet_gossip_armed : bool;
       (* the single site-level anti-entropy loop bulk registration arms
          (the legacy [init_entity] path keeps its per-entity timer) *)
@@ -163,8 +163,8 @@ let handle_net t ~src msg =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 
-let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event ?obs
-    ?(flight = Obs.Flight_recorder.port ()) ?(lane = 0) () =
+let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event
+    ?(obs = Obs.Sink.port ()) ?(lane = 0) () =
   (match Config.validate config with
   | Ok () -> ()
   | Error reason -> invalid_arg ("Site.create: " ^ reason));
@@ -192,9 +192,9 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event ?obs
   in
   let now () = Des.Engine.now engine in
   (* Flight-recorder write, armed path only (the disarmed branch is the
-     [tap] match at each wrapper below). *)
+     [Sink.flight] match at each wrapper below). *)
   let flight_record ~kind ~entity detail =
-    match Obs.Flight_recorder.tap flight with
+    match Obs.Sink.flight obs with
     | None -> ()
     | Some a ->
         Obs.Flight_recorder.record a.Obs.Flight_recorder.recorder ~lane
@@ -243,7 +243,7 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event ?obs
         match on_protocol_event with
         | Some f -> f ~entity event
         | None -> ())
-      ~persist ?obs ()
+      ~persist ~obs ()
   in
   let heat (core : Entity_state.t Entity_map.core) =
     match core.Entity_map.hot with
@@ -286,7 +286,7 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event ?obs
           ~send:(fun ~dst ~entity ~needed ->
             Geonet.Network.send network ~src:id ~dst
               (Borrow_request { entity; needed }))
-          ?obs ()
+          ~obs ()
       in
       let redistribute =
         Mechanism.redistribute ~now
@@ -297,15 +297,14 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event ?obs
           ~trigger:(Protocol_driver.trigger driver)
       in
       Some
-        (Controller.create ~cfg:ctl_cfg ~engine ~site_id:id ?obs ~flight ~lane
+        (Controller.create ~cfg:ctl_cfg ~engine ~site_id:id ~obs ~lane
            ~bdeps ~redistribute ())
     end
     else None
   in
   controller_cell := controller;
   let handler =
-    Request_handler.create ~config ~engine ~site_id:id ~n_sites ?obs ~flight
-      ~lane
+    Request_handler.create ~config ~engine ~site_id:id ~n_sites ~obs ~lane
       {
         Request_handler.alive = (fun () -> !is_alive);
         reactive_ok =
@@ -357,7 +356,7 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event ?obs
       driver;
       controller;
       heat;
-      flight;
+      obs;
       lane;
       fleet_gossip_armed = false;
     }
@@ -441,7 +440,7 @@ let submit t request ~reply =
     (* Request-path heavy-hitters feed: per-lane windowed sketches, so
        the merged top-k is identical at any worker count. Disarmed cost:
        one load and one branch. *)
-    (match Obs.Flight_recorder.tap t.flight with
+    (match Obs.Sink.flight t.obs with
     | None -> ()
     | Some { Obs.Flight_recorder.hot = Some hot; _ } ->
         Obs.Heavy_hitters.Windowed.observe hot ~lane:t.lane

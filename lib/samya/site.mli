@@ -47,7 +47,6 @@ val create :
   ?forecaster:Ml.Forecaster.t ->
   ?on_protocol_event:(entity:Types.entity -> Avantan_core.event -> unit) ->
   ?obs:Obs.Sink.port ->
-  ?flight:Obs.Flight_recorder.port ->
   ?lane:int ->
   unit ->
   t
@@ -59,13 +58,14 @@ val create :
     [config]). [on_protocol_event] observes every {!Avantan_core.event} of
     every entity's protocol instance — elections, accepts, aborts,
     decisions with round counts — without touching protocol state. [obs]
-    is the late-bound observability port shared by the site's request
-    handler and protocol driver. [flight] is the always-on
-    flight-recorder port ([lane] = the site's hosting-region engine
-    lane): when armed, leader-side protocol outcomes, breaker trips,
-    sheds and mechanism switches are recorded into that lane's ring, and
-    the attachment's hot-key sketch is fed from {!submit}. Disarmed cost
-    is one load and one branch per instrumented point. *)
+    is the late-bound observability port (default: a fresh one) shared by
+    the site's request handler, protocol driver and controller. When the
+    always-on incident layer is armed on it ({!Obs.Sink.arm}),
+    leader-side protocol outcomes, breaker trips, sheds and mechanism
+    switches are recorded into its flight recorder under [lane] (the
+    site's hosting-region engine lane), and the attachment's hot-key
+    sketch is fed from {!submit}. Disarmed cost is one load and one
+    branch per instrumented point. *)
 
 val id : t -> int
 

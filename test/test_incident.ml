@@ -1,5 +1,5 @@
-(* The always-on incident layer (DESIGN.md §16): flight-recorder ring
-   and ordering semantics, the Misra-Gries merge algebra the per-lane
+(* The always-on incident layer (DESIGN.md §16): flight-recorder
+   ordering semantics and arming, the Misra-Gries merge algebra the per-lane
    windows rely on, the Zipfian error bound, the watchdog rules, and
    the end-to-end byte-identity of recorder dumps and incident lists at
    every --engine-jobs setting. *)
@@ -9,42 +9,27 @@ open Alcotest
 (* ------------------------------------------------------------------ *)
 (* Flight recorder *)
 
-let recorder_sort_and_drain_invariance () =
-  (* The same logical stream recorded into two recorders — one drained
-     at arbitrary points, one never — must dump identically: [events]
-     is a pure function of what was recorded, not of barrier timing. *)
+let recorder_sort_invariance () =
+  (* The same events recorded in two orders that differ only between
+     distinct (ts, lane, kind rank) keys must dump identically. *)
+  let record t (lane, ts, kind, site, entity, detail) =
+    Obs.Flight_recorder.record t ~lane ~ts ~kind ~site ~entity detail
+  in
+  let shed = (2, 10.0, Obs.Flight_recorder.Shed, 2, "e", "admission")
+  and decided = (0, 10.0, Obs.Flight_recorder.Protocol, 0, "e", "decided")
+  and breach = (-1, 14.0, Obs.Flight_recorder.Slo_breach, -1, "p50", "breach")
+  and heal = (-1, 14.0, Obs.Flight_recorder.Fault, -1, "", "heal") in
   let a = Obs.Flight_recorder.create () in
   let b = Obs.Flight_recorder.create () in
-  let feed t =
-    Obs.Flight_recorder.record t ~lane:2 ~ts:10.0
-      ~kind:Obs.Flight_recorder.Shed ~site:2 ~entity:"e" "admission";
-    Obs.Flight_recorder.record t ~lane:0 ~ts:10.0
-      ~kind:Obs.Flight_recorder.Protocol ~site:0 ~entity:"e" "decided";
-    (* Same (ts, lane): kind rank must break the tie the same way
-       regardless of recording order. *)
-    Obs.Flight_recorder.record t ~lane:(-1) ~ts:14.0
-      ~kind:Obs.Flight_recorder.Slo_breach ~entity:"p50" "breach";
-    Obs.Flight_recorder.record t ~lane:(-1) ~ts:14.0
-      ~kind:Obs.Flight_recorder.Fault "heal"
-  in
-  Obs.Flight_recorder.record a ~lane:2 ~ts:10.0
-    ~kind:Obs.Flight_recorder.Shed ~site:2 ~entity:"e" "admission";
-  Obs.Flight_recorder.drain a;
-  Obs.Flight_recorder.record a ~lane:0 ~ts:10.0
-    ~kind:Obs.Flight_recorder.Protocol ~site:0 ~entity:"e" "decided";
-  Obs.Flight_recorder.record a ~lane:(-1) ~ts:14.0
-    ~kind:Obs.Flight_recorder.Slo_breach ~entity:"p50" "breach";
-  Obs.Flight_recorder.drain a;
-  Obs.Flight_recorder.record a ~lane:(-1) ~ts:14.0
-    ~kind:Obs.Flight_recorder.Fault "heal";
-  feed b;
+  List.iter (record a) [ shed; decided; breach; heal ];
+  List.iter (record b) [ heal; breach; decided; shed ];
   let render t =
     String.concat "\n"
       (List.map Obs.Flight_recorder.line (Obs.Flight_recorder.events t))
   in
-  check string "drain timing invisible" (render b) (render a);
+  check string "record order of distinct keys invisible" (render b) (render a);
   (* The Fault at t=14 must sort before the SLO breach at t=14 (kind
-     rank), even though it was recorded later. *)
+     rank), even though [a] recorded it later. *)
   let kinds =
     List.map
       (fun (e : Obs.Flight_recorder.event) -> e.Obs.Flight_recorder.kind)
@@ -59,55 +44,65 @@ let recorder_sort_and_drain_invariance () =
         Obs.Flight_recorder.Slo_breach;
       ])
 
-let recorder_ring_overflow () =
-  let t = Obs.Flight_recorder.create ~lane_capacity:4 ~global_capacity:8 () in
-  for i = 0 to 9 do
-    Obs.Flight_recorder.record t ~lane:0 ~ts:(float_of_int i)
-      ~kind:Obs.Flight_recorder.Note
-      (Printf.sprintf "n%d" i)
-  done;
-  check int "recorded counts everything" 10 (Obs.Flight_recorder.recorded t);
-  check int "oldest dropped" 6 (Obs.Flight_recorder.dropped t);
-  let retained =
+(* A recorder bound to a real shard's lanes, as arming a cluster binds
+   it. *)
+let shard_clock shard =
+  {
+    Obs.Lane_log.lanes = Des.Shard.lanes shard;
+    lane = Des.Shard.executing_lane;
+    epoch = (fun () -> Des.Shard.epoch shard);
+    now =
+      (fun lane ->
+        if lane < 0 then Des.Shard.now shard
+        else Des.Engine.now (Des.Shard.engine shard lane));
+  }
+
+let recorder_equal_keys_keep_record_order () =
+  (* Three events share (ts, lane, kind): lane 1 writes the first inside
+     a window, a barrier-aligned global writes the second between
+     windows (lane -1's buffer), lane 1 writes the third in a later
+     window. The dump keeps the order they ran in, at any worker count. *)
+  let dump workers =
+    let shard = Des.Shard.create ~workers ~lanes:2 ~lookahead_ms:1.0 () in
+    let recorder = Obs.Flight_recorder.create () in
+    Obs.Flight_recorder.bind recorder (shard_clock shard);
+    let shed detail () =
+      Obs.Flight_recorder.record recorder ~lane:1 ~ts:5.0
+        ~kind:Obs.Flight_recorder.Shed ~site:1 ~entity:"e" detail
+    in
+    let lane1 = Des.Shard.engine shard 1 in
+    Des.Engine.schedule_at lane1 ~time_ms:1.0 (shed "first");
+    Des.Shard.schedule_global shard ~time_ms:3.0 (shed "second");
+    Des.Engine.schedule_at lane1 ~time_ms:4.0 (shed "third");
+    Des.Shard.run shard ~until_ms:10.0;
     List.map
       (fun (e : Obs.Flight_recorder.event) -> e.Obs.Flight_recorder.detail)
-      (Obs.Flight_recorder.events t)
+      (Obs.Flight_recorder.events recorder)
   in
-  check (list string) "newest survive in order" [ "n6"; "n7"; "n8"; "n9" ]
-    retained
-
-let recorder_rejects_non_positive_capacity () =
-  (* At 0 the first record would index an empty ring; below 0 it would
-     fail inside Array.make. [create] refuses both, naming the value. *)
-  let rejects what create =
-    List.iter
-      (fun n ->
-        match create n with
-        | _ -> failf "%s %d accepted" what n
-        | exception Invalid_argument msg ->
-            check bool
-              (Printf.sprintf "%S names %d" msg n)
-              true
-              (String.ends_with ~suffix:(Printf.sprintf "(got %d)" n) msg))
-      [ 0; -1 ]
-  in
-  rejects "lane_capacity" (fun lane_capacity ->
-      Obs.Flight_recorder.create ~lane_capacity ());
-  rejects "global_capacity" (fun global_capacity ->
-      Obs.Flight_recorder.create ~global_capacity ())
+  check (list string) "record order" [ "first"; "second"; "third" ] (dump 1);
+  check (list string) "same at two workers" (dump 1) (dump 2);
+  let used = Obs.Flight_recorder.create () in
+  Obs.Flight_recorder.record used ~lane:0 ~ts:0.0 ~kind:Obs.Flight_recorder.Note "x";
+  match
+    Obs.Flight_recorder.bind used
+      (shard_clock (Des.Shard.create ~lanes:1 ~lookahead_ms:1.0 ()))
+  with
+  | () -> fail "bind accepted a recorder that holds events"
+  | exception Invalid_argument _ -> ()
 
 let port_disarmed_is_noop () =
-  let port = Obs.Flight_recorder.port () in
-  check bool "disarmed tap" true (Obs.Flight_recorder.tap port = None);
+  let port = Obs.Sink.port () in
+  check bool "disarmed" true (Obs.Sink.flight port = None);
   let recorder = Obs.Flight_recorder.create () in
-  Obs.Flight_recorder.attach port { Obs.Flight_recorder.recorder; hot = None };
-  (match Obs.Flight_recorder.tap port with
+  Obs.Sink.arm port { Obs.Flight_recorder.recorder; hot = None };
+  (match Obs.Sink.flight port with
   | Some a ->
-      check bool "armed tap yields the recorder" true
+      check bool "armed port yields the recorder" true
         (a.Obs.Flight_recorder.recorder == recorder)
-  | None -> fail "armed port must tap");
-  Obs.Flight_recorder.detach port;
-  check bool "detached tap" true (Obs.Flight_recorder.tap port = None)
+  | None -> fail "armed port must yield the attachment");
+  check bool "arming attaches no sink" true (Obs.Sink.tap port = None);
+  Obs.Sink.disarm port;
+  check bool "disarmed again" true (Obs.Sink.flight port = None)
 
 (* ------------------------------------------------------------------ *)
 (* Heavy hitters: the merge algebra (qcheck) *)
@@ -247,6 +242,26 @@ let windowed_rejects_non_finite_window () =
         | exception Invalid_argument _ -> true))
     [ infinity; Float.nan; neg_infinity; 0.0; -1.0 ]
 
+let windowed_rejects_non_positive_k () =
+  (* Each lane builds its sketch on its first observation, so a bad [k]
+     must be refused by [create], not inside a lane's window. Both
+     messages name the value. *)
+  let rejects what create =
+    List.iter
+      (fun k ->
+        match create k with
+        | _ -> failf "%s accepted k = %d" what k
+        | exception Invalid_argument msg ->
+            check bool
+              (Printf.sprintf "%S names %d" msg k)
+              true
+              (String.ends_with ~suffix:(Printf.sprintf "(got %d)" k) msg))
+      [ 0; -3 ]
+  in
+  rejects "Windowed.create" (fun k ->
+      ignore (Obs.Heavy_hitters.Windowed.create ~k ~window_ms:1_000.0 ()));
+  rejects "Heavy_hitters.create" (fun k -> ignore (Obs.Heavy_hitters.create ~k ()))
+
 (* ------------------------------------------------------------------ *)
 (* Watchdog *)
 
@@ -287,6 +302,112 @@ let watchdog_rules_fire () =
   check int "invariant violation" 1 (count "invariant-violation");
   check int "shed burst (cooldown bounds the storm)" 1 (count "shed-burst")
 
+(* The windowed rules as first written: every Mech/Shed event rebuilds
+   its key's window with a list filter and counts it. [detect] must give
+   exactly the same incidents. *)
+let reference_detect (spec : Obs.Watchdog.spec) events =
+  let cooldown = Hashtbl.create 16 in
+  let windows = Hashtbl.create 16 in
+  let incidents = ref [] in
+  let fire ~rule ~key (ev : Obs.Flight_recorder.event) reason =
+    let ck = (Obs.Watchdog.rule_name rule, key) in
+    let ok =
+      match Hashtbl.find_opt cooldown ck with
+      | Some last -> ev.ts -. last > spec.cooldown_ms
+      | None -> true
+    in
+    if ok then begin
+      Hashtbl.replace cooldown ck ev.ts;
+      incidents :=
+        {
+          Obs.Watchdog.i_rule = Obs.Watchdog.rule_name rule;
+          i_ts = ev.ts;
+          i_site = ev.site;
+          i_entity = ev.entity;
+          i_reason = reason;
+        }
+        :: !incidents
+    end
+  in
+  let slide table key ~ts ~within_ms =
+    let window =
+      ts
+      :: List.filter
+           (fun t -> ts -. t <= within_ms)
+           (Option.value ~default:[] (Hashtbl.find_opt windows (table, key)))
+    in
+    Hashtbl.replace windows (table, key) window;
+    List.length window
+  in
+  List.iter
+    (fun (ev : Obs.Flight_recorder.event) ->
+      List.iter
+        (fun rule ->
+          match (rule, ev.kind) with
+          | Obs.Watchdog.Mechanism_flap { switches; within_ms }, Obs.Flight_recorder.Mech
+            ->
+              let n = slide `Flap ev.entity ~ts:ev.ts ~within_ms in
+              if n >= switches then begin
+                Hashtbl.replace windows (`Flap, ev.entity) [];
+                fire ~rule ~key:ev.entity ev
+                  (Printf.sprintf "%d mechanism switches within %.0f ms (last: %s)" n
+                     within_ms ev.detail)
+              end
+          | Obs.Watchdog.Shed_burst { sheds; within_ms }, Obs.Flight_recorder.Shed ->
+              let n = slide `Burst "" ~ts:ev.ts ~within_ms in
+              if n >= sheds then begin
+                Hashtbl.replace windows (`Burst, "") [];
+                fire ~rule ~key:"" ev
+                  (Printf.sprintf "%d requests shed within %.0f ms (last: %s)" n
+                     within_ms ev.detail)
+              end
+          | _ -> ())
+        spec.rules)
+    events;
+  List.rev !incidents
+
+let watchdog_matches_list_definition =
+  (* Sorted Mech/Shed streams over two entities. Gaps of 0 repeat a
+     stamp; gaps that sum to exactly [within_ms] sit on the window's
+     closed edge; small thresholds make the reset after a fire and the
+     cooldown bite often. *)
+  let gaps = [| 0.0; 2.5; 5.0; 10.0; 12.5; 30.0 |] in
+  let gen =
+    QCheck.(
+      pair
+        (quad (int_range 1 4) (int_range 1 5) (int_range 0 1) (int_range 0 2))
+        (small_list (triple (int_bound 5) bool bool)))
+  in
+  QCheck.Test.make ~name:"watchdog: windowed rules match list definition" ~count:500
+    gen (fun ((switches, sheds, within, cool), steps) ->
+      let within_ms = [| 5.0; 10.0 |].(within) in
+      let spec =
+        {
+          Obs.Watchdog.rules =
+            [
+              Obs.Watchdog.Mechanism_flap { switches; within_ms };
+              Obs.Watchdog.Shed_burst { sheds; within_ms };
+            ];
+          cooldown_ms = [| 0.0; 10.0; 25.0 |].(cool);
+        }
+      in
+      let ts = ref 0.0 in
+      let events =
+        List.map
+          (fun (gap, mech, hot) ->
+            ts := !ts +. gaps.(gap);
+            {
+              Obs.Flight_recorder.lane = 0;
+              ts = !ts;
+              kind = (if mech then Obs.Flight_recorder.Mech else Obs.Flight_recorder.Shed);
+              site = 0;
+              entity = (if hot then "hot" else "cold");
+              detail = "x";
+            })
+          steps
+      in
+      Obs.Watchdog.detect ~spec events = reference_detect spec events)
+
 let bundle_names_breached_window () =
   (* An SLO breach is stamped at its window's end; the bundle must
      report the window that breached, not the one that starts there. *)
@@ -312,15 +433,25 @@ let bundle_names_breached_window () =
 (* Parallel lanes: each domain writes only its own lane *)
 
 let parallel_lanes_lose_nothing () =
-  (* The sharded DES runs lanes on parallel domains. Once the lane slots
-     are reserved (as arming a cluster does), nothing a lane writes may
-     touch shared state: every event and every observation is counted. *)
+  (* The sharded DES runs lanes on parallel domains. Once the recorder is
+     bound to the lanes' clock and the sketch's slots are reserved (as
+     arming a cluster does), nothing a lane writes may touch shared
+     state: every event and every observation is counted. Here each
+     domain is one lane. *)
   let lanes = 4 and per_lane = 20_000 in
+  let executing = Domain.DLS.new_key (fun () -> -1) in
   let recorder = Obs.Flight_recorder.create () in
+  Obs.Flight_recorder.bind recorder
+    {
+      Obs.Lane_log.lanes;
+      lane = (fun () -> Domain.DLS.get executing);
+      epoch = (fun () -> 0);
+      now = (fun _ -> 0.0);
+    };
   let hot = Obs.Heavy_hitters.Windowed.create ~k:8 ~window_ms:100.0 () in
-  Obs.Flight_recorder.reserve recorder ~lanes;
   Obs.Heavy_hitters.Windowed.reserve hot ~lanes;
   let write lane () =
+    Domain.DLS.set executing lane;
     for i = 1 to per_lane do
       let ts = float_of_int i in
       Obs.Flight_recorder.record recorder ~lane ~ts
@@ -385,13 +516,10 @@ let retrystorm_flight_recorder_identical () =
 let suite =
   let qcheck = QCheck_alcotest.to_alcotest in
   [
-    test_case "recorder: sort and drain invariance" `Quick
-      recorder_sort_and_drain_invariance;
-    test_case "recorder: ring overflow drops oldest" `Quick
-      recorder_ring_overflow;
+    test_case "recorder: sort invariance" `Quick recorder_sort_invariance;
+    test_case "recorder: equal keys keep record order" `Quick
+      recorder_equal_keys_keep_record_order;
     test_case "recorder: port arm/disarm" `Quick port_disarmed_is_noop;
-    test_case "recorder: rejects non-positive capacity" `Quick
-      recorder_rejects_non_positive_capacity;
     qcheck merge_commutative;
     qcheck merge_associative;
     qcheck merge_lossless_on_disjoint;
@@ -400,9 +528,12 @@ let suite =
       windowed_lane_independence;
     test_case "hh: windowed rejects non-finite window" `Quick
       windowed_rejects_non_finite_window;
+    test_case "hh: windowed rejects non-positive k" `Quick
+      windowed_rejects_non_positive_k;
     test_case "recorder + hh: parallel lanes lose nothing" `Quick
       parallel_lanes_lose_nothing;
     test_case "watchdog: rules fire with cooldown" `Quick watchdog_rules_fire;
+    qcheck watchdog_matches_list_definition;
     test_case "watchdog: bundle names breached window" `Quick
       bundle_names_breached_window;
     test_case "retrystorm: flight recorder byte-identical" `Slow
