@@ -66,8 +66,9 @@ let pp_report fmt report =
 (* One client loop per region: acquires with bounded-outstanding releases,
    all randomness from a stream split off the seed so the whole run —
    workload, cluster, fault schedule — replays from one integer. Clients
-   speak the facade verbs only (the entity is bound at construction). *)
+   submit through the facade, against the entity it registered. *)
 let spawn_client ~engine ~(facade : Facade.t) ~rng ~region ~duration_ms ~counts =
+  let entity = facade.Facade.entity in
   let outstanding = ref 0 in
   let bump i = counts.(i) <- counts.(i) + 1 in
   let count = function
@@ -85,11 +86,15 @@ let spawn_client ~engine ~(facade : Facade.t) ~rng ~region ~duration_ms ~counts 
                 auditor would see client-caused negative acquisition. *)
              let amount = 1 + Des.Rng.int rng (min 3 !outstanding) in
              outstanding := !outstanding - amount;
-             facade.Facade.release ~region ~amount ~reply:count
+             facade.Facade.submit ~region
+               (Samya.Types.release ~entity ~amount ())
+               ~reply:count
            end
            else
              let amount = 1 + Des.Rng.int rng 4 in
-             facade.Facade.acquire ~region ~amount ~reply:(fun response ->
+             facade.Facade.submit ~region
+               (Samya.Types.acquire ~entity ~amount ())
+               ~reply:(fun response ->
                  count response;
                  if response = Samya.Types.Granted then
                    outstanding := !outstanding + amount));

@@ -14,17 +14,7 @@ type t = {
   sched_region : Geonet.Region.t -> Des.Engine.t;
   schedule_global : time_ms:float -> (unit -> unit) -> unit;
   run_until : float -> unit;
-  acquire :
-    region:Geonet.Region.t ->
-    amount:int ->
-    reply:(Samya.Types.response -> unit) ->
-    unit;
-  release :
-    region:Geonet.Region.t ->
-    amount:int ->
-    reply:(Samya.Types.response -> unit) ->
-    unit;
-  read : region:Geonet.Region.t -> reply:(Samya.Types.response -> unit) -> unit;
+  entity : Samya.Types.entity;
   submit :
     region:Geonet.Region.t ->
     Samya.Types.request ->
@@ -276,9 +266,6 @@ let protocol_event_hook hooks ~site ~entity event =
 let of_samya_cluster ?(name = "Samya") ~hooks ~regions ~entity cluster =
   let network = Samya.Cluster.network cluster in
   let shard = Option.get (Samya.Cluster.shard cluster) in
-  let submit ~region request ~reply =
-    Samya.Cluster.submit cluster ~region request ~reply
-  in
   (* The observability wiring reads the clock and ambient trace context of
      the lane executing the write; between windows that is lane -1, on
      barrier time with no ambient context. *)
@@ -293,14 +280,8 @@ let of_samya_cluster ?(name = "Samya") ~hooks ~regions ~entity cluster =
     sched_region = (fun region -> Samya.Cluster.engine_of_region cluster region);
     schedule_global = (fun ~time_ms f -> Samya.Cluster.schedule_global cluster ~time_ms f);
     run_until = (fun until_ms -> Samya.Cluster.run_until cluster ~until_ms);
-    acquire =
-      (fun ~region ~amount ~reply ->
-        submit ~region (Samya.Types.Acquire { entity; amount; deadline_ms = infinity }) ~reply);
-    release =
-      (fun ~region ~amount ~reply ->
-        submit ~region (Samya.Types.Release { entity; amount; deadline_ms = infinity }) ~reply);
-    read = (fun ~region ~reply -> submit ~region (Samya.Types.Read { entity; deadline_ms = infinity }) ~reply);
-    submit;
+    entity;
+    submit = Samya.Cluster.submit cluster;
     crash_region =
       (fun region ->
         List.iter (Samya.Cluster.crash_site cluster) (sites_in regions region));

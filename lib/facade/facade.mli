@@ -2,18 +2,17 @@
 
     Every system under test — Samya (both Avantan variants), MultiPaxSys,
     Demarcation and the CockroachDB-like baseline — is driven through one
-    first-class record: the client verbs ([acquire]/[release]/[read]),
-    fault injection, a common [stats] surface, and [subscribe], which
-    installs an observability sink across every layer of the system (DES
-    timers, geonet hops, protocol events, request counters) in one call.
+    first-class record: one client verb ([submit]), fault injection, a
+    common [stats] surface, and [subscribe], which installs an
+    observability sink across every layer of the system (DES timers,
+    geonet hops, protocol events, request counters) in one call.
     Experiments, the chaos soak and the trace exporter consume this
     record only; nothing downstream pattern-matches on system names.
 
-    The facade is entity-scoped: builders bind the benchmark entity at
-    construction, so the verbs speak amounts and regions only. Since the
-    multi-entity core the record also carries a generic [submit] verb
-    whose request names its own entity — the path the gateway-fleet
-    workloads use against a bulk-registered {!Samya.Cluster}.
+    Every request names its own entity. A builder registers one entity
+    and records it in [entity], which single-key workloads target and
+    [invariant] audits; the gateway-fleet workloads name keys of a
+    bulk-registered {!Samya.Cluster} instead.
 
     This module also hosts the generic observability wiring
     ({!engine_tracer}, {!network_tracer}) and the Samya adapter. Baseline
@@ -51,24 +50,16 @@ type t = {
           single-engine baseline) *)
   run_until : float -> unit;
       (** advance the whole simulation (all lanes) to an absolute time *)
-  acquire :
-    region:Geonet.Region.t ->
-    amount:int ->
-    reply:(Samya.Types.response -> unit) ->
-    unit;
-  release :
-    region:Geonet.Region.t ->
-    amount:int ->
-    reply:(Samya.Types.response -> unit) ->
-    unit;
-  read : region:Geonet.Region.t -> reply:(Samya.Types.response -> unit) -> unit;
+  entity : Samya.Types.entity;
+      (** the entity the builder registered (the one [invariant]
+          audits) *)
   submit :
     region:Geonet.Region.t ->
     Samya.Types.request ->
     reply:(Samya.Types.response -> unit) ->
     unit;
-      (** generic verb carrying a full request — the multi-entity path:
-          the request names its own entity instead of the bound one *)
+      (** the one client verb: the request names its entity, amount and
+          absolute deadline *)
   crash_region : Geonet.Region.t -> unit;
   crash_site : int -> unit;
   recover_site : int -> unit;

@@ -49,9 +49,9 @@ type spec = {
          attempts (default None: submit once, wait forever — the
          historical behaviour) *)
   deadline_budget_ms : float;
-      (* per-workload deadline budget: entity-named requests are stamped
-         with the absolute deadline [first_sent + budget], which sites
-         propagate and enforce (default infinity: no deadline) *)
+      (* per-workload deadline budget: every request is stamped with the
+         absolute deadline [first_sent + budget], which sites propagate
+         and enforce (default infinity: no deadline) *)
   phases : float array;
       (* interior phase boundaries (ms, sorted ascending): requests bucket
          into [result.by_phase] by first-send time — n boundaries make
@@ -107,6 +107,20 @@ type result = {
   by_entity : (string * entity_stats) list;
   by_phase : phase_stats array;
 }
+
+(* A stream request as the system sees it: an unnamed one ([entity = ""])
+   targets the entity the system's builder registered. *)
+let to_request ~(t_system : Systems.facade) ~deadline_ms
+    (request : Trace.Workload.request) =
+  let entity =
+    if request.entity = "" then t_system.Systems.entity else request.entity
+  in
+  match request.kind with
+  | Trace.Workload.Acquire ->
+      Samya.Types.Acquire { entity; amount = request.amount; deadline_ms }
+  | Trace.Workload.Release ->
+      Samya.Types.Release { entity; amount = request.amount; deadline_ms }
+  | Trace.Workload.Read -> Samya.Types.Read { entity; deadline_ms }
 
 (* Client lanes live above the site lanes in the trace (tid 1000+). *)
 let client_tid client = 1000 + client
@@ -433,37 +447,9 @@ let run ~(t_system : Systems.facade) spec =
       in
       let region = spec.client_regions.(client) in
       let submit ~reply =
-        if request.entity <> "" then
-          (* Multi-entity path: the request names its own key; the facade's
-             generic verb carries it (and the absolute deadline) to the
-             cluster untranslated. *)
-          let r =
-            match request.kind with
-            | Trace.Workload.Acquire ->
-                Samya.Types.Acquire
-                  {
-                    entity = request.entity;
-                    amount = request.amount;
-                    deadline_ms = deadline;
-                  }
-            | Trace.Workload.Release ->
-                Samya.Types.Release
-                  {
-                    entity = request.entity;
-                    amount = request.amount;
-                    deadline_ms = deadline;
-                  }
-            | Trace.Workload.Read ->
-                Samya.Types.Read { entity = request.entity; deadline_ms = deadline }
-          in
-          t_system.Systems.submit ~region r ~reply
-        else
-          match request.kind with
-          | Trace.Workload.Acquire ->
-              t_system.Systems.acquire ~region ~amount:request.amount ~reply
-          | Trace.Workload.Release ->
-              t_system.Systems.release ~region ~amount:request.amount ~reply
-          | Trace.Workload.Read -> t_system.Systems.read ~region ~reply
+        t_system.Systems.submit ~region
+          (to_request ~t_system ~deadline_ms:deadline request)
+          ~reply
       in
       (* One span and one causal root per request: every retry attempt runs
          under the same trace, so [explain] shows them as extra service
@@ -790,13 +776,9 @@ let run_closed ~(t_system : Systems.facade) ~client_regions ~requests ~duration_
                 worker client
               end
             in
-            let region = client_regions.(client) in
-            match request.kind with
-            | Trace.Workload.Acquire ->
-                t_system.Systems.acquire ~region ~amount:request.amount ~reply
-            | Trace.Workload.Release ->
-                t_system.Systems.release ~region ~amount:request.amount ~reply
-            | Trace.Workload.Read -> t_system.Systems.read ~region ~reply
+            t_system.Systems.submit ~region:client_regions.(client)
+              (to_request ~t_system ~deadline_ms:infinity request)
+              ~reply
           end
     end
   in

@@ -80,8 +80,8 @@ type spec = {
           each attempt at the timeout (default [None]: submit once and
           wait forever — the historical behaviour) *)
   deadline_budget_ms : float;
-      (** per-workload deadline budget: entity-named requests are stamped
-          with the absolute deadline [send time + budget], which sites
+      (** per-workload deadline budget: every request is stamped with
+          the absolute deadline [send time + budget], which sites
           propagate and enforce ({!Samya.Config.t.deadline_budget_ms})
           (default [infinity]: no deadline; must be positive) *)
   phases : float array;
@@ -135,7 +135,9 @@ type result = {
 }
 
 val run : t_system:Systems.facade -> spec -> result
-(** Raises [Invalid_argument] before the run starts on an invalid spec:
+(** Submits every stream request through [t_system.submit], an unnamed
+    one ([entity = ""]) to [t_system.entity], each stamped with
+    [spec.deadline_budget_ms]. Raises [Invalid_argument] before the run starts on an invalid spec:
     a [window_ms] that is not positive and finite, among others. *)
 
 val average_tps : result -> float
@@ -153,4 +155,5 @@ val run_closed :
 (** Closed-loop replay (Fig. 3h): each client region runs a fixed pool of
     workers that issue their stream's requests back to back, so measured
     throughput reflects per-request latency and server serialization —
-    stream arrival times are ignored. *)
+    stream arrival times are ignored. Requests are submitted as in {!run},
+    with no deadline. *)

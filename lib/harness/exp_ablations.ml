@@ -54,7 +54,18 @@ let run_constraint_ablation ctx ~quick fmt =
       ("No constraints", { maj with Samya.Config.enforce_constraint = false });
       ("Avantan[(n+1)/2]", maj);
       ("Avantan[*]", star);
-      ("No redistribution", { maj with Samya.Config.redistribution_enabled = false });
+      (* Without redistribution a shortfall is refused at the local
+         ledger: the Static Escrow pin. *)
+      ( "No redistribution",
+        {
+          maj with
+          Samya.Config.controller =
+            {
+              maj.Samya.Config.controller with
+              enabled = true;
+              policy = Samya.Config.Controller.(Static Escrow);
+            };
+        } );
     ]
   in
   Format.fprintf fmt "@.== Fig 3e: no constraint vs no redistribution (§5.5) ==@.";

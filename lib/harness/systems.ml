@@ -17,17 +17,7 @@ type facade = Facade.t = {
   sched_region : Geonet.Region.t -> Des.Engine.t;
   schedule_global : time_ms:float -> (unit -> unit) -> unit;
   run_until : float -> unit;
-  acquire :
-    region:Geonet.Region.t ->
-    amount:int ->
-    reply:(Samya.Types.response -> unit) ->
-    unit;
-  release :
-    region:Geonet.Region.t ->
-    amount:int ->
-    reply:(Samya.Types.response -> unit) ->
-    unit;
-  read : region:Geonet.Region.t -> reply:(Samya.Types.response -> unit) -> unit;
+  entity : Samya.Types.entity;
   submit :
     region:Geonet.Region.t ->
     Samya.Types.request ->
@@ -70,7 +60,7 @@ let samya ?seed ?engine_jobs ?name ~config ~regions ?forecaster ?on_protocol_eve
     ~name:(Option.value name ~default:default_name)
     ~hooks ~regions ~entity cluster
 
-(* Baseline adapters share one shape: verbs bound to the entity, stats
+(* Baseline adapters share one shape: one registered entity, stats
    from the internal network counters, subscribe = engine tracer +
    network tracer + named site lanes. *)
 let baseline ?(borrows = fun () -> 0) ~name ~engine ~regions ~entity ~submit
@@ -85,13 +75,7 @@ let baseline ?(borrows = fun () -> 0) ~name ~engine ~regions ~entity ~submit
     sched_region = (fun _ -> engine);
     schedule_global = (fun ~time_ms f -> Des.Engine.schedule_at engine ~time_ms f);
     run_until = (fun until_ms -> Des.Engine.run engine ~until_ms);
-    acquire =
-      (fun ~region ~amount ~reply ->
-        submit ~region (Samya.Types.Acquire { entity; amount; deadline_ms = infinity }) ~reply);
-    release =
-      (fun ~region ~amount ~reply ->
-        submit ~region (Samya.Types.Release { entity; amount; deadline_ms = infinity }) ~reply);
-    read = (fun ~region ~reply -> submit ~region (Samya.Types.Read { entity; deadline_ms = infinity }) ~reply);
+    entity;
     submit;
     crash_region = (fun region -> List.iter crash_site (sites_in regions region));
     crash_site;
@@ -138,8 +122,7 @@ let demarcation ?seed ?regions ~entity ~maximum () =
     ~borrows:(fun () -> Baselines.Demarcation.borrows system)
     ~engine:(Baselines.Demarcation.engine system)
     ~regions ~entity
-    ~submit:(fun ~region request ~reply ->
-      Baselines.Demarcation.submit system ~region request ~reply)
+    ~submit:(Baselines.Demarcation.submit system)
     ~crash_site:(Baselines.Demarcation.crash_site system)
     ~recover_site:(Baselines.Demarcation.recover_site system)
     ~partition:(Baselines.Demarcation.partition system)
@@ -159,8 +142,7 @@ let multipaxsys ?seed ~entity ~maximum () =
   baseline ~name:"MultiPaxSys"
     ~engine:(Baselines.Multipaxsys.engine system)
     ~regions ~entity
-    ~submit:(fun ~region request ~reply ->
-      Baselines.Multipaxsys.submit system ~region request ~reply)
+    ~submit:(Baselines.Multipaxsys.submit system)
     ~crash_site:(Baselines.Multipaxsys.crash_site system)
     ~recover_site:(Baselines.Multipaxsys.recover_site system)
     ~partition:(Baselines.Multipaxsys.partition system)
@@ -193,8 +175,7 @@ let cockroach ?seed ?regions ~entity ~maximum () =
   in
   settle 30;
   baseline ~name:"CockroachDB" ~engine ~regions ~entity
-    ~submit:(fun ~region request ~reply ->
-      Baselines.Cockroach_sim.submit system ~region request ~reply)
+    ~submit:(Baselines.Cockroach_sim.submit system)
     ~crash_site:(Baselines.Cockroach_sim.crash_site system)
     ~recover_site:(Baselines.Cockroach_sim.recover_site system)
     ~partition:(Baselines.Cockroach_sim.partition system)

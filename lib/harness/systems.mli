@@ -2,7 +2,9 @@
     {!Facade.t} record (re-exported here as {!facade}). Experiments,
     chaos and the trace exporter drive every system through this one
     interface — there is no per-system dispatch downstream of this
-    module. *)
+    module. Each builder registers one entity ([~entity], recorded in
+    the record's [entity]); clients reach it, or any other key, through
+    [submit] alone. *)
 
 type stats = Facade.stats = {
   redistributions : int;
@@ -22,17 +24,9 @@ type facade = Facade.t = {
   schedule_global : time_ms:float -> (unit -> unit) -> unit;
       (** barrier-aligned slot for fault injection *)
   run_until : float -> unit;  (** advance all lanes to an absolute time *)
-  acquire :
-    region:Geonet.Region.t ->
-    amount:int ->
-    reply:(Samya.Types.response -> unit) ->
-    unit;
-  release :
-    region:Geonet.Region.t ->
-    amount:int ->
-    reply:(Samya.Types.response -> unit) ->
-    unit;
-  read : region:Geonet.Region.t -> reply:(Samya.Types.response -> unit) -> unit;
+  entity : Samya.Types.entity;
+      (** the entity the builder registered: a stream request that names
+          no entity ([""]) targets it *)
   submit :
     region:Geonet.Region.t ->
     Samya.Types.request ->

@@ -4,6 +4,7 @@ type variant = Majority | Star
    otherwise defeat every comparison downstream. *)
 let positive x = x > 0.0
 let positive_finite x = x > 0.0 && x <> infinity
+let non_negative_finite x = x >= 0.0 && x <> infinity
 
 module Admission = struct
   type t = { target_ms : float; interval_ms : float }
@@ -88,6 +89,8 @@ module Controller = struct
       borrow_patience_ms = 1_000.0;
     }
 
+  let effective_policy t = if t.enabled then t.policy else Static Redistribute
+
   let validate t =
     if not (positive_finite t.window_ms) then
       Error
@@ -115,16 +118,12 @@ module Controller = struct
         (Printf.sprintf
            "controller.p99_target_ms must be positive (got %g): infinity disables the latency escalation signal"
            t.p99_target_ms)
-    else if Float.is_nan t.dwell_ms || t.dwell_ms < 0.0 || t.dwell_ms = infinity
-    then
+    else if not (non_negative_finite t.dwell_ms) then
       Error
         (Printf.sprintf
            "controller.dwell_ms must be >= 0 and finite (got %g): minimum residence time in a mechanism"
            t.dwell_ms)
-    else if
-      Float.is_nan t.cooldown_ms || t.cooldown_ms < 0.0
-      || t.cooldown_ms = infinity
-    then
+    else if not (non_negative_finite t.cooldown_ms) then
       Error
         (Printf.sprintf
            "controller.cooldown_ms must be >= 0 and finite (got %g): minimum spacing between consecutive switches"
@@ -145,7 +144,6 @@ end
 type t = {
   variant : variant;
   prediction_enabled : bool;
-  redistribution_enabled : bool;
   enforce_constraint : bool;
   redistribution_cooldown_ms : float;
   election_timeout_ms : float;
@@ -170,7 +168,6 @@ let default =
   {
     variant = Majority;
     prediction_enabled = true;
-    redistribution_enabled = true;
     enforce_constraint = true;
     redistribution_cooldown_ms = 2_000.0;
     election_timeout_ms = 800.0;
@@ -191,12 +188,37 @@ let default =
     controller = Controller.default;
   }
 
+(* Every protocol timer is armed on the DES heap, which does not check
+   times: a NaN delay silently breaks heap order, so each is refused here. *)
 let validate t =
-  if t.election_timeout_ms <= 0.0 || t.accept_timeout_ms <= 0.0 then
-    Error "protocol timeouts must be positive"
-  else if t.cohort_timeout_ms <= t.election_timeout_ms then
-    Error "cohort timeout must exceed the election timeout"
-  else if t.local_processing_ms < 0.0 then Error "local_processing_ms must be >= 0"
+  if not (positive_finite t.election_timeout_ms) then
+    Error
+      (Printf.sprintf "election_timeout_ms must be positive and finite (got %g)"
+         t.election_timeout_ms)
+  else if not (positive_finite t.accept_timeout_ms) then
+    Error
+      (Printf.sprintf "accept_timeout_ms must be positive and finite (got %g)"
+         t.accept_timeout_ms)
+  else if
+    not (positive_finite t.cohort_timeout_ms && t.cohort_timeout_ms > t.election_timeout_ms)
+  then
+    Error
+      (Printf.sprintf
+         "cohort_timeout_ms must be finite and exceed the election timeout (got %g): it is the cohort's leader-failure detector"
+         t.cohort_timeout_ms)
+  else if not (positive_finite t.status_retry_ms) then
+    Error
+      (Printf.sprintf "status_retry_ms must be positive and finite (got %g)"
+         t.status_retry_ms)
+  else if not (non_negative_finite t.local_processing_ms) then
+    Error
+      (Printf.sprintf "local_processing_ms must be >= 0 and finite (got %g)"
+         t.local_processing_ms)
+  else if not (non_negative_finite t.redistribution_cooldown_ms) then
+    Error
+      (Printf.sprintf
+         "redistribution_cooldown_ms must be >= 0 and finite (got %g): minimum spacing between redistributions"
+         t.redistribution_cooldown_ms)
   else if t.decided_log_retention < 1 then Error "decided_log_retention must be >= 1"
   else if t.entity_shards < 1 then
     Error

@@ -73,9 +73,10 @@ module Controller : sig
 
   type t = {
     enabled : bool;
-        (** [false] (default) keeps the historical redistribution-only
-            wiring; the disabled path costs one load and one branch on the
-            shortfall path and nothing on the grant path. *)
+        (** [false] (default) runs every entity under the
+            [Static Redistribute] pin, the paper's redistribution-only
+            wiring (see {!effective_policy}): [policy] is ignored and no
+            wait sketch is allocated per entity. *)
     policy : policy;
     window_ms : float;  (** tumbling signal window *)
     escalate_contention : float;
@@ -101,13 +102,16 @@ module Controller : sig
   }
 
   val default : t
+
+  val effective_policy : t -> policy
+  (** [policy] when [enabled], else [Static Redistribute]. *)
+
   val validate : t -> (unit, string) result
 end
 
 type t = {
   variant : variant;
   prediction_enabled : bool;  (** [false] = reactive-only (Fig. 3f) *)
-  redistribution_enabled : bool;  (** [false] = reject on exhaustion (Fig. 3e) *)
   enforce_constraint : bool;  (** [false] = no global limit (Fig. 3e) *)
   redistribution_cooldown_ms : float;
       (** minimum spacing between redistributions triggered by one site —
@@ -174,4 +178,6 @@ val default : t
 val validate : t -> (unit, string) result
 (** Rejects inconsistent settings with an explanatory message; the
     overload knobs are NaN-safe (a NaN budget or target is rejected, not
-    silently treated as disabled). Delegates to the sub-record validators. *)
+    silently treated as disabled), and so are the protocol timers and
+    the CPU and cooldown times, which the event heap would otherwise
+    accept as NaN. Delegates to the sub-record validators. *)

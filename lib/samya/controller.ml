@@ -164,12 +164,13 @@ let switch t (ctx : Entity_state.t) ~now next =
 (* Window boundary: evaluate the state machine under the hysteresis
    guards (dwell in the current tier, cooldown since the last switch),
    then start a fresh window. Static pins never switch; per-entity pins
-   (the org escalation topology) override the site-wide policy. *)
+   (the org escalation topology) override the site-wide policy, and a
+   disabled controller is the Static Redistribute pin. *)
 let evaluate t (ctx : Entity_state.t) ~now =
   let policy =
     match ctx.Entity_state.ctl_pinned with
     | Some p -> p
-    | None -> t.cfg.Config.Controller.policy
+    | None -> Config.Controller.effective_policy t.cfg
   in
   (match policy with
   | Config.Controller.Static _ -> ()

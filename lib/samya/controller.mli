@@ -1,10 +1,11 @@
 (** The adaptive contention controller: close the loop from observed
     SLO signals to token-movement policy.
 
-    One controller per site, state per entity (on {!Entity_state}): each
-    entity runs under one {!Mechanism} at a time — escrow while cold,
-    peer borrowing under moderate skew, consensus redistribution under
-    sustained pressure. Decisions are made on tumbling
+    One controller per site, always built, state per entity (on
+    {!Entity_state}): each entity runs under one {!Mechanism} at a time —
+    escrow while cold, peer borrowing under moderate skew, consensus
+    redistribution under sustained pressure. A disabled controller is
+    the [Static Redistribute] pin ({!Config.Controller.effective_policy}). Decisions are made on tumbling
     {!Config.Controller.window_ms} windows from three signals:
 
     - {b contention} — shortfalls / (served + shortfalls);

@@ -49,8 +49,8 @@ type t = {
   mutable breaker_trips : int;
   mutable borrow : borrow option;
       (** in-flight peer borrow; requests park behind it like they do
-          behind a redistribution ([None] always when the controller is
-          off) *)
+          behind a redistribution ([None] unless the entity runs under
+          Borrow) *)
   mutable ctl_mech : Config.Controller.mechanism;
       (** the mechanism currently handling this entity's shortfalls *)
   mutable ctl_pinned : Config.Controller.policy option;
@@ -72,10 +72,11 @@ type t = {
   mutable ctl_switches : int;  (** run statistic: mechanism switches *)
 }
 
-(* The mechanism an entity starts under: the pin when the policy is
-   static, the cheapest tier (escrow-while-cold) when adaptive. *)
+(* The mechanism an entity starts under: the pin when the effective
+   policy is static (a disabled controller pins Redistribute), the
+   cheapest tier (escrow-while-cold) when adaptive. *)
 let initial_mechanism (config : Config.t) =
-  match config.Config.controller.Config.Controller.policy with
+  match Config.Controller.effective_policy config.Config.controller with
   | Config.Controller.Static m -> m
   | Config.Controller.Adaptive -> Config.Controller.Escrow
 
@@ -181,8 +182,8 @@ let participating t =
   | None -> t.core.Entity_map.exposed
 
 (* Requests must queue while either kind of token-movement engagement is
-   in flight: a protocol instance or a peer borrow. With the controller
-   off [borrow] is always [None], so this is one extra load and branch. *)
+   in flight: a protocol instance or a peer borrow (one extra load and
+   branch). *)
 let parked t =
   match t.borrow with Some _ -> true | None -> participating t
 

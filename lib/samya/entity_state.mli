@@ -70,7 +70,8 @@ type t = {
           local-escrow-only service ([neg_infinity] = closed) *)
   mutable breaker_trips : int;  (** times the breaker has opened *)
   mutable borrow : borrow option;
-      (** in-flight peer borrow; [None] always when the controller is off *)
+      (** in-flight peer borrow; [None] unless the entity runs under
+          Borrow *)
   mutable ctl_mech : Config.Controller.mechanism;
       (** the mechanism currently handling this entity's shortfalls —
           owned by {!Controller} *)
@@ -120,12 +121,13 @@ val participating : t -> bool
 
 val parked : t -> bool
 (** {!participating}, or a peer borrow in flight — the full "requests must
-    queue" predicate. One extra load and branch over [participating] when
-    the controller is off. *)
+    queue" predicate; one extra load and branch over [participating]. *)
 
 val initial_mechanism : Config.t -> Config.Controller.mechanism
-(** The tier an entity starts under: the pin when the configured policy is
-    static, Escrow (cheapest, serve-while-cold) when adaptive. *)
+(** The tier an entity starts under: the pin when the effective policy
+    ({!Config.Controller.effective_policy}) is static, so Redistribute
+    when the controller is disabled; Escrow (cheapest, serve-while-cold)
+    when adaptive. *)
 
 val record_decision : t -> retention:int -> Protocol.value -> unit
 (** Prepend a decided value to the recovery log, dropping the oldest entry

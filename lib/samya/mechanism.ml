@@ -218,9 +218,8 @@ let borrow deps =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Avantan redistribution: today's consensus path, wrapped. The verdict
-   logic is exactly the legacy reactive branch of the request handler:
-   famine backoff and breaker gate the trigger, the prediction module
+(* Avantan redistribution: the paper's reactive consensus path (Equation
+   5). Famine backoff and breaker gate the trigger, the prediction module
    sizes the ask. *)
 
 let redistribute ~now ~reactive_ok ~reactive_wanted ~trigger =

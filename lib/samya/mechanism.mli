@@ -12,19 +12,19 @@
       [lib/baselines/demarcation.ml]: ask peers in proximity order for
       the queued shortfall plus a quantum, tokens move ledger-to-ledger
       in one message each way;
-    - {!redistribute} — today's {!Protocol_driver} path: a batched
+    - {!redistribute} — the paper's {!Protocol_driver} path: a batched
       Avantan consensus round re-divides the global pool.
 
     {!Request_handler} consults the {!Controller}'s current mechanism on
-    each shortfall: [try_acquire] decides ([Park] behind an engagement or
+    every shortfall: [try_acquire] decides ([Park] behind an engagement or
     [Refuse]), the handler parks the request under the verdict's queue
     label, then [engage] fires the actual operation (protocol trigger or
     first peer ask). [replenish_hint] exposes each mechanism's ask
     sizing, [cost_estimate] an EWMA of its observed engagement latency;
     structured {!outcome} events feed the controller's windowed signals.
 
-    With the controller off none of this is reachable: the legacy
-    redistribution wiring is byte-identical. *)
+    With the controller disabled every entity stays on {!redistribute},
+    the paper's reactive redistribution. *)
 
 type kind = Config.Controller.mechanism =
   | Escrow
@@ -118,7 +118,7 @@ val redistribute :
   reactive_wanted:(Entity_state.t -> amount:int -> int) ->
   trigger:(Entity_state.t -> unit) ->
   t
-(** Wraps the legacy reactive branch: [reactive_ok] is the
+(** The reactive redistribution of Equation 5: [reactive_ok] is the
     famine/breaker gate ({!Redistribution_policy.reactive_ok}),
     [reactive_wanted] the prediction module's ask sizing, [trigger] the
     {!Protocol_driver} entry point. *)

@@ -87,7 +87,6 @@ let reactive_wanted t (ctx : Entity_state.t) ~amount =
 let proactive_check t ~now ~cooldown_ok ~trigger (ctx : Entity_state.t) =
   if
     t.config.Config.prediction_enabled
-    && t.config.Config.redistribution_enabled
     && now -. ctx.last_proactive_check_ms >= proactive_check_ms
   then begin
     ctx.last_proactive_check_ms <- now;

@@ -11,13 +11,10 @@ type read_ctx = {
 }
 
 (* What request handling needs from the rest of the site: the prediction
-   module's ask sizing and proactive check, the redistribution policy's
-   famine gate, and the protocol driver's trigger. *)
+   module's proactive check, and the controller whose mechanisms take
+   every shortfall. *)
 type deps = {
   alive : unit -> bool;
-  reactive_ok : Entity_state.t -> bool;
-  reactive_wanted : Entity_state.t -> amount:int -> int;
-  trigger : Entity_state.t -> unit;
   proactive : Entity_state.t -> unit;
   broadcast_read_query : entity:Types.entity -> rid:int -> unit;
   persist : Entity_state.t -> unit;
@@ -27,10 +24,9 @@ type deps = {
       (** materialise hot state for a cold entity that can no longer be
           served from its core ledger alone (shortfall, or protocol
           exposure) *)
-  controller : Controller.t option;
-      (** [Some] iff [Config.Controller.enabled]: shortfalls dispatch to
-          the entity's current mechanism instead of the legacy
-          redistribution wiring *)
+  controller : Controller.t;
+      (** owns each entity's current mechanism, which serves every
+          shortfall *)
 }
 
 type t = {
@@ -44,9 +40,6 @@ type t = {
   pending_reads : (int, read_ctx) Hashtbl.t;
   mutable next_rid : int;
   mutable busy_until : float;
-  ctl : Controller.t option;
-      (* [deps.controller], hoisted: the controller-off shortfall path is
-         one load and one branch, and the grant path one load + match *)
   adm_enabled : bool;
       (* [Config.Admission.enabled], latched at creation: the disabled
          admission path is one load and one branch *)
@@ -83,7 +76,6 @@ let create ~config ~engine ~site_id ~n_sites ?(obs = Obs.Sink.port ()) ?(lane = 
     pending_reads = Hashtbl.create 16;
     next_rid = 0;
     busy_until = 0.0;
-    ctl = deps.controller;
     adm_enabled = Config.Admission.enabled config.Config.admission;
     adm_target = config.Config.admission.Config.Admission.target_ms;
     adm_interval = config.Config.admission.Config.Admission.interval_ms;
@@ -250,10 +242,11 @@ let park t (ctx : Entity_state.t) request reply ~label =
   ctx.queue_peak <- max ctx.queue_peak (Queue.length ctx.queue);
   obs_queue_depth t (Queue.length ctx.queue)
 
-(* Shortfall under the controller: dispatch to the entity's current
-   mechanism. The verdict parks the request (then fires the engagement —
-   ordering matters, DES sends can resolve synchronously) or refuses. *)
-let serve_shortfall t c (ctx : Entity_state.t) request reply ~amount =
+(* Shortfall: dispatch to the entity's current mechanism. The verdict
+   parks the request (then fires the engagement — ordering matters, DES
+   sends can resolve synchronously) or refuses. *)
+let serve_shortfall t (ctx : Entity_state.t) request reply ~amount =
+  let c = t.deps.controller in
   Controller.note_shortfall c ctx;
   let m = Controller.mechanism c ctx in
   match m.Mechanism.try_acquire ctx ~amount with
@@ -269,9 +262,8 @@ let serve_shortfall t c (ctx : Entity_state.t) request reply ~amount =
   | Mechanism.Refuse -> reject_acquire t reply
 
 (* Serve a single acquire/release against local state. In [drain] mode the
-   request was queued behind a redistribution that just ended, and an
-   unservable acquire is rejected rather than triggering another
-   instance. *)
+   request was queued behind an engagement that just ended, and an
+   unservable acquire is rejected rather than engaging again. *)
 let serve_local t (ctx : Entity_state.t) request reply ~drain =
   match request with
   | Types.Release { amount; _ } ->
@@ -296,37 +288,12 @@ let serve_local t (ctx : Entity_state.t) request reply ~drain =
         obs_incr t "samya.acquire.granted";
         t.deps.persist ctx;
         reply_after_processing t reply Types.Granted;
-        match t.ctl with
-        | None -> if not drain then t.deps.proactive ctx
-        | Some c ->
-            Controller.note_served c ctx;
-            if (not drain) && Controller.proactive_allowed ctx then
-              t.deps.proactive ctx
+        Controller.note_served t.deps.controller ctx;
+        if (not drain) && Controller.proactive_allowed ctx then
+          t.deps.proactive ctx
       end
-      else begin
-        match t.ctl with
-        | Some c when not drain ->
-            serve_shortfall t c ctx request reply ~amount
-        | Some _ | None ->
-            if
-              (not drain)
-              && t.config.Config.redistribution_enabled
-              && (not (Entity_state.participating ctx))
-              && t.deps.reactive_ok ctx
-            then begin
-              (* Reactive redistribution (Equation 5): queue the client
-                 behind the instance the prediction module sizes for
-                 us. *)
-              t.s_reactive <- t.s_reactive + 1;
-              obs_incr t "samya.reactive.queued";
-              let wanted = t.deps.reactive_wanted ctx ~amount in
-              ctx.core.tokens_wanted <- max ctx.core.tokens_wanted wanted;
-              ctx.last_redistribution_ms <- now t;
-              park t ctx request reply ~label:"redistribution";
-              t.deps.trigger ctx
-            end
-            else reject_acquire t reply
-      end
+      else if drain then reject_acquire t reply
+      else serve_shortfall t ctx request reply ~amount
   | Types.Read _ -> (* handled before dispatch *) assert false
 
 let drain_queue ?(reject_unservable = false) t (ctx : Entity_state.t) =
@@ -359,9 +326,9 @@ let drain_queue ?(reject_unservable = false) t (ctx : Entity_state.t) =
       reply Types.Rejected_deadline
     end
     else if Des.Trace_context.is_none qctx then
-      (* [drain:false] lets an unservable acquire re-trigger a reactive
-         redistribution (subject to famine backoff) instead of being
-         rejected outright; [reject_unservable] (a borrow that ended
+      (* [drain:false] lets an unservable acquire engage the mechanism
+         again (a redistribution is subject to famine backoff) instead of
+         being rejected outright; [reject_unservable] (a borrow that ended
          short) forces the reject so a starved entity cannot loop. *)
       serve_local t ctx request reply ~drain:reject_unservable
     else

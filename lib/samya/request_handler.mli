@@ -4,17 +4,15 @@
     state exposed, and fans global-snapshot reads out to all peers
     (§5.8).
 
-    It is wired to the other three site modules through {!deps} closures:
-    {!Prediction} sizes reactive asks and runs the proactive check,
-    {!Redistribution_policy} gates triggers during famine, and
-    {!Protocol_driver} starts instances and drains the queue when they
-    end. *)
+    It is wired to the rest of the site through {!deps}: {!Prediction}
+    runs the proactive check, and every shortfall goes to the entity's
+    current {!Mechanism}, chosen by the site's {!Controller} (the
+    redistribute mechanism sizes its ask with {!Prediction}, gates it
+    with {!Redistribution_policy} and starts a {!Protocol_driver}
+    instance). Engagements drain the queue when they end. *)
 
 type deps = {
   alive : unit -> bool;
-  reactive_ok : Entity_state.t -> bool;
-  reactive_wanted : Entity_state.t -> amount:int -> int;
-  trigger : Entity_state.t -> unit;
   proactive : Entity_state.t -> unit;
   broadcast_read_query : entity:Types.entity -> rid:int -> unit;
   persist : Entity_state.t -> unit;
@@ -23,10 +21,9 @@ type deps = {
   heat : Entity_state.t Entity_map.core -> Entity_state.t;
       (** materialise hot state for a cold entity that can no longer be
           served from its core ledger alone *)
-  controller : Controller.t option;
-      (** [Some] iff {!Config.Controller.enabled}: shortfalls dispatch to
-          the entity's current {!Mechanism} instead of the legacy
-          reactive-redistribution branch *)
+  controller : Controller.t;
+      (** owns each entity's current {!Mechanism}, which serves every
+          shortfall outside queue replay *)
 }
 
 type t
@@ -71,12 +68,6 @@ val accept_core :
     in-pool acquires are served straight from the core ledger (no queue,
     no demand tracking); anything else heats the entity via [deps.heat]
     first. *)
-
-val serve_local :
-  t -> Entity_state.t -> Types.request -> (Types.response -> unit) -> drain:bool -> unit
-(** Serve one acquire/release. In [drain] mode (queue replay after an
-    instance ended) an unservable acquire is rejected rather than
-    re-triggering. *)
 
 val drain_queue : ?reject_unservable:bool -> t -> Entity_state.t -> unit
 (** Replay the queue after an engagement (instance or borrow) ended;

@@ -52,9 +52,9 @@ type t = {
   prediction : Prediction.t;
   handler : Request_handler.t;
   driver : Protocol_driver.t;
-  controller : Controller.t option;
-      (* Some iff [config.controller.enabled]: the adaptive contention
-         controller owning the per-entity mechanism choice *)
+  controller : Controller.t;
+      (* owns the per-entity mechanism choice (a disabled controller pins
+         every entity to Redistribute) *)
   heat : Entity_state.t Entity_map.core -> Entity_state.t;
   obs : Obs.Sink.port;
   lane : int;
@@ -148,15 +148,16 @@ let handle_net t ~src msg =
     | Borrow_grant { entity; tokens } -> (
         (* Borrower side: bank the tokens and advance the conversation. A
            grant landing after the conversation died (patience fired, or
-           the controller is gone) still lands in the ledger —
-           conservation never depends on the conversation being alive. *)
+           the entity went cold) still lands in the ledger — conservation
+           never depends on the conversation being alive. *)
         match get_core t entity with
         | None -> ()
         | Some core -> (
-            match (core.Entity_map.hot, t.controller) with
-            | Some ctx, Some c ->
-                Mechanism.on_grant (Controller.borrow_deps c) ctx ~tokens
-            | _ ->
+            match core.Entity_map.hot with
+            | Some ctx ->
+                Mechanism.on_grant (Controller.borrow_deps t.controller) ctx
+                  ~tokens
+            | None ->
                 core.Entity_map.tokens_left <-
                   core.Entity_map.tokens_left + tokens))
 
@@ -205,7 +206,7 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event
   (* Forward cell: the controller wraps the driver's trigger, but the
      driver's outcome hook also feeds the controller. Broken by building
      the driver first against this cell. *)
-  let controller_cell = ref None in
+  let note_outcome = ref (fun _ ~aborted:_ -> ()) in
   let driver =
     Protocol_driver.create ~config ~engine ~site_id:id ~n_sites
       ~send:(fun ~entity ~dst msg ->
@@ -224,9 +225,7 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event
             ~entity:(Entity_state.entity ctx)
             (Printf.sprintf "circuit breaker opened (trip %d)"
                ctx.Entity_state.breaker_trips);
-        match !controller_cell with
-        | Some c -> Controller.note_redistribution_outcome c ctx ~aborted
-        | None -> ())
+        !note_outcome ctx ~aborted)
       ~on_event:(fun entity event ->
         (match event with
         | Avantan_core.Decided { participants; rounds; led = true; _ } ->
@@ -261,56 +260,47 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event
         ctx
   in
   let controller =
-    if config.Config.controller.Config.Controller.enabled then begin
-      let ctl_cfg = config.Config.controller in
-      (* Peers in proximity order (ties by index), self excluded — the
-         demarcation baseline's ask order. *)
-      let my_region = Geonet.Network.region_of network id in
-      let peers =
-        List.init n_sites Fun.id
-        |> List.filter (fun a -> a <> id)
-        |> List.sort (fun a b ->
-               compare
-                 ( Geonet.Region.one_way_ms my_region
-                     (Geonet.Network.region_of network a),
-                   a )
-                 ( Geonet.Region.one_way_ms my_region
-                     (Geonet.Network.region_of network b),
-                   b ))
-      in
-      let bdeps =
-        Mechanism.borrow_deps ~engine ~site_id:id ~peers
-          ~quantum:ctl_cfg.Config.Controller.borrow_quantum
-          ~patience_ms:ctl_cfg.Config.Controller.borrow_patience_ms
-          ~alive:(fun () -> !is_alive)
-          ~send:(fun ~dst ~entity ~needed ->
-            Geonet.Network.send network ~src:id ~dst
-              (Borrow_request { entity; needed }))
-          ~obs ()
-      in
-      let redistribute =
-        Mechanism.redistribute ~now
-          ~reactive_ok:(fun ctx ->
-            config.Config.redistribution_enabled
-            && Redistribution_policy.reactive_ok rpolicy ~now:(now ()) ctx)
-          ~reactive_wanted:(Prediction.reactive_wanted prediction)
-          ~trigger:(Protocol_driver.trigger driver)
-      in
-      Some
-        (Controller.create ~cfg:ctl_cfg ~engine ~site_id:id ~obs ~lane
-           ~bdeps ~redistribute ())
-    end
-    else None
+    let ctl_cfg = config.Config.controller in
+    (* Peers in proximity order (ties by index), self excluded — the
+       demarcation baseline's ask order. *)
+    let my_region = Geonet.Network.region_of network id in
+    let peers =
+      List.init n_sites Fun.id
+      |> List.filter (fun a -> a <> id)
+      |> List.sort (fun a b ->
+             compare
+               ( Geonet.Region.one_way_ms my_region
+                   (Geonet.Network.region_of network a),
+                 a )
+               ( Geonet.Region.one_way_ms my_region
+                   (Geonet.Network.region_of network b),
+                 b ))
+    in
+    let bdeps =
+      Mechanism.borrow_deps ~engine ~site_id:id ~peers
+        ~quantum:ctl_cfg.Config.Controller.borrow_quantum
+        ~patience_ms:ctl_cfg.Config.Controller.borrow_patience_ms
+        ~alive:(fun () -> !is_alive)
+        ~send:(fun ~dst ~entity ~needed ->
+          Geonet.Network.send network ~src:id ~dst
+            (Borrow_request { entity; needed }))
+        ~obs ()
+    in
+    let redistribute =
+      Mechanism.redistribute ~now
+        ~reactive_ok:(fun ctx ->
+          Redistribution_policy.reactive_ok rpolicy ~now:(now ()) ctx)
+        ~reactive_wanted:(Prediction.reactive_wanted prediction)
+        ~trigger:(Protocol_driver.trigger driver)
+    in
+    Controller.create ~cfg:ctl_cfg ~engine ~site_id:id ~obs ~lane ~bdeps
+      ~redistribute ()
   in
-  controller_cell := controller;
+  note_outcome := Controller.note_redistribution_outcome controller;
   let handler =
     Request_handler.create ~config ~engine ~site_id:id ~n_sites ~obs ~lane
       {
         Request_handler.alive = (fun () -> !is_alive);
-        reactive_ok =
-          (fun ctx -> Redistribution_policy.reactive_ok rpolicy ~now:(now ()) ctx);
-        reactive_wanted = Prediction.reactive_wanted prediction;
-        trigger = Protocol_driver.trigger driver;
         proactive =
           (fun ctx ->
             Prediction.proactive_check prediction ~now:(now ())
@@ -327,16 +317,13 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event
       }
   in
   Protocol_driver.set_drain driver (Request_handler.drain_queue handler);
-  (match controller with
-  | Some c ->
-      (* An unsatisfied borrow drains in reject mode: serve what the
-         grants cover, reject the rest — a starved entity must not loop
-         straight back into another conversation. *)
-      Mechanism.set_borrow_drain (Controller.borrow_deps c)
-        (fun ctx ~satisfied ->
-          Request_handler.drain_queue ~reject_unservable:(not satisfied)
-            handler ctx)
-  | None -> ());
+  (* An unsatisfied borrow drains in reject mode: serve what the grants
+     cover, reject the rest — a starved entity must not loop straight
+     back into another conversation. *)
+  Mechanism.set_borrow_drain (Controller.borrow_deps controller)
+    (fun ctx ~satisfied ->
+      Request_handler.drain_queue ~reject_unservable:(not satisfied) handler
+        ctx);
   Protocol_driver.set_resolve driver (Entity_map.find entities);
   Protocol_driver.set_heat driver heat;
   let t =
@@ -492,26 +479,18 @@ let breaker_open t ~entity =
   | None -> false
 
 let mechanism t ~entity =
-  match (t.controller, get_ctx t entity) with
-  | Some _, Some ctx -> Some ctx.Entity_state.ctl_mech
-  | _ -> None
+  Option.map (fun ctx -> ctx.Entity_state.ctl_mech) (get_ctx t entity)
 
-let mechanism_switches t =
-  match t.controller with Some c -> Controller.switches c | None -> 0
-
-let borrows t =
-  match t.controller with Some c -> Controller.borrows c | None -> 0
-
-let borrow_tokens t =
-  match t.controller with Some c -> Controller.borrow_tokens c | None -> 0
+let mechanism_switches t = Controller.switches t.controller
+let borrows t = Controller.borrows t.controller
+let borrow_tokens t = Controller.borrow_tokens t.controller
 
 let pin_policy t ~entity policy =
-  match t.controller with
-  | None -> invalid_arg "Site.pin_policy: controller disabled"
-  | Some c -> (
-      match get_core t entity with
-      | None -> invalid_arg "Site.pin_policy: unknown entity"
-      | Some core -> Controller.pin c (t.heat core) policy)
+  if not t.config.Config.controller.Config.Controller.enabled then
+    invalid_arg "Site.pin_policy: controller disabled";
+  match get_core t entity with
+  | None -> invalid_arg "Site.pin_policy: unknown entity"
+  | Some core -> Controller.pin t.controller (t.heat core) policy
 
 let shed_deadline t = Request_handler.shed_deadline t.handler
 let shed_admission t = Request_handler.shed_admission t.handler

@@ -123,8 +123,9 @@ val breaker_trips : t -> entity:Types.entity -> int
 val breaker_open : t -> entity:Types.entity -> bool
 
 val mechanism : t -> entity:Types.entity -> Config.Controller.mechanism option
-(** The {!Mechanism} currently handling this entity's shortfalls;
-    [None] when the controller is disabled or the entity is cold. *)
+(** The {!Mechanism} currently handling this entity's shortfalls
+    ([Redistribute] when the controller is disabled); [None] when the
+    entity is cold. *)
 
 val mechanism_switches : t -> int
 (** Controller mechanism switches across all entities of this site. *)

@@ -2,7 +2,8 @@
    config validation (including the controller/amnesia cross-check), the
    pure hysteresis state machine (no flapping under an oscillating
    signal), end-to-end peer borrowing with token conservation, static
-   and org-tier policy pins, randomized conservation under mid-flight
+   and org-tier policy pins (a disabled controller is the static
+   Redistribute pin), randomized conservation under mid-flight
    mechanism switches, and sharded byte-identity of the contention
    experiment. *)
 
@@ -256,6 +257,71 @@ let org_tiers_pin_by_depth () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
+(* A disabled controller is the Static Redistribute pin *)
+
+let disabled_equals_static_redistribute () =
+  (* One skewed burst, run under the default config and under an enabled
+     controller pinned to Redistribute: every observable count must
+     match, since both send each shortfall through the same mechanism. *)
+  let run config =
+    let cluster = Samya.Cluster.create ~seed:11L ~config ~regions:(regions ()) () in
+    Samya.Cluster.init_entity cluster ~entity ~maximum:2_000;
+    let t_system =
+      Facade.of_samya_cluster ~name:"pin" ~hooks:(Facade.samya_hooks ())
+        ~regions:(regions ()) ~entity cluster
+    in
+    let requests =
+      Trace.Workload.skew_ramp
+        ~rng:(Des.Rng.create 23L)
+        ~entity ~home:0 ~n_clients:5
+        ~phases:
+          [
+            { Trace.Workload.until_ms = 1_500.0; rate_per_s = 100.0; home_affinity = 0.2 };
+            { Trace.Workload.until_ms = 5_000.0; rate_per_s = 900.0; home_affinity = 0.9 };
+          ]
+        ()
+    in
+    let spec =
+      {
+        (Harness.Driver.default_spec ~client_regions:(regions ()) ~requests
+           ~duration_ms:5_000.0)
+        with
+        Harness.Driver.drain_ms = 10_000.0;
+        grant_driven_release_ms = Some 800.0;
+      }
+    in
+    let r = Harness.Driver.run ~t_system spec in
+    let site = Samya.Cluster.aggregate_site_stats cluster in
+    let proto = Samya.Cluster.aggregate_protocol_stats cluster in
+    let mech = Samya.Site.mechanism (Samya.Cluster.site cluster 0) ~entity in
+    ( Printf.sprintf
+        "committed=%d rejected=%d unavailable=%d shed=%d timed_out=%d \
+         retries=%d no_reply=%d p50=%h p99=%h"
+        r.Harness.Driver.committed r.Harness.Driver.rejected
+        r.Harness.Driver.unavailable r.Harness.Driver.shed
+        r.Harness.Driver.timed_out r.Harness.Driver.retries
+        r.Harness.Driver.no_reply
+        (Harness.Driver.percentile r 50.0)
+        (Harness.Driver.percentile r 99.0),
+      site,
+      proto,
+      mech )
+  in
+  let off_driver, off_site, off_proto, off_mech = run Samya.Config.default in
+  let pin_driver, pin_site, pin_proto, _ =
+    run (with_controller ~policy:(C.Static C.Redistribute) Samya.Config.default)
+  in
+  check bool "the burst triggers both kinds of redistribution" true
+    (off_site.Samya.Site.reactive_triggers > 0
+    && off_site.Samya.Site.proactive_triggers > 0);
+  check bool "the burst rejects some acquires" true (off_site.Samya.Site.rejected > 0);
+  check Alcotest.string "driver counters and p50/p99" off_driver pin_driver;
+  check bool "aggregate site stats" true (off_site = pin_site);
+  check bool "aggregate protocol stats" true (off_proto = pin_proto);
+  check bool "disabled controller reports Redistribute" true
+    (off_mech = Some C.Redistribute)
+
+(* ------------------------------------------------------------------ *)
 (* Conservation under mid-flight switches (randomized) *)
 
 let conservation_under_switches =
@@ -376,6 +442,8 @@ let suite =
     Alcotest.test_case "pins: override site policy" `Quick
       pins_override_site_policy;
     Alcotest.test_case "pins: org tiers by depth" `Quick org_tiers_pin_by_depth;
+    Alcotest.test_case "pins: disabled controller = static redistribute" `Quick
+      disabled_equals_static_redistribute;
     QCheck_alcotest.to_alcotest conservation_under_switches;
     Alcotest.test_case "contention: engine-jobs byte-identical" `Slow
       contention_engine_jobs_identical;

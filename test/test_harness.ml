@@ -80,10 +80,10 @@ let driver_rejects_non_finite_window () =
   let t_system =
     {
       t_system with
-      Harness.Systems.acquire =
-        (fun ~region ~amount ~reply ->
+      Harness.Systems.submit =
+        (fun ~region request ~reply ->
           incr submitted;
-          t_system.Harness.Systems.acquire ~region ~amount ~reply);
+          t_system.Harness.Systems.submit ~region request ~reply);
     }
   in
   let requests =

@@ -72,6 +72,44 @@ let config_rejects_bad_overload_knobs () =
   check bool "defaults validate" true
     (Samya.Config.validate Samya.Config.default = Ok ())
 
+let config_rejects_degenerate_timings () =
+  (* Every protocol timer lands on the event heap, which does not check
+     times: a NaN there silently breaks heap order. *)
+  let module C = Samya.Config in
+  let cases =
+    [
+      ("election_timeout_ms", { C.default with C.election_timeout_ms = Float.nan });
+      ("accept_timeout_ms", { C.default with C.accept_timeout_ms = Float.nan });
+      ("cohort_timeout_ms", { C.default with C.cohort_timeout_ms = Float.nan });
+      ("cohort_timeout_ms", { C.default with C.cohort_timeout_ms = infinity });
+      ("local_processing_ms", { C.default with C.local_processing_ms = Float.nan });
+      ("local_processing_ms", { C.default with C.local_processing_ms = infinity });
+      ("status_retry_ms", { C.default with C.status_retry_ms = 0.0 });
+      ("status_retry_ms", { C.default with C.status_retry_ms = Float.nan });
+      ( "redistribution_cooldown_ms",
+        { C.default with C.redistribution_cooldown_ms = -5.0 } );
+      ( "redistribution_cooldown_ms",
+        { C.default with C.redistribution_cooldown_ms = Float.nan } );
+    ]
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun (field, config) ->
+      match C.validate config with
+      | Ok () -> Alcotest.failf "%s: degenerate value accepted" field
+      | Error reason ->
+          check bool
+            (Printf.sprintf "%s named with its value: %s" field reason)
+            true
+            (contains reason field && contains reason "(got "))
+    cases
+
 let request_rejects_nan_deadline () =
   let nan_req = Samya.Types.acquire ~deadline_ms:Float.nan ~entity ~amount:1 () in
   check bool "nan deadline rejected" true
@@ -818,6 +856,8 @@ let suite =
   [
     Alcotest.test_case "config: overload knob validation" `Quick
       config_rejects_bad_overload_knobs;
+    Alcotest.test_case "config: degenerate protocol timings refused" `Quick
+      config_rejects_degenerate_timings;
     Alcotest.test_case "types: nan deadline rejected" `Quick
       request_rejects_nan_deadline;
     Alcotest.test_case "shed: dead on arrival" `Quick dead_on_arrival_is_shed;

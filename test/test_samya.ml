@@ -195,7 +195,16 @@ let constraint_is_global variant () =
 let no_redistribution_rejects_locally () =
   let cluster =
     make_cluster
-      ~config_f:(fun c -> { c with Samya.Config.redistribution_enabled = false })
+      ~config_f:(fun c ->
+        {
+          c with
+          Samya.Config.controller =
+            {
+              c.Samya.Config.controller with
+              enabled = true;
+              policy = Samya.Config.Controller.(Static Escrow);
+            };
+        })
       ()
   in
   let granted = ref 0 and rejected = ref 0 in
