@@ -2,51 +2,50 @@ let entity = Exp_common.entity
 let maximum = Exp_common.maximum
 let seed = Exp_common.seed
 
-let samya ~forecaster ?name config () =
-  Systems.samya ~seed ?name ~config
-    ~regions:(Exp_common.client_regions ())
-    ~forecaster ~entity ~maximum ()
-
-let totals_table fmt outcomes =
+let totals_table fmt captures =
   Report.table fmt ~title:"Totals"
     ~header:[ "variant"; "committed"; "rejected"; "no-reply"; "redistributions"; "invariant" ]
     ~rows:
       (List.map
-         (fun (o : Exp_common.outcome) ->
+         (fun (c : Scenario.capture) ->
            [
-             o.label;
-             string_of_int o.result.Driver.committed;
-             string_of_int o.result.Driver.rejected;
-             string_of_int o.result.Driver.no_reply;
-             string_of_int o.redistributions;
-             Exp_common.pp_invariant o.invariant;
+             c.arm.label;
+             string_of_int c.result.Driver.committed;
+             string_of_int c.result.Driver.rejected;
+             string_of_int c.result.Driver.no_reply;
+             string_of_int c.stats.Systems.redistributions;
+             Scenario.verdict c;
            ])
-         outcomes)
+         captures)
 
-let committed label outcomes =
-  let o = List.find (fun (o : Exp_common.outcome) -> o.label = label) outcomes in
-  o.result.Driver.committed
+let committed captures label = (Scenario.find captures label).result.Driver.committed
 
-let run_group ctx ~quick ~full_min ~quick_min variants =
+let samya_builders ctx variants =
+  (* Force the fitted forecaster now, before the builders reach a pool
+     worker: training happens once, off the parallel critical path. *)
+  let forecaster = Lab.runtime_forecaster ctx in
+  List.map
+    (fun (label, config) ->
+      ( label,
+        fun () ->
+          Systems.samya ~seed ~name:label ~config
+            ~regions:(Exp_common.client_regions ())
+            ~forecaster ~entity ~maximum () ))
+    variants
+
+(* The ablations quantify what redistribution buys, so the workload must
+   press against both the per-site shares and the global limit: start at
+   the daily ramp with a raised usage footprint. *)
+let ablation_plan ctx ~quick ~full_min ~quick_min ~report variants =
   let duration_ms = Exp_common.duration_ms ~quick ~full_min ~quick_min in
-  (* The ablations quantify what redistribution buys, so the workload must
-     press against both the per-site shares and the global limit: start at
-     the daily ramp with a raised usage footprint. *)
   let requests =
     Lab.workload ctx ~client_regions:(Exp_common.client_regions ()) ~duration_ms
       ~usage_scale:2.2 ~start_hours:6.0 ~seed ()
   in
-  let forecaster = Lab.runtime_forecaster ctx in
-  let outcomes =
-    Pool.map
-      (fun (label, config) ->
-        Exp_common.run_system ~label ~build:(samya ~forecaster ~name:label config)
-          ~requests ~duration_ms ~window_ms:(Exp_common.window_ms ~quick) ())
-      variants
-  in
-  (duration_ms, outcomes)
+  Scenario.paper ~duration_ms ~requests ~window_ms:(Exp_common.window_ms ~quick) ~report
+    (samya_builders ctx variants)
 
-let run_constraint_ablation ctx ~quick fmt =
+let constraint_plan ctx ~quick =
   let maj = Exp_common.samya_config Samya.Config.Majority in
   let star = Exp_common.samya_config Samya.Config.Star in
   let variants =
@@ -68,27 +67,24 @@ let run_constraint_ablation ctx ~quick fmt =
         } );
     ]
   in
-  Format.fprintf fmt "@.== Fig 3e: no constraint vs no redistribution (§5.5) ==@.";
-  let duration_ms, outcomes = run_group ctx ~quick ~full_min:25.0 ~quick_min:8.0 variants in
-  let series =
-    List.map
-      (fun (o : Exp_common.outcome) -> (o.label, Exp_common.throughput_series o ~duration_ms))
-      outcomes
+  let report fmt captures =
+    Format.fprintf fmt "@.== Fig 3e: no constraint vs no redistribution (§5.5) ==@.";
+    Scenario.figure fmt ~title:"Fig 3e: committed throughput" captures;
+    totals_table fmt captures;
+    let optimal = committed captures "No constraints" in
+    let pct label =
+      100.0 *. (1.0 -. (float_of_int (committed captures label) /. float_of_int optimal))
+    in
+    Report.kv fmt
+      [
+        ("Avantan[(n+1)/2] below optimum", Report.f2 (pct "Avantan[(n+1)/2]") ^ " %  (paper: 3.5-4 %)");
+        ("Avantan[*] below optimum", Report.f2 (pct "Avantan[*]") ^ " %  (paper: 3.5-4 %)");
+        ("No redistribution below optimum", Report.f2 (pct "No redistribution") ^ " %  (paper: ~14 %)");
+      ]
   in
-  Report.series fmt ~title:"Fig 3e: committed throughput" ~unit_label:"txn/s" series;
-  totals_table fmt outcomes;
-  let optimal = committed "No constraints" outcomes in
-  let pct label =
-    100.0 *. (1.0 -. (float_of_int (committed label outcomes) /. float_of_int optimal))
-  in
-  Report.kv fmt
-    [
-      ("Avantan[(n+1)/2] below optimum", Report.f2 (pct "Avantan[(n+1)/2]") ^ " %  (paper: 3.5-4 %)");
-      ("Avantan[*] below optimum", Report.f2 (pct "Avantan[*]") ^ " %  (paper: 3.5-4 %)");
-      ("No redistribution below optimum", Report.f2 (pct "No redistribution") ^ " %  (paper: ~14 %)");
-    ]
+  ablation_plan ctx ~quick ~full_min:25.0 ~quick_min:8.0 ~report variants
 
-let run_prediction_ablation ctx ~quick fmt =
+let prediction_plan ctx ~quick =
   let maj = Exp_common.samya_config Samya.Config.Majority in
   let star = Exp_common.samya_config Samya.Config.Star in
   let variants =
@@ -99,61 +95,46 @@ let run_prediction_ablation ctx ~quick fmt =
       ("Avantan[*] no predict", { star with Samya.Config.prediction_enabled = false });
     ]
   in
-  Format.fprintf fmt "@.== Fig 3f: proactive vs reactive redistributions (§5.6) ==@.";
-  let duration_ms = Exp_common.duration_ms ~quick ~full_min:30.0 ~quick_min:8.0 in
-  let requests =
-    Lab.workload ctx ~client_regions:(Exp_common.client_regions ()) ~duration_ms
-      ~usage_scale:2.2 ~start_hours:6.0 ~seed ()
+  let report fmt captures =
+    Format.fprintf fmt "@.== Fig 3f: proactive vs reactive redistributions (§5.6) ==@.";
+    Scenario.figure fmt ~title:"Fig 3f: committed throughput (0.6 s client timeout)" captures;
+    totals_table fmt captures;
+    let ratio with_p without_p =
+      float_of_int (committed captures with_p) /. float_of_int (committed captures without_p)
+    in
+    let redistributions label =
+      (Scenario.find captures label).stats.Systems.redistributions
+    in
+    let sync_reduction with_p without_p =
+      float_of_int (redistributions without_p) /. float_of_int (max 1 (redistributions with_p))
+    in
+    Report.kv fmt
+      [
+        ( "Avantan[(n+1)/2] with/without prediction",
+          Report.f2 (ratio "Avantan[(n+1)/2]" "Avantan[(n+1)/2] no predict") ^ "x  (paper: ~1.4x)" );
+        ( "Avantan[*] with/without prediction",
+          Report.f2 (ratio "Avantan[*]" "Avantan[*] no predict") ^ "x  (paper: ~1.4x)" );
+        ( "synchronizations avoided by prediction",
+          Printf.sprintf "%.0fx fewer (maj), %.0fx fewer (star)"
+            (sync_reduction "Avantan[(n+1)/2]" "Avantan[(n+1)/2] no predict")
+            (sync_reduction "Avantan[*]" "Avantan[*] no predict") );
+      ]
   in
-  let forecaster = Lab.runtime_forecaster ctx in
-  let outcomes =
-    Pool.map
-      (fun (label, config) ->
-        let t_system = samya ~forecaster ~name:label config () in
-        let spec =
-          {
-            (Driver.default_spec ~client_regions:(Exp_common.client_regions ()) ~requests
-               ~duration_ms)
-            with
-            window_ms = Exp_common.window_ms ~quick;
-            client_timeout_ms = 600.0;
-          }
-        in
-        let result = Driver.run ~t_system spec in
-        {
-          Exp_common.label;
-          result;
-          redistributions = (t_system.Systems.stats ()).Systems.redistributions;
-          invariant = t_system.Systems.invariant ~maximum;
-        })
-      variants
-  in
-  let series =
-    List.map
-      (fun (o : Exp_common.outcome) -> (o.label, Exp_common.throughput_series o ~duration_ms))
-      outcomes
-  in
-  Report.series fmt ~title:"Fig 3f: committed throughput (0.6 s client timeout)"
-    ~unit_label:"txn/s" series;
-  totals_table fmt outcomes;
-  let ratio with_p without_p =
-    float_of_int (committed with_p outcomes) /. float_of_int (committed without_p outcomes)
-  in
-  let redistributions label =
-    let o = List.find (fun (o : Exp_common.outcome) -> o.label = label) outcomes in
-    o.redistributions
-  in
-  let sync_reduction with_p without_p =
-    float_of_int (redistributions without_p) /. float_of_int (max 1 (redistributions with_p))
-  in
-  Report.kv fmt
-    [
-      ( "Avantan[(n+1)/2] with/without prediction",
-        Report.f2 (ratio "Avantan[(n+1)/2]" "Avantan[(n+1)/2] no predict") ^ "x  (paper: ~1.4x)" );
-      ( "Avantan[*] with/without prediction",
-        Report.f2 (ratio "Avantan[*]" "Avantan[*] no predict") ^ "x  (paper: ~1.4x)" );
-      ( "synchronizations avoided by prediction",
-        Printf.sprintf "%.0fx fewer (maj), %.0fx fewer (star)"
-          (sync_reduction "Avantan[(n+1)/2]" "Avantan[(n+1)/2] no predict")
-          (sync_reduction "Avantan[*]" "Avantan[*] no predict") );
-    ]
+  let plan = ablation_plan ctx ~quick ~full_min:30.0 ~quick_min:8.0 ~report variants in
+  { plan with spec = (fun spec -> { (plan.spec spec) with Driver.client_timeout_ms = 600.0 }) }
+
+let constraint_ablation =
+  {
+    Scenario.id = "fig3e";
+    paper_artifact = "Figure 3e";
+    description = "no-constraint / no-redistribution ablation";
+    plan = constraint_plan;
+  }
+
+let prediction_ablation =
+  {
+    Scenario.id = "fig3f";
+    paper_artifact = "Figure 3f";
+    description = "proactive vs reactive redistributions (prediction ablation)";
+    plan = prediction_plan;
+  }

@@ -9,9 +9,16 @@
     Fig. 3f measures the value of prediction: both Avantan variants with
     the Prediction Module on and off (reactive-only). The paper reports
     ~1.4x higher throughput with predictions. Client requests time out
-    after 1 s, as reactive-only operation loses its commits to stalls, not
+    after 0.6 s, as reactive-only operation loses its commits to stalls, not
     to rejects alone. *)
 
-val run_constraint_ablation : Lab.context -> quick:bool -> Format.formatter -> unit
+val samya_builders :
+  Lab.context -> (string * Samya.Config.t) list -> (string * (unit -> Systems.facade)) list
+(** One labelled Samya builder per config (the facade named by the
+    label), sharing the context's fitted forecaster. *)
 
-val run_prediction_ablation : Lab.context -> quick:bool -> Format.formatter -> unit
+val constraint_ablation : Scenario.t
+(** [fig3e]: four Samya arms on one stream. *)
+
+val prediction_ablation : Scenario.t
+(** [fig3f]: four Samya arms with a 0.6 s client timeout. *)

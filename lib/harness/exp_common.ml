@@ -12,38 +12,3 @@ let duration_ms ~quick ~full_min ~quick_min =
 let samya_config variant = { Samya.Config.default with variant }
 
 let window_ms ~quick = if quick then 30_000.0 else 60_000.0
-
-type outcome = {
-  label : string;
-  result : Driver.result;
-  redistributions : int;
-  invariant : (unit, string) result;
-}
-
-let run_system ?clients ~label ~build ~requests ~duration_ms ?window_ms ?events
-    ?(client_crash = []) () =
-  let t_system = build () in
-  let clients = Option.value clients ~default:(client_regions ()) in
-  let spec =
-    {
-      (Driver.default_spec ~client_regions:clients ~requests ~duration_ms) with
-      window_ms = Option.value window_ms ~default:10_000.0;
-      events = (match events with Some f -> f t_system | None -> []);
-      client_crash;
-    }
-  in
-  let result = Driver.run ~t_system spec in
-  {
-    label;
-    result;
-    redistributions = (t_system.Systems.stats ()).Systems.redistributions;
-    invariant = t_system.Systems.invariant ~maximum;
-  }
-
-let throughput_series outcome ~duration_ms =
-  (* Trim the boundary window, which is empty by construction. *)
-  Stats.Throughput.series outcome.result.Driver.throughput ~until_ms:(duration_ms -. 1.0) ()
-
-let pp_invariant = function
-  | Ok () -> "OK"
-  | Error reason -> "VIOLATED: " ^ reason

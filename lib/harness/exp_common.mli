@@ -1,5 +1,5 @@
-(** Shared experiment plumbing: canonical setup values (§5.2), duration
-    scaling for quick runs, and the per-system run loop. *)
+(** Canonical experiment setup values (§5.2) and duration scaling for
+    quick runs. Every open-loop experiment runs through {!Scenario}. *)
 
 val entity : Samya.Types.entity
 (** "VM" — every experiment tracks the VM entity. *)
@@ -18,29 +18,3 @@ val samya_config : Samya.Config.variant -> Samya.Config.t
 
 val window_ms : quick:bool -> float
 (** Throughput window: 60 s full, 30 s quick. *)
-
-type outcome = {
-  label : string;
-  result : Driver.result;
-  redistributions : int;
-  invariant : (unit, string) result;
-}
-
-val run_system :
-  ?clients:Geonet.Region.t array ->
-  label:string ->
-  build:(unit -> Systems.facade) ->
-  requests:Trace.Workload.request array ->
-  duration_ms:float ->
-  ?window_ms:float ->
-  ?events:(Systems.facade -> Driver.event list) ->
-  ?client_crash:(float * int) list ->
-  unit ->
-  outcome
-(** Builds a fresh system, replays [requests], returns metrics plus the
-    system's redistribution count and invariant verdict. [events] receives
-    the built system so failure actions can close over it. *)
-
-val throughput_series : outcome -> duration_ms:float -> (float * float) list
-
-val pp_invariant : (unit, string) result -> string

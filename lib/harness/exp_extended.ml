@@ -1,43 +1,48 @@
 let entity = Exp_common.entity
 let seed = Exp_common.seed
 
-let run_max_limit _ctx ~quick fmt =
+(* Each sweep cell is a paper plan of its own, rendered by the sweep's
+   table rather than by a plan report. *)
+let no_report _ _ = ()
+
+let run_max_limit ctx ~quick fmt =
   let duration_ms = Exp_common.duration_ms ~quick ~full_min:20.0 ~quick_min:8.0 in
   let limits = [ 600; 1_000; 2_500; 5_000; 16_000 ] in
   let regions = Exp_common.client_regions () in
-  (* This sweep isolates the effect of M_e on resources that stay acquired:
-     releases are grant-driven with a real VM lifetime, so a tight limit
-     throttles the token flow instead of being recycled through the
-     stream's own schedule. *)
-  let lifetime_ms = 30_000.0 in
-  let ctx = Lab.create () in
   let requests =
     Lab.workload ctx ~client_regions:regions ~duration_ms ~start_hours:6.0 ~seed ()
   in
   let forecaster = Lab.runtime_forecaster ctx in
   Format.fprintf fmt "@.== ext1 (§5.9.i): varying the maximum limit M_e ==@.";
   let measure variant maximum =
-    let t_system =
-      Systems.samya ~seed
-        ~config:(Exp_common.samya_config variant)
-        ~regions ~forecaster ~entity ~maximum ()
+    let plan =
+      Scenario.paper ~duration_ms ~requests ~window_ms:(Exp_common.window_ms ~quick)
+        ~report:no_report
+        [
+          ( "Avantan",
+            fun () ->
+              Systems.samya ~seed
+                ~config:(Exp_common.samya_config variant)
+                ~regions ~forecaster ~entity ~maximum () );
+        ]
     in
-    let spec =
+    (* This sweep isolates the effect of M_e on resources that stay
+       acquired: releases are grant-driven with a real VM lifetime, so a
+       tight limit throttles the token flow instead of being recycled
+       through the stream's own schedule. *)
+    Scenario.capture
       {
-        (Driver.default_spec ~client_regions:regions ~requests ~duration_ms) with
-        grant_driven_release_ms = Some lifetime_ms;
-        window_ms = Exp_common.window_ms ~quick;
+        plan with
+        entities = Hot { entity; maximum };
+        spec =
+          (fun spec -> { (plan.spec spec) with Driver.grant_driven_release_ms = Some 30_000.0 });
       }
-    in
-    Driver.run ~t_system spec
+      (List.hd plan.arms)
   in
   (* Steady-state throughput: the second half of the window, after the
      standing usage has filled whatever M_e allows. *)
-  let tail_tps (result : Driver.result) =
-    let points =
-      Stats.Throughput.series result.Driver.throughput ~until_ms:(duration_ms -. 1.0) ()
-      |> List.filter (fun (t, _) -> t >= duration_ms /. 2.0)
-    in
+  let tail_tps c =
+    let points = List.filter (fun (t, _) -> t >= duration_ms /. 2.0) (Scenario.series c) in
     match points with
     | [] -> 0.0
     | _ -> List.fold_left (fun acc (_, v) -> acc +. v) 0.0 points /. float_of_int (List.length points)
@@ -47,7 +52,11 @@ let run_max_limit _ctx ~quick fmt =
       (fun maximum ->
         let maj = measure Samya.Config.Majority maximum in
         let star = measure Samya.Config.Star maximum in
-        (maximum, Driver.average_tps maj, tail_tps maj, maj.Driver.rejected, tail_tps star))
+        ( maximum,
+          Driver.average_tps maj.Scenario.result,
+          tail_tps maj,
+          maj.result.Driver.rejected,
+          tail_tps star ))
       limits
   in
   Report.table fmt ~title:"ext1: throughput vs maximum limit (Avantan)"
@@ -80,36 +89,30 @@ let run_arrival_rate ctx ~quick fmt =
   let compressions = [ (60, "5 s"); (12, "25 s"); (3, "100 s"); (1, "300 s") ] in
   let regions = Exp_common.client_regions () in
   Format.fprintf fmt "@.== ext2 (§5.9.ii): varying the request arrival interval ==@.";
-  let measure compress (label, build) =
+  let builders =
+    List.filter
+      (fun (label, _) -> label = "Samya w/ Av.[(n+1)/2]" || label = "MultiPaxSys")
+      (Exp_headline.builders ctx)
+  in
+  let measure compress =
     let interval_ms = 300_000.0 /. float_of_int compress in
     let duration_ms = float_of_int intervals *. interval_ms in
     let requests =
       Lab.workload ctx ~client_regions:regions ~duration_ms ~compress ~start_hours:6.0
         ~seed ()
     in
-    let outcome =
-      Exp_common.run_system ~label ~build ~requests ~duration_ms
-        ~window_ms:(duration_ms /. 20.0) ()
+    let plan =
+      Scenario.paper ~duration_ms ~requests ~window_ms:(duration_ms /. 20.0)
+        ~report:no_report builders
     in
-    (label, outcome.Exp_common.result.Driver.committed)
-  in
-  let forecaster = Lab.runtime_forecaster ctx in
-  let builders : (string * (unit -> Systems.facade)) list =
-    [
-      ( "Avantan[(n+1)/2]",
-        fun () ->
-          Systems.samya ~seed
-            ~config:(Exp_common.samya_config Samya.Config.Majority)
-            ~regions ~forecaster ~entity ~maximum:Exp_common.maximum () );
-      ("MultiPaxSys", fun () -> Systems.multipaxsys ~seed ~entity ~maximum:Exp_common.maximum ());
-    ]
+    let captures = List.map (Scenario.capture plan) plan.arms in
+    let committed label = (Scenario.find captures label).result.Driver.committed in
+    (committed "Samya w/ Av.[(n+1)/2]", committed "MultiPaxSys")
   in
   let rows =
     Pool.map
       (fun (compress, interval_label) ->
-        let measured = List.map (measure compress) builders in
-        let samya_committed = List.assoc "Avantan[(n+1)/2]" measured in
-        let mp_committed = List.assoc "MultiPaxSys" measured in
+        let samya_committed, mp_committed = measure compress in
         [
           interval_label;
           string_of_int samya_committed;

@@ -1,126 +1,103 @@
-let entity = Exp_common.entity
-let maximum = Exp_common.maximum
-let seed = Exp_common.seed
+(* The headline's two Samya variants and MultiPaxSys. *)
+let failure_systems ctx =
+  List.filter
+    (fun (label, _) -> label <> "Dem./Escrow" && label <> "CockroachDB")
+    (Exp_headline.builders ctx)
 
-let samya_builder ctx variant =
-  (* Force the fitted forecaster now, before the builder is handed to a
-     pool worker: training happens once, off the parallel critical path. *)
-  let forecaster = Lab.runtime_forecaster ctx in
-  fun () ->
-    Systems.samya ~seed
-      ~config:(Exp_common.samya_config variant)
-      ~regions:(Exp_common.client_regions ())
-      ~forecaster ~entity ~maximum ()
-
-let failure_systems ctx : (string * (unit -> Systems.facade)) list =
-  [
-    ("Samya w/ Av.[(n+1)/2]", samya_builder ctx Samya.Config.Majority);
-    ("Samya w/ Av.[*]", samya_builder ctx Samya.Config.Star);
-    ("MultiPaxSys", fun () -> Systems.multipaxsys ~seed ~entity ~maximum ());
-  ]
-
-let print_outcomes fmt ~title ~duration_ms outcomes =
-  let series =
-    List.map
-      (fun (o : Exp_common.outcome) -> (o.label, Exp_common.throughput_series o ~duration_ms))
-      outcomes
-  in
-  Report.series fmt ~title ~unit_label:"txn/s" series;
+let totals fmt ~title captures =
+  Scenario.figure fmt ~title captures;
   Report.table fmt ~title:"Totals"
     ~header:[ "system"; "committed"; "rejected"; "no-reply"; "redistributions" ]
     ~rows:
       (List.map
-         (fun (o : Exp_common.outcome) ->
+         (fun (c : Scenario.capture) ->
            [
-             o.label;
-             string_of_int o.result.Driver.committed;
-             string_of_int o.result.Driver.rejected;
-             string_of_int o.result.Driver.no_reply;
-             string_of_int o.redistributions;
+             c.arm.label;
+             string_of_int c.result.Driver.committed;
+             string_of_int c.result.Driver.rejected;
+             string_of_int c.result.Driver.no_reply;
+             string_of_int c.stats.Systems.redistributions;
            ])
-         outcomes)
+         captures)
 
-let run_crash ctx ~quick fmt =
-  let duration_ms = Exp_common.duration_ms ~quick ~full_min:50.0 ~quick_min:10.0 in
-  let phase = duration_ms /. 5.0 in
+(* Both figures start at the daily ramp with a raised usage footprint, so
+   regional exhaustion — the thing redistribution exists for — happens
+   throughout the window. *)
+let failure_plan ctx ~quick ~full_min ~quick_min ~report =
+  let duration_ms = Exp_common.duration_ms ~quick ~full_min ~quick_min in
+  let requests =
+    Lab.workload ctx ~client_regions:(Exp_common.client_regions ()) ~duration_ms
+      ~usage_scale:2.2 ~start_hours:6.0 ~seed:Exp_common.seed ()
+  in
+  Scenario.paper ~duration_ms ~requests ~window_ms:(Exp_common.window_ms ~quick)
+    ~report:(report duration_ms) (failure_systems ctx)
+
+let crash_plan ctx ~quick =
+  let report duration_ms fmt captures =
+    let phase = duration_ms /. 5.0 in
+    Format.fprintf fmt
+      "@.== Fig 3c: throughput under crash failures (one region crashes every %.1f min) ==@."
+      (Report.minutes_of_ms phase);
+    totals fmt ~title:"Fig 3c: throughput as regions crash" captures;
+    (* The headline shape: compare the two variants after majority loss. *)
+    let late label =
+      List.filter (fun (t, _) -> t >= 3.0 *. phase) (Scenario.series (Scenario.find captures label))
+      |> List.map snd |> List.fold_left ( +. ) 0.0
+    in
+    Report.kv fmt
+      [
+        ( "after majority loss (last 2 phases)",
+          Printf.sprintf "maj=%.0f star=%.0f mp=%.0f (sum of window tps; paper: star > maj, mp = 0)"
+            (late "Samya w/ Av.[(n+1)/2]") (late "Samya w/ Av.[*]") (late "MultiPaxSys") );
+      ]
+  in
+  let plan = failure_plan ctx ~quick ~full_min:50.0 ~quick_min:10.0 ~report in
+  let phase = plan.duration_ms /. 5.0 in
   (* Crash order: the most distant regions first; the fifth (us-west1 for
      Samya, the leader's region for MultiPaxSys) never crashes. Server
      index 4, 3, 2, 1 in each system's own placement; clients of the
      matching Samya region die with their region. *)
   let crash_steps = [ (phase, 4); (2.0 *. phase, 3); (3.0 *. phase, 2); (4.0 *. phase, 1) ] in
-  (* Start at the daily ramp and raise the usage footprint so regional
-     exhaustion — the thing redistribution exists for — happens throughout
-     the window. *)
-  let requests =
-    Lab.workload ctx ~client_regions:(Exp_common.client_regions ()) ~duration_ms
-      ~usage_scale:2.2 ~start_hours:6.0 ~seed ()
-  in
-  Format.fprintf fmt
-    "@.== Fig 3c: throughput under crash failures (one region crashes every %.1f min) ==@."
-    (Report.minutes_of_ms phase);
-  let outcomes =
-    Pool.map
-      (fun (label, build) ->
-        Exp_common.run_system ~label ~build ~requests ~duration_ms
-          ~window_ms:(Exp_common.window_ms ~quick)
-          ~events:(fun t_system ->
-            List.map
-              (fun (at_ms, site) ->
-                { Driver.at_ms; action = (fun () -> t_system.Systems.crash_site site) })
-              crash_steps)
-          ~client_crash:(List.map (fun (at, site) -> (at, site)) crash_steps)
-          ())
-      (failure_systems ctx)
-  in
-  print_outcomes fmt ~title:"Fig 3c: throughput as regions crash" ~duration_ms outcomes;
-  (* The headline shape: compare the two variants after majority loss. *)
-  let late label =
-    let o =
-      match List.find_opt (fun (o : Exp_common.outcome) -> o.label = label) outcomes with
-      | Some o -> o
-      | None ->
-          failwith
-            (Printf.sprintf
-               "fig3c: no outcome labelled %S (have: %s) — a failure_systems \
-                label changed without updating the headline comparison"
-               label
-               (String.concat ", "
-                  (List.map (fun (o : Exp_common.outcome) -> o.label) outcomes)))
-    in
-    List.filter (fun (t, _) -> t >= 3.0 *. phase) (Exp_common.throughput_series o ~duration_ms)
-    |> List.map snd |> List.fold_left ( +. ) 0.0
-  in
-  Report.kv fmt
-    [
-      ( "after majority loss (last 2 phases)",
-        Printf.sprintf "maj=%.0f star=%.0f mp=%.0f (sum of window tps; paper: star > maj, mp = 0)"
-          (late "Samya w/ Av.[(n+1)/2]") (late "Samya w/ Av.[*]") (late "MultiPaxSys") );
-    ]
+  {
+    plan with
+    faults =
+      List.map
+        (fun (at_ms, site) -> { Chaos.Nemesis.kind = Crash { site }; at_ms; heal_ms = infinity })
+        crash_steps;
+    spec = (fun spec -> { (plan.spec spec) with Driver.client_crash = crash_steps });
+  }
 
-let run_partition ctx ~quick fmt =
-  let duration_ms = Exp_common.duration_ms ~quick ~full_min:30.0 ~quick_min:9.0 in
-  let partition_at = duration_ms /. 3.0 in
-  let groups = [ [ 0; 1; 2 ]; [ 3; 4 ] ] in
-  let requests =
-    Lab.workload ctx ~client_regions:(Exp_common.client_regions ()) ~duration_ms
-      ~usage_scale:2.2 ~start_hours:6.0 ~seed ()
+let partition_plan ctx ~quick =
+  let report duration_ms fmt captures =
+    Format.fprintf fmt "@.== Fig 3d: 3-2 network partition at t=%.1f min ==@."
+      (Report.minutes_of_ms (duration_ms /. 3.0));
+    totals fmt ~title:"Fig 3d: throughput during a 3-2 partition" captures
   in
-  Format.fprintf fmt "@.== Fig 3d: 3-2 network partition at t=%.1f min ==@."
-    (Report.minutes_of_ms partition_at);
-  let outcomes =
-    Pool.map
-      (fun (label, build) ->
-        Exp_common.run_system ~label ~build ~requests ~duration_ms
-          ~window_ms:(Exp_common.window_ms ~quick)
-          ~events:(fun t_system ->
-            [
-              {
-                Driver.at_ms = partition_at;
-                action = (fun () -> t_system.Systems.partition groups);
-              };
-            ])
-          ())
-      (failure_systems ctx)
-  in
-  print_outcomes fmt ~title:"Fig 3d: throughput during a 3-2 partition" ~duration_ms
-    outcomes
+  let plan = failure_plan ctx ~quick ~full_min:30.0 ~quick_min:9.0 ~report in
+  {
+    plan with
+    faults =
+      [
+        {
+          Chaos.Nemesis.kind = Partition { groups = [ [ 0; 1; 2 ]; [ 3; 4 ] ] };
+          at_ms = plan.duration_ms /. 3.0;
+          heal_ms = infinity;
+        };
+      ];
+  }
+
+let crash =
+  {
+    Scenario.id = "fig3c";
+    paper_artifact = "Figure 3c";
+    description = "throughput as regions crash one by one";
+    plan = crash_plan;
+  }
+
+let partition =
+  {
+    Scenario.id = "fig3d";
+    paper_artifact = "Figure 3d";
+    description = "throughput during a 3-2 network partition";
+    plan = partition_plan;
+  }

@@ -12,6 +12,10 @@
     only clients on the leader's side; Avantan[(n+1)/2] redistributes only
     in the majority partition, Avantan[*] in both. *)
 
-val run_crash : Lab.context -> quick:bool -> Format.formatter -> unit
+val crash : Scenario.t
+(** [fig3c]: four never-recovering {!Chaos.Nemesis.Crash} faults and the
+    matching client crashes. *)
 
-val run_partition : Lab.context -> quick:bool -> Format.formatter -> unit
+val partition : Scenario.t
+(** [fig3d]: one never-healing 3–2 {!Chaos.Nemesis.Partition} at a third
+    of the run. *)

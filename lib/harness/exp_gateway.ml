@@ -211,23 +211,7 @@ let report ~scale ~quotas ~offered fmt (c : Scenario.capture) =
       (if Obs.Slo.healthy lines then "SLO (samya-slo/1): healthy"
        else "SLO (samya-slo/1): VIOLATED")
     ~header:[ "objective"; "target"; "windows"; "violations"; "overall" ]
-    ~rows:
-      (List.map
-         (fun (l : Obs.Slo.report_line) ->
-           let value v =
-             if Float.is_nan v then "-"
-             else if l.Obs.Slo.kind = "latency" then Report.ms v
-             else pct v
-           in
-           [
-             l.Obs.Slo.name;
-             (if l.Obs.Slo.kind = "latency" then Report.ms l.Obs.Slo.target
-              else pct l.Obs.Slo.target);
-             string_of_int l.Obs.Slo.windows;
-             string_of_int l.Obs.Slo.violations;
-             value l.Obs.Slo.overall;
-           ])
-         lines);
+    ~rows:(Scenario.slo_rows c);
   (* Conservation, key by key: Equation 1 against each key's own quota,
      after the drain, when the grant-driven releases have come home. *)
   match c.violations with

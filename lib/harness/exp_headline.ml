@@ -29,56 +29,33 @@ let paper_latency =
     ("CockroachDB", (158.7, 184.2, 351.4));
   ]
 
-let run ctx ~quick fmt =
-  let duration_ms = Exp_common.duration_ms ~quick ~full_min:60.0 ~quick_min:10.0 in
-  let requests =
-    Lab.workload ctx ~client_regions:(Exp_common.client_regions ()) ~duration_ms
-      ~seed:Exp_common.seed ()
-  in
+let report ~requests ~duration_ms fmt captures =
   Format.fprintf fmt "@.== Table 2b + Fig 3b: latency and throughput (%d requests, %.0f min) ==@."
     (Array.length requests)
     (Report.minutes_of_ms duration_ms);
-  let outcomes =
-    Pool.map
-      (fun (label, build) ->
-        Exp_common.run_system ~label ~build ~requests ~duration_ms
-          ~window_ms:(Exp_common.window_ms ~quick) ())
-      (builders ctx)
-  in
   (* Table 2b. *)
   let latency_rows =
     List.map
-      (fun (o : Exp_common.outcome) ->
-        let p q = Driver.percentile o.result q in
-        let p90, p95, p99 = List.assoc o.label paper_latency in
+      (fun (c : Scenario.capture) ->
+        let p q = Driver.percentile c.result q in
+        let p90, p95, p99 = List.assoc c.arm.label paper_latency in
         [
-          o.label;
+          c.arm.label;
           Report.ms (p 90.0);
           Report.ms (p 95.0);
           Report.ms (p 99.0);
           Printf.sprintf "%.1f/%.1f/%.1f" p90 p95 p99;
         ])
-      outcomes
+      captures
   in
   Report.table fmt ~title:"Table 2b: commit latency percentiles"
     ~header:[ "system"; "p90"; "p95"; "p99"; "paper p90/95/99 (ms)" ]
     ~rows:latency_rows;
-  (* Fig 3b: throughput over time. *)
-  let series =
-    List.map
-      (fun (o : Exp_common.outcome) -> (o.label, Exp_common.throughput_series o ~duration_ms))
-      outcomes
-  in
-  Report.series fmt ~title:"Fig 3b: committed throughput over time" ~unit_label:"txn/s"
-    series;
+  Scenario.figure fmt ~title:"Fig 3b: committed throughput over time" captures;
   (* Totals and headline ratios. *)
-  let committed label =
-    let o = List.find (fun (o : Exp_common.outcome) -> o.label = label) outcomes in
-    o.result.Driver.committed
-  in
+  let committed label = (Scenario.find captures label).result.Driver.committed in
   let redistributions label =
-    let o = List.find (fun (o : Exp_common.outcome) -> o.label = label) outcomes in
-    o.redistributions
+    (Scenario.find captures label).stats.Systems.redistributions
   in
   let maj = committed "Samya w/ Av.[(n+1)/2]" and star = committed "Samya w/ Av.[*]" in
   let dem = committed "Dem./Escrow" in
@@ -88,15 +65,15 @@ let run ctx ~quick fmt =
     ~header:[ "system"; "committed"; "rejected"; "unavailable"; "invariant" ]
     ~rows:
       (List.map
-         (fun (o : Exp_common.outcome) ->
+         (fun (c : Scenario.capture) ->
            [
-             o.label;
-             string_of_int o.result.Driver.committed;
-             string_of_int o.result.Driver.rejected;
-             string_of_int o.result.Driver.unavailable;
-             Exp_common.pp_invariant o.invariant;
+             c.arm.label;
+             string_of_int c.result.Driver.committed;
+             string_of_int c.result.Driver.rejected;
+             string_of_int c.result.Driver.unavailable;
+             Scenario.verdict c;
            ])
-         outcomes);
+         captures);
   Report.kv fmt
     [
       ("Samya[(n+1)/2] vs MultiPaxSys", Report.f1 (ratio maj mp) ^ "x  (paper: 16-18x)");
@@ -109,3 +86,20 @@ let run ctx ~quick fmt =
           (redistributions "Samya w/ Av.[(n+1)/2]")
           (redistributions "Samya w/ Av.[*]") );
     ]
+
+let plan ctx ~quick =
+  let duration_ms = Exp_common.duration_ms ~quick ~full_min:60.0 ~quick_min:10.0 in
+  let requests =
+    Lab.workload ctx ~client_regions:(Exp_common.client_regions ()) ~duration_ms
+      ~seed:Exp_common.seed ()
+  in
+  Scenario.paper ~duration_ms ~requests ~window_ms:(Exp_common.window_ms ~quick)
+    ~report:(report ~requests ~duration_ms) (builders ctx)
+
+let scenario =
+  {
+    Scenario.id = "table2b";
+    paper_artifact = "Table 2b + Figure 3b";
+    description = "latency percentiles and throughput of all five systems";
+    plan;
+  }

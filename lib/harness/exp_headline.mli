@@ -12,7 +12,10 @@
 
 val builders : Lab.context -> (string * (unit -> Systems.facade)) list
 (** The five systems in fixed display order, as thunks (shared with the
-    trace capture, {!Exp_trace}). The Samya systems follow
-    {!Pool.engine_jobs}. *)
+    trace capture, {!Exp_trace}; [fig3c]/[fig3d] and [ext2] take a
+    subset). The Samya systems follow {!Pool.engine_jobs}. *)
 
-val run : Lab.context -> quick:bool -> Format.formatter -> unit
+val scenario : Scenario.t
+(** The [table2b] plan: the five {!builders} on one hour of the Azure
+    stream (10 min quick), rendered as Table 2b, Fig. 3b and the headline
+    ratios. *)

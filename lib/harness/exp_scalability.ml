@@ -37,7 +37,9 @@ let run ctx ~quick fmt =
     ( Driver.average_tps result,
       Stats.Sample_set.mean result.Driver.latencies,
       (t_system.Systems.stats ()).Systems.redistributions,
-      Exp_common.pp_invariant (t_system.Systems.invariant ~maximum) )
+      match t_system.Systems.invariant ~maximum with
+      | Ok () -> "OK"
+      | Error reason -> "VIOLATED: " ^ reason )
   in
   let variants =
     [ ("Avantan[(n+1)/2]", Samya.Config.Majority); ("Avantan[*]", Samya.Config.Star) ]

@@ -1,9 +1,8 @@
 (* The paper's systems under tracing: the headline's five systems, or
    the fig3f prediction-on/off Samya pair, each captured through the same
    facade/obs path so the ablation is explainable and SLO-monitored like
-   everything else. The arms are prebuilt (their own entity), and every
-   arm is traced. *)
-let paper_plan ctx ~quick builders : Scenario.plan =
+   everything else. Every arm is traced. *)
+let paper_plan ctx ~quick builders =
   (* Tracing is for inspecting behaviour, not reproducing the paper's
      numbers: a shorter horizon keeps the trace loadable (every message
      hop and protocol instance becomes a span). The first proactive
@@ -17,42 +16,25 @@ let paper_plan ctx ~quick builders : Scenario.plan =
     Lab.workload ctx ~client_regions:(Exp_common.client_regions ()) ~duration_ms
       ~usage_scale:2.2 ~start_hours:6.0 ~seed:Exp_common.seed ()
   in
-  let arms =
-    List.map
-      (fun (label, build) ->
-        { Scenario.id = label; label; name = label; system = Built build; spec = Fun.id })
-      builders
-  in
+  (* A trace keeps the runner's 10 s drain and the driver's 10 s window,
+     not a paper figure's 30 s drain. *)
   {
-    duration_ms;
-    requests;
-    entities = Hot { entity = Exp_common.entity; maximum = Exp_common.maximum };
-    faults = [];
-    window_ms = 10_000.0;
-    sketch_k = 8;
+    (Scenario.paper ~duration_ms ~requests ~window_ms:10_000.0 ~report:(fun _ _ -> ())
+       builders)
+    with
     spec = Fun.id;
-    arms;
-    traced = List.map (fun (a : Scenario.arm) -> a.id) arms;
-    report = (fun _ _ -> ());
   }
 
 let headline ctx ~quick = paper_plan ctx ~quick (Exp_headline.builders ctx)
 
 let prediction ctx ~quick =
   let maj = Exp_common.samya_config Samya.Config.Majority in
-  let forecaster = Lab.runtime_forecaster ctx in
-  let samya ~name config () =
-    Systems.samya ~seed:Exp_common.seed ~name ~config
-      ~regions:(Exp_common.client_regions ())
-      ~forecaster ~entity:Exp_common.entity ~maximum:Exp_common.maximum ()
-  in
   paper_plan ctx ~quick
-    [
-      ("Samya w/ prediction", samya ~name:"Samya w/ prediction" maj);
-      ( "Samya w/o prediction",
-        samya ~name:"Samya w/o prediction"
-          { maj with Samya.Config.prediction_enabled = false } );
-    ]
+    (Exp_ablations.samya_builders ctx
+       [
+         ("Samya w/ prediction", maj);
+         ("Samya w/o prediction", { maj with Samya.Config.prediction_enabled = false });
+       ])
 
 (* One lookup by experiment id; the headline also answers to its
    registry spellings. *)

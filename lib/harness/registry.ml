@@ -31,42 +31,22 @@ let all =
       description = "MAE of random walk / ARIMA / LSTM demand prediction";
       run = (fun ctx ~quick:_ fmt -> Exp_prediction.run_table2a ctx fmt);
     };
-    {
-      id = "table2b";
-      paper_artifact = "Table 2b + Figure 3b";
-      description = "latency percentiles and throughput of all five systems";
-      run = (fun ctx ~quick fmt -> Exp_headline.run ctx ~quick fmt);
-    };
-    {
-      id = "fig3b";
-      paper_artifact = "Figure 3b (with Table 2b)";
-      description = "alias of table2b: both come from the same runs";
-      run = (fun ctx ~quick fmt -> Exp_headline.run ctx ~quick fmt);
-    };
-    {
-      id = "fig3c";
-      paper_artifact = "Figure 3c";
-      description = "throughput as regions crash one by one";
-      run = (fun ctx ~quick fmt -> Exp_failures.run_crash ctx ~quick fmt);
-    };
-    {
-      id = "fig3d";
-      paper_artifact = "Figure 3d";
-      description = "throughput during a 3-2 network partition";
-      run = (fun ctx ~quick fmt -> Exp_failures.run_partition ctx ~quick fmt);
-    };
-    {
-      id = "fig3e";
-      paper_artifact = "Figure 3e";
-      description = "no-constraint / no-redistribution ablation";
-      run = (fun ctx ~quick fmt -> Exp_ablations.run_constraint_ablation ctx ~quick fmt);
-    };
-    {
-      id = "fig3f";
-      paper_artifact = "Figure 3f";
-      description = "proactive vs reactive redistributions (prediction ablation)";
-      run = (fun ctx ~quick fmt -> Exp_ablations.run_prediction_ablation ctx ~quick fmt);
-    };
+  ]
+  @ List.map of_scenario
+      [
+        Exp_headline.scenario;
+        {
+          Exp_headline.scenario with
+          id = "fig3b";
+          paper_artifact = "Figure 3b (with Table 2b)";
+          description = "alias of table2b: both come from the same runs";
+        };
+        Exp_failures.crash;
+        Exp_failures.partition;
+        Exp_ablations.constraint_ablation;
+        Exp_ablations.prediction_ablation;
+      ]
+  @ [
     {
       id = "fig3g";
       paper_artifact = "Figure 3g";

@@ -1,5 +1,9 @@
 (** Index of every reproducible table and figure, keyed by the experiment
-    ids used in DESIGN.md, the bench harness and the CLI. *)
+    ids used in DESIGN.md, the bench harness and the CLI. The open-loop
+    paper figures ([table2b], its alias [fig3b], [fig3c] to [fig3f]) and
+    the scenario experiments are rows of {!Scenario.t} plans; the rest
+    ([fig3a], [table2a], the closed-loop [fig3g]/[fig3h], the [ext1]/[ext2]
+    sweeps and [chaos]) render through their own [run]. *)
 
 type experiment = {
   id : string;

@@ -14,13 +14,6 @@
 
 type meta = { experiment : string; quick : bool; seed : int64 }
 
-let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
-
-let slo_value (l : Obs.Slo.report_line) v =
-  if Float.is_nan v then "-"
-  else if l.Obs.Slo.kind = "latency" then Report.ms v
-  else pct v
-
 (* ------------------------------------------------------------------ *)
 (* The computed view shared by both renderers                           *)
 
@@ -133,19 +126,6 @@ let md_sparkline buf points =
     points;
   Buffer.add_string buf "```\n\n"
 
-let slo_rows (c : Scenario.capture) =
-  List.map
-    (fun (l : Obs.Slo.report_line) ->
-      [
-        l.Obs.Slo.name;
-        (if l.Obs.Slo.kind = "latency" then Report.ms l.Obs.Slo.target
-         else pct l.Obs.Slo.target);
-        string_of_int l.Obs.Slo.windows;
-        string_of_int l.Obs.Slo.violations;
-        slo_value l l.Obs.Slo.overall;
-      ])
-    (Obs.Slo.report c.Scenario.slo)
-
 let md_capture buf (c : Scenario.capture) =
   Buffer.add_string buf (Printf.sprintf "## %s\n\n" c.Scenario.arm.Scenario.name);
   md_table buf ~header:[ "outcome"; "value" ]
@@ -158,7 +138,7 @@ let md_capture buf (c : Scenario.capture) =
        (if healthy then "healthy" else "**VIOLATED**"));
   md_table buf
     ~header:[ "objective"; "target"; "windows"; "violations"; "overall" ]
-    (slo_rows c);
+    (Scenario.slo_rows c);
   Buffer.add_string buf "### Mechanism attribution\n\n";
   md_table buf ~header:[ "source"; "count" ]
     (List.map (fun (k, v) -> [ k; v ]) (attribution_pairs c));
@@ -318,7 +298,7 @@ let html_capture buf (c : Scenario.capture) =
        (if healthy then "healthy" else "VIOLATED"));
   html_table buf
     ~header:[ "objective"; "target"; "windows"; "violations"; "overall" ]
-    (slo_rows c);
+    (Scenario.slo_rows c);
   Buffer.add_string buf "<h3>Mechanism attribution</h3>\n";
   html_table buf ~header:[ "source"; "count" ]
     (List.map (fun (k, v) -> [ k; v ]) (attribution_pairs c));

@@ -76,34 +76,41 @@ let build ?engine_jobs plan arm =
         Some cluster )
 
 (* Faults reach the system through its facade, at barrier-aligned virtual
-   times: partition at [at_ms], heal at [heal_ms]. *)
+   times: inject at [at_ms], undo at [heal_ms] unless that is infinite (a
+   crash that never recovers, a partition that never heals). *)
 let fault_events (t_system : Systems.facade) faults =
   List.concat_map
     (fun { Chaos.Nemesis.kind; at_ms; heal_ms } ->
-      match kind with
-      | Chaos.Nemesis.Partition { groups } ->
-          [
-            { Driver.at_ms; action = (fun () -> t_system.partition groups) };
-            { Driver.at_ms = heal_ms; action = (fun () -> t_system.heal ()) };
-          ]
-      | _ -> invalid_arg "Scenario: only partitions are injected")
+      let inject, undo =
+        match kind with
+        | Chaos.Nemesis.Partition { groups } ->
+            ((fun () -> t_system.partition groups), t_system.heal)
+        | Chaos.Nemesis.Crash { site } ->
+            ((fun () -> t_system.crash_site site), fun () -> t_system.recover_site site)
+        | _ -> invalid_arg "Scenario: only crashes and partitions are injected"
+      in
+      { Driver.at_ms; action = inject }
+      :: (if Float.is_finite heal_ms then [ { Driver.at_ms = heal_ms; action = undo } ]
+          else []))
     faults
 
-(* Token conservation (Equation 1) of every registered entity, after the
-   drain. *)
-let audit plan cluster =
-  let check entity maximum =
-    match Samya.Cluster.check_invariant cluster ~entity ~maximum with
-    | Ok () -> []
-    | Error reason -> [ (entity, reason) ]
-  in
-  match plan.entities with
-  | Hot { entity; maximum } -> check entity maximum
-  | Fleet { count; name; quota } ->
+(* Token conservation (Equation 1) after the drain: a hot entity through
+   the facade (every arm), each fleet key on the cluster (Samya arms). *)
+let audit plan (t_system : Systems.facade) cluster =
+  let failed entity = function Ok () -> [] | Error reason -> [ (entity, reason) ] in
+  match (plan.entities, cluster) with
+  | Hot { entity; maximum }, _ -> failed entity (t_system.invariant ~maximum)
+  | Fleet { count; name; quota }, Some cluster ->
       let rec from i acc =
-        if i < 0 then acc else from (i - 1) (check (name i) (quota i) @ acc)
+        if i < 0 then acc
+        else
+          from (i - 1)
+            (failed (name i)
+               (Samya.Cluster.check_invariant cluster ~entity:(name i) ~maximum:(quota i))
+            @ acc)
       in
       from (count - 1) []
+  | Fleet _, None -> []
 
 let capture ?engine_jobs ?(observe = false) plan arm =
   let t_system, cluster = build ?engine_jobs plan arm in
@@ -131,7 +138,7 @@ let capture ?engine_jobs ?(observe = false) plan arm =
   let result = Driver.run ~t_system spec in
   (* Auditor failures become recorder events too, so the watchdog's
      invariant rule sees them. *)
-  let violations = match cluster with Some c -> audit plan c | None -> [] in
+  let violations = audit plan t_system cluster in
   List.iter
     (fun (entity, reason) ->
       Obs.Flight_recorder.record flight ~lane:(-1) ~ts:(t_system.Systems.now ())
@@ -150,25 +157,48 @@ let capture ?engine_jobs ?(observe = false) plan arm =
     incidents = Obs.Watchdog.detect (Obs.Flight_recorder.events flight);
   }
 
+(* Trim the boundary window, which is empty by construction. *)
+let series c =
+  Stats.Throughput.series c.result.Driver.throughput
+    ~until_ms:(c.result.Driver.duration_ms -. 1.0) ()
+
 let figure fmt ~title captures =
   Report.series fmt ~title ~unit_label:"txn/s"
-    (List.map
-       (fun c ->
-         ( c.arm.label,
-           (* trim the boundary window, which is empty by construction *)
-           Stats.Throughput.series c.result.Driver.throughput
-             ~until_ms:(c.result.Driver.duration_ms -. 1.0) () ))
-       captures)
+    (List.map (fun c -> (c.arm.label, series c)) captures)
+
+let verdict c =
+  match c.violations with [] -> "OK" | (_, reason) :: _ -> "VIOLATED: " ^ reason
 
 let conservation fmt captures =
   List.iter
-    (fun c ->
-      match c.violations with
-      | [] -> Format.fprintf fmt "token conservation (%s): OK@." c.arm.label
-      | (_, reason) :: _ ->
-          Format.fprintf fmt "token conservation (%s): VIOLATED: %s@." c.arm.label
-            reason)
+    (fun c -> Format.fprintf fmt "token conservation (%s): %s@." c.arm.label (verdict c))
     captures
+
+let slo_rows c =
+  let pct x = Printf.sprintf "%.2f%%" (100.0 *. x) in
+  List.map
+    (fun (l : Obs.Slo.report_line) ->
+      let value v =
+        if Float.is_nan v then "-"
+        else if l.Obs.Slo.kind = "latency" then Report.ms v
+        else pct v
+      in
+      [
+        l.Obs.Slo.name;
+        value l.Obs.Slo.target;
+        string_of_int l.Obs.Slo.windows;
+        string_of_int l.Obs.Slo.violations;
+        value l.Obs.Slo.overall;
+      ])
+    (Obs.Slo.report c.slo)
+
+let find captures label =
+  match List.find_opt (fun c -> c.arm.label = label) captures with
+  | Some c -> c
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Scenario.find: no capture labelled %S (have: %s)" label
+           (String.concat ", " (List.map (fun c -> c.arm.label) captures)))
 
 let arm plan id =
   match List.find_opt (fun (a : arm) -> a.id = id) plan.arms with
@@ -183,3 +213,25 @@ let trace plan =
   Pool.map
     (capture ~observe:true plan)
     (List.filter (fun (a : arm) -> List.mem a.id plan.traced) plan.arms)
+
+(* The paper's figures: prebuilt systems (their own VM entity at the
+   paper's limit), every arm traced, the driver's default 30 s drain. *)
+let paper ~duration_ms ~requests ~window_ms ~report builders =
+  let arms =
+    List.map
+      (fun (label, build) ->
+        { id = label; label; name = label; system = Built build; spec = Fun.id })
+      builders
+  in
+  {
+    duration_ms;
+    requests;
+    entities = Hot { entity = Exp_common.entity; maximum = Exp_common.maximum };
+    faults = [];
+    window_ms;
+    sketch_k = 8;
+    spec = (fun spec -> { spec with Driver.window_ms; drain_ms = 30_000.0 });
+    arms;
+    traced = List.map (fun (a : arm) -> a.id) arms;
+    report;
+  }

@@ -1,24 +1,25 @@
 (** Scenarios as data, and the one runner that executes them.
 
-    A scenario experiment ([gateway], [retrystorm], [contention], and the
-    trace captures of the paper's headline systems) is a request stream
-    replayed against one or more {e arms}, each arm a system plus
-    driver-spec deltas. Everything else is shared plumbing, owned here:
-    build the cluster and its facade, optionally subscribe a full
-    observability sink, arm the always-on flight recorder, hot-key sketch
-    and SLO monitor, run the {!Driver}, audit token conservation (a
-    failure becomes an [Invariant] recorder event), and fold the
-    {!Obs.Watchdog} verdict. A scenario module supplies only its data
-    ({!plan}) and the rendering only it does ([report]). See DESIGN.md
-    §4.1. *)
+    Every open-loop experiment — the paper's figures ([table2b]/[fig3b],
+    [fig3c] to [fig3f], the [ext1]/[ext2] sweep cells), the scenario
+    experiments ([gateway], [retrystorm], [contention]) and the trace
+    captures — is a request stream replayed against one or more {e arms},
+    each arm a system plus driver-spec deltas. Everything else is shared
+    plumbing, owned here: build the cluster and its facade, optionally
+    subscribe a full observability sink, arm the always-on flight
+    recorder, hot-key sketch and SLO monitor, inject the faults, run the
+    {!Driver}, audit token conservation (a failure becomes an [Invariant]
+    recorder event), and fold the {!Obs.Watchdog} verdict. A scenario
+    module supplies only its data ({!plan}) and the rendering only it
+    does ([report]). See DESIGN.md §4.1. *)
 
 type system =
   | Samya of Samya.Config.t
       (** a Samya cluster the runner builds on the evaluation regions,
           registers the plan's entities on and audits after the run *)
   | Built of (unit -> Systems.facade)
-      (** a system with its own entity (the paper's baselines): built as
-          is, never audited *)
+      (** a system with its own entity (the paper's figures): built as
+          is; a {!Hot} entity is audited through its facade *)
 
 type arm = {
   id : string;  (** stable key for tests, docs and {!plan.traced} *)
@@ -33,11 +34,13 @@ type arm = {
 type entities =
   | Hot of { entity : string; maximum : int }
       (** one entity, materialised at registration
-          ({!Samya.Cluster.init_entity}) *)
+          ({!Samya.Cluster.init_entity}) on {!Samya} arms and audited
+          through the facade's [invariant] on every arm *)
   | Fleet of { count : int; name : int -> string; quota : int -> int }
       (** [count] keys bulk-registered cold
           ({!Samya.Cluster.register_entities}); key [0] is the facade's
-          bound entity *)
+          bound entity. Each key is audited on the cluster ({!Samya} arms
+          only). *)
 
 type capture = {
   arm : arm;
@@ -60,7 +63,10 @@ type plan = {
   requests : Trace.Workload.request array;  (** one stream, every arm *)
   entities : entities;
   faults : Chaos.Nemesis.fault list;
-      (** partitions, injected through the facade at their virtual times *)
+      (** crashes ([crash_site], then [recover_site]) and partitions
+          ([partition], then [heal]), injected through the facade at their
+          virtual times; an infinite [heal_ms] never undoes the fault. Any
+          other kind raises [Invalid_argument] when the arm runs. *)
   window_ms : float;  (** SLO window and hot-key sketch window *)
   sketch_k : int;  (** Misra-Gries capacity of the hot-key sketch *)
   spec : Driver.spec -> Driver.spec;  (** scenario-wide driver delta *)
@@ -81,12 +87,27 @@ type t = {
 
 (** {1 Rendering shared by the scenario reports} *)
 
+val series : capture -> (float * float) list
+(** Committed throughput over the measurement horizon, in the driver's
+    throughput windows (the empty boundary window trimmed). *)
+
 val figure : Format.formatter -> title:string -> capture list -> unit
-(** Committed throughput over the measurement horizon, one series per
-    arm (by label), in the driver's throughput windows. *)
+(** {!series}, one per arm (by label). *)
+
+val verdict : capture -> string
+(** Token conservation: ["OK"], or ["VIOLATED: "] and the first
+    violation. *)
 
 val conservation : Format.formatter -> capture list -> unit
-(** One token-conservation line per arm: OK, or the first violation. *)
+(** One {!verdict} line per arm. *)
+
+val slo_rows : capture -> string list list
+(** The [samya-slo/1] report as table rows: objective, target, windows,
+    violations, overall. *)
+
+val find : capture list -> string -> capture
+(** The capture whose arm has this label. Raises [Invalid_argument]
+    naming the labels present if there is none. *)
 
 (** {1 Running} *)
 
@@ -106,3 +127,16 @@ val trace : plan -> capture list
     {!Pool} engine setting. Observed windows drain in parallel like
     any other, and the output is byte-identical at every
     [--engine-jobs]. *)
+
+val paper :
+  duration_ms:float ->
+  requests:Trace.Workload.request array ->
+  window_ms:float ->
+  report:(Format.formatter -> capture list -> unit) ->
+  (string * (unit -> Systems.facade)) list ->
+  plan
+(** A paper figure: one {!Built} arm per labelled builder (id, label and
+    name are the label; every arm traced), the {!Hot} VM entity at
+    {!Exp_common.maximum}, no faults, [window_ms] as both the driver's
+    throughput window and the SLO/sketch window, and the driver's default
+    30 s drain. Faults and further spec deltas are record updates. *)

@@ -294,6 +294,86 @@ let gateway_engine_jobs_identical () =
   Alcotest.check Alcotest.string "engine-jobs 2 byte-identical" one (fingerprint 2);
   Alcotest.check Alcotest.string "engine-jobs 4 byte-identical" one (fingerprint 4)
 
+(* A one-arm plan over a few acquires, built by hand: the runner's
+   behaviour, not a figure's, is under test. *)
+let one_arm_plan ?(faults = []) build : Harness.Scenario.plan =
+  let requests =
+    Array.init 20 (fun i ->
+        {
+          Trace.Workload.time_ms = 100.0 *. float_of_int (i + 1);
+          site = i mod 5;
+          kind = Trace.Workload.Acquire;
+          amount = 1;
+          entity = "";
+        })
+  in
+  let arm =
+    { Harness.Scenario.id = "arm"; label = "arm"; name = "arm"; system = Built build; spec = Fun.id }
+  in
+  {
+    Harness.Scenario.duration_ms = 5_000.0;
+    requests;
+    entities = Hot { entity; maximum = 5_000 };
+    faults;
+    window_ms = 1_000.0;
+    sketch_k = 8;
+    spec = Fun.id;
+    arms = [ arm ];
+    traced = [];
+    report = (fun _ _ -> ());
+  }
+
+let scenario_audits_built_arms () =
+  (* A prebuilt system is audited through its facade: a failed invariant
+     is a violation and an Invariant recorder event, as for Samya arms. *)
+  let build () =
+    { (samya_system ()) with Harness.Systems.invariant = (fun ~maximum:_ -> Error "forged") }
+  in
+  let plan = one_arm_plan build in
+  let c = Harness.Scenario.capture ~engine_jobs:1 plan (List.hd plan.arms) in
+  check
+    Alcotest.(list (pair string string))
+    "violation" [ (entity, "forged") ] c.Harness.Scenario.violations;
+  check Alcotest.string "verdict" "VIOLATED: forged" (Harness.Scenario.verdict c);
+  check bool "Invariant recorder event" true
+    (List.exists
+       (fun (ev : Obs.Flight_recorder.event) ->
+         ev.Obs.Flight_recorder.kind = Obs.Flight_recorder.Invariant
+         && ev.Obs.Flight_recorder.entity = entity
+         && ev.Obs.Flight_recorder.detail = "forged")
+       (Obs.Flight_recorder.events c.Harness.Scenario.flight))
+
+let scenario_injects_crashes () =
+  (* A crash with an infinite heal time never recovers; a finite one
+     recovers once, at its heal time. *)
+  let crashed = ref [] and recovered = ref [] in
+  let build () =
+    let t = samya_system () in
+    {
+      t with
+      Harness.Systems.crash_site =
+        (fun site ->
+          crashed := site :: !crashed;
+          t.Harness.Systems.crash_site site);
+      recover_site =
+        (fun site ->
+          recovered := site :: !recovered;
+          t.Harness.Systems.recover_site site);
+    }
+  in
+  let crash site heal_ms = { Chaos.Nemesis.kind = Crash { site }; at_ms = 1_000.0; heal_ms } in
+  let plan = one_arm_plan ~faults:[ crash 2 infinity; crash 3 2_000.0 ] build in
+  ignore (Harness.Scenario.capture ~engine_jobs:1 plan (List.hd plan.arms));
+  check Alcotest.(list int) "crashed once each" [ 2; 3 ] (List.sort compare !crashed);
+  check Alcotest.(list int) "only the healed crash recovers" [ 3 ] !recovered
+
+let scenario_refuses_other_faults () =
+  let cut = { Chaos.Nemesis.kind = One_way_cut { src = 0; dst = 1 }; at_ms = 1_000.0; heal_ms = 2_000.0 } in
+  let plan = one_arm_plan ~faults:[ cut ] (fun () -> samya_system ()) in
+  Alcotest.check_raises "one-way cut"
+    (Invalid_argument "Scenario: only crashes and partitions are injected") (fun () ->
+      ignore (Harness.Scenario.capture ~engine_jobs:1 plan (List.hd plan.arms)))
+
 let suite =
   [
     Alcotest.test_case "driver: counts commits" `Quick driver_counts_commits;
@@ -303,6 +383,9 @@ let suite =
     Alcotest.test_case "driver: rejects non-finite window" `Quick
       driver_rejects_non_finite_window;
     Alcotest.test_case "gateway: key names" `Quick gateway_key_names;
+    Alcotest.test_case "scenario: built arms audited" `Quick scenario_audits_built_arms;
+    Alcotest.test_case "scenario: crash faults" `Quick scenario_injects_crashes;
+    Alcotest.test_case "scenario: other faults refused" `Quick scenario_refuses_other_faults;
     Alcotest.test_case "lab: deterministic workload" `Quick lab_workload_deterministic;
     Alcotest.test_case "lab: read ratio" `Quick lab_read_ratio_applies;
     Alcotest.test_case "registry: ids" `Quick registry_ids_unique_and_complete;

@@ -551,32 +551,11 @@ let explain_deterministic_and_attributed () =
       ("cockroach", fun () -> Harness.Systems.cockroach ~seed:3L ~entity ~maximum:500 ());
     ]
   in
-  let arms =
-    List.map
-      (fun (label, build) ->
-        {
-          Harness.Scenario.id = label;
-          label;
-          name = label;
-          system = Built build;
-          spec = Fun.id;
-        })
-      builders
-  in
   let plan =
-    {
-      Harness.Scenario.duration_ms;
-      requests;
-      entities = Hot { entity; maximum = 500 };
-      faults = [];
-      window_ms = 10_000.0;
-      sketch_k = 8;
-      spec = (fun spec -> { spec with Harness.Driver.drain_ms = 30_000.0 });
-      arms;
-      traced = List.map (fun (a : Harness.Scenario.arm) -> a.id) arms;
-      report = (fun _ _ -> ());
-    }
+    Harness.Scenario.paper ~duration_ms ~requests ~window_ms:10_000.0
+      ~report:(fun _ _ -> ()) builders
   in
+  let plan = { plan with entities = Hot { entity; maximum = 500 } } in
   let capture () =
     let captures = Harness.Scenario.trace plan in
     let explain =
