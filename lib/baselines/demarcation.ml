@@ -29,15 +29,20 @@ type t = {
   network : msg Geonet.Network.t;
   region_array : Geonet.Region.t array;
   sites : site array;
-  processing_ms : float;
-  borrow_patience_ms : float;
-  borrow_quantum : int;
   rng : Des.Rng.t;
   obs : Obs.Sink.port;
   mutable borrow_count : int;
 }
 
 let default_regions () = Array.of_list Geonet.Region.default_five
+
+let processing_ms = 0.15
+
+(* A borrower that hears nothing back gives up after this long. *)
+let borrow_patience_ms = 10_000.0
+
+(* The fixed escrow chunk a lender adds on top of the borrower's need. *)
+let borrow_quantum = 10
 
 let engine t = t.engine
 
@@ -81,7 +86,7 @@ let reply_after_processing t site reply response =
   let s = t.sites.(site) in
   let now = Des.Engine.now t.engine in
   let start = Float.max now s.busy_until in
-  let finish = start +. t.processing_ms in
+  let finish = start +. processing_ms in
   s.busy_until <- finish;
   let trace = ambient_trace t in
   if trace >= 0 then begin
@@ -163,7 +168,7 @@ let ask_next t site entity =
             stop_patience borrow;
             borrow.patience <-
               Some
-                (Des.Engine.timer t.engine ~delay_ms:t.borrow_patience_ms (fun () ->
+                (Des.Engine.timer t.engine ~delay_ms:borrow_patience_ms (fun () ->
                      (* Reliable-network assumption violated (crash or
                         partition): give up to avoid blocking forever. *)
                      finish_borrow t site entity)))
@@ -221,7 +226,7 @@ let handle t site envelope =
       (* Demarcation-style incremental limit adjustment: lend the need plus
          a fixed escrow quantum — not a share of the pool, which is exactly
          the inefficiency Samya's redistribution removes (§5.3). *)
-      let grant = min ctx.tokens_left (needed + t.borrow_quantum) in
+      let grant = min ctx.tokens_left (needed + borrow_quantum) in
       ctx.tokens_left <- ctx.tokens_left - grant;
       Geonet.Network.send t.network ~src:site ~dst:envelope.Geonet.Network.src
         (Borrow_grant { b_entity; tokens = grant })
@@ -230,8 +235,7 @@ let handle t site envelope =
       ctx.tokens_left <- ctx.tokens_left + tokens;
       ask_next t site b_entity
 
-let create ?(seed = 42L) ?regions ?(processing_ms = 0.15) ?(borrow_patience_ms = 10_000.0)
-    ?(borrow_quantum = 10) () =
+let create ?(seed = 42L) ?regions () =
   let regions = match regions with Some r -> r | None -> default_regions () in
   let engine = Des.Engine.create ~seed () in
   let network = Geonet.Network.create engine ~regions () in
@@ -245,9 +249,6 @@ let create ?(seed = 42L) ?regions ?(processing_ms = 0.15) ?(borrow_patience_ms =
       network;
       region_array = regions;
       sites;
-      processing_ms;
-      borrow_patience_ms;
-      borrow_quantum;
       rng = Des.Rng.split (Des.Engine.rng engine);
       obs = Obs.Sink.port ();
       borrow_count = 0;

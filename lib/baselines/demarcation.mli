@@ -19,19 +19,13 @@
 
 type t
 
-val create :
-  ?seed:int64 ->
-  ?regions:Geonet.Region.t array ->
-  ?processing_ms:float ->
-  ?borrow_patience_ms:float ->
-  ?borrow_quantum:int ->
-  unit ->
-  t
+val create : ?seed:int64 -> ?regions:Geonet.Region.t array -> unit -> t
 (** Default regions: the paper's five (us-west1, asia-east2, europe-west2,
-    australia-southeast1, southamerica-east1). [borrow_quantum] (default
-    10) is the fixed escrow chunk a lender adds on top of the borrower's
-    immediate need — demarcation adjusts limits in small increments, which
-    is what keeps it borrowing again at every demand peak. *)
+    australia-southeast1, southamerica-east1). A lender adds a fixed
+    escrow chunk of 10 tokens on top of the borrower's immediate need —
+    demarcation adjusts limits in small increments, which is what keeps
+    it borrowing again at every demand peak. A borrower gives up on a
+    silent peer after 10 s. *)
 
 val engine : t -> Des.Engine.t
 

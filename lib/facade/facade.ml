@@ -20,7 +20,6 @@ type t = {
     Samya.Types.request ->
     reply:(Samya.Types.response -> unit) ->
     unit;
-  crash_region : Geonet.Region.t -> unit;
   crash_site : int -> unit;
   recover_site : int -> unit;
   partition : int list list -> unit;
@@ -32,11 +31,6 @@ type t = {
          breaker/controller/shed machinery to record *)
   invariant : maximum:int -> (unit, string) result;
 }
-
-let sites_in regions region =
-  let out = ref [] in
-  Array.iteri (fun i r -> if r = region then out := i :: !out) regions;
-  !out
 
 (* ------------------------------------------------------------------ *)
 (* Observability wiring parts. Instruments are resolved once at
@@ -282,9 +276,6 @@ let of_samya_cluster ?(name = "Samya") ~hooks ~regions ~entity cluster =
     run_until = (fun until_ms -> Samya.Cluster.run_until cluster ~until_ms);
     entity;
     submit = Samya.Cluster.submit cluster;
-    crash_region =
-      (fun region ->
-        List.iter (Samya.Cluster.crash_site cluster) (sites_in regions region));
     crash_site = (fun i -> Samya.Cluster.crash_site cluster i);
     recover_site = (fun i -> Samya.Cluster.recover_site cluster i);
     partition = (fun groups -> Samya.Cluster.partition cluster groups);

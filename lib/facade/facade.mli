@@ -60,7 +60,6 @@ type t = {
     unit;
       (** the one client verb: the request names its entity, amount and
           absolute deadline *)
-  crash_region : Geonet.Region.t -> unit;
   crash_site : int -> unit;
   recover_site : int -> unit;
   partition : int list list -> unit;
@@ -77,9 +76,6 @@ type t = {
           call before driving load. A no-op on baselines. *)
   invariant : maximum:int -> (unit, string) result;
 }
-
-val sites_in : Geonet.Region.t array -> Geonet.Region.t -> int list
-(** Indices of the sites placed in [region] (for [crash_region]). *)
 
 (** {2 Observability wiring parts} *)
 

@@ -23,7 +23,6 @@ type facade = Facade.t = {
     Samya.Types.request ->
     reply:(Samya.Types.response -> unit) ->
     unit;
-  crash_region : Geonet.Region.t -> unit;
   crash_site : int -> unit;
   recover_site : int -> unit;
   partition : int list list -> unit;
@@ -33,8 +32,6 @@ type facade = Facade.t = {
   arm : Obs.Flight_recorder.attachment -> unit;
   invariant : maximum:int -> (unit, string) result;
 }
-
-let sites_in = Facade.sites_in
 
 let samya ?seed ?engine_jobs ?name ~config ~regions ?forecaster ?on_protocol_event
     ~entity ~maximum () =
@@ -61,10 +58,11 @@ let samya ?seed ?engine_jobs ?name ~config ~regions ?forecaster ?on_protocol_eve
     ~hooks ~regions ~entity cluster
 
 (* Baseline adapters share one shape: one registered entity, stats
-   from the internal network counters, subscribe = engine tracer +
-   network tracer + named site lanes. *)
+   from the internal network counters (a baseline's coordination events
+   are its borrows), subscribe = engine tracer + network tracer + named
+   site lanes. *)
 let baseline ?(borrows = fun () -> 0) ~name ~engine ~regions ~entity ~submit
-    ~crash_site ~recover_site ~partition ~heal ~redistributions ~net_stats
+    ~crash_site ~recover_site ~partition ~heal ~net_stats
     ~set_net_tracer ~obs_port ~invariant () =
   (* Baselines run on one engine: the record's scheduling surface
      degenerates to the plain engine operations. *)
@@ -77,7 +75,6 @@ let baseline ?(borrows = fun () -> 0) ~name ~engine ~regions ~entity ~submit
     run_until = (fun until_ms -> Des.Engine.run engine ~until_ms);
     entity;
     submit;
-    crash_region = (fun region -> List.iter crash_site (sites_in regions region));
     crash_site;
     recover_site;
     partition;
@@ -86,7 +83,7 @@ let baseline ?(borrows = fun () -> 0) ~name ~engine ~regions ~entity ~submit
       (fun () ->
         let sent, delivered, dropped = net_stats () in
         {
-          redistributions = redistributions ();
+          redistributions = borrows ();
           borrows = borrows ();
           borrow_tokens = 0;
           mechanism_switches = 0;
@@ -127,7 +124,6 @@ let demarcation ?seed ?regions ~entity ~maximum () =
     ~recover_site:(Baselines.Demarcation.recover_site system)
     ~partition:(Baselines.Demarcation.partition system)
     ~heal:(fun () -> Baselines.Demarcation.heal system)
-    ~redistributions:(fun () -> Baselines.Demarcation.borrows system)
     ~net_stats:(fun () -> Baselines.Demarcation.net_stats system)
     ~set_net_tracer:(Baselines.Demarcation.set_net_tracer system)
     ~obs_port:(Baselines.Demarcation.obs_port system)
@@ -135,55 +131,21 @@ let demarcation ?seed ?regions ~entity ~maximum () =
       Baselines.Demarcation.check_invariant system ~entity ~maximum)
     ()
 
-let multipaxsys ?seed ~entity ~maximum () =
-  let system = Baselines.Multipaxsys.create ?seed () in
-  Baselines.Multipaxsys.init_entity system ~entity ~maximum;
-  let regions = Baselines.Multipaxsys.regions in
-  baseline ~name:"MultiPaxSys"
-    ~engine:(Baselines.Multipaxsys.engine system)
-    ~regions ~entity
-    ~submit:(Baselines.Multipaxsys.submit system)
-    ~crash_site:(Baselines.Multipaxsys.crash_site system)
-    ~recover_site:(Baselines.Multipaxsys.recover_site system)
-    ~partition:(Baselines.Multipaxsys.partition system)
-    ~heal:(fun () -> Baselines.Multipaxsys.heal system)
-    ~redistributions:(fun () -> 0)
-    ~net_stats:(fun () -> Baselines.Multipaxsys.net_stats system)
-    ~set_net_tracer:(Baselines.Multipaxsys.set_net_tracer system)
-    ~obs_port:(Baselines.Multipaxsys.obs_port system)
-    ~invariant:(fun ~maximum ->
-      Baselines.Multipaxsys.check_invariant system ~entity ~maximum)
+(* Both replicated-log baselines share one module, hence one adapter. *)
+let replicated ~name system ~entity ~maximum =
+  let module R = Baselines.Replicated in
+  R.init_entity system ~entity ~maximum;
+  baseline ~name ~engine:(R.engine system) ~regions:R.regions ~entity
+    ~submit:(R.submit system) ~crash_site:(R.crash_site system)
+    ~recover_site:(R.recover_site system) ~partition:(R.partition system)
+    ~heal:(fun () -> R.heal system)
+    ~net_stats:(fun () -> R.net_stats system)
+    ~set_net_tracer:(R.set_net_tracer system) ~obs_port:(R.obs_port system)
+    ~invariant:(fun ~maximum -> R.check_invariant system ~entity ~maximum)
     ()
 
-let cockroach ?seed ?regions ~entity ~maximum () =
-  let regions =
-    match regions with
-    | Some r -> r
-    | None ->
-        [| Geonet.Region.Us_west1; Us_central1; Us_east1; Asia_east2; Europe_west2 |]
-  in
-  let system = Baselines.Cockroach_sim.create ?seed ~regions () in
-  Baselines.Cockroach_sim.init_entity system ~entity ~maximum;
-  Baselines.Cockroach_sim.start system;
-  (* Let the first election settle before load arrives. *)
-  let engine = Baselines.Cockroach_sim.engine system in
-  let rec settle guard =
-    if guard > 0 && Baselines.Cockroach_sim.leader system = None then begin
-      Des.Engine.run_for engine 1_000.0;
-      settle (guard - 1)
-    end
-  in
-  settle 30;
-  baseline ~name:"CockroachDB" ~engine ~regions ~entity
-    ~submit:(Baselines.Cockroach_sim.submit system)
-    ~crash_site:(Baselines.Cockroach_sim.crash_site system)
-    ~recover_site:(Baselines.Cockroach_sim.recover_site system)
-    ~partition:(Baselines.Cockroach_sim.partition system)
-    ~heal:(fun () -> Baselines.Cockroach_sim.heal system)
-    ~redistributions:(fun () -> 0)
-    ~net_stats:(fun () -> Baselines.Cockroach_sim.net_stats system)
-    ~set_net_tracer:(Baselines.Cockroach_sim.set_net_tracer system)
-    ~obs_port:(Baselines.Cockroach_sim.obs_port system)
-    ~invariant:(fun ~maximum ->
-      Baselines.Cockroach_sim.check_invariant system ~entity ~maximum)
-    ()
+let multipaxsys ?seed ~entity ~maximum () =
+  replicated ~name:"MultiPaxSys" (Baselines.Replicated.multipaxsys ?seed ()) ~entity ~maximum
+
+let cockroach ?seed ~entity ~maximum () =
+  replicated ~name:"CockroachDB" (Baselines.Replicated.cockroach ?seed ()) ~entity ~maximum

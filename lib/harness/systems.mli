@@ -1,10 +1,13 @@
-(** Builders for the four systems under test, all returning the unified
-    {!Facade.t} record (re-exported here as {!facade}). Experiments,
-    chaos and the trace exporter drive every system through this one
-    interface — there is no per-system dispatch downstream of this
-    module. Each builder registers one entity ([~entity], recorded in
-    the record's [entity]); clients reach it, or any other key, through
-    [submit] alone. *)
+(** Builders for the systems under test — Samya (either Avantan
+    variant), Demarcation/Escrow, MultiPaxSys and the CockroachDB-like
+    system — all returning the unified {!Facade.t} record (re-exported
+    here as {!facade}). The last two are one module,
+    {!Baselines.Replicated}, behind one adapter. Experiments, chaos and
+    the trace exporter drive every system through this one interface —
+    there is no per-system dispatch downstream of this module. Each
+    builder registers one entity ([~entity], recorded in the record's
+    [entity]); clients reach it, or any other key, through [submit]
+    alone. *)
 
 type stats = Facade.stats = {
   redistributions : int;
@@ -32,9 +35,6 @@ type facade = Facade.t = {
     Samya.Types.request ->
     reply:(Samya.Types.response -> unit) ->
     unit;
-  crash_region : Geonet.Region.t -> unit;
-      (** Crash every server in the region (no-op for systems with no
-          replica there). *)
   crash_site : int -> unit;  (** crash one server by its own index *)
   recover_site : int -> unit;
       (** bring a crashed server back (Samya honours
@@ -50,10 +50,6 @@ type facade = Facade.t = {
           sketch); no-op on baselines *)
   invariant : maximum:int -> (unit, string) result;
 }
-
-val sites_in : Geonet.Region.t array -> Geonet.Region.t -> int list
-(** Indices of the sites placed in a region (re-export of
-    {!Facade.sites_in}). *)
 
 val samya :
   ?seed:int64 ->
@@ -88,17 +84,12 @@ val demarcation :
 
 val multipaxsys :
   ?seed:int64 -> entity:Samya.Types.entity -> maximum:int -> unit -> facade
-(** Spanner-style placement (three US regions + Asia + Europe); client
-    requests reach the leader through the nearest replica gateway, so a
-    partition that separates a client's side from the leader makes that
-    client's requests fail, as in Fig. 3d. *)
+(** {!Baselines.Replicated.multipaxsys}: client requests reach the leader
+    through the nearest replica gateway, so a partition that separates a
+    client's side from the leader makes that client's requests fail, as
+    in Fig. 3d. *)
 
 val cockroach :
-  ?seed:int64 ->
-  ?regions:Geonet.Region.t array ->
-  entity:Samya.Types.entity ->
-  maximum:int ->
-  unit ->
-  facade
-(** The handle is returned with elections already settled (the engine is
-    pre-run until a leader exists). *)
+  ?seed:int64 -> entity:Samya.Types.entity -> maximum:int -> unit -> facade
+(** {!Baselines.Replicated.cockroach}: returned with the first election
+    settled; the leaseholder is every client's gateway. *)
