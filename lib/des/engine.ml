@@ -84,19 +84,13 @@ let schedule_at t ~time_ms f =
 
 let schedule t ~delay_ms f = schedule_at t ~time_ms:(t.clock +. Float.max 0.0 delay_ms) f
 
-(* Unlabelled timers keep the lean PR-1 closure; labelled ones capture the
-   arming time so a tracer can attribute fire/cancel events. Both shapes
-   are allocation-equivalent when no tracer is installed. *)
+(* Unlabelled timers keep the lean PR-1 closure. A labelled timer armed
+   under a tracer captures its label and arming time for the tracer's
+   fire/cancel events; armed with none, it is an unlabelled timer. *)
 let timer ?label t ~delay_ms f =
   let tm = { state = Pending } in
-  (match label with
-  | None ->
-      schedule t ~delay_ms (fun () ->
-          if tm.state = Pending then begin
-            tm.state <- Fired;
-            f ()
-          end)
-  | Some label ->
+  (match (label, t.tracer) with
+  | Some label, Some _ ->
       let armed_ms = t.clock in
       schedule t ~delay_ms (fun () ->
           match tm.state with
@@ -110,7 +104,13 @@ let timer ?label t ~delay_ms f =
               match t.tracer with
               | Some tr -> tr.on_timer_cancelled ~label ~armed_ms ~now_ms:t.clock
               | None -> ())
-          | Fired -> ()));
+          | Fired -> ())
+  | None, _ | Some _, None ->
+      schedule t ~delay_ms (fun () ->
+          if tm.state = Pending then begin
+            tm.state <- Fired;
+            f ()
+          end));
   tm
 
 let cancel tm = if tm.state = Pending then tm.state <- Cancelled

@@ -36,8 +36,9 @@ val schedule_at : t -> time_ms:float -> (unit -> unit) -> unit
 
 val timer : ?label:string -> t -> delay_ms:float -> (unit -> unit) -> timer
 (** Like {!schedule} but returns a handle for {!cancel}. A [label] makes
-    the timer visible to an installed {!tracer} (fired/cancelled events
-    attributed by name); unlabelled timers are never traced. *)
+    the timer visible to the {!tracer} installed when it is armed
+    (fired/cancelled events attributed by name); otherwise it is a plain,
+    untraced timer. *)
 
 val cancel : timer -> unit
 (** Cancelling an already-fired or cancelled timer is a no-op. *)

@@ -1,25 +1,31 @@
-type t = { mutable state : int64 }
+(* The state lives unboxed in an 8-byte buffer and the mixer is inlined,
+   so a draw allocates only its boxed result. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 (* Mix function of SplitMix64: variant of MurmurHash3's 64-bit finaliser. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
 let split t =
   let seed = bits64 t in
   (* A second mix decorrelates the child stream from the parent's. *)
-  { state = mix64 seed }
+  create (mix64 seed)
 
 (* Indexed stream derivation: a pure function of (seed, index), so lane
    [i] of a sharded engine gets the same stream no matter how many other

@@ -144,8 +144,16 @@ type ent_acc = {
   mutable elmax : float;
 }
 
-(* Abort tags: 1 = rejected, 2 = unavailable, 3 = shed, 4 = timeout. *)
+(* Outcome tags: 0 = committed; aborts 1 = rejected, 2 = unavailable,
+   3 = shed, 4 = timeout. *)
+let tag_of_response = function
+  | Samya.Types.Granted | Samya.Types.Read_result _ -> 0
+  | Samya.Types.Rejected -> 1
+  | Samya.Types.Unavailable -> 2
+  | Samya.Types.Rejected_deadline -> 3
+
 let cls_name = function
+  | 0 -> "granted"
   | 1 -> "rejected"
   | 2 -> "unavailable"
   | 3 -> "shed"
@@ -170,6 +178,30 @@ type acc = {
   ph_committed : int array array;
   ph_aborted : int array array;
 }
+
+(* A client's outstanding tokens, which its releases may not exceed
+   (§3.2), so rejected acquires spawn no phantom releases. They move on
+   grants, not on issue: a shed release (never replied) must not leak
+   them. *)
+let hold outstanding (request : Trace.Workload.request) response =
+  match (request.kind, response) with
+  | Trace.Workload.Acquire, Samya.Types.Granted ->
+      outstanding.(request.site) <- outstanding.(request.site) + request.amount
+  | Trace.Workload.Release, Samya.Types.Granted ->
+      outstanding.(request.site) <- outstanding.(request.site) - request.amount
+  | _ -> ()
+
+(* One outcome into a client's slot. *)
+let count acc client ~tag ~lat ~time_ms =
+  match tag with
+  | 0 ->
+      acc.committed.(client) <- acc.committed.(client) + 1;
+      Stats.Sample_set.add acc.lat.(client) lat;
+      Stats.Throughput.record acc.tp.(client) ~time_ms
+  | 1 -> acc.rejected.(client) <- acc.rejected.(client) + 1
+  | 2 -> acc.unavailable.(client) <- acc.unavailable.(client) + 1
+  | 3 -> acc.shed.(client) <- acc.shed.(client) + 1
+  | _ -> acc.timedout.(client) <- acc.timedout.(client) + 1
 
 let acc_create ?(n_phases = 0) ~n_clients:slots ~window_ms () =
   {
@@ -321,6 +353,243 @@ let validate_spec (spec : spec) =
           (Printf.sprintf "Driver.run: retry.jitter must be in [0, 1) (got %g)"
              r.jitter)
 
+(* A run's fixed context, resolved once: everything a request's handlers
+   read, so they are top-level functions over it instead of closures
+   built per request. *)
+type ctx = {
+  spec : spec;
+  t_system : Systems.facade;
+  engines : Des.Engine.t array;
+  t0 : float;
+  acc : acc;
+  cutoffs : float array;  (* per-client crash time, relative to t0 *)
+  outstanding : int array;  (* per-client tokens held, see [hold] *)
+  retry_rngs : Des.Rng.t array;
+  instrument : instr option;
+  slo_feeds : Obs.Slo.Feed.t array;
+}
+
+(* One stream request across all of its attempts. Only the latest attempt
+   can be unsettled (a new attempt starts after the previous one
+   settled), so a reply or watchdog for attempt [n] counts iff
+   [n = p_attempt] and the attempt has not settled. *)
+type pending = {
+  p_request : Trace.Workload.request;  (* its [site] is the client *)
+  p_system : Samya.Types.request;  (* built once, sent by every attempt *)
+  p_first_sent : float;
+  p_inst : (instr * Obs.Trace_log.span * int) option;
+      (* the request's span and causal trace root, when observed *)
+  mutable p_attempt : int;
+  mutable p_settled : bool;
+  mutable p_sent_at : float;
+  mutable p_watchdog : Des.Engine.timer option;
+}
+
+(* Phase of a first-send instant (relative to t0): the number of
+   boundaries at or before it. Linear scan — phase counts are tiny. *)
+let phase_of c rel =
+  let p = ref 0 in
+  Array.iter (fun b -> if rel >= b then incr p) c.spec.phases;
+  !p
+
+let max_attempts spec = match spec.retry with None -> 1 | Some r -> r.max_attempts
+
+let backoff_ms c client ~completed =
+  match c.spec.retry with
+  | None -> 0.0
+  | Some r ->
+      let d =
+        Float.min r.max_backoff_ms
+          (r.base_backoff_ms *. (2.0 ** float_of_int (completed - 1)))
+      in
+      if r.jitter > 0.0 then
+        d *. (1.0 -. r.jitter *. Des.Rng.float c.retry_rngs.(client) 1.0)
+      else d
+
+(* The observed side of an outcome: the driver metric, then the request's
+   span and causal trace are closed. *)
+let finish_instr p ~now ~tag =
+  match p.p_inst with
+  | None -> ()
+  | Some (i, span, trace) ->
+      if tag = 0 then begin
+        Obs.Metrics.incr i.i_commit;
+        Obs.Metrics.observe i.i_lat (now -. p.p_first_sent)
+      end
+      else
+        Obs.Metrics.incr
+          (match tag with 1 -> i.i_rej | 2 -> i.i_unavail | 3 -> i.i_shed | _ -> i.i_timeout);
+      let outcome = cls_name tag in
+      Obs.Trace_log.finish i.i_sink.Obs.Sink.log ~args:[ ("outcome", outcome) ] span;
+      Obs.Trace_log.record i.i_sink.Obs.Sink.log (Completed { trace; outcome; ts = now })
+
+(* A request's one counted outcome. *)
+let terminal c p ~now ~tag =
+  let acc = c.acc and request = p.p_request in
+  let client = request.site in
+  let lat = now -. p.p_first_sent in
+  count acc client ~tag ~lat ~time_ms:(now -. c.t0);
+  if acc.n_phases > 0 then begin
+    (* Retry attempts share [first_sent], so a whole request buckets into
+       the phase that originated it. *)
+    let ph = phase_of c (p.p_first_sent -. c.t0) in
+    if tag = 0 then begin
+      acc.ph_committed.(client).(ph) <- acc.ph_committed.(client).(ph) + 1;
+      Stats.Sample_set.add acc.ph_lat.(client).(ph) lat
+    end
+    else acc.ph_aborted.(client).(ph) <- acc.ph_aborted.(client).(ph) + 1
+  end;
+  if c.spec.track_entities && request.entity <> "" then begin
+    let e = ent_for acc.ents.(client) request.entity in
+    match tag with
+    | 0 ->
+        e.ec <- e.ec + 1;
+        e.elsum <- e.elsum +. lat;
+        if lat > e.elmax then e.elmax <- lat
+    | 1 -> e.er <- e.er + 1
+    | 2 -> e.eu <- e.eu + 1
+    | 3 -> e.es <- e.es + 1
+    | _ -> ()
+  end;
+  (match c.spec.slo with
+  | Some _ when tag = 0 ->
+      Obs.Slo.Feed.commit c.slo_feeds.(client) ~start_ms:c.t0 ~now_ms:now ~latency_ms:lat
+  | Some _ ->
+      Obs.Slo.Feed.abort c.slo_feeds.(client) ~cls:(cls_name tag) ~start_ms:c.t0
+        ~now_ms:now
+  | None -> ());
+  finish_instr p ~now ~tag
+
+let rec issue c ~synthetic (request : Trace.Workload.request) =
+  let spec = c.spec in
+  let client = request.site in
+  let engine = c.engines.(client) in
+  let skip_release =
+    (not synthetic)
+    && request.kind = Trace.Workload.Release
+    && (c.outstanding.(client) < request.amount || spec.grant_driven_release_ms <> None)
+  in
+  if
+    request.time_ms < c.cutoffs.(client)
+    && request.time_ms <= spec.duration_ms
+    && not skip_release
+  then begin
+    let first_sent = Des.Engine.now engine in
+    let deadline =
+      if spec.deadline_budget_ms = infinity then infinity
+      else first_sent +. spec.deadline_budget_ms
+    in
+    (* One span and one causal root per request: every retry attempt runs
+       under the same trace, so [explain] shows them as extra service legs
+       on one root, closed by a single terminal Completed. *)
+    let inst =
+      match c.instrument with
+      | None -> None
+      | Some i ->
+          let span =
+            Obs.Trace_log.start i.i_sink.Obs.Sink.log ~cat:"request"
+              ~tid:(client_tid client) (span_name request.kind)
+          in
+          let trace = Des.Engine.fresh_id engine in
+          let kind = span_name request.kind and entity = request.entity in
+          Obs.Trace_log.record i.i_sink.Obs.Sink.log
+            (Submitted { trace; client; kind; entity; ts = first_sent });
+          Some (i, span, trace)
+    in
+    let p_system = to_request ~t_system:c.t_system ~deadline_ms:deadline request in
+    attempt c
+      { p_request = request; p_system; p_first_sent = first_sent; p_inst = inst;
+        p_attempt = 0; p_settled = true; p_sent_at = first_sent; p_watchdog = None }
+  end
+
+and attempt c p =
+  let acc = c.acc and client = p.p_request.site in
+  let engine = c.engines.(client) in
+  let n = p.p_attempt + 1 in
+  p.p_attempt <- n;
+  p.p_settled <- false;
+  acc.submitted.(client) <- acc.submitted.(client) + 1;
+  if n > 1 then begin
+    acc.retries.(client) <- acc.retries.(client) + 1;
+    match p.p_inst with Some (i, _, _) -> Obs.Metrics.incr i.i_retry | None -> ()
+  end;
+  p.p_sent_at <- Des.Engine.now engine;
+  (* With a retry policy and a finite client timeout, a watchdog abandons
+     the attempt at the timeout instead of waiting for a reply that may
+     never come — which is exactly what breeds a retry storm: the server
+     may still be working on the original. *)
+  (match c.spec.retry with
+  | Some _ when c.spec.client_timeout_ms < infinity ->
+      p.p_watchdog <-
+        Some
+          (Des.Engine.timer ~label:"driver.retry.timeout" engine
+             ~delay_ms:c.spec.client_timeout_ms (fun () -> on_timeout c p n))
+  | _ -> ());
+  let reply response = on_reply c p n response in
+  let region = c.spec.client_regions.(client) in
+  match p.p_inst with
+  | None -> c.t_system.Systems.submit ~region p.p_system ~reply
+  | Some (_, _, trace) ->
+      (* Root of the causal trace: everything the system does on this
+         request's behalf (hops, queueing, protocol phases) inherits the
+         context through the engine's ambient propagation. *)
+      Des.Engine.with_context engine (Des.Trace_context.root ~trace) (fun () ->
+          c.t_system.Systems.submit ~region p.p_system ~reply)
+
+and retry_after c p ~completed =
+  let client = p.p_request.site in
+  let engine = c.engines.(client) in
+  Des.Engine.schedule engine ~delay_ms:(backoff_ms c client ~completed) (fun () ->
+      (* The client may have crashed while backing off. *)
+      if Des.Engine.now engine -. c.t0 < c.cutoffs.(client) then attempt c p)
+
+(* Timed-out releases never retry (at-most-once: the original may have
+   been applied late, and a doubled release mints tokens). *)
+and on_timeout c p n =
+  if n = p.p_attempt && not p.p_settled then begin
+    p.p_settled <- true;
+    let client = p.p_request.site in
+    let now = Des.Engine.now c.engines.(client) in
+    if now -. c.t0 >= c.cutoffs.(client) then ()
+    else if n < max_attempts c.spec && p.p_request.kind <> Trace.Workload.Release then
+      retry_after c p ~completed:n
+    else terminal c p ~now ~tag:4
+  end
+
+and on_reply c p n response =
+  let acc = c.acc and request = p.p_request in
+  let client = request.site in
+  let engine = c.engines.(client) in
+  acc.replied.(client) <- acc.replied.(client) + 1;
+  (* Token bookkeeping runs on every reply, even superseded ones: a grant
+     that arrives after the client gave up still moved real tokens, and
+     grant-driven releases must return them. *)
+  hold c.outstanding request response;
+  (match (c.spec.grant_driven_release_ms, request.kind, response) with
+  | Some lifetime_ms, Trace.Workload.Acquire, Samya.Types.Granted ->
+      Des.Engine.schedule engine ~delay_ms:lifetime_ms (fun () ->
+          (* A grant-driven release: these tokens are held by construction. *)
+          issue c ~synthetic:true { request with kind = Trace.Workload.Release; time_ms = 0.0 })
+  | _ -> ());
+  if n = p.p_attempt && not p.p_settled then begin
+    p.p_settled <- true;
+    (match p.p_watchdog with Some w -> Des.Engine.cancel w | None -> ());
+    let now = Des.Engine.now engine in
+    let tag = tag_of_response response in
+    if now -. c.t0 >= c.cutoffs.(client) then
+      (* Crashed client: the reply is discarded for accounting, but the
+         observability story still closes the span/trace (the system did
+         do the work). *)
+      finish_instr p ~now ~tag
+    else if now -. p.p_sent_at > c.spec.client_timeout_ms then
+      (* Late reply with no watchdog armed (no retry policy): the client
+         had already given up — attribute the request as a timeout instead
+         of letting it silently vanish from every outcome bucket. *)
+      terminal c p ~now ~tag:4
+    else if tag = 3 && n < max_attempts c.spec then retry_after c p ~completed:n
+    else terminal c p ~now ~tag
+  end
+
 let run ~(t_system : Systems.facade) spec =
   validate_spec spec;
   let n_clients = Array.length spec.client_regions in
@@ -328,14 +597,6 @@ let run ~(t_system : Systems.facade) spec =
   let t0 = t_system.Systems.now () in
   let n_phases =
     if Array.length spec.phases = 0 then 0 else Array.length spec.phases + 1
-  in
-  let acc = acc_create ~n_phases ~n_clients ~window_ms:spec.window_ms () in
-  (* Phase of a first-send instant (relative to t0): the number of
-     boundaries at or before it. Linear scan — phase counts are tiny. *)
-  let phase_of rel =
-    let p = ref 0 in
-    Array.iter (fun b -> if rel >= b then incr p) spec.phases;
-    !p
   in
   let cutoffs = Array.make n_clients infinity in
   List.iter (fun (at, client) -> cutoffs.(client) <- Float.min cutoffs.(client) at)
@@ -397,306 +658,51 @@ let run ~(t_system : Systems.facade) spec =
     (fun { at_ms; action } ->
       t_system.Systems.schedule_global ~time_ms:(t0 +. at_ms) action)
     spec.events;
-  (* Open-loop replay with chained dispatchers to keep the heap small.
-     Clients track their outstanding tokens: a release is only issued
-     against tokens actually granted (§3.2 — "an individual client never
-     returns more tokens than what it has acquired"), so rejected acquires
-     do not spawn phantom releases that would quietly refill the pool. *)
-  let n = Array.length spec.requests in
-  let outstanding = Array.make n_clients 0 in
-  let max_attempts = match spec.retry with None -> 1 | Some r -> r.max_attempts in
   (* Per-client jitter streams, created only when a policy actually draws
      from them: a jitterless run consumes no randomness at all. Each
      client draws from its own stream on its own lane, so the schedule is
      a function of the simulation alone, never of the domain count. *)
   let retry_rngs =
     match spec.retry with
-    | Some r when r.jitter > 0.0 ->
-        Array.init n_clients (fun c -> Des.Rng.stream r.jitter_seed c)
+    | Some r when r.jitter > 0.0 -> Array.init n_clients (Des.Rng.stream r.jitter_seed)
     | _ -> [||]
   in
-  let backoff_ms client ~completed =
-    match spec.retry with
-    | None -> 0.0
-    | Some r ->
-        let d =
-          Float.min r.max_backoff_ms
-            (r.base_backoff_ms *. (2.0 ** float_of_int (completed - 1)))
-        in
-        if r.jitter > 0.0 then
-          d *. (1.0 -. r.jitter *. Des.Rng.float retry_rngs.(client) 1.0)
-        else d
+  let acc = acc_create ~n_phases ~n_clients ~window_ms:spec.window_ms () in
+  let outstanding = Array.make n_clients 0 in
+  let c =
+    { spec; t_system; engines; t0; acc; cutoffs; outstanding; retry_rngs; instrument; slo_feeds }
   in
-  let rec issue ~synthetic (request : Trace.Workload.request) =
-    let client = request.site in
-    let engine = engines.(client) in
-    let skip_release =
-      (not synthetic)
-      && request.kind = Trace.Workload.Release
-      && (outstanding.(client) < request.amount || spec.grant_driven_release_ms <> None)
-    in
-    if
-      request.time_ms < cutoffs.(client)
-      && request.time_ms <= spec.duration_ms
-      && not skip_release
-    then begin
-      let first_sent = Des.Engine.now engine in
-      let deadline =
-        if spec.deadline_budget_ms = infinity then infinity
-        else first_sent +. spec.deadline_budget_ms
-      in
-      let region = spec.client_regions.(client) in
-      let submit ~reply =
-        t_system.Systems.submit ~region
-          (to_request ~t_system ~deadline_ms:deadline request)
-          ~reply
-      in
-      (* One span and one causal root per request: every retry attempt runs
-         under the same trace, so [explain] shows them as extra service
-         legs on one root, closed by a single terminal Completed. *)
-      let inst =
-        match instrument with
-        | None -> None
-        | Some i ->
-            let span =
-              Obs.Trace_log.start i.i_sink.Obs.Sink.log ~cat:"request"
-                ~tid:(client_tid client) (span_name request.kind)
-            in
-            let trace = Des.Engine.fresh_id engine in
-            Obs.Trace_log.record i.i_sink.Obs.Sink.log
-              (Submitted
-                 {
-                   trace;
-                   client;
-                   kind = span_name request.kind;
-                   entity = request.entity;
-                   ts = first_sent;
-                 });
-            Some (i, span, trace)
-      in
-      let finish_instr ~outcome ~now =
-        match inst with
-        | None -> ()
-        | Some (i, span, trace) ->
-            Obs.Trace_log.finish i.i_sink.Obs.Sink.log
-              ~args:[ ("outcome", outcome) ]
-              span;
-            Obs.Trace_log.record i.i_sink.Obs.Sink.log
-              (Completed { trace; outcome; ts = now })
-      in
-      let rec attempt n_attempt =
-        acc.submitted.(client) <- acc.submitted.(client) + 1;
-        if n_attempt > 1 then begin
-          acc.retries.(client) <- acc.retries.(client) + 1;
-          match inst with
-          | Some (i, _, _) -> Obs.Metrics.incr i.i_retry
-          | None -> ()
-        end;
-        let sent_at = Des.Engine.now engine in
-        let settled = ref false in
-        let retry_after () =
-          Des.Engine.schedule engine
-            ~delay_ms:(backoff_ms client ~completed:n_attempt) (fun () ->
-              (* The client may have crashed while backing off. *)
-              if Des.Engine.now engine -. t0 < cutoffs.(client) then
-                attempt (n_attempt + 1))
-        in
-        let commit_terminal ~now =
-          let lat = now -. first_sent in
-          acc.committed.(client) <- acc.committed.(client) + 1;
-          Stats.Sample_set.add acc.lat.(client) lat;
-          Stats.Throughput.record acc.tp.(client) ~time_ms:(now -. t0);
-          if acc.n_phases > 0 then begin
-            (* Retry attempts share [first_sent], so a whole request
-               buckets into the phase that originated it. *)
-            let p = phase_of (first_sent -. t0) in
-            acc.ph_committed.(client).(p) <- acc.ph_committed.(client).(p) + 1;
-            Stats.Sample_set.add acc.ph_lat.(client).(p) lat
-          end;
-          if spec.track_entities && request.entity <> "" then begin
-            let e = ent_for acc.ents.(client) request.entity in
-            e.ec <- e.ec + 1;
-            e.elsum <- e.elsum +. lat;
-            if lat > e.elmax then e.elmax <- lat
-          end;
-          (match spec.slo with
-          | Some _ -> Obs.Slo.Feed.commit slo_feeds.(client) ~start_ms:t0 ~now_ms:now
-                ~latency_ms:lat
-          | None -> ());
-          (match inst with
-          | Some (i, _, _) ->
-              Obs.Metrics.incr i.i_commit;
-              Obs.Metrics.observe i.i_lat lat
-          | None -> ());
-          finish_instr ~outcome:"granted" ~now
-        in
-        let abort_terminal ~now ~tag =
-          (match tag with
-          | 1 -> acc.rejected.(client) <- acc.rejected.(client) + 1
-          | 2 -> acc.unavailable.(client) <- acc.unavailable.(client) + 1
-          | 3 -> acc.shed.(client) <- acc.shed.(client) + 1
-          | _ -> acc.timedout.(client) <- acc.timedout.(client) + 1);
-          (if acc.n_phases > 0 then
-             let p = phase_of (first_sent -. t0) in
-             acc.ph_aborted.(client).(p) <- acc.ph_aborted.(client).(p) + 1);
-          if spec.track_entities && request.entity <> "" then begin
-            let e = ent_for acc.ents.(client) request.entity in
-            match tag with
-            | 1 -> e.er <- e.er + 1
-            | 2 -> e.eu <- e.eu + 1
-            | 3 -> e.es <- e.es + 1
-            | _ -> ()
-          end;
-          (match spec.slo with
-          | Some _ -> Obs.Slo.Feed.abort slo_feeds.(client) ~cls:(cls_name tag)
-                ~start_ms:t0 ~now_ms:now
-          | None -> ());
-          (match inst with
-          | Some (i, _, _) ->
-              Obs.Metrics.incr
-                (match tag with
-                | 1 -> i.i_rej
-                | 2 -> i.i_unavail
-                | 3 -> i.i_shed
-                | _ -> i.i_timeout)
-          | None -> ());
-          finish_instr ~outcome:(cls_name tag) ~now
-        in
-        (* With a retry policy and a finite client timeout, a watchdog
-           abandons the attempt at the timeout instead of waiting for a
-           reply that may never come — which is exactly what breeds a
-           retry storm: the server may still be working on the original.
-           Timed-out releases never retry (at-most-once: the original may
-           have been applied late, and a doubled release mints tokens). *)
-        let watchdog =
-          match spec.retry with
-          | Some _ when spec.client_timeout_ms < infinity ->
-              Some
-                (Des.Engine.timer ~label:"driver.retry.timeout" engine
-                   ~delay_ms:spec.client_timeout_ms (fun () ->
-                     if not !settled then begin
-                       settled := true;
-                       let now = Des.Engine.now engine in
-                       if now -. t0 >= cutoffs.(client) then ()
-                       else if
-                         n_attempt < max_attempts
-                         && request.kind <> Trace.Workload.Release
-                       then retry_after ()
-                       else abort_terminal ~now ~tag:4
-                     end))
-          | _ -> None
-        in
-        let reply response =
-          acc.replied.(client) <- acc.replied.(client) + 1;
-          (* Token bookkeeping runs on every reply, even abandoned ones: a
-             grant that arrives after the client gave up still moved real
-             tokens, and grant-driven releases must return them. *)
-          (match (request.kind, response) with
-          | Trace.Workload.Acquire, Samya.Types.Granted -> (
-              outstanding.(client) <- outstanding.(client) + request.amount;
-              match spec.grant_driven_release_ms with
-              | Some lifetime_ms ->
-                  Des.Engine.schedule engine ~delay_ms:lifetime_ms (fun () ->
-                      (* A grant-driven release: these tokens are held by
-                         construction. *)
-                      issue ~synthetic:true
-                        { request with kind = Trace.Workload.Release; time_ms = 0.0 })
-              | None -> ())
-          | Trace.Workload.Release, Samya.Types.Granted ->
-              (* Settled on grant, not on issue: a shed release (never
-                 replied) must not leak the client's holdings. *)
-              outstanding.(client) <- outstanding.(client) - request.amount
-          | _ -> ());
-          if not !settled then begin
-            settled := true;
-            (match watchdog with Some w -> Des.Engine.cancel w | None -> ());
-            let now = Des.Engine.now engine in
-            if now -. t0 >= cutoffs.(client) then
-              (* Crashed client: the reply is discarded for accounting, but
-                 the observability story still closes the span/trace (the
-                 system did do the work). *)
-              let outcome =
-                match response with
-                | Samya.Types.Granted | Samya.Types.Read_result _ ->
-                    (match inst with
-                    | Some (i, _, _) ->
-                        Obs.Metrics.incr i.i_commit;
-                        Obs.Metrics.observe i.i_lat (now -. first_sent)
-                    | None -> ());
-                    "granted"
-                | Samya.Types.Rejected ->
-                    (match inst with
-                    | Some (i, _, _) -> Obs.Metrics.incr i.i_rej
-                    | None -> ());
-                    "rejected"
-                | Samya.Types.Unavailable ->
-                    (match inst with
-                    | Some (i, _, _) -> Obs.Metrics.incr i.i_unavail
-                    | None -> ());
-                    "unavailable"
-                | Samya.Types.Rejected_deadline ->
-                    (match inst with
-                    | Some (i, _, _) -> Obs.Metrics.incr i.i_shed
-                    | None -> ());
-                    "shed"
-              in
-              finish_instr ~outcome ~now
-            else if now -. sent_at > spec.client_timeout_ms then
-              (* Late reply with no watchdog armed (no retry policy): the
-                 client had already given up — attribute the request as a
-                 timeout instead of letting it silently vanish from every
-                 outcome bucket. *)
-              abort_terminal ~now ~tag:4
-            else
-              match response with
-              | Samya.Types.Granted | Samya.Types.Read_result _ ->
-                  commit_terminal ~now
-              | Samya.Types.Rejected -> abort_terminal ~now ~tag:1
-              | Samya.Types.Unavailable -> abort_terminal ~now ~tag:2
-              | Samya.Types.Rejected_deadline ->
-                  if n_attempt < max_attempts then retry_after ()
-                  else abort_terminal ~now ~tag:3
-          end
-        in
-        match inst with
-        | None -> submit ~reply
-        | Some (_, _, trace) ->
-            (* Root of the causal trace: everything the system does on this
-               request's behalf (hops, queueing, protocol phases) inherits
-               the context through the engine's ambient propagation. *)
-            Des.Engine.with_context engine
-              (Des.Trace_context.root ~trace)
-              (fun () -> submit ~reply)
-      in
-      attempt 1
-    end
-  in
-  (* One chain per client on the client's own lane, so a lane only ever
-     schedules onto itself and consecutive arrivals never form a
-     cross-lane dependency. Each chain schedules its next arrival lazily,
-     keeping the event heap small even for million-request streams. *)
-  let per_client = Array.make n_clients [] in
-  for i = n - 1 downto 0 do
+  (* Open-loop replay: one chain per client on the client's own lane, so
+     a lane only ever schedules onto itself and consecutive arrivals never
+     form a cross-lane dependency. Each chain is one closure that issues
+     its client's next request ([first], then [next]) and schedules itself
+     for the one after, keeping the event heap small even for
+     million-request streams. *)
+  let first = Array.make n_clients (-1) in
+  let next = Array.make (Array.length spec.requests) (-1) in
+  for i = Array.length spec.requests - 1 downto 0 do
     let client = spec.requests.(i).Trace.Workload.site in
-    per_client.(client) <- i :: per_client.(client)
+    next.(i) <- first.(client);
+    first.(client) <- i
   done;
   Array.iteri
-    (fun client indices ->
+    (fun client first ->
       let engine = engines.(client) in
-      let rec dispatch = function
-        | [] -> ()
-        | i :: rest ->
-            let request = spec.requests.(i) in
-            if request.Trace.Workload.time_ms > spec.duration_ms then ()
-            else
-              Des.Engine.schedule_at engine
-                ~time_ms:(t0 +. request.Trace.Workload.time_ms)
-                (fun () ->
-                  issue ~synthetic:false request;
-                  dispatch rest)
+      let cur = ref first in
+      let rec schedule_next () =
+        let i = !cur in
+        if i >= 0 && spec.requests.(i).Trace.Workload.time_ms <= spec.duration_ms then
+          Des.Engine.schedule_at engine
+            ~time_ms:(t0 +. spec.requests.(i).Trace.Workload.time_ms)
+            dispatch
+      and dispatch () =
+        let i = !cur in
+        cur := next.(i);
+        issue c ~synthetic:false spec.requests.(i);
+        schedule_next ()
       in
-      dispatch indices)
-    per_client;
+      schedule_next ())
+    first;
   t_system.Systems.run_until (t0 +. spec.duration_ms +. spec.drain_ms);
   (match spec.slo with
   | Some slo ->
@@ -705,7 +711,7 @@ let run ~(t_system : Systems.facade) spec =
       Array.iter (Obs.Slo.absorb slo) slo_feeds;
       Obs.Slo.flush slo
   | None -> ());
-  acc_result acc ~duration_ms:spec.duration_ms
+  acc_result c.acc ~duration_ms:spec.duration_ms
 
 let average_tps (result : result) =
   float_of_int result.committed /. (result.duration_ms /. 1000.0)
@@ -754,25 +760,10 @@ let run_closed ~(t_system : Systems.facade) ~client_regions ~requests ~duration_
                 settled := true;
                 Des.Engine.cancel watchdog;
                 let now = Des.Engine.now engine in
-                (match (request.kind, response) with
-                | Trace.Workload.Acquire, Samya.Types.Granted ->
-                    outstanding.(client) <- outstanding.(client) + request.amount
-                | Trace.Workload.Release, Samya.Types.Granted ->
-                    outstanding.(client) <- outstanding.(client) - request.amount
-                | _ -> ());
-                (match response with
-                | Samya.Types.Granted | Samya.Types.Read_result _ ->
-                    if now -. t0 <= duration_ms then begin
-                      acc.committed.(client) <- acc.committed.(client) + 1;
-                      Stats.Sample_set.add acc.lat.(client) (now -. sent_at);
-                      Stats.Throughput.record acc.tp.(client) ~time_ms:(now -. t0)
-                    end
-                | Samya.Types.Rejected ->
-                    acc.rejected.(client) <- acc.rejected.(client) + 1
-                | Samya.Types.Rejected_deadline ->
-                    acc.shed.(client) <- acc.shed.(client) + 1
-                | Samya.Types.Unavailable ->
-                    acc.unavailable.(client) <- acc.unavailable.(client) + 1);
+                hold outstanding request response;
+                let tag = tag_of_response response in
+                if tag > 0 || now -. t0 <= duration_ms then
+                  count acc client ~tag ~lat:(now -. sent_at) ~time_ms:(now -. t0);
                 worker client
               end
             in

@@ -7,6 +7,8 @@
 type t = {
   shard : Des.Shard.t;
   region_lane : int array; (* lane per Region.index *)
+  routes : int array array; (* per Region.index: sites by (one-way ms, id) *)
+  leg_base : float array array; (* per Region.index, per site: leg before jitter *)
   lane_leg_rngs : Des.Rng.t array;
   network : Site.net_msg Geonet.Network.t;
   regions : Geonet.Region.t array;
@@ -48,7 +50,22 @@ let create ?(seed = 42L) ?(engine_jobs = 1) ~config ~regions ?forecaster
      network uses 63, lane engines use 0 .. lanes-1; none overlap. *)
   let root = Des.Rng.stream_seed seed 62 in
   let lane_leg_rngs = Array.init lanes (Des.Rng.stream root) in
-  { shard; region_lane; lane_leg_rngs; network; regions; sites; directory; obs }
+  let per_region f = Array.of_list (List.map f Geonet.Region.all) in
+  let one_way region i = Geonet.Region.one_way_ms region regions.(i) in
+  let n = Array.length regions in
+  let routes =
+    per_region (fun region ->
+        let order = Array.init n Fun.id in
+        Array.stable_sort (fun a b -> Float.compare (one_way region a) (one_way region b)) order;
+        order)
+  in
+  (* Client -> app manager (same region) -> site; the same way back. *)
+  let leg_base =
+    per_region (fun region ->
+        Array.init n (fun i -> (Geonet.Region.client_site_rtt_ms /. 2.0) +. one_way region i))
+  in
+  { shard; region_lane; routes; leg_base; lane_leg_rngs; network; regions; sites; directory;
+    obs }
 
 let engine t = Des.Shard.engine t.shard 0
 let shard t = Some t.shard
@@ -143,27 +160,21 @@ let entity_count t = Entity_map.Directory.length t.directory
 let hot_entities t =
   Array.fold_left (fun acc site -> acc + Site.hot_entities site) 0 t.sites
 
-(* Nearest live site to a client region, app-manager failover included. *)
-let route t ~region =
-  let best = ref None in
-  Array.iteri
-    (fun i site ->
-      if Site.alive site then begin
-        let distance = Geonet.Region.one_way_ms region t.regions.(i) in
-        match !best with
-        | Some (_, d) when d <= distance -> ()
-        | Some _ | None -> best := Some (i, distance)
-      end)
-    t.sites;
-  !best
-
-(* Client -> app manager (same region) -> site, plus jitter; and the same
-   way back. [rng] is the leg stream of the lane executing the draw. *)
-let client_leg_ms t rng ~region ~site_index =
-  let base =
-    (Geonet.Region.client_site_rtt_ms /. 2.0)
-    +. Geonet.Region.one_way_ms region t.regions.(site_index)
+(* Nearest live site to a client region (by [Region.index]), app-manager
+   failover included; -1 when every site is down. *)
+let route t ri =
+  let order = t.routes.(ri) in
+  let rec first k =
+    if k = Array.length order then -1
+    else if Site.alive t.sites.(order.(k)) then order.(k)
+    else first (k + 1)
   in
+  first 0
+
+(* A client leg's latency plus jitter; [rng] is the leg stream of the
+   lane executing the draw. *)
+let client_leg_ms t rng ~ri ~site_index =
+  let base = t.leg_base.(ri).(site_index) in
   base +. Des.Rng.float rng (0.05 *. base)
 
 let submit_to_site t ~site request ~reply = Site.submit t.sites.(site) request ~reply
@@ -180,13 +191,14 @@ let schedule_leg t ~from_lane ~to_lane ~delay_ms f =
   else Des.Shard.schedule_cross t.shard ~src:from_lane ~dst:to_lane ~time_ms f
 
 let submit t ~region request ~reply =
-  match route t ~region with
-  | None -> reply Types.Unavailable
-  | Some (site_index, _) ->
-      let client_lane = region_lane t region in
+  let ri = Geonet.Region.index region in
+  match route t ri with
+  | -1 -> reply Types.Unavailable
+  | site_index ->
+      let client_lane = t.region_lane.(ri) in
       let site_lane = region_lane t t.regions.(site_index) in
       (* Executes on the client's lane: the outbound draw comes from it. *)
-      let there = client_leg_ms t t.lane_leg_rngs.(client_lane) ~region ~site_index in
+      let there = client_leg_ms t t.lane_leg_rngs.(client_lane) ~ri ~site_index in
       schedule_leg t ~from_lane:client_lane ~to_lane:site_lane ~delay_ms:there (fun () ->
           let target = t.sites.(site_index) in
           if not (Site.alive target) then
@@ -196,9 +208,7 @@ let submit t ~region request ~reply =
           else
             Site.submit target request ~reply:(fun response ->
                 (* Executes on the site's lane: the return draw is its. *)
-                let back =
-                  client_leg_ms t t.lane_leg_rngs.(site_lane) ~region ~site_index
-                in
+                let back = client_leg_ms t t.lane_leg_rngs.(site_lane) ~ri ~site_index in
                 schedule_leg t ~from_lane:site_lane ~to_lane:client_lane ~delay_ms:back
                   (fun () -> reply response)))
 

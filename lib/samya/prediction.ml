@@ -91,14 +91,17 @@ let proactive_check t ~now ~cooldown_ok ~trigger (ctx : Entity_state.t) =
   then begin
     ctx.last_proactive_check_ms <- now;
     let need = predicted_need t ctx in
-    if need > ctx.core.tokens_left && (not (Entity_state.participating ctx)) && cooldown_ok ()
+    if
+      need > ctx.core.tokens_left
+      && (not (Entity_state.participating ctx))
+      && cooldown_ok ~now ctx
     then begin
       let wanted = requested_pool ctx need - ctx.core.tokens_left in
       if wanted > 0 then begin
         t.proactive_triggers <- t.proactive_triggers + 1;
         ctx.core.tokens_wanted <- wanted;
         ctx.last_redistribution_ms <- now;
-        trigger ()
+        trigger ctx
       end
     end
   end

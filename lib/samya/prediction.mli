@@ -36,10 +36,12 @@ val reactive_wanted : t -> Entity_state.t -> amount:int -> int
 val proactive_check :
   t ->
   now:float ->
-  cooldown_ok:(unit -> bool) ->
-  trigger:(unit -> unit) ->
+  cooldown_ok:(now:float -> Entity_state.t -> bool) ->
+  trigger:(Entity_state.t -> unit) ->
   Entity_state.t ->
   unit
 (** Equation 4, rate-limited by [proactive_check_ms]: when the forecast
     exceeds the local pool, the entity is not already redistributing, and
-    [cooldown_ok ()] holds, set [tokens_wanted] and call [trigger]. *)
+    [cooldown_ok ~now] holds for it, set [tokens_wanted] and [trigger] it.
+    The hooks take the entity, so a caller builds them once, not per
+    check. *)

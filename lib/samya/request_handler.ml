@@ -352,42 +352,16 @@ let drain_queue ?(reject_unservable = false) t (ctx : Entity_state.t) =
    then serve locally — or queue while a redistribution holds the
    entity's state exposed. *)
 let accept_inner t (ctx : Entity_state.t) request reply =
-  let record_and_dispatch ~net =
-    Demand_tracker.record ctx.tracker ~amount:net;
-    if Entity_state.parked ctx then
-      let label =
-        if ctx.borrow <> None then "borrow" else "redistribution"
-      in
-      park t ctx request reply ~label
-    else serve_local t ctx request reply ~drain:false
-  in
-  match request with
-  | Types.Acquire { amount; _ } -> record_and_dispatch ~net:amount
-  | Types.Release { amount; _ } -> record_and_dispatch ~net:(-amount)
-  | Types.Read _ -> (* handled before dispatch *) assert false
-
-(* A request arriving without lineage (no driver upstream) roots its own
-   trace here — sites stamp new roots — so site-local causality exists
-   even for bare [Site.submit] callers. *)
-let with_root_stamp t k =
-  match Obs.Sink.tap t.obs with
-  | None -> k ()
-  | Some sink ->
-      let stamp () =
-        let trace = causal_trace t in
-        if trace >= 0 then
-          Obs.Trace_log.record sink.Obs.Sink.log
-            (Accepted { trace; site = t.site_id; ts = now t });
-        k ()
-      in
-      if Des.Trace_context.is_none (Des.Engine.current_context t.engine) then
-        let root = Des.Trace_context.root ~trace:(Des.Engine.fresh_id t.engine) in
-        Des.Engine.with_context t.engine root stamp
-      else stamp ()
-
-let accept t (ctx : Entity_state.t) request reply =
-  if not (overload_shed t request reply) then
-    with_root_stamp t (fun () -> accept_inner t ctx request reply)
+  Demand_tracker.record ctx.tracker
+    ~amount:
+      (match request with
+      | Types.Acquire { amount; _ } -> amount
+      | Types.Release { amount; _ } -> -amount
+      | Types.Read _ -> (* handled before dispatch *) assert false);
+  if Entity_state.parked ctx then
+    let label = if ctx.borrow <> None then "borrow" else "redistribution" in
+    park t ctx request reply ~label
+  else serve_local t ctx request reply ~drain:false
 
 (* Cold fast path: a request a cold entity's core ledger can serve outright
    — every release, and any acquire within the local pool. No queue, no
@@ -412,31 +386,54 @@ let serve_cold t (core : Entity_state.t Entity_map.core) request reply =
       reply_after_processing t reply Types.Granted
   | Types.Read _ -> (* handled before dispatch *) assert false
 
-(* Entry point for an acquire/release on a core that may still be cold:
-   serve from the ledger while that suffices, materialise hot state the
-   moment the entity needs queueing, demand history, or redistribution. *)
-let accept_core t (core : Entity_state.t Entity_map.core) request reply =
+(* An admitted request: served hot when the entity has hot state, else
+   from its cold core's ledger. *)
+let admit t (core : Entity_state.t Entity_map.core) request reply =
   match core.Entity_map.hot with
-  | Some ctx -> accept t ctx request reply
-  | None ->
-      if overload_shed t request reply then ()
-      else
-      let cold_servable =
-        (not core.Entity_map.exposed)
-        &&
-        match request with
-        | Types.Release _ -> true
-        | Types.Acquire { amount; _ } ->
-            (not t.config.Config.enforce_constraint)
-            || core.Entity_map.tokens_left >= amount
-        | Types.Read _ -> false
-      in
-      if cold_servable then with_root_stamp t (fun () -> serve_cold t core request reply)
-      else
-        (* Already gated above — go straight to the ungated internals so
-           the admission gate observes each arrival exactly once. *)
-        let ctx = t.deps.heat core in
-        with_root_stamp t (fun () -> accept_inner t ctx request reply)
+  | Some ctx -> accept_inner t ctx request reply
+  | None -> serve_cold t core request reply
+
+(* A request arriving without lineage (no driver upstream) roots its own
+   trace here — sites stamp new roots — so site-local causality exists
+   even for bare [Site.submit] callers. Called only while a sink is
+   attached, so the closure [k] exists only then. *)
+let with_root_stamp t (sink : Obs.Sink.t) k =
+  let stamp () =
+    let trace = causal_trace t in
+    if trace >= 0 then
+      Obs.Trace_log.record sink.Obs.Sink.log
+        (Accepted { trace; site = t.site_id; ts = now t });
+    k ()
+  in
+  if Des.Trace_context.is_none (Des.Engine.current_context t.engine) then
+    let root = Des.Trace_context.root ~trace:(Des.Engine.fresh_id t.engine) in
+    Des.Engine.with_context t.engine root stamp
+  else stamp ()
+
+(* Entry point for an acquire/release: shed on arrival, then serve a cold
+   entity from its core ledger while that suffices, and materialise hot
+   state the moment it needs queueing, demand history, or
+   redistribution. *)
+let accept_core t (core : Entity_state.t Entity_map.core) request reply =
+  if not (overload_shed t request reply) then begin
+    (match core.Entity_map.hot with
+    | Some _ -> ()
+    | None ->
+        let cold_servable =
+          (not core.Entity_map.exposed)
+          &&
+          match request with
+          | Types.Release _ -> true
+          | Types.Acquire { amount; _ } ->
+              (not t.config.Config.enforce_constraint)
+              || core.Entity_map.tokens_left >= amount
+          | Types.Read _ -> false
+        in
+        if not cold_servable then ignore (t.deps.heat core));
+    match Obs.Sink.tap t.obs with
+    | None -> admit t core request reply
+    | Some sink -> with_root_stamp t sink (fun () -> admit t core request reply)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Reads: global snapshot by fan-out (§5.8)                             *)
@@ -476,13 +473,6 @@ let finish_read t rid =
 let read_timeout_ms = 600.0
 
 let serve_read_inner t ~entity ~own reply =
-  (match Obs.Sink.tap t.obs with
-  | None -> ()
-  | Some sink ->
-      let trace = causal_trace t in
-      if trace >= 0 then
-        Obs.Trace_log.record sink.Obs.Sink.log
-          (Accepted { trace; site = t.site_id; ts = now t }));
   if t.n_sites = 1 then begin
     t.s_reads <- t.s_reads + 1;
     obs_incr t "samya.read.served";
@@ -522,12 +512,7 @@ let serve_read t ?(deadline_ms = infinity) ~entity ~own reply =
   else
   match Obs.Sink.tap t.obs with
   | None -> serve_read_inner t ~entity ~own reply
-  | Some _ ->
-      if Des.Trace_context.is_none (Des.Engine.current_context t.engine) then
-        let root = Des.Trace_context.root ~trace:(Des.Engine.fresh_id t.engine) in
-        Des.Engine.with_context t.engine root (fun () ->
-            serve_read_inner t ~entity ~own reply)
-      else serve_read_inner t ~entity ~own reply
+  | Some sink -> with_root_stamp t sink (fun () -> serve_read_inner t ~entity ~own reply)
 
 let on_read_reply t ~rid ~tokens_left =
   match Hashtbl.find_opt t.pending_reads rid with

@@ -50,10 +50,13 @@ val create :
     recorder under [lane] (the site's hosting-region engine lane), at
     the same one-load-one-branch disarmed cost. *)
 
-val accept :
-  t -> Entity_state.t -> Types.request -> (Types.response -> unit) -> unit
-(** Dispatch a validated acquire/release: record demand, then serve
-    locally or queue while the entity is redistributing. Read requests
+val accept_core :
+  t -> Entity_state.t Entity_map.core -> Types.request -> (Types.response -> unit) -> unit
+(** Dispatch a validated acquire/release on an entity that may still be
+    cold: releases and in-pool acquires of a cold entity are served
+    straight from the core ledger (no queue, no demand tracking); anything
+    else heats the entity via [deps.heat], records demand, then serves
+    locally or queues while the entity is redistributing. Read requests
     must go to {!serve_read} instead.
 
     Overload shedding runs first, before any CPU occupancy or ledger
@@ -61,13 +64,6 @@ val accept :
     arriving while the CoDel-style admission gate is in drop mode
     ({!Config.Admission.target_ms}), is answered
     {!Types.Rejected_deadline} synchronously. *)
-
-val accept_core :
-  t -> Entity_state.t Entity_map.core -> Types.request -> (Types.response -> unit) -> unit
-(** Like {!accept} on an entity that may still be cold: releases and
-    in-pool acquires are served straight from the core ledger (no queue,
-    no demand tracking); anything else heats the entity via [deps.heat]
-    first. *)
 
 val drain_queue : ?reject_unservable:bool -> t -> Entity_state.t -> unit
 (** Replay the queue after an engagement (instance or borrow) ended;

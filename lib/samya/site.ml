@@ -302,12 +302,10 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event
       {
         Request_handler.alive = (fun () -> !is_alive);
         proactive =
-          (fun ctx ->
-            Prediction.proactive_check prediction ~now:(now ())
-              ~cooldown_ok:(fun () ->
-                Redistribution_policy.cooldown_ok rpolicy ~now:(now ()) ctx)
-              ~trigger:(fun () -> Protocol_driver.trigger driver ctx)
-              ctx);
+          (let cooldown_ok = Redistribution_policy.cooldown_ok rpolicy
+           and trigger = Protocol_driver.trigger driver in
+           fun ctx ->
+             Prediction.proactive_check prediction ~now:(now ()) ~cooldown_ok ~trigger ctx);
         broadcast_read_query =
           (fun ~entity ~rid ->
             Geonet.Network.broadcast network ~src:id (Read_query { entity; rid }));

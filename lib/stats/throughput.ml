@@ -1,6 +1,9 @@
+(* One count per window, dense from window 0 ([series] walks every window
+   up to the latest anyway): recording is an array write, with no lookup
+   and no allocation. *)
 type t = {
   window_width : float;
-  counts : (int, int) Hashtbl.t;
+  mutable counts : int array;
   mutable total : int;
   mutable max_window : int;
 }
@@ -10,15 +13,23 @@ let create ~window_ms =
     invalid_arg
       (Printf.sprintf "Throughput.create: window must be positive and finite (got %g)"
          window_ms);
-  { window_width = window_ms; counts = Hashtbl.create 64; total = 0; max_window = -1 }
+  { window_width = window_ms; counts = [||]; total = 0; max_window = -1 }
 
-let record_n t ~time_ms n =
-  if time_ms < 0.0 then invalid_arg "Throughput.record: negative time";
-  let window = int_of_float (time_ms /. t.window_width) in
-  let current = Option.value (Hashtbl.find_opt t.counts window) ~default:0 in
-  Hashtbl.replace t.counts window (current + n);
+let add t window n =
+  let len = Array.length t.counts in
+  if window >= len then begin
+    let counts = Array.make (max (window + 1) (2 * len)) 0 in
+    Array.blit t.counts 0 counts 0 len;
+    t.counts <- counts
+  end;
+  t.counts.(window) <- t.counts.(window) + n;
   t.total <- t.total + n;
   if window > t.max_window then t.max_window <- window
+
+let record_n t ~time_ms n =
+  if not (time_ms >= 0.0 && time_ms < infinity) then
+    invalid_arg "Throughput.record: time must be non-negative and finite";
+  add t (int_of_float (time_ms /. t.window_width)) n
 
 let record t ~time_ms = record_n t ~time_ms 1
 
@@ -35,7 +46,7 @@ let series t ?until_ms () =
   let rec build window acc =
     if window < 0 then acc
     else begin
-      let count = Option.value (Hashtbl.find_opt t.counts window) ~default:0 in
+      let count = if window < Array.length t.counts then t.counts.(window) else 0 in
       let start = float_of_int window *. t.window_width in
       let tps = float_of_int count /. (t.window_width /. 1000.0) in
       build (window - 1) ((start, tps) :: acc)
@@ -46,16 +57,8 @@ let series t ?until_ms () =
 let merge_into src ~into =
   if src.window_width <> into.window_width then
     invalid_arg "Throughput.merge_into: window width mismatch";
-  (* Windows walk in index order, so the merge is deterministic even
-     though the counts live in hash tables. *)
   for window = 0 to src.max_window do
-    match Hashtbl.find_opt src.counts window with
-    | None -> ()
-    | Some n ->
-        let current = Option.value (Hashtbl.find_opt into.counts window) ~default:0 in
-        Hashtbl.replace into.counts window (current + n);
-        into.total <- into.total + n;
-        if window > into.max_window then into.max_window <- window
+    add into window src.counts.(window)
   done
 
 let average_tps t ~duration_ms =

@@ -10,8 +10,10 @@ val create : window_ms:float -> t
 (** Raises [Invalid_argument] unless [window_ms] is positive and finite. *)
 
 val record : t -> time_ms:float -> unit
-(** Counts one event at the given virtual time. Times may arrive out of
-    order. Negative times raise [Invalid_argument]. *)
+(** Counts one event at the given virtual time: an array write, the
+    counts taking one int per window up to the latest. Times may arrive
+    out of order. Negative, infinite and NaN times raise
+    [Invalid_argument]. *)
 
 val record_n : t -> time_ms:float -> int -> unit
 
@@ -24,10 +26,9 @@ val series : t -> ?until_ms:float -> unit -> (float * float) list
     latest recorded event (or [until_ms]), including empty windows. *)
 
 val merge_into : t -> into:t -> unit
-(** [merge_into src ~into] adds [src]'s per-window counts into [into],
-    walking windows in index order (deterministic despite the hash-table
-    representation). Raises [Invalid_argument] on window-width mismatch.
-    [src] is unchanged. *)
+(** [merge_into src ~into] adds [src]'s per-window counts into [into].
+    Raises [Invalid_argument] on window-width mismatch. [src] is
+    unchanged. *)
 
 val average_tps : t -> duration_ms:float -> float
 (** [total / duration] in events per second. *)

@@ -441,6 +441,104 @@ let retrying_clients_resubmit_but_not_releases () =
   check bool "invariant (late grant + single release)" true
     (t_system.Harness.Systems.invariant ~maximum:5_000 = Ok ())
 
+let superseded_attempt_books_tokens_but_is_not_counted () =
+  (* A stub system that answers the first acquire after the client
+     timeout and the second in time. Attempt 1 times out at 100 ms and
+     attempt 2 goes out at 110 ms; attempt 1's late grant lands at 115 ms,
+     while attempt 2 is still in flight, and attempt 2's at 130 ms. The
+     late grant belongs to a superseded attempt: it must neither settle
+     nor be counted, but its tokens are real, so its grant-driven release
+     must still be issued. *)
+  let engine = Des.Engine.create () in
+  let acquires = ref 0 and releases = ref 0 and held = ref 0 in
+  let answer ~delay_ms reply =
+    Des.Engine.schedule engine ~delay_ms (fun () -> reply Samya.Types.Granted)
+  in
+  let t_system : Harness.Systems.facade =
+    {
+      name = "stub";
+      now = (fun () -> Des.Engine.now engine);
+      sched_region = (fun _ -> engine);
+      schedule_global = (fun ~time_ms f -> Des.Engine.schedule_at engine ~time_ms f);
+      run_until = (fun until_ms -> Des.Engine.run engine ~until_ms);
+      entity;
+      submit =
+        (fun ~region:_ request ~reply ->
+          match request with
+          | Samya.Types.Acquire { amount; _ } ->
+              incr acquires;
+              held := !held + amount;
+              answer ~delay_ms:(if !acquires = 1 then 115.0 else 20.0) reply
+          | Samya.Types.Release { amount; _ } ->
+              incr releases;
+              held := !held - amount;
+              answer ~delay_ms:10.0 reply
+          | Samya.Types.Read _ -> reply Samya.Types.Rejected);
+      crash_site = ignore;
+      recover_site = ignore;
+      partition = ignore;
+      heal = ignore;
+      stats =
+        (fun () ->
+          {
+            Harness.Systems.redistributions = 0;
+            borrows = 0;
+            borrow_tokens = 0;
+            mechanism_switches = 0;
+            messages_sent = 0;
+            messages_delivered = 0;
+            messages_dropped = 0;
+          });
+      subscribe = (fun () -> invalid_arg "stub: no observability");
+      arm = ignore;
+      invariant =
+        (fun ~maximum ->
+          if !held >= 0 && !held <= maximum then Ok ()
+          else Error (Printf.sprintf "%d tokens held" !held));
+    }
+  in
+  let spec =
+    {
+      (Harness.Driver.default_spec ~client_regions:(regions ())
+         ~requests:[| req 0.0 0 Trace.Workload.Acquire 1 |]
+         ~duration_ms:1_000.0)
+      with
+      Harness.Driver.drain_ms = 5_000.0;
+      client_timeout_ms = 100.0;
+      grant_driven_release_ms = Some 500.0;
+      retry =
+        Some
+          {
+            Harness.Driver.max_attempts = 3;
+            base_backoff_ms = 10.0;
+            max_backoff_ms = 10.0;
+            jitter = 0.0;
+            jitter_seed = 1L;
+          };
+      (* Phase 0 holds the acquire alone: the releases are first sent
+         after 600 ms. *)
+      phases = [| 50.0 |];
+    }
+  in
+  let r = Harness.Driver.run ~t_system spec in
+  check int "two acquire attempts reached the system" 2 !acquires;
+  check int "the acquire committed once" 1
+    r.Harness.Driver.by_phase.(0).Harness.Driver.p_committed;
+  check int "nothing else in the acquire's phase" 0
+    r.Harness.Driver.by_phase.(0).Harness.Driver.p_aborted;
+  check (Alcotest.float 1e-9) "settled by attempt 2's grant" 130.0
+    (Stats.Sample_set.max_value
+       r.Harness.Driver.by_phase.(0).Harness.Driver.p_latencies);
+  (* The driver counts a granted release as a commit too. *)
+  check int "committed: the acquire and its two releases" 3
+    r.Harness.Driver.committed;
+  check int "one retry" 1 r.Harness.Driver.retries;
+  check int "the superseded attempt is not a timeout" 0 r.Harness.Driver.timed_out;
+  check int "every attempt replied" 0 r.Harness.Driver.no_reply;
+  check int "both grants released" 2 !releases;
+  check bool "invariant (every granted token returned)" true
+    (!held = 0 && t_system.Harness.Systems.invariant ~maximum:1 = Ok ())
+
 let retry_backoff_is_deterministic () =
   (* Same seed, same spec: jittered retry schedules must reproduce
      byte-identically (the per-client streams are drawn lane-locally). *)
@@ -752,6 +850,69 @@ let accept_path_allocation_guard () =
     true
     (armed <= off +. 512.0)
 
+(* Absolute budgets, next to the relative guards above: what the request
+   path allocates with obs off. *)
+
+let site_submit_minor_words_per_call () =
+  (* A hot entity with a deep local pool: every acquire is granted
+     locally. The first batch warms the path (the proactive check runs
+     once per second of virtual time, and the clock does not move here);
+     the second is measured. *)
+  let cluster = make_cluster ~seed:11L ~maximum:1_000_000 () in
+  let site = Samya.Cluster.site cluster 0 in
+  let request = Samya.Types.acquire ~entity ~amount:1 () in
+  let calls = 1_000 in
+  let batch () =
+    for _ = 1 to calls do
+      Samya.Site.submit site request ~reply:ignore
+    done
+  in
+  batch ();
+  let before = Gc.minor_words () in
+  batch ();
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  check int "every acquire granted locally" (2 * calls)
+    (Samya.Site.stats site).Samya.Site.served_acquires;
+  words
+
+let accept_path_absolute_budget () =
+  ignore (site_submit_minor_words_per_call ());
+  let words = site_submit_minor_words_per_call () in
+  check bool
+    (Printf.sprintf "granted acquire costs <= 16 minor words (got %.1f)" words)
+    true (words <= 16.0)
+
+let driver_minor_words_per_request () =
+  (* One client alternating acquire and release on the default 5-site
+     cluster, obs off: the whole request path, driver to site and back. *)
+  let t_system = driver_system () in
+  let n = 2_000 in
+  let requests =
+    Array.init n (fun i ->
+        req
+          (float_of_int i *. 5.0)
+          0
+          (if i mod 2 = 0 then Trace.Workload.Acquire else Trace.Workload.Release)
+          1)
+  in
+  let spec =
+    Harness.Driver.default_spec ~client_regions:(regions ()) ~requests
+      ~duration_ms:10_000.0
+  in
+  let before = Gc.minor_words () in
+  let r = Harness.Driver.run ~t_system spec in
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  check int "every request committed" n r.Harness.Driver.committed;
+  words
+
+let request_path_absolute_budget () =
+  ignore (driver_minor_words_per_request ());
+  let words = driver_minor_words_per_request () in
+  check bool
+    (Printf.sprintf "request path costs <= 200 minor words per request (got %.1f)"
+       words)
+    true (words <= 200.0)
+
 let slo_minor_words ~armed ~replies =
   (* [replies] acquires spread over [0, 19 s), so every reply lands in
      one of two 10 s SLO windows: the first 500 are granted from the
@@ -873,6 +1034,8 @@ let suite =
       driver_spec_validation_raises;
     Alcotest.test_case "driver: retries acquires, never releases" `Quick
       retrying_clients_resubmit_but_not_releases;
+    Alcotest.test_case "driver: superseded attempt settles nothing" `Quick
+      superseded_attempt_books_tokens_but_is_not_counted;
     Alcotest.test_case "driver: jittered retries deterministic" `Quick
       retry_backoff_is_deterministic;
     Alcotest.test_case "driver: timeout attribution in SLO" `Quick
@@ -886,6 +1049,10 @@ let suite =
       conservation_under_shedding_random;
     Alcotest.test_case "accept path: allocation guard" `Slow
       accept_path_allocation_guard;
+    Alcotest.test_case "accept path: absolute allocation budget" `Slow
+      accept_path_absolute_budget;
+    Alcotest.test_case "request path: absolute allocation budget" `Slow
+      request_path_absolute_budget;
     Alcotest.test_case "slo feed: allocation guard" `Slow
       slo_feed_allocation_guard;
     Alcotest.test_case "retrystorm: engine-jobs byte-identical" `Slow

@@ -324,6 +324,59 @@ let all_sites_down_unavailable () =
   drain cluster;
   check bool "unavailable" true (!response = Some Samya.Types.Unavailable)
 
+(* The route table against the scan it replaced: from every client
+   region, under every subset of crashed sites, a request lands on the
+   nearest live site (ties to the lowest id), seen through the per-site
+   served counts; with every site down it is answered Unavailable. *)
+let route_matches_linear_scan () =
+  let sites = regions () in
+  let n = Array.length sites in
+  let scan client ~down =
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      if
+        (not (List.mem i down))
+        && (!best < 0
+           || Geonet.Region.one_way_ms client sites.(i)
+              < Geonet.Region.one_way_ms client sites.(!best))
+      then best := i
+    done;
+    !best
+  in
+  List.iter
+    (fun client ->
+      for mask = 0 to (1 lsl n) - 1 do
+        let down = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id) in
+        let cluster = make_cluster () in
+        List.iter (Samya.Cluster.crash_site cluster) down;
+        let response = ref None in
+        submit_at cluster ~time_ms:0.0 ~region:client
+          (Samya.Types.Acquire { entity; amount = 1; deadline_ms = infinity })
+          (fun r -> response := Some r);
+        drain ~extra:5_000.0 cluster;
+        let case = Printf.sprintf "%s, mask %d" (Geonet.Region.name client) mask in
+        let served =
+          Array.map
+            (fun site -> (Samya.Site.stats site).Samya.Site.served_acquires)
+            (Samya.Cluster.sites cluster)
+        in
+        match scan client ~down with
+        | -1 ->
+            check bool (case ^ ": unavailable") true
+              (!response = Some Samya.Types.Unavailable);
+            check int (case ^ ": nothing served") 0 (Array.fold_left ( + ) 0 served)
+        | expected ->
+            check bool (case ^ ": granted") true (!response = Some Samya.Types.Granted);
+            Array.iteri
+              (fun i count ->
+                check int
+                  (Printf.sprintf "%s: site %d served" case i)
+                  (if i = expected then 1 else 0)
+                  count)
+              served
+      done)
+    Geonet.Region.all
+
 let recovery_restores_service () =
   let cluster = make_cluster () in
   Samya.Cluster.crash_site cluster 0;
@@ -1114,4 +1167,6 @@ let suite =
     Alcotest.test_case "directory: probe runs stay short" `Quick
       directory_probe_runs_stay_short;
     Alcotest.test_case "invariant: cold reads stay cold" `Quick cold_reads_stay_cold;
+    Alcotest.test_case "failure: route is the nearest live site" `Quick
+      route_matches_linear_scan;
   ]

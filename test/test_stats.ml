@@ -95,7 +95,15 @@ let throughput_windows () =
   let series = Stats.Throughput.series t () in
   check int "three windows" 3 (List.length series);
   let tps = List.map snd series in
-  check (Alcotest.list feq) "per-second rates" [ 2.0; 1.0; 3.0 ] tps
+  check (Alcotest.list feq) "per-second rates" [ 2.0; 1.0; 3.0 ] tps;
+  (* A window index comes from the time: NaN and infinity have none. *)
+  List.iter
+    (fun time_ms ->
+      Alcotest.check_raises
+        (Printf.sprintf "time_ms %g" time_ms)
+        (Invalid_argument "Throughput.record: time must be non-negative and finite")
+        (fun () -> Stats.Throughput.record t ~time_ms))
+    [ -1.0; Float.nan; infinity ]
 
 let throughput_empty_windows_included () =
   let t = Stats.Throughput.create ~window_ms:1000.0 in
