@@ -26,7 +26,7 @@ let micro_benchmarks () =
   let heap =
     Test.make ~name:"pheap.push+pop(1k)"
       (Staged.stage (fun () ->
-           let h = Des.Pheap.create () in
+           let h = Des.Pheap.create ~dummy:0 () in
            for i = 0 to 999 do
              Des.Pheap.push h ~priority:(float_of_int ((i * 7) mod 997)) i
            done;
@@ -39,7 +39,7 @@ let micro_benchmarks () =
   let heap_drain =
     Test.make ~name:"pheap.push+drain_to(1k)"
       (Staged.stage (fun () ->
-           let h = Des.Pheap.create () in
+           let h = Des.Pheap.create ~dummy:0 () in
            for i = 0 to 999 do
              Des.Pheap.push h ~priority:(float_of_int ((i * 7) mod 997)) i
            done;

@@ -26,7 +26,7 @@ type timer = { mutable state : timer_state }
 let create ?(seed = 42L) () =
   {
     clock = 0.0;
-    queue = Pheap.create ();
+    queue = Pheap.create ~dummy:ignore ();
     root_rng = Rng.create seed;
     tracer = None;
     current = Trace_context.none;

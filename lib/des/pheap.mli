@@ -4,15 +4,20 @@
     insertion order (the sequence number), which gives the engine FIFO
     semantics for simultaneous events — essential for deterministic replay.
 
-    The representation is structure-of-arrays (keys in an unboxed
-    [float array]), so the steady-state push/pop cycle of the engine's
-    drain loop performs no allocation: use {!is_empty}, {!min_key} and
-    {!pop_unsafe} on the hot path; {!pop}/{!peek} remain as the safe,
-    option-returning API. *)
+    The heap order lives in unboxed arrays (keys, sequence numbers, slot
+    ids); each value is stored once, at push, in a slot of a separate array
+    that lives in the major heap. The sifts move no value: storing a young
+    one (a freshly scheduled closure) there costs a [caml_modify] and a
+    remembered-set entry, which moving values paid at every sift level. A
+    pop resets its slot to [create]'s [dummy], so the heap keeps nothing it
+    has handed out reachable. The steady-state push/pop cycle allocates
+    nothing: use {!is_empty}, {!min_key} and {!pop_unsafe} on the hot path;
+    {!pop}/{!peek} remain as the safe, option-returning API. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : dummy:'a -> unit -> 'a t
+(** [dummy] fills the free slots; a non-empty heap never returns it. *)
 
 val length : 'a t -> int
 

@@ -68,7 +68,7 @@ let create ?(seed = 42L) ?(workers = 1) ~lanes ~lookahead_ms () =
     engines;
     lookahead = lookahead_ms;
     chans = Array.init lanes (fun _ -> Array.init lanes (fun _ -> channel_create ()));
-    globals = Pheap.create ();
+    globals = Pheap.create ~dummy:ignore ();
     workers = max 1 workers;
     in_window = false;
     horizon = neg_infinity;

@@ -88,7 +88,7 @@ let rng_shuffle_permutes () =
 (* Pheap *)
 
 let pheap_ordering () =
-  let h = Des.Pheap.create () in
+  let h = Des.Pheap.create ~dummy:0 () in
   let rng = Des.Rng.create 11L in
   for i = 0 to 999 do
     Des.Pheap.push h ~priority:(Des.Rng.float rng 100.0) i
@@ -108,7 +108,7 @@ let pheap_ordering () =
   check int "popped all" 1000 !count
 
 let pheap_fifo_ties () =
-  let h = Des.Pheap.create () in
+  let h = Des.Pheap.create ~dummy:0 () in
   List.iter (fun v -> Des.Pheap.push h ~priority:1.0 v) [ 1; 2; 3; 4 ];
   let order = List.init 4 (fun _ -> match Des.Pheap.pop h with Some (_, v) -> v | None -> -1) in
   check (Alcotest.list int) "insertion order on equal keys" [ 1; 2; 3; 4 ] order
@@ -117,7 +117,7 @@ let pheap_property =
   QCheck.Test.make ~count:200 ~name:"pheap pops in sorted order"
     QCheck.(list (float_range 0.0 1000.0))
     (fun keys ->
-      let h = Des.Pheap.create () in
+      let h = Des.Pheap.create ~dummy:() () in
       List.iter (fun k -> Des.Pheap.push h ~priority:k ()) keys;
       let rec drain acc =
         match Des.Pheap.pop h with None -> List.rev acc | Some (k, ()) -> drain (k :: acc)
@@ -142,7 +142,7 @@ let pheap_interleaving_property =
     ~name:"pheap: push/pop interleavings match stable sorted model"
     QCheck.(list (option (int_bound 7)))
     (fun ops ->
-      let h = Des.Pheap.create () in
+      let h = Des.Pheap.create ~dummy:0 () in
       let model = ref [] in
       let next = ref 0 in
       let ok = ref true in
@@ -177,8 +177,113 @@ let pheap_interleaving_property =
       drain ();
       !ok && Des.Pheap.is_empty h)
 
+(* Model-based property at scale: up to 5 000 operations, three pushes to
+   every pop or drain, so the heap crosses its 16/32/.../2048 growth
+   boundaries with pops interleaved. Keys come from 0..7, so ties are
+   common; key 0 is rare and the drains take only key 0, so each drain
+   removes a few entries and the heap keeps growing. Drain callbacks push
+   re-entrantly. Payloads are distinct boxed values compared with [==], so
+   a value handed back from the wrong slot is caught even between equal
+   keys. The model is one FIFO queue per key: a stable sorted order. *)
+type pheap_op = Push of int | Pop | Drain_below of int list | Drain_to of int list
+
+let pheap_growth_property =
+  let key = QCheck.Gen.(frequency [ (1, return 0); (7, int_range 1 7) ]) in
+  let reentrant = QCheck.Gen.(list_size (int_bound 3) (int_bound 7)) in
+  let op =
+    QCheck.Gen.frequency
+      [
+        (12, QCheck.Gen.map (fun k -> Push k) key);
+        (2, QCheck.Gen.return Pop);
+        (1, QCheck.Gen.map (fun ks -> Drain_below ks) reentrant);
+        (1, QCheck.Gen.map (fun ks -> Drain_to ks) reentrant);
+      ]
+  in
+  QCheck.Test.make ~count:100
+    ~name:"pheap: slot mapping survives growth (5k-op model)"
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
+       QCheck.Gen.(list_size (int_bound 5_000) op))
+    (fun ops ->
+      let h = Des.Pheap.create ~dummy:(ref (-1)) () in
+      let model = Array.init 8 (fun _ -> Queue.create ()) in
+      let live = ref 0 and next = ref 0 and ok = ref true in
+      let push k =
+        let payload = ref !next in
+        incr next;
+        incr live;
+        Des.Pheap.push h ~priority:(float_of_int k) payload;
+        Queue.push payload model.(k)
+      in
+      (* The heap handed out [(key, payload)]: it must be the model's next. *)
+      let expect key payload =
+        match Array.find_index (fun q -> not (Queue.is_empty q)) model with
+        | None -> ok := false
+        | Some k ->
+            decr live;
+            if float_of_int k <> key || Queue.pop model.(k) != payload then ok := false
+      in
+      let drain run ~limit ks =
+        let pending = ref ks in
+        run h ~limit (fun key payload ->
+            expect key payload;
+            match !pending with
+            | k :: rest ->
+                pending := rest;
+                push k
+            | [] -> ());
+        if not (Queue.is_empty model.(0)) then ok := false
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push k -> push k
+          | Pop -> (
+              match Des.Pheap.pop h with
+              | Some (key, payload) -> expect key payload
+              | None -> if !live <> 0 then ok := false)
+          | Drain_below ks -> drain Des.Pheap.drain_below ~limit:1.0 ks
+          | Drain_to ks -> drain Des.Pheap.drain_to ~limit:0.0 ks);
+          if Des.Pheap.length h <> !live then ok := false)
+        ops;
+      while not (Des.Pheap.is_empty h) do
+        let key = Des.Pheap.min_key h in
+        expect key (Des.Pheap.pop_unsafe h)
+      done;
+      !ok && !live = 0)
+
+(* A popped value must not stay reachable from the heap: no stale copy in
+   the unused tail of its arrays, none at the root position. The values
+   are tracked through a weak array and drained by every pop path, and
+   the major GC runs while the heap itself is still live. *)
+let pheap_releases_popped () =
+  let n = 1_000 in
+  let h = Des.Pheap.create ~dummy:(ref (-1)) () in
+  let weak = Weak.create n in
+  let rng = Des.Rng.create 31L in
+  for i = 0 to n - 1 do
+    let value = ref i in
+    Weak.set weak i (Some value);
+    Des.Pheap.push h ~priority:(float_of_int (Des.Rng.int rng 40)) value
+  done;
+  for _ = 1 to 150 do
+    ignore (Des.Pheap.pop h)
+  done;
+  for _ = 1 to 150 do
+    ignore (Des.Pheap.pop_unsafe h)
+  done;
+  Des.Pheap.drain_below h ~limit:30.0 (fun _ _ -> ());
+  Des.Pheap.drain_to h ~limit:40.0 (fun _ _ -> ());
+  Gc.full_major ();
+  check int "drained" 0 (Des.Pheap.length h);
+  let reachable = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check weak i then incr reachable
+  done;
+  check int "popped values still reachable" 0 !reachable
+
 let pheap_drain_below_and_to () =
-  let h = Des.Pheap.create () in
+  let h = Des.Pheap.create ~dummy:0 () in
   for i = 0 to 9 do
     Des.Pheap.push h ~priority:(float_of_int i) i
   done;
@@ -197,7 +302,7 @@ let pheap_drain_below_and_to () =
   check int "rest stays queued" 2 (Des.Pheap.length h)
 
 let pheap_pop_unsafe_matches_pop () =
-  let h = Des.Pheap.create () in
+  let h = Des.Pheap.create ~dummy:0 () in
   let rng = Des.Rng.create 23L in
   for i = 0 to 499 do
     Des.Pheap.push h ~priority:(float_of_int (Des.Rng.int rng 10)) i
@@ -576,6 +681,8 @@ let suite =
     Alcotest.test_case "pheap: pop_unsafe/min_key drain" `Quick pheap_pop_unsafe_matches_pop;
     QCheck_alcotest.to_alcotest pheap_property;
     QCheck_alcotest.to_alcotest pheap_interleaving_property;
+    QCheck_alcotest.to_alcotest pheap_growth_property;
+    Alcotest.test_case "pheap: popped values are unreachable" `Quick pheap_releases_popped;
     Alcotest.test_case "engine: time order" `Quick engine_runs_in_time_order;
     Alcotest.test_case "engine: fifo for simultaneous" `Quick engine_simultaneous_fifo;
     Alcotest.test_case "engine: nested scheduling" `Quick engine_nested_scheduling;
