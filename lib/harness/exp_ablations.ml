@@ -3,20 +3,9 @@ let maximum = Exp_common.maximum
 let seed = Exp_common.seed
 
 let totals_table fmt captures =
-  Report.table fmt ~title:"Totals"
-    ~header:[ "variant"; "committed"; "rejected"; "no-reply"; "redistributions"; "invariant" ]
-    ~rows:
-      (List.map
-         (fun (c : Scenario.capture) ->
-           [
-             c.arm.label;
-             string_of_int c.result.Driver.committed;
-             string_of_int c.result.Driver.rejected;
-             string_of_int c.result.Driver.no_reply;
-             string_of_int c.stats.Systems.redistributions;
-             Scenario.verdict c;
-           ])
-         captures)
+  Scenario.table fmt ~title:"Totals"
+    Scenario.[ label "variant"; committed; rejected; no_reply; redistributions; invariant ]
+    captures
 
 let committed captures label = (Scenario.find captures label).result.Driver.committed
 

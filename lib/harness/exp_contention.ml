@@ -44,30 +44,21 @@ let scale ~quick =
       ph_affinity = affinity;
     }
   in
-  if quick then
-    {
-      phases =
-        [
-          p "cold" 8_000.0 100.0 0.2;
-          p "skewed" 20_000.0 600.0 0.9;
-          p "pressure" 32_000.0 1_800.0 0.4;
-        ];
-      duration_ms = 32_000.0;
-      hold_ms = 1_000.0;
-      quota = 2_000;
-    }
-  else
-    {
-      phases =
-        [
-          p "cold" 15_000.0 100.0 0.2;
-          p "skewed" 40_000.0 600.0 0.9;
-          p "pressure" 70_000.0 1_800.0 0.4;
-        ];
-      duration_ms = 70_000.0;
-      hold_ms = 1_000.0;
-      quota = 2_000;
-    }
+  (* Quick mode ends each phase earlier; the last phase ends the run. *)
+  let cold, skewed, pressure =
+    if quick then (8_000.0, 20_000.0, 32_000.0) else (15_000.0, 40_000.0, 70_000.0)
+  in
+  {
+    phases =
+      [
+        p "cold" cold 100.0 0.2;
+        p "skewed" skewed 600.0 0.9;
+        p "pressure" pressure 1_800.0 0.4;
+      ];
+    duration_ms = pressure;
+    hold_ms = 1_000.0;
+    quota = 2_000;
+  }
 
 let n_sites = 5
 
@@ -170,17 +161,7 @@ let p99_tolerance = 0.25
    phase boundary). *)
 let p99_floor_ms = 100.0
 
-type verdict_row = {
-  w_phase : string;
-  w_best : string;  (* the benchmark static arm's label *)
-  w_best_tps : float;
-  w_best_p99 : float;
-  w_adaptive_tps : float;
-  w_adaptive_p99 : float;
-  w_ok : bool;
-}
-
-let verdicts_at s (captures : Scenario.capture list) =
+let verdict_rows s (captures : Scenario.capture list) =
   let rows c = Array.of_list (phase_rows_at s c) in
   let adaptive, statics =
     List.partition (fun (c : Scenario.capture) -> c.arm.id = "adaptive") captures
@@ -212,15 +193,15 @@ let verdicts_at s (captures : Scenario.capture list) =
       let p99_ok =
         a.v_p99 <= Float.max p99_floor_ms (best.v_p99 *. (1.0 +. p99_tolerance))
       in
-      {
-        w_phase = p.ph_name;
-        w_best = label;
-        w_best_tps = best.v_tps;
-        w_best_p99 = best.v_p99;
-        w_adaptive_tps = a.v_tps;
-        w_adaptive_p99 = a.v_p99;
-        w_ok = tps_ok && p99_ok;
-      })
+      [
+        p.ph_name;
+        label;
+        Report.f1 best.v_tps;
+        Report.f1 a.v_tps;
+        Report.ms best.v_p99;
+        Report.ms a.v_p99;
+        (if tps_ok && p99_ok then "adaptive MATCHES" else "adaptive TRAILS");
+      ])
     s.phases
 
 let report s ~offered fmt (captures : Scenario.capture list) =
@@ -237,46 +218,35 @@ let report s ~offered fmt (captures : Scenario.capture list) =
              (100.0 *. p.ph_affinity) ))
        s.phases
     @ [ ("grant lifetime", Report.ms s.hold_ms) ]);
+  let policy = Scenario.label "policy" in
   (* Outcomes: totals per arm, with the mechanism traffic that produced
      them. *)
-  Report.table fmt ~title:"contention: arm outcomes"
-    ~header:
+  Scenario.table fmt ~title:"contention: arm outcomes"
+    Scenario.
       [
-        "policy"; "offered"; "committed"; "rejected"; "p50"; "p99";
-        "redistributions"; "borrows"; "switches"; "final mech";
+        policy;
+        count "offered" (fun _ -> offered);
+        committed;
+        rejected;
+        p50;
+        p99;
+        redistributions;
+        borrows;
+        switches;
+        ("final mech", final_mechanism);
       ]
-    ~rows:
-      (List.map
-         (fun (c : Scenario.capture) ->
-           let r = c.result in
-           [
-             c.arm.label;
-             string_of_int offered;
-             string_of_int r.Driver.committed;
-             string_of_int r.Driver.rejected;
-             Report.ms (Driver.percentile r 50.0);
-             Report.ms (Driver.percentile r 99.0);
-             string_of_int c.stats.Systems.redistributions;
-             string_of_int c.stats.Systems.borrows;
-             string_of_int c.stats.Systems.mechanism_switches;
-             final_mechanism c;
-           ])
-         captures);
+    captures;
   (* The per-phase breakdown: who wins where. *)
-  Report.table fmt ~title:"contention: committed txn/s by phase"
-    ~header:("policy" :: List.map (fun p -> p.ph_name) s.phases)
-    ~rows:
-      (List.map
-         (fun (c : Scenario.capture) ->
-           c.arm.label :: List.map (fun v -> Report.f1 v.v_tps) (phase_rows_at s c))
-         captures);
-  Report.table fmt ~title:"contention: p99 latency by phase"
-    ~header:("policy" :: List.map (fun p -> p.ph_name) s.phases)
-    ~rows:
-      (List.map
-         (fun (c : Scenario.capture) ->
-           c.arm.label :: List.map (fun v -> Report.ms v.v_p99) (phase_rows_at s c))
-         captures);
+  let by_phase title cell =
+    Scenario.table fmt ~title
+      (policy
+      :: List.mapi
+           (fun i p -> (p.ph_name, fun c -> cell (List.nth (phase_rows_at s c) i)))
+           s.phases)
+      captures
+  in
+  by_phase "contention: committed txn/s by phase" (fun v -> Report.f1 v.v_tps);
+  by_phase "contention: p99 latency by phase" (fun v -> Report.ms v.v_p99);
   (* The figure: committed throughput over time — the static arms each
      fall off in the phase that defeats their mechanism, the adaptive
      line hugs the upper envelope. *)
@@ -285,57 +255,23 @@ let report s ~offered fmt (captures : Scenario.capture list) =
   Report.table fmt ~title:"contention: adaptive vs best static (verdict)"
     ~header:
       [ "phase"; "best static"; "best tps"; "adaptive tps"; "best p99"; "adaptive p99"; "verdict" ]
-    ~rows:
-      (List.map
-         (fun w ->
-           [
-             w.w_phase;
-             w.w_best;
-             Report.f1 w.w_best_tps;
-             Report.f1 w.w_adaptive_tps;
-             Report.ms w.w_best_p99;
-             Report.ms w.w_adaptive_p99;
-             (if w.w_ok then "adaptive MATCHES" else "adaptive TRAILS");
-           ])
-         (verdicts_at s captures));
-  (* SLO + abort attribution per arm. *)
-  List.iter
-    (fun (c : Scenario.capture) ->
-      let lines = Obs.Slo.report c.slo in
-      Format.fprintf fmt "%s: SLO %s@." c.arm.label
-        (if Obs.Slo.healthy lines then "healthy" else "VIOLATED"))
-    captures;
+    ~rows:(verdict_rows s captures);
+  Scenario.slo_lines fmt captures;
   (* Token conservation per arm, after the drain: borrowing moves tokens
      ledger-to-ledger and must never mint or leak. *)
   Scenario.conservation fmt captures;
   (* The adaptive arm's controller decisions, straight from the black
      box: when it switched, from what, to what — the attribution a
      post-incident review starts from. *)
-  (match List.find_opt (fun (c : Scenario.capture) -> c.arm.id = "adaptive") captures with
+  match List.find_opt (fun (c : Scenario.capture) -> c.arm.id = "adaptive") captures with
   | None -> ()
   | Some c ->
-      let switches =
-        List.filter
-          (fun (ev : Obs.Flight_recorder.event) ->
-            ev.Obs.Flight_recorder.kind = Obs.Flight_recorder.Mech)
-          (Obs.Flight_recorder.events c.flight)
-      in
       Format.fprintf fmt "@.mechanism timeline (adaptive, flight recorder):@.";
       List.iter
-        (fun ev -> Format.fprintf fmt "  %s@." (Obs.Flight_recorder.line ev))
-        switches;
-      let by_rule =
-        match Obs.Watchdog.count_by_rule c.incidents with
-        | [] -> "none"
-        | pairs ->
-            String.concat ", "
-              (List.map (fun (r, n) -> Printf.sprintf "%s %d" r n) pairs)
-      in
-      Format.fprintf fmt
-        "flight recorder: %d events recorded (%d dropped), watchdog incidents: %d (%s)@."
-        (Obs.Flight_recorder.recorded c.flight)
-        (Obs.Flight_recorder.dropped c.flight)
-        (List.length c.incidents) by_rule)
+        (fun (ev : Obs.Flight_recorder.event) ->
+          if ev.kind = Mech then Format.fprintf fmt "  %s@." (Obs.Flight_recorder.line ev))
+        (Obs.Flight_recorder.events c.flight);
+      Scenario.recorder_line ~rules:true fmt c
 
 let plan ~quick : Scenario.plan =
   let s = scale ~quick in

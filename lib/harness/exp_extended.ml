@@ -41,12 +41,7 @@ let run_max_limit ctx ~quick fmt =
   in
   (* Steady-state throughput: the second half of the window, after the
      standing usage has filled whatever M_e allows. *)
-  let tail_tps c =
-    let points = List.filter (fun (t, _) -> t >= duration_ms /. 2.0) (Scenario.series c) in
-    match points with
-    | [] -> 0.0
-    | _ -> List.fold_left (fun acc (_, v) -> acc +. v) 0.0 points /. float_of_int (List.length points)
-  in
+  let tail_tps c = Scenario.goodput c ~from_ms:(duration_ms /. 2.0) in
   let rows =
     Pool.map
       (fun maximum ->

@@ -6,19 +6,9 @@ let failure_systems ctx =
 
 let totals fmt ~title captures =
   Scenario.figure fmt ~title captures;
-  Report.table fmt ~title:"Totals"
-    ~header:[ "system"; "committed"; "rejected"; "no-reply"; "redistributions" ]
-    ~rows:
-      (List.map
-         (fun (c : Scenario.capture) ->
-           [
-             c.arm.label;
-             string_of_int c.result.Driver.committed;
-             string_of_int c.result.Driver.rejected;
-             string_of_int c.result.Driver.no_reply;
-             string_of_int c.stats.Systems.redistributions;
-           ])
-         captures)
+  Scenario.table fmt ~title:"Totals"
+    Scenario.[ label "system"; committed; rejected; no_reply; redistributions ]
+    captures
 
 (* Both figures start at the daily ramp with a raised usage footprint, so
    regional exhaustion — the thing redistribution exists for — happens

@@ -111,7 +111,7 @@ let requests ~scale zipf =
 
 let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
 
-let report ~scale ~quotas ~offered fmt (c : Scenario.capture) =
+let report ~scale ~quotas ~offered ~sketch_k fmt (c : Scenario.capture) =
   let cluster = Option.get c.cluster in
   let hot = Samya.Cluster.hot_entities cluster in
   Format.fprintf fmt
@@ -132,23 +132,12 @@ let report ~scale ~quotas ~offered fmt (c : Scenario.capture) =
       ("offered requests", string_of_int offered);
       ( "counted replies",
         Printf.sprintf "%d (%d no-reply)" counted r.Driver.no_reply );
-      ("redistributions", string_of_int c.stats.Systems.redistributions);
-      ("messages sent", string_of_int c.stats.Systems.messages_sent);
+      ("redistributions", snd Scenario.redistributions c);
+      ("messages sent", snd Scenario.messages c);
     ];
-  Report.table fmt ~title:"gateway fleet: outcomes and latency"
-    ~header:[ "committed"; "rejected"; "unavailable"; "avg tps"; "p50"; "p95"; "p99" ]
-    ~rows:
-      [
-        [
-          string_of_int r.Driver.committed;
-          string_of_int r.Driver.rejected;
-          string_of_int r.Driver.unavailable;
-          Report.f1 (Driver.average_tps r);
-          Report.ms (Driver.percentile r 50.0);
-          Report.ms (Driver.percentile r 95.0);
-          Report.ms (Driver.percentile r 99.0);
-        ];
-      ];
+  Scenario.table fmt ~title:"gateway fleet: outcomes and latency"
+    Scenario.[ committed; rejected; unavailable; avg_tps; p50; p95; p99 ]
+    [ c ];
   (* The figure: committed throughput over the run, 1 s windows. *)
   Scenario.figure fmt ~title:"gateway fleet: committed throughput (figure)" [ c ];
   (* Per-key attribution: the hottest keys by committed traffic. *)
@@ -185,7 +174,8 @@ let report ~scale ~quotas ~offered fmt (c : Scenario.capture) =
      estimate <= true <= estimate + err. *)
   let sketch = Obs.Heavy_hitters.Windowed.cumulative c.hot in
   Report.table fmt
-    ~title:"hot-key telemetry (request-path Misra-Gries sketch, k=16)"
+    ~title:
+      (Printf.sprintf "hot-key telemetry (request-path Misra-Gries sketch, k=%d)" sketch_k)
     ~header:[ "key"; "estimate"; "+err"; "committed (exact)" ]
     ~rows:
       (List.map
@@ -199,19 +189,10 @@ let report ~scale ~quotas ~offered fmt (c : Scenario.capture) =
              | None -> "-");
            ])
          (Obs.Heavy_hitters.top ~n:8 sketch));
-  Format.fprintf fmt
-    "flight recorder: %d events recorded (%d dropped), watchdog incidents: %d@."
-    (Obs.Flight_recorder.recorded c.flight)
-    (Obs.Flight_recorder.dropped c.flight)
-    (List.length c.incidents);
+  Scenario.recorder_line fmt c;
   (* The samya-slo/1 report (rendered; `slo gateway --out` writes the JSON). *)
-  let lines = Obs.Slo.report c.slo in
-  Report.table fmt
-    ~title:
-      (if Obs.Slo.healthy lines then "SLO (samya-slo/1): healthy"
-       else "SLO (samya-slo/1): VIOLATED")
-    ~header:[ "objective"; "target"; "windows"; "violations"; "overall" ]
-    ~rows:(Scenario.slo_rows c);
+  let header, rows = Scenario.slo_table c in
+  Report.table fmt ~title:("SLO (samya-slo/1): " ^ snd Scenario.slo c) ~header ~rows;
   (* Conservation, key by key: Equation 1 against each key's own quota,
      after the drain, when the grant-driven releases have come home. *)
   match c.violations with
@@ -228,6 +209,10 @@ let plan ~quick : Scenario.plan =
   let zipf = Trace.Zipf.create scale.keys in
   let quotas = quotas ~scale zipf in
   let requests = requests ~scale zipf in
+  (* At a million keys the per-key driver attribution is the expensive
+     path: the sketch tracks the hot head in O(k) from the request path
+     itself. *)
+  let sketch_k = 16 in
   {
     duration_ms = scale.duration_ms;
     requests;
@@ -237,10 +222,7 @@ let plan ~quick : Scenario.plan =
        home-skewed demand) lands in the first window or two and the
        steady-state windows show the converged fleet. *)
     window_ms = 2_000.0;
-    (* At a million keys the per-key driver attribution is the expensive
-       path — the sketch tracks the hot head in O(k) from the request path
-       itself. *)
-    sketch_k = 16;
+    sketch_k;
     spec =
       (fun spec ->
         {
@@ -262,7 +244,9 @@ let plan ~quick : Scenario.plan =
     traced = [ "fleet" ];
     report =
       (fun fmt captures ->
-        List.iter (report ~scale ~quotas ~offered:(Array.length requests) fmt) captures);
+        List.iter
+          (report ~scale ~quotas ~offered:(Array.length requests) ~sketch_k fmt)
+          captures);
   }
 
 let scenario =

@@ -34,23 +34,13 @@ let report ~requests ~duration_ms fmt captures =
     (Array.length requests)
     (Report.minutes_of_ms duration_ms);
   (* Table 2b. *)
-  let latency_rows =
-    List.map
-      (fun (c : Scenario.capture) ->
-        let p q = Driver.percentile c.result q in
-        let p90, p95, p99 = List.assoc c.arm.label paper_latency in
-        [
-          c.arm.label;
-          Report.ms (p 90.0);
-          Report.ms (p 95.0);
-          Report.ms (p 99.0);
-          Printf.sprintf "%.1f/%.1f/%.1f" p90 p95 p99;
-        ])
-      captures
+  let paper_cell (c : Scenario.capture) =
+    let p90, p95, p99 = List.assoc c.arm.label paper_latency in
+    Printf.sprintf "%.1f/%.1f/%.1f" p90 p95 p99
   in
-  Report.table fmt ~title:"Table 2b: commit latency percentiles"
-    ~header:[ "system"; "p90"; "p95"; "p99"; "paper p90/95/99 (ms)" ]
-    ~rows:latency_rows;
+  Scenario.table fmt ~title:"Table 2b: commit latency percentiles"
+    Scenario.[ label "system"; percentile 90.0; p95; p99; ("paper p90/95/99 (ms)", paper_cell) ]
+    captures;
   Scenario.figure fmt ~title:"Fig 3b: committed throughput over time" captures;
   (* Totals and headline ratios. *)
   let committed label = (Scenario.find captures label).result.Driver.committed in
@@ -61,19 +51,9 @@ let report ~requests ~duration_ms fmt captures =
   let dem = committed "Dem./Escrow" in
   let mp = committed "MultiPaxSys" and crdb = committed "CockroachDB" in
   let ratio a b = if b = 0 then infinity else float_of_int a /. float_of_int b in
-  Report.table fmt ~title:"Fig 3b: committed transactions (totals)"
-    ~header:[ "system"; "committed"; "rejected"; "unavailable"; "invariant" ]
-    ~rows:
-      (List.map
-         (fun (c : Scenario.capture) ->
-           [
-             c.arm.label;
-             string_of_int c.result.Driver.committed;
-             string_of_int c.result.Driver.rejected;
-             string_of_int c.result.Driver.unavailable;
-             Scenario.verdict c;
-           ])
-         captures);
+  Scenario.table fmt ~title:"Fig 3b: committed transactions (totals)"
+    Scenario.[ label "system"; committed; rejected; unavailable; invariant ]
+    captures;
   Report.kv fmt
     [
       ("Samya[(n+1)/2] vs MultiPaxSys", Report.f1 (ratio maj mp) ^ "x  (paper: 16-18x)");

@@ -40,7 +40,7 @@ type scale = {
 }
 
 let scale ~quick =
-  if quick then
+  let quick_scale =
     {
       base_rate_per_s = 600.0;
       spike_rate_per_s = 2_000.0;
@@ -55,18 +55,16 @@ let scale ~quick =
       pre_from_ms = 5_000.0;
       post_from_ms = 20_000.0;
     }
+  in
+  if quick then quick_scale
   else
     {
-      base_rate_per_s = 600.0;
-      spike_rate_per_s = 2_000.0;
+      quick_scale with
       spike_start_ms = 20_000.0;
       spike_end_ms = 25_000.0;
       partition_at_ms = 19_800.0;
       partition_heal_ms = 27_000.0;
       duration_ms = 60_000.0;
-      hold_ms = 1_000.0;
-      quota = 3_000;
-      timeout_ms = 1_000.0;
       pre_from_ms = 10_000.0;
       post_from_ms = 40_000.0;
     }
@@ -92,13 +90,7 @@ let naive_retry =
   }
 
 let backoff_retry =
-  {
-    Driver.max_attempts = 4;
-    base_backoff_ms = 500.0;
-    max_backoff_ms = 4_000.0;
-    jitter = 0.5;
-    jitter_seed;
-  }
+  { naive_retry with Driver.base_backoff_ms = 500.0; max_backoff_ms = 4_000.0; jitter = 0.5 }
 
 let config ~scale:s ~admission =
   let base =
@@ -134,52 +126,45 @@ let requests ~scale:s =
     ~spike_start_ms:s.spike_start_ms ~spike_end_ms:s.spike_end_ms
     ~duration_ms:s.duration_ms ~home_affinity ()
 
-(* Mean committed throughput over [from_ms, until_ms), from the driver's
-   1 s windows. *)
-let goodput s (c : Scenario.capture) ~from_ms ~until_ms =
-  let wins =
-    Stats.Throughput.series c.result.Driver.throughput
-      ~until_ms:(s.duration_ms -. 1.0) ()
-  in
-  let sum = ref 0.0 and n = ref 0 in
-  List.iter
-    (fun (t0, v) ->
-      if t0 >= from_ms && t0 < until_ms then begin
-        sum := !sum +. v;
-        incr n
-      end)
-    wins;
-  if !n = 0 then 0.0 else !sum /. float_of_int !n
-
 let recovery_at s c =
-  let pre = goodput s c ~from_ms:s.pre_from_ms ~until_ms:s.spike_start_ms in
-  let post = goodput s c ~from_ms:s.post_from_ms ~until_ms:s.duration_ms in
+  let pre = Scenario.goodput c ~from_ms:s.pre_from_ms ~until_ms:s.spike_start_ms in
+  let post = Scenario.goodput c ~from_ms:s.post_from_ms ~until_ms:s.duration_ms in
   let ratio = if pre > 0.0 then post /. pre else Float.nan in
   (pre, post, ratio)
 
 let recovery ~quick = recovery_at (scale ~quick)
 
-type resilience = {
-  shed_deadline : int;
-  shed_admission : int;
-  shed_expired : int;
-  queue_peak : int;
-  breaker_trips : int;
-}
-
-let resilience (c : Scenario.capture) =
-  let sites = Samya.Cluster.sites (Option.get c.cluster) in
-  let sum f = Array.fold_left (fun acc site -> acc + f site) 0 sites in
-  let peak f = Array.fold_left (fun acc site -> max acc (f site)) 0 sites in
-  {
-    shed_deadline = sum Samya.Site.shed_deadline;
-    shed_admission = sum Samya.Site.shed_admission;
-    shed_expired = sum Samya.Site.shed_queue_expired;
-    queue_peak = peak (fun site -> Samya.Site.queue_peak site ~entity);
-    breaker_trips = sum (fun site -> Samya.Site.breaker_trips site ~entity);
-  }
-
 let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
+
+(* What the sites did to survive, read from the capture's cluster:
+   sheds by cause, queue pressure, the breaker. *)
+let resilience =
+  let over fold f (c : Scenario.capture) =
+    Array.fold_left (fun acc site -> fold acc (f site)) 0
+      (Samya.Cluster.sites (Option.get c.cluster))
+  in
+  Scenario.
+    [
+      count "shed deadline" (over ( + ) Samya.Site.shed_deadline);
+      count "shed admission" (over ( + ) Samya.Site.shed_admission);
+      count "queue expired" (over ( + ) Samya.Site.shed_queue_expired);
+      count "queue peak" (over max (Samya.Site.queue_peak ~entity));
+      count "breaker trips" (over ( + ) (Samya.Site.breaker_trips ~entity));
+    ]
+
+(* Post-heal goodput against the arm's own pre-fault goodput. *)
+let recovery_columns s =
+  let col header f : Scenario.column = (header, fun c -> f (recovery_at s c)) in
+  [
+    col "pre-fault tps" (fun (pre, _, _) -> Report.f1 pre);
+    col "post-heal tps" (fun (_, post, _) -> Report.f1 post);
+    col "post/pre" (fun (_, _, ratio) -> pct ratio);
+    col "verdict" (fun (_, _, ratio) ->
+        if Float.is_nan ratio then "no pre-fault traffic"
+        else if ratio < 0.5 then "METASTABLE"
+        else if ratio >= 0.9 then "recovered"
+        else "degraded");
+  ]
 
 let report s ~offered fmt (captures : Scenario.capture list) =
   Format.fprintf fmt
@@ -203,78 +188,32 @@ let report s ~offered fmt (captures : Scenario.capture list) =
           (s.post_from_ms /. 1000.0)
           (s.duration_ms /. 1000.0) );
     ];
+  let clients = Scenario.label "clients" in
   (* Outcomes: what each client population experienced. *)
-  Report.table fmt ~title:"retry storm: client outcomes"
-    ~header:
-      [ "clients"; "offered"; "committed"; "rejected"; "shed"; "timed out"; "retries"; "p50"; "p99" ]
-    ~rows:
-      (List.map
-         (fun (c : Scenario.capture) ->
-           let r = c.result in
-           [
-             c.arm.label;
-             string_of_int offered;
-             string_of_int r.Driver.committed;
-             string_of_int r.Driver.rejected;
-             string_of_int r.Driver.shed;
-             string_of_int r.Driver.timed_out;
-             string_of_int r.Driver.retries;
-             Report.ms (Driver.percentile r 50.0);
-             Report.ms (Driver.percentile r 99.0);
-           ])
-         captures);
-  (* What the sites did to survive: sheds, queue pressure, the breaker. *)
-  Report.table fmt ~title:"retry storm: server-side resilience"
-    ~header:
-      [ "clients"; "shed deadline"; "shed admission"; "queue expired"; "queue peak"; "breaker trips" ]
-    ~rows:
-      (List.map
-         (fun (c : Scenario.capture) ->
-           let r = resilience c in
-           [
-             c.arm.label;
-             string_of_int r.shed_deadline;
-             string_of_int r.shed_admission;
-             string_of_int r.shed_expired;
-             string_of_int r.queue_peak;
-             string_of_int r.breaker_trips;
-           ])
-         captures);
+  Scenario.table fmt ~title:"retry storm: client outcomes"
+    Scenario.
+      [
+        clients;
+        count "offered" (fun _ -> offered);
+        committed;
+        rejected;
+        shed;
+        timed_out;
+        retries;
+        p50;
+        p99;
+      ]
+    captures;
+  Scenario.table fmt ~title:"retry storm: server-side resilience" (clients :: resilience)
+    captures;
   (* The figure: committed throughput per arm — the metastable arm stays
      on the floor after the heal, the admission arm climbs back. *)
   Scenario.figure fmt ~title:"retry storm: committed throughput (figure)" captures;
-  (* The verdict: post-heal goodput against each arm's own pre-fault
-     goodput. *)
-  Report.table fmt ~title:"retry storm: recovery verdict"
-    ~header:[ "clients"; "pre-fault tps"; "post-heal tps"; "post/pre"; "verdict" ]
-    ~rows:
-      (List.map
-         (fun (c : Scenario.capture) ->
-           let pre, post, ratio = recovery_at s c in
-           let verdict =
-             if Float.is_nan ratio then "no pre-fault traffic"
-             else if ratio < 0.5 then "METASTABLE"
-             else if ratio >= 0.9 then "recovered"
-             else "degraded"
-           in
-           [ c.arm.label; Report.f1 pre; Report.f1 post; pct ratio; verdict ])
-         captures);
+  Scenario.table fmt ~title:"retry storm: recovery verdict" (clients :: recovery_columns s)
+    captures;
   (* SLO with the abort-class breakdown: the same monitor as every other
      scenario, plus who-killed-it attribution. *)
-  List.iter
-    (fun (c : Scenario.capture) ->
-      let lines = Obs.Slo.report c.slo in
-      let classes = Obs.Slo.abort_classes c.slo in
-      let breakdown =
-        if classes = [] then "none"
-        else
-          String.concat ", "
-            (List.map (fun (cls, n) -> Printf.sprintf "%s %d" cls n) classes)
-      in
-      Format.fprintf fmt "%s: SLO %s; aborts by class: %s@." c.arm.label
-        (if Obs.Slo.healthy lines then "healthy" else "VIOLATED")
-        breakdown)
-    captures;
+  Scenario.slo_lines ~aborts:true fmt captures;
   (* Token conservation per arm, after the drain: shedding and retries
      must never mint or leak tokens. *)
   Scenario.conservation fmt captures;
@@ -283,43 +222,19 @@ let report s ~offered fmt (captures : Scenario.capture list) =
      for the resilient arm's first SLO breach — it names the breaching
      window, and its context events carry the breaker trips and sheds of
      the mid-spike partition. *)
-  Report.table fmt ~title:"incident watchdog (flight recorder, DESIGN.md S16)"
-    ~header:[ "clients"; "recorded"; "dropped"; "incidents"; "by rule" ]
-    ~rows:
-      (List.map
-         (fun (c : Scenario.capture) ->
-           let by_rule =
-             match Obs.Watchdog.count_by_rule c.incidents with
-             | [] -> "-"
-             | counts ->
-                 String.concat ", "
-                   (List.map
-                      (fun (rule, n) -> Printf.sprintf "%s %d" rule n)
-                      counts)
-           in
-           [
-             c.arm.label;
-             string_of_int (Obs.Flight_recorder.recorded c.flight);
-             string_of_int (Obs.Flight_recorder.dropped c.flight);
-             string_of_int (List.length c.incidents);
-             by_rule;
-           ])
-         captures);
-  (match
-     List.find_opt (fun (c : Scenario.capture) -> c.arm.id = "admission") captures
-   with
+  Scenario.table fmt ~title:"incident watchdog (flight recorder, DESIGN.md S16)"
+    Scenario.[ clients; recorded; dropped; incidents; by_rule ]
+    captures;
+  match List.find_opt (fun (c : Scenario.capture) -> c.arm.id = "admission") captures with
   | None -> ()
   | Some c ->
       Format.fprintf fmt "@.black box (%s):@." c.arm.label;
-      (match
-         List.find_opt (fun i -> i.Obs.Watchdog.i_rule = "slo-breach") c.incidents
-       with
+      let first rule = List.find_opt (fun i -> i.Obs.Watchdog.i_rule = rule) c.incidents in
+      (match first "slo-breach" with
       | None -> Format.fprintf fmt "  no SLO breach captured@."
       | Some incident ->
           let bundle =
-            Obs.Watchdog.bundle ~hot:c.hot
-              (Obs.Flight_recorder.events c.flight)
-              incident
+            Obs.Watchdog.bundle ~hot:c.hot (Obs.Flight_recorder.events c.flight) incident
           in
           Format.fprintf fmt "  trigger: %s@." (Obs.Watchdog.incident_line incident);
           Format.fprintf fmt "  recent events at trigger:@.";
@@ -330,7 +245,7 @@ let report s ~offered fmt (captures : Scenario.capture list) =
             match bundle.Obs.Watchdog.b_hot_window with
             | Some start ->
                 Printf.sprintf "window [%.0f s, %.0f s)" (start /. 1000.0)
-                  ((start +. 2_000.0) /. 1000.0)
+                  ((start +. Obs.Slo.window_ms c.slo) /. 1000.0)
             | None -> "whole run"
           in
           Format.fprintf fmt "  hot keys in %s:%s@." window
@@ -338,15 +253,10 @@ let report s ~offered fmt (captures : Scenario.capture list) =
                (List.map
                   (fun (key, n) -> Printf.sprintf "  %s %d" key n)
                   bundle.Obs.Watchdog.b_hot)));
-      (match
-         List.find_opt
-           (fun i -> i.Obs.Watchdog.i_rule = "breaker-trip")
-           c.incidents
-       with
-      | None -> ()
-      | Some trip ->
-          Format.fprintf fmt "  first breaker trip: %s@."
-            (Obs.Watchdog.incident_line trip)))
+      Option.iter
+        (fun trip ->
+          Format.fprintf fmt "  first breaker trip: %s@." (Obs.Watchdog.incident_line trip))
+        (first "breaker-trip")
 
 let arm ~scale:s ~id ~label ?retry ?(admission = false) () : Scenario.arm =
   {

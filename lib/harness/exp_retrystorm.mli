@@ -23,14 +23,3 @@ val recovery : quick:bool -> Scenario.capture -> float * float * float
 (** [(pre_fault_tps, post_heal_tps, post/pre)] of a capture at that
     scale — the metastability measure ([nan] ratio if the pre-fault
     window saw no commits). *)
-
-type resilience = {
-  shed_deadline : int;  (** dead-on-arrival sheds, summed over sites *)
-  shed_admission : int;  (** admission-gate sheds, summed over sites *)
-  shed_expired : int;  (** queue entries expired while parked *)
-  queue_peak : int;  (** per-entity queue high-water mark, max over sites *)
-  breaker_trips : int;  (** circuit-breaker openings, summed over sites *)
-}
-
-val resilience : Scenario.capture -> resilience
-(** What the sites did to survive, read from the capture's cluster. *)

@@ -85,18 +85,14 @@ let spans_and_instants c =
   List.length (List.filter Obs.Trace_log.is_span (Obs.Trace_log.events (sink c).Obs.Sink.log))
 
 let summary fmt captures =
-  Report.table fmt ~title:"trace capture"
-    ~header:[ "system"; "committed"; "spans+instants"; "messages" ]
-    ~rows:
-      (List.map
-         (fun (c : Scenario.capture) ->
-           [
-             label c;
-             string_of_int c.result.Driver.committed;
-             string_of_int (spans_and_instants c);
-             string_of_int c.stats.Systems.messages_sent;
-           ])
-         captures)
+  Scenario.table fmt ~title:"trace capture"
+    [
+      ("system", label);
+      Scenario.committed;
+      Scenario.count "spans+instants" spans_and_instants;
+      Scenario.messages;
+    ]
+    captures
 
 (* ------------------------------------------------------------------ *)
 (* Critical-path explanation                                            *)
@@ -122,6 +118,9 @@ let mechanism_bucket comp =
   else if has_prefix "wan." then "replication"
   else "other"
 
+let add totals name ms =
+  Hashtbl.replace totals name (Option.value (Hashtbl.find_opt totals name) ~default:0.0 +. ms)
+
 let explain fmt ?(by_mechanism = false) ~slowest captures =
   List.iter
     (fun c ->
@@ -134,70 +133,42 @@ let explain fmt ?(by_mechanism = false) ~slowest captures =
         let fractions = List.map Obs.Critical_path.attributed_fraction bds in
         let min_f = List.fold_left Float.min 1.0 fractions in
         let mean_f = List.fold_left ( +. ) 0.0 fractions /. float_of_int n in
+        let submitted = Obs.Critical_path.submitted_count events in
         Report.kv fmt
           [
-            ( "traced requests",
-              Printf.sprintf "%d submitted, %d completed"
-                (Obs.Critical_path.submitted_count events)
-                n );
+            ("traced requests", Printf.sprintf "%d submitted, %d completed" submitted n);
             ( "latency attributed",
-              Printf.sprintf "mean %s, min %s of wall time" (pct mean_f) (pct min_f)
-            );
+              Printf.sprintf "mean %s, min %s of wall time" (pct mean_f) (pct min_f) );
           ];
         (* Aggregate attribution across every completed request. *)
-        let totals : (string, float) Hashtbl.t = Hashtbl.create 16 in
-        let wall_total = ref 0.0 in
+        let totals = Hashtbl.create 16 in
         List.iter
           (fun (b : Obs.Critical_path.breakdown) ->
-            wall_total := !wall_total +. b.Obs.Critical_path.wall_ms;
-            List.iter
-              (fun (comp : Obs.Critical_path.component) ->
-                let v =
-                  Option.value
-                    (Hashtbl.find_opt totals comp.Obs.Critical_path.comp)
-                    ~default:0.0
-                in
-                Hashtbl.replace totals comp.Obs.Critical_path.comp
-                  (v +. comp.Obs.Critical_path.ms))
-              b.Obs.Critical_path.components)
+            List.iter (fun (c : Obs.Critical_path.component) -> add totals c.comp c.ms) b.components)
           bds;
-        let rows =
-          Hashtbl.fold (fun comp ms acc -> (comp, ms) :: acc) totals []
-          |> List.sort (fun (ca, ma) (cb, mb) ->
-                 let c = Float.compare mb ma in
-                 if c <> 0 then c else String.compare ca cb)
-          |> List.map (fun (comp, ms) ->
-                 [
-                   comp;
-                   Report.ms ms;
-                   (if !wall_total > 0.0 then pct (ms /. !wall_total) else "-");
-                 ])
+        let wall_total =
+          List.fold_left (fun acc (b : Obs.Critical_path.breakdown) -> acc +. b.wall_ms) 0.0 bds
         in
-        Report.table fmt ~title:"where the time went (all completed requests)"
-          ~header:[ "component"; "total"; "share of wall" ]
-          ~rows;
-        if by_mechanism then begin
-          let buckets : (string, float) Hashtbl.t = Hashtbl.create 8 in
-          Hashtbl.iter
-            (fun comp ms ->
-              let b = mechanism_bucket comp in
-              Hashtbl.replace buckets b
-                (Option.value (Hashtbl.find_opt buckets b) ~default:0.0 +. ms))
-            totals;
-          Report.table fmt ~title:"where the time went, by mechanism"
-            ~header:[ "mechanism"; "total"; "share of wall" ]
+        (* A (name -> ms) total as table rows, largest share first. *)
+        let shares title header totals =
+          Report.table fmt ~title ~header:[ header; "total"; "share of wall" ]
             ~rows:
-              (Hashtbl.fold (fun b ms acc -> (b, ms) :: acc) buckets []
-              |> List.sort (fun (ba, ma) (bb, mb) ->
+              (Hashtbl.fold (fun name ms acc -> (name, ms) :: acc) totals []
+              |> List.sort (fun (na, ma) (nb, mb) ->
                      let c = Float.compare mb ma in
-                     if c <> 0 then c else String.compare ba bb)
-              |> List.map (fun (b, ms) ->
+                     if c <> 0 then c else String.compare na nb)
+              |> List.map (fun (name, ms) ->
                      [
-                       b;
+                       name;
                        Report.ms ms;
-                       (if !wall_total > 0.0 then pct (ms /. !wall_total)
-                        else "-");
+                       (if wall_total > 0.0 then pct (ms /. wall_total) else "-");
                      ]))
+        in
+        shares "where the time went (all completed requests)" "component" totals;
+        if by_mechanism then begin
+          let buckets = Hashtbl.create 8 in
+          Hashtbl.iter (fun comp ms -> add buckets (mechanism_bucket comp) ms) totals;
+          shares "where the time went, by mechanism" "mechanism" buckets
         end;
         let top = Obs.Critical_path.slowest slowest bds in
         Report.table fmt
@@ -206,24 +177,18 @@ let explain fmt ?(by_mechanism = false) ~slowest captures =
           ~rows:
             (List.map
                (fun (b : Obs.Critical_path.breakdown) ->
-                 let path =
-                   b.Obs.Critical_path.components
-                   |> List.map (fun (comp : Obs.Critical_path.component) ->
-                          Printf.sprintf "%s %s" comp.Obs.Critical_path.comp
-                            (Report.ms comp.Obs.Critical_path.ms))
-                   |> String.concat ", "
-                 in
                  [
-                   string_of_int b.Obs.Critical_path.trace;
+                   string_of_int b.trace;
                    (* entity-named requests (the gateway fleet) show their
                       key; the bound-entity experiments stay as before *)
-                   (if b.Obs.Critical_path.entity = "" then
-                      b.Obs.Critical_path.kind
-                    else
-                      b.Obs.Critical_path.kind ^ "@" ^ b.Obs.Critical_path.entity);
-                   b.Obs.Critical_path.outcome;
-                   Report.ms b.Obs.Critical_path.wall_ms;
-                   path;
+                   (if b.entity = "" then b.kind else b.kind ^ "@" ^ b.entity);
+                   b.outcome;
+                   Report.ms b.wall_ms;
+                   String.concat ", "
+                     (List.map
+                        (fun (comp : Obs.Critical_path.component) ->
+                          comp.comp ^ " " ^ Report.ms comp.ms)
+                        b.components);
                  ])
                top)
       end)
@@ -232,30 +197,8 @@ let explain fmt ?(by_mechanism = false) ~slowest captures =
 let slo_summary fmt captures =
   List.iter
     (fun (c : Scenario.capture) ->
-      let lines = Obs.Slo.report c.slo in
       Format.fprintf fmt "@.== %s (window %.0f s) ==@." (label c)
         (Obs.Slo.window_ms c.slo /. 1000.0);
-      Report.table fmt
-        ~title:
-          (if Obs.Slo.healthy lines then "SLO: healthy"
-           else "SLO: VIOLATED")
-        ~header:[ "objective"; "target"; "windows"; "violations"; "worst"; "overall" ]
-        ~rows:
-          (List.map
-             (fun (l : Obs.Slo.report_line) ->
-               let value v =
-                 if Float.is_nan v then "-"
-                 else if l.Obs.Slo.kind = "latency" then Report.ms v
-                 else pct v
-               in
-               [
-                 l.Obs.Slo.name;
-                 (if l.Obs.Slo.kind = "latency" then Report.ms l.Obs.Slo.target
-                  else pct l.Obs.Slo.target);
-                 string_of_int l.Obs.Slo.windows;
-                 string_of_int l.Obs.Slo.violations;
-                 value l.Obs.Slo.worst;
-                 value l.Obs.Slo.overall;
-               ])
-             lines))
+      let header, rows = Scenario.slo_table ~worst:true ~digits:1 c in
+      Report.table fmt ~title:("SLO: " ^ snd Scenario.slo c) ~header ~rows)
     captures

@@ -80,9 +80,6 @@ let fit_table2a t =
           (name, forecaster, Ml.Forecaster.rolling_mae forecaster ~train ~test))
         [ ("Random Walk", random_walk); ("ARIMA", arima); ("LSTM", lstm) ])
 
-let demand_forecasters t =
-  List.map (fun (name, forecaster, _) -> (name, forecaster)) (fit_table2a t)
-
 let table2a t = List.map (fun (name, _, mae) -> (name, mae)) (fit_table2a t)
 
 let runtime_forecaster t =
@@ -101,8 +98,6 @@ let runtime_forecaster t =
       in
       let train, _ = Stats.Series.split_at_fraction 0.8 net in
       Ml.Lstm.forecaster (train_lstm train))
-
-let prepare t = ignore (runtime_forecaster t)
 
 let mix_seed seed i = Int64.add seed (Int64.of_int ((i + 1) * 7_919))
 

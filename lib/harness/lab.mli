@@ -8,20 +8,10 @@ type context
 
 val create : ?params:Trace.Azure_trace.params -> unit -> context
 
-val prepare : context -> unit
-(** Force the expensive fitted-model caches now, on the calling domain.
-    The caches are mutex-guarded and safe to fill lazily from [Pool]
-    workers, but pre-warming before a fan-out keeps the slow LSTM training
-    off the parallel critical path. *)
-
 val params : context -> Trace.Azure_trace.params
 
 val base_trace : context -> Trace.Azure_trace.t
 (** The un-shifted reference trace (the "single region" dataset). *)
-
-val demand_forecasters : context -> (string * Ml.Forecaster.t) list
-(** Random walk, ARIMA and LSTM fitted on the 80% train split of the
-    demand series — the Table 2a models (LSTM training is cached). *)
 
 val table2a : context -> (string * float) list
 (** Model name → MAE (tokens) on the 20% test split, rolling one-step. *)

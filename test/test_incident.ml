@@ -513,6 +513,68 @@ let retrystorm_flight_recorder_identical () =
   check bool "an slo breach is on the record" true
     (contains ~needle:"slo-breach" i1)
 
+(* ------------------------------------------------------------------ *)
+(* Run report: one document, two formats *)
+
+(* Section titles and table cells in document order, as plain text. *)
+type outline = { titles : string list; cells : string list }
+
+let markdown_outline doc =
+  let unpipe = Str.global_replace (Str.regexp_string "\\|") "|" in
+  let _, titles, cells =
+    List.fold_left
+      (fun (fenced, titles, cells) line ->
+        let starts prefix = String.starts_with ~prefix line in
+        if starts "```" then (not fenced, titles, cells)
+        else if fenced then (fenced, titles, cells)
+        else if starts "#" then
+          let title = String.trim (String.concat "" (String.split_on_char '#' line)) in
+          (fenced, Str.global_replace (Str.regexp_string "**") "" title :: titles, cells)
+        else if starts "| " then
+          let inner = String.sub line 2 (String.length line - 4) in
+          let row = List.map unpipe (Str.split_delim (Str.regexp_string " | ") inner) in
+          (fenced, titles, List.rev_append row cells)
+        else (fenced, titles, cells))
+      (false, [], []) (String.split_on_char '\n' doc)
+  in
+  { titles = List.rev titles; cells = List.rev cells }
+
+let html_outline doc =
+  let unescape s =
+    List.fold_left
+      (fun s (entity, ch) -> Str.global_replace (Str.regexp_string entity) ch s)
+      s
+      [ ("&lt;", "<"); ("&gt;", ">"); ("&quot;", "\""); ("&amp;", "&") ]
+  in
+  let text t = unescape (Str.global_replace (Str.regexp "<[^>]*>") "" t) in
+  let _, titles, cells =
+    List.fold_left
+      (fun (inside, titles, cells) piece ->
+        match (piece, inside) with
+        | Str.Delim d, _ -> ((if d.[1] = '/' then None else Some d.[1]), titles, cells)
+        | Str.Text t, Some 'h' -> (inside, text t :: titles, cells)
+        | Str.Text t, Some 't' -> (inside, titles, text t :: cells)
+        | Str.Text _, _ -> (inside, titles, cells))
+      (None, [], [])
+      (Str.full_split (Str.regexp "</?h[1-3]>\\|</?t[hd]>") doc)
+  in
+  { titles = List.rev titles; cells = List.rev cells }
+
+let report_formats_agree () =
+  (* Both backends fold one document: a section or a table added to one
+     format only fails here. *)
+  let plan = Harness.Exp_retrystorm.plan ~quick:true in
+  let c = Harness.Scenario.capture plan (Harness.Scenario.arm plan "admission") in
+  let meta =
+    { Harness.Run_report.experiment = "retrystorm"; quick = true; seed = Harness.Exp_common.seed }
+  in
+  let md = markdown_outline (Harness.Run_report.markdown meta [ c ]) in
+  let html = html_outline (Harness.Run_report.html meta [ c ]) in
+  check bool "sections found" true (List.mem "Outcome" md.titles && List.length md.titles > 6);
+  check bool "cells found" true (List.mem "committed" md.cells);
+  check (list string) "same section titles, same order" md.titles html.titles;
+  check (list string) "same table cells, same order" md.cells html.cells
+
 let suite =
   let qcheck = QCheck_alcotest.to_alcotest in
   [
@@ -538,4 +600,6 @@ let suite =
       bundle_names_breached_window;
     test_case "retrystorm: flight recorder byte-identical" `Slow
       retrystorm_flight_recorder_identical;
+    test_case "run report: markdown and HTML carry one document" `Quick
+      report_formats_agree;
   ]

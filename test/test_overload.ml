@@ -1001,9 +1001,14 @@ let retrystorm_metastable_gap () =
   check bool
     (Printf.sprintf "admission recovers (post/pre %.2f)" adm_ratio)
     true (adm_ratio >= 0.9);
+  let shed_admission (c : Harness.Scenario.capture) =
+    Array.fold_left
+      (fun acc site -> acc + Samya.Site.shed_admission site)
+      0
+      (Samya.Cluster.sites (Option.get c.cluster))
+  in
   check bool "admission shed load" true
-    ((Harness.Exp_retrystorm.resilience naive).shed_admission = 0
-    && (Harness.Exp_retrystorm.resilience admission).shed_admission > 0);
+    (shed_admission naive = 0 && shed_admission admission > 0);
   List.iter
     (fun (c : Harness.Scenario.capture) ->
       check bool "conservation" true
