@@ -5,7 +5,8 @@
     summary, the committed-throughput timeline, the SLO verdict, the
     mechanism attribution from the flight recorder, the request-path
     hot-key sketch and the watchdog incidents with the first incident's
-    black-box bundle.
+    black-box bundle. The document is built once; {!markdown} and {!html}
+    are two folds over it, so they carry the same sections and cells.
 
     Both renderers are pure functions of the captures and the run
     metadata — no wall-clock stamps — so reports are byte-identical for
