@@ -14,3 +14,12 @@ let equal a b = compare a b = 0
 let pp fmt b = Format.fprintf fmt "<%d,%d>" b.num b.site
 
 let to_string b = Format.asprintf "%a" pp b
+
+module Ord = struct
+  type nonrec t = t
+
+  let compare = compare
+end
+
+module Set = Stdlib.Set.Make (Ord)
+module Map = Stdlib.Map.Make (Ord)

@@ -20,3 +20,10 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
+
+module Set : Stdlib.Set.S with type elt = t
+(** Persistent sets ordered by {!compare}: a durable image can share one
+    with the live state, so taking it costs no copy. *)
+
+module Map : Stdlib.Map.S with type key = t
+(** Persistent maps ordered by {!compare}. *)

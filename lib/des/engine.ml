@@ -87,12 +87,12 @@ let schedule t ~delay_ms f = schedule_at t ~time_ms:(t.clock +. Float.max 0.0 de
 (* Unlabelled timers keep the lean PR-1 closure. A labelled timer armed
    under a tracer captures its label and arming time for the tracer's
    fire/cancel events; armed with none, it is an unlabelled timer. *)
-let timer ?label t ~delay_ms f =
+let timer_at ?label t ~time_ms f =
   let tm = { state = Pending } in
   (match (label, t.tracer) with
   | Some label, Some _ ->
       let armed_ms = t.clock in
-      schedule t ~delay_ms (fun () ->
+      schedule_at t ~time_ms (fun () ->
           match tm.state with
           | Pending ->
               tm.state <- Fired;
@@ -106,12 +106,15 @@ let timer ?label t ~delay_ms f =
               | None -> ())
           | Fired -> ())
   | None, _ | Some _, None ->
-      schedule t ~delay_ms (fun () ->
+      schedule_at t ~time_ms (fun () ->
           if tm.state = Pending then begin
             tm.state <- Fired;
             f ()
           end));
   tm
+
+let timer ?label t ~delay_ms f =
+  timer_at ?label t ~time_ms:(t.clock +. Float.max 0.0 delay_ms) f
 
 let cancel tm = if tm.state = Pending then tm.state <- Cancelled
 

@@ -40,6 +40,10 @@ val timer : ?label:string -> t -> delay_ms:float -> (unit -> unit) -> timer
     (fired/cancelled events attributed by name); otherwise it is a plain,
     untraced timer. *)
 
+val timer_at : ?label:string -> t -> time_ms:float -> (unit -> unit) -> timer
+(** Absolute-time variant of {!timer}; times in the past are clamped to
+    [now]. *)
+
 val cancel : timer -> unit
 (** Cancelling an already-fired or cancelled timer is a no-op. *)
 

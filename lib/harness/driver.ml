@@ -353,6 +353,34 @@ let validate_spec (spec : spec) =
           (Printf.sprintf "Driver.run: retry.jitter must be in [0, 1) (got %g)"
              r.jitter)
 
+(* One stream request across all of its attempts. Only the latest attempt
+   can be unsettled (a new attempt starts after the previous one
+   settled), so a reply or timeout for attempt [n] counts iff
+   [n = p_attempt] and the attempt has not settled. *)
+type pending = {
+  p_request : Trace.Workload.request;  (* its [site] is the client *)
+  p_system : Samya.Types.request;  (* built once, sent by every attempt *)
+  p_first_sent : float;
+  p_inst : (instr * Obs.Trace_log.span * int) option;
+      (* the request's span and causal trace root, when observed *)
+  mutable p_attempt : int;
+  mutable p_settled : bool;
+  mutable p_sent_at : float;
+}
+
+(* A client's timeout watchdog: its attempts in send order, as a ring of
+   (pending, attempt number) pairs, and whether its one timer is armed.
+   The timeout is constant and a client's lane clock is monotone, so the
+   ring is also in deadline order and one timer, armed at the oldest
+   unsettled attempt's deadline, covers them all. *)
+type watch = {
+  mutable w_ps : pending array;
+  mutable w_ns : int array;
+  mutable w_head : int;
+  mutable w_len : int;
+  mutable w_armed : bool;
+}
+
 (* A run's fixed context, resolved once: everything a request's handlers
    read, so they are top-level functions over it instead of closures
    built per request. *)
@@ -367,22 +395,7 @@ type ctx = {
   retry_rngs : Des.Rng.t array;
   instrument : instr option;
   slo_feeds : Obs.Slo.Feed.t array;
-}
-
-(* One stream request across all of its attempts. Only the latest attempt
-   can be unsettled (a new attempt starts after the previous one
-   settled), so a reply or watchdog for attempt [n] counts iff
-   [n = p_attempt] and the attempt has not settled. *)
-type pending = {
-  p_request : Trace.Workload.request;  (* its [site] is the client *)
-  p_system : Samya.Types.request;  (* built once, sent by every attempt *)
-  p_first_sent : float;
-  p_inst : (instr * Obs.Trace_log.span * int) option;
-      (* the request's span and causal trace root, when observed *)
-  mutable p_attempt : int;
-  mutable p_settled : bool;
-  mutable p_sent_at : float;
-  mutable p_watchdog : Des.Engine.timer option;
+  watches : watch array;  (* per client; empty unless attempts time out *)
 }
 
 (* Phase of a first-send instant (relative to t0): the number of
@@ -499,7 +512,7 @@ let rec issue c ~synthetic (request : Trace.Workload.request) =
     let p_system = to_request ~t_system:c.t_system ~deadline_ms:deadline request in
     attempt c
       { p_request = request; p_system; p_first_sent = first_sent; p_inst = inst;
-        p_attempt = 0; p_settled = true; p_sent_at = first_sent; p_watchdog = None }
+        p_attempt = 0; p_settled = true; p_sent_at = first_sent }
   end
 
 and attempt c p =
@@ -514,17 +527,11 @@ and attempt c p =
     match p.p_inst with Some (i, _, _) -> Obs.Metrics.incr i.i_retry | None -> ()
   end;
   p.p_sent_at <- Des.Engine.now engine;
-  (* With a retry policy and a finite client timeout, a watchdog abandons
-     the attempt at the timeout instead of waiting for a reply that may
-     never come — which is exactly what breeds a retry storm: the server
-     may still be working on the original. *)
-  (match c.spec.retry with
-  | Some _ when c.spec.client_timeout_ms < infinity ->
-      p.p_watchdog <-
-        Some
-          (Des.Engine.timer ~label:"driver.retry.timeout" engine
-             ~delay_ms:c.spec.client_timeout_ms (fun () -> on_timeout c p n))
-  | _ -> ());
+  (* With a retry policy and a finite client timeout, the client's
+     watchdog abandons the attempt at the timeout instead of waiting for a
+     reply that may never come — which is exactly what breeds a retry
+     storm: the server may still be working on the original. *)
+  if Array.length c.watches > 0 then watch c client p n;
   let reply response = on_reply c p n response in
   let region = c.spec.client_regions.(client) in
   match p.p_inst with
@@ -556,10 +563,76 @@ and on_timeout c p n =
     else terminal c p ~now ~tag:4
   end
 
+(* Queue attempt [n] on its client's watchdog, arming the timer if it is
+   idle: an armed timer is due at or before this attempt's deadline. *)
+and watch c client p n =
+  let w = c.watches.(client) in
+  let cap = Array.length w.w_ps in
+  if w.w_len = cap then begin
+    let cap' = max 16 (2 * cap) in
+    let ps = Array.make cap' p and ns = Array.make cap' 0 in
+    for i = 0 to w.w_len - 1 do
+      let j = (w.w_head + i) mod cap in
+      ps.(i) <- w.w_ps.(j);
+      ns.(i) <- w.w_ns.(j)
+    done;
+    w.w_ps <- ps;
+    w.w_ns <- ns;
+    w.w_head <- 0
+  end;
+  let tail = (w.w_head + w.w_len) mod Array.length w.w_ps in
+  w.w_ps.(tail) <- p;
+  w.w_ns.(tail) <- n;
+  w.w_len <- w.w_len + 1;
+  if not w.w_armed then arm c client ~deadline:(p.p_sent_at +. c.spec.client_timeout_ms)
+
+(* The timer serves every request of its client, so it runs under no
+   request's trace context. *)
+and arm c client ~deadline =
+  c.watches.(client).w_armed <- true;
+  let engine = c.engines.(client) in
+  Des.Engine.with_context engine Des.Trace_context.none (fun () ->
+      ignore
+        (Des.Engine.timer_at ~label:"driver.retry.timeout" engine ~time_ms:deadline
+           (fun () -> on_watchdog c client)))
+
+(* Drop the settled and superseded attempts at the head of a client's
+   ring and time out, in send order, every unsettled one due by [now];
+   stop at the first unsettled attempt still inside its timeout. *)
+and expire c client ~now =
+  let w = c.watches.(client) in
+  if w.w_len > 0 then begin
+    let p = w.w_ps.(w.w_head) and n = w.w_ns.(w.w_head) in
+    let live = n = p.p_attempt && not p.p_settled in
+    if not (live && p.p_sent_at +. c.spec.client_timeout_ms > now) then begin
+      w.w_head <- (w.w_head + 1) mod Array.length w.w_ps;
+      w.w_len <- w.w_len - 1;
+      if live then on_timeout c p n;
+      expire c client ~now
+    end
+  end
+
+and on_watchdog c client =
+  let w = c.watches.(client) in
+  expire c client ~now:(Des.Engine.now c.engines.(client));
+  if w.w_len = 0 then w.w_armed <- false
+  else
+    let p = w.w_ps.(w.w_head) in
+    arm c client ~deadline:(p.p_sent_at +. c.spec.client_timeout_ms)
+
 and on_reply c p n response =
   let acc = c.acc and request = p.p_request in
   let client = request.site in
   let engine = c.engines.(client) in
+  let now = Des.Engine.now engine in
+  (* A reply due at its attempt's deadline loses the tie to the timeout,
+     as if the watchdog had run first: the client's timer, due now, may
+     sit behind this reply in the queue. *)
+  if
+    Array.length c.watches > 0
+    && n = p.p_attempt && (not p.p_settled)
+    && now >= p.p_sent_at +. c.spec.client_timeout_ms
+  then expire c client ~now;
   acc.replied.(client) <- acc.replied.(client) + 1;
   (* Token bookkeeping runs on every reply, even superseded ones: a grant
      that arrives after the client gave up still moved real tokens, and
@@ -573,8 +646,6 @@ and on_reply c p n response =
   | _ -> ());
   if n = p.p_attempt && not p.p_settled then begin
     p.p_settled <- true;
-    (match p.p_watchdog with Some w -> Des.Engine.cancel w | None -> ());
-    let now = Des.Engine.now engine in
     let tag = tag_of_response response in
     if now -. c.t0 >= c.cutoffs.(client) then
       (* Crashed client: the reply is discarded for accounting, but the
@@ -669,8 +740,19 @@ let run ~(t_system : Systems.facade) spec =
   in
   let acc = acc_create ~n_phases ~n_clients ~window_ms:spec.window_ms () in
   let outstanding = Array.make n_clients 0 in
+  (* One timeout watchdog per client, when attempts can time out. *)
+  let watches =
+    match spec.retry with
+    | Some _ when spec.client_timeout_ms < infinity ->
+        Array.init n_clients (fun _ ->
+            { w_ps = [||]; w_ns = [||]; w_head = 0; w_len = 0; w_armed = false })
+    | _ -> [||]
+  in
   let c =
-    { spec; t_system; engines; t0; acc; cutoffs; outstanding; retry_rngs; instrument; slo_feeds }
+    {
+      spec; t_system; engines; t0; acc; cutoffs; outstanding; retry_rngs; instrument;
+      slo_feeds; watches;
+    }
   in
   (* Open-loop replay: one chain per client on the client's own lane, so
      a lane only ever schedules onto itself and consecutive arrivals never

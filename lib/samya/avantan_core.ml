@@ -203,8 +203,9 @@ type t = {
   mutable timer : Des.Engine.timer option;
   mutable last_applied_origin : Ballot.t option;
       (* carried-state dedupe: instances decide in origin order *)
-  applied : (Ballot.t, Protocol.value) Hashtbl.t;
-      (* per-instance dedupe + the log that answers Status-Query *)
+  mutable applied : Protocol.value Ballot.Map.t;
+      (* per-instance dedupe + the log that answers Status-Query;
+         persistent, so a durable image shares it instead of copying *)
   mutable rounds : int; (* election attempts within the current instance *)
   mutable s_led_started : int;
   mutable s_led_decided : int;
@@ -228,7 +229,7 @@ let create ~policy env =
     decision = false;
     timer = None;
     last_applied_origin = None;
-    applied = Hashtbl.create 32;
+    applied = Ballot.Map.empty;
     rounds = 0;
     s_led_started = 0;
     s_led_decided = 0;
@@ -251,7 +252,7 @@ type image = {
   i_accept_num : Ballot.t;
   i_decision : bool;
   i_last_applied_origin : Ballot.t option;
-  i_applied : (Ballot.t * Protocol.value) list;
+  i_applied : Protocol.value Ballot.Map.t;
 }
 
 let snapshot t =
@@ -274,10 +275,10 @@ let snapshot t =
     i_accept_num = accept_num;
     i_decision = t.decision;
     i_last_applied_origin = t.last_applied_origin;
-    i_applied =
-      Hashtbl.fold (fun origin value acc -> (origin, value) :: acc) t.applied []
-      |> List.sort (fun (a, _) (b, _) -> Ballot.compare a b);
+    i_applied = t.applied;
   }
+
+let image_applied image = image.i_applied
 
 let stats t =
   {
@@ -350,7 +351,7 @@ let apply_decision t (value : Protocol.value) =
     in
     if fresh then begin
       t.last_applied_origin <- Some value.Protocol.origin;
-      Hashtbl.replace t.applied value.Protocol.origin value;
+      t.applied <- Ballot.Map.add value.Protocol.origin value t.applied;
       t.s_applied <- t.s_applied + 1;
       conclude t (Protocol.Decided value)
     end
@@ -359,11 +360,11 @@ let apply_decision t (value : Protocol.value) =
          releases us from any residual participation. *)
       conclude t Protocol.Aborted
   end
-  else if Hashtbl.mem t.applied value.Protocol.origin then begin
+  else if Ballot.Map.mem value.Protocol.origin t.applied then begin
     if participating t then conclude t Protocol.Aborted
   end
   else begin
-    Hashtbl.replace t.applied value.Protocol.origin value;
+    t.applied <- Ballot.Map.add value.Protocol.origin value t.applied;
     t.s_applied <- t.s_applied + 1;
     conclude t (Protocol.Decided value)
   end
@@ -652,10 +653,7 @@ let evaluate_recovery t =
 let restore t (image : image) =
   t.ballot <- image.i_ballot;
   t.last_applied_origin <- image.i_last_applied_origin;
-  Hashtbl.reset t.applied;
-  List.iter
-    (fun (origin, value) -> Hashtbl.replace t.applied origin value)
-    image.i_applied;
+  t.applied <- image.i_applied;
   if t.pol.carry_accept_state then begin
     t.accept_val <- image.i_accept_val;
     t.accept_num <- image.i_accept_num;
@@ -689,7 +687,7 @@ let status_for t ~bal =
   | Leading_accept { bal = b; value; _ } when Ballot.equal b bal ->
       { s_accept_val = Some value; s_decision = false }
   | _ -> (
-      match Hashtbl.find_opt t.applied bal with
+      match Ballot.Map.find_opt bal t.applied with
       | Some value -> { s_accept_val = Some value; s_decision = true }
       | None -> { s_accept_val = None; s_decision = false })
 

@@ -192,6 +192,11 @@ type image
     value, and the applied-instance log that answers Status-Query. *)
 
 val snapshot : t -> image
+(** O(1): the applied-instance log is a persistent map the image shares
+    with the live machine. *)
+
+val image_applied : image -> Protocol.value Ballot.Map.t
+(** The applied-instance log an image carries, keyed by origin ballot. *)
 
 val restore : t -> image -> unit
 (** Rebuild a freshly-created machine from a durable image and resume:

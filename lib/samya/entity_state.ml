@@ -20,9 +20,10 @@ type t = {
   mutable queue_peak : int;
   tracker : Demand_tracker.t;
       (** per-epoch net token consumption and peak concurrent draw *)
-  applied_origins : (Consensus.Ballot.t, unit) Hashtbl.t;
+  mutable applied_origins : Consensus.Ballot.Set.t;
       (** decisions already applied — each instance moves tokens exactly
-          once, whether it arrives via the protocol or via recovery *)
+          once, whether it arrives via the protocol or via recovery;
+          persistent, so a durable image shares it instead of copying *)
   mutable decided_log : Protocol.value list;
       (** decisions this site has seen, newest first, capped at
           [decided_log_retention]; answers the Recovery_query of a peer
@@ -94,7 +95,7 @@ let create ~engine ~(config : Config.t) ~(core : t Entity_map.core) =
     queue_peak = 0;
     tracker =
       Demand_tracker.create ~engine ~epoch_ms ~capacity:history_epochs;
-    applied_origins = Hashtbl.create 64;
+    applied_origins = Consensus.Ballot.Set.empty;
     decided_log = [];
     decided_log_len = 0;
     av = None;
@@ -140,8 +141,7 @@ let restore t ~(config : Config.t) ~tokens_left ~acquired_net ~applied_origins
   t.core.Entity_map.acquired_net <- acquired_net;
   t.core.Entity_map.exposed <- false;
   Queue.clear t.queue;
-  Hashtbl.reset t.applied_origins;
-  List.iter (fun origin -> Hashtbl.replace t.applied_origins origin ()) applied_origins;
+  t.applied_origins <- applied_origins;
   t.decided_log <- decided_log;
   t.decided_log_len <- List.length decided_log;
   t.av <- None;

@@ -41,9 +41,10 @@ type t = {
           of the site-wide {!Request_handler.queued_peak} *)
   tracker : Demand_tracker.t;
       (** per-epoch net token consumption and peak concurrent draw *)
-  applied_origins : (Consensus.Ballot.t, unit) Hashtbl.t;
+  mutable applied_origins : Consensus.Ballot.Set.t;
       (** decisions already applied — each instance moves tokens exactly
-          once, whether it arrives via the protocol or via recovery *)
+          once, whether it arrives via the protocol or via recovery.
+          Persistent, so a {!Durable_image} shares it instead of copying *)
   mutable decided_log : Protocol.value list;
       (** decisions this site has seen (per-entity projections under
           batching), newest first, capped at
@@ -105,7 +106,7 @@ val restore :
   config:Config.t ->
   tokens_left:int ->
   acquired_net:int ->
-  applied_origins:Consensus.Ballot.t list ->
+  applied_origins:Consensus.Ballot.Set.t ->
   decided_log:Protocol.value list ->
   unit
 (** Crash-amnesia recovery: overwrite the ledger fields with a durable

@@ -81,9 +81,9 @@ let now t = Des.Engine.now t.engine
    whether this site's request was satisfied (None when the group does not
    involve it or was already applied). *)
 let apply_group t (ctx : Entity_state.t) ~origin (g : Protocol.group) =
-  if Hashtbl.mem ctx.applied_origins origin then None
+  if Consensus.Ballot.Set.mem origin ctx.applied_origins then None
   else begin
-    Hashtbl.replace ctx.applied_origins origin ();
+    ctx.applied_origins <- Consensus.Ballot.Set.add origin ctx.applied_origins;
     Entity_state.record_decision ctx
       ~retention:t.config.Config.decided_log_retention
       { Protocol.origin; groups = [ g ] };
