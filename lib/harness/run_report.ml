@@ -22,7 +22,8 @@ type block =
   | Para of string
   | Table of (string list * string list list)  (* header, rows *)
   | Pre of string list  (* preformatted lines *)
-  | Timeline of (float * float) list  (* committed txn/s per throughput window *)
+  | Timeline of float * (float * float) list
+      (* horizon (ms), then committed txn/s per throughput window *)
 
 (* ------------------------------------------------------------------ *)
 (* The document                                                         *)
@@ -122,7 +123,7 @@ let capture (c : Scenario.capture) =
     Heading (3, "Outcome");
     pairs ~header:[ "outcome"; "value" ] outcome c;
     Heading (3, "Committed throughput");
-    Timeline (Scenario.series c);
+    Timeline (c.result.Driver.duration_ms, Scenario.series c);
     Verdict ("SLO (samya-slo/1)", Obs.Slo.healthy (Obs.Slo.report c.slo));
     Table (Scenario.slo_table c);
     Heading (3, "Mechanism attribution");
@@ -147,26 +148,6 @@ let document meta captures =
           meta.seed n (plural n))
   :: List.concat_map capture captures
 
-(* Downsample a windowed series to at most [target] buckets (mean within
-   each bucket) — keeps the markdown sparkline and the SVG polyline
-   readable on long horizons. *)
-let downsample ~target points =
-  let n = List.length points in
-  if n <= target then points
-  else begin
-    let arr = Array.of_list points in
-    let per = float_of_int n /. float_of_int target in
-    List.init target (fun i ->
-        let lo = int_of_float (float_of_int i *. per) in
-        let hi = min (n - 1) (int_of_float (float_of_int (i + 1) *. per) - 1) in
-        let hi = max lo hi in
-        let sum = ref 0.0 in
-        for j = lo to hi do
-          sum := !sum +. snd arr.(j)
-        done;
-        (fst arr.(lo), !sum /. float_of_int (hi - lo + 1)))
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Markdown                                                             *)
 
@@ -188,8 +169,7 @@ let rec md_block buf block =
       List.iter row rows;
       add "\n"
   | Pre lines -> add ("```\n" ^ String.concat "" (List.map (fun l -> l ^ "\n") lines) ^ "```\n\n")
-  | Timeline points ->
-      let points = downsample ~target:24 points in
+  | Timeline (_, points) ->
       let peak = List.fold_left (fun acc (_, v) -> Float.max acc v) 1.0 points in
       md_block buf
         (Pre
@@ -234,16 +214,16 @@ padding:.6rem .8rem;overflow-x:auto;font-size:.85rem}
 svg{margin:.4rem 0 1rem}
 .meta{color:#666}|}
 
-(* Inline-SVG throughput polyline: no external assets, fixed viewport. *)
-let svg points =
+(* Inline-SVG throughput polyline: no external assets, fixed viewport,
+   the x axis spanning the run's horizon. *)
+let svg ~horizon_ms points =
   let w = 640.0 and h = 140.0 and pad = 4.0 in
-  let tmax = List.fold_left (fun acc (t, _) -> Float.max acc t) 1.0 points in
   let vmax = List.fold_left (fun acc (_, v) -> Float.max acc v) 1.0 points in
   let coords =
     List.map
       (fun (t, v) ->
         Printf.sprintf "%.1f,%.1f"
-          (pad +. ((w -. (2.0 *. pad)) *. t /. tmax))
+          (pad +. ((w -. (2.0 *. pad)) *. t /. horizon_ms))
           (h -. pad -. ((h -. (2.0 *. pad)) *. v /. vmax)))
       points
   in
@@ -255,7 +235,7 @@ let svg points =
      <text x=\"%.0f\" y=\"14\" font-size=\"11\" fill=\"#666\" text-anchor=\"end\">peak \
      %.0f txn/s · %.0f s</text>\n\
      </svg>\n"
-    w h w h w h (String.concat " " coords) (w -. 8.0) vmax (tmax /. 1000.0)
+    w h w h w h (String.concat " " coords) (w -. 8.0) vmax (horizon_ms /. 1000.0)
 
 let html_block buf block =
   let add = Buffer.add_string buf in
@@ -275,8 +255,8 @@ let html_block buf block =
       add "</table>\n"
   | Pre lines ->
       add ("<pre>" ^ String.concat "" (List.map (fun l -> escape l ^ "\n") lines) ^ "</pre>\n")
-  | Timeline [] -> ()
-  | Timeline points -> add (svg (downsample ~target:120 points))
+  | Timeline (_, []) -> ()
+  | Timeline (horizon_ms, points) -> add (svg ~horizon_ms points)
 
 let html meta captures =
   let buf = Buffer.create (1 lsl 15) in

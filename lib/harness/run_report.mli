@@ -16,7 +16,8 @@ type meta = { experiment : string; quick : bool; seed : int64 }
 
 val markdown : meta -> Scenario.capture list -> string
 (** GitHub-flavoured markdown: pipe tables, fenced code blocks for the
-    incident log and black box, an ASCII sparkline for throughput. *)
+    incident log and black box, an ASCII sparkline for throughput (one
+    line per window). *)
 
 val html : meta -> Scenario.capture list -> string
 (** One self-contained HTML page (inline styles, inline-SVG throughput
