@@ -615,6 +615,123 @@ let timeouts_attributed_in_slo () =
   check bool "slo attributes the class" true
     (List.assoc_opt "timeout" (Obs.Slo.abort_classes slo) = Some 5)
 
+(* A one-engine stub whose acquires are answered [Granted] after
+   [delay_ms request], for driver tests that need exact reply times. *)
+let timed_stub engine ~delay_ms : Harness.Systems.facade =
+  {
+    name = "stub";
+    now = (fun () -> Des.Engine.now engine);
+    sched_region = (fun _ -> engine);
+    schedule_global = (fun ~time_ms f -> Des.Engine.schedule_at engine ~time_ms f);
+    run_until = (fun until_ms -> Des.Engine.run engine ~until_ms);
+    entity;
+    submit =
+      (fun ~region:_ request ~reply ->
+        Des.Engine.schedule engine ~delay_ms:(delay_ms request) (fun () ->
+            reply Samya.Types.Granted));
+    crash_site = ignore;
+    recover_site = ignore;
+    partition = ignore;
+    heal = ignore;
+    stats =
+      (fun () ->
+        {
+          Harness.Systems.redistributions = 0;
+          borrows = 0;
+          borrow_tokens = 0;
+          mechanism_switches = 0;
+          messages_sent = 0;
+          messages_delivered = 0;
+          messages_dropped = 0;
+        });
+    subscribe = (fun () -> invalid_arg "stub: no observability");
+    arm = ignore;
+    invariant = (fun ~maximum:_ -> Ok ());
+  }
+
+let fixed_backoff ~max_attempts =
+  Some
+    {
+      Harness.Driver.max_attempts;
+      base_backoff_ms = 10.0;
+      max_backoff_ms = 10.0;
+      jitter = 0.0;
+      jitter_seed = 1L;
+    }
+
+let watchdog_fires_per_client_not_per_attempt () =
+  (* Five clients, an acquire every 50 ms each for 10 s, every reply in
+     20 ms against a 1 s timeout. One watchdog per client fires about once
+     per timeout, wherever its oldest unsettled attempt's deadline falls.
+     A timer per attempt would put 1000 watchdog events through the queue,
+     each one cancelled by its reply. *)
+  let engine = Des.Engine.create () in
+  let fired = ref 0 in
+  let count ~label ~armed_ms:_ ~now_ms:_ =
+    if label = "driver.retry.timeout" then incr fired
+  in
+  Des.Engine.set_tracer engine
+    (Some
+       {
+         Des.Engine.on_timer_fired = count;
+         on_timer_cancelled = count;
+         after_step = (fun ~now_ms:_ ~pending:_ -> ());
+       });
+  let clients = regions () in
+  let duration_ms = 10_000.0 and timeout_ms = 1_000.0 in
+  let requests =
+    Array.init 1_000 (fun i ->
+        req (float_of_int (i / 5) *. 50.0) (i mod 5) Trace.Workload.Acquire 1)
+  in
+  let spec =
+    {
+      (Harness.Driver.default_spec ~client_regions:clients ~requests ~duration_ms)
+      with
+      Harness.Driver.drain_ms = 5_000.0;
+      client_timeout_ms = timeout_ms;
+      retry = fixed_backoff ~max_attempts:3;
+    }
+  in
+  let r =
+    Harness.Driver.run ~t_system:(timed_stub engine ~delay_ms:(fun _ -> 20.0)) spec
+  in
+  check int "every acquire committed" 1_000 r.Harness.Driver.committed;
+  check int "no timeouts" 0 r.Harness.Driver.timed_out;
+  let bound =
+    Array.length clients * (int_of_float (Float.ceil (duration_ms /. timeout_ms)) + 1)
+  in
+  check bool
+    (Printf.sprintf "%d watchdog timer events <= %d" !fired bound)
+    true (!fired <= bound)
+
+let reply_at_the_deadline_is_a_timeout () =
+  (* One client: acquire A at 0 ms answered in 20 ms, acquire B at 50 ms
+     answered in exactly the 100 ms timeout. The watchdog fires at A's
+     deadline (100 ms) and re-arms for B's (150 ms) behind B's reply,
+     which was queued at 50 ms: the reply must still lose the tie. *)
+  let engine = Des.Engine.create () in
+  let delay_ms = function
+    | Samya.Types.Acquire { amount = 2; _ } -> 100.0
+    | _ -> 20.0
+  in
+  let spec =
+    {
+      (Harness.Driver.default_spec
+         ~client_regions:[| (regions ()).(0) |]
+         ~requests:
+           [| req 0.0 0 Trace.Workload.Acquire 1; req 50.0 0 Trace.Workload.Acquire 2 |]
+         ~duration_ms:1_000.0)
+      with
+      Harness.Driver.drain_ms = 1_000.0;
+      client_timeout_ms = 100.0;
+      retry = fixed_backoff ~max_attempts:1;
+    }
+  in
+  let r = Harness.Driver.run ~t_system:(timed_stub engine ~delay_ms) spec in
+  check int "only A committed" 1 r.Harness.Driver.committed;
+  check int "B timed out at its deadline" 1 r.Harness.Driver.timed_out;
+  check int "both replies arrived" 0 r.Harness.Driver.no_reply
+
 let slo_abort_classes_accumulate () =
   let slo = Obs.Slo.create () in
   let f = Obs.Slo.feed slo in
@@ -1045,6 +1162,10 @@ let suite =
       retry_backoff_is_deterministic;
     Alcotest.test_case "driver: timeout attribution in SLO" `Quick
       timeouts_attributed_in_slo;
+    Alcotest.test_case "driver: one watchdog per client" `Quick
+      watchdog_fires_per_client_not_per_attempt;
+    Alcotest.test_case "driver: reply at the deadline times out" `Quick
+      reply_at_the_deadline_is_a_timeout;
     Alcotest.test_case "slo: abort classes" `Quick slo_abort_classes_accumulate;
     Alcotest.test_case "workload: flash sale shape" `Quick flash_sale_shape;
     Alcotest.test_case "workload: flash sale validation" `Quick
