@@ -44,6 +44,29 @@ val timer_at : ?label:string -> t -> time_ms:float -> (unit -> unit) -> timer
 (** Absolute-time variant of {!timer}; times in the past are clamped to
     [now]. *)
 
+(** {2 Event lines}
+
+    A line is a FIFO of events with one callback, for a stream whose
+    times never decrease (a client's releases at [now + lifetime], its
+    watchdog checks at [now + timeout]). Only the line's head sits in the
+    queue, so a thousand held grants cost one queue entry, not a
+    thousand. Each entry still takes its place in the tie order when it
+    is pushed, captures the ambient trace context as {!schedule_at} does,
+    and fires as one event: a run's execution order is exactly that of
+    one {!schedule_at} per entry. *)
+
+type 'a line
+
+val line : t -> dummy:'a -> ('a -> unit) -> 'a line
+(** [line t ~dummy f] is an empty line on [t] whose entries run [f] on
+    their payload. [dummy] fills free slots: a fired payload is not kept
+    reachable. *)
+
+val line_push : 'a line -> time_ms:float -> 'a -> unit
+(** [line_push l ~time_ms v] runs [f v] at [time_ms] (clamped to [now]
+    like {!schedule_at}). Raises [Invalid_argument] if [time_ms] is below
+    the time of the line's previous push. *)
+
 val cancel : timer -> unit
 (** Cancelling an already-fired or cancelled timer is a no-op. *)
 
@@ -52,7 +75,8 @@ val timer_pending : timer -> bool
     cancelled. *)
 
 val pending : t -> int
-(** Number of events still queued. *)
+(** Number of entries in the event queue. A non-empty {!line} counts
+    once, for its head: [0] still means no event is left. *)
 
 val step : t -> bool
 (** Execute the next event. [false] when the queue is empty. *)
@@ -107,7 +131,7 @@ type tracer = {
   on_timer_cancelled : label:string -> armed_ms:float -> now_ms:float -> unit;
       (** a labelled timer's slot was reached after cancellation *)
   after_step : now_ms:float -> pending:int -> unit;
-      (** after every executed event, with the queue depth *)
+      (** after every executed event, with the queue depth ({!pending}) *)
 }
 
 val set_tracer : t -> tracer option -> unit

@@ -37,9 +37,12 @@ let grow t =
   t.slots <- slots;
   t.values <- values
 
-let push t ~priority value =
+let reserve t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
+  seq
+
+let push_reserved t ~priority ~seq value =
   if t.size = Array.length t.keys then grow t;
   let keys = t.keys and seqs = t.seqs and slots = t.slots in
   let slot = Array.unsafe_get slots t.size in
@@ -62,6 +65,8 @@ let push t ~priority value =
   Array.unsafe_set keys !i priority;
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set slots !i slot
+
+let push t ~priority value = push_reserved t ~priority ~seq:(reserve t) value
 
 (* Re-insert the entry [(key, seq, slot)] into the hole at the root:
    smaller children slide up into the hole until the entry fits. *)

@@ -27,6 +27,17 @@ val push : 'a t -> priority:float -> 'a -> unit
 (** [push t ~priority v] inserts [v]; cost O(log n), no allocation unless
     the backing arrays must grow. *)
 
+val reserve : 'a t -> int
+(** Takes the next sequence number, as {!push} would, without inserting
+    anything: an entry that enters the heap later with {!push_reserved}
+    keeps the place in the tie order it had when it was reserved. *)
+
+val push_reserved : 'a t -> priority:float -> seq:int -> 'a -> unit
+(** [push_reserved t ~priority ~seq v] inserts [v] under the key
+    [(priority, seq)], where [seq] came from {!reserve} on [t] and has
+    not been pushed before. [push t ~priority v] is
+    [push_reserved t ~priority ~seq:(reserve t) v]. *)
+
 val min_key : 'a t -> float
 (** Priority of the minimum entry. Undefined when the heap is empty (may
     raise [Invalid_argument]); guard with {!is_empty}. *)
