@@ -199,6 +199,6 @@ let slo_summary fmt captures =
     (fun (c : Scenario.capture) ->
       Format.fprintf fmt "@.== %s (window %.0f s) ==@." (label c)
         (Obs.Slo.window_ms c.slo /. 1000.0);
-      let header, rows = Scenario.slo_table ~worst:true ~digits:1 c in
+      let header, rows = Scenario.slo_table ~worst:true c in
       Report.table fmt ~title:("SLO: " ^ snd Scenario.slo c) ~header ~rows)
     captures

@@ -181,11 +181,11 @@ let conservation fmt captures =
     (fun c -> Format.fprintf fmt "token conservation (%s): %s@." c.arm.label (verdict c))
     captures
 
-let slo_table ?(worst = false) ?(digits = 2) c =
+let slo_table ?(worst = false) c =
   let value kind v =
     if Float.is_nan v then "-"
     else if kind = "latency" then Report.ms v
-    else Printf.sprintf "%.*f%%" digits (100.0 *. v)
+    else Printf.sprintf "%.2f%%" (100.0 *. v)
   in
   let columns : (string * (Obs.Slo.report_line -> string)) list =
     [

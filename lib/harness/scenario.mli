@@ -107,11 +107,11 @@ val verdict : capture -> string
 val conservation : Format.formatter -> capture list -> unit
 (** One {!verdict} line per arm. *)
 
-val slo_table : ?worst:bool -> ?digits:int -> capture -> string list * string list list
+val slo_table : ?worst:bool -> capture -> string list * string list list
 (** The [samya-slo/1] report as a table: header, then one row per
     objective (objective, target, windows, violations, overall). [worst]
     (default false) adds the worst window before [overall]; rates print
-    as percentages with [digits] (default 2) decimals. *)
+    as percentages with two decimals. *)
 
 val slo_lines : ?aborts:bool -> Format.formatter -> capture list -> unit
 (** One ["label: SLO healthy"] (or [VIOLATED]) line per arm; [aborts]
