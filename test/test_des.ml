@@ -664,6 +664,186 @@ let shard_cross_delivery_order_property =
       in
       List.for_all (fun dst -> List.rev logs.(dst) = expected dst) [ 0; 1; 2 ])
 
+(* ------------------------------------------------------------------ *)
+(* Event lines *)
+
+(* A program mixes direct events (source 0) with the entries of two
+   lines (sources 1, 2). Each executed event logs its id and time, then
+   takes the next step of the pool and pushes that step's [fanout]
+   children [delta] ms ahead on the step's source, so pushes are
+   re-entrant and, with deltas 0..3 and fanouts up to 2, equal
+   timestamps are common. A line's times may not decrease, so a line
+   child is lifted to its line's last time; direct children are not.
+   Run once with lines and once with [schedule_at] for everything, the
+   two logs must be equal: a line keeps each entry's place in the tie
+   order. *)
+let run_line_program ~lines (roots, pool) =
+  let engine = Des.Engine.create () in
+  let log = ref [] and next_id = ref 0 and cursor = ref 0 in
+  let last = Array.make 3 neg_infinity in
+  let push_ref = ref (fun _ _ -> ()) in
+  let fire id =
+    log := (id, Des.Engine.now engine) :: !log;
+    if !cursor < Array.length pool then begin
+      let src, delta, fanout = pool.(!cursor) in
+      incr cursor;
+      for _ = 1 to fanout do
+        !push_ref src (Des.Engine.now engine +. float_of_int delta)
+      done
+    end
+  in
+  let ls = Array.init 2 (fun _ -> Des.Engine.line engine ~dummy:(-1) fire) in
+  (push_ref :=
+     fun src time ->
+       let time = if src = 0 then time else Float.max time last.(src) in
+       last.(src) <- time;
+       let id = !next_id in
+       incr next_id;
+       if src > 0 && lines then Des.Engine.line_push ls.(src - 1) ~time_ms:time id
+       else Des.Engine.schedule_at engine ~time_ms:time (fun () -> fire id));
+  List.iter (fun (src, time) -> !push_ref src (float_of_int time)) roots;
+  Des.Engine.run engine;
+  List.rev !log
+
+let line_order_property =
+  let step = QCheck.Gen.(triple (int_bound 2) (int_bound 3) (int_bound 2)) in
+  let root = QCheck.Gen.(pair (int_bound 2) (int_bound 5)) in
+  QCheck.Test.make ~count:300 ~name:"line: execution order equals direct scheduling"
+    (QCheck.make
+       ~print:(fun (roots, pool) ->
+         Printf.sprintf "<%d roots, %d steps>" (List.length roots) (Array.length pool))
+       QCheck.Gen.(
+         pair (list_size (int_range 1 8) root) (array_size (int_bound 400) step)))
+    (fun program ->
+      let direct = run_line_program ~lines:false program in
+      direct = run_line_program ~lines:true program)
+
+let line_rejects_decreasing_time () =
+  let engine = Des.Engine.create () in
+  let l = Des.Engine.line engine ~dummy:0 ignore in
+  Des.Engine.line_push l ~time_ms:10.0 1;
+  Des.Engine.line_push l ~time_ms:10.0 2;
+  check bool "a push below the last time raises" true
+    (match Des.Engine.line_push l ~time_ms:9.0 3 with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  let fired = ref [] in
+  let l = Des.Engine.line engine ~dummy:0 (fun v -> fired := v :: !fired) in
+  Des.Engine.line_push l ~time_ms:5.0 1;
+  Des.Engine.run engine;
+  (* The clock is now 10: a later push is clamped to it, like schedule_at. *)
+  Des.Engine.line_push l ~time_ms:1.0 2;
+  Des.Engine.run engine;
+  check (Alcotest.list int) "both fired, in order" [ 1; 2 ] (List.rev !fired)
+
+let line_entry_runs_under_its_context () =
+  let engine = Des.Engine.create () in
+  let seen = ref [] in
+  let l =
+    Des.Engine.line engine ~dummy:0 (fun v ->
+        seen := (v, Des.Engine.current_context engine) :: !seen)
+  in
+  let a = Des.Trace_context.root ~trace:7 and b = Des.Trace_context.root ~trace:9 in
+  Des.Engine.with_context engine a (fun () -> Des.Engine.line_push l ~time_ms:1.0 1);
+  Des.Engine.line_push l ~time_ms:1.0 2;
+  Des.Engine.with_context engine b (fun () -> Des.Engine.line_push l ~time_ms:2.0 3);
+  Des.Engine.run engine;
+  check bool "each entry under the context of its push" true
+    (match List.rev !seen with
+    | [ (1, ca); (2, cn); (3, cb) ] ->
+        ca == a && Des.Trace_context.is_none cn && cb == b
+    | _ -> false);
+  check bool "context restored after the entry" true
+    (Des.Trace_context.is_none (Des.Engine.current_context engine))
+
+(* The ring grows past its first capacity, half the entries fire, and the
+   major GC runs while the line is still live: no fired payload may stay
+   reachable from the line's slots, and no unfired one may be lost. *)
+let line_releases_fired () =
+  let n = 1_000 in
+  let engine = Des.Engine.create () in
+  let fired = ref 0 in
+  let l = Des.Engine.line engine ~dummy:(ref (-1)) (fun _ -> incr fired) in
+  let weak = Weak.create n in
+  for i = 0 to n - 1 do
+    let value = ref i in
+    Weak.set weak i (Some value);
+    Des.Engine.line_push l ~time_ms:(float_of_int i) value
+  done;
+  Des.Engine.run engine ~until_ms:(float_of_int ((n / 2) - 1));
+  Gc.full_major ();
+  check int "half fired" (n / 2) !fired;
+  let reachable lo hi =
+    let r = ref 0 in
+    for i = lo to hi - 1 do
+      if Weak.check weak i then incr r
+    done;
+    !r
+  in
+  check int "fired payloads still reachable" 0 (reachable 0 (n / 2));
+  check int "queued payloads kept" (n / 2) (reachable (n / 2) n);
+  Des.Engine.line_push (Sys.opaque_identity l) ~time_ms:(float_of_int n) (ref n)
+
+(* Five clients acquire every 10 ms for 10 s and hold each grant 5 s:
+   about 500 grants per client are held at once. With one release line
+   per client, each client lane's queue holds its line's head, not an
+   event per held grant (it reads 5 at peak; 503 with one event each). *)
+let driver_releases_keep_queue_small () =
+  let clients = Array.of_list Geonet.Region.default_five in
+  let t_system =
+    Harness.Systems.samya ~seed:3L ~config:Samya.Config.default ~regions:clients
+      ~entity:"VM" ~maximum:100_000 ()
+  in
+  let peak_pending = ref 0 and held = ref 0 and peak_held = ref 0 in
+  Array.iter
+    (fun region ->
+      Des.Engine.set_tracer (t_system.Harness.Systems.sched_region region)
+        (Some
+           {
+             Des.Engine.on_timer_fired = (fun ~label:_ ~armed_ms:_ ~now_ms:_ -> ());
+             on_timer_cancelled = (fun ~label:_ ~armed_ms:_ ~now_ms:_ -> ());
+             after_step =
+               (fun ~now_ms:_ ~pending -> peak_pending := max !peak_pending pending);
+           }))
+    clients;
+  let submit ~region request ~reply =
+    t_system.Harness.Systems.submit ~region request ~reply:(fun response ->
+        (match (request, response) with
+        | Samya.Types.Acquire _, Samya.Types.Granted ->
+            incr held;
+            peak_held := max !peak_held !held
+        | Samya.Types.Release _, Samya.Types.Granted -> decr held
+        | _ -> ());
+        reply response)
+  in
+  let requests =
+    Array.init 5_000 (fun i ->
+        {
+          Trace.Workload.time_ms = float_of_int (i / 5) *. 10.0;
+          site = i mod 5;
+          kind = Trace.Workload.Acquire;
+          amount = 1;
+          entity = "";
+        })
+  in
+  let spec =
+    {
+      (Harness.Driver.default_spec ~client_regions:clients ~requests
+         ~duration_ms:10_000.0)
+      with
+      Harness.Driver.drain_ms = 10_000.0;
+      grant_driven_release_ms = Some 5_000.0;
+    }
+  in
+  let r = Harness.Driver.run ~t_system:{ t_system with submit } spec in
+  check int "every acquire and its release committed" 10_000 r.Harness.Driver.committed;
+  check int "every grant returned" 0 !held;
+  check bool "thousands of grants held at once" true (!peak_held >= 2_000);
+  check bool
+    (Printf.sprintf "peak queue O(clients), not O(grants held) (read %d)" !peak_pending)
+    true
+    (!peak_pending <= 4 * Array.length clients)
+
 let suite =
   [
     Alcotest.test_case "rng: deterministic by seed" `Quick rng_deterministic;
@@ -704,4 +884,11 @@ let suite =
       shard_epoch_stamps_sequential_order;
     QCheck_alcotest.to_alcotest shard_lookahead_monotone_property;
     QCheck_alcotest.to_alcotest shard_cross_delivery_order_property;
+    QCheck_alcotest.to_alcotest line_order_property;
+    Alcotest.test_case "line: a decreasing push raises" `Quick line_rejects_decreasing_time;
+    Alcotest.test_case "line: an entry runs under its own context" `Quick
+      line_entry_runs_under_its_context;
+    Alcotest.test_case "line: fired payloads are unreachable" `Quick line_releases_fired;
+    Alcotest.test_case "line: grant-driven releases keep the queue O(clients)" `Quick
+      driver_releases_keep_queue_small;
   ]
