@@ -1,7 +1,7 @@
 (* The queue holds bare closures: a plain [schedule] costs one heap push and
    nothing else. Timers wrap their callback in a closure that consults a
-   small state record, so cancellation and the fired/pending distinction
-   need no per-event bookkeeping on the hot path. *)
+   one-flag record, so cancellation needs no per-event bookkeeping on the
+   hot path. *)
 
 type tracer = {
   on_timer_fired : label:string -> armed_ms:float -> now_ms:float -> unit;
@@ -19,9 +19,7 @@ type t = {
   mutable id_stride : int;
 }
 
-type timer_state = Pending | Fired | Cancelled
-
-type timer = { mutable state : timer_state }
+type timer = { mutable cancelled : bool }
 
 let create ?(seed = 42L) () =
   {
@@ -87,34 +85,23 @@ let schedule t ~delay_ms f = schedule_at t ~time_ms:(t.clock +. Float.max 0.0 de
 (* Unlabelled timers keep the lean PR-1 closure. A labelled timer armed
    under a tracer captures its label and arming time for the tracer's
    fire/cancel events; armed with none, it is an unlabelled timer. *)
-let timer_at ?label t ~time_ms f =
-  let tm = { state = Pending } in
+let timer ?label t ~delay_ms f =
+  let tm = { cancelled = false } in
+  let time_ms = t.clock +. Float.max 0.0 delay_ms in
   (match (label, t.tracer) with
   | Some label, Some _ ->
       let armed_ms = t.clock in
       schedule_at t ~time_ms (fun () ->
-          match tm.state with
-          | Pending ->
-              tm.state <- Fired;
-              (match t.tracer with
-              | Some tr -> tr.on_timer_fired ~label ~armed_ms ~now_ms:t.clock
-              | None -> ());
+          match t.tracer with
+          | Some tr when tm.cancelled ->
+              tr.on_timer_cancelled ~label ~armed_ms ~now_ms:t.clock
+          | Some tr ->
+              tr.on_timer_fired ~label ~armed_ms ~now_ms:t.clock;
               f ()
-          | Cancelled -> (
-              match t.tracer with
-              | Some tr -> tr.on_timer_cancelled ~label ~armed_ms ~now_ms:t.clock
-              | None -> ())
-          | Fired -> ())
+          | None -> if not tm.cancelled then f ())
   | None, _ | Some _, None ->
-      schedule_at t ~time_ms (fun () ->
-          if tm.state = Pending then begin
-            tm.state <- Fired;
-            f ()
-          end));
+      schedule_at t ~time_ms (fun () -> if not tm.cancelled then f ()));
   tm
-
-let timer ?label t ~delay_ms f =
-  timer_at ?label t ~time_ms:(t.clock +. Float.max 0.0 delay_ms) f
 
 (* A line's entries wait in a ring (unboxed times and sequence numbers,
    payloads and captured contexts in two slot arrays); only the head is in
@@ -125,6 +112,7 @@ let timer ?label t ~delay_ms f =
 type 'a line = {
   l_engine : t;
   l_dummy : 'a;
+  l_live : 'a -> bool;
   l_run : 'a -> unit;
   mutable l_times : float array;
   mutable l_seqs : int array;
@@ -136,22 +124,33 @@ type 'a line = {
   l_fire : unit -> unit;
 }
 
-(* Pop the head, put the next entry (if any) in the heap, then run the
-   popped one under the context its push captured. The popped slots are
-   reset first, so a fired payload is unreachable from the line. *)
+(* Remove the head, resetting its slots so the line keeps its payload
+   unreachable. *)
+let line_drop l =
+  let i = l.l_head in
+  l.l_values.(i) <- l.l_dummy;
+  l.l_ctxs.(i) <- Trace_context.none;
+  l.l_head <- (if i + 1 = Array.length l.l_times then 0 else i + 1);
+  l.l_len <- l.l_len - 1
+
+(* Pop the head, drop the dead entries behind it (each would have been an
+   event that does nothing), put the next live one (if any) in the heap,
+   then run the popped one, if it is still live, under the context its
+   push captured. *)
 let line_fire l =
   let t = l.l_engine in
   let i = l.l_head in
   let v = l.l_values.(i) and ctx = l.l_ctxs.(i) in
-  l.l_values.(i) <- l.l_dummy;
-  l.l_ctxs.(i) <- Trace_context.none;
-  l.l_head <- (if i + 1 = Array.length l.l_times then 0 else i + 1);
-  l.l_len <- l.l_len - 1;
+  line_drop l;
+  while l.l_len > 0 && not (l.l_live l.l_values.(l.l_head)) do
+    line_drop l
+  done;
   if l.l_len > 0 then begin
     let j = l.l_head in
     Pheap.push_reserved t.queue ~priority:l.l_times.(j) ~seq:l.l_seqs.(j) l.l_fire
   end;
-  if ctx == Trace_context.none then l.l_run v
+  if not (l.l_live v) then ()
+  else if ctx == Trace_context.none then l.l_run v
   else begin
     let saved = t.current in
     t.current <- ctx;
@@ -159,12 +158,12 @@ let line_fire l =
     t.current <- saved
   end
 
-let line t ~dummy f =
+let line t ~dummy ~live f =
   let rec l =
     {
-      l_engine = t; l_dummy = dummy; l_run = f; l_times = [||]; l_seqs = [||];
-      l_values = [||]; l_ctxs = [||]; l_head = 0; l_len = 0; l_last = neg_infinity;
-      l_fire = (fun () -> line_fire l);
+      l_engine = t; l_dummy = dummy; l_live = live; l_run = f; l_times = [||];
+      l_seqs = [||]; l_values = [||]; l_ctxs = [||]; l_head = 0; l_len = 0;
+      l_last = neg_infinity; l_fire = (fun () -> line_fire l);
     }
   in
   l
@@ -206,9 +205,7 @@ let line_push l ~time_ms v =
   l.l_len <- l.l_len + 1;
   if l.l_len = 1 then Pheap.push_reserved t.queue ~priority:time_ms ~seq l.l_fire
 
-let cancel tm = if tm.state = Pending then tm.state <- Cancelled
-
-let timer_pending tm = tm.state = Pending
+let cancel tm = tm.cancelled <- true
 
 let pending t = Pheap.length t.queue
 

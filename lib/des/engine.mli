@@ -40,27 +40,33 @@ val timer : ?label:string -> t -> delay_ms:float -> (unit -> unit) -> timer
     (fired/cancelled events attributed by name); otherwise it is a plain,
     untraced timer. *)
 
-val timer_at : ?label:string -> t -> time_ms:float -> (unit -> unit) -> timer
-(** Absolute-time variant of {!timer}; times in the past are clamped to
-    [now]. *)
-
 (** {2 Event lines}
 
     A line is a FIFO of events with one callback, for a stream whose
     times never decrease (a client's releases at [now + lifetime], its
-    watchdog checks at [now + timeout]). Only the line's head sits in the
-    queue, so a thousand held grants cost one queue entry, not a
+    attempts' timeouts at [now + timeout]). Only the line's head sits in
+    the queue, so a thousand held grants cost one queue entry, not a
     thousand. Each entry still takes its place in the tie order when it
     is pushed, captures the ambient trace context as {!schedule_at} does,
-    and fires as one event: a run's execution order is exactly that of
-    one {!schedule_at} per entry. *)
+    and fires as one event.
+
+    A line also drops entries that have become no-ops: when an entry
+    fires, the entries behind it whose payload is no longer live are
+    removed without an event, and a payload that is not live when its
+    entry fires does not reach the callback. A run's execution order is
+    exactly that of one {!schedule_at} per entry whose closure does
+    nothing once its payload is dead; only the no-op events are
+    missing. *)
 
 type 'a line
 
-val line : t -> dummy:'a -> ('a -> unit) -> 'a line
-(** [line t ~dummy f] is an empty line on [t] whose entries run [f] on
-    their payload. [dummy] fills free slots: a fired payload is not kept
-    reachable. *)
+val line : t -> dummy:'a -> live:('a -> bool) -> ('a -> unit) -> 'a line
+(** [line t ~dummy ~live f] is an empty line on [t] whose entries run [f]
+    on their payload while [live] holds of it. [dummy] fills free slots:
+    a fired or dropped payload is not kept reachable. Precondition: a
+    payload for which [live] is [false] never becomes live again (the
+    line may already have dropped it); [fun _ -> true] keeps every
+    entry. *)
 
 val line_push : 'a line -> time_ms:float -> 'a -> unit
 (** [line_push l ~time_ms v] runs [f v] at [time_ms] (clamped to [now]
@@ -69,10 +75,6 @@ val line_push : 'a line -> time_ms:float -> 'a -> unit
 
 val cancel : timer -> unit
 (** Cancelling an already-fired or cancelled timer is a no-op. *)
-
-val timer_pending : timer -> bool
-(** [true] while the timer is scheduled and has neither fired nor been
-    cancelled. *)
 
 val pending : t -> int
 (** Number of entries in the event queue. A non-empty {!line} counts

@@ -47,8 +47,7 @@ let engine_tracer (sink : Obs.Sink.t) =
     Des.Engine.on_timer_fired =
       (fun ~label ~armed_ms ~now_ms ->
         (* A fired labelled timer is an expired timeout (protocol failure
-           detectors cancel on progress), or a client watchdog's check of
-           its oldest deadline: span it armed -> fired. *)
+           detectors cancel on progress): span it armed -> fired. *)
         Obs.Metrics.incr fired;
         Obs.Trace_log.complete sink.Obs.Sink.log ~cat:"timer" ~name:label ~ts:armed_ms
           ~dur:(now_ms -. armed_ms) ());

@@ -368,19 +368,6 @@ type pending = {
   mutable p_sent_at : float;
 }
 
-(* A client's timeout watchdog: its attempts in send order, as a ring of
-   (pending, attempt number) pairs, and whether its one timer is armed.
-   The timeout is constant and a client's lane clock is monotone, so the
-   ring is also in deadline order and one timer, armed at the oldest
-   unsettled attempt's deadline, covers them all. *)
-type watch = {
-  mutable w_ps : pending array;
-  mutable w_ns : int array;
-  mutable w_head : int;
-  mutable w_len : int;
-  mutable w_armed : bool;
-}
-
 (* A run's fixed context, resolved once: everything a request's handlers
    read, so they are top-level functions over it instead of closures
    built per request. *)
@@ -395,7 +382,9 @@ type ctx = {
   retry_rngs : Des.Rng.t array;
   instrument : instr option;
   slo_feeds : Obs.Slo.Feed.t array;
-  watches : watch array;  (* per client; empty unless attempts time out *)
+  mutable timeouts : (pending * int) Des.Engine.line array;
+      (* per client, its attempts (with their numbers) in send order, due
+         at their deadlines; empty unless attempts time out *)
   mutable releases : Trace.Workload.request Des.Engine.line array;
       (* per client, the granted acquires whose grant-driven release is
          due, on the client's lane; empty unless grant-driven releases *)
@@ -530,11 +519,15 @@ and attempt c p =
     match p.p_inst with Some (i, _, _) -> Obs.Metrics.incr i.i_retry | None -> ()
   end;
   p.p_sent_at <- Des.Engine.now engine;
-  (* With a retry policy and a finite client timeout, the client's
-     watchdog abandons the attempt at the timeout instead of waiting for a
-     reply that may never come — which is exactly what breeds a retry
-     storm: the server may still be working on the original. *)
-  if Array.length c.watches > 0 then watch c client p n;
+  (* With a retry policy and a finite client timeout, the client abandons
+     the attempt at the timeout instead of waiting for a reply that may
+     never come — which is exactly what breeds a retry storm: the server
+     may still be working on the original. The entry is pushed before the
+     attempt is submitted, so it takes its place in the tie order first:
+     a reply due exactly at the deadline runs after the timeout. *)
+  if Array.length c.timeouts > 0 then
+    Des.Engine.line_push c.timeouts.(client)
+      ~time_ms:(p.p_sent_at +. c.spec.client_timeout_ms) (p, n);
   let reply response = on_reply c p n response in
   let region = c.spec.client_regions.(client) in
   match p.p_inst with
@@ -553,89 +546,24 @@ and retry_after c p ~completed =
       (* The client may have crashed while backing off. *)
       if Des.Engine.now engine -. c.t0 < c.cutoffs.(client) then attempt c p)
 
-(* Timed-out releases never retry (at-most-once: the original may have
-   been applied late, and a doubled release mints tokens). *)
-and on_timeout c p n =
-  if n = p.p_attempt && not p.p_settled then begin
-    p.p_settled <- true;
-    let client = p.p_request.site in
-    let now = Des.Engine.now c.engines.(client) in
-    if now -. c.t0 >= c.cutoffs.(client) then ()
-    else if n < max_attempts c.spec && p.p_request.kind <> Trace.Workload.Release then
-      retry_after c p ~completed:n
-    else terminal c p ~now ~tag:4
-  end
-
-(* Queue attempt [n] on its client's watchdog, arming the timer if it is
-   idle: an armed timer is due at or before this attempt's deadline. *)
-and watch c client p n =
-  let w = c.watches.(client) in
-  let cap = Array.length w.w_ps in
-  if w.w_len = cap then begin
-    let cap' = max 16 (2 * cap) in
-    let ps = Array.make cap' p and ns = Array.make cap' 0 in
-    for i = 0 to w.w_len - 1 do
-      let j = (w.w_head + i) mod cap in
-      ps.(i) <- w.w_ps.(j);
-      ns.(i) <- w.w_ns.(j)
-    done;
-    w.w_ps <- ps;
-    w.w_ns <- ns;
-    w.w_head <- 0
-  end;
-  let tail = (w.w_head + w.w_len) mod Array.length w.w_ps in
-  w.w_ps.(tail) <- p;
-  w.w_ns.(tail) <- n;
-  w.w_len <- w.w_len + 1;
-  if not w.w_armed then arm c client ~deadline:(p.p_sent_at +. c.spec.client_timeout_ms)
-
-(* The timer serves every request of its client, so it runs under no
-   request's trace context. *)
-and arm c client ~deadline =
-  c.watches.(client).w_armed <- true;
-  let engine = c.engines.(client) in
-  Des.Engine.with_context engine Des.Trace_context.none (fun () ->
-      ignore
-        (Des.Engine.timer_at ~label:"driver.retry.timeout" engine ~time_ms:deadline
-           (fun () -> on_watchdog c client)))
-
-(* Drop the settled and superseded attempts at the head of a client's
-   ring and time out, in send order, every unsettled one due by [now];
-   stop at the first unsettled attempt still inside its timeout. *)
-and expire c client ~now =
-  let w = c.watches.(client) in
-  if w.w_len > 0 then begin
-    let p = w.w_ps.(w.w_head) and n = w.w_ns.(w.w_head) in
-    let live = n = p.p_attempt && not p.p_settled in
-    if not (live && p.p_sent_at +. c.spec.client_timeout_ms > now) then begin
-      w.w_head <- (w.w_head + 1) mod Array.length w.w_ps;
-      w.w_len <- w.w_len - 1;
-      if live then on_timeout c p n;
-      expire c client ~now
-    end
-  end
-
-and on_watchdog c client =
-  let w = c.watches.(client) in
-  expire c client ~now:(Des.Engine.now c.engines.(client));
-  if w.w_len = 0 then w.w_armed <- false
-  else
-    let p = w.w_ps.(w.w_head) in
-    arm c client ~deadline:(p.p_sent_at +. c.spec.client_timeout_ms)
+(* Attempt [n] reached its deadline unsettled (its timeout line's
+   liveness test). Timed-out releases never retry (at-most-once: the
+   original may have been applied late, and a doubled release mints
+   tokens). *)
+and on_timeout c (p, n) =
+  p.p_settled <- true;
+  let client = p.p_request.site in
+  let now = Des.Engine.now c.engines.(client) in
+  if now -. c.t0 >= c.cutoffs.(client) then ()
+  else if n < max_attempts c.spec && p.p_request.kind <> Trace.Workload.Release then
+    retry_after c p ~completed:n
+  else terminal c p ~now ~tag:4
 
 and on_reply c p n response =
   let acc = c.acc and request = p.p_request in
   let client = request.site in
   let engine = c.engines.(client) in
   let now = Des.Engine.now engine in
-  (* A reply due at its attempt's deadline loses the tie to the timeout,
-     as if the watchdog had run first: the client's timer, due now, may
-     sit behind this reply in the queue. *)
-  if
-    Array.length c.watches > 0
-    && n = p.p_attempt && (not p.p_settled)
-    && now >= p.p_sent_at +. c.spec.client_timeout_ms
-  then expire c client ~now;
   acc.replied.(client) <- acc.replied.(client) + 1;
   (* Token bookkeeping runs on every reply, even superseded ones: a grant
      that arrives after the client gave up still moved real tokens, and
@@ -656,7 +584,7 @@ and on_reply c p n response =
          do the work). *)
       finish_instr p ~now ~tag
     else if now -. p.p_sent_at > c.spec.client_timeout_ms then
-      (* Late reply with no watchdog armed (no retry policy): the client
+      (* Late reply with no timeout line (no retry policy): the client
          had already given up — attribute the request as a timeout instead
          of letting it silently vanish from every outcome bucket. *)
       terminal c p ~now ~tag:4
@@ -664,9 +592,21 @@ and on_reply c p n response =
     else terminal c p ~now ~tag
   end
 
-(* Fills a release line's free slots. *)
+(* Fill the lines' free slots. *)
 let no_request =
   { Trace.Workload.time_ms = 0.0; site = 0; kind = Trace.Workload.Read; amount = 0; entity = "" }
+
+let no_attempt =
+  ( {
+      p_request = no_request;
+      p_system = Samya.Types.Read { entity = ""; deadline_ms = infinity };
+      p_first_sent = 0.0;
+      p_inst = None;
+      p_attempt = 0;
+      p_settled = true;
+      p_sent_at = 0.0;
+    },
+    0 )
 
 let run ~(t_system : Systems.facade) spec =
   validate_spec spec;
@@ -747,26 +687,32 @@ let run ~(t_system : Systems.facade) spec =
   in
   let acc = acc_create ~n_phases ~n_clients ~window_ms:spec.window_ms () in
   let outstanding = Array.make n_clients 0 in
-  (* One timeout watchdog per client, when attempts can time out. *)
-  let watches =
-    match spec.retry with
-    | Some _ when spec.client_timeout_ms < infinity ->
-        Array.init n_clients (fun _ ->
-            { w_ps = [||]; w_ns = [||]; w_head = 0; w_len = 0; w_armed = false })
-    | _ -> [||]
-  in
   let c =
     {
       spec; t_system; engines; t0; acc; cutoffs; outstanding; retry_rngs; instrument;
-      slo_feeds; watches; releases = [||];
+      slo_feeds; timeouts = [||]; releases = [||];
     }
   in
+  (* One timeout line per client, when attempts can time out. An entry
+     whose attempt was settled or superseded is dead for good, so the line
+     drops it without an event. *)
+  (match spec.retry with
+  | Some _ when spec.client_timeout_ms < infinity ->
+      c.timeouts <-
+        Array.map
+          (fun engine ->
+            Des.Engine.line engine ~dummy:no_attempt
+              ~live:(fun (p, n) -> n = p.p_attempt && not p.p_settled)
+              (on_timeout c))
+          engines
+  | _ -> ());
   (* A grant-driven release: these tokens are held by construction. *)
   if spec.grant_driven_release_ms <> None then
     c.releases <-
       Array.map
         (fun engine ->
-          Des.Engine.line engine ~dummy:no_request (fun (granted : Trace.Workload.request) ->
+          Des.Engine.line engine ~dummy:no_request ~live:(fun _ -> true)
+            (fun (granted : Trace.Workload.request) ->
               issue c ~synthetic:true { granted with kind = Trace.Workload.Release; time_ms = 0.0 }))
         engines;
   (* Open-loop replay: one chain per client on the client's own lane, so
@@ -839,12 +785,12 @@ let run_closed ~(t_system : Systems.facade) ~client_regions ~requests ~duration_
   let watchdogs =
     Array.mapi
       (fun client engine ->
-        Des.Engine.line engine ~dummy:(ref true) (fun settled ->
-            if not !settled then begin
-              settled := true;
-              no_reply.(client) <- no_reply.(client) + 1;
-              !resume client
-            end))
+        Des.Engine.line engine ~dummy:(ref true)
+          ~live:(fun settled -> not !settled)
+          (fun settled ->
+            settled := true;
+            no_reply.(client) <- no_reply.(client) + 1;
+            !resume client))
       engines
   in
   let rec worker client =

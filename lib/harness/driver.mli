@@ -76,7 +76,7 @@ type spec = {
           gateway-fleet per-key attribution (default [false]) *)
   retry : retry option;
       (** when set, timed-out and shed requests re-enter as linked retry
-          attempts; with a finite [client_timeout_ms] a watchdog abandons
+          attempts; with a finite [client_timeout_ms] the client abandons
           each attempt at the timeout (default [None]: submit once and
           wait forever — the historical behaviour) *)
   deadline_budget_ms : float;

@@ -370,19 +370,19 @@ let engine_cancel_timer () =
   Des.Engine.run engine;
   check bool "cancelled timer did not fire" false !fired
 
-let engine_timer_pending_lifecycle () =
+let engine_timer_cancel_lifecycle () =
   let engine = Des.Engine.create () in
-  let armed = Des.Engine.timer engine ~delay_ms:5.0 (fun () -> ()) in
-  let cancelled = Des.Engine.timer engine ~delay_ms:10.0 (fun () -> ()) in
-  check bool "armed timer pending" true (Des.Engine.timer_pending armed);
+  let fired = ref [] in
+  let armed = Des.Engine.timer engine ~delay_ms:5.0 (fun () -> fired := 1 :: !fired) in
+  let cancelled = Des.Engine.timer engine ~delay_ms:10.0 (fun () -> fired := 2 :: !fired) in
   Des.Engine.cancel cancelled;
-  check bool "cancelled timer not pending" false (Des.Engine.timer_pending cancelled);
   Des.Engine.run engine;
-  check bool "fired timer not pending" false (Des.Engine.timer_pending armed);
-  (* Cancelling after firing stays a no-op: the timer is Fired, not
-     Cancelled, and remains not pending. *)
+  check (Alcotest.list int) "only the armed timer fired" [ 1 ] !fired;
+  (* Cancelling after firing is harmless: nothing fires again, twice. *)
   Des.Engine.cancel armed;
-  check bool "cancel after fire is no-op" false (Des.Engine.timer_pending armed)
+  Des.Engine.cancel cancelled;
+  Des.Engine.run engine;
+  check (Alcotest.list int) "cancel after fire is a no-op" [ 1 ] !fired
 
 let engine_negative_delay_clamped () =
   let engine = Des.Engine.create () in
@@ -669,30 +669,38 @@ let shard_cross_delivery_order_property =
 
 (* A program mixes direct events (source 0) with the entries of two
    lines (sources 1, 2). Each executed event logs its id and time, then
-   takes the next step of the pool and pushes that step's [fanout]
-   children [delta] ms ahead on the step's source, so pushes are
-   re-entrant and, with deltas 0..3 and fanouts up to 2, equal
-   timestamps are common. A line's times may not decrease, so a line
-   child is lifted to its line's last time; direct children are not.
-   Run once with lines and once with [schedule_at] for everything, the
-   two logs must be equal: a line keeps each entry's place in the tie
-   order. *)
+   takes the next step of the pool: it may kill one of the three most
+   recently pushed events, and it pushes that step's [fanout] children
+   [delta] ms ahead on the step's source, so pushes are re-entrant and,
+   with deltas 0..3 and fanouts up to 2, equal timestamps are common. A
+   line's times may not decrease, so a line child is lifted to its line's
+   last time; direct children are not. A killed event is a no-op: with
+   lines it is dead to its line's liveness test, with direct scheduling
+   its closure does nothing. Run once with lines and once with
+   [schedule_at] for everything, the two logs must be equal: a line
+   keeps each entry's place in the tie order, and a dead entry never
+   reaches the callback. *)
 let run_line_program ~lines (roots, pool) =
   let engine = Des.Engine.create () in
   let log = ref [] and next_id = ref 0 and cursor = ref 0 in
+  let dead = Array.make (List.length roots + (2 * Array.length pool)) false in
   let last = Array.make 3 neg_infinity in
   let push_ref = ref (fun _ _ -> ()) in
   let fire id =
     log := (id, Des.Engine.now engine) :: !log;
     if !cursor < Array.length pool then begin
-      let src, delta, fanout = pool.(!cursor) in
+      let src, delta, fanout, kill = pool.(!cursor) in
       incr cursor;
+      if kill < 3 && kill < !next_id then dead.(!next_id - 1 - kill) <- true;
       for _ = 1 to fanout do
         !push_ref src (Des.Engine.now engine +. float_of_int delta)
       done
     end
   in
-  let ls = Array.init 2 (fun _ -> Des.Engine.line engine ~dummy:(-1) fire) in
+  let ls =
+    Array.init 2 (fun _ ->
+        Des.Engine.line engine ~dummy:(-1) ~live:(fun id -> not dead.(id)) fire)
+  in
   (push_ref :=
      fun src time ->
        let time = if src = 0 then time else Float.max time last.(src) in
@@ -700,13 +708,17 @@ let run_line_program ~lines (roots, pool) =
        let id = !next_id in
        incr next_id;
        if src > 0 && lines then Des.Engine.line_push ls.(src - 1) ~time_ms:time id
-       else Des.Engine.schedule_at engine ~time_ms:time (fun () -> fire id));
+       else
+         Des.Engine.schedule_at engine ~time_ms:time (fun () ->
+             if not dead.(id) then fire id));
   List.iter (fun (src, time) -> !push_ref src (float_of_int time)) roots;
   Des.Engine.run engine;
   List.rev !log
 
 let line_order_property =
-  let step = QCheck.Gen.(triple (int_bound 2) (int_bound 3) (int_bound 2)) in
+  let step =
+    QCheck.Gen.(quad (int_bound 2) (int_bound 3) (int_bound 2) (int_bound 5))
+  in
   let root = QCheck.Gen.(pair (int_bound 2) (int_bound 5)) in
   QCheck.Test.make ~count:300 ~name:"line: execution order equals direct scheduling"
     (QCheck.make
@@ -720,7 +732,7 @@ let line_order_property =
 
 let line_rejects_decreasing_time () =
   let engine = Des.Engine.create () in
-  let l = Des.Engine.line engine ~dummy:0 ignore in
+  let l = Des.Engine.line engine ~dummy:0 ~live:(fun _ -> true) ignore in
   Des.Engine.line_push l ~time_ms:10.0 1;
   Des.Engine.line_push l ~time_ms:10.0 2;
   check bool "a push below the last time raises" true
@@ -728,7 +740,7 @@ let line_rejects_decreasing_time () =
     | () -> false
     | exception Invalid_argument _ -> true);
   let fired = ref [] in
-  let l = Des.Engine.line engine ~dummy:0 (fun v -> fired := v :: !fired) in
+  let l = Des.Engine.line engine ~dummy:0 ~live:(fun _ -> true) (fun v -> fired := v :: !fired) in
   Des.Engine.line_push l ~time_ms:5.0 1;
   Des.Engine.run engine;
   (* The clock is now 10: a later push is clamped to it, like schedule_at. *)
@@ -740,7 +752,7 @@ let line_entry_runs_under_its_context () =
   let engine = Des.Engine.create () in
   let seen = ref [] in
   let l =
-    Des.Engine.line engine ~dummy:0 (fun v ->
+    Des.Engine.line engine ~dummy:0 ~live:(fun _ -> true) (fun v ->
         seen := (v, Des.Engine.current_context engine) :: !seen)
   in
   let a = Des.Trace_context.root ~trace:7 and b = Des.Trace_context.root ~trace:9 in
@@ -757,13 +769,18 @@ let line_entry_runs_under_its_context () =
     (Des.Trace_context.is_none (Des.Engine.current_context engine))
 
 (* The ring grows past its first capacity, half the entries fire, and the
-   major GC runs while the line is still live: no fired payload may stay
-   reachable from the line's slots, and no unfired one may be lost. *)
+   quarter behind them is dead: the last entry fired drops it. The major
+   GC runs while the line is still live: no fired or dropped payload may
+   stay reachable from the line's slots, and no live one may be lost. *)
 let line_releases_fired () =
   let n = 1_000 in
   let engine = Des.Engine.create () in
   let fired = ref 0 in
-  let l = Des.Engine.line engine ~dummy:(ref (-1)) (fun _ -> incr fired) in
+  let l =
+    Des.Engine.line engine ~dummy:(ref (-1))
+      ~live:(fun v -> !v < n / 2 || !v >= 3 * n / 4)
+      (fun _ -> incr fired)
+  in
   let weak = Weak.create n in
   for i = 0 to n - 1 do
     let value = ref i in
@@ -781,7 +798,10 @@ let line_releases_fired () =
     !r
   in
   check int "fired payloads still reachable" 0 (reachable 0 (n / 2));
-  check int "queued payloads kept" (n / 2) (reachable (n / 2) n);
+  check int "dropped payloads still reachable" 0 (reachable (n / 2) (3 * n / 4));
+  check int "queued payloads kept" (n / 4) (reachable (3 * n / 4) n);
+  Des.Engine.run engine;
+  check int "live entries all fired" (3 * n / 4) !fired;
   Des.Engine.line_push (Sys.opaque_identity l) ~time_ms:(float_of_int n) (ref n)
 
 (* Five clients acquire every 10 ms for 10 s and hold each grant 5 s:
@@ -868,7 +888,7 @@ let suite =
     Alcotest.test_case "engine: nested scheduling" `Quick engine_nested_scheduling;
     Alcotest.test_case "engine: run until" `Quick engine_run_until;
     Alcotest.test_case "engine: cancellable timers" `Quick engine_cancel_timer;
-    Alcotest.test_case "engine: timer_pending lifecycle" `Quick engine_timer_pending_lifecycle;
+    Alcotest.test_case "engine: timer cancel lifecycle" `Quick engine_timer_cancel_lifecycle;
     Alcotest.test_case "engine: negative delay clamped" `Quick engine_negative_delay_clamped;
     Alcotest.test_case "engine: past schedule clamped" `Quick engine_past_absolute_time_clamped;
     Alcotest.test_case "engine: obs-off drain allocation" `Quick

@@ -661,54 +661,59 @@ let fixed_backoff ~max_attempts =
 
 let watchdog_fires_per_client_not_per_attempt () =
   (* Five clients, an acquire every 50 ms each for 10 s, every reply in
-     20 ms against a 1 s timeout. One watchdog per client fires about once
-     per timeout, wherever its oldest unsettled attempt's deadline falls.
-     A timer per attempt would put 1000 watchdog events through the queue,
-     each one cancelled by its reply. *)
-  let engine = Des.Engine.create () in
-  let fired = ref 0 in
-  let count ~label ~armed_ms:_ ~now_ms:_ =
-    if label = "driver.retry.timeout" then incr fired
-  in
-  Des.Engine.set_tracer engine
-    (Some
-       {
-         Des.Engine.on_timer_fired = count;
-         on_timer_cancelled = count;
-         after_step = (fun ~now_ms:_ ~pending:_ -> ());
-       });
+     20 ms against a 1 s timeout. Each client's timeouts fire about once
+     per timeout, as an entry still in flight at the deadline of the one
+     before it; the settled entries between them cost no event. An event
+     per attempt would add 1000 events to the run without timeouts. *)
   let clients = regions () in
   let duration_ms = 10_000.0 and timeout_ms = 1_000.0 in
   let requests =
     Array.init 1_000 (fun i ->
         req (float_of_int (i / 5) *. 50.0) (i mod 5) Trace.Workload.Acquire 1)
   in
-  let spec =
-    {
-      (Harness.Driver.default_spec ~client_regions:clients ~requests ~duration_ms)
-      with
-      Harness.Driver.drain_ms = 5_000.0;
-      client_timeout_ms = timeout_ms;
-      retry = fixed_backoff ~max_attempts:3;
-    }
+  (* The run's result and the number of events it put through the queue. *)
+  let run client_timeout_ms =
+    let engine = Des.Engine.create () in
+    let events = ref 0 in
+    Des.Engine.set_tracer engine
+      (Some
+         {
+           Des.Engine.on_timer_fired = (fun ~label:_ ~armed_ms:_ ~now_ms:_ -> ());
+           on_timer_cancelled = (fun ~label:_ ~armed_ms:_ ~now_ms:_ -> ());
+           after_step = (fun ~now_ms:_ ~pending:_ -> incr events);
+         });
+    let spec =
+      {
+        (Harness.Driver.default_spec ~client_regions:clients ~requests ~duration_ms)
+        with
+        Harness.Driver.drain_ms = 5_000.0;
+        client_timeout_ms;
+        retry = fixed_backoff ~max_attempts:3;
+      }
+    in
+    let r =
+      Harness.Driver.run ~t_system:(timed_stub engine ~delay_ms:(fun _ -> 20.0)) spec
+    in
+    (r, !events)
   in
-  let r =
-    Harness.Driver.run ~t_system:(timed_stub engine ~delay_ms:(fun _ -> 20.0)) spec
-  in
+  let r, events = run timeout_ms in
+  let _, baseline = run infinity in
   check int "every acquire committed" 1_000 r.Harness.Driver.committed;
   check int "no timeouts" 0 r.Harness.Driver.timed_out;
   let bound =
     Array.length clients * (int_of_float (Float.ceil (duration_ms /. timeout_ms)) + 1)
   in
   check bool
-    (Printf.sprintf "%d watchdog timer events <= %d" !fired bound)
-    true (!fired <= bound)
+    (Printf.sprintf "%d timeout events <= %d" (events - baseline) bound)
+    true
+    (events >= baseline && events - baseline <= bound)
 
 let reply_at_the_deadline_is_a_timeout () =
   (* One client: acquire A at 0 ms answered in 20 ms, acquire B at 50 ms
-     answered in exactly the 100 ms timeout. The watchdog fires at A's
-     deadline (100 ms) and re-arms for B's (150 ms) behind B's reply,
-     which was queued at 50 ms: the reply must still lose the tie. *)
+     answered in exactly the 100 ms timeout. B's timeout (150 ms) enters
+     the queue only when A's settled entry fires at 100 ms, behind B's
+     reply, which was queued at 50 ms: the reply must still lose the
+     tie. *)
   let engine = Des.Engine.create () in
   let delay_ms = function
     | Samya.Types.Acquire { amount = 2; _ } -> 100.0
