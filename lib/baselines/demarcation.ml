@@ -82,6 +82,10 @@ let init_entity t ~entity ~maximum =
       ctx.tokens_left <- share + (if i < extra then 1 else 0))
     t.sites
 
+(* The CPU finish is an event of its own here, unlike at a Samya site,
+   whose reply takes the finish time and folds it into the return leg
+   (DESIGN.md §5). Leaving this baseline's event order alone keeps its
+   outputs fixed across changes to Samya's reply path. *)
 let reply_after_processing t site reply response =
   let s = t.sites.(site) in
   let now = Des.Engine.now t.engine in

@@ -158,15 +158,15 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
   Array.iteri
     (fun i (site, _at_ms, heal_ms) ->
       (* [submit_to_site] calls straight into the site, so the probe must
-         fire on the site's own lane; its reply also lands there. *)
+         fire on the site's own lane; its reply is called there, with the
+         time the answer leaves the site. *)
       let probe_engine = facade.Facade.sched_region regions.(site) in
       Des.Engine.schedule_at probe_engine ~time_ms:(heal_ms +. 1.0) (fun () ->
           let sent = Des.Engine.now probe_engine in
           Samya.Cluster.submit_to_site cluster ~site
             (Samya.Types.Acquire { entity; amount = 1; deadline_ms = infinity })
-            ~reply:(fun _ ->
-              let now = Des.Engine.now probe_engine in
-              probe_replies.(i) <- Some (now, site, now -. sent))))
+            ~reply:(fun ~at_ms _ ->
+              probe_replies.(i) <- Some (at_ms, site, at_ms -. sent))))
     crashes;
   (* Outcome counters per client region, summed after the run. *)
   let counts = Array.map (fun _ -> Array.make 3 0) regions in

@@ -390,12 +390,17 @@ type ctx = {
          due, on the client's lane; empty unless grant-driven releases *)
 }
 
-(* Phase of a first-send instant (relative to t0): the number of
-   boundaries at or before it. Linear scan — phase counts are tiny. *)
-let phase_of c rel =
-  let p = ref 0 in
-  Array.iter (fun b -> if rel >= b then incr p) c.spec.phases;
-  !p
+(* Phase of a request's first send (relative to t0): the number of
+   boundaries at or before it. A plain loop — phase counts are tiny — that
+   keeps the instant in a register: no closure, no boxed float. *)
+let phase_of c p =
+  let rel = p.p_first_sent -. c.t0 in
+  let phases = c.spec.phases in
+  let ph = ref 0 in
+  for i = 0 to Array.length phases - 1 do
+    if rel >= phases.(i) then incr ph
+  done;
+  !ph
 
 let max_attempts spec = match spec.retry with None -> 1 | Some r -> r.max_attempts
 
@@ -437,7 +442,7 @@ let terminal c p ~now ~tag =
   if acc.n_phases > 0 then begin
     (* Retry attempts share [first_sent], so a whole request buckets into
        the phase that originated it. *)
-    let ph = phase_of c (p.p_first_sent -. c.t0) in
+    let ph = phase_of c p in
     if tag = 0 then begin
       acc.ph_committed.(client).(ph) <- acc.ph_committed.(client).(ph) + 1;
       Stats.Sample_set.add acc.ph_lat.(client).(ph) lat

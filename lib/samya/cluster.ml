@@ -3,7 +3,13 @@
    and every lane has its own deterministic client-leg stream: leg jitter
    is drawn by whichever lane executes the leg (client lane outbound,
    site lane for the return), so the draw order — and therefore the whole
-   run — does not depend on how many domains drain the windows. *)
+   run — does not depend on how many domains drain the windows.
+
+   A served request costs two events: the outbound leg, which runs the
+   site, and the return leg, which runs the client's reply. The site
+   answers when it commits to a response and says when that response
+   leaves ({!Types.reply}); the return jitter is drawn then, on the site
+   lane, and the return leg is scheduled from the site's CPU finish. *)
 type t = {
   shard : Des.Shard.t;
   region_lane : int array; (* lane per Region.index *)
@@ -179,16 +185,18 @@ let client_leg_ms t rng ~ri ~site_index =
 
 let submit_to_site t ~site request ~reply = Site.submit t.sites.(site) request ~reply
 
-(* Schedule a client leg between the client's lane and the site's lane.
-   A cross-lane leg always joins distinct regions, so its latency is at
-   least the shard lookahead — exactly the safety contract
-   [Shard.schedule_cross] enforces. Same-lane legs (client co-located
-   with the site, or homed to it as nearest hosted region) stay local. *)
-let schedule_leg t ~from_lane ~to_lane ~delay_ms f =
-  let src_engine = Des.Shard.engine t.shard from_lane in
-  let time_ms = Des.Engine.now src_engine +. delay_ms in
-  if from_lane = to_lane then Des.Engine.schedule_at src_engine ~time_ms f
+(* Schedule a client leg, arriving at [time_ms], between the client's lane
+   and the site's lane. A cross-lane leg always joins distinct regions, so
+   it arrives at least the shard lookahead after the executing lane's
+   clock — exactly the safety contract [Shard.schedule_cross] enforces.
+   Same-lane legs (client co-located with the site, or homed to it as
+   nearest hosted region) stay local. *)
+let schedule_leg t ~from_lane ~to_lane ~time_ms f =
+  if from_lane = to_lane then
+    Des.Engine.schedule_at (Des.Shard.engine t.shard from_lane) ~time_ms f
   else Des.Shard.schedule_cross t.shard ~src:from_lane ~dst:to_lane ~time_ms f
+
+let lane_now t lane = Des.Engine.now (Des.Shard.engine t.shard lane)
 
 let submit t ~region request ~reply =
   let ri = Geonet.Region.index region in
@@ -199,18 +207,21 @@ let submit t ~region request ~reply =
       let site_lane = region_lane t t.regions.(site_index) in
       (* Executes on the client's lane: the outbound draw comes from it. *)
       let there = client_leg_ms t t.lane_leg_rngs.(client_lane) ~ri ~site_index in
-      schedule_leg t ~from_lane:client_lane ~to_lane:site_lane ~delay_ms:there (fun () ->
+      schedule_leg t ~from_lane:client_lane ~to_lane:site_lane
+        ~time_ms:(lane_now t client_lane +. there) (fun () ->
           let target = t.sites.(site_index) in
           if not (Site.alive target) then
             (* The site died while the request was in flight. *)
-            schedule_leg t ~from_lane:site_lane ~to_lane:client_lane ~delay_ms:there
-              (fun () -> reply Types.Unavailable)
+            schedule_leg t ~from_lane:site_lane ~to_lane:client_lane
+              ~time_ms:(lane_now t site_lane +. there) (fun () -> reply Types.Unavailable)
           else
-            Site.submit target request ~reply:(fun response ->
-                (* Executes on the site's lane: the return draw is its. *)
+            Site.submit target request ~reply:(fun ~at_ms response ->
+                (* Executes on the site's lane when the site commits to
+                   [response]: the return draw is its, and the leg leaves
+                   when the response does ([at_ms] is never in the past). *)
                 let back = client_leg_ms t t.lane_leg_rngs.(site_lane) ~ri ~site_index in
-                schedule_leg t ~from_lane:site_lane ~to_lane:client_lane ~delay_ms:back
-                  (fun () -> reply response)))
+                schedule_leg t ~from_lane:site_lane ~to_lane:client_lane
+                  ~time_ms:(at_ms +. back) (fun () -> reply response)))
 
 (* Fault events land in lane -1: they are injected between windows (via
    barrier-aligned globals), so stamping them from the coordinating

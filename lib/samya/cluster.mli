@@ -5,7 +5,10 @@
     evaluation merges them, §5.2); routing picks the nearest live site and
     fails over to the next-nearest when a region's site is down. Client
     transport latency (client → app manager → site and back) is simulated
-    on top of the inter-site network's latency model.
+    on top of the inter-site network's latency model. A served request
+    costs two simulation events, one per client leg: the site answers when
+    it commits to a response, and the return leg leaves at the site's CPU
+    finish ({!Types.reply}).
 
     The cluster also exposes the failure injection (crashes, partitions)
     and the global accounting used by the invariant checks and the
@@ -125,9 +128,10 @@ val submit :
     (transport + service + queueing latency included). With no live site
     reachable the reply is [Unavailable]. *)
 
-val submit_to_site :
-  t -> site:int -> Types.request -> reply:(Types.response -> unit) -> unit
-(** Bypass routing (tests). *)
+val submit_to_site : t -> site:int -> Types.request -> reply:Types.reply -> unit
+(** Bypass routing and client legs (tests, probes): {!Site.submit} on
+    site [site], whose [reply] is called when the site commits, with the
+    time the response leaves it. Call it from the site's own lane. *)
 
 val crash_site : t -> int -> unit
 val recover_site : t -> int -> unit

@@ -1,3 +1,8 @@
+(* The open epoch's running sums. A float-only record stores its fields
+   unboxed, so [record] updates them without allocating (float fields of
+   [t], a mixed record, would box every new value). *)
+type current = { mutable demand : float; mutable peak : float }
+
 type t = {
   engine : Des.Engine.t;
   epoch_ms : float;
@@ -7,8 +12,7 @@ type t = {
   mutable stored : int; (* number of completed epochs held, <= capacity *)
   mutable head : int; (* next write slot *)
   mutable current_epoch : int;
-  mutable current_demand : float;
-  mutable current_peak : float;
+  current : current;
 }
 
 let create ~engine ~epoch_ms ~capacity =
@@ -23,13 +27,12 @@ let create ~engine ~epoch_ms ~capacity =
     stored = 0;
     head = 0;
     current_epoch = 0;
-    current_demand = 0.0;
-    current_peak = 0.0;
+    current = { demand = 0.0; peak = 0.0 };
   }
 
-let push_completed t value peak =
-  t.buffer.(t.head) <- value;
-  t.peaks.(t.head) <- peak;
+let push_completed t =
+  t.buffer.(t.head) <- t.current.demand;
+  t.peaks.(t.head) <- t.current.peak;
   t.head <- (t.head + 1) mod t.capacity;
   if t.stored < t.capacity then t.stored <- t.stored + 1
 
@@ -39,16 +42,17 @@ let epoch_of t = int_of_float (Des.Engine.now t.engine /. t.epoch_ms)
 let roll t =
   let now_epoch = epoch_of t in
   while t.current_epoch < now_epoch do
-    push_completed t t.current_demand t.current_peak;
-    t.current_demand <- 0.0;
-    t.current_peak <- 0.0;
+    push_completed t;
+    t.current.demand <- 0.0;
+    t.current.peak <- 0.0;
     t.current_epoch <- t.current_epoch + 1
   done
 
 let record t ~amount =
   roll t;
-  t.current_demand <- t.current_demand +. float_of_int amount;
-  if t.current_demand > t.current_peak then t.current_peak <- t.current_demand
+  let c = t.current in
+  c.demand <- c.demand +. float_of_int amount;
+  if c.demand > c.peak then c.peak <- c.demand
 
 let ring t source =
   Array.init t.stored (fun i ->
@@ -65,10 +69,10 @@ let peak_history t =
 
 let current_epoch_demand t =
   roll t;
-  t.current_demand
+  t.current.demand
 
 let current_epoch_peak t =
   roll t;
-  t.current_peak
+  t.current.peak
 
 let epoch_index t = epoch_of t

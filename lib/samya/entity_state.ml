@@ -14,7 +14,7 @@ type borrow = {
 type t = {
   core : t Entity_map.core;
   queue :
-    (Types.request * (Types.response -> unit) * Des.Trace_context.t * float) Queue.t;
+    (Types.request * Types.reply * Des.Trace_context.t * float) Queue.t;
       (** last component: the entry's effective deadline — the request's
           own, tightened by the site's default budget at enqueue time *)
   mutable queue_peak : int;

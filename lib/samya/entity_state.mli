@@ -29,7 +29,7 @@ type t = {
           participation flag live there so cold entities can be served
           without materialising this record *)
   queue :
-    (Types.request * (Types.response -> unit) * Des.Trace_context.t * float) Queue.t;
+    (Types.request * Types.reply * Des.Trace_context.t * float) Queue.t;
       (** each entry keeps the causal context it arrived under, restored
           around its eventual service so lineage survives the park, plus
           its effective deadline (the request's own, tightened by

@@ -2,7 +2,7 @@ type read_ctx = {
   r_entity : Types.entity;
   mutable acc : int;
   mutable replies : int;
-  r_reply : Types.response -> unit;
+  r_reply : Types.reply;
   mutable r_timer : Des.Engine.timer option;
   r_ctx : Des.Trace_context.t;
       (* the fan-out's own lineage, restored around the final reply (the
@@ -177,14 +177,14 @@ let overload_shed t request reply =
     t.s_shed_deadline <- t.s_shed_deadline + 1;
     obs_incr t "samya.shed.deadline";
     flight_shed t ~entity:(Types.request_entity request) "deadline";
-    reply Types.Rejected_deadline;
+    reply ~at_ms:(now t) Types.Rejected_deadline;
     true
   end
   else if admission_shed t request then begin
     t.s_shed_admission <- t.s_shed_admission + 1;
     obs_incr t "samya.shed.admission";
     flight_shed t ~entity:(Types.request_entity request) "admission";
-    reply Types.Rejected_deadline;
+    reply ~at_ms:(now t) Types.Rejected_deadline;
     true
   end
   else false
@@ -197,7 +197,9 @@ let effective_deadline t request =
 
 (* Requests occupy the site's CPU for [local_processing_ms] each; the
    reply carries the queueing-for-CPU delay, which is what saturates a
-   hot site during demand spikes. *)
+   hot site during demand spikes. The site commits to [response] now, so
+   the reply is called now, told when the CPU finishes: the caller's
+   return leg starts there, and the finish costs no event of its own. *)
 let reply_after_processing t reply response =
   let start = Float.max (now t) t.busy_until in
   let finish = start +. t.config.Config.local_processing_ms in
@@ -216,7 +218,7 @@ let reply_after_processing t reply response =
         Obs.Trace_log.record log
           (Service { trace; site = t.site_id; t0 = start; t1 = finish })
       end);
-  Des.Engine.schedule_at t.engine ~time_ms:finish (fun () -> reply response)
+  reply ~at_ms:finish response
 
 let reject_acquire t reply =
   t.s_rejected <- t.s_rejected + 1;
@@ -323,7 +325,7 @@ let drain_queue ?(reject_unservable = false) t (ctx : Entity_state.t) =
                    site = t.site_id;
                    ts = now t;
                  }));
-      reply Types.Rejected_deadline
+      reply ~at_ms:(now t) Types.Rejected_deadline
     end
     else if Des.Trace_context.is_none qctx then
       (* [drain:false] lets an unservable acquire engage the mechanism
@@ -507,7 +509,7 @@ let serve_read t ?(deadline_ms = infinity) ~entity ~own reply =
     t.s_shed_deadline <- t.s_shed_deadline + 1;
     obs_incr t "samya.shed.deadline";
     flight_shed t ~entity "deadline";
-    reply Types.Rejected_deadline
+    reply ~at_ms:(now t) Types.Rejected_deadline
   end
   else
   match Obs.Sink.tap t.obs with

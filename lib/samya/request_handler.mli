@@ -51,13 +51,18 @@ val create :
     the same one-load-one-branch disarmed cost. *)
 
 val accept_core :
-  t -> Entity_state.t Entity_map.core -> Types.request -> (Types.response -> unit) -> unit
+  t -> Entity_state.t Entity_map.core -> Types.request -> Types.reply -> unit
 (** Dispatch a validated acquire/release on an entity that may still be
     cold: releases and in-pool acquires of a cold entity are served
     straight from the core ledger (no queue, no demand tracking); anything
     else heats the entity via [deps.heat], records demand, then serves
     locally or queues while the entity is redistributing. Read requests
     must go to {!serve_read} instead.
+
+    The reply is called once, when the site commits to its response (see
+    {!Types.reply}): a served request holds the site's CPU for
+    {!Config.t.local_processing_ms} after any backlog, and its [at_ms]
+    is the end of that occupancy; no event is scheduled for it.
 
     Overload shedding runs first, before any CPU occupancy or ledger
     movement: a request whose deadline has already passed, or an acquire
@@ -79,7 +84,7 @@ val serve_read :
   ?deadline_ms:float ->
   entity:Types.entity ->
   own:int ->
-  (Types.response -> unit) ->
+  Types.reply ->
   unit
 (** Start a global-snapshot read: [own] tokens plus a fan-out to peers,
     answered after quorum-of-all or timeout. A read already past

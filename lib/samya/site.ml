@@ -420,7 +420,7 @@ let hot_entities t = Entity_map.hot_count t.entities
 (* Entry points                                                         *)
 
 let submit t request ~reply =
-  if not !(t.is_alive) then reply Types.Unavailable
+  if not !(t.is_alive) then reply ~at_ms:(Des.Engine.now t.engine) Types.Unavailable
   else begin
     (* Request-path heavy-hitters feed: per-lane windowed sketches, so
        the merged top-k is identical at any worker count. Disarmed cost:
@@ -433,7 +433,7 @@ let submit t request ~reply =
           (Types.request_entity request)
     | Some _ -> ());
     match Types.validate request with
-    | Error _ -> reply Types.Rejected
+    | Error _ -> reply ~at_ms:(Des.Engine.now t.engine) Types.Rejected
     | Ok () -> (
         let entity = Types.request_entity request in
         match request with
@@ -443,7 +443,7 @@ let submit t request ~reply =
               ~deadline_ms:(Types.request_deadline request) ~entity ~own reply
         | Types.Acquire _ | Types.Release _ -> (
             match get_core t entity with
-            | None -> reply Types.Rejected
+            | None -> reply ~at_ms:(Des.Engine.now t.engine) Types.Rejected
             | Some core -> Request_handler.accept_core t.handler core request reply))
   end
 

@@ -96,11 +96,13 @@ val entity_count : t -> int
 val hot_entities : t -> int
 (** Entities whose heavyweight state is currently materialised. *)
 
-val submit : t -> Types.request -> reply:(Types.response -> unit) -> unit
+val submit : t -> Types.request -> reply:Types.reply -> unit
 (** A client request as delivered by an app manager (transport latency
-    already accounted for by the caller). [reply] fires when the request is
-    granted/rejected — possibly much later if it is queued behind a
-    redistribution. *)
+    already accounted for by the caller). [reply] is called once, when the
+    site commits to granting or refusing the request — possibly much
+    later if it is queued behind a redistribution — with the time its
+    response leaves the site (see {!Types.reply}): a served request's CPU
+    finish, the current time for refusals that cost no CPU. *)
 
 val tokens_left : t -> entity:Types.entity -> int
 

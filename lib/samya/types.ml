@@ -12,6 +12,8 @@ type response =
   | Read_result of { tokens_available : int }
   | Unavailable
 
+type reply = at_ms:float -> response -> unit
+
 let request_entity = function
   | Acquire { entity; _ } | Release { entity; _ } | Read { entity; _ } -> entity
 

@@ -30,6 +30,13 @@ type response =
   | Read_result of { tokens_available : int }
   | Unavailable  (** no reachable site to serve the request *)
 
+type reply = at_ms:float -> response -> unit
+(** A site's answer to one request, called once, when the site commits to
+    [response]. [at_ms] is when the response leaves the site: the end of
+    the request's CPU occupancy for a served request, the current time
+    for a refusal that costs no CPU (a shed, a deadline refusal,
+    [Unavailable]). Never earlier than the time of the call. *)
+
 val request_entity : request -> entity
 
 val request_deadline : request -> float

@@ -1,11 +1,16 @@
+(* The running sum sits in a record of its own: a float-only record
+   stores its field unboxed, so [add] updates it without allocating (a
+   float field of [t], a mixed record, would box every new sum). *)
+type sum = { mutable total : float }
+
 type t = {
   mutable data : float array;
   mutable size : int;
   mutable sorted : bool;
-  mutable sum : float;
+  sum : sum;
 }
 
-let create () = { data = [||]; size = 0; sorted = true; sum = 0.0 }
+let create () = { data = [||]; size = 0; sorted = true; sum = { total = 0.0 } }
 
 let add t x =
   if t.size = Array.length t.data then begin
@@ -17,14 +22,19 @@ let add t x =
   t.data.(t.size) <- x;
   t.size <- t.size + 1;
   t.sorted <- false;
-  t.sum <- t.sum +. x
+  t.sum.total <- t.sum.total +. x
 
 let count t = t.size
 
+(* A merge sort on [Float.compare] rather than a heap sort through the
+   polymorphic [compare]: both use the same total order (NaN first, then
+   -inf .. +inf), so the sorted values — and every percentile — are the
+   same; only ties can land in another order, and tied floats are equal
+   (bar the sign of a zero). *)
 let ensure_sorted t =
   if not t.sorted then begin
     let live = Array.sub t.data 0 t.size in
-    Array.sort compare live;
+    Array.stable_sort Float.compare live;
     Array.blit live 0 t.data 0 t.size;
     t.sorted <- true
   end
@@ -45,7 +55,7 @@ let percentile t p =
 
 let median t = percentile t 50.0
 
-let mean t = if t.size = 0 then nan else t.sum /. float_of_int t.size
+let mean t = if t.size = 0 then nan else t.sum.total /. float_of_int t.size
 
 let min_value t = percentile t 0.0
 

@@ -973,7 +973,12 @@ let accept_path_allocation_guard () =
     (armed <= off +. 512.0)
 
 (* Absolute budgets, next to the relative guards above: what the request
-   path allocates with obs off. *)
+   path allocates with obs off. On OCaml 5.1 a granted site submit reads
+   6 words (the boxed CPU-finish time handed to the reply among them) and
+   a driven request ~130; the budgets leave room for compiler drift, not
+   for a per-request closure or event coming back. *)
+
+let ignore_reply ~at_ms:_ _ = ()
 
 let site_submit_minor_words_per_call () =
   (* A hot entity with a deep local pool: every acquire is granted
@@ -986,7 +991,7 @@ let site_submit_minor_words_per_call () =
   let calls = 1_000 in
   let batch () =
     for _ = 1 to calls do
-      Samya.Site.submit site request ~reply:ignore
+      Samya.Site.submit site request ~reply:ignore_reply
     done
   in
   batch ();
@@ -1001,8 +1006,8 @@ let accept_path_absolute_budget () =
   ignore (site_submit_minor_words_per_call ());
   let words = site_submit_minor_words_per_call () in
   check bool
-    (Printf.sprintf "granted acquire costs <= 16 minor words (got %.1f)" words)
-    true (words <= 16.0)
+    (Printf.sprintf "granted acquire costs <= 8 minor words (got %.1f)" words)
+    true (words <= 8.0)
 
 let driver_minor_words_per_request () =
   (* One client alternating acquire and release on the default 5-site
@@ -1031,9 +1036,9 @@ let request_path_absolute_budget () =
   ignore (driver_minor_words_per_request ());
   let words = driver_minor_words_per_request () in
   check bool
-    (Printf.sprintf "request path costs <= 200 minor words per request (got %.1f)"
+    (Printf.sprintf "request path costs <= 150 minor words per request (got %.1f)"
        words)
-    true (words <= 200.0)
+    true (words <= 150.0)
 
 let slo_minor_words ~armed ~replies =
   (* [replies] acquires spread over [0, 19 s), so every reply lands in

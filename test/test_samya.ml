@@ -82,6 +82,46 @@ let demand_tracker_capacity () =
   check int "capacity bound" 4 (Array.length history);
   check (Alcotest.float 1e-9) "keeps the newest" 8.0 history.(3)
 
+(* The tracker against a model that keeps every epoch: records at
+   random times (gaps of several epochs included) and a small ring, so
+   completed epochs wrap and fall off. Net demand and the running peak
+   are compared bit for bit, completed epochs and the open one alike. *)
+let demand_tracker_matches_model =
+  QCheck.Test.make ~count:200 ~name:"demand tracker: history and peaks match a model"
+    QCheck.(
+      pair (int_range 1 6)
+        (list_of_size Gen.(int_range 0 60) (pair (int_bound 2_500) (int_range (-10) 10))))
+    (fun (capacity, ops) ->
+      let epoch_ms = 1_000.0 in
+      let engine = Des.Engine.create () in
+      let tracker = Samya.Demand_tracker.create ~engine ~epoch_ms ~capacity in
+      let demand = Hashtbl.create 16 and peak = Hashtbl.create 16 in
+      let get tbl e = Option.value (Hashtbl.find_opt tbl e) ~default:0.0 in
+      let time = ref 0.0 in
+      List.iter
+        (fun (gap, amount) ->
+          time := !time +. float_of_int gap;
+          let e = int_of_float (!time /. epoch_ms) in
+          let d = get demand e +. float_of_int amount in
+          Hashtbl.replace demand e d;
+          if d > get peak e then Hashtbl.replace peak e d;
+          Des.Engine.schedule_at engine ~time_ms:!time (fun () ->
+              Samya.Demand_tracker.record tracker ~amount))
+        ops;
+      Des.Engine.run engine;
+      let now_epoch = int_of_float (!time /. epoch_ms) in
+      let stored = min capacity now_epoch in
+      let model tbl = Array.init stored (fun i -> get tbl (now_epoch - stored + i)) in
+      let same a b = Array.map Int64.bits_of_float a = Array.map Int64.bits_of_float b in
+      same (Samya.Demand_tracker.history tracker) (model demand)
+      && same (Samya.Demand_tracker.peak_history tracker) (model peak)
+      && same
+           [|
+             Samya.Demand_tracker.current_epoch_demand tracker;
+             Samya.Demand_tracker.current_epoch_peak tracker;
+           |]
+           [| get demand now_epoch; get peak now_epoch |])
+
 (* ------------------------------------------------------------------ *)
 (* Serving basics *)
 
@@ -122,6 +162,96 @@ let unknown_entity_rejected () =
     (fun r -> response := Some r);
   drain cluster;
   check bool "rejected" true (!response = Some Samya.Types.Rejected)
+
+(* The reply path: a site answers when it commits and says when its
+   response leaves; the cluster spends one event per client leg.
+   [record_events] collects the virtual time of every event any lane of
+   [cluster] executes from now on, newest first. *)
+let record_events cluster =
+  let times = ref [] in
+  let tracer =
+    {
+      Des.Engine.on_timer_fired = (fun ~label:_ ~armed_ms:_ ~now_ms:_ -> ());
+      on_timer_cancelled = (fun ~label:_ ~armed_ms:_ ~now_ms:_ -> ());
+      after_step = (fun ~now_ms ~pending:_ -> times := now_ms :: !times);
+    }
+  in
+  Array.iter
+    (fun engine -> Des.Engine.set_tracer engine (Some tracer))
+    (Des.Shard.engines (Option.get (Samya.Cluster.shard cluster)));
+  times
+
+let granted_submit_costs_two_events () =
+  (* A client co-located with site 0 acquires from a deep pool at 1 s,
+     long before the first anti-entropy round: the issue event, then the
+     outbound leg (which serves the request) and the return leg. The
+     return leg leaves at the CPU finish and carries one leg of jitter. *)
+  let cluster = make_cluster () in
+  let region = (regions ()).(0) in
+  let times = record_events cluster in
+  let sent = 1_000.0 in
+  let replied = ref [] in
+  submit_at cluster ~time_ms:sent ~region (Samya.Types.acquire ~entity ~amount:1 ())
+    (fun response ->
+      replied :=
+        (Des.Engine.now (Samya.Cluster.engine_of_region cluster region), response)
+        :: !replied);
+  Samya.Cluster.run_until cluster ~until_ms:(sent +. 100.0);
+  let base =
+    (Geonet.Region.client_site_rtt_ms /. 2.0) +. Geonet.Region.one_way_ms region region
+  in
+  let within lo x = x >= lo +. base -. 1e-9 && x <= lo +. (1.05 *. base) +. 1e-9 in
+  match (List.rev (List.filter (fun t -> t >= sent) !times), !replied) with
+  | [ issued; arrived; returned ], [ (reply_ms, response) ] ->
+      check bool "granted" true (response = Samya.Types.Granted);
+      check (Alcotest.float 0.0) "issued at the send" sent issued;
+      check bool "outbound leg within [base, 1.05 base]" true (within sent arrived);
+      let finish = arrived +. Samya.Config.default.Samya.Config.local_processing_ms in
+      check bool
+        (Printf.sprintf
+           "reply %.4f within [finish + base, finish + 1.05 base] of finish %.4f" returned
+           finish)
+        true (within finish returned);
+      check (Alcotest.float 0.0) "the reply runs in the return leg" returned reply_ms
+  | events, replies ->
+      Alcotest.failf "expected 3 events and one reply, got %d events and %d replies"
+        (List.length events) (List.length replies)
+
+let site_replies_at_commit () =
+  (* Three requests reach site 0 at 1 s: one already past its deadline,
+     then two acquires. Each reply is called at once; the shed leaves
+     at its arrival, the grants at their CPU finishes, the second queued
+     behind the first. *)
+  let cluster = make_cluster () in
+  let engine = Samya.Cluster.engine_of_region cluster (regions ()).(0) in
+  let replies = ref [] in
+  let submit request =
+    Samya.Cluster.submit_to_site cluster ~site:0 request ~reply:(fun ~at_ms response ->
+        replies := (Des.Engine.now engine, at_ms, response) :: !replies)
+  in
+  let arrival = 1_000.0 in
+  Des.Engine.schedule_at engine ~time_ms:arrival (fun () ->
+      submit (Samya.Types.acquire ~deadline_ms:500.0 ~entity ~amount:1 ());
+      submit (Samya.Types.acquire ~entity ~amount:1 ());
+      submit (Samya.Types.acquire ~entity ~amount:1 ()));
+  Samya.Cluster.run_until cluster ~until_ms:(arrival +. 100.0);
+  let cpu = Samya.Config.default.Samya.Config.local_processing_ms in
+  let expected =
+    [
+      (arrival, arrival, Samya.Types.Rejected_deadline);
+      (arrival, arrival +. cpu, Samya.Types.Granted);
+      (arrival, arrival +. cpu +. cpu, Samya.Types.Granted);
+    ]
+  in
+  check int "three replies" 3 (List.length !replies);
+  List.iteri
+    (fun i ((called, at_ms, response), (called', at_ms', response')) ->
+      check (Alcotest.float 0.0)
+        (Printf.sprintf "reply %d called at arrival" i)
+        called' called;
+      check (Alcotest.float 0.0) (Printf.sprintf "reply %d at_ms" i) at_ms' at_ms;
+      check bool (Printf.sprintf "reply %d response" i) true (response = response'))
+    (List.combine (List.rev !replies) expected)
 
 let routed_to_nearest_site () =
   let cluster = make_cluster () in
@@ -857,7 +987,7 @@ let invariant_reads_every_site () =
   Samya.Cluster.schedule_global cluster ~time_ms:1.0 (fun () ->
       Samya.Cluster.submit_to_site cluster ~site:4
         (Samya.Types.Acquire { entity; amount = 3; deadline_ms = infinity })
-        ~reply:(fun r -> granted := r = Samya.Types.Granted));
+        ~reply:(fun ~at_ms:_ r -> granted := r = Samya.Types.Granted));
   drain ~extra:1_000.0 cluster;
   check bool "acquire on site 4 granted" true !granted;
   check int "acquired on site 4 counts" 3 (Samya.Cluster.total_acquired cluster ~entity);
@@ -1234,4 +1364,9 @@ let suite =
       image_capture_is_constant_size;
     Alcotest.test_case "durable image: amnesia recovery restores it" `Quick
       amnesia_recovery_restores_the_image;
+    QCheck_alcotest.to_alcotest demand_tracker_matches_model;
+    Alcotest.test_case "reply path: a grant costs two events" `Quick
+      granted_submit_costs_two_events;
+    Alcotest.test_case "reply path: replies at commit with at_ms" `Quick
+      site_replies_at_commit;
   ]

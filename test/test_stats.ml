@@ -85,6 +85,72 @@ let sample_set_percentile_property =
       in
       monotone qs && List.for_all (fun q -> q >= lo -. 1e-9 && q <= hi +. 1e-9) qs)
 
+(* Samples drawn from a small pool (so duplicates are common), both
+   infinities, and a spread of finite values. *)
+let sample_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl [ infinity; neg_infinity; 0.0; 1.0; 2.5; 1e6 ]);
+        (5, float_range (-1000.0) 1000.0);
+      ])
+
+let samples =
+  QCheck.(make ~print:Print.(list float) Gen.(list_size (int_range 1 300) sample_gen))
+
+let bits = Int64.bits_of_float
+
+(* The sorted order and every percentile against [List.sort compare] and
+   the documented interpolation, bit for bit. A set sorted once and then
+   added to must re-sort, so the samples go in in two batches with a
+   percentile read between them. *)
+let sample_set_sort_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"sample_set: sort matches a reference sort" samples
+    (fun values ->
+      let s = Stats.Sample_set.create () in
+      let half = List.length values / 2 in
+      List.iteri (fun i x -> if i < half then Stats.Sample_set.add s x) values;
+      ignore (Stats.Sample_set.median s);
+      List.iteri (fun i x -> if i >= half then Stats.Sample_set.add s x) values;
+      let reference = Array.of_list (List.sort compare values) in
+      let n = Array.length reference in
+      let reference_percentile p =
+        let rank = p /. 100.0 *. float_of_int (n - 1) in
+        let lo = int_of_float (Float.floor rank) in
+        let hi = int_of_float (Float.ceil rank) in
+        let frac = rank -. float_of_int lo in
+        (reference.(lo) *. (1.0 -. frac)) +. (reference.(hi) *. frac)
+      in
+      List.for_all
+        (fun p ->
+          bits (Stats.Sample_set.percentile s p) = bits (reference_percentile p))
+        [ 0.0; 1.0; 25.0; 50.0; 75.0; 90.0; 99.0; 99.9; 100.0 ]
+      && Array.map bits (Stats.Sample_set.to_sorted_array s) = Array.map bits reference)
+
+(* [merge_into] keeps the running sum's association: a set built by
+   merging has the mean of one built by adding the same samples in the
+   same order, bit for bit. *)
+let sample_set_merge_mean_bit_identical =
+  QCheck.Test.make ~count:200
+    ~name:"sample_set: merged mean equals direct adds bit for bit"
+    QCheck.(
+      triple
+        (list (float_range (-1e6) 1e6))
+        (list (float_range (-1e6) 1e6))
+        (list (float_range (-1e6) 1e6)))
+    (fun (xs, ys, zs) ->
+      let of_list l =
+        let s = Stats.Sample_set.create () in
+        List.iter (Stats.Sample_set.add s) l;
+        s
+      in
+      let merged = of_list xs in
+      Stats.Sample_set.merge_into (of_list ys) ~into:merged;
+      Stats.Sample_set.merge_into (of_list zs) ~into:merged;
+      let direct = of_list (xs @ ys @ zs) in
+      Stats.Sample_set.count merged = Stats.Sample_set.count direct
+      && bits (Stats.Sample_set.mean merged) = bits (Stats.Sample_set.mean direct))
+
 let throughput_windows () =
   let t = Stats.Throughput.create ~window_ms:1000.0 in
   Stats.Throughput.record t ~time_ms:100.0;
@@ -180,4 +246,6 @@ let suite =
     Alcotest.test_case "series: autocorrelation" `Quick series_autocorrelation_periodic;
     Alcotest.test_case "series: split" `Quick series_split;
     Alcotest.test_case "series: windows" `Quick series_windows;
+    QCheck_alcotest.to_alcotest sample_set_sort_matches_reference;
+    QCheck_alcotest.to_alcotest sample_set_merge_mean_bit_identical;
   ]
