@@ -12,7 +12,7 @@ type borrow = {
 type ctx = {
   mutable tokens_left : int;
   mutable acquired_net : int;
-  queue : (Types.request * (Types.response -> unit) * Des.Trace_context.t) Queue.t;
+  queue : (Types.request * Types.reply * Des.Trace_context.t) Queue.t;
       (* each entry keeps the causal context it arrived under, restored
          around its eventual service so lineage survives the borrow *)
   mutable borrowing : borrow option;
@@ -25,7 +25,8 @@ type site = {
 }
 
 type t = {
-  engine : Des.Engine.t;
+  shard : Des.Shard.t;
+  engine : Des.Engine.t; (* the shard's one lane *)
   network : msg Geonet.Network.t;
   region_array : Geonet.Region.t array;
   sites : site array;
@@ -44,7 +45,7 @@ let borrow_patience_ms = 10_000.0
 (* The fixed escrow chunk a lender adds on top of the borrower's need. *)
 let borrow_quantum = 10
 
-let engine t = t.engine
+let shard t = t.shard
 
 let set_net_tracer t tracer = Geonet.Network.set_tracer t.network tracer
 
@@ -82,11 +83,10 @@ let init_entity t ~entity ~maximum =
       ctx.tokens_left <- share + (if i < extra then 1 else 0))
     t.sites
 
-(* The CPU finish is an event of its own here, unlike at a Samya site,
-   whose reply takes the finish time and folds it into the return leg
-   (DESIGN.md §5). Leaving this baseline's event order alone keeps its
-   outputs fixed across changes to Samya's reply path. *)
-let reply_after_processing t site reply response =
+(* The site commits to [response] now and answers with the time it
+   leaves, its CPU finish; the return leg is scheduled from there, as at
+   a Samya site (DESIGN.md §5), so the finish costs no event. *)
+let reply_after_processing t site (reply : Types.reply) response =
   let s = t.sites.(site) in
   let now = Des.Engine.now t.engine in
   let start = Float.max now s.busy_until in
@@ -100,7 +100,7 @@ let reply_after_processing t site reply response =
     record_causal t ~trace
       (Service { trace; site; t0 = start; t1 = finish })
   end;
-  Des.Engine.schedule_at t.engine ~time_ms:finish (fun () -> reply response)
+  reply ~at_ms:finish response
 
 (* Peers in proximity order from a borrower's region. *)
 let peers_by_proximity t site =
@@ -184,7 +184,7 @@ let start_borrow t site entity =
     ask_next t site entity
   end
 
-let serve t site request reply =
+let serve t site request (reply : Types.reply) =
   let entity = Types.request_entity request in
   let ctx = ctx_of t site entity in
   let rctx = Des.Engine.current_context t.engine in
@@ -241,14 +241,21 @@ let handle t site envelope =
 
 let create ?(seed = 42L) ?regions () =
   let regions = match regions with Some r -> r | None -> default_regions () in
-  let engine = Des.Engine.create ~seed () in
-  let network = Geonet.Network.create engine ~regions () in
+  let shard =
+    Des.Shard.create ~seed ~lanes:1 ~lookahead_ms:(Geonet.Region.min_cross_one_way_ms ()) ()
+  in
+  let engine = Des.Shard.engine shard 0 in
+  let network =
+    Geonet.Network.create shard ~node_lane:(Array.make (Array.length regions) 0) ~seed
+      ~regions ()
+  in
   let sites =
     Array.init (Array.length regions) (fun site_id ->
         { site_id; entities = Hashtbl.create 4; busy_until = 0.0 })
   in
   let t =
     {
+      shard;
       engine;
       network;
       region_array = regions;
@@ -293,9 +300,13 @@ let submit t ~region request ~reply =
       | Some (site, _) ->
           let there = client_leg_ms t ~region ~site in
           Des.Engine.schedule t.engine ~delay_ms:there (fun () ->
-              serve t site request (fun response ->
+              serve t site request (fun ~at_ms response ->
+                  (* The return draw is taken when the site commits, and
+                     the leg leaves with the response ([at_ms] is never in
+                     the past). *)
                   let back = client_leg_ms t ~region ~site in
-                  Des.Engine.schedule t.engine ~delay_ms:back (fun () -> reply response))))
+                  Des.Engine.schedule_at t.engine ~time_ms:(at_ms +. back) (fun () ->
+                      reply response))))
 
 let crash_site t i = Geonet.Network.crash t.network i
 let recover_site t i = Geonet.Network.recover t.network i

@@ -15,7 +15,14 @@
     eventually rejects its queue so simulations terminate). There is no
     prediction and no global redistribution, which is exactly what Samya
     adds on top (§5.3: latency spikes on demand peaks, ~1.3x lower
-    throughput). *)
+    throughput).
+
+    A site answers when it commits to a response, with the time the
+    response leaves it ({!Samya.Types.reply}): the return leg is
+    scheduled from that CPU finish, so a request served from the local
+    escrow costs two events, one per client leg. The system runs on a
+    one-lane {!Des.Shard}: faults ({!crash_site}, {!partition}, …) must
+    be injected between windows, through {!Des.Shard.schedule_global}. *)
 
 type t
 
@@ -27,7 +34,9 @@ val create : ?seed:int64 -> ?regions:Geonet.Region.t array -> unit -> t
     it borrowing again at every demand peak. A borrower gives up on a
     silent peer after 10 s. *)
 
-val engine : t -> Des.Engine.t
+val shard : t -> Des.Shard.t
+(** The one-lane shard the system runs on: drive it with
+    {!Des.Shard.run}, schedule client work on its lane-0 engine. *)
 
 val set_net_tracer : t -> Geonet.Network.tracer option -> unit
 (** Install a message-hop observer on the internal network (the network

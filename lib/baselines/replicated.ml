@@ -34,7 +34,8 @@ type txn = {
 }
 
 type t = {
-  engine : Des.Engine.t;
+  shard : Des.Shard.t;
+  engine : Des.Engine.t; (* the shard's one lane *)
   net : net;
   states : Rsm.state array;
   log : log;
@@ -47,13 +48,17 @@ type t = {
   mutable committed : int;
 }
 
-(* One replica per region of [regions], each applying the log to its own
-   state machine; [node] builds a replica around its transport and apply
-   hook, [handle] feeds it deliveries. *)
+(* One replica per region of [regions], all on the one lane of a shard,
+   each applying the log to its own state machine; [node] builds a
+   replica around the lane's engine, its transport and apply hook,
+   [handle] feeds it deliveries. *)
 let replicate ~seed ~node ~handle =
-  let engine = Des.Engine.create ~seed () in
-  let network = Geonet.Network.create engine ~regions () in
+  let shard =
+    Des.Shard.create ~seed ~lanes:1 ~lookahead_ms:(Geonet.Region.min_cross_one_way_ms ()) ()
+  in
+  let engine = Des.Shard.engine shard 0 in
   let n = Array.length regions in
+  let network = Geonet.Network.create shard ~node_lane:(Array.make n 0) ~seed ~regions () in
   let nodes = List.init n Fun.id in
   let states = Array.init n (fun _ -> Rsm.create_state ()) in
   let replicas =
@@ -67,10 +72,12 @@ let replicate ~seed ~node ~handle =
       Geonet.Network.register network ~node:id (fun envelope ->
           handle replica ~src:envelope.Geonet.Network.src envelope.Geonet.Network.payload))
     replicas;
-  (engine, network, states, replicas)
+  (shard, network, states, replicas)
 
-let make engine network states ~gateway log =
+let make shard network states ~gateway log =
+  let engine = Des.Shard.engine shard 0 in
   {
+    shard;
     engine;
     net = Net network;
     states;
@@ -97,14 +104,14 @@ let nearest_replica region ~leader:_ =
 
 let multipaxsys ?(seed = 42L) () =
   let leader = 1 in
-  let engine, network, states, replicas =
+  let shard, network, states, replicas =
     replicate ~seed
       ~node:(fun ~engine ~id ~nodes ~send ~on_apply ->
         Consensus.Multipaxos.create ~engine ~id ~nodes ~leader ~send ~on_apply ())
       ~handle:Consensus.Multipaxos.handle
   in
   let t =
-    make engine network states ~gateway:nearest_replica
+    make shard network states ~gateway:nearest_replica
       {
         leader = (fun () -> Some leader);
         append =
@@ -118,7 +125,7 @@ let multipaxsys ?(seed = 42L) () =
   (* Loss/partition recovery: periodically re-push unacknowledged entries
      (multi-Paxos itself has no retransmission). *)
   let rec resend_loop () =
-    Des.Engine.schedule engine ~delay_ms:500.0 (fun () ->
+    Des.Engine.schedule t.engine ~delay_ms:500.0 (fun () ->
         if Geonet.Network.is_up network leader then
           Consensus.Multipaxos.resend_pending replicas.(leader);
         resend_loop ())
@@ -127,7 +134,7 @@ let multipaxsys ?(seed = 42L) () =
   t
 
 let cockroach ?(seed = 42L) () =
-  let engine, network, states, rafts =
+  let shard, network, states, rafts =
     replicate ~seed
       ~node:(fun ~engine ~id ~nodes ~send ~on_apply ->
         (* WAN-scale timeouts (elections must outlast the slowest RTT);
@@ -146,7 +153,7 @@ let cockroach ?(seed = 42L) () =
   in
   let t =
     (* The leaseholder is the client's gateway. *)
-    make engine network states ~gateway:(fun _ ~leader -> leader)
+    make shard network states ~gateway:(fun _ ~leader -> leader)
       {
         leader;
         append =
@@ -160,14 +167,14 @@ let cockroach ?(seed = 42L) () =
   (* Let the first election settle before load arrives. *)
   let rec settle guard =
     if guard > 0 && leader () = None then begin
-      Des.Engine.run_for engine 1_000.0;
+      Des.Shard.run shard ~until_ms:(Des.Shard.now shard +. 1_000.0);
       settle (guard - 1)
     end
   in
   settle 30;
   t
 
-let engine t = t.engine
+let shard t = t.shard
 
 let set_net_tracer t tracer =
   let (Net network) = t.net in

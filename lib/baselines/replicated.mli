@@ -52,7 +52,11 @@ val cockroach : ?seed:int64 -> unit -> t
     CockroachDB's lease preferences would arrange. Returned with the
     first election settled: [leader] is [Some 1]. *)
 
-val engine : t -> Des.Engine.t
+val shard : t -> Des.Shard.t
+(** The one-lane shard the system runs on: drive it with
+    {!Des.Shard.run}, schedule client work on its lane-0 engine. Faults
+    ({!crash_site}, {!partition}, …) must be injected between windows,
+    through {!Des.Shard.schedule_global}. *)
 
 val set_net_tracer : t -> Geonet.Network.tracer option -> unit
 (** Install a message-hop observer on the internal network (the network

@@ -236,6 +236,59 @@ let avantan_observer ~context ~sites (sink : Obs.Sink.t) =
           ]
 
 (* ------------------------------------------------------------------ *)
+(* The scheduling surface every system shares: a Des.Shard.              *)
+
+(* Writes land on the lane executing them; between windows that is lane
+   -1, on barrier time. *)
+let clock shard =
+  {
+    Obs.Lane_log.lanes = Des.Shard.lanes shard;
+    lane = Des.Shard.executing_lane;
+    epoch = (fun () -> Des.Shard.epoch shard);
+    now =
+      (fun lane ->
+        if lane < 0 then Des.Shard.now shard
+        else Des.Engine.now (Des.Shard.engine shard lane));
+  }
+
+let of_shard shard ~sched_region ~name ~regions ~entity ~obs ~set_net_tracer ~observe
+    ~submit ~crash_site ~recover_site ~partition ~heal ~stats ~arm ~invariant =
+  (* The observability wiring reads the ambient trace context of the lane
+     executing the write; between windows there is none. *)
+  let context () =
+    let lane = Des.Shard.executing_lane () in
+    if lane < 0 then Des.Trace_context.none
+    else Des.Engine.current_context (Des.Shard.engine shard lane)
+  in
+  {
+    name;
+    now = (fun () -> Des.Shard.now shard);
+    sched_region;
+    schedule_global = (fun ~time_ms f -> Des.Shard.schedule_global shard ~time_ms f);
+    run_until = (fun until_ms -> Des.Shard.run shard ~until_ms);
+    entity;
+    submit;
+    crash_site;
+    recover_site;
+    partition;
+    heal;
+    stats;
+    subscribe =
+      (fun () ->
+        let sink = Obs.Sink.create (clock shard) in
+        Obs.Sink.attach obs sink;
+        Array.iter
+          (fun e -> Des.Engine.set_tracer e (Some (engine_tracer sink)))
+          (Des.Shard.engines shard);
+        set_net_tracer (Some (network_tracer ~context sink));
+        observe ~context sink;
+        name_site_lanes sink regions;
+        sink);
+    arm;
+    invariant;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* The Samya adapter                                                    *)
 
 type samya_hooks = {
@@ -260,53 +313,29 @@ let protocol_event_hook hooks ~site ~entity event =
 let of_samya_cluster ?(name = "Samya") ~hooks ~regions ~entity cluster =
   let network = Samya.Cluster.network cluster in
   let shard = Option.get (Samya.Cluster.shard cluster) in
-  (* The observability wiring reads the clock and ambient trace context of
-     the lane executing the write; between windows that is lane -1, on
-     barrier time with no ambient context. *)
-  let context () =
-    let lane = Des.Shard.executing_lane () in
-    if lane < 0 then Des.Trace_context.none
-    else Des.Engine.current_context (Des.Shard.engine shard lane)
-  in
-  {
-    name;
-    now = (fun () -> Samya.Cluster.now cluster);
-    sched_region = (fun region -> Samya.Cluster.engine_of_region cluster region);
-    schedule_global = (fun ~time_ms f -> Samya.Cluster.schedule_global cluster ~time_ms f);
-    run_until = (fun until_ms -> Samya.Cluster.run_until cluster ~until_ms);
-    entity;
-    submit = Samya.Cluster.submit cluster;
-    crash_site = (fun i -> Samya.Cluster.crash_site cluster i);
-    recover_site = (fun i -> Samya.Cluster.recover_site cluster i);
-    partition = (fun groups -> Samya.Cluster.partition cluster groups);
-    heal = (fun () -> Samya.Cluster.heal cluster);
-    stats =
-      (fun () ->
-        (* The paper counts proactive and reactive triggers combined. *)
-        let s = Samya.Cluster.aggregate_site_stats cluster in
-        {
-          redistributions =
-            s.Samya.Site.proactive_triggers + s.Samya.Site.reactive_triggers;
-          borrows = s.Samya.Site.borrows;
-          borrow_tokens = s.Samya.Site.borrow_tokens;
-          mechanism_switches = s.Samya.Site.mechanism_switches;
-          messages_sent = Geonet.Network.stats_sent network;
-          messages_delivered = Geonet.Network.stats_delivered network;
-          messages_dropped = Geonet.Network.stats_dropped network;
-        });
-    subscribe =
-      (fun () ->
-        let sink = Obs.Sink.create (Samya.Cluster.clock cluster) in
-        Obs.Sink.attach hooks.sh_obs sink;
-        Array.iter
-          (fun e -> Des.Engine.set_tracer e (Some (engine_tracer sink)))
-          (Des.Shard.engines shard);
-        Geonet.Network.set_tracer network (Some (network_tracer ~context sink));
-        hooks.sh_observer <-
-          Some (avantan_observer ~context ~sites:(Array.length regions) sink);
-        name_site_lanes sink regions;
-        sink);
-    arm = (fun attachment -> Samya.Cluster.arm_flight cluster attachment);
-    invariant =
-      (fun ~maximum -> Samya.Cluster.check_invariant cluster ~entity ~maximum);
-  }
+  of_shard shard ~sched_region:(Samya.Cluster.engine_of_region cluster) ~name ~regions
+    ~entity ~obs:hooks.sh_obs ~set_net_tracer:(Geonet.Network.set_tracer network)
+    ~observe:(fun ~context sink ->
+      hooks.sh_observer <-
+        Some (avantan_observer ~context ~sites:(Array.length regions) sink))
+    ~submit:(Samya.Cluster.submit cluster)
+    ~crash_site:(fun i -> Samya.Cluster.crash_site cluster i)
+    ~recover_site:(fun i -> Samya.Cluster.recover_site cluster i)
+    ~partition:(fun groups -> Samya.Cluster.partition cluster groups)
+    ~heal:(fun () -> Samya.Cluster.heal cluster)
+    ~stats:(fun () ->
+      (* The paper counts proactive and reactive triggers combined. *)
+      let s = Samya.Cluster.aggregate_site_stats cluster in
+      {
+        redistributions = s.Samya.Site.proactive_triggers + s.Samya.Site.reactive_triggers;
+        borrows = s.Samya.Site.borrows;
+        borrow_tokens = s.Samya.Site.borrow_tokens;
+        mechanism_switches = s.Samya.Site.mechanism_switches;
+        messages_sent = Geonet.Network.stats_sent network;
+        messages_delivered = Geonet.Network.stats_delivered network;
+        messages_dropped = Geonet.Network.stats_dropped network;
+      })
+    ~arm:(fun attachment ->
+      Obs.Flight_recorder.bind attachment.Obs.Flight_recorder.recorder (clock shard);
+      Samya.Cluster.arm_flight cluster attachment)
+    ~invariant:(fun ~maximum -> Samya.Cluster.check_invariant cluster ~entity ~maximum)

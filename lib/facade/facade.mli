@@ -14,10 +14,11 @@
     [invariant] audits; the gateway-fleet workloads name keys of a
     bulk-registered {!Samya.Cluster} instead.
 
-    This module also hosts the generic observability wiring
-    ({!engine_tracer}, {!network_tracer}) and the Samya adapter. Baseline
-    adapters live in [Harness.Systems] (they need no protocol feed), built
-    from the same parts. *)
+    Every system runs on a {!Des.Shard} (a baseline on one lane), and
+    {!of_shard} is the one place a record's scheduling surface and
+    observability wiring are built from it. This module also hosts the
+    Samya adapter; baseline adapters live in [Harness.Systems] (they need
+    no protocol feed), built with the same {!of_shard}. *)
 
 type stats = {
   redistributions : int;
@@ -39,15 +40,14 @@ type stats = {
 type t = {
   name : string;
   now : unit -> float;
-      (** virtual time; barrier time on a sharded system — stable at the
-          points the harness reads it (setup, global events, end of run) *)
+      (** virtual barrier time — stable at the points the harness reads
+          it (setup, global events, end of run) *)
   sched_region : Geonet.Region.t -> Des.Engine.t;
       (** the engine that executes events homed in a region — where the
           driver schedules that region's client issue/reply events *)
   schedule_global : time_ms:float -> (unit -> unit) -> unit;
       (** barrier-aligned scheduling: the only safe slot for fault
-          injection on a sharded system (plain [schedule_at] on a
-          single-engine baseline) *)
+          injection *)
   run_until : float -> unit;
       (** advance the whole simulation (all lanes) to an absolute time *)
   entity : Samya.Types.entity;
@@ -96,6 +96,46 @@ val network_tracer :
 val name_site_lanes : Obs.Sink.t -> Geonet.Region.t array -> unit
 (** Label timeline lane [i] ["site i (region)"]. *)
 
+(** {2 Building a facade from a shard} *)
+
+val clock : Des.Shard.t -> Obs.Lane_log.clock
+(** The shard's lanes as a per-lane log clock: the executing lane
+    ({!Des.Shard.executing_lane}), the barrier epoch and each lane's
+    virtual time (barrier time for lane [-1]). Observability sinks and the
+    flight recorder write through it. *)
+
+val of_shard :
+  Des.Shard.t ->
+  sched_region:(Geonet.Region.t -> Des.Engine.t) ->
+  name:string ->
+  regions:Geonet.Region.t array ->
+  entity:Samya.Types.entity ->
+  obs:Obs.Sink.port ->
+  set_net_tracer:(Geonet.Network.tracer option -> unit) ->
+  observe:(context:(unit -> Des.Trace_context.t) -> Obs.Sink.t -> unit) ->
+  submit:
+    (region:Geonet.Region.t ->
+    Samya.Types.request ->
+    reply:(Samya.Types.response -> unit) ->
+    unit) ->
+  crash_site:(int -> unit) ->
+  recover_site:(int -> unit) ->
+  partition:(int list list -> unit) ->
+  heal:(unit -> unit) ->
+  stats:(unit -> stats) ->
+  arm:(Obs.Flight_recorder.attachment -> unit) ->
+  invariant:(maximum:int -> (unit, string) result) ->
+  t
+(** A record over a system running on [shard]: [now], [schedule_global]
+    and [run_until] are the shard's own, [sched_region] maps a client
+    region to its lane's engine, and the remaining fields are the
+    system's. [subscribe] creates a sink over {!clock}, attaches it to
+    [obs], installs {!engine_tracer} on every lane engine and
+    {!network_tracer} through [set_net_tracer] (reading the executing
+    lane's ambient trace context, none between windows), then calls
+    [observe] for the system's own feeds and names one trace lane per
+    entry of [regions]. *)
+
 (** {2 The Samya adapter} *)
 
 type samya_hooks
@@ -132,9 +172,8 @@ val of_samya_cluster :
   Samya.Cluster.t ->
   t
 (** Wrap a cluster created with [~obs:(obs_port hooks)
-    ~on_protocol_event:(protocol_event_hook hooks)]. [subscribe] creates
-    a sink over the shard's lanes ({!Des.Shard.executing_lane} and
-    {!Des.Shard.epoch}), attaches it to the port, installs engine and
-    network tracers, starts the
-    Avantan span observer (instance spans with ballot, rounds, role and
-    outcome), and names the per-site trace lanes. *)
+    ~on_protocol_event:(protocol_event_hook hooks)], through {!of_shard}
+    over its shard. [subscribe] also starts the Avantan span observer
+    (instance spans with ballot, rounds, role and outcome); [arm] binds
+    the recorder to {!clock} and arms the cluster
+    ({!Samya.Cluster.arm_flight}). *)

@@ -19,23 +19,15 @@ type tracer = {
   on_drop : src:int -> dst:int -> sent_at:float -> now_ms:float -> unit;
 }
 
-(* How the network schedules work. [Single] (the baselines' networks):
-   one engine, one jitter/drop RNG split from its root. [Sharded] (every
-   Samya cluster) routes every event to the lane of
-   the node executing it: randomness comes from that lane's own stream
-   (so lane-local draw order — hence the whole run — is independent of
-   how many domains drain the windows) and counters are per-lane slots
-   summed on read (no racing increments). *)
-type sched =
-  | Single of { engine : Des.Engine.t; rng : Des.Rng.t }
-  | Sharded of {
-      shard : Des.Shard.t;
-      node_lane : int array;
-      lane_rngs : Des.Rng.t array;
-    }
-
+(* Every event runs on the lane of the node executing it. Randomness
+   comes from that lane's own stream (so lane-local draw order — hence
+   the whole run — is independent of how many domains drain the
+   windows), and counters are per-lane slots summed on read (no racing
+   increments). *)
 type 'msg t = {
-  sched : sched;
+  shard : Des.Shard.t;
+  node_lane : int array;
+  lane_rngs : Des.Rng.t array;
   regions : Region.t array;
   mutable drop_probability : float;
   mutable duplicate_probability : float;
@@ -44,8 +36,8 @@ type 'msg t = {
   up : bool array;
   mutable partition : int array option; (* group id per node; None = connected *)
   links : (int * int, link) Hashtbl.t;
-  (* Counter slot per lane (a single slot in [Single] mode): a lane only
-     bumps its own slot mid-window, so parallel drains never race. *)
+  (* Counter slot per lane: a lane only bumps its own slot mid-window, so
+     parallel drains never race. *)
   sent : int array;
   delivered : int array;
   dropped : int array;
@@ -59,15 +51,23 @@ let check_probability ~what p =
   if not (p >= 0.0 && p <= 1.0) then
     invalid_arg (Printf.sprintf "Network.%s: probability must be in [0, 1]" what)
 
-let check_create ~drop_probability ~jitter_fraction =
+(* Lane RNG streams hang off namespace 63 of the root seed — a reserved
+   index far above any lane id, so they can never collide with the
+   per-lane engine streams (indices 0 .. lanes-1). *)
+let create shard ~node_lane ~seed ~regions ?(drop_probability = 0.0)
+    ?(jitter_fraction = 0.05) () =
   check_probability ~what:"create (drop_probability)" drop_probability;
   if not (jitter_fraction >= 0.0) then
-    invalid_arg "Network.create: jitter_fraction must be >= 0"
-
-let make sched ~regions ~drop_probability ~jitter_fraction ~lanes =
+    invalid_arg "Network.create: jitter_fraction must be >= 0";
   let n = Array.length regions in
+  if Array.length node_lane <> n then
+    invalid_arg "Network.create: node_lane/regions length mismatch";
+  let root = Des.Rng.stream_seed seed 63 in
+  let lanes = Des.Shard.lanes shard in
   {
-    sched;
+    shard;
+    node_lane;
+    lane_rngs = Array.init lanes (fun i -> Des.Rng.stream root i);
     regions;
     drop_probability;
     duplicate_probability = 0.0;
@@ -83,52 +83,18 @@ let make sched ~regions ~drop_probability ~jitter_fraction ~lanes =
     tracer = None;
   }
 
-let create engine ~regions ?(drop_probability = 0.0) ?(jitter_fraction = 0.05) () =
-  check_create ~drop_probability ~jitter_fraction;
-  let sched = Single { engine; rng = Des.Rng.split (Des.Engine.rng engine) } in
-  make sched ~regions ~drop_probability ~jitter_fraction ~lanes:1
-
-(* Lane RNG streams hang off namespace 63 of the root seed — a reserved
-   index far above any lane id, so they can never collide with the
-   per-lane engine streams (indices 0 .. lanes-1). *)
-let create_sharded shard ~node_lane ~seed ~regions ?(drop_probability = 0.0)
-    ?(jitter_fraction = 0.05) () =
-  check_create ~drop_probability ~jitter_fraction;
-  if Array.length node_lane <> Array.length regions then
-    invalid_arg "Network.create_sharded: node_lane/regions length mismatch";
-  let root = Des.Rng.stream_seed seed 63 in
-  let lanes = Des.Shard.lanes shard in
-  let lane_rngs = Array.init lanes (fun i -> Des.Rng.stream root i) in
-  let sched = Sharded { shard; node_lane; lane_rngs } in
-  make sched ~regions ~drop_probability ~jitter_fraction ~lanes
-
-let engine_of t ~node =
-  match t.sched with
-  | Single s -> s.engine
-  | Sharded s -> Des.Shard.engine s.shard s.node_lane.(node)
-
-let lane_of t node =
-  match t.sched with Single _ -> 0 | Sharded s -> s.node_lane.(node)
-
-let rng_for t ~src =
-  match t.sched with
-  | Single s -> s.rng
-  | Sharded s -> s.lane_rngs.(s.node_lane.(src))
+let engine_of t ~node = Des.Shard.engine t.shard t.node_lane.(node)
 
 (* Shared-state mutations (liveness, partitions, link overrides) are read
-   by every lane mid-window; in a sharded run they must execute at a
-   window barrier ({!Des.Shard.schedule_global}) where no lane races the
-   write. Single-engine runs are inherently sequential — no constraint. *)
+   by every lane mid-window, so they must execute at a window barrier
+   ({!Des.Shard.schedule_global}) where no lane races the write. *)
 let check_barrier t ~what =
-  match t.sched with
-  | Single _ -> ()
-  | Sharded s ->
-      if Des.Shard.in_window s.shard then
-        invalid_arg
-          (Printf.sprintf
-             "Network.%s: shared-state mutation inside a shard window \
-              (schedule it with Shard.schedule_global)"
-             what)
+  if Des.Shard.in_window t.shard then
+    invalid_arg
+      (Printf.sprintf
+         "Network.%s: shared-state mutation inside a shard window (schedule it \
+          with Shard.schedule_global)"
+         what)
 
 let set_tracer t tracer = t.tracer <- tracer
 
@@ -160,31 +126,27 @@ let reachable t a b = t.up.(a) && t.up.(b) && same_partition t a b
 
 let link_open t ~src ~dst = reachable t src dst && not (link_blocked t ~src ~dst)
 
-(* Route the delivery event to the destination node's lane. Same-lane (and
-   single-engine) deliveries go straight into the local heap;
-   cross-lane ones travel over the shard's bounded channels and carry the
-   sender's ambient trace context explicitly, because the flush at the
-   window barrier happens outside any event — there is no ambient context
-   to inherit there. *)
+(* Route the delivery event to the destination node's lane. Same-lane
+   deliveries go straight into the local heap; cross-lane ones travel
+   over the shard's bounded channels and carry the sender's ambient trace
+   context explicitly, because the flush at the window barrier happens
+   outside any event — there is no ambient context to inherit there. *)
 let schedule_delivery t ~src ~dst ~delay_ms f =
-  match t.sched with
-  | Single s -> Des.Engine.schedule s.engine ~delay_ms f
-  | Sharded s ->
-      let src_lane = s.node_lane.(src) and dst_lane = s.node_lane.(dst) in
-      let src_engine = Des.Shard.engine s.shard src_lane in
-      let time_ms = Des.Engine.now src_engine +. Float.max 0.0 delay_ms in
-      if src_lane = dst_lane then Des.Engine.schedule_at src_engine ~time_ms f
+  let src_lane = t.node_lane.(src) and dst_lane = t.node_lane.(dst) in
+  let src_engine = Des.Shard.engine t.shard src_lane in
+  let time_ms = Des.Engine.now src_engine +. Float.max 0.0 delay_ms in
+  if src_lane = dst_lane then Des.Engine.schedule_at src_engine ~time_ms f
+  else begin
+    let ctx = Des.Engine.current_context src_engine in
+    let f =
+      if Des.Trace_context.is_none ctx then f
       else begin
-        let ctx = Des.Engine.current_context src_engine in
-        let f =
-          if Des.Trace_context.is_none ctx then f
-          else begin
-            let dst_engine = Des.Shard.engine s.shard dst_lane in
-            fun () -> Des.Engine.with_context dst_engine ctx f
-          end
-        in
-        Des.Shard.schedule_cross s.shard ~src:src_lane ~dst:dst_lane ~time_ms f
+        let dst_engine = Des.Shard.engine t.shard dst_lane in
+        fun () -> Des.Engine.with_context dst_engine ctx f
       end
+    in
+    Des.Shard.schedule_cross t.shard ~src:src_lane ~dst:dst_lane ~time_ms f
+  end
 
 let deliver t ~src ~dst ~sent_at ~dropped_in_flight payload delay_ms =
   (* Partition, liveness and one-way cuts are evaluated at delivery time so
@@ -193,7 +155,7 @@ let deliver t ~src ~dst ~sent_at ~dropped_in_flight payload delay_ms =
      indistinguishable. The envelope is only materialised on delivery, so a
      dropped message costs nothing beyond its in-flight closure. *)
   schedule_delivery t ~src ~dst ~delay_ms (fun () ->
-      let lane = lane_of t dst in
+      let lane = t.node_lane.(dst) in
       let trace_drop () =
         match t.tracer with
         | Some tr ->
@@ -222,9 +184,9 @@ let deliver t ~src ~dst ~sent_at ~dropped_in_flight payload delay_ms =
    runs on its own engine; barrier-time globals run with no window open),
    so the RNG draws and counter bumps below are lane-local. *)
 let send t ~src ~dst payload =
-  let src_lane = lane_of t src in
-  let src_engine = engine_of t ~node:src in
-  let rng = rng_for t ~src in
+  let src_lane = t.node_lane.(src) in
+  let src_engine = Des.Shard.engine t.shard src_lane in
+  let rng = t.lane_rngs.(src_lane) in
   t.sent.(src_lane) <- t.sent.(src_lane) + 1;
   (match t.tracer with
   | Some tr -> tr.on_send ~src ~dst ~now_ms:(Des.Engine.now src_engine)

@@ -21,20 +21,6 @@ type 'msg envelope = {
 }
 
 val create :
-  Des.Engine.t ->
-  regions:Region.t array ->
-  ?drop_probability:float ->
-  ?jitter_fraction:float ->
-  unit ->
-  'msg t
-(** [regions.(i)] places node [i]. [drop_probability] (default [0.]) applies
-    independently per message. [jitter_fraction] (default [0.05]) scales a
-    non-negative random additive delay relative to the base latency.
-
-    Raises [Invalid_argument] if [drop_probability] is NaN or outside
-    [[0, 1]], or if [jitter_fraction] is NaN or negative. *)
-
-val create_sharded :
   Des.Shard.t ->
   node_lane:int array ->
   seed:int64 ->
@@ -43,23 +29,29 @@ val create_sharded :
   ?jitter_fraction:float ->
   unit ->
   'msg t
-(** Region-sharded variant: node [i] lives on shard lane [node_lane.(i)]
-    (see {!Region.lane_assignment}); every delivery event is scheduled on
-    the destination node's lane, crossing lanes over the shard's bounded
-    channels. Jitter/drop randomness comes from one deterministic stream
-    per lane (derived from [seed] under a reserved namespace), so results
-    are independent of the domain count draining the windows. Shared-state
-    mutations (crash, partitions, link overrides, probabilities) must then
-    execute at a window barrier — via {!Des.Shard.schedule_global} — and
-    raise [Invalid_argument] if attempted mid-window.
+(** [regions.(i)] places node [i], and node [i] lives on shard lane
+    [node_lane.(i)] (see {!Region.lane_assignment}; a one-lane shard
+    takes [Array.make n 0]). Every delivery event is scheduled on the
+    destination node's lane, crossing lanes over the shard's bounded
+    channels. [drop_probability] (default [0.]) applies independently per
+    message. [jitter_fraction] (default [0.05]) scales a non-negative
+    random additive delay relative to the base latency. Jitter and drop
+    randomness comes from one deterministic stream per lane (derived from
+    [seed] under a reserved namespace), so results are independent of the
+    domain count draining the windows.
 
-    Raises [Invalid_argument] on invalid probabilities or a [node_lane] /
-    [regions] length mismatch. *)
+    Shared-state mutations (crash, partitions, link overrides,
+    probabilities) must execute between windows — at setup, or via
+    {!Des.Shard.schedule_global} — and raise [Invalid_argument] if
+    attempted mid-window.
+
+    Raises [Invalid_argument] if [drop_probability] is NaN or outside
+    [[0, 1]], if [jitter_fraction] is NaN or negative, or on a
+    [node_lane] / [regions] length mismatch. *)
 
 val engine_of : _ t -> node:int -> Des.Engine.t
-(** The engine that runs [node]'s events: the single engine of a
-    {!create}-built network, the node's lane engine of a sharded one.
-    Protocol code (sites) schedules its timers here. *)
+(** The lane engine that runs [node]'s events. Protocol code (sites)
+    schedules its timers here. *)
 
 val node_count : _ t -> int
 

@@ -57,57 +57,29 @@ let samya ?seed ?engine_jobs ?name ~config ~regions ?forecaster ?on_protocol_eve
     ~name:(Option.value name ~default:default_name)
     ~hooks ~regions ~entity cluster
 
-(* Baseline adapters share one shape: one registered entity, stats
-   from the internal network counters (a baseline's coordination events
-   are its borrows), subscribe = engine tracer + network tracer + named
-   site lanes. *)
-let baseline ?(borrows = fun () -> 0) ~name ~engine ~regions ~entity ~submit
-    ~crash_site ~recover_site ~partition ~heal ~net_stats
-    ~set_net_tracer ~obs_port ~invariant () =
-  (* Baselines run on one engine: the record's scheduling surface
-     degenerates to the plain engine operations. *)
-  let now () = Des.Engine.now engine in
-  {
-    name;
-    now;
-    sched_region = (fun _ -> engine);
-    schedule_global = (fun ~time_ms f -> Des.Engine.schedule_at engine ~time_ms f);
-    run_until = (fun until_ms -> Des.Engine.run engine ~until_ms);
-    entity;
-    submit;
-    crash_site;
-    recover_site;
-    partition;
-    heal;
-    stats =
-      (fun () ->
-        let sent, delivered, dropped = net_stats () in
-        {
-          redistributions = borrows ();
-          borrows = borrows ();
-          borrow_tokens = 0;
-          mechanism_switches = 0;
-          messages_sent = sent;
-          messages_delivered = delivered;
-          messages_dropped = dropped;
-        });
-    subscribe =
-      (fun () ->
-        (* One engine, no windows: every write stays in arrival order. *)
-        let sink = Obs.Sink.create (Obs.Lane_log.single now) in
-        Obs.Sink.attach obs_port sink;
-        Des.Engine.set_tracer engine (Some (Facade.engine_tracer sink));
-        set_net_tracer
-          (Some
-             (Facade.network_tracer
-                ~context:(fun () -> Des.Engine.current_context engine)
-                sink));
-        Facade.name_site_lanes sink regions;
-        sink);
-    (* Baselines have no breaker/controller/shed machinery to record. *)
-    arm = (fun (_ : Obs.Flight_recorder.attachment) -> ());
-    invariant;
-  }
+(* Baseline adapters share one shape: one registered entity on a
+   one-lane shard (every client region rides lane 0), stats from the
+   internal network counters (a baseline's coordination events are its
+   borrows), no protocol feed and nothing to arm. *)
+let baseline ?(borrows = fun () -> 0) ~name ~shard ~regions ~entity ~submit ~crash_site
+    ~recover_site ~partition ~heal ~net_stats ~set_net_tracer ~obs_port ~invariant () =
+  let lane = Des.Shard.engine shard 0 in
+  Facade.of_shard shard ~sched_region:(fun _ -> lane) ~name ~regions ~entity ~obs:obs_port
+    ~set_net_tracer ~observe:(fun ~context:_ _ -> ())
+    ~submit ~crash_site ~recover_site ~partition ~heal
+    ~stats:(fun () ->
+      let sent, delivered, dropped = net_stats () in
+      {
+        redistributions = borrows ();
+        borrows = borrows ();
+        borrow_tokens = 0;
+        mechanism_switches = 0;
+        messages_sent = sent;
+        messages_delivered = delivered;
+        messages_dropped = dropped;
+      })
+    ~arm:(fun (_ : Obs.Flight_recorder.attachment) -> ())
+    ~invariant
 
 let demarcation ?seed ?regions ~entity ~maximum () =
   let regions =
@@ -117,7 +89,7 @@ let demarcation ?seed ?regions ~entity ~maximum () =
   Baselines.Demarcation.init_entity system ~entity ~maximum;
   baseline ~name:"Dem./Escrow"
     ~borrows:(fun () -> Baselines.Demarcation.borrows system)
-    ~engine:(Baselines.Demarcation.engine system)
+    ~shard:(Baselines.Demarcation.shard system)
     ~regions ~entity
     ~submit:(Baselines.Demarcation.submit system)
     ~crash_site:(Baselines.Demarcation.crash_site system)
@@ -135,7 +107,7 @@ let demarcation ?seed ?regions ~entity ~maximum () =
 let replicated ~name system ~entity ~maximum =
   let module R = Baselines.Replicated in
   R.init_entity system ~entity ~maximum;
-  baseline ~name ~engine:(R.engine system) ~regions:R.regions ~entity
+  baseline ~name ~shard:(R.shard system) ~regions:R.regions ~entity
     ~submit:(R.submit system) ~crash_site:(R.crash_site system)
     ~recover_site:(R.recover_site system) ~partition:(R.partition system)
     ~heal:(fun () -> R.heal system)

@@ -37,7 +37,7 @@ let create ?(seed = 42L) ?(engine_jobs = 1) ~config ~regions ?forecaster
   let lookahead_ms = Geonet.Region.min_cross_one_way_ms () in
   let shard = Des.Shard.create ~seed ~workers:engine_jobs ~lanes ~lookahead_ms () in
   let network =
-    Geonet.Network.create_sharded shard ~node_lane ~seed ~regions ~drop_probability ()
+    Geonet.Network.create shard ~node_lane ~seed ~regions ~drop_probability ()
   in
   let directory =
     Entity_map.Directory.create ~shards:config.Config.entity_shards
@@ -80,16 +80,6 @@ let lanes t = Des.Shard.lanes t.shard
 let region_lane t region = t.region_lane.(Geonet.Region.index region)
 let engine_of_region t region = Des.Shard.engine t.shard (region_lane t region)
 let now t = Des.Shard.now t.shard
-
-let clock t =
-  {
-    Obs.Lane_log.lanes = lanes t;
-    lane = Des.Shard.executing_lane;
-    epoch = (fun () -> Des.Shard.epoch t.shard);
-    now =
-      (fun lane ->
-        if lane < 0 then now t else Des.Engine.now (Des.Shard.engine t.shard lane));
-  }
 
 let run_until t ~until_ms = Des.Shard.run t.shard ~until_ms
 let schedule_global t ~time_ms f = Des.Shard.schedule_global t.shard ~time_ms f
@@ -256,11 +246,9 @@ let heal t =
 
 (* Arm the always-on incident layer on the cluster's port: every site
    starts recording and feeding the attachment's hot-key sketch. Before
-   any lane writes, the recorder moves onto the cluster's lane clock and
-   every lane's sketch slot exists, so parallel windows never share a
-   buffer or grow a shared array. *)
+   any lane writes, every lane's sketch slot exists, so parallel windows
+   never grow a shared array. *)
 let arm_flight t (attachment : Obs.Flight_recorder.attachment) =
-  Obs.Flight_recorder.bind attachment.Obs.Flight_recorder.recorder (clock t);
   Option.iter
     (fun hot -> Obs.Heavy_hitters.Windowed.reserve hot ~lanes:(lanes t))
     attachment.Obs.Flight_recorder.hot;

@@ -47,12 +47,14 @@ val engine : t -> Des.Engine.t
 (** Lane 0's engine. Scheduling onto it directly is only correct for
     events homed in lane 0's region; drive the simulation with
     {!run_until}, schedule client work on {!engine_of_region} and faults
-    with {!schedule_global}. *)
+    with {!schedule_global}. Its one caller is the [None] branch of
+    [perfbench/probe.ml]'s {!shard} match. *)
 
 val shard : t -> Des.Shard.t option
-(** The shard coordinator — always [Some]: every deployment is sharded.
-    (The option survives for callers written against the two-backend
-    interface.) *)
+(** The shard coordinator — always [Some]: every deployment, and every
+    baseline, runs on a {!Des.Shard}. The option survives only for
+    [perfbench/probe.ml], which still matches on it; library code reads
+    it with [Option.get]. *)
 
 val lanes : t -> int
 (** Number of simulation lanes (distinct hosting regions). *)
@@ -65,12 +67,6 @@ val now : t -> float
 (** Virtual barrier time: meaningful between {!run_until} windows and at
     global events. From inside an event, read the executing lane's engine
     clock instead. *)
-
-val clock : t -> Obs.Lane_log.clock
-(** The shard's lanes as a per-lane log clock: the executing lane
-    ({!Des.Shard.executing_lane}), the barrier epoch and each lane's
-    virtual time (barrier time for lane [-1]). Observability sinks and the
-    flight recorder write through it. *)
 
 val run_until : t -> until_ms:float -> unit
 (** Advance every lane of the simulation to [until_ms]. *)
@@ -142,11 +138,11 @@ val arm_flight : t -> Obs.Flight_recorder.attachment -> unit
 (** Arm the always-on incident layer on the cluster's port: sites record
     protocol outcomes, breaker trips, sheds and mechanism switches, the
     cluster records injected faults (lane -1), and the attachment's
-    hot-key sketch is fed from the request path. The recorder is bound to
-    {!clock} (so it must still be empty) and the sketch's lane slots are
-    reserved. Does {e not} force sequential windows: each lane writes its
-    own buffer and slot. Dumps are byte-identical at any
-    [--engine-jobs]. *)
+    hot-key sketch is fed from the request path. The sketch's lane slots
+    are reserved here; the caller binds the recorder to the shard's lane
+    clock first ([Facade.of_samya_cluster]'s [arm] does). Does {e not}
+    force sequential windows: each lane writes its own buffer and slot.
+    Dumps are byte-identical at any [--engine-jobs]. *)
 
 val total_tokens_left : t -> entity:Types.entity -> int
 val total_acquired : t -> entity:Types.entity -> int

@@ -17,20 +17,33 @@ let ballot_ordering () =
   check bool "equal" true (equal a a)
 
 (* ------------------------------------------------------------------ *)
+(* Every network runs on a shard; these clusters use one lane, whose
+   engine the consensus nodes take. *)
+
+let one_lane ?(drop = 0.0) ~seed regions =
+  let shard =
+    Des.Shard.create ~seed ~lanes:1 ~lookahead_ms:(Geonet.Region.min_cross_one_way_ms ()) ()
+  in
+  let network =
+    Geonet.Network.create shard ~node_lane:(Array.make (Array.length regions) 0) ~seed
+      ~regions ~drop_probability:drop ()
+  in
+  (shard, Des.Shard.engine shard 0, network)
+
+(* ------------------------------------------------------------------ *)
 (* Paxos harness *)
 
 type 'v paxos_cluster = {
-  engine : Des.Engine.t;
+  shard : Des.Shard.t;
   network : 'v Consensus.Paxos.msg Geonet.Network.t;
   nodes : 'v Consensus.Paxos.t array;
   decided : (int * 'v) list ref;
 }
 
 let paxos_cluster ?(n = 5) ?(drop = 0.0) ~seed () =
-  let engine = Des.Engine.create ~seed () in
   let regions = Array.of_list Geonet.Region.default_five in
   let regions = Array.init n (fun i -> regions.(i mod 5)) in
-  let network = Geonet.Network.create engine ~regions ~drop_probability:drop () in
+  let shard, engine, network = one_lane ~drop ~seed regions in
   let decided = ref [] in
   let membership = List.init n (fun i -> i) in
   let nodes =
@@ -46,12 +59,12 @@ let paxos_cluster ?(n = 5) ?(drop = 0.0) ~seed () =
           Consensus.Paxos.handle node ~src:envelope.Geonet.Network.src
             envelope.Geonet.Network.payload))
     nodes;
-  { engine; network; nodes; decided }
+  { shard; network; nodes; decided }
 
 let paxos_simple_agreement () =
   let cluster = paxos_cluster ~seed:1L () in
   Consensus.Paxos.propose cluster.nodes.(0) "v0";
-  Des.Engine.run cluster.engine ~until_ms:10_000.0;
+  Des.Shard.run cluster.shard ~until_ms:10_000.0;
   check int "all five decided" 5 (List.length !(cluster.decided));
   List.iter (fun (_, v) -> check Alcotest.string "same value" "v0" v) !(cluster.decided)
 
@@ -59,7 +72,7 @@ let paxos_dueling_proposers () =
   let cluster = paxos_cluster ~seed:2L () in
   Consensus.Paxos.propose cluster.nodes.(0) "a";
   Consensus.Paxos.propose cluster.nodes.(4) "b";
-  Des.Engine.run cluster.engine ~until_ms:30_000.0;
+  Des.Shard.run cluster.shard ~until_ms:30_000.0;
   let values = List.map snd !(cluster.decided) |> List.sort_uniq compare in
   check int "exactly one value chosen" 1 (List.length values);
   check bool "everyone decided" true (List.length !(cluster.decided) >= 3)
@@ -69,7 +82,7 @@ let paxos_agreement_under_drops () =
   let cluster = paxos_cluster ~seed:3L ~drop:0.2 () in
   Consensus.Paxos.propose cluster.nodes.(1) "x";
   Consensus.Paxos.propose cluster.nodes.(3) "y";
-  Des.Engine.run cluster.engine ~until_ms:120_000.0;
+  Des.Shard.run cluster.shard ~until_ms:120_000.0;
   let values = List.map snd !(cluster.decided) |> List.sort_uniq compare in
   check int "single value despite loss" 1 (List.length values)
 
@@ -78,21 +91,21 @@ let paxos_minority_cannot_decide () =
   (* Partition the proposer with just one peer. *)
   Geonet.Network.set_partition cluster.network [ [ 0; 1 ]; [ 2; 3; 4 ] ];
   Consensus.Paxos.propose cluster.nodes.(0) "minority";
-  Des.Engine.run cluster.engine ~until_ms:5_000.0;
+  Des.Shard.run cluster.shard ~until_ms:5_000.0;
   check int "no decision in minority" 0 (List.length !(cluster.decided));
   (* Heal: the retry loop should finish the round. *)
   Geonet.Network.clear_partition cluster.network;
-  Des.Engine.run cluster.engine ~until_ms:30_000.0;
+  Des.Shard.run cluster.shard ~until_ms:30_000.0;
   check bool "decides after heal" true (List.length !(cluster.decided) >= 3)
 
 let paxos_value_survives_proposer_restart () =
   let cluster = paxos_cluster ~seed:5L () in
   Consensus.Paxos.propose cluster.nodes.(0) "persist";
-  Des.Engine.run cluster.engine ~until_ms:10_000.0;
+  Des.Shard.run cluster.shard ~until_ms:10_000.0;
   Consensus.Paxos.restart cluster.nodes.(2);
   (* A later competing proposal must re-discover the decided value. *)
   Consensus.Paxos.propose cluster.nodes.(2) "usurper";
-  Des.Engine.run cluster.engine ~until_ms:30_000.0;
+  Des.Shard.run cluster.shard ~until_ms:30_000.0;
   let values = List.map snd !(cluster.decided) |> List.sort_uniq compare in
   check (Alcotest.list Alcotest.string) "original value wins" [ "persist" ] values
 
@@ -100,16 +113,15 @@ let paxos_value_survives_proposer_restart () =
 (* Multi-Paxos *)
 
 type mp_cluster = {
-  mp_engine : Des.Engine.t;
+  mp_shard : Des.Shard.t;
   mp_network : int Consensus.Multipaxos.msg Geonet.Network.t;
   mp_nodes : int Consensus.Multipaxos.t array;
   applied : (int * int) list ref; (* node, command *)
 }
 
 let mp_cluster ?(n = 5) ~seed () =
-  let engine = Des.Engine.create ~seed () in
   let regions = Array.init n (fun i -> List.nth Geonet.Region.default_five (i mod 5)) in
-  let network = Geonet.Network.create engine ~regions () in
+  let shard, engine, network = one_lane ~seed regions in
   let applied = ref [] in
   let membership = List.init n (fun i -> i) in
   let nodes =
@@ -133,7 +145,7 @@ let mp_cluster ?(n = 5) ~seed () =
         if Des.Engine.pending engine > 0 then retry ())
   in
   retry ();
-  { mp_engine = engine; mp_network = network; mp_nodes = nodes; applied }
+  { mp_shard = shard; mp_network = network; mp_nodes = nodes; applied }
 
 let multipaxos_commits_in_order () =
   let cluster = mp_cluster ~seed:6L () in
@@ -142,7 +154,7 @@ let multipaxos_commits_in_order () =
     Consensus.Multipaxos.submit cluster.mp_nodes.(0) command ~on_commit:(fun () ->
         commits := command :: !commits)
   done;
-  Des.Engine.run cluster.mp_engine ~until_ms:10_000.0;
+  Des.Shard.run cluster.mp_shard ~until_ms:10_000.0;
   check (Alcotest.list int) "commit order" (List.init 10 (fun i -> i + 1)) (List.rev !commits);
   let leader_applied =
     List.filter (fun (node, _) -> node = 0) !(cluster.applied) |> List.map snd |> List.rev
@@ -162,28 +174,27 @@ let multipaxos_blocks_without_majority () =
   Geonet.Network.crash cluster.mp_network 4;
   let committed = ref false in
   Consensus.Multipaxos.submit cluster.mp_nodes.(0) 42 ~on_commit:(fun () -> committed := true);
-  Des.Engine.run cluster.mp_engine ~until_ms:10_000.0;
+  Des.Shard.run cluster.mp_shard ~until_ms:10_000.0;
   check bool "no commit without majority" false !committed;
   (* Recover one node and retransmit: commit completes. *)
   Geonet.Network.recover cluster.mp_network 2;
   Consensus.Multipaxos.resend_pending cluster.mp_nodes.(0);
-  Des.Engine.run cluster.mp_engine ~until_ms:20_000.0;
+  Des.Shard.run cluster.mp_shard ~until_ms:20_000.0;
   check bool "commits after recovery" true !committed
 
 (* ------------------------------------------------------------------ *)
 (* Raft *)
 
 type raft_cluster = {
-  r_engine : Des.Engine.t;
+  r_shard : Des.Shard.t;
   r_network : int Consensus.Raft.msg Geonet.Network.t;
   rafts : int Consensus.Raft.t array;
   r_applied : (int, int list ref) Hashtbl.t;
 }
 
 let raft_cluster ?(n = 5) ~seed () =
-  let engine = Des.Engine.create ~seed () in
   let regions = Array.init n (fun i -> List.nth Geonet.Region.default_five (i mod 5)) in
-  let network = Geonet.Network.create engine ~regions () in
+  let shard, engine, network = one_lane ~seed regions in
   let membership = List.init n (fun i -> i) in
   let r_applied = Hashtbl.create 8 in
   let rafts =
@@ -202,7 +213,7 @@ let raft_cluster ?(n = 5) ~seed () =
           Consensus.Raft.handle raft ~src:envelope.Geonet.Network.src
             envelope.Geonet.Network.payload))
     rafts;
-  { r_engine = engine; r_network = network; rafts; r_applied }
+  { r_shard = shard; r_network = network; rafts; r_applied }
 
 let raft_leaders cluster =
   Array.to_list cluster.rafts |> List.filter Consensus.Raft.is_leader
@@ -210,14 +221,14 @@ let raft_leaders cluster =
 let raft_elects_single_leader () =
   let cluster = raft_cluster ~seed:9L () in
   Array.iter Consensus.Raft.start cluster.rafts;
-  Des.Engine.run cluster.r_engine ~until_ms:15_000.0;
+  Des.Shard.run cluster.r_shard ~until_ms:15_000.0;
   let leaders = raft_leaders cluster in
   check int "exactly one leader" 1 (List.length leaders)
 
 let raft_replicates_and_applies () =
   let cluster = raft_cluster ~seed:10L () in
   Array.iter Consensus.Raft.start cluster.rafts;
-  Des.Engine.run cluster.r_engine ~until_ms:15_000.0;
+  Des.Shard.run cluster.r_shard ~until_ms:15_000.0;
   let leader = List.hd (raft_leaders cluster) in
   let commits = ref 0 in
   for command = 1 to 5 do
@@ -225,7 +236,7 @@ let raft_replicates_and_applies () =
     | Ok _ -> ()
     | Error _ -> Alcotest.fail "leader rejected submit"
   done;
-  Des.Engine.run cluster.r_engine ~until_ms:25_000.0;
+  Des.Shard.run cluster.r_shard ~until_ms:25_000.0;
   check int "all committed" 5 !commits;
   (* Every node applied the same prefix in the same order. *)
   Hashtbl.iter
@@ -236,7 +247,7 @@ let raft_replicates_and_applies () =
 let raft_submit_rejected_at_follower () =
   let cluster = raft_cluster ~seed:11L () in
   Array.iter Consensus.Raft.start cluster.rafts;
-  Des.Engine.run cluster.r_engine ~until_ms:15_000.0;
+  Des.Shard.run cluster.r_shard ~until_ms:15_000.0;
   let follower =
     Array.to_list cluster.rafts |> List.find (fun r -> not (Consensus.Raft.is_leader r))
   in
@@ -247,7 +258,7 @@ let raft_submit_rejected_at_follower () =
 let raft_reelects_after_leader_crash () =
   let cluster = raft_cluster ~seed:12L () in
   Array.iter Consensus.Raft.start cluster.rafts;
-  Des.Engine.run cluster.r_engine ~until_ms:15_000.0;
+  Des.Shard.run cluster.r_shard ~until_ms:15_000.0;
   let old_leader = List.hd (raft_leaders cluster) in
   let old_term = Consensus.Raft.current_term old_leader in
   (* Crash it. *)
@@ -258,7 +269,7 @@ let raft_reelects_after_leader_crash () =
         Consensus.Raft.pause raft
       end)
     cluster.rafts;
-  Des.Engine.run cluster.r_engine ~until_ms:60_000.0;
+  Des.Shard.run cluster.r_shard ~until_ms:60_000.0;
   let leaders = raft_leaders cluster in
   check int "new leader elected" 1 (List.length leaders);
   check bool "term advanced" true (Consensus.Raft.current_term (List.hd leaders) > old_term)
@@ -266,12 +277,12 @@ let raft_reelects_after_leader_crash () =
 let raft_log_safety_across_leader_change () =
   let cluster = raft_cluster ~seed:13L () in
   Array.iter Consensus.Raft.start cluster.rafts;
-  Des.Engine.run cluster.r_engine ~until_ms:15_000.0;
+  Des.Shard.run cluster.r_shard ~until_ms:15_000.0;
   let leader = List.hd (raft_leaders cluster) in
   for command = 1 to 3 do
     ignore (Consensus.Raft.submit leader command ~on_commit:ignore)
   done;
-  Des.Engine.run cluster.r_engine ~until_ms:25_000.0;
+  Des.Shard.run cluster.r_shard ~until_ms:25_000.0;
   (* Crash the leader, elect a new one, commit more entries. *)
   Array.iteri
     (fun id raft ->
@@ -280,12 +291,12 @@ let raft_log_safety_across_leader_change () =
         Consensus.Raft.pause raft
       end)
     cluster.rafts;
-  Des.Engine.run cluster.r_engine ~until_ms:70_000.0;
+  Des.Shard.run cluster.r_shard ~until_ms:70_000.0;
   let new_leader = List.hd (raft_leaders cluster) in
   for command = 4 to 6 do
     ignore (Consensus.Raft.submit new_leader command ~on_commit:ignore)
   done;
-  Des.Engine.run cluster.r_engine ~until_ms:100_000.0;
+  Des.Shard.run cluster.r_shard ~until_ms:100_000.0;
   (* Log safety: applied sequences at live nodes agree on their common
      prefix and include 1..6 at the new leader. *)
   let logs =
@@ -313,7 +324,7 @@ let raft_log_safety_across_leader_change () =
 let raft_minority_partition_cannot_commit () =
   let cluster = raft_cluster ~seed:14L () in
   Array.iter Consensus.Raft.start cluster.rafts;
-  Des.Engine.run cluster.r_engine ~until_ms:15_000.0;
+  Des.Shard.run cluster.r_shard ~until_ms:15_000.0;
   let leader_id =
     let found = ref (-1) in
     Array.iteri (fun id r -> if Consensus.Raft.is_leader r then found := id) cluster.rafts;
@@ -328,7 +339,7 @@ let raft_minority_partition_cannot_commit () =
   ignore
     (Consensus.Raft.submit cluster.rafts.(leader_id) 99 ~on_commit:(fun () ->
          committed := true));
-  Des.Engine.run cluster.r_engine ~until_ms:40_000.0;
+  Des.Shard.run cluster.r_shard ~until_ms:40_000.0;
   check bool "minority leader cannot commit" false !committed;
   (* The majority side elected its own leader at a higher term. *)
   let majority_leader =
