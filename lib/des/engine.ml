@@ -205,6 +205,8 @@ let line_push l ~time_ms v =
   l.l_len <- l.l_len + 1;
   if l.l_len = 1 then Pheap.push_reserved t.queue ~priority:time_ms ~seq l.l_fire
 
+let line_last l = l.l_last
+
 let cancel tm = tm.cancelled <- true
 
 let pending t = Pheap.length t.queue

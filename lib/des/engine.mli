@@ -73,6 +73,10 @@ val line_push : 'a line -> time_ms:float -> 'a -> unit
     like {!schedule_at}). Raises [Invalid_argument] if [time_ms] is below
     the time of the line's previous push. *)
 
+val line_last : 'a line -> float
+(** The time of the line's latest push ([neg_infinity] before the
+    first): the least time the next {!line_push} accepts. *)
+
 val cancel : timer -> unit
 (** Cancelling an already-fired or cancelled timer is a no-op. *)
 

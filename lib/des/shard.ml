@@ -272,6 +272,11 @@ let run t ~until_ms =
         if t_local > until_ms && t_global > until_ms then
           (* Done: events beyond the limit stay queued for a later run. *)
           Array.iter (fun e -> Engine.catch_up_to e ~time_ms:until_ms) t.engines
+        else if t_local = infinity && t_global = infinity then
+          (* Drained with no finite limit ([until_ms = infinity]): return,
+             as [Engine.run] does, with the clocks where the last event
+             left them. *)
+          ()
         else begin
           let cap = Float.min (t_local +. t.lookahead) t_global in
           if cap > until_ms then begin

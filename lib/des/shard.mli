@@ -62,7 +62,9 @@ val run : t -> until_ms:float -> unit
 (** Advance the whole shard to [until_ms]: alternate conservative windows
     (drained by 1 or [workers] domains) with barrier-aligned globals.
     Events and globals beyond [until_ms] stay queued; every lane clock
-    ends at [until_ms] exactly. *)
+    ends at [until_ms] exactly. With [until_ms = infinity] it returns once
+    no event or global is left, each clock where its last event left
+    it. *)
 
 val in_window : t -> bool
 (** [true] while a window is draining. *)

@@ -15,6 +15,8 @@ type t = {
   schedule_global : time_ms:float -> (unit -> unit) -> unit;
   run_until : float -> unit;
   entity : Samya.Types.entity;
+  arrival_ms : region:Geonet.Region.t -> issue_ms:float -> float;
+  arrive : region:Geonet.Region.t -> issue_ms:float -> unit;
   submit :
     region:Geonet.Region.t ->
     Samya.Types.request ->
@@ -252,7 +254,8 @@ let clock shard =
   }
 
 let of_shard shard ~sched_region ~name ~regions ~entity ~obs ~set_net_tracer ~observe
-    ~submit ~crash_site ~recover_site ~partition ~heal ~stats ~arm ~invariant =
+    ~arrival_ms ~arrive ~submit ~crash_site ~recover_site ~partition ~heal ~stats ~arm
+    ~invariant =
   (* The observability wiring reads the ambient trace context of the lane
      executing the write; between windows there is none. *)
   let context () =
@@ -267,6 +270,8 @@ let of_shard shard ~sched_region ~name ~regions ~entity ~obs ~set_net_tracer ~ob
     schedule_global = (fun ~time_ms f -> Des.Shard.schedule_global shard ~time_ms f);
     run_until = (fun until_ms -> Des.Shard.run shard ~until_ms);
     entity;
+    arrival_ms;
+    arrive;
     submit;
     crash_site;
     recover_site;
@@ -318,6 +323,7 @@ let of_samya_cluster ?(name = "Samya") ~hooks ~regions ~entity cluster =
     ~observe:(fun ~context sink ->
       hooks.sh_observer <-
         Some (avantan_observer ~context ~sites:(Array.length regions) sink))
+    ~arrival_ms:(Samya.Cluster.arrival_ms cluster) ~arrive:(Samya.Cluster.arrive cluster)
     ~submit:(Samya.Cluster.submit cluster)
     ~crash_site:(fun i -> Samya.Cluster.crash_site cluster i)
     ~recover_site:(fun i -> Samya.Cluster.recover_site cluster i)

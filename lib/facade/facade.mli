@@ -2,9 +2,10 @@
 
     Every system under test — Samya (both Avantan variants), MultiPaxSys,
     Demarcation and the CockroachDB-like baseline — is driven through one
-    first-class record: one client verb ([submit]), fault injection, a
-    common [stats] surface, and [subscribe], which installs an
-    observability sink across every layer of the system (DES timers,
+    first-class record: one client verb ([submit], which the open-loop
+    driver makes at the send's arrival: [arrival_ms], [arrive]), fault
+    injection, a common [stats] surface, and [subscribe], which installs
+    an observability sink across every layer of the system (DES timers,
     geonet hops, protocol events, request counters) in one call.
     Experiments, the chaos soak and the trace exporter consume this
     record only; nothing downstream pattern-matches on system names.
@@ -53,13 +54,25 @@ type t = {
   entity : Samya.Types.entity;
       (** the entity the builder registered (the one [invariant]
           audits) *)
+  arrival_ms : region:Geonet.Region.t -> issue_ms:float -> float;
+      (** when a client send from [region] issued at [issue_ms] arrives,
+          asked on the region's lane when the send is scheduled: Samya
+          folds the outbound client leg into the send, drawing it here
+          ({!Samya.Cluster.arrival_ms}); on every baseline it is
+          [issue_ms] and [submit] takes the legs itself *)
+  arrive : region:Geonet.Region.t -> issue_ms:float -> unit;
+      (** make the next [submit] from [region], in the same event (the
+          one scheduled at the send's [arrival_ms]), the arrival of a
+          send issued at [issue_ms], served in place
+          ({!Samya.Cluster.arrive}); a no-op where nothing is folded *)
   submit :
     region:Geonet.Region.t ->
     Samya.Types.request ->
     reply:(Samya.Types.response -> unit) ->
     unit;
       (** the one client verb: the request names its entity, amount and
-          absolute deadline *)
+          absolute deadline. Unless [arrive] just named it a send's
+          arrival it is issued now *)
   crash_site : int -> unit;
   recover_site : int -> unit;
   partition : int list list -> unit;
@@ -113,6 +126,8 @@ val of_shard :
   obs:Obs.Sink.port ->
   set_net_tracer:(Geonet.Network.tracer option -> unit) ->
   observe:(context:(unit -> Des.Trace_context.t) -> Obs.Sink.t -> unit) ->
+  arrival_ms:(region:Geonet.Region.t -> issue_ms:float -> float) ->
+  arrive:(region:Geonet.Region.t -> issue_ms:float -> unit) ->
   submit:
     (region:Geonet.Region.t ->
     Samya.Types.request ->

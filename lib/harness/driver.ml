@@ -297,6 +297,30 @@ let acc_result acc ~duration_ms : result =
     by_phase;
   }
 
+(* A FIFO of unboxed floats, grown by doubling. *)
+type stamps = { mutable ring : float array; mutable head : int; mutable len : int }
+
+let stamps () = { ring = [||]; head = 0; len = 0 }
+
+let stamps_push s x =
+  let cap = Array.length s.ring in
+  if s.len = cap then begin
+    let ring = Array.make (max 16 (2 * cap)) 0.0 in
+    for k = 0 to s.len - 1 do
+      ring.(k) <- s.ring.((s.head + k) mod cap)
+    done;
+    s.ring <- ring;
+    s.head <- 0
+  end;
+  s.ring.((s.head + s.len) mod Array.length s.ring) <- x;
+  s.len <- s.len + 1
+
+let stamps_pop s =
+  let x = s.ring.(s.head) in
+  s.head <- (s.head + 1) mod Array.length s.ring;
+  s.len <- s.len - 1;
+  x
+
 (* The driver-side instruments, resolved once per run. *)
 type instr = {
   i_sink : Obs.Sink.t;
@@ -383,11 +407,15 @@ type ctx = {
   instrument : instr option;
   slo_feeds : Obs.Slo.Feed.t array;
   mutable timeouts : (pending * int) Des.Engine.line array;
-      (* per client, its attempts (with their numbers) in send order, due
-         at their deadlines; empty unless attempts time out *)
+      (* per client, its attempts (with their numbers) in arrival order,
+         due at their deadlines; empty unless attempts time out *)
   mutable releases : Trace.Workload.request Des.Engine.line array;
       (* per client, the granted acquires whose grant-driven release is
-         due, on the client's lane; empty unless grant-driven releases *)
+         due, in arrival order, on the client's lane; empty unless
+         grant-driven releases *)
+  mutable release_issues : stamps array;
+      (* per client, the issue times of its release line's entries, in
+         step with it: the line keeps every entry *)
 }
 
 (* Phase of a request's first send (relative to t0): the number of
@@ -470,7 +498,16 @@ let terminal c p ~now ~tag =
   | None -> ());
   finish_instr p ~now ~tag
 
-let rec issue c ~synthetic (request : Trace.Workload.request) =
+(* Where a client's send is due: its arrival at the system
+   ({!Systems.facade.arrival_ms}). *)
+let arrival c client ~issue_ms =
+  c.t_system.Systems.arrival_ms ~region:c.spec.client_regions.(client) ~issue_ms
+
+(* A send's bookkeeping runs at its arrival and is stamped with its issue
+   time [issue_ms]: the first send, the deadline, the span and the causal
+   root all date from when the client sent. A stream request's release is
+   skipped on the tokens the client holds at the arrival. *)
+let rec issue c ~synthetic ~issue_ms (request : Trace.Workload.request) =
   let spec = c.spec in
   let client = request.site in
   let engine = c.engines.(client) in
@@ -484,7 +521,7 @@ let rec issue c ~synthetic (request : Trace.Workload.request) =
     && request.time_ms <= spec.duration_ms
     && not skip_release
   then begin
-    let first_sent = Des.Engine.now engine in
+    let first_sent = issue_ms in
     let deadline =
       if spec.deadline_budget_ms = infinity then infinity
       else first_sent +. spec.deadline_budget_ms
@@ -498,7 +535,7 @@ let rec issue c ~synthetic (request : Trace.Workload.request) =
       | Some i ->
           let span =
             Obs.Trace_log.start i.i_sink.Obs.Sink.log ~cat:"request"
-              ~tid:(client_tid client) (span_name request.kind)
+              ~tid:(client_tid client) ~ts:first_sent (span_name request.kind)
           in
           let trace = Des.Engine.fresh_id engine in
           let kind = span_name request.kind and entity = request.entity in
@@ -512,6 +549,7 @@ let rec issue c ~synthetic (request : Trace.Workload.request) =
         p_attempt = 0; p_settled = true; p_sent_at = first_sent }
   end
 
+(* Attempt [p.p_attempt + 1], sent at [p.p_sent_at], at its arrival. *)
 and attempt c p =
   let acc = c.acc and client = p.p_request.site in
   let engine = c.engines.(client) in
@@ -523,18 +561,25 @@ and attempt c p =
     acc.retries.(client) <- acc.retries.(client) + 1;
     match p.p_inst with Some (i, _, _) -> Obs.Metrics.incr i.i_retry | None -> ()
   end;
-  p.p_sent_at <- Des.Engine.now engine;
   (* With a retry policy and a finite client timeout, the client abandons
      the attempt at the timeout instead of waiting for a reply that may
      never come — which is exactly what breeds a retry storm: the server
      may still be working on the original. The entry is pushed before the
      attempt is submitted, so it takes its place in the tie order first:
-     a reply due exactly at the deadline runs after the timeout. *)
-  if Array.length c.timeouts > 0 then
-    Des.Engine.line_push c.timeouts.(client)
-      ~time_ms:(p.p_sent_at +. c.spec.client_timeout_ms) (p, n);
+     a reply due exactly at the deadline runs after the timeout. Pushes
+     follow arrivals, and sends from different sources may cross in
+     flight (an acquire overtaking a release sent just before it), so a
+     deadline below the line's last is pushed at the last. *)
+  if Array.length c.timeouts > 0 then begin
+    let line = c.timeouts.(client) in
+    Des.Engine.line_push line
+      ~time_ms:
+        (Float.max (p.p_sent_at +. c.spec.client_timeout_ms) (Des.Engine.line_last line))
+      (p, n)
+  end;
   let reply response = on_reply c p n response in
   let region = c.spec.client_regions.(client) in
+  c.t_system.Systems.arrive ~region ~issue_ms:p.p_sent_at;
   match p.p_inst with
   | None -> c.t_system.Systems.submit ~region p.p_system ~reply
   | Some (_, _, trace) ->
@@ -547,9 +592,15 @@ and attempt c p =
 and retry_after c p ~completed =
   let client = p.p_request.site in
   let engine = c.engines.(client) in
-  Des.Engine.schedule engine ~delay_ms:(backoff_ms c client ~completed) (fun () ->
+  let issue_ms = Des.Engine.now engine +. backoff_ms c client ~completed in
+  Des.Engine.schedule_at engine
+    ~time_ms:(arrival c client ~issue_ms)
+    (fun () ->
       (* The client may have crashed while backing off. *)
-      if Des.Engine.now engine -. c.t0 < c.cutoffs.(client) then attempt c p)
+      if issue_ms -. c.t0 < c.cutoffs.(client) then begin
+        p.p_sent_at <- issue_ms;
+        attempt c p
+      end)
 
 (* Attempt [n] reached its deadline unsettled (its timeout line's
    liveness test). Timed-out releases never retry (at-most-once: the
@@ -574,11 +625,17 @@ and on_reply c p n response =
      that arrives after the client gave up still moved real tokens, and
      grant-driven releases must return them. *)
   hold c.outstanding request response;
-  (* The release is due a constant lifetime after the grant on a clock
-     that never goes back, so the client's line stays in time order. *)
+  (* The release is sent a constant lifetime after the grant. *)
   (match (c.spec.grant_driven_release_ms, request.kind, response) with
   | Some lifetime_ms, Trace.Workload.Acquire, Samya.Types.Granted ->
-      Des.Engine.line_push c.releases.(client) ~time_ms:(now +. lifetime_ms) request
+      (* Arrivals from the line keep its order: a leg that would overtake
+         the line's last arrival lands with it. *)
+      let issue_ms = now +. lifetime_ms in
+      let line = c.releases.(client) in
+      stamps_push c.release_issues.(client) issue_ms;
+      Des.Engine.line_push line
+        ~time_ms:(Float.max (arrival c client ~issue_ms) (Des.Engine.line_last line))
+        request
   | _ -> ());
   if n = p.p_attempt && not p.p_settled then begin
     p.p_settled <- true;
@@ -695,7 +752,7 @@ let run ~(t_system : Systems.facade) spec =
   let c =
     {
       spec; t_system; engines; t0; acc; cutoffs; outstanding; retry_rngs; instrument;
-      slo_feeds; timeouts = [||]; releases = [||];
+      slo_feeds; timeouts = [||]; releases = [||]; release_issues = [||];
     }
   in
   (* One timeout line per client, when attempts can time out. An entry
@@ -712,20 +769,26 @@ let run ~(t_system : Systems.facade) spec =
           engines
   | _ -> ());
   (* A grant-driven release: these tokens are held by construction. *)
-  if spec.grant_driven_release_ms <> None then
+  if spec.grant_driven_release_ms <> None then begin
+    c.release_issues <- Array.map (fun _ -> stamps ()) engines;
     c.releases <-
-      Array.map
-        (fun engine ->
+      Array.mapi
+        (fun client engine ->
           Des.Engine.line engine ~dummy:no_request ~live:(fun _ -> true)
             (fun (granted : Trace.Workload.request) ->
-              issue c ~synthetic:true { granted with kind = Trace.Workload.Release; time_ms = 0.0 }))
-        engines;
+              issue c ~synthetic:true
+                ~issue_ms:(stamps_pop c.release_issues.(client))
+                { granted with kind = Trace.Workload.Release; time_ms = 0.0 }))
+        engines
+  end;
   (* Open-loop replay: one chain per client on the client's own lane, so
      a lane only ever schedules onto itself and consecutive arrivals never
      form a cross-lane dependency. Each chain is one closure that issues
-     its client's next request ([first], then [next]) and schedules itself
-     for the one after, keeping the event heap small even for
-     million-request streams. *)
+     its client's next request ([first], then [next]) at its arrival and
+     schedules the one after, keeping the event heap small even for
+     million-request streams. The next arrival is scheduled from this one,
+     so the engine's clamp to its clock keeps the chain's arrivals in
+     order. *)
   let first = Array.make n_clients (-1) in
   let next = Array.make (Array.length spec.requests) (-1) in
   for i = Array.length spec.requests - 1 downto 0 do
@@ -741,12 +804,14 @@ let run ~(t_system : Systems.facade) spec =
         let i = !cur in
         if i >= 0 && spec.requests.(i).Trace.Workload.time_ms <= spec.duration_ms then
           Des.Engine.schedule_at engine
-            ~time_ms:(t0 +. spec.requests.(i).Trace.Workload.time_ms)
+            ~time_ms:
+              (arrival c client ~issue_ms:(t0 +. spec.requests.(i).Trace.Workload.time_ms))
             dispatch
       and dispatch () =
         let i = !cur in
         cur := next.(i);
-        issue c ~synthetic:false spec.requests.(i);
+        issue c ~synthetic:false ~issue_ms:(t0 +. spec.requests.(i).Trace.Workload.time_ms)
+          spec.requests.(i);
         schedule_next ()
       in
       schedule_next ())

@@ -18,6 +18,8 @@ type facade = Facade.t = {
   schedule_global : time_ms:float -> (unit -> unit) -> unit;
   run_until : float -> unit;
   entity : Samya.Types.entity;
+  arrival_ms : region:Geonet.Region.t -> issue_ms:float -> float;
+  arrive : region:Geonet.Region.t -> issue_ms:float -> unit;
   submit :
     region:Geonet.Region.t ->
     Samya.Types.request ->
@@ -58,7 +60,8 @@ let samya ?seed ?engine_jobs ?name ~config ~regions ?forecaster ?on_protocol_eve
     ~hooks ~regions ~entity cluster
 
 (* Baseline adapters share one shape: one registered entity on a
-   one-lane shard (every client region rides lane 0), stats from the
+   one-lane shard (every client region rides lane 0), sends that arrive
+   at their issue with the legs in [submit], stats from the
    internal network counters (a baseline's coordination events are its
    borrows), no protocol feed and nothing to arm. *)
 let baseline ?(borrows = fun () -> 0) ~name ~shard ~regions ~entity ~submit ~crash_site
@@ -66,6 +69,8 @@ let baseline ?(borrows = fun () -> 0) ~name ~shard ~regions ~entity ~submit ~cra
   let lane = Des.Shard.engine shard 0 in
   Facade.of_shard shard ~sched_region:(fun _ -> lane) ~name ~regions ~entity ~obs:obs_port
     ~set_net_tracer ~observe:(fun ~context:_ _ -> ())
+    ~arrival_ms:(fun ~region:_ ~issue_ms -> issue_ms)
+    ~arrive:(fun ~region:_ ~issue_ms:_ -> ())
     ~submit ~crash_site ~recover_site ~partition ~heal
     ~stats:(fun () ->
       let sent, delivered, dropped = net_stats () in

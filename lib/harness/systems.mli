@@ -30,6 +30,12 @@ type facade = Facade.t = {
   entity : Samya.Types.entity;
       (** the entity the builder registered: a stream request that names
           no entity ([""]) targets it *)
+  arrival_ms : region:Geonet.Region.t -> issue_ms:float -> float;
+      (** when a send issued at [issue_ms] arrives (its outbound leg
+          drawn, where the system folds it into the send) *)
+  arrive : region:Geonet.Region.t -> issue_ms:float -> unit;
+      (** the next [submit] from [region], in this event, is that send's
+          arrival, served in place *)
   submit :
     region:Geonet.Region.t ->
     Samya.Types.request ->

@@ -55,8 +55,9 @@ type span = {
 
 let record = Lane_log.push
 
-let start t ?(cat = "") ?(tid = 0) name =
-  { sp_name = name; sp_cat = cat; sp_tid = tid; sp_ts = now t; sp_open = true }
+let start t ?(cat = "") ?(tid = 0) ?ts name =
+  let ts = match ts with Some ts -> ts | None -> now t in
+  { sp_name = name; sp_cat = cat; sp_tid = tid; sp_ts = ts; sp_open = true }
 
 let complete t ?(cat = "") ?(tid = 0) ?(args = []) ~name ~ts ~dur () =
   record t (Complete { name; cat; tid; ts; dur; args })

@@ -77,8 +77,8 @@ val now : t -> float
 type span
 (** In-flight span handle from {!start}, closed by {!finish}. *)
 
-val start : t -> ?cat:string -> ?tid:int -> string -> span
-(** Open a span at the executing lane's current time. *)
+val start : t -> ?cat:string -> ?tid:int -> ?ts:float -> string -> span
+(** Open a span at [ts], by default the executing lane's current time. *)
 
 val finish : t -> ?args:(string * string) list -> span -> unit
 (** Close [span] now, recording a [Complete] event. Finishing an

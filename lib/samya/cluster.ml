@@ -5,8 +5,12 @@
    site lane for the return), so the draw order — and therefore the whole
    run — does not depend on how many domains drain the windows.
 
-   A served request costs two events: the outbound leg, which runs the
-   site, and the return leg, which runs the client's reply. The site
+   A served request costs two events, one per client leg. Every region's
+   home site (its nearest) is on the region's lane, so the client
+   schedules its send at {!arrival_ms} — the outbound leg is drawn then —
+   and a [submit] it makes there after {!arrive} is served at the site in
+   place. A direct caller's [submit] is issued when it is made and
+   schedules its outbound leg, which runs the site. Either way the site
    answers when it commits to a response and says when that response
    leaves ({!Types.reply}); the return jitter is drawn then, on the site
    lane, and the return leg is scheduled from the site's CPU finish. *)
@@ -16,6 +20,10 @@ type t = {
   routes : int array array; (* per Region.index: sites by (one-way ms, id) *)
   leg_base : float array array; (* per Region.index, per site: leg before jitter *)
   lane_leg_rngs : Des.Rng.t array;
+  arriving : float array;
+      (* per Region.index: the issue time of the send whose arrival the
+         next submit is ({!arrive}), [nan] otherwise *)
+  crashed_at : float array; (* per site: its last crash, [neg_infinity] if none *)
   network : Site.net_msg Geonet.Network.t;
   regions : Geonet.Region.t array;
   sites : Site.t array;
@@ -70,8 +78,19 @@ let create ?(seed = 42L) ?(engine_jobs = 1) ~config ~regions ?forecaster
     per_region (fun region ->
         Array.init n (fun i -> (Geonet.Region.client_site_rtt_ms /. 2.0) +. one_way region i))
   in
-  { shard; region_lane; routes; leg_base; lane_leg_rngs; network; regions; sites; directory;
-    obs }
+  (* A region's home is its nearest site, and a region without a site
+     rides its nearest site's lane (both tie to the lowest node index), so
+     a send to the home never crosses lanes: its arrival can be scheduled
+     from the client's lane at any distance. *)
+  Array.iteri
+    (fun ri order -> assert (node_lane.(order.(0)) = region_lane.(ri)))
+    routes;
+  {
+    shard; region_lane; routes; leg_base; lane_leg_rngs;
+    arriving = Array.make (Array.length routes) Float.nan;
+    crashed_at = Array.make n neg_infinity;
+    network; regions; sites; directory; obs;
+  }
 
 let engine t = Des.Shard.engine t.shard 0
 let shard t = Some t.shard
@@ -188,30 +207,81 @@ let schedule_leg t ~from_lane ~to_lane ~time_ms f =
 
 let lane_now t lane = Des.Engine.now (Des.Shard.engine t.shard lane)
 
-let submit t ~region request ~reply =
-  let ri = Geonet.Region.index region in
+(* The site answers on its lane when it commits to [response]: the return
+   draw is its, and the leg leaves when the response does ([at_ms] is
+   never in the past). *)
+let serve t ~ri ~site_index request ~reply =
+  let client_lane = t.region_lane.(ri) in
+  let site_lane = region_lane t t.regions.(site_index) in
+  Site.submit t.sites.(site_index) request ~reply:(fun ~at_ms response ->
+      let back = client_leg_ms t t.lane_leg_rngs.(site_lane) ~ri ~site_index in
+      schedule_leg t ~from_lane:site_lane ~to_lane:client_lane ~time_ms:(at_ms +. back)
+        (fun () -> reply response))
+
+(* The site died while the request was in flight: [Unavailable] goes back
+   over a leg as long as the one that came. *)
+let unavailable_back t ~ri ~site_index ~there ~reply =
+  let site_lane = region_lane t t.regions.(site_index) in
+  schedule_leg t ~from_lane:site_lane ~to_lane:t.region_lane.(ri)
+    ~time_ms:(lane_now t site_lane +. there) (fun () -> reply Types.Unavailable)
+
+(* An outbound leg that arrives at [time_ms], [there] after it left. *)
+let leg_to_site t ~ri ~site_index ~time_ms ~there request ~reply =
+  let client_lane = t.region_lane.(ri) in
+  let site_lane = region_lane t t.regions.(site_index) in
+  schedule_leg t ~from_lane:client_lane ~to_lane:site_lane ~time_ms (fun () ->
+      if Site.alive t.sites.(site_index) then serve t ~ri ~site_index request ~reply
+      else unavailable_back t ~ri ~site_index ~there ~reply)
+
+(* Route from region [ri] to the nearest live site and send the outbound
+   leg, which left at [sent_ms]: now for a submit issued now, the issue
+   time for a send that failed over at its arrival. The draw is the
+   client lane's. A cross-lane leg lands no earlier than one lookahead
+   from now, so it clears the shard horizon (a leg sent now always does:
+   it spans two regions). *)
+let route_and_send t ~ri ~sent_ms request ~reply =
   match route t ri with
   | -1 -> reply Types.Unavailable
   | site_index ->
       let client_lane = t.region_lane.(ri) in
-      let site_lane = region_lane t t.regions.(site_index) in
-      (* Executes on the client's lane: the outbound draw comes from it. *)
       let there = client_leg_ms t t.lane_leg_rngs.(client_lane) ~ri ~site_index in
-      schedule_leg t ~from_lane:client_lane ~to_lane:site_lane
-        ~time_ms:(lane_now t client_lane +. there) (fun () ->
-          let target = t.sites.(site_index) in
-          if not (Site.alive target) then
-            (* The site died while the request was in flight. *)
-            schedule_leg t ~from_lane:site_lane ~to_lane:client_lane
-              ~time_ms:(lane_now t site_lane +. there) (fun () -> reply Types.Unavailable)
-          else
-            Site.submit target request ~reply:(fun ~at_ms response ->
-                (* Executes on the site's lane when the site commits to
-                   [response]: the return draw is its, and the leg leaves
-                   when the response does ([at_ms] is never in the past). *)
-                let back = client_leg_ms t t.lane_leg_rngs.(site_lane) ~ri ~site_index in
-                schedule_leg t ~from_lane:site_lane ~to_lane:client_lane
-                  ~time_ms:(at_ms +. back) (fun () -> reply response)))
+      let time_ms = sent_ms +. there in
+      let time_ms =
+        if region_lane t t.regions.(site_index) = client_lane then time_ms
+        else Float.max time_ms (lane_now t client_lane +. Des.Shard.lookahead_ms t.shard)
+      in
+      leg_to_site t ~ri ~site_index ~time_ms ~there request ~reply
+
+(* A send's arrival at its home site, issued at [issue_ms]. A home down
+   since the issue or before had the app manager fail the send over at
+   the issue; a home that died after it died with the request in
+   flight. *)
+let arrive_at_home t ~ri ~issue_ms request ~reply =
+  let home = t.routes.(ri).(0) in
+  if Site.alive t.sites.(home) then serve t ~ri ~site_index:home request ~reply
+  else if t.crashed_at.(home) > issue_ms then
+    unavailable_back t ~ri ~site_index:home
+      ~there:(lane_now t t.region_lane.(ri) -. issue_ms)
+      ~reply
+  else route_and_send t ~ri ~sent_ms:issue_ms request ~reply
+
+let submit t ~region request ~reply =
+  let ri = Geonet.Region.index region in
+  let issue_ms = t.arriving.(ri) in
+  if Float.is_nan issue_ms then
+    route_and_send t ~ri ~sent_ms:(lane_now t t.region_lane.(ri)) request ~reply
+  else begin
+    t.arriving.(ri) <- Float.nan;
+    arrive_at_home t ~ri ~issue_ms request ~reply
+  end
+
+(* Executes on the client's lane: the outbound draw comes from it. *)
+let arrival_ms t ~region ~issue_ms =
+  let ri = Geonet.Region.index region in
+  issue_ms
+  +. client_leg_ms t t.lane_leg_rngs.(t.region_lane.(ri)) ~ri ~site_index:t.routes.(ri).(0)
+
+let arrive t ~region ~issue_ms = t.arriving.(Geonet.Region.index region) <- issue_ms
 
 (* Fault events land in lane -1: they are injected between windows (via
    barrier-aligned globals), so stamping them from the coordinating
@@ -225,6 +295,7 @@ let flight_fault t detail =
 
 let crash_site t i =
   flight_fault t (Printf.sprintf "crash site %d" i);
+  t.crashed_at.(i) <- now t;
   Site.crash t.sites.(i)
 
 let recover_site t i =

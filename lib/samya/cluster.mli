@@ -6,9 +6,10 @@
     fails over to the next-nearest when a region's site is down. Client
     transport latency (client → app manager → site and back) is simulated
     on top of the inter-site network's latency model. A served request
-    costs two simulation events, one per client leg: the site answers when
-    it commits to a response, and the return leg leaves at the site's CPU
-    finish ({!Types.reply}).
+    costs two simulation events, one per client leg: a send to a home site
+    on the client's lane runs at its arrival there ({!arrival_ms},
+    {!arrive}), and the site answers when it commits to a response, the
+    return leg leaving at the site's CPU finish ({!Types.reply}).
 
     The cluster also exposes the failure injection (crashes, partitions)
     and the global accounting used by the invariant checks and the
@@ -122,7 +123,25 @@ val submit :
 (** Client request from [region]: routed via the local app manager to the
     nearest live site; [reply] fires when the response reaches the client
     (transport + service + queueing latency included). With no live site
-    reachable the reply is [Unavailable]. *)
+    reachable the reply is [Unavailable]. After {!arrive} it is that send's
+    arrival; otherwise it is issued now and routed then. *)
+
+val arrival_ms : t -> region:Geonet.Region.t -> issue_ms:float -> float
+(** When a client send from [region] issued at [issue_ms] reaches its site,
+    called from the region's lane when the send is scheduled: the
+    outbound leg to the region's home site — its nearest, always on the
+    region's lane — is drawn now, from that lane's leg stream, and the
+    send arrives [issue_ms] plus the leg. *)
+
+val arrive : t -> region:Geonet.Region.t -> issue_ms:float -> unit
+(** Make the next {!submit} from [region] — in the same event, scheduled
+    at the send's {!arrival_ms} — the arrival of a send issued at
+    [issue_ms]: it is served at the home site in place. If the home was
+    down at [issue_ms] (its last crash is no later), it fails over to the
+    site that is nearest and live at the arrival, with a leg that left at
+    [issue_ms] (a cross-lane one no earlier than the shard lookahead from
+    now); if the home died after [issue_ms], the reply is [Unavailable],
+    one leg later. *)
 
 val submit_to_site : t -> site:int -> Types.request -> reply:Types.reply -> unit
 (** Bypass routing and client legs (tests, probes): {!Site.submit} on

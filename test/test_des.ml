@@ -804,6 +804,20 @@ let line_releases_fired () =
   check int "live entries all fired" (3 * n / 4) !fired;
   Des.Engine.line_push (Sys.opaque_identity l) ~time_ms:(float_of_int n) (ref n)
 
+(* With no finite limit, a shard returns once nothing is left to run, as
+   [Engine.run] does, its clock where the last event or global left it. *)
+let shard_runs_to_infinity () =
+  let shard = Des.Shard.create ~lanes:1 ~lookahead_ms:1.0 () in
+  let fired = ref 0 in
+  Des.Engine.schedule_at (Des.Shard.engine shard 0) ~time_ms:1.0 (fun () -> incr fired);
+  Des.Shard.run shard ~until_ms:infinity;
+  check int "the event ran" 1 !fired;
+  check (Alcotest.float 0.0) "clock at the event" 1.0 (Des.Shard.now shard);
+  Des.Shard.schedule_global shard ~time_ms:2.0 (fun () -> incr fired);
+  Des.Shard.run shard ~until_ms:infinity;
+  check int "the global ran" 2 !fired;
+  check (Alcotest.float 0.0) "clock at the global" 2.0 (Des.Shard.now shard)
+
 (* Five clients acquire every 10 ms for 10 s and hold each grant 5 s:
    about 500 grants per client are held at once. With one release line
    per client, each client lane's queue holds its line's head, not an
@@ -894,6 +908,7 @@ let suite =
     Alcotest.test_case "engine: obs-off drain allocation" `Quick
       engine_untraced_drain_no_extra_allocation;
     Alcotest.test_case "shard: parameter validation" `Quick shard_validation;
+    Alcotest.test_case "shard: runs to infinity and returns" `Quick shard_runs_to_infinity;
     Alcotest.test_case "shard: cross-lane ping-pong" `Quick shard_cross_lane_ping_pong;
     Alcotest.test_case "shard: horizon guard" `Quick shard_horizon_guard;
     Alcotest.test_case "shard: global barrier aligns clocks" `Quick

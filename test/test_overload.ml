@@ -462,6 +462,8 @@ let superseded_attempt_books_tokens_but_is_not_counted () =
       schedule_global = (fun ~time_ms f -> Des.Engine.schedule_at engine ~time_ms f);
       run_until = (fun until_ms -> Des.Engine.run engine ~until_ms);
       entity;
+      arrival_ms = (fun ~region:_ ~issue_ms -> issue_ms);
+      arrive = (fun ~region:_ ~issue_ms:_ -> ());
       submit =
         (fun ~region:_ request ~reply ->
           match request with
@@ -625,6 +627,8 @@ let timed_stub engine ~delay_ms : Harness.Systems.facade =
     schedule_global = (fun ~time_ms f -> Des.Engine.schedule_at engine ~time_ms f);
     run_until = (fun until_ms -> Des.Engine.run engine ~until_ms);
     entity;
+    arrival_ms = (fun ~region:_ ~issue_ms -> issue_ms);
+    arrive = (fun ~region:_ ~issue_ms:_ -> ());
     submit =
       (fun ~region:_ request ~reply ->
         Des.Engine.schedule engine ~delay_ms:(delay_ms request) (fun () ->
@@ -736,6 +740,77 @@ let reply_at_the_deadline_is_a_timeout () =
   check int "only A committed" 1 r.Harness.Driver.committed;
   check int "B timed out at its deadline" 1 r.Harness.Driver.timed_out;
   check int "both replies arrived" 0 r.Harness.Driver.no_reply
+
+(* [timed_stub] whose sends arrive [leg_ms issue_ms] after their issue,
+   as a system that folds the outbound leg into the send does. *)
+let legged_stub engine ~leg_ms ~delay_ms =
+  {
+    (timed_stub engine ~delay_ms) with
+    Harness.Systems.arrival_ms = (fun ~region:_ ~issue_ms -> issue_ms +. leg_ms issue_ms);
+  }
+
+let reply_at_the_deadline_is_a_timeout_after_a_leg () =
+  (* The case above with a 5 ms outbound leg: B, sent at 50 ms, arrives
+     at 55 ms and is answered exactly at its deadline, 150 ms. Its timeout
+     entry is pushed at the arrival, before the system accepts B, so the
+     reply still loses the tie. *)
+  let engine = Des.Engine.create () in
+  let delay_ms = function
+    | Samya.Types.Acquire { amount = 2; _ } -> 95.0
+    | _ -> 20.0
+  in
+  let spec =
+    {
+      (Harness.Driver.default_spec
+         ~client_regions:[| (regions ()).(0) |]
+         ~requests:
+           [| req 0.0 0 Trace.Workload.Acquire 1; req 50.0 0 Trace.Workload.Acquire 2 |]
+         ~duration_ms:1_000.0)
+      with
+      Harness.Driver.drain_ms = 1_000.0;
+      client_timeout_ms = 100.0;
+      retry = fixed_backoff ~max_attempts:1;
+    }
+  in
+  let r =
+    Harness.Driver.run ~t_system:(legged_stub engine ~leg_ms:(fun _ -> 5.0) ~delay_ms) spec
+  in
+  check int "only A committed" 1 r.Harness.Driver.committed;
+  check int "B timed out at its deadline" 1 r.Harness.Driver.timed_out;
+  check int "both replies arrived" 0 r.Harness.Driver.no_reply
+
+let crossing_legs_keep_the_timeout_line_in_order () =
+  (* One client. Acquire X, sent at 0 ms over a 1 ms leg, is granted at
+     21 ms; its grant-driven release is sent at 71 ms over a 9 ms leg and
+     arrives at 80 ms. Acquire Y, sent at 75 ms over a 1 ms leg,
+     overtakes it: Y's deadline (175 ms) goes on the timeout line at
+     76 ms, the release's (171 ms) at 80 ms. The release's entry is
+     pushed at Y's deadline instead of being refused, and nothing times
+     out. *)
+  let engine = Des.Engine.create () in
+  let leg_ms issue_ms = if issue_ms = 71.0 then 9.0 else 1.0 in
+  let spec =
+    {
+      (Harness.Driver.default_spec
+         ~client_regions:[| (regions ()).(0) |]
+         ~requests:
+           [| req 0.0 0 Trace.Workload.Acquire 1; req 75.0 0 Trace.Workload.Acquire 1 |]
+         ~duration_ms:1_000.0)
+      with
+      Harness.Driver.drain_ms = 1_000.0;
+      client_timeout_ms = 100.0;
+      grant_driven_release_ms = Some 50.0;
+      retry = fixed_backoff ~max_attempts:1;
+    }
+  in
+  let r =
+    Harness.Driver.run
+      ~t_system:(legged_stub engine ~leg_ms ~delay_ms:(fun _ -> 20.0))
+      spec
+  in
+  check int "both acquires and both releases committed" 4 r.Harness.Driver.committed;
+  check int "nothing timed out" 0 r.Harness.Driver.timed_out;
+  check int "every attempt replied" 0 r.Harness.Driver.no_reply
 
 let slo_abort_classes_accumulate () =
   let slo = Obs.Slo.create () in
@@ -1176,6 +1251,10 @@ let suite =
       watchdog_fires_per_client_not_per_attempt;
     Alcotest.test_case "driver: reply at the deadline times out" `Quick
       reply_at_the_deadline_is_a_timeout;
+    Alcotest.test_case "driver: a reply at the deadline loses after a leg" `Quick
+      reply_at_the_deadline_is_a_timeout_after_a_leg;
+    Alcotest.test_case "driver: crossing legs keep the timeout line in order" `Quick
+      crossing_legs_keep_the_timeout_line_in_order;
     Alcotest.test_case "slo: abort classes" `Quick slo_abort_classes_accumulate;
     Alcotest.test_case "workload: flash sale shape" `Quick flash_sale_shape;
     Alcotest.test_case "workload: flash sale validation" `Quick

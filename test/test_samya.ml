@@ -217,6 +217,125 @@ let granted_submit_costs_two_events () =
       Alcotest.failf "expected 3 events and one reply, got %d events and %d replies"
         (List.length events) (List.length replies)
 
+(* A send as the driver makes it: scheduled on the client's lane at its
+   arrival, where its submit is served in place. *)
+let send_at cluster ~issue_ms ~region request callback =
+  Des.Engine.schedule_at
+    (Samya.Cluster.engine_of_region cluster region)
+    ~time_ms:(Samya.Cluster.arrival_ms cluster ~region ~issue_ms)
+    (fun () ->
+      Samya.Cluster.arrive cluster ~region ~issue_ms;
+      Samya.Cluster.submit cluster ~region request ~reply:callback)
+
+let served_send_costs_two_events () =
+  (* The grant above, sent as the driver sends it: the outbound leg is
+     drawn when the send is scheduled, and the send runs once, at its
+     arrival at site 0, which serves it there. *)
+  let cluster = make_cluster () in
+  let region = (regions ()).(0) in
+  let times = record_events cluster in
+  let sent = 1_000.0 in
+  let replied = ref [] in
+  send_at cluster ~issue_ms:sent ~region (Samya.Types.acquire ~entity ~amount:1 ())
+    (fun response ->
+      replied :=
+        (Des.Engine.now (Samya.Cluster.engine_of_region cluster region), response)
+        :: !replied);
+  Samya.Cluster.run_until cluster ~until_ms:(sent +. 100.0);
+  let base =
+    (Geonet.Region.client_site_rtt_ms /. 2.0) +. Geonet.Region.one_way_ms region region
+  in
+  let within lo x = x >= lo +. base -. 1e-9 && x <= lo +. (1.05 *. base) +. 1e-9 in
+  match (List.rev (List.filter (fun t -> t >= sent) !times), !replied) with
+  | [ arrived; returned ], [ (reply_ms, response) ] ->
+      check bool "granted" true (response = Samya.Types.Granted);
+      check bool "arrival within [base, 1.05 base] of the send" true (within sent arrived);
+      let finish = arrived +. Samya.Config.default.Samya.Config.local_processing_ms in
+      check bool
+        (Printf.sprintf
+           "reply %.4f within [finish + base, finish + 1.05 base] of finish %.4f" returned
+           finish)
+        true (within finish returned);
+      check (Alcotest.float 0.0) "the reply runs in the return leg" returned reply_ms
+  | events, replies ->
+      Alcotest.failf "expected 2 events and one reply, got %d events and %d replies"
+        (List.length events) (List.length replies)
+
+let send_whose_home_dies () =
+  (* Site 0 crashes while a send from us-west1 is on its ~1 ms leg: the
+     request died in flight, and [Unavailable] comes back one leg after
+     the arrival. Crashed exactly at the issue instead, site 0 was down
+     when the client sent: the app manager fails over to the nearest live
+     site (asia-east2, site 1), which grants. The failover site is the
+     nearest live at the arrival: if site 1 also dies while the send is on
+     its leg, the next nearest serves it. *)
+  let region = (regions ()).(0) in
+  let sent = 1_000.0 in
+  let run crashes =
+    let cluster = make_cluster () in
+    List.iter
+      (fun (crash_ms, site) ->
+        Samya.Cluster.schedule_global cluster ~time_ms:crash_ms (fun () ->
+            Samya.Cluster.crash_site cluster site))
+      crashes;
+    let replied = ref [] in
+    send_at cluster ~issue_ms:sent ~region (Samya.Types.acquire ~entity ~amount:1 ())
+      (fun response ->
+        replied :=
+          (Des.Engine.now (Samya.Cluster.engine_of_region cluster region), response)
+          :: !replied);
+    Samya.Cluster.run_until cluster ~until_ms:(sent +. 1_000.0);
+    let served =
+      Array.map
+        (fun site -> (Samya.Site.stats site).Samya.Site.served_acquires)
+        (Samya.Cluster.sites cluster)
+    in
+    (!replied, served)
+  in
+  let base =
+    (Geonet.Region.client_site_rtt_ms /. 2.0) +. Geonet.Region.one_way_ms region region
+  in
+  (match run [ (sent +. (base /. 4.0), 0) ] with
+  | [ (reply_ms, response) ], served ->
+      check bool "died in flight: unavailable" true (response = Samya.Types.Unavailable);
+      check bool
+        (Printf.sprintf "reply %.4f within [2 base, 2.1 base] of the send" reply_ms)
+        true
+        (reply_ms >= sent +. (2.0 *. base) -. 1e-9
+        && reply_ms <= sent +. (2.1 *. base) +. 1e-9);
+      check (Alcotest.array int) "nothing served" [| 0; 0; 0; 0; 0 |] served
+  | replies, _ -> Alcotest.failf "died in flight: %d replies" (List.length replies));
+  (match run [ (sent, 0) ] with
+  | [ (reply_ms, response) ], served ->
+      check bool "down at the issue: granted" true (response = Samya.Types.Granted);
+      check (Alcotest.array int) "served by site 1" [| 0; 1; 0; 0; 0 |] served;
+      let far =
+        (Geonet.Region.client_site_rtt_ms /. 2.0)
+        +. Geonet.Region.one_way_ms region (regions ()).(1)
+      in
+      check bool
+        (Printf.sprintf "reply %.4f at least two legs to site 1 after the send" reply_ms)
+        true
+        (reply_ms >= sent +. (2.0 *. far))
+  | replies, _ -> Alcotest.failf "down at the issue: %d replies" (List.length replies));
+  let next =
+    List.fold_left
+      (fun best i ->
+        if
+          Geonet.Region.one_way_ms region (regions ()).(i)
+          < Geonet.Region.one_way_ms region (regions ()).(best)
+        then i
+        else best)
+      2 [ 3; 4 ]
+  in
+  match run [ (sent, 0); (sent +. (base /. 4.0), 1) ] with
+  | [ (_, response) ], served ->
+      check bool "failover died in flight: granted" true (response = Samya.Types.Granted);
+      check (Alcotest.array int) "served by the next nearest"
+        (Array.init 5 (fun i -> if i = next then 1 else 0))
+        served
+  | replies, _ -> Alcotest.failf "failover died in flight: %d replies" (List.length replies)
+
 let site_replies_at_commit () =
   (* Three requests reach site 0 at 1 s: one already past its deadline,
      then two acquires. Each reply is called at once; the shed leaves
@@ -457,8 +576,9 @@ let all_sites_down_unavailable () =
 (* The route table against the scan it replaced: from every client
    region, under every subset of crashed sites, a request lands on the
    nearest live site (ties to the lowest id), seen through the per-site
-   served counts; with every site down it is answered Unavailable. *)
-let route_matches_linear_scan () =
+   served counts; with every site down it is answered Unavailable. [send]
+   makes the request at 0 ms, after the crashes. *)
+let check_routes ~send =
   let sites = regions () in
   let n = Array.length sites in
   let scan client ~down =
@@ -480,7 +600,7 @@ let route_matches_linear_scan () =
         let cluster = make_cluster () in
         List.iter (Samya.Cluster.crash_site cluster) down;
         let response = ref None in
-        submit_at cluster ~time_ms:0.0 ~region:client
+        send cluster ~region:client
           (Samya.Types.Acquire { entity; amount = 1; deadline_ms = infinity })
           (fun r -> response := Some r);
         drain ~extra:5_000.0 cluster;
@@ -506,6 +626,14 @@ let route_matches_linear_scan () =
               served
       done)
     Geonet.Region.all
+
+let route_matches_linear_scan () =
+  check_routes ~send:(fun cluster -> submit_at cluster ~time_ms:0.0)
+
+(* A send issued after its home crashed fails over from the issue, as an
+   issue-now submit does. *)
+let send_routes_from_the_issue () =
+  check_routes ~send:(fun cluster -> send_at cluster ~issue_ms:0.0)
 
 let recovery_restores_service () =
   let cluster = make_cluster () in
@@ -1360,6 +1488,10 @@ let suite =
     Alcotest.test_case "invariant: cold reads stay cold" `Quick cold_reads_stay_cold;
     Alcotest.test_case "failure: route is the nearest live site" `Quick
       route_matches_linear_scan;
+    Alcotest.test_case "failure: a send whose home was down fails over" `Quick
+      send_routes_from_the_issue;
+    Alcotest.test_case "failure: a send whose home dies in flight" `Quick
+      send_whose_home_dies;
     Alcotest.test_case "durable image: constant-size capture" `Quick
       image_capture_is_constant_size;
     Alcotest.test_case "durable image: amnesia recovery restores it" `Quick
@@ -1367,6 +1499,8 @@ let suite =
     QCheck_alcotest.to_alcotest demand_tracker_matches_model;
     Alcotest.test_case "reply path: a grant costs two events" `Quick
       granted_submit_costs_two_events;
+    Alcotest.test_case "reply path: a served send costs two events" `Quick
+      served_send_costs_two_events;
     Alcotest.test_case "reply path: replies at commit with at_ms" `Quick
       site_replies_at_commit;
   ]
