@@ -80,10 +80,11 @@ type spec = {
           each attempt at the timeout (default [None]: submit once and
           wait forever — the historical behaviour) *)
   deadline_budget_ms : float;
-      (** per-workload deadline budget: every request is stamped with
-          the absolute deadline [send time + budget], which sites
-          propagate and enforce ({!Samya.Config.t.deadline_budget_ms})
-          (default [infinity]: no deadline; must be positive) *)
+      (** per-workload deadline budget: every request is stamped once
+          with the absolute deadline [first send time + budget], and
+          every retry attempt resends that stamp; sites propagate and
+          enforce it ({!Samya.Config.t.deadline_budget_ms}) (default
+          [infinity]: no deadline; must be positive) *)
   phases : float array;
       (** interior phase boundaries (ms, strictly ascending): requests
           bucket into [result.by_phase] by first-send time, so [n]

@@ -15,10 +15,15 @@
    offered load by the attempt budget, so after the fault heals the
    effective arrival rate still exceeds the home site's capacity and
    goodput never recovers — the system is stuck in the bad equilibrium
-   the fault created. Admission control sheds the excess for free
-   (rejected-deadline replies cost no service time), which keeps the CPU
-   backlog bounded and lets the same retrying clients drain back to
-   steady state within seconds of the heal.
+   the fault created. The loop needs a trigger: at the heal, the home
+   site's CPU backlog must already be longer than the client timeout, so
+   that every attempt times out and is sent again. The spike builds that
+   backlog: 2 000 req/s for 5 s at full scale, 3 000 req/s for the quick
+   run's 2.5 s (at 2 000 req/s, 2.5 s leaves too short a backlog, and no
+   attempt times out after the heal). Admission control sheds the excess
+   for free (rejected-deadline replies cost no service time), which keeps
+   the CPU backlog bounded and lets the same retrying clients drain back
+   to steady state within seconds of the heal.
 
    The verdict compares each arm's post-heal goodput with its own
    pre-fault goodput. Quick mode is the CI smoke: the same shape on a
@@ -43,7 +48,7 @@ let scale ~quick =
   let quick_scale =
     {
       base_rate_per_s = 600.0;
-      spike_rate_per_s = 2_000.0;
+      spike_rate_per_s = 3_000.0;  (* see the header: the backlog at the heal *)
       spike_start_ms = 10_000.0;
       spike_end_ms = 12_500.0;
       partition_at_ms = 9_800.0;
@@ -60,6 +65,7 @@ let scale ~quick =
   else
     {
       quick_scale with
+      spike_rate_per_s = 2_000.0;
       spike_start_ms = 20_000.0;
       spike_end_ms = 25_000.0;
       partition_at_ms = 19_800.0;
@@ -100,9 +106,10 @@ let config ~scale:s ~admission =
          forecasting. *)
       Samya.Config.prediction_enabled = false;
       (* A checkout reservation is cheap — 0.5 ms of CPU caps a site at
-         2 000 req/s, so the 2 000 req/s spike (90% home-skewed, plus the
-         release per grant) overloads the home site roughly 2x while the
-         base load keeps it just above 50% busy. *)
+         2 000 req/s, so a 2 000 req/s spike (90% home-skewed, plus the
+         release per grant) overloads the home site roughly 2x, and the
+         quick run's 3 000 req/s roughly 3x, while the base load keeps it
+         just above 50% busy. *)
       local_processing_ms = 0.5;
       (* Let the hot share chase the spike instead of parking requests
          for the default 2 s between redistributions. *)

@@ -441,6 +441,45 @@ let retrying_clients_resubmit_but_not_releases () =
   check bool "invariant (late grant + single release)" true
     (t_system.Harness.Systems.invariant ~maximum:5_000 = Ok ())
 
+let retry_keeps_the_first_deadline () =
+  (* The driver stamps [first_sent + deadline_budget_ms] once, at the
+     request's first send, and every retry resends that stamp: the budget
+     bounds the request, not each attempt. With the budget equal to the
+     client timeout, a retry that follows a timeout is past its deadline
+     before it is sent, so the site sheds it on arrival — here both
+     retries of an acquire whose first attempt waits 400 ms for the CPU. *)
+  let config =
+    { Samya.Config.default with Samya.Config.local_processing_ms = 400.0 }
+  in
+  let t_system = driver_system ~config () in
+  let spec =
+    {
+      (Harness.Driver.default_spec ~client_regions:(regions ())
+         ~requests:[| req 0.0 0 Trace.Workload.Acquire 1 |]
+         ~duration_ms:1_000.0)
+      with
+      Harness.Driver.drain_ms = 5_000.0;
+      client_timeout_ms = 100.0;
+      deadline_budget_ms = 100.0;
+      retry =
+        Some
+          {
+            Harness.Driver.max_attempts = 3;
+            base_backoff_ms = 10.0;
+            max_backoff_ms = 10.0;
+            jitter = 0.0;
+            jitter_seed = 1L;
+          };
+    }
+  in
+  let r = Harness.Driver.run ~t_system spec in
+  check int "attempt 1 timed out, then two retries" 2 r.Harness.Driver.retries;
+  check int "the request ends shed, not timed out" 1 r.Harness.Driver.shed;
+  check int "no timeout is the terminal outcome" 0 r.Harness.Driver.timed_out;
+  check int "nothing committed" 0 r.Harness.Driver.committed;
+  check bool "invariant (the first attempt's late grant)" true
+    (t_system.Harness.Systems.invariant ~maximum:5_000 = Ok ())
+
 let superseded_attempt_books_tokens_but_is_not_counted () =
   (* A stub system that answers the first acquire after the client
      timeout and the second in time. Attempt 1 times out at 100 ms and
@@ -1273,4 +1312,6 @@ let suite =
     Alcotest.test_case "retrystorm: engine-jobs byte-identical" `Slow
       retrystorm_engine_jobs_identical;
     Alcotest.test_case "retrystorm: metastable gap" `Slow retrystorm_metastable_gap;
+    Alcotest.test_case "driver: a retry keeps the first deadline" `Quick
+      retry_keeps_the_first_deadline;
   ]
