@@ -13,39 +13,47 @@ let pp_violation fmt { check; site; detail } =
    one. *)
 type t = {
   variant : Samya.Config.variant;
-  last_decided : Ballot.t option array;
-      (* per site, the last origin its protocol instance applied in its
-         current incarnation; reset on recovery, since a rolled-back site
-         may legitimately re-apply instances its ledger lost *)
+  last_decided : (Samya.Types.entity, Ballot.t) Hashtbl.t array;
+      (* per site and protocol channel, the last origin that channel's
+         machine applied in the site's current incarnation; reset on
+         recovery, since a rolled-back site may legitimately re-apply
+         instances its ledger lost *)
   live : violation list array; (* per site, newest first *)
 }
 
 let create ~variant ~n_sites () =
-  { variant; last_decided = Array.make n_sites None; live = Array.make n_sites [] }
+  {
+    variant;
+    last_decided = Array.init n_sites (fun _ -> Hashtbl.create 8);
+    live = Array.make n_sites [];
+  }
 
 (* Anytime check, fed from the protocol event stream: with carried accept
-   state (Avantan[(n+1)/2]) a site applies decisions in strictly
+   state (Avantan[(n+1)/2]) one machine applies decisions in strictly
    increasing origin order within one incarnation — Avantan[*] instances
    are independent and may decide out of ballot order, so the check is
-   variant-gated. *)
-let on_protocol_event t ~site event =
+   variant-gated. Each channel is its own machine with its own ballots,
+   so the order is checked per (site, channel). *)
+let on_protocol_event t ~site ~channel event =
   match (t.variant, event) with
   | Samya.Config.Majority, Samya.Avantan_core.Decided { origin; _ } -> (
-      match t.last_decided.(site) with
+      let last = t.last_decided.(site) in
+      match Hashtbl.find_opt last channel with
       | Some previous when not Ballot.(origin > previous) ->
           t.live.(site) <-
             {
               check = "monotone-decided-prefix";
               site = Some site;
               detail =
-                Format.asprintf "applied %a after %a without an intervening recovery"
-                  Ballot.pp origin Ballot.pp previous;
+                Format.asprintf
+                  "channel %S applied %a after %a without an intervening recovery"
+                  channel Ballot.pp origin Ballot.pp previous;
             }
             :: t.live.(site)
-      | Some _ | None -> t.last_decided.(site) <- Some origin)
+      | Some _ | None -> Hashtbl.replace last channel origin)
   | _ -> ()
 
-let note_recovery t ~site = t.last_decided.(site) <- None
+let note_recovery t ~site = Hashtbl.reset t.last_decided.(site)
 
 let live_violations t =
   Array.fold_right (fun vs acc -> List.rev_append vs acc) t.live []

@@ -11,9 +11,10 @@
       origin recorded {e equal} values (divergence is the ballot-reuse
       Paxos violation that lost promises produce under weak durability);
     - {b monotone decided prefixes}, fed live from the protocol event
-      stream: an Avantan[(n+1)/2] site applies decisions in strictly
-      increasing origin order within one incarnation (Avantan[*] instances
-      are independent, so the check is variant-gated). *)
+      stream: an Avantan[(n+1)/2] machine applies decisions in strictly
+      increasing origin order within one incarnation, checked per
+      (site, protocol channel) (Avantan[*] instances are independent, so
+      the check is variant-gated). *)
 
 type violation = { check : string; site : int option; detail : string }
 
@@ -25,13 +26,16 @@ val create : variant:Samya.Config.variant -> n_sites:int -> unit -> t
 (** State is kept per site, so sites whose lanes drain on different
     domains never write a shared field. *)
 
-val on_protocol_event : t -> site:int -> Samya.Avantan_core.event -> unit
-(** Wire to {!Samya.Cluster.create}'s [on_protocol_event]. *)
+val on_protocol_event :
+  t -> site:int -> channel:Samya.Types.entity -> Samya.Avantan_core.event -> unit
+(** Wire to {!Samya.Cluster.create}'s [on_protocol_event], passing its
+    [entity] argument as [channel]: the label of the protocol channel the
+    event came from (an entity, or {!Samya.Protocol_driver.batch_channel}). *)
 
 val note_recovery : t -> site:int -> unit
-(** A site recovered: reset its monotonicity baseline (a crash-amnesiac
-    site may legitimately re-apply instances its rolled-back ledger
-    lost). *)
+(** A site recovered: reset the monotonicity baseline of all its channels
+    (a crash-amnesiac site may legitimately re-apply instances its
+    rolled-back ledger lost). *)
 
 val live_violations : t -> violation list
 (** Violations collected from the event stream so far, by site, each

@@ -124,8 +124,8 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
   let auditor = Auditor.create ~variant ~n_sites () in
   let hooks =
     Facade.samya_hooks
-      ~on_protocol_event:(fun ~site ~entity:_ event ->
-        Auditor.on_protocol_event auditor ~site event)
+      ~on_protocol_event:(fun ~site ~entity event ->
+        Auditor.on_protocol_event auditor ~site ~channel:entity event)
       ()
   in
   let cluster =

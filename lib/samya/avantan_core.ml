@@ -187,7 +187,7 @@ type t = {
   mutable scope : string list;
       (* entities piggybacked on the current instance: frozen from
          [env.my_scope] when we lead, adopted from Election-GetValue when
-         we join; [[]] on per-entity machines (and between instances) *)
+         we join; [[]] between instances *)
   mutable exposed : bool;
       (* exposure-based participation (carried-accept-state policies): true
          from the moment our InitVal leaves this site until the instance

@@ -62,16 +62,15 @@ type env = {
   set_timer : delay_ms:float -> (unit -> unit) -> Des.Engine.timer;
   local_state : scope:string list -> Protocol.contrib list;
       (** snapshot of [TokensLeft]/[TokensWanted] at this site for each
-          entity in [scope] ([scope = []] on per-entity machines: the one
-          bound entity, labelled [""]) *)
+          entity in [scope], labelled by entity *)
   refresh_wanted : scope:string list -> unit;
       (** Algorithm 1 lines 9–11: re-predict and raise [TokensWanted]
           before answering an election (a no-op when prediction is
           disabled) *)
   my_scope : unit -> string list;
       (** called once when this site starts leading an instance: the
-          entities to piggyback on it. Per-entity machines return [[]];
-          the batched driver drains its pending set here. *)
+          entities to piggyback on it. Per-entity machines return their
+          one entity; the batched driver drains its pending set here. *)
   on_outcome : Protocol.outcome -> unit;
       (** participation ended: a value was decided (apply it and drain the
           queue) or the instance aborted *)

@@ -38,9 +38,11 @@ type 'hot core = {
   mutable acquired_net : int;
   mutable tokens_wanted : int;
   mutable exposed : bool;
-      (** participation flag for the batched site-level protocol: [true]
-          while this entity's InitVal is exposed to a live instance (the
-          per-entity machines track exposure internally instead) *)
+      (** [true] while this entity's InitVal is exposed to a live protocol
+          instance, set and cleared by the protocol channel that reported
+          it; the participation flag of entities without a per-entity
+          machine (batched mode), whose machine tracks participation
+          itself otherwise *)
   mutable hot : 'hot option;
       (** the heavyweight per-entity state ({!Entity_state.t} in the
           site), [None] until the entity turns hot *)

@@ -46,8 +46,8 @@ type t = {
           once, whether it arrives via the protocol or via recovery.
           Persistent, so a {!Durable_image} shares it instead of copying *)
   mutable decided_log : Protocol.value list;
-      (** decisions this site has seen (per-entity projections under
-          batching), newest first, capped at
+      (** decisions this site has seen (this entity's group of each),
+          newest first, capped at
           {!Config.t.decided_log_retention}; answers the Recovery_query of
           a peer that was down when they happened *)
   mutable decided_log_len : int;

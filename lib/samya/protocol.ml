@@ -18,14 +18,10 @@ type value = {
 
 type contrib = string * site_entry
 
-(* Legacy single-entity constructor: per-entity protocol instances label
-   their one group with the empty scope marker — the owning driver knows
-   which entity the machine is bound to. *)
-let make_value ~origin entries = { origin; groups = [ { g_entity = ""; g_entries = entries } ] }
+let make_value ~origin ~entity entries =
+  { origin; groups = [ { g_entity = entity; g_entries = entries } ] }
 
 let make_batched ~origin groups = { origin; groups }
-
-let entries value = List.concat_map (fun g -> g.g_entries) value.groups
 
 let participants value =
   List.concat_map (fun g -> List.map (fun e -> e.site) g.g_entries) value.groups
@@ -33,13 +29,6 @@ let participants value =
 
 let mem_site value site =
   List.exists (fun g -> List.exists (fun e -> e.site = site) g.g_entries) value.groups
-
-let entities value = List.map (fun g -> g.g_entity) value.groups
-
-let project value ~entity =
-  match List.find_opt (fun g -> String.equal g.g_entity entity) value.groups with
-  | Some g -> Some { origin = value.origin; groups = [ g ] }
-  | None -> None
 
 let value_equal a b = Ballot.equal a.origin b.origin && a.groups = b.groups
 
@@ -64,43 +53,6 @@ type msg =
       accept_num : Ballot.t;
       decision : bool;
     }
-
-let pp_msg fmt = function
-  | Election_get_value { bal; scope = [] } ->
-      Format.fprintf fmt "Election-GetValue(%a)" Ballot.pp bal
-  | Election_get_value { bal; scope } ->
-      Format.fprintf fmt "Election-GetValue(%a, |scope|=%d)" Ballot.pp bal
-        (List.length scope)
-  | Election_ok_value { bal; contribs = [ (_, e) ]; decision; _ } ->
-      Format.fprintf fmt "ElectionOk-Value(%a, TL=%d, TW=%d, dec=%b)" Ballot.pp bal
-        e.tokens_left e.tokens_wanted decision
-  | Election_ok_value { bal; contribs; decision; _ } ->
-      Format.fprintf fmt "ElectionOk-Value(%a, |c|=%d, dec=%b)" Ballot.pp bal
-        (List.length contribs) decision
-  | Election_reject { bal } -> Format.fprintf fmt "Election-Reject(%a)" Ballot.pp bal
-  | Accept_value { bal; value; decision } ->
-      Format.fprintf fmt "Accept-Value(%a, |R|=%d, dec=%b)" Ballot.pp bal
-        (List.length (participants value)) decision
-  | Accept_ok { bal } -> Format.fprintf fmt "Accept-Ok(%a)" Ballot.pp bal
-  | Decision { bal; value } ->
-      Format.fprintf fmt "Decision(%a, |R|=%d)" Ballot.pp bal
-        (List.length (participants value))
-  | Discard { bal } -> Format.fprintf fmt "Discard(%a)" Ballot.pp bal
-  | Status_query { bal } -> Format.fprintf fmt "Status-Query(%a)" Ballot.pp bal
-  | Status_reply { bal; decision; _ } ->
-      Format.fprintf fmt "Status-Reply(%a, dec=%b)" Ballot.pp bal decision
-
-let msg_ballot = function
-  | Election_get_value { bal; _ }
-  | Election_ok_value { bal; _ }
-  | Election_reject { bal }
-  | Accept_value { bal; _ }
-  | Accept_ok { bal }
-  | Decision { bal; _ }
-  | Discard { bal }
-  | Status_query { bal }
-  | Status_reply { bal; _ } ->
-      bal
 
 type outcome =
   | Decided of value

@@ -6,13 +6,11 @@
     states — the key departure from Paxos, where the value is a single
     client proposal.
 
-    Since the multi-entity refactor a value is a list of {e groups}, one
-    per entity whose deltas piggyback on the instance. Per-entity protocol
-    machines (one Avantan instance per entity, the original layout) put
-    their single group under the empty entity name [""] — the driver knows
-    which entity the machine is bound to, so the label is never consulted.
-    Batched site-level machines label every group with its entity so one
-    WAN round can redistribute many entities at once. *)
+    A value is a list of {e groups}, one per entity whose deltas ride on
+    the instance, each labelled with its entity. A per-entity machine's
+    values carry one group; a batched site-level machine's carry one per
+    scoped entity, so one WAN round can redistribute many entities at
+    once. *)
 
 module Ballot = Consensus.Ballot
 
@@ -40,33 +38,23 @@ type value = {
 type contrib = string * site_entry
 (** One site's InitVal for one entity — what election replies carry. *)
 
-val make_value : origin:Ballot.t -> site_entry list -> value
-(** Single-entity value under the [""] group (per-entity machines). *)
+val make_value : origin:Ballot.t -> entity:string -> site_entry list -> value
+(** A one-group value: [entity]'s entries. *)
 
 val make_batched : origin:Ballot.t -> group list -> value
-
-val entries : value -> site_entry list
-(** All entries across groups, in group order. *)
 
 val participants : value -> int list
 (** Site ids present in a value, ascending, deduplicated across groups. *)
 
 val mem_site : value -> int -> bool
 
-val entities : value -> string list
-(** Group labels in group order. *)
-
-val project : value -> entity:string -> value option
-(** The single-group projection of a batched value onto one entity, with
-    the same [origin] — what per-entity decided logs record. *)
-
 val value_equal : value -> value -> bool
 
 type msg =
   | Election_get_value of { bal : Ballot.t; scope : string list }
       (** leader: phase-1 solicitation (leader election + value collection);
-          [scope] lists the entities piggybacked on this instance ([[]] for
-          per-entity machines) *)
+          [scope] lists the entities piggybacked on this instance (the
+          one bound entity for per-entity machines) *)
   | Election_ok_value of {
       bal : Ballot.t;
       contribs : contrib list;
@@ -92,10 +80,6 @@ type msg =
       accept_num : Ballot.t;
       decision : bool;
     }
-
-val pp_msg : Format.formatter -> msg -> unit
-
-val msg_ballot : msg -> Ballot.t
 
 (** Outcome reported to the site when an instance finishes. *)
 type outcome =

@@ -1,12 +1,18 @@
-(* One site-level batch machine (protocol_batch > 1): a single Avantan
-   instance piggybacks up to [protocol_batch] triggered entities' deltas
-   in one WAN round. *)
-type batch = {
-  b_av : Avantan_core.t;
-  pending : string Queue.t;
-  pending_set : (string, unit) Hashtbl.t;
-  exposed_set : (string, unit) Hashtbl.t;
-  mutable exposed_order : string list;  (* reverse exposure order *)
+(* A channel: one Avantan machine, the label its messages travel under,
+   and the way it freezes an instance's scope. Per-entity mode
+   (protocol_batch = 1) gives every hot entity a channel labelled and
+   scoped by that entity; batched mode gives the site one channel,
+   labelled [batch_channel], whose instances freeze up to
+   [protocol_batch] queued triggers. The record holds what the machine's
+   env closes over; the machine itself is the owner's [av], or [batch]. *)
+type channel = {
+  label : Types.entity;
+  owner : Entity_state.t option;
+      (** the entity a per-entity channel is bound to; [None] on the batch
+          channel *)
+  mutable exposed : Types.entity list;
+      (** entities whose InitVal left on this channel since its last
+          outcome, newest first *)
 }
 
 type t = {
@@ -14,6 +20,7 @@ type t = {
   engine : Des.Engine.t;
   site_id : int;
   n_sites : int;
+  entities : Entity_state.t Entity_map.t;
   send : entity:Types.entity -> dst:int -> Protocol.msg -> unit;
   set_timer : delay_ms:float -> (unit -> unit) -> Des.Engine.timer;
   refresh_wanted : Entity_state.t -> unit;
@@ -25,33 +32,13 @@ type t = {
   mutable drain : Entity_state.t -> unit;
       (** request handler's queue replay; wired after construction to
           break the handler/driver cycle *)
-  mutable resolve : Types.entity -> Entity_state.t Entity_map.core option;
-      (** entity-map lookup, wired by the site (batched mode) *)
   mutable heat : Entity_state.t Entity_map.core -> Entity_state.t;
-      (** hot-state materialisation, wired by the site (batched mode) *)
-  mutable batch : batch option;
+      (** hot-state materialisation, wired by the site *)
+  mutable batch : Avantan_core.t option;
+      (** the batch channel's machine; [Some] iff [protocol_batch > 1] *)
+  pending : Types.entity Queue.t;  (** triggers queued for the batch channel *)
+  pending_set : (Types.entity, unit) Hashtbl.t;
 }
-
-let create ~config ~engine ~site_id ~n_sites ~send ~set_timer ~refresh_wanted
-    ~register_outcome ~on_event ?(persist = fun _ -> ())
-    ?(obs = Obs.Sink.port ()) () =
-  {
-    config;
-    engine;
-    site_id;
-    n_sites;
-    send;
-    set_timer;
-    refresh_wanted;
-    register_outcome;
-    on_event;
-    persist;
-    obs;
-    drain = (fun _ -> ());
-    resolve = (fun _ -> None);
-    heat = (fun _ -> invalid_arg "Protocol_driver: heat not wired");
-    batch = None;
-  }
 
 let obs_incr t name =
   match Obs.Sink.tap t.obs with
@@ -66,13 +53,13 @@ let obs_observe t name v =
 
 let set_drain t f = t.drain <- f
 
-let set_resolve t f = t.resolve <- f
-
 let set_heat t f = t.heat <- f
 
-let batched t = t.config.Config.protocol_batch > 1
-
 let now t = Des.Engine.now t.engine
+
+(* The reserved label of the batch channel: real entities are validated
+   non-empty at registration. *)
+let batch_channel = ""
 
 (* Apply one decided group's reallocation as a delta against the InitVal
    this site contributed — idempotent per (entity, instance) and
@@ -108,54 +95,32 @@ let apply_group t (ctx : Entity_state.t) ~origin (g : Protocol.group) =
     | None -> None
   end
 
-(* Apply a decided value against one entity's state: per-entity machines
-   carry a single group; a batched value applies its matching group. *)
+(* Apply a decided value's group for one entity, matched by label. *)
 let apply_value t (ctx : Entity_state.t) (value : Protocol.value) =
-  match value.Protocol.groups with
-  | [ g ] -> apply_group t ctx ~origin:value.Protocol.origin g
-  | groups -> (
-      match
-        List.find_opt
-          (fun (g : Protocol.group) ->
-            String.equal g.Protocol.g_entity (Entity_state.entity ctx))
-          groups
-      with
-      | Some g -> apply_group t ctx ~origin:value.Protocol.origin g
-      | None -> None)
+  match
+    List.find_opt
+      (fun (g : Protocol.group) ->
+        String.equal g.Protocol.g_entity (Entity_state.entity ctx))
+      value.Protocol.groups
+  with
+  | Some g -> apply_group t ctx ~origin:value.Protocol.origin g
+  | None -> None
 
-(* Protocol instance finished: apply the decision, report satisfaction to
-   the redistribution policy, and hand the queue back to the request
-   handler. *)
-let on_outcome t (ctx : Entity_state.t) outcome =
-  ctx.last_redistribution_ms <- now t;
-  (match outcome with
-  | Protocol.Decided value ->
-      obs_incr t "samya.protocol.decided";
-      (match apply_value t ctx value with
-      | Some satisfied -> t.register_outcome ctx ~aborted:false ~satisfied
-      | None -> ());
-      ctx.core.tokens_wanted <- 0
-  | Protocol.Aborted ->
-      obs_incr t "samya.protocol.aborted";
-      t.register_outcome ctx ~aborted:true ~satisfied:(ctx.core.tokens_wanted = 0);
-      ctx.core.tokens_wanted <- 0);
-  t.drain ctx
-
-(* Instantiate the configured Avantan variant for one entity: both are
-   the shared {!Avantan_core} machine under different quorum policies.
-   With [restore] the fresh machine is rebuilt from a durable image and
-   resumes any surviving acceptance (crash-amnesia recovery). *)
-let attach t ?restore (ctx : Entity_state.t) =
-  let env =
-    {
-      Avantan_core.self = t.site_id;
-      n_sites = t.n_sites;
-      send = (fun dst msg -> t.send ~entity:(Entity_state.entity ctx) ~dst msg);
-      set_timer = t.set_timer;
-      local_state =
-        (fun ~scope:_ ->
-          [
-            ( "",
+(* This site's InitVal for every entity in scope, labelled by entity. The
+   moment an InitVal leaves for (or seeds) an instance its entity is
+   exposed; cold entities contribute their core ledger without heating. *)
+let local_state t ch ~scope =
+  List.filter_map
+    (fun entity ->
+      match Entity_map.find t.entities entity with
+      | None -> None
+      | Some core ->
+          if not core.Entity_map.exposed then begin
+            core.Entity_map.exposed <- true;
+            ch.exposed <- entity :: ch.exposed
+          end;
+          Some
+            ( entity,
               {
                 Protocol.site = t.site_id;
                 (* A site can be in debt (negative ledger) after an
@@ -166,94 +131,55 @@ let attach t ?restore (ctx : Entity_state.t) =
                    repays as releases come home; deltas are applied
                    against the exposed entry, so the global sum is
                    untouched. *)
-                tokens_left = max 0 ctx.core.tokens_left;
-                tokens_wanted = ctx.core.tokens_wanted;
-              } );
-          ]);
-      refresh_wanted = (fun ~scope:_ -> t.refresh_wanted ctx);
-      my_scope = (fun () -> []);
-      on_outcome = (fun outcome -> on_outcome t ctx outcome);
-      on_event = (fun event -> t.on_event (Entity_state.entity ctx) event);
-      persist = (fun () -> t.persist ctx);
-      election_timeout_ms = t.config.Config.election_timeout_ms;
-      accept_timeout_ms = t.config.Config.accept_timeout_ms;
-      cohort_timeout_ms = t.config.Config.cohort_timeout_ms;
-      status_retry_ms = t.config.Config.status_retry_ms;
-    }
-  in
-  let av =
-    Avantan_core.create
-      ~policy:(Avantan_core.policy_of_variant t.config.Config.variant)
-      env
-  in
-  ctx.av <- Some av;
-  match restore with Some image -> Avantan_core.restore av image | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Batched site-level machine (protocol_batch > 1)                      *)
-
-(* The reserved entity label of the site-level protocol channel: real
-   entities are validated non-empty at registration. *)
-let batch_channel = ""
-
-let expose t b entity =
-  if not (Hashtbl.mem b.exposed_set entity) then begin
-    Hashtbl.replace b.exposed_set entity ();
-    b.exposed_order <- entity :: b.exposed_order
-  end;
-  match t.resolve entity with
-  | Some core -> core.Entity_map.exposed <- true
-  | None -> ()
-
-(* This site's InitVals for every entity in scope — and the moment they
-   leave for (or seed) an instance, those entities are exposed and must
-   queue client traffic. Cold entities contribute their core ledger
-   without heating. *)
-let batch_local_state t b ~scope =
-  List.filter_map
-    (fun entity ->
-      match t.resolve entity with
-      | None -> None
-      | Some core ->
-          expose t b entity;
-          Some
-            ( entity,
-              {
-                Protocol.site = t.site_id;
-                (* Debt stays local — see the per-entity exposure above. *)
                 tokens_left = max 0 core.Entity_map.tokens_left;
                 tokens_wanted = core.Entity_map.tokens_wanted;
               } ))
     scope
 
-let batch_refresh_wanted t ~scope =
+let refresh_wanted t ~scope =
   List.iter
     (fun entity ->
-      match t.resolve entity with
+      match Entity_map.find t.entities entity with
       | Some { Entity_map.hot = Some ctx; _ } -> t.refresh_wanted ctx
       | Some _ | None -> ())
     scope
 
-(* Freeze the next instance's scope: drain pending triggers, skipping
-   entities already exposed to a live instance. *)
-let batch_my_scope t b () =
-  let rec take acc k =
-    if k = 0 then List.rev acc
-    else
-      match Queue.take_opt b.pending with
-      | None -> List.rev acc
-      | Some entity ->
-          Hashtbl.remove b.pending_set entity;
-          let live =
-            match t.resolve entity with
-            | Some core -> not core.Entity_map.exposed
-            | None -> false
-          in
-          if live then take (entity :: acc) (k - 1) else take acc k
-  in
-  let scope = take [] t.config.Config.protocol_batch in
-  obs_observe t "samya.batch.scope" (float_of_int (List.length scope));
-  scope
+(* An entity queued for the batch channel can join its next scope unless
+   a live instance already holds its InitVal. *)
+let unexposed t entity =
+  match Entity_map.find t.entities entity with
+  | Some core -> not core.Entity_map.exposed
+  | None -> false
+
+(* Freeze the next instance's scope: a per-entity channel's one entity,
+   or the batch channel's pending triggers up to [protocol_batch],
+   skipping entities already exposed to a live instance. *)
+let freeze t ch =
+  match ch.owner with
+  | Some _ -> [ ch.label ]
+  | None ->
+      let rec take acc k =
+        if k = 0 then List.rev acc
+        else
+          match Queue.take_opt t.pending with
+          | None -> List.rev acc
+          | Some entity ->
+              Hashtbl.remove t.pending_set entity;
+              if unexposed t entity then take (entity :: acc) (k - 1)
+              else take acc k
+      in
+      let scope = take [] t.config.Config.protocol_batch in
+      obs_observe t "samya.batch.scope" (float_of_int (List.length scope));
+      scope
+
+(* Start another batched instance if triggered entities are still waiting
+   (the machine is idle again once its on_outcome ran). *)
+let kick t =
+  match t.batch with
+  | Some av ->
+      if Queue.fold (fun acc e -> acc || unexposed t e) false t.pending then
+        Avantan_core.start av
+  | None -> ()
 
 let dedup_keep_first entities =
   List.fold_left
@@ -261,41 +187,35 @@ let dedup_keep_first entities =
     [] entities
   |> List.rev
 
-(* Start another instance if triggered entities are still waiting (the
-   machine is idle again once its on_outcome ran). *)
-let kick t b =
-  let live =
-    Queue.fold
-      (fun acc e ->
-        acc
-        || match t.resolve e with Some c -> not c.Entity_map.exposed | None -> false)
-      false b.pending
-  in
-  if live then Avantan_core.start b.b_av
-
-(* A batched instance concluded: apply each decided group as a per-entity
-   delta (heating entities the decision involves), release every exposure,
-   and drain the released queues in exposure order. *)
-let on_batch_outcome t b outcome =
-  let exposed = List.rev b.exposed_order in
-  b.exposed_order <- [];
-  Hashtbl.reset b.exposed_set;
+(* An instance concluded. It touches the channel's own entity (per-entity
+   channels, even when no InitVal left), every exposed entity and every
+   decided group. Apply each decided group as a per-entity delta (heating
+   entities the decision involves) and report it to the redistribution
+   policy; on abort report every touched entity. Then release the
+   exposures and drain the released queues in that order. *)
+let on_outcome t ch outcome =
+  let exposed = List.rev ch.exposed in
+  ch.exposed <- [];
   let now_ms = now t in
   let touched =
-    match outcome with
-    | Protocol.Decided value ->
-        dedup_keep_first
-          (exposed @ List.map (fun g -> g.Protocol.g_entity) value.Protocol.groups)
-    | Protocol.Aborted -> exposed
+    dedup_keep_first
+      ((match ch.owner with Some _ -> [ ch.label ] | None -> [])
+      @ exposed
+      @
+      match outcome with
+      | Protocol.Decided value ->
+          List.map (fun g -> g.Protocol.g_entity) value.Protocol.groups
+      | Protocol.Aborted -> [])
   in
   (match outcome with
   | Protocol.Decided value ->
       obs_incr t "samya.protocol.decided";
-      obs_observe t "samya.batch.decided_groups"
-        (float_of_int (List.length value.Protocol.groups));
+      if Option.is_none ch.owner then
+        obs_observe t "samya.batch.decided_groups"
+          (float_of_int (List.length value.Protocol.groups));
       List.iter
         (fun (g : Protocol.group) ->
-          match t.resolve g.Protocol.g_entity with
+          match Entity_map.find t.entities g.Protocol.g_entity with
           | None -> ()
           | Some core ->
               let ctx =
@@ -311,7 +231,7 @@ let on_batch_outcome t b outcome =
       obs_incr t "samya.protocol.aborted";
       List.iter
         (fun entity ->
-          match t.resolve entity with
+          match Entity_map.find t.entities entity with
           | Some ({ Entity_map.hot = Some ctx; _ } as core) ->
               ctx.Entity_state.last_redistribution_ms <- now_ms;
               t.register_outcome ctx ~aborted:true
@@ -319,83 +239,103 @@ let on_batch_outcome t b outcome =
               core.Entity_map.tokens_wanted <- 0
           | Some core -> core.Entity_map.tokens_wanted <- 0
           | None -> ())
-        exposed);
+        touched);
+  let cores = List.filter_map (Entity_map.find t.entities) touched in
+  List.iter (fun core -> core.Entity_map.exposed <- false) cores;
   List.iter
-    (fun entity ->
-      match t.resolve entity with
-      | Some core -> core.Entity_map.exposed <- false
-      | None -> ())
-    touched;
-  List.iter
-    (fun entity ->
-      match t.resolve entity with
-      | Some { Entity_map.hot = Some ctx; _ } -> t.drain ctx
-      | Some _ | None -> ())
-    touched;
-  kick t b
+    (fun core ->
+      match core.Entity_map.hot with Some ctx -> t.drain ctx | None -> ())
+    cores;
+  kick t
 
-let make_batch t =
-  let rec b =
-    lazy
-      (let env =
-         {
-           Avantan_core.self = t.site_id;
-           n_sites = t.n_sites;
-           send = (fun dst msg -> t.send ~entity:batch_channel ~dst msg);
-           set_timer = t.set_timer;
-           local_state = (fun ~scope -> batch_local_state t (Lazy.force b) ~scope);
-           refresh_wanted = (fun ~scope -> batch_refresh_wanted t ~scope);
-           my_scope = (fun () -> batch_my_scope t (Lazy.force b) ());
-           on_outcome = (fun outcome -> on_batch_outcome t (Lazy.force b) outcome);
-           on_event = (fun event -> t.on_event batch_channel event);
-           persist = (fun () -> ());
-           election_timeout_ms = t.config.Config.election_timeout_ms;
-           accept_timeout_ms = t.config.Config.accept_timeout_ms;
-           cohort_timeout_ms = t.config.Config.cohort_timeout_ms;
-           status_retry_ms = t.config.Config.status_retry_ms;
-         }
-       in
-       {
-         b_av =
-           Avantan_core.create
-             ~policy:(Avantan_core.policy_of_variant t.config.Config.variant)
-             env;
-         pending = Queue.create ();
-         pending_set = Hashtbl.create 64;
-         exposed_set = Hashtbl.create 64;
-         exposed_order = [];
-       })
+(* The one Avantan env builder: the configured variant (both are the
+   shared {!Avantan_core} machine under different quorum policies) on one
+   channel. *)
+let open_channel t ch =
+  Avantan_core.create
+    ~policy:(Avantan_core.policy_of_variant t.config.Config.variant)
+    {
+      Avantan_core.self = t.site_id;
+      n_sites = t.n_sites;
+      send = (fun dst msg -> t.send ~entity:ch.label ~dst msg);
+      set_timer = t.set_timer;
+      local_state = (fun ~scope -> local_state t ch ~scope);
+      refresh_wanted = (fun ~scope -> refresh_wanted t ~scope);
+      my_scope = (fun () -> freeze t ch);
+      on_outcome = (fun outcome -> on_outcome t ch outcome);
+      on_event = (fun event -> t.on_event ch.label event);
+      persist = (fun () -> Option.iter t.persist ch.owner);
+      election_timeout_ms = t.config.Config.election_timeout_ms;
+      accept_timeout_ms = t.config.Config.accept_timeout_ms;
+      cohort_timeout_ms = t.config.Config.cohort_timeout_ms;
+      status_retry_ms = t.config.Config.status_retry_ms;
+    }
+
+let create ~config ~engine ~site_id ~n_sites ~entities ~send ~set_timer
+    ~refresh_wanted ~register_outcome ~on_event ?(persist = fun _ -> ())
+    ?(obs = Obs.Sink.port ()) () =
+  let t =
+    {
+      config;
+      engine;
+      site_id;
+      n_sites;
+      entities;
+      send;
+      set_timer;
+      refresh_wanted;
+      register_outcome;
+      on_event;
+      persist;
+      obs;
+      drain = (fun _ -> ());
+      heat = (fun _ -> invalid_arg "Protocol_driver: heat not wired");
+      batch = None;
+      pending = Queue.create ();
+      pending_set = Hashtbl.create 64;
+    }
   in
-  Lazy.force b
+  if config.Config.protocol_batch > 1 then
+    t.batch <-
+      Some (open_channel t { label = batch_channel; owner = None; exposed = [] });
+  t
 
-let get_batch t =
-  match t.batch with
-  | Some b -> b
-  | None ->
-      let b = make_batch t in
-      t.batch <- Some b;
-      b
+(* Bind a per-entity channel to a hot entity; a no-op in batched mode,
+   where the batch channel serves every entity. With [restore] the fresh
+   machine is rebuilt from a durable image and resumes any surviving
+   acceptance (crash-amnesia recovery). *)
+let attach t ?restore (ctx : Entity_state.t) =
+  if Option.is_none t.batch then begin
+    let av =
+      open_channel t
+        { label = Entity_state.entity ctx; owner = Some ctx; exposed = [] }
+    in
+    ctx.av <- Some av;
+    Option.iter (Avantan_core.restore av) restore
+  end
 
 let trigger t (ctx : Entity_state.t) =
-  if batched t then begin
-    let b = get_batch t in
-    let entity = Entity_state.entity ctx in
-    if
-      (not ctx.core.Entity_map.exposed)
-      && not (Hashtbl.mem b.pending_set entity)
-    then begin
-      Hashtbl.replace b.pending_set entity ();
-      Queue.push entity b.pending
-    end;
-    kick t b
-  end
-  else match ctx.av with Some av -> Avantan_core.start av | None -> ()
+  match t.batch with
+  | Some _ ->
+      let entity = Entity_state.entity ctx in
+      if
+        (not ctx.core.Entity_map.exposed)
+        && not (Hashtbl.mem t.pending_set entity)
+      then begin
+        Hashtbl.replace t.pending_set entity ();
+        Queue.push entity t.pending
+      end;
+      kick t
+  | None -> Option.iter Avantan_core.start ctx.av
 
-let handle _t (ctx : Entity_state.t) ~src msg =
-  match ctx.av with Some av -> Avantan_core.handle av ~src msg | None -> ()
-
-let handle_batch t ~src msg =
-  if batched t then Avantan_core.handle (get_batch t).b_av ~src msg
+let handle t ~channel ~src msg =
+  if String.equal channel batch_channel then
+    Option.iter (fun av -> Avantan_core.handle av ~src msg) t.batch
+  else
+    match Entity_map.peek t.entities channel with
+    | Some { Entity_map.hot = Some { Entity_state.av = Some av; _ }; _ } ->
+        Avantan_core.handle av ~src msg
+    | Some _ | None -> ()
 
 (* The retained decisions that involve [peer]: those are the instances
    that may have moved its tokens while it was down. *)
@@ -414,12 +354,17 @@ let apply_recovery t (ctx : Entity_state.t) decisions =
   List.iter (fun value -> ignore (apply_value t ctx value)) ordered;
   if ordered <> [] then t.persist ctx
 
-let protocol_stats _t (ctx : Entity_state.t) =
-  match ctx.av with
-  | Some av -> Avantan_core.stats av
-  | None -> Avantan_core.zero_stats
-
-let batch_stats t =
-  match t.batch with
-  | Some b -> Avantan_core.stats b.b_av
-  | None -> Avantan_core.zero_stats
+let stats t =
+  let acc =
+    ref
+      (match t.batch with
+      | Some av -> Avantan_core.stats av
+      | None -> Avantan_core.zero_stats)
+  in
+  Entity_map.iter_hot
+    (fun _ (ctx : Entity_state.t) ->
+      Option.iter
+        (fun av -> acc := Avantan_core.add_stats !acc (Avantan_core.stats av))
+        ctx.av)
+    t.entities;
+  !acc

@@ -1,14 +1,19 @@
-(** The protocol-facing module of a site: instantiates the configured
-    Avantan variant per entity (both are the shared {!Avantan_core}
-    machine under different quorum policies), applies decided values to
-    the local pool, and owns the recovery path over the bounded decided
-    log.
+(** The protocol-facing module of a site: runs the configured Avantan
+    variant (both are the shared {!Avantan_core} machine under different
+    quorum policies), applies decided values to the local pool, and owns
+    the recovery path over the bounded decided log.
 
-    With [Config.protocol_batch > 1] the per-entity machines are replaced
-    by one site-level machine: triggered entities queue, each instance
-    freezes a scope of up to [protocol_batch] of them, and one WAN round
-    piggybacks every scoped entity's deltas. Decided values then carry one
-    group per entity, applied as independent per-entity projections.
+    Every Avantan machine runs on a {e channel}: the machine, the label
+    its messages travel under, and the way it freezes an instance's
+    scope. With [Config.protocol_batch = 1] every hot entity has its own
+    channel, labelled and scoped by that entity. With
+    [Config.protocol_batch > 1] the site has one channel, labelled
+    {!batch_channel}: triggered entities queue, each instance freezes a
+    scope of up to [protocol_batch] of them, and one WAN round piggybacks
+    every scoped entity's deltas. Both modes share one code path: a
+    channel reports its scope's InitVals labelled by entity, and a decided
+    value carries one group per entity, applied as independent per-entity
+    projections. The mode decision lives here alone.
 
     Decision application is idempotent per (entity, instance)
     (origin-keyed) and conserving under races: each site moves its own
@@ -22,6 +27,7 @@ val create :
   engine:Des.Engine.t ->
   site_id:int ->
   n_sites:int ->
+  entities:Entity_state.t Entity_map.t ->
   send:(entity:Types.entity -> dst:int -> Protocol.msg -> unit) ->
   set_timer:(delay_ms:float -> (unit -> unit) -> Des.Engine.timer) ->
   refresh_wanted:(Entity_state.t -> unit) ->
@@ -31,8 +37,10 @@ val create :
   ?obs:Obs.Sink.port ->
   unit ->
   t
-(** [persist] is the crash-amnesia durability hook, invoked whenever an
-    entity's protocol-critical state changes (see
+(** [entities] is the site's arena: channels resolve the entities in
+    their scope through it. [send] and [on_event] receive the channel
+    label as [entity]. [persist] is the crash-amnesia durability hook,
+    invoked whenever an entity's protocol-critical state changes (see
     {!Avantan_core.env.persist}) and after recovery replay; defaults to a
     no-op (freeze model). [obs] is the late-bound observability port (see
     {!Request_handler.create}): with a sink attached, decisions, aborts
@@ -42,46 +50,35 @@ val set_drain : t -> (Entity_state.t -> unit) -> unit
 (** Wire the request handler's queue replay, called when an instance
     ends. Deferred past construction to break the handler/driver cycle. *)
 
-val set_resolve : t -> (Types.entity -> Entity_state.t Entity_map.core option) -> unit
-(** Wire the site's entity-map lookup (required in batched mode). *)
-
 val set_heat : t -> (Entity_state.t Entity_map.core -> Entity_state.t) -> unit
-(** Wire the site's hot-state materialiser (required in batched mode:
-    decided groups heat the entities they involve). *)
+(** Wire the site's hot-state materialiser: decided groups heat the
+    entities they involve. *)
 
 val batch_channel : Types.entity
-(** The reserved entity label ([""]) the site-level machine's messages
-    travel under; real entities are validated non-empty. *)
+(** The reserved label ([""]) the batch channel's messages travel under;
+    real entities are validated non-empty. *)
 
 val attach : t -> ?restore:Avantan_core.image -> Entity_state.t -> unit
-(** Create the entity's protocol instance and store it in the state
-    record. [restore] rebuilds the fresh machine from a durable image and
-    resumes any surviving acceptance (crash-amnesia recovery). Per-entity
-    mode only — under batching entities share the site-level machine. *)
+(** Open the entity's per-entity channel and store its machine in the
+    state record; a no-op in batched mode. [restore] rebuilds the fresh
+    machine from a durable image and resumes any surviving acceptance
+    (crash-amnesia recovery). *)
 
 val trigger : t -> Entity_state.t -> unit
 (** Start a redistribution as leader (no-op while already
     participating). In batched mode this enqueues the entity for the
-    site-level machine's next scope instead. *)
+    batch channel's next scope instead. *)
 
-val handle : t -> Entity_state.t -> src:int -> Protocol.msg -> unit
-
-val handle_batch : t -> src:int -> Protocol.msg -> unit
-(** Deliver a message from the site-level batch channel. *)
-
-val apply_value : t -> Entity_state.t -> Protocol.value -> bool option
-(** Apply one decided value. [Some satisfied] when this site contributed
-    an InitVal and the value was new; [None] when it does not involve
-    this site or was already applied. *)
+val handle : t -> channel:Types.entity -> src:int -> Protocol.msg -> unit
+(** Deliver a message that travelled under the label [channel]. *)
 
 val recovery_decisions : t -> Entity_state.t -> peer:int -> Protocol.value list
 (** What to answer a recovering peer: the retained decisions whose
     participant set includes it. *)
 
 val apply_recovery : t -> Entity_state.t -> Protocol.value list -> unit
-(** Apply a peer's recovery reply in instance (ballot) order. *)
+(** Apply a peer's recovery reply in instance (ballot) order; each value
+    applies its group labelled with the entity. *)
 
-val protocol_stats : t -> Entity_state.t -> Avantan_core.stats
-
-val batch_stats : t -> Avantan_core.stats
-(** The site-level machine's counters (zero when none was ever created). *)
+val stats : t -> Avantan_core.stats
+(** The counters of every channel of the site, summed. *)

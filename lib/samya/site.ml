@@ -60,9 +60,8 @@ type t = {
   lane : int;
       (* hosting region's engine lane — the lane flight-recorder events
          and hot-key observations from this site are stamped with *)
-  mutable fleet_gossip_armed : bool;
-      (* the single site-level anti-entropy loop bulk registration arms
-         (the legacy [init_entity] path keeps its per-entity timer) *)
+  mutable anti_entropy_armed : bool;
+      (* the site's one anti-entropy loop, armed by the first registration *)
 }
 
 let id t = t.site_id
@@ -91,12 +90,7 @@ let handle_net t ~src msg =
   if !(t.is_alive) then
     match msg with
     | Avantan { entity; msg } ->
-        if String.equal entity Protocol_driver.batch_channel then
-          Protocol_driver.handle_batch t.driver ~src msg
-        else (
-          match get_ctx t entity with
-          | Some ctx -> Protocol_driver.handle t.driver ctx ~src msg
-          | None -> ())
+        Protocol_driver.handle t.driver ~channel:entity ~src msg
     | Read_query { entity; rid } ->
         let tokens_left = read t entity Entity_map.tokens_left in
         Geonet.Network.send t.network ~src:t.site_id ~dst:src
@@ -208,7 +202,7 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event
      the driver first against this cell. *)
   let note_outcome = ref (fun _ ~aborted:_ -> ()) in
   let driver =
-    Protocol_driver.create ~config ~engine ~site_id:id ~n_sites
+    Protocol_driver.create ~config ~engine ~site_id:id ~n_sites ~entities
       ~send:(fun ~entity ~dst msg ->
         Geonet.Network.send network ~src:id ~dst (Avantan { entity; msg }))
       ~set_timer:(fun ~delay_ms f ->
@@ -250,8 +244,10 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event
     | None ->
         let ctx = Entity_state.create ~engine ~config ~core in
         Entity_map.set_hot entities core ctx;
-        if config.Config.protocol_batch = 1 then
-          Protocol_driver.attach driver ctx;
+        Protocol_driver.attach driver ctx;
+        (* Written through regardless of sync policy: a site must not
+           serve an entity before its image (for a registration, its
+           starting share) is durable. *)
         (match durable with
         | None -> ()
         | Some store ->
@@ -322,7 +318,6 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event
     (fun ctx ~satisfied ->
       Request_handler.drain_queue ~reject_unservable:(not satisfied) handler
         ctx);
-  Protocol_driver.set_resolve driver (Entity_map.find entities);
   Protocol_driver.set_heat driver heat;
   let t =
     {
@@ -343,7 +338,7 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event
       heat;
       obs;
       lane;
-      fleet_gossip_armed = false;
+      anti_entropy_armed = false;
     }
   in
   Geonet.Network.register network ~node:id (fun envelope ->
@@ -352,42 +347,19 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event
 
 let anti_entropy_ms = 30_000.0
 
-let init_entity t ~eid ~tokens =
-  Entity_map.append t.entities ~first_eid:eid ~count:1;
-  Entity_map.set_share t.entities eid tokens;
-  let core = Entity_map.by_eid t.entities eid in
-  let entity = core.Entity_map.name in
-  let ctx = Entity_state.create ~engine:t.engine ~config:t.config ~core in
-  Entity_map.set_hot t.entities core ctx;
-  if t.config.Config.protocol_batch = 1 then Protocol_driver.attach t.driver ctx;
-  (* The initial allocation is written through regardless of sync policy:
-     a site must not serve before its starting share is durable. *)
-  (match t.durable with
-  | None -> ()
-  | Some store -> Storage.Durable.force store ~key:entity (Durable_image.capture ctx));
-  (* Anti-entropy: periodically reconcile missed decisions (a lost
-     Decision message or an aborted recovery must not leave this site's
-     contribution un-applied forever). *)
-  let rec gossip () =
-    Des.Engine.schedule t.engine ~delay_ms:anti_entropy_ms (fun () ->
-        if !(t.is_alive) then
-          Geonet.Network.broadcast t.network ~src:t.site_id (Recovery_query { entity });
-        gossip ())
-  in
-  gossip ()
-
 (* The entities whose tokens can have moved in a redistribution: hot ones,
    plus cores whose InitVal is exposed to a live batched instance. Only
    touched cores can qualify, and {!Entity_map.iter} visits only those. *)
 let involved (core : _ Entity_map.core) =
   core.Entity_map.hot <> None || core.Entity_map.exposed
 
-(* Bulk registration arms one site-level anti-entropy loop instead of a
-   timer per entity: each period it queries peers for the (few) entities
-   whose tokens can actually have moved. *)
-let ensure_fleet_gossip t =
-  if not t.fleet_gossip_armed then begin
-    t.fleet_gossip_armed <- true;
+(* Anti-entropy: one site-level loop reconciles missed decisions (a lost
+   Decision message or an aborted recovery must not leave this site's
+   contribution un-applied forever). Each period it queries peers for the
+   (few) entities whose tokens can actually have moved. *)
+let ensure_anti_entropy t =
+  if not t.anti_entropy_armed then begin
+    t.anti_entropy_armed <- true;
     let rec gossip () =
       Des.Engine.schedule t.engine ~delay_ms:anti_entropy_ms (fun () ->
           if !(t.is_alive) then
@@ -402,6 +374,12 @@ let ensure_fleet_gossip t =
     gossip ()
   end
 
+let init_entity t ~eid ~tokens =
+  Entity_map.append t.entities ~first_eid:eid ~count:1;
+  Entity_map.set_share t.entities eid tokens;
+  ignore (t.heat (Entity_map.by_eid t.entities eid));
+  ensure_anti_entropy t
+
 let register_entities t ~first_eid ~count =
   (* Crash-amnesia needs a durable image per entity from the start, so
      that mode registers hot; the freeze model keeps the fleet cold. *)
@@ -409,7 +387,7 @@ let register_entities t ~first_eid ~count =
     for eid = first_eid to first_eid + count - 1 do
       ignore (t.heat (Entity_map.by_eid t.entities eid))
     done;
-  ensure_fleet_gossip t
+  ensure_anti_entropy t
 
 let arena t = t.entities
 let entity_count t = Entity_map.length t.entities
@@ -559,13 +537,7 @@ let recover t =
           (Recovery_query { entity = core.Entity_map.name }))
     t.entities
 
-let protocol_stats t =
-  let acc = ref (Protocol_driver.batch_stats t.driver) in
-  Entity_map.iter_hot
-    (fun _ ctx ->
-      acc := Avantan_core.add_stats !acc (Protocol_driver.protocol_stats t.driver ctx))
-    t.entities;
-  !acc
+let protocol_stats t = Protocol_driver.stats t.driver
 
 let stats t =
   let proto = protocol_stats t in

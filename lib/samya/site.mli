@@ -8,9 +8,11 @@
       borrow is in flight, and fan out global-snapshot reads (§5.8);
     - {!Prediction} — forecaster integration ([predicted_need]), proactive
       trigger checks (Equation 4) and reactive ask sizing (Equation 5);
-    - {!Protocol_driver} — per-entity Avantan instances (both variants are
-      {!Avantan_core} under different quorum policies), decided-value
-      application, and the bounded decided-log recovery path;
+    - {!Protocol_driver} — Avantan on protocol channels (both variants
+      are {!Avantan_core} under different quorum policies): one channel
+      per hot entity, or one batch channel for the site under
+      [Config.protocol_batch > 1], decided-value application, and the
+      bounded decided-log recovery path;
     - {!Redistribution_policy} — cooldown, famine backoff, and
       request-scale heuristics between instances.
 
@@ -56,8 +58,9 @@ val create :
     [forecaster] the site falls back to a persistence forecast of the last
     epoch's demand (prediction can still be disabled entirely via
     [config]). [on_protocol_event] observes every {!Avantan_core.event} of
-    every entity's protocol instance — elections, accepts, aborts,
-    decisions with round counts — without touching protocol state. [obs]
+    every protocol channel — elections, accepts, aborts, decisions with
+    round counts — without touching protocol state; [entity] is the
+    channel's label (the entity, or {!Protocol_driver.batch_channel}). [obs]
     is the late-bound observability port (default: a fresh one) shared by
     the site's request handler, protocol driver and controller. When the
     always-on incident layer is armed on it ({!Obs.Sink.arm}),
@@ -72,18 +75,20 @@ val id : t -> int
 val init_entity : t -> eid:int -> tokens:int -> unit
 (** Installs this site's initial share of the entity the directory
     resolved to [eid], hot: the per-entity state is materialised and
-    (per-entity mode) a protocol machine attached immediately, with a
-    per-entity anti-entropy timer. Every site must be initialised
-    consistently, eids in order ({!Entity_map.append}); {!Cluster} does
-    this. *)
+    attached to the protocol driver immediately, and the site's one
+    anti-entropy loop (see {!register_entities}) is armed if it was not.
+    Every site must be initialised consistently, eids in order
+    ({!Entity_map.append}); {!Cluster} does this. *)
 
 val register_entities : t -> first_eid:int -> count:int -> unit
 (** Bulk registration for large fleets, once {!Cluster} has appended
     [count] eids from [first_eid] to this site's {!arena} with their
     shares. Each entity stays cold — one int, no core, no queue/tracker/
     protocol state — gets its core when this site first touches it and
-    heats on first contention. One site-level anti-entropy loop covers
-    the whole fleet (querying only entities whose tokens can have moved).
+    heats on first contention. The site's one anti-entropy loop covers
+    every entity, registered either way (querying only entities whose
+    tokens can have moved: hot ones and those exposed to a live
+    instance).
     Under crash-amnesia the entities register hot instead, since each
     needs a durable image from the start. *)
 
@@ -209,4 +214,5 @@ type stats = {
 val stats : t -> stats
 
 val protocol_stats : t -> Avantan_core.stats
-(** The unified protocol counters, aggregated over this site's entities. *)
+(** The unified protocol counters, summed over this site's protocol
+    channels. *)

@@ -13,6 +13,9 @@ module Av = Samya.Avantan_core
 
 let entry site tokens_left tokens_wanted = { P.site; tokens_left; tokens_wanted }
 
+(* The one entity every scripted machine is bound to. *)
+let entity = "VM"
+
 (* Scripted environment: outbound messages, outcomes, and the structured
    protocol events of the {!Avantan_core.on_event} hook are all recorded
    so tests can assert on them. *)
@@ -45,7 +48,7 @@ let core_env script ~self ~n_sites =
     n_sites;
     send = (fun dst msg -> script.sent := (dst, msg) :: !(script.sent));
     set_timer = (fun ~delay_ms f -> Des.Engine.timer script.engine ~delay_ms f);
-    local_state = (fun ~scope:_ -> [ ("", script.state) ]);
+    local_state = (fun ~scope:_ -> [ (entity, script.state) ]);
     refresh_wanted = (fun ~scope:_ -> ());
     my_scope = (fun () -> []);
     on_outcome = (fun outcome -> script.outcomes := outcome :: !(script.outcomes));
@@ -97,7 +100,7 @@ let maj_leader_happy_path () =
         (P.Election_ok_value
            {
              bal;
-             contribs = [ ("", entry site 200 0) ];
+             contribs = [ (entity, entry site 200 0) ];
              accept_val = None;
              accept_num = Ballot.zero site;
              decision = false;
@@ -140,7 +143,7 @@ let maj_cohort_happy_path () =
       check int "reports own tokens" 100 init_val.P.tokens_left
   | _ -> Alcotest.fail "expected an ElectionOk");
   check bool "exposed after promising" true (Av.participating machine);
-  let value = P.make_value ~origin:bal [ entry 0 50 10; entry 3 100 0 ] in
+  let value = P.make_value ~origin:bal ~entity [ entry 0 50 10; entry 3 100 0 ] in
   Av.handle machine ~src:0
     (P.Accept_value { bal; value; decision = false });
   check bool "acked" true
@@ -178,7 +181,7 @@ let maj_decision_applied_once () =
   let script = make_script ~self:3 () in
   let machine = majority script ~self:3 ~n_sites:5 in
   let bal = { Ballot.num = 2; site = 0 } in
-  let value = P.make_value ~origin:bal [ entry 0 0 40; entry 3 100 0 ] in
+  let value = P.make_value ~origin:bal ~entity [ entry 0 0 40; entry 3 100 0 ] in
   Av.handle machine ~src:0 (P.Decision { bal; value });
   Av.handle machine ~src:1 (P.Decision { bal; value });
   let decided =
@@ -194,12 +197,12 @@ let maj_recovery_adopts_accepted_value () =
   Av.start machine;
   let bal = Av.ballot machine in
   let old_bal = { Ballot.num = 0; site = 4 } in
-  let orphan = P.make_value ~origin:old_bal [ entry 4 10 5; entry 1 300 0 ] in
+  let orphan = P.make_value ~origin:old_bal ~entity [ entry 4 10 5; entry 1 300 0 ] in
   Av.handle machine ~src:1
     (P.Election_ok_value
        {
          bal;
-         contribs = [ ("", entry 1 300 0) ];
+         contribs = [ (entity, entry 1 300 0) ];
          accept_val = Some orphan;
          accept_num = old_bal;
          decision = false;
@@ -208,7 +211,7 @@ let maj_recovery_adopts_accepted_value () =
     (P.Election_ok_value
        {
          bal;
-         contribs = [ ("", entry 2 300 0) ];
+         contribs = [ (entity, entry 2 300 0) ];
          accept_val = None;
          accept_num = Ballot.zero 2;
          decision = false;
@@ -231,12 +234,12 @@ let maj_recovery_short_circuits_on_decision () =
   Av.start machine;
   let bal = Av.ballot machine in
   let old_bal = { Ballot.num = 0; site = 4 } in
-  let decided = P.make_value ~origin:old_bal [ entry 4 10 5; entry 0 100 50 ] in
+  let decided = P.make_value ~origin:old_bal ~entity [ entry 4 10 5; entry 0 100 50 ] in
   Av.handle machine ~src:1
     (P.Election_ok_value
        {
          bal;
-         contribs = [ ("", entry 1 300 0) ];
+         contribs = [ (entity, entry 1 300 0) ];
          accept_val = Some decided;
          accept_num = old_bal;
          decision = true;
@@ -245,7 +248,7 @@ let maj_recovery_short_circuits_on_decision () =
     (P.Election_ok_value
        {
          bal;
-         contribs = [ ("", entry 2 300 0) ];
+         contribs = [ (entity, entry 2 300 0) ];
          accept_val = None;
          accept_num = Ballot.zero 2;
          decision = false;
@@ -265,7 +268,7 @@ let maj_fresh_leader_aborts_on_timeout () =
     (P.Election_ok_value
        {
          bal;
-         contribs = [ ("", entry 1 300 0) ];
+         contribs = [ (entity, entry 1 300 0) ];
          accept_val = None;
          accept_num = Ballot.zero 1;
          decision = false;
@@ -294,7 +297,7 @@ let star_leader_minimal_set () =
     (P.Election_ok_value
        {
          bal;
-         contribs = [ ("", entry 1 500 0) ];
+         contribs = [ (entity, entry 1 500 0) ];
          accept_val = None;
          accept_num = Ballot.zero 1;
          decision = false;
@@ -349,7 +352,7 @@ let star_cohort_recovers_via_status_query () =
   let machine = star script ~self:2 ~n_sites:5 in
   let bal = { Ballot.num = 3; site = 0 } in
   Av.handle machine ~src:0 (P.Election_get_value { bal; scope = [] });
-  let value = P.make_value ~origin:bal [ entry 0 0 50; entry 1 100 0; entry 2 100 0 ] in
+  let value = P.make_value ~origin:bal ~entity [ entry 0 0 50; entry 1 100 0; entry 2 100 0 ] in
   Av.handle machine ~src:0 (P.Accept_value { bal; value; decision = false });
   script.sent := [];
   (* Leader dies; the cohort times out and queries R_t. *)
@@ -374,7 +377,7 @@ let star_cohort_aborts_when_member_reports_empty () =
   let machine = star script ~self:2 ~n_sites:5 in
   let bal = { Ballot.num = 3; site = 0 } in
   Av.handle machine ~src:0 (P.Election_get_value { bal; scope = [] });
-  let value = P.make_value ~origin:bal [ entry 0 0 50; entry 1 100 0; entry 2 100 0 ] in
+  let value = P.make_value ~origin:bal ~entity [ entry 0 0 50; entry 1 100 0; entry 2 100 0 ] in
   Av.handle machine ~src:0 (P.Accept_value { bal; value; decision = false });
   Des.Engine.run script.engine ~until_ms:3_000.0;
   Av.handle machine ~src:1
@@ -388,7 +391,7 @@ let star_status_query_answered_from_applied_log () =
   let machine = star script ~self:2 ~n_sites:5 in
   let bal = { Ballot.num = 3; site = 0 } in
   Av.handle machine ~src:0 (P.Election_get_value { bal; scope = [] });
-  let value = P.make_value ~origin:bal [ entry 0 0 50; entry 2 100 0 ] in
+  let value = P.make_value ~origin:bal ~entity [ entry 0 0 50; entry 2 100 0 ] in
   Av.handle machine ~src:0 (P.Accept_value { bal; value; decision = false });
   Av.handle machine ~src:0 (P.Decision { bal; value });
   script.sent := [];

@@ -58,7 +58,7 @@ let nemesis_validation () =
 let ballot num site = { Consensus.Ballot.num; site }
 
 let auditor_flags_duplicate_origin () =
-  let value = Samya.Protocol.make_value ~origin:(ballot 3 1) [] in
+  let value = Samya.Protocol.make_value ~origin:(ballot 3 1) ~entity:"VM" [] in
   let violations = Chaos.Auditor.check_logs [ (0, [ value; value ]) ] in
   check int "one violation" 1 (List.length violations);
   check Alcotest.string "duplicate-origin" "duplicate-origin"
@@ -69,8 +69,8 @@ let auditor_flags_divergent_values () =
   let entry tokens : Samya.Protocol.site_entry =
     { site = 0; tokens_left = tokens; tokens_wanted = 0 }
   in
-  let a = Samya.Protocol.make_value ~origin [ entry 10 ] in
-  let b = Samya.Protocol.make_value ~origin [ entry 20 ] in
+  let a = Samya.Protocol.make_value ~origin ~entity:"VM" [ entry 10 ] in
+  let b = Samya.Protocol.make_value ~origin ~entity:"VM" [ entry 20 ] in
   let violations = Chaos.Auditor.check_logs [ (0, [ a ]); (1, [ b ]) ] in
   check int "one violation" 1 (List.length violations);
   check Alcotest.string "value-consistency" "value-consistency"
@@ -129,83 +129,10 @@ let multi_entity_conserves_under_chaos =
   QCheck.Test.make ~count:8 ~name:"chaos: per-entity conservation, batched protocol"
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
-      let n_sites = 5 and n_entities = 40 and quota = 30 in
-      let duration_ms = 45_000.0 in
-      let key r = Printf.sprintf "key%02d" r in
-      let schedule = Chaos.Nemesis.generate ~seed ~n_sites ~duration_ms in
-      let root = Des.Rng.create (Int64.of_int seed) in
-      let cluster_seed = Des.Rng.bits64 root in
-      let config =
-        {
-          Samya.Config.default with
-          variant = Samya.Config.Majority;
-          amnesia_on_crash = false;
-          prediction_enabled = false;
-          protocol_batch = 8;
-          entity_shards = 4;
-          entity_capacity = n_entities;
-        }
-      in
-      let all_regions = Array.of_list Geonet.Region.all in
-      let regions =
-        Array.init n_sites (fun i -> all_regions.(i mod Array.length all_regions))
-      in
-      let auditor = Chaos.Auditor.create ~variant:config.Samya.Config.variant ~n_sites () in
-      let cluster =
-        Samya.Cluster.create ~seed:cluster_seed ~config ~regions
-          ~on_protocol_event:(fun ~site ~entity:_ event ->
-            Chaos.Auditor.on_protocol_event auditor ~site event)
-          ()
-      in
-      Samya.Cluster.register_entities cluster
-        (List.init n_entities (fun r -> (key r, quota)));
-      let injector =
-        Chaos.Injector.install
-          ~schedule_at:(Samya.Cluster.schedule_global cluster)
-          ~network:(Samya.Cluster.network cluster)
-          ~crash:(Samya.Cluster.crash_site cluster)
-          ~recover:(fun site ->
-            Chaos.Auditor.note_recovery auditor ~site;
-            Samya.Cluster.recover_site cluster site)
-          schedule
-      in
-      (* One client per region, each acquiring and releasing across the
-         whole key space — never releasing more of a key than it holds. *)
-      Array.iter
-        (fun region ->
-          let rng = Des.Rng.split root in
-          let engine = Samya.Cluster.engine_of_region cluster region in
-          let held = Array.make n_entities 0 in
-          let rec step () =
-            Des.Engine.schedule engine
-              ~delay_ms:(Des.Rng.exponential rng ~rate:(1.0 /. 40.0))
-              (fun () ->
-                if Des.Engine.now engine < duration_ms then begin
-                  let r = Des.Rng.int rng n_entities in
-                  (if held.(r) > 0 && Des.Rng.bool rng 0.4 then begin
-                     let amount = 1 + Des.Rng.int rng (min 3 held.(r)) in
-                     held.(r) <- held.(r) - amount;
-                     Samya.Cluster.submit cluster ~region
-                       (Samya.Types.Release { entity = key r; amount; deadline_ms = infinity })
-                       ~reply:(fun _ -> ())
-                   end
-                   else
-                     let amount = 1 + Des.Rng.int rng 4 in
-                     Samya.Cluster.submit cluster ~region
-                       (Samya.Types.Acquire { entity = key r; amount; deadline_ms = infinity })
-                       ~reply:(fun response ->
-                         if response = Samya.Types.Granted then
-                           held.(r) <- held.(r) + amount));
-                  step ()
-                end)
-          in
-          step ())
-        regions;
-      Samya.Cluster.run_until cluster
-        ~until_ms:
-          (duration_ms
-          +. Float.max 240_000.0 (4.0 *. Samya.Site.anti_entropy_ms));
-      if Chaos.Injector.injected injector <> Chaos.Injector.healed injector then
+      let run = Multi_entity.run ~seed () in
+      let auditor = run.Multi_entity.auditor
+      and cluster = run.Multi_entity.cluster in
+      if not run.Multi_entity.healed then
         QCheck.Test.fail_reportf "seed %d: unhealed faults" seed;
       List.iteri
         (fun r (entity, maximum) ->
@@ -226,8 +153,51 @@ let multi_entity_conserves_under_chaos =
           | v :: _ ->
               QCheck.Test.fail_reportf "seed %d, %s: %a" seed entity
                 Chaos.Auditor.pp_violation v)
-        (List.init n_entities (fun r -> (key r, quota)));
+        run.Multi_entity.keys;
       true)
+
+(* The multi-entity run with one Avantan machine per entity: the live
+   checks follow each (site, channel) on its own, so a site's per-entity
+   machines are not read as one sequence of origins, and the full audit
+   passes on every key. The seeds are the ones the over-grant race was
+   first recorded on; none fails the quiescent audit today. *)
+let unbatched_multi_entity_audits_clean () =
+  List.iter
+    (fun seed ->
+      let run = Multi_entity.run ~protocol_batch:1 ~seed () in
+      check bool "faults all healed" true run.Multi_entity.healed;
+      List.iter
+        (fun (entity, maximum) ->
+          match
+            Chaos.Auditor.check_cluster run.Multi_entity.auditor
+              run.Multi_entity.cluster ~entity ~maximum ~quiescent:true
+          with
+          | [] -> ()
+          | v :: _ ->
+              Alcotest.failf "seed %d, %s: %a" seed entity Chaos.Auditor.pp_violation v)
+        run.Multi_entity.keys)
+    [ 969687; 103947; 495605; 508120; 710863; 809845; 278165 ]
+
+(* Today's over-grants, pinned: the seeds of 1000 + 7919·i (i < 1500)
+   that fail the quiescent audit in both protocol modes, with exactly the
+   overdraft each shows. The race that causes them (ROADMAP item 2) is
+   open; when its fence lands these expectations flip to no failure. *)
+let recorded_over_grants () =
+  List.iter
+    (fun (seed, protocol_batch, expected) ->
+      let run = Multi_entity.run ~protocol_batch ~seed () in
+      check bool "faults all healed" true run.Multi_entity.healed;
+      check
+        Alcotest.(list (pair string string))
+        (Printf.sprintf "seed %d, protocol_batch %d" seed protocol_batch)
+        expected
+        (Multi_entity.over_grants run))
+    [
+      (2851840, 1, [ ("key39", "constraint violated: 32 acquired > maximum 30") ]);
+      (2851840, 8, [ ("key39", "constraint violated: 31 acquired > maximum 30") ]);
+      (8482249, 1, [ ("key18", "constraint violated: 31 acquired > maximum 30") ]);
+      (8482249, 8, [ ("key21", "constraint violated: 31 acquired > maximum 30") ]);
+    ]
 
 let suite =
   [
@@ -246,4 +216,8 @@ let suite =
       (soak_conserves_tokens Samya.Config.Star
          "chaos soak: clean audit across seeds (Avantan[*])");
     QCheck_alcotest.to_alcotest multi_entity_conserves_under_chaos;
+    Alcotest.test_case "chaos: unbatched multi-entity run audits clean" `Quick
+      unbatched_multi_entity_audits_clean;
+    Alcotest.test_case "chaos: recorded over-grants, both protocol modes" `Quick
+      recorded_over_grants;
   ]

@@ -37,6 +37,7 @@ let protocol_value_helpers () =
   let value =
     make_value
       ~origin:{ Consensus.Ballot.num = 3; site = 1 }
+      ~entity:"VM"
       [
         { site = 2; tokens_left = 5; tokens_wanted = 0 };
         { site = 0; tokens_left = 1; tokens_wanted = 4 };
