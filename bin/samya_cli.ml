@@ -218,8 +218,16 @@ let chaos_cmd =
   in
   let run seed variant freeze sync duration sites engine_jobs =
     let report =
-      Chaos.Soak.run ~n_sites:sites ~duration_ms:(duration *. 1_000.0)
-        ~amnesia:(not freeze) ~sync ~engine_jobs ~variant ~seed ()
+      Chaos.Soak.run ~n_sites:sites ~engine_jobs
+        ~config:
+          {
+            Chaos.Soak.single_key_config with
+            variant;
+            amnesia_on_crash = not freeze;
+            durability_sync = sync;
+          }
+        ~workload:{ Chaos.Soak.single_key with duration_ms = duration *. 1_000.0 }
+        ~seed ()
     in
     Format.printf "%a@." Chaos.Soak.pp_report report;
     if Chaos.Soak.passed report then 0 else 1

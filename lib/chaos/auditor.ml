@@ -104,17 +104,20 @@ let check_logs logs =
     logs;
   List.rev !violations
 
-let check_cluster t cluster ~entity ~maximum ~quiescent =
-  let logs =
-    List.init (Samya.Cluster.n_sites cluster) (fun i ->
-        (i, Samya.Site.decided_log (Samya.Cluster.site cluster i) ~entity))
+let check_cluster t cluster ~keys ~quiescent =
+  let check_key (entity, maximum) =
+    let logs =
+      List.init (Samya.Cluster.n_sites cluster) (fun i ->
+          (i, Samya.Site.decided_log (Samya.Cluster.site cluster i) ~entity))
+    in
+    let conservation =
+      if not quiescent then []
+      else
+        match Samya.Cluster.check_invariant cluster ~entity ~maximum with
+        | Ok () -> []
+        | Error detail ->
+            [ { check = "token-conservation"; site = None; detail = entity ^ ": " ^ detail } ]
+    in
+    check_logs logs @ conservation
   in
-  let log_violations = check_logs logs in
-  let conservation =
-    if not quiescent then []
-    else
-      match Samya.Cluster.check_invariant cluster ~entity ~maximum with
-      | Ok () -> []
-      | Error detail -> [ { check = "token-conservation"; site = None; detail } ]
-  in
-  live_violations t @ log_violations @ conservation
+  live_violations t @ List.concat_map check_key keys

@@ -47,9 +47,10 @@ val check_logs : (int * Samya.Protocol.value list) list -> violation list
 val check_cluster :
   t ->
   Samya.Cluster.t ->
-  entity:Samya.Types.entity ->
-  maximum:int ->
+  keys:(Samya.Types.entity * int) list ->
   quiescent:bool ->
   violation list
-(** Everything at once: live violations, log checks over every site's
-    decided log, and — when [quiescent] — token conservation. *)
+(** Everything at once: live violations, then for each [(entity,
+    maximum)] in [keys] the log checks over every site's decided log for
+    the entity and — when [quiescent] — its token conservation (the
+    detail names the entity). *)

@@ -1,10 +1,43 @@
-let entity = "VM"
+type workload = {
+  keys : (Samya.Types.entity * int) list;
+  hot : bool;
+  mean_gap_ms : float;
+  duration_ms : float;
+  probes : bool;
+}
+
+let single_key =
+  {
+    keys = [ ("VM", 5_000) ];
+    hot = true;
+    mean_gap_ms = 120.0;
+    duration_ms = 120_000.0;
+    probes = true;
+  }
+
+let multi_key =
+  {
+    keys = List.init 40 (fun r -> (Printf.sprintf "key%02d" r, 30));
+    hot = false;
+    mean_gap_ms = 40.0;
+    duration_ms = 45_000.0;
+    probes = false;
+  }
+
+let single_key_config = { Samya.Config.default with amnesia_on_crash = true }
+
+let multi_key_config =
+  {
+    Samya.Config.default with
+    prediction_enabled = false;
+    protocol_batch = 8;
+    entity_shards = 4;
+    entity_capacity = List.length multi_key.keys;
+  }
 
 type report = {
   seed : int;
-  variant : Samya.Config.variant;
-  amnesia : bool;
-  sync : Storage.Durable.sync_policy;
+  config : Samya.Config.t;
   schedule : Nemesis.schedule;
   injected : int;
   healed : int;
@@ -16,6 +49,10 @@ type report = {
   durable_syncs : int;
   duplicated : int;
   violations : Auditor.violation list;
+  over_grants : (Samya.Types.entity * string) list;
+  parked : int;
+  participating : (int * Samya.Types.entity) list;
+  live_violations : int;
 }
 
 let passed report = report.violations = []
@@ -30,22 +67,24 @@ let sync_name = function
   | Storage.Durable.Sync_never -> "never"
 
 let repro_line report =
+  let config = report.config in
   Printf.sprintf "samya_cli chaos --seed %d --variant %s%s%s" report.seed
-    (variant_name report.variant)
-    (if report.amnesia then "" else " --freeze")
-    (match report.sync with
+    (variant_name config.variant)
+    (if config.amnesia_on_crash then "" else " --freeze")
+    (match config.durability_sync with
     | Storage.Durable.Sync_always -> ""
     | Storage.Durable.Sync_batched _ -> " --sync batched"
     | Storage.Durable.Sync_never -> " --sync never")
 
 let pp_report fmt report =
+  let config = report.config in
   Format.fprintf fmt "@[<v>%a@," Nemesis.pp report.schedule;
   Format.fprintf fmt
     "variant=%s model=%s sync=%s  faults=%d/%d  granted=%d rejected=%d \
      unavailable=%d  redistributions=%d  syncs=%d dup-deliveries=%d@,"
-    (variant_name report.variant)
-    (if report.amnesia then "crash-amnesia" else "freeze")
-    (sync_name report.sync) report.injected report.healed report.granted
+    (variant_name config.variant)
+    (if config.amnesia_on_crash then "crash-amnesia" else "freeze")
+    (sync_name config.durability_sync) report.injected report.healed report.granted
     report.rejected report.unavailable report.redistributions report.durable_syncs
     report.duplicated;
   (match report.recovery_probes with
@@ -63,13 +102,13 @@ let pp_report fmt report =
       List.iter (fun v -> Format.fprintf fmt "  %a@," Auditor.pp_violation v) violations;
       Format.fprintf fmt "repro: %s@]" (repro_line report))
 
-(* One client loop per region: acquires with bounded-outstanding releases,
-   all randomness from a stream split off the seed so the whole run —
-   workload, cluster, fault schedule — replays from one integer. Clients
-   submit through the facade, against the entity it registered. *)
-let spawn_client ~engine ~(facade : Facade.t) ~rng ~region ~duration_ms ~counts =
-  let entity = facade.Facade.entity in
-  let outstanding = ref 0 in
+(* One client loop per region: acquires with bounded-outstanding releases
+   across the workload's keys, all randomness from a stream split off the
+   seed so the whole run — workload, cluster, fault schedule — replays
+   from one integer. A one-key workload draws no key: [Des.Rng.int]
+   consumes a draw even for bound 1. *)
+let spawn_client ~engine ~(facade : Facade.t) ~rng ~region ~keys ~workload ~counts =
+  let held = Array.make (Array.length keys) 0 in
   let bump i = counts.(i) <- counts.(i) + 1 in
   let count = function
     | Samya.Types.Granted -> bump 0
@@ -78,14 +117,16 @@ let spawn_client ~engine ~(facade : Facade.t) ~rng ~region ~duration_ms ~counts 
     | Samya.Types.Read_result _ -> ()
   in
   let rec step () =
-    let delay = Des.Rng.exponential rng ~rate:(1.0 /. 120.0) in
+    let delay = Des.Rng.exponential rng ~rate:(1.0 /. workload.mean_gap_ms) in
     Des.Engine.schedule engine ~delay_ms:delay (fun () ->
-        if Des.Engine.now engine < duration_ms then begin
-          (if !outstanding > 0 && Des.Rng.bool rng 0.4 then begin
+        if Des.Engine.now engine < workload.duration_ms then begin
+          let r = if Array.length keys = 1 then 0 else Des.Rng.int rng (Array.length keys) in
+          let entity = keys.(r) in
+          (if held.(r) > 0 && Des.Rng.bool rng 0.4 then begin
              (* Never release more than this client still holds, or the
                 auditor would see client-caused negative acquisition. *)
-             let amount = 1 + Des.Rng.int rng (min 3 !outstanding) in
-             outstanding := !outstanding - amount;
+             let amount = 1 + Des.Rng.int rng (min 3 held.(r)) in
+             held.(r) <- held.(r) - amount;
              facade.Facade.submit ~region
                (Samya.Types.release ~entity ~amount ())
                ~reply:count
@@ -96,32 +137,22 @@ let spawn_client ~engine ~(facade : Facade.t) ~rng ~region ~duration_ms ~counts 
                (Samya.Types.acquire ~entity ~amount ())
                ~reply:(fun response ->
                  count response;
-                 if response = Samya.Types.Granted then
-                   outstanding := !outstanding + amount));
+                 if response = Samya.Types.Granted then held.(r) <- held.(r) + amount));
           step ()
         end)
   in
   step ()
 
-let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
-    ?(amnesia = true) ?(sync = Storage.Durable.Sync_always) ?(engine_jobs = 1)
-    ~variant ~seed () =
+let run ?(n_sites = 5) ?(engine_jobs = 1) ~config ~workload ~seed () =
+  let duration_ms = workload.duration_ms in
   let schedule = Nemesis.generate ~seed ~n_sites ~duration_ms in
   let root = Des.Rng.create (Int64.of_int seed) in
   let cluster_seed = Des.Rng.bits64 root in
-  let config =
-    {
-      Samya.Config.default with
-      variant;
-      amnesia_on_crash = amnesia;
-      durability_sync = sync;
-    }
-  in
   let all_regions = Array.of_list Geonet.Region.all in
   let regions =
     Array.init n_sites (fun i -> all_regions.(i mod Array.length all_regions))
   in
-  let auditor = Auditor.create ~variant ~n_sites () in
+  let auditor = Auditor.create ~variant:config.Samya.Config.variant ~n_sites () in
   let hooks =
     Facade.samya_hooks
       ~on_protocol_event:(fun ~site ~entity event ->
@@ -133,7 +164,13 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
       ~on_protocol_event:(Facade.protocol_event_hook hooks)
       ~obs:(Facade.obs_port hooks) ()
   in
-  Samya.Cluster.init_entity cluster ~entity ~maximum;
+  if workload.hot then
+    List.iter
+      (fun (entity, maximum) -> Samya.Cluster.init_entity cluster ~entity ~maximum)
+      workload.keys
+  else Samya.Cluster.register_entities cluster workload.keys;
+  let names = List.map fst workload.keys in
+  let keys = Array.of_list names and entity = List.hd names in
   (* Clients and the fault injector drive the cluster through the same
      facade record the experiment harness uses; only the quiescent audit
      and the recovery probes reach inside (the probes bypass routing on
@@ -149,11 +186,13 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
       schedule
   in
   (* Recovery-to-service probes: right after each crash heals, one direct
-     acquire against the recovered site measures how long until it answers
-     anything at all. Each probe writes only its own slot (probes on
-     different lanes may answer on different domains); they are reported
-     in reply order. *)
-  let crashes = Array.of_list (Nemesis.crash_faults schedule) in
+     acquire of the first key against the recovered site measures how long
+     until it answers anything at all. Each probe writes only its own slot
+     (probes on different lanes may answer on different domains); they are
+     reported in reply order. *)
+  let crashes =
+    if workload.probes then Array.of_list (Nemesis.crash_faults schedule) else [||]
+  in
   let probe_replies = Array.make (Array.length crashes) None in
   Array.iteri
     (fun i (site, _at_ms, heal_ms) ->
@@ -175,7 +214,7 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
       let rng = Des.Rng.split root in
       spawn_client
         ~engine:(facade.Facade.sched_region region)
-        ~facade ~rng ~region ~duration_ms ~counts:counts.(i))
+        ~facade ~rng ~region ~keys ~workload ~counts:counts.(i))
     regions;
   (* Drain: traffic stops at [duration_ms] and every fault healed by 70%
      of it; the tail covers in-flight instances, recovery catch-up and a
@@ -184,14 +223,17 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
      horizon. *)
   let drain_ms = Float.max 240_000.0 (4.0 *. Samya.Site.anti_entropy_ms) in
   facade.Facade.run_until (duration_ms +. drain_ms);
-  let violations =
-    Auditor.check_cluster auditor cluster ~entity ~maximum ~quiescent:true
+  let over_grants =
+    List.filter_map
+      (fun (entity, maximum) ->
+        match Samya.Cluster.check_invariant cluster ~entity ~maximum with
+        | Ok () -> None
+        | Error detail -> Some (entity, detail))
+      workload.keys
   in
-  let durable_syncs =
-    Array.fold_left
-      (fun acc site -> acc + Samya.Site.durable_syncs site)
-      0 (Samya.Cluster.sites cluster)
-  in
+  let violations = Auditor.check_cluster auditor cluster ~keys:workload.keys ~quiescent:true in
+  let sites = Array.to_list (Samya.Cluster.sites cluster) in
+  let sum f = List.fold_left (fun acc site -> acc + f site) 0 sites in
   let total k = Array.fold_left (fun acc c -> acc + c.(k)) 0 counts in
   let recovery_probes =
     List.filter_map Fun.id (Array.to_list probe_replies)
@@ -200,9 +242,7 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
   in
   {
     seed;
-    variant;
-    amnesia;
-    sync;
+    config;
     schedule;
     injected = Injector.injected injector;
     healed = Injector.healed injector;
@@ -211,7 +251,21 @@ let run ?(n_sites = 5) ?(duration_ms = 120_000.0) ?(maximum = 5_000)
     unavailable = total 2;
     redistributions = Samya.Cluster.total_redistributions cluster;
     recovery_probes;
-    durable_syncs;
+    durable_syncs = sum Samya.Site.durable_syncs;
     duplicated = Geonet.Network.stats_duplicated network;
     violations;
+    over_grants;
+    parked =
+      sum (fun site ->
+          List.fold_left (fun acc entity -> acc + Samya.Site.queued site ~entity) 0 names);
+    participating =
+      List.concat_map
+        (fun site ->
+          List.filter_map
+            (fun entity ->
+              if Samya.Site.participating site ~entity then Some (Samya.Site.id site, entity)
+              else None)
+            names)
+        sites;
+    live_violations = List.length (Auditor.live_violations auditor);
   }

@@ -28,11 +28,15 @@ let run _ctx ~quick fmt =
   in
   let reports =
     Pool.map
-      (fun (variant, seed) -> Chaos.Soak.run ~duration_ms ~variant ~seed ())
+      (fun (variant, seed) ->
+        Chaos.Soak.run
+          ~config:{ Chaos.Soak.single_key_config with variant }
+          ~workload:{ Chaos.Soak.single_key with duration_ms }
+          ~seed ())
       runs
   in
   let by_variant variant =
-    List.filter (fun (r : Chaos.Soak.report) -> r.variant = variant) reports
+    List.filter (fun (r : Chaos.Soak.report) -> r.config.variant = variant) reports
   in
   let rows =
     List.map
@@ -85,7 +89,7 @@ let run _ctx ~quick fmt =
     List.iter
       (fun (r : Chaos.Soak.report) ->
         Format.fprintf fmt "@.FAILED seed %d (%s):@." r.seed
-          (variant_label r.variant);
+          (variant_label r.config.variant);
         List.iter
           (fun v -> Format.fprintf fmt "  %a@." Chaos.Auditor.pp_violation v)
           r.violations;

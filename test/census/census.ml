@@ -1,7 +1,9 @@
-(* The chaos census: the multi-entity chaos run ({!Multi_entity})
-   over seeds 1000 + 7919·i, i < N, in four configurations — both Avantan
-   variants, one machine per entity (protocol_batch 1) and the batch
-   channel (protocol_batch 8). One tab-separated line per run:
+(* The chaos census: the multi-key chaos run ({!Chaos.Soak.run} on
+   {!Chaos.Soak.multi_key}, the body of the test property [chaos:
+   per-entity conservation, batched protocol]) over seeds 1000 + 7919·i,
+   i < N, in four configurations — both Avantan variants, one machine
+   per entity (protocol_batch 1) and the batch channel (protocol_batch 8).
+   One tab-separated line per run:
 
      variant  batch  seed  over-grants  parked  participating  live
 
@@ -39,12 +41,13 @@ let () =
       let parked_total = ref 0 and live_total = ref 0 and unhealed = ref 0 in
       for i = 0 to seeds - 1 do
         let seed = 1000 + (7919 * i) in
-        let run = Multi_entity.run ~variant ~protocol_batch ~seed () in
-        let over = Multi_entity.over_grants run in
-        let parked = Multi_entity.parked run in
-        let participating = Multi_entity.participating run in
-        let live = List.length (Chaos.Auditor.live_violations run.Multi_entity.auditor) in
-        if not run.Multi_entity.healed then incr unhealed;
+        let { Chaos.Soak.over_grants = over; parked; participating; live_violations = live; _ }
+            as r =
+          Chaos.Soak.run
+            ~config:{ Chaos.Soak.multi_key_config with variant; protocol_batch }
+            ~workload:Chaos.Soak.multi_key ~seed ()
+        in
+        if r.injected <> r.healed then incr unhealed;
         if over <> [] then incr failing;
         if participating <> [] then incr stuck;
         pairs := !pairs + List.length participating;

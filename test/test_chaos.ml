@@ -79,8 +79,23 @@ let auditor_flags_divergent_values () =
   check int "agreement is clean" 0
     (List.length (Chaos.Auditor.check_logs [ (0, [ a ]); (1, [ a ]) ]))
 
+(* The single-key soak at a given length (crash-amnesia, write-through
+   durability) and the multi-key run of the batched property and the
+   census (freeze model, [protocol_batch = 8] unless given). *)
+let soak ?engine_jobs ~duration_ms ~variant ~seed () =
+  Chaos.Soak.run ?engine_jobs
+    ~config:{ Chaos.Soak.single_key_config with variant }
+    ~workload:{ Chaos.Soak.single_key with duration_ms }
+    ~seed ()
+
+let multi_key ?engine_jobs ?(variant = Samya.Config.Majority) ?(protocol_batch = 8) ~seed
+    () =
+  Chaos.Soak.run ?engine_jobs
+    ~config:{ Chaos.Soak.multi_key_config with variant; protocol_batch }
+    ~workload:Chaos.Soak.multi_key ~seed ()
+
 let soak_replays_exactly () =
-  let run () = Chaos.Soak.run ~duration_ms:30_000.0 ~variant:Samya.Config.Star ~seed:7 () in
+  let run () = soak ~duration_ms:30_000.0 ~variant:Samya.Config.Star ~seed:7 () in
   let a = run () and b = run () in
   let fingerprint (r : Chaos.Soak.report) =
     (r.granted, r.rejected, r.unavailable, r.redistributions, r.durable_syncs, r.duplicated)
@@ -96,8 +111,7 @@ let soak_engine_jobs_sweep () =
      same report — and still pass the auditor. *)
   let render (r : Chaos.Soak.report) = Format.asprintf "%a" Chaos.Soak.pp_report r in
   let run engine_jobs =
-    Chaos.Soak.run ~duration_ms:30_000.0 ~engine_jobs ~variant:Samya.Config.Majority
-      ~seed:5 ()
+    soak ~duration_ms:30_000.0 ~engine_jobs ~variant:Samya.Config.Majority ~seed:5 ()
   in
   let r1 = run 1 in
   check bool "sharded soak passes the audit" true (Chaos.Soak.passed r1);
@@ -114,7 +128,7 @@ let soak_conserves_tokens variant name =
   QCheck.Test.make ~count:20 ~name
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
-      let report = Chaos.Soak.run ~duration_ms:45_000.0 ~variant ~seed () in
+      let report = soak ~duration_ms:45_000.0 ~variant ~seed () in
       if not (Chaos.Soak.passed report) then
         QCheck.Test.fail_reportf "%s@." (Chaos.Soak.repro_line report)
       else true)
@@ -129,32 +143,12 @@ let multi_entity_conserves_under_chaos =
   QCheck.Test.make ~count:8 ~name:"chaos: per-entity conservation, batched protocol"
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
-      let run = Multi_entity.run ~seed () in
-      let auditor = run.Multi_entity.auditor
-      and cluster = run.Multi_entity.cluster in
-      if not run.Multi_entity.healed then
+      let report = multi_key ~seed () in
+      if report.injected <> report.healed then
         QCheck.Test.fail_reportf "seed %d: unhealed faults" seed;
-      List.iteri
-        (fun r (entity, maximum) ->
-          (* Live/log checks once (they are entity-independent); the
-             quiescent Equation-1 audit for every key. *)
-          let violations =
-            if r = 0 then
-              Chaos.Auditor.check_cluster auditor cluster ~entity ~maximum
-                ~quiescent:true
-            else
-              match Samya.Cluster.check_invariant cluster ~entity ~maximum with
-              | Ok () -> []
-              | Error detail ->
-                  [ { Chaos.Auditor.check = "conservation"; site = None; detail } ]
-          in
-          match violations with
-          | [] -> ()
-          | v :: _ ->
-              QCheck.Test.fail_reportf "seed %d, %s: %a" seed entity
-                Chaos.Auditor.pp_violation v)
-        run.Multi_entity.keys;
-      true)
+      match report.violations with
+      | [] -> true
+      | v :: _ -> QCheck.Test.fail_reportf "seed %d: %a" seed Chaos.Auditor.pp_violation v)
 
 (* The multi-entity run with one Avantan machine per entity: the live
    checks follow each (site, channel) on its own, so a site's per-entity
@@ -164,39 +158,57 @@ let multi_entity_conserves_under_chaos =
 let unbatched_multi_entity_audits_clean () =
   List.iter
     (fun seed ->
-      let run = Multi_entity.run ~protocol_batch:1 ~seed () in
-      check bool "faults all healed" true run.Multi_entity.healed;
-      List.iter
-        (fun (entity, maximum) ->
-          match
-            Chaos.Auditor.check_cluster run.Multi_entity.auditor
-              run.Multi_entity.cluster ~entity ~maximum ~quiescent:true
-          with
-          | [] -> ()
-          | v :: _ ->
-              Alcotest.failf "seed %d, %s: %a" seed entity Chaos.Auditor.pp_violation v)
-        run.Multi_entity.keys)
+      let report = multi_key ~protocol_batch:1 ~seed () in
+      check bool "faults all healed" true (report.injected = report.healed);
+      match report.violations with
+      | [] -> ()
+      | v :: _ -> Alcotest.failf "seed %d: %a" seed Chaos.Auditor.pp_violation v)
     [ 969687; 103947; 495605; 508120; 710863; 809845; 278165 ]
 
 (* Today's over-grants, pinned: the seeds of 1000 + 7919·i (i < 1500)
    that fail the quiescent audit in both protocol modes, with exactly the
-   overdraft each shows. The race that causes them (ROADMAP item 2) is
-   open; when its fence lands these expectations flip to no failure. *)
+   overdraft each shows, and 694579, a batched-property seed that
+   over-grants in batched mode only. The race that causes them (ROADMAP
+   item 2) is open; when its fence lands these expectations flip to no
+   failure. *)
 let recorded_over_grants () =
   List.iter
     (fun (seed, protocol_batch, expected) ->
-      let run = Multi_entity.run ~protocol_batch ~seed () in
-      check bool "faults all healed" true run.Multi_entity.healed;
+      let report = multi_key ~protocol_batch ~seed () in
+      check bool "faults all healed" true (report.injected = report.healed);
       check
         Alcotest.(list (pair string string))
         (Printf.sprintf "seed %d, protocol_batch %d" seed protocol_batch)
-        expected
-        (Multi_entity.over_grants run))
+        expected report.over_grants)
     [
       (2851840, 1, [ ("key39", "constraint violated: 32 acquired > maximum 30") ]);
       (2851840, 8, [ ("key39", "constraint violated: 31 acquired > maximum 30") ]);
       (8482249, 1, [ ("key18", "constraint violated: 31 acquired > maximum 30") ]);
       (8482249, 8, [ ("key21", "constraint violated: 31 acquired > maximum 30") ]);
+      (694579, 1, []);
+      (694579, 8, [ ("key13", "constraint violated: 31 acquired > maximum 30") ]);
+    ]
+
+(* The multi-key run on a region-sharded cluster: one worker or two, the
+   same behaviour in both protocol modes and both variants. *)
+let multi_key_engine_jobs_identical () =
+  List.iter
+    (fun (variant, protocol_batch, seed) ->
+      let facts engine_jobs =
+        let r = multi_key ~engine_jobs ~variant ~protocol_batch ~seed () in
+        (r.over_grants, r.parked, r.participating, r.live_violations)
+      in
+      check bool
+        (Printf.sprintf "seed %d, protocol_batch %d: engine-jobs 2 = 1" seed protocol_batch)
+        true
+        (facts 1 = facts 2))
+    [
+      (Samya.Config.Majority, 1, 2851840);
+      (Samya.Config.Majority, 8, 2851840);
+      (Samya.Config.Majority, 1, 694579);
+      (Samya.Config.Majority, 8, 694579);
+      (Samya.Config.Star, 1, 1000);
+      (Samya.Config.Star, 8, 1000);
     ]
 
 let suite =
@@ -220,4 +232,6 @@ let suite =
       unbatched_multi_entity_audits_clean;
     Alcotest.test_case "chaos: recorded over-grants, both protocol modes" `Quick
       recorded_over_grants;
+    Alcotest.test_case "chaos: multi-key run identical at engine-jobs 1 and 2" `Quick
+      multi_key_engine_jobs_identical;
   ]
