@@ -46,6 +46,7 @@ type report = {
   unavailable : int;
   redistributions : int;
   recovery_probes : (int * float) list;
+  unanswered_probes : int list;
   durable_syncs : int;
   duplicated : int;
   violations : Auditor.violation list;
@@ -87,14 +88,14 @@ let pp_report fmt report =
     (sync_name config.durability_sync) report.injected report.healed report.granted
     report.rejected report.unavailable report.redistributions report.durable_syncs
     report.duplicated;
-  (match report.recovery_probes with
-  | [] -> ()
-  | probes ->
-      Format.fprintf fmt "recovery-to-service:";
-      List.iter
-        (fun (site, ms) -> Format.fprintf fmt " site%d=%.0fms" site ms)
-        probes;
-      Format.fprintf fmt "@,");
+  if report.recovery_probes <> [] || report.unanswered_probes <> [] then begin
+    Format.fprintf fmt "recovery-to-service:";
+    List.iter
+      (fun (site, ms) -> Format.fprintf fmt " site%d=%.0fms" site ms)
+      report.recovery_probes;
+    List.iter (Format.fprintf fmt " site%d=unanswered") report.unanswered_probes;
+    Format.fprintf fmt "@,"
+  end;
   (match report.violations with
   | [] -> Format.fprintf fmt "auditor: OK@]"
   | violations ->
@@ -188,8 +189,8 @@ let run ?(n_sites = 5) ?(engine_jobs = 1) ~config ~workload ~seed () =
   (* Recovery-to-service probes: right after each crash heals, one direct
      acquire of the first key against the recovered site measures how long
      until it answers anything at all. Each probe writes only its own slot
-     (probes on different lanes may answer on different domains); they are
-     reported in reply order. *)
+     (probes on different lanes may answer on different domains). Answered
+     probes are reported in reply order, unanswered ones in crash order. *)
   let crashes =
     if workload.probes then Array.of_list (Nemesis.crash_faults schedule) else [||]
   in
@@ -240,6 +241,10 @@ let run ?(n_sites = 5) ?(engine_jobs = 1) ~config ~workload ~seed () =
     |> List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
     |> List.map (fun (_, site, ms) -> (site, ms))
   in
+  let unanswered_probes =
+    List.filteri (fun i _ -> Option.is_none probe_replies.(i)) (Array.to_list crashes)
+    |> List.map (fun (site, _, _) -> site)
+  in
   {
     seed;
     config;
@@ -251,6 +256,7 @@ let run ?(n_sites = 5) ?(engine_jobs = 1) ~config ~workload ~seed () =
     unavailable = total 2;
     redistributions = Samya.Cluster.total_redistributions cluster;
     recovery_probes;
+    unanswered_probes;
     durable_syncs = sum Samya.Site.durable_syncs;
     duplicated = Geonet.Network.stats_duplicated network;
     violations;

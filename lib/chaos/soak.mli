@@ -51,8 +51,12 @@ type report = {
   unavailable : int;
   redistributions : int;
   recovery_probes : (int * float) list;
-      (** per crash fault: (site, ms from recovery until the site answered
-          a direct acquire — recovery-to-service latency) *)
+      (** per answered probe, in reply order: (site, ms from recovery
+          until the site answered a direct acquire — recovery-to-service
+          latency) *)
+  unanswered_probes : int list;
+      (** the sites whose probe got no answer before the drain ended, in
+          crash order *)
   durable_syncs : int;  (** stable-storage flushes across all sites *)
   duplicated : int;  (** duplicate deliveries the network injected *)
   violations : Auditor.violation list;

@@ -93,6 +93,21 @@ type phase_stats = {
   p_latencies : Stats.Sample_set.t;  (** committed requests only, ms *)
 }
 
+(* A client's counted replies in reply order, kept while
+   [spec.track_entities]: one outcome tag per reply, and the requests'
+   entities run-length encoded over the tags (an entity is stored once per
+   run of consecutive replies naming it). Commit latencies are not copied:
+   the client's latency slot [lat] holds them in the same order. Only the
+   client's lane appends. *)
+type reply_log = {
+  lat : Stats.Sample_set.t;
+  mutable tags : Bytes.t;
+  mutable n_tags : int;
+  mutable names : string array;  (* run r's entity ("" = unnamed) *)
+  mutable starts : int array;  (* run r's first tag *)
+  mutable n_runs : int;
+}
+
 type result = {
   committed : int;
   rejected : int;
@@ -104,7 +119,7 @@ type result = {
   latencies : Stats.Sample_set.t;
   throughput : Stats.Throughput.t;
   duration_ms : float;
-  by_entity : (string * entity_stats) list;
+  reply_logs : reply_log array;
   by_phase : phase_stats array;
 }
 
@@ -130,20 +145,6 @@ let span_name = function
   | Trace.Workload.Release -> "req.release"
   | Trace.Workload.Read -> "req.read"
 
-(* Per-client accumulators. A client's replies execute on its region's
-   lane, concurrently with other lanes, so each client accumulates into
-   its own slot and the slots are merged in client order after the run —
-   an order that is a function of the simulation alone, never of the
-   domain count. *)
-type ent_acc = {
-  mutable ec : int;
-  mutable er : int;
-  mutable eu : int;
-  mutable es : int;
-  mutable elsum : float;
-  mutable elmax : float;
-}
-
 (* Outcome tags: 0 = committed; aborts 1 = rejected, 2 = unavailable,
    3 = shed, 4 = timeout. *)
 let tag_of_response = function
@@ -159,6 +160,11 @@ let cls_name = function
   | 3 -> "shed"
   | _ -> "timeout"
 
+(* Per-client accumulators. A client's replies execute on its region's
+   lane, concurrently with other lanes, so each client accumulates into
+   its own slot and the slots are merged in client order after the run —
+   an order that is a function of the simulation alone, never of the
+   domain count. *)
 type acc = {
   window_ms : float;
   lat : Stats.Sample_set.t array;
@@ -171,7 +177,7 @@ type acc = {
   retries : int array;
   submitted : int array;
   replied : int array;
-  ents : (string, ent_acc) Hashtbl.t array;
+  replies : reply_log array;  (* empty unless [spec.track_entities] *)
   (* per-phase accounting (clients x phases); empty unless [spec.phases] *)
   n_phases : int;
   ph_lat : Stats.Sample_set.t array array;
@@ -203,10 +209,35 @@ let count acc client ~tag ~lat ~time_ms =
   | 3 -> acc.shed.(client) <- acc.shed.(client) + 1
   | _ -> acc.timedout.(client) <- acc.timedout.(client) + 1
 
-let acc_create ?(n_phases = 0) ~n_clients:slots ~window_ms () =
+let log_create lat =
+  { lat; tags = Bytes.empty; n_tags = 0; names = [||]; starts = [||]; n_runs = 0 }
+
+let grow a ~fill =
+  let b = Array.make (max 16 (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let log_reply l entity tag =
+  let n = l.n_tags in
+  if n = Bytes.length l.tags then l.tags <- Bytes.extend l.tags 0 (max 64 n);
+  Bytes.set l.tags n (Char.unsafe_chr tag);
+  l.n_tags <- n + 1;
+  let r = l.n_runs in
+  if r = 0 || not (String.equal l.names.(r - 1) entity) then begin
+    if r = Array.length l.names then begin
+      l.names <- grow l.names ~fill:"";
+      l.starts <- grow l.starts ~fill:0
+    end;
+    l.names.(r) <- entity;
+    l.starts.(r) <- n;
+    l.n_runs <- r + 1
+  end
+
+let acc_create ?(n_phases = 0) ?(track_entities = false) ~n_clients:slots ~window_ms () =
+  let lat = Array.init slots (fun _ -> Stats.Sample_set.create ()) in
   {
     window_ms;
-    lat = Array.init slots (fun _ -> Stats.Sample_set.create ());
+    lat;
     tp = Array.init slots (fun _ -> Stats.Throughput.create ~window_ms);
     committed = Array.make slots 0;
     rejected = Array.make slots 0;
@@ -216,7 +247,7 @@ let acc_create ?(n_phases = 0) ~n_clients:slots ~window_ms () =
     retries = Array.make slots 0;
     submitted = Array.make slots 0;
     replied = Array.make slots 0;
-    ents = Array.init slots (fun _ -> Hashtbl.create 16);
+    replies = (if track_entities then Array.map log_create lat else [||]);
     n_phases;
     ph_lat =
       Array.init slots (fun _ ->
@@ -225,51 +256,12 @@ let acc_create ?(n_phases = 0) ~n_clients:slots ~window_ms () =
     ph_aborted = Array.init slots (fun _ -> Array.make n_phases 0);
   }
 
-let ent_for tbl entity =
-  match Hashtbl.find_opt tbl entity with
-  | Some e -> e
-  | None ->
-      let e = { ec = 0; er = 0; eu = 0; es = 0; elsum = 0.0; elmax = 0.0 } in
-      Hashtbl.add tbl entity e;
-      e
-
 let acc_result acc ~duration_ms : result =
   let sum = Array.fold_left ( + ) 0 in
   let latencies = Stats.Sample_set.create () in
   Array.iter (fun s -> Stats.Sample_set.merge_into s ~into:latencies) acc.lat;
   let throughput = Stats.Throughput.create ~window_ms:acc.window_ms in
   Array.iter (fun t -> Stats.Throughput.merge_into t ~into:throughput) acc.tp;
-  (* Per-entity merge: slots in slot order, each slot's entries in entity
-     order — a deterministic order whatever the hash-table iteration
-     happens to be, so runs stay reproducible. *)
-  let by_entity =
-    let merged : (string, ent_acc) Hashtbl.t = Hashtbl.create 64 in
-    Array.iter
-      (fun tbl ->
-        Hashtbl.fold (fun entity e l -> (entity, e) :: l) tbl []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        |> List.iter (fun (entity, (e : ent_acc)) ->
-               let m = ent_for merged entity in
-               m.ec <- m.ec + e.ec;
-               m.er <- m.er + e.er;
-               m.eu <- m.eu + e.eu;
-               m.es <- m.es + e.es;
-               m.elsum <- m.elsum +. e.elsum;
-               if e.elmax > m.elmax then m.elmax <- e.elmax))
-      acc.ents;
-    Hashtbl.fold (fun entity m l -> (entity, m) :: l) merged []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (entity, (m : ent_acc)) ->
-           ( entity,
-             {
-               e_committed = m.ec;
-               e_rejected = m.er;
-               e_unavailable = m.eu;
-               e_shed = m.es;
-               e_latency_sum_ms = m.elsum;
-               e_latency_max_ms = m.elmax;
-             } ))
-  in
   (* Phase merge in slot order — deterministic at any domain count. *)
   let by_phase =
     Array.init acc.n_phases (fun p ->
@@ -293,7 +285,7 @@ let acc_result acc ~duration_ms : result =
     latencies;
     throughput;
     duration_ms;
-    by_entity;
+    reply_logs = acc.replies;
     by_phase;
   }
 
@@ -477,18 +469,7 @@ let terminal c p ~now ~tag =
     end
     else acc.ph_aborted.(client).(ph) <- acc.ph_aborted.(client).(ph) + 1
   end;
-  if c.spec.track_entities && request.entity <> "" then begin
-    let e = ent_for acc.ents.(client) request.entity in
-    match tag with
-    | 0 ->
-        e.ec <- e.ec + 1;
-        e.elsum <- e.elsum +. lat;
-        if lat > e.elmax then e.elmax <- lat
-    | 1 -> e.er <- e.er + 1
-    | 2 -> e.eu <- e.eu + 1
-    | 3 -> e.es <- e.es + 1
-    | _ -> ()
-  end;
+  if c.spec.track_entities then log_reply acc.replies.(client) request.entity tag;
   (match c.spec.slo with
   | Some _ when tag = 0 ->
       Obs.Slo.Feed.commit c.slo_feeds.(client) ~start_ms:c.t0 ~now_ms:now ~latency_ms:lat
@@ -747,7 +728,10 @@ let run ~(t_system : Systems.facade) spec =
     | Some r when r.jitter > 0.0 -> Array.init n_clients (Des.Rng.stream r.jitter_seed)
     | _ -> [||]
   in
-  let acc = acc_create ~n_phases ~n_clients ~window_ms:spec.window_ms () in
+  let acc =
+    acc_create ~n_phases ~track_entities:spec.track_entities ~n_clients
+      ~window_ms:spec.window_ms ()
+  in
   let outstanding = Array.make n_clients 0 in
   let c =
     {
@@ -825,6 +809,76 @@ let run ~(t_system : Systems.facade) spec =
       Obs.Slo.flush slo
   | None -> ());
   acc_result c.acc ~duration_ms:spec.duration_ms
+
+let no_outcome =
+  {
+    e_committed = 0;
+    e_rejected = 0;
+    e_unavailable = 0;
+    e_shed = 0;
+    e_latency_sum_ms = 0.0;
+    e_latency_max_ms = 0.0;
+  }
+
+let add_stats a b =
+  {
+    e_committed = a.e_committed + b.e_committed;
+    e_rejected = a.e_rejected + b.e_rejected;
+    e_unavailable = a.e_unavailable + b.e_unavailable;
+    e_shed = a.e_shed + b.e_shed;
+    e_latency_sum_ms = a.e_latency_sum_ms +. b.e_latency_sum_ms;
+    e_latency_max_ms =
+      (if b.e_latency_max_ms > a.e_latency_max_ms then b.e_latency_max_ms
+       else a.e_latency_max_ms);
+  }
+
+let find_stats tbl entity = Option.value (Hashtbl.find_opt tbl entity) ~default:no_outcome
+
+(* One client's log in reply order. Each commit takes the next of the
+   client's latency samples, named or not; unnamed runs are dropped. *)
+let fold_log l =
+  let slot = Hashtbl.create 16 in
+  let k = ref 0 in
+  for run = 0 to l.n_runs - 1 do
+    let entity = l.names.(run) in
+    let stop = if run + 1 < l.n_runs then l.starts.(run + 1) else l.n_tags in
+    let e = ref (find_stats slot entity) in
+    for i = l.starts.(run) to stop - 1 do
+      let reply =
+        match Char.code (Bytes.get l.tags i) with
+        | 0 ->
+            let lat = Stats.Sample_set.get l.lat !k in
+            incr k;
+            {
+              no_outcome with
+              e_committed = 1;
+              e_latency_sum_ms = lat;
+              e_latency_max_ms = lat;
+            }
+        | 1 -> { no_outcome with e_rejected = 1 }
+        | 2 -> { no_outcome with e_unavailable = 1 }
+        | 3 -> { no_outcome with e_shed = 1 }
+        | _ -> no_outcome
+      in
+      e := add_stats !e reply
+    done;
+    if entity <> "" then Hashtbl.replace slot entity !e
+  done;
+  slot
+
+(* Slots merge in slot order, so each entity's latency sum adds the
+   clients' sums in client order: the same floats at any domain count. *)
+let by_entity (result : result) =
+  let merged = Hashtbl.create 64 in
+  Array.iter
+    (fun l ->
+      Hashtbl.iter
+        (fun entity e ->
+          Hashtbl.replace merged entity (add_stats (find_stats merged entity) e))
+        (fold_log l))
+    result.reply_logs;
+  Hashtbl.fold (fun entity e l -> (entity, e) :: l) merged []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let average_tps (result : result) =
   float_of_int result.committed /. (result.duration_ms /. 1000.0)

@@ -70,10 +70,11 @@ type spec = {
           after the run, stamped with the window's nominal end in
           absolute virtual time (default [None]) *)
   track_entities : bool;
-      (** when set, counted replies of entity-named requests (the stream's
-          [entity <> ""]) additionally accumulate per-entity outcome counts
-          and latency aggregates into [result.by_entity] — the
-          gateway-fleet per-key attribution (default [false]) *)
+      (** when set, every counted reply is appended to its client's reply
+          log ([result.reply_logs]), which {!by_entity} folds into the
+          per-entity attribution of entity-named requests (the stream's
+          [entity <> ""]) — the gateway-fleet per-key view (default
+          [false]) *)
   retry : retry option;
       (** when set, timed-out and shed requests re-enter as linked retry
           attempts; with a finite [client_timeout_ms] the client abandons
@@ -110,6 +111,10 @@ type phase_stats = {
   p_latencies : Stats.Sample_set.t;  (** committed requests only, ms *)
 }
 
+type reply_log
+(** One client's counted replies in reply order: an outcome per reply and
+    the entities they named, run-length encoded. *)
+
 type result = {
   committed : int;
   rejected : int;
@@ -124,11 +129,9 @@ type result = {
   latencies : Stats.Sample_set.t;  (** committed requests only, ms *)
   throughput : Stats.Throughput.t;
   duration_ms : float;
-  by_entity : (string * entity_stats) list;
-      (** sorted by entity name; empty unless [spec.track_entities] — the
-          merge across client slots is deterministic (slot order, then
-          entity order), so runs reproduce byte-identically at any
-          [--engine-jobs] *)
+  reply_logs : reply_log array;
+      (** one per client, folded by {!by_entity}; empty unless
+          [spec.track_entities] *)
   by_phase : phase_stats array;
       (** one entry per phase of [spec.phases] (empty when no boundaries
           were given); merged across client slots in slot order, so
@@ -140,6 +143,15 @@ val run : t_system:Systems.facade -> spec -> result
     one ([entity = ""]) to [t_system.entity], each stamped with
     [spec.deadline_budget_ms]. Raises [Invalid_argument] before the run starts on an invalid spec:
     a [window_ms] that is not positive and finite, among others. *)
+
+val by_entity : result -> (string * entity_stats) list
+(** The per-entity attribution, folded from [result.reply_logs] on each
+    call: each client's replies in reply order, the clients merged in
+    client order, sorted by entity name. An entity whose only outcome is
+    a timeout is listed with zero counts; unnamed requests never are.
+    The merge order is a function of the simulation alone, so the list
+    is byte-identical at any [--engine-jobs]. Empty unless
+    [spec.track_entities]. *)
 
 val average_tps : result -> float
 

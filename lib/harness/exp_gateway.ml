@@ -10,9 +10,9 @@
    core ledgers without ever materialising protocol state.
 
    The scenario is data for the shared runner (Scenario) plus the
-   per-key attribution the multi-entity driver collects
-   ([track_entities]). Quick mode is the CI smoke: the same shape at 1/50
-   the keys and 1/20 the rate. *)
+   per-key attribution folded from the driver's reply logs
+   ([track_entities], [Driver.by_entity]). Quick mode is the CI smoke:
+   the same shape at 1/50 the keys and 1/20 the rate. *)
 
 type scale = {
   keys : int;
@@ -119,6 +119,7 @@ let report ~scale ~quotas ~offered ~sketch_k fmt (c : Scenario.capture) =
     scale.keys scale.rate_per_s
     (scale.duration_ms /. 1000.0);
   let r = c.result in
+  let by_entity = Driver.by_entity r in
   let counted = r.Driver.committed + r.Driver.rejected + r.Driver.unavailable in
   Report.kv fmt
     [
@@ -145,7 +146,7 @@ let report ~scale ~quotas ~offered ~sketch_k fmt (c : Scenario.capture) =
     List.stable_sort
       (fun (_, (a : Driver.entity_stats)) (_, b) ->
         Int.compare b.Driver.e_committed a.Driver.e_committed)
-      r.Driver.by_entity
+      by_entity
     |> List.filteri (fun i _ -> i < 10)
   in
   Report.table fmt ~title:"hottest keys (per-entity attribution)"
@@ -184,7 +185,7 @@ let report ~scale ~quotas ~offered ~sketch_k fmt (c : Scenario.capture) =
              key;
              string_of_int est;
              string_of_int (Obs.Heavy_hitters.error sketch);
-             (match List.assoc_opt key r.Driver.by_entity with
+             (match List.assoc_opt key by_entity with
              | Some e -> string_of_int e.Driver.e_committed
              | None -> "-");
            ])
@@ -209,9 +210,9 @@ let plan ~quick : Scenario.plan =
   let zipf = Trace.Zipf.create scale.keys in
   let quotas = quotas ~scale zipf in
   let requests = requests ~scale zipf in
-  (* At a million keys the per-key driver attribution is the expensive
-     path: the sketch tracks the hot head in O(k) from the request path
-     itself. *)
+  (* At a million keys the exact per-key attribution is a fold over every
+     reply, after the run: the sketch tracks the hot head in O(k) from the
+     request path itself. *)
   let sketch_k = 16 in
   {
     duration_ms = scale.duration_ms;

@@ -301,7 +301,6 @@ let plan ~quick : Scenario.plan =
           window_ms = 1_000.0;
           client_timeout_ms = s.timeout_ms;
           grant_driven_release_ms = Some s.hold_ms;
-          track_entities = true;
         });
     arms =
       [

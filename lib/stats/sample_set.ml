@@ -26,6 +26,10 @@ let add t x =
 
 let count t = t.size
 
+let get t i =
+  if i < 0 || i >= t.size then invalid_arg "Sample_set.get";
+  t.data.(i)
+
 (* A merge sort on [Float.compare] rather than a heap sort through the
    polymorphic [compare]: both use the same total order (NaN first, then
    -inf .. +inf), so the sorted values — and every percentile — are the

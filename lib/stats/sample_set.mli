@@ -12,6 +12,11 @@ val add : t -> float -> unit
 
 val count : t -> int
 
+val get : t -> int -> float
+(** [get t i] is sample [i] in storage order: the order the samples were
+    added in, until a percentile or {!to_sorted_array} sorts the set in
+    place. Raises [Invalid_argument] unless [0 <= i < count t]. *)
+
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0, 100\]], nearest-rank with linear
     interpolation (same convention as numpy's default). [nan] when empty.

@@ -119,6 +119,25 @@ let soak_engine_jobs_sweep () =
   check Alcotest.string "engine-jobs 2 byte-identical" s1 (render (run 2));
   check Alcotest.string "engine-jobs 4 byte-identical" s1 (render (run 4))
 
+(* A recovery probe that gets no answer is reported, not dropped. Under
+   the freeze model, seed 2 crashes site 0 from 55.4 s to 74.5 s: under
+   Avantan[*] the site answers no direct acquire before the drain ends,
+   under Avantan[(n+1)/2] it does. *)
+let soak_reports_unanswered_probe () =
+  let run variant =
+    Chaos.Soak.run
+      ~config:{ Chaos.Soak.single_key_config with variant; amnesia_on_crash = false }
+      ~workload:Chaos.Soak.single_key ~seed:2 ()
+  in
+  let star = run Samya.Config.Star in
+  check Alcotest.(list int) "star: site 0 unanswered" [ 0 ] star.unanswered_probes;
+  check Alcotest.(list int) "star: no answered probe" []
+    (List.map fst star.recovery_probes);
+  let majority = run Samya.Config.Majority in
+  check Alcotest.(list int) "majority: none unanswered" [] majority.unanswered_probes;
+  check Alcotest.(list int) "majority: site 0 answered" [ 0 ]
+    (List.map fst majority.recovery_probes)
+
 (* The headline robustness property: across random nemesis seeds and both
    Avantan variants, a crash-amnesiac cluster with write-through
    durability finishes with a clean audit — tokens conserved (Equation 1),
@@ -221,6 +240,8 @@ let suite =
     Alcotest.test_case "soak: replays exactly" `Quick soak_replays_exactly;
     Alcotest.test_case "soak: engine-jobs sweep byte-identical" `Slow
       soak_engine_jobs_sweep;
+    Alcotest.test_case "soak: unanswered recovery probe reported" `Quick
+      soak_reports_unanswered_probe;
     QCheck_alcotest.to_alcotest
       (soak_conserves_tokens Samya.Config.Majority
          "chaos soak: clean audit across seeds (Avantan[(n+1)/2])");

@@ -287,12 +287,122 @@ let gateway_engine_jobs_identical () =
       (Format.pp_print_list (fun fmt (key, (e : Harness.Driver.entity_stats)) ->
            Format.fprintf fmt "%s=%d,%d,%.3f" key e.Harness.Driver.e_committed
              e.Harness.Driver.e_rejected e.Harness.Driver.e_latency_sum_ms))
-      r.Harness.Driver.by_entity
+      (Harness.Driver.by_entity r)
   in
   let one = fingerprint 1 in
   Alcotest.check bool "produced data" true (String.length one > 100);
   Alcotest.check Alcotest.string "engine-jobs 2 byte-identical" one (fingerprint 2);
   Alcotest.check Alcotest.string "engine-jobs 4 byte-identical" one (fingerprint 4)
+
+(* [Driver.by_entity] is a fold over the clients' reply logs. A small
+   hand-built stream over three keys, every fourth request unnamed (it
+   targets the facade's own key), with grant-driven releases, a retry
+   policy with a finite client timeout, deadlines that shed, site 1
+   crashed for 2 s and the other sites for 0.3 s of it (unavailable
+   replies). A fourth key is requested once, by site 1's client while
+   its site is down, and only times out. Naming the facade's key
+   outright leaves the run unchanged and only adds that key to the list,
+   so the fold must agree with the run's totals and never list an
+   unnamed request. *)
+let driver_by_entity_fold () =
+  let own = "own" and keys = [| "k0"; "k1"; "k2" |] in
+  let run ~engine_jobs ~name_own =
+    let regions = regions () in
+    let cluster =
+      Samya.Cluster.create ~seed:5L ~engine_jobs ~config:Samya.Config.default ~regions ()
+    in
+    List.iter
+      (fun (entity, maximum) -> Samya.Cluster.init_entity cluster ~entity ~maximum)
+      [ (own, 40); ("k0", 40); ("k1", 10); ("k2", 5); ("k3", 5) ];
+    let t_system =
+      Facade.of_samya_cluster ~hooks:(Facade.samya_hooks ()) ~regions ~entity:own cluster
+    in
+    let requests =
+      Array.init 900 (fun i ->
+          {
+            Trace.Workload.time_ms = 5.0 *. float_of_int i;
+            site = i mod 5;
+            kind = (if i mod 10 = 9 then Trace.Workload.Read else Trace.Workload.Acquire);
+            amount = 1;
+            entity =
+              (if i = 401 then "k3"
+               else if i mod 4 = 3 then if name_own then own else ""
+               else keys.(i mod 3));
+          })
+    in
+    let spec =
+      {
+        (Harness.Driver.default_spec ~client_regions:regions ~requests ~duration_ms:5_000.0)
+        with
+        Harness.Driver.events =
+          List.concat_map
+            (fun (at_ms, sites, f) ->
+              List.map (fun site -> { Harness.Driver.at_ms; action = (fun () -> f site) }) sites)
+            [
+              (1_500.0, [ 1 ], t_system.crash_site);
+              (2_500.0, [ 0; 2; 3; 4 ], t_system.crash_site);
+              (2_800.0, [ 0; 2; 3; 4 ], t_system.recover_site);
+              (3_500.0, [ 1 ], t_system.recover_site);
+            ];
+        client_timeout_ms = 40.0;
+        grant_driven_release_ms = Some 400.0;
+        track_entities = true;
+        retry =
+          Some
+            {
+              Harness.Driver.max_attempts = 2;
+              base_backoff_ms = 5.0;
+              max_backoff_ms = 20.0;
+              jitter = 0.5;
+              jitter_seed = 9L;
+            };
+        deadline_budget_ms = 60.0;
+      }
+    in
+    Harness.Driver.run ~t_system spec
+  in
+  let a = run ~engine_jobs:1 ~name_own:false in
+  let named = run ~engine_jobs:1 ~name_own:true in
+  let totals (r : Harness.Driver.result) =
+    Harness.Driver.[ r.committed; r.rejected; r.unavailable; r.shed; r.timed_out; r.retries ]
+  in
+  check bool "every outcome occurs" true (List.for_all (fun n -> n > 0) (totals a));
+  check Alcotest.(list int) "naming the facade's key changes no outcome" (totals a)
+    (totals named);
+  let render list =
+    String.concat "; "
+      (List.map
+         (fun (key, (e : Harness.Driver.entity_stats)) ->
+           Printf.sprintf "%s %d/%d/%d/%d %h %h" key e.e_committed e.e_rejected
+             e.e_unavailable e.e_shed e.e_latency_sum_ms e.e_latency_max_ms)
+         list)
+  in
+  let all = Harness.Driver.by_entity named and by_entity = Harness.Driver.by_entity a in
+  let sum f = List.fold_left (fun acc (_, e) -> acc + f e) 0 all in
+  check Alcotest.(list int) "counts sum to the totals"
+    Harness.Driver.[ named.committed; named.rejected; named.unavailable; named.shed ]
+    Harness.Driver.
+      [
+        sum (fun e -> e.e_committed);
+        sum (fun e -> e.e_rejected);
+        sum (fun e -> e.e_unavailable);
+        sum (fun e -> e.e_shed);
+      ];
+  let lats = named.Harness.Driver.latencies in
+  check (Alcotest.float 1e-6) "latency sums add up"
+    (Stats.Sample_set.mean lats *. float_of_int (Stats.Sample_set.count lats))
+    (List.fold_left (fun acc (_, e) -> acc +. e.Harness.Driver.e_latency_sum_ms) 0.0 all);
+  check (Alcotest.float 0.0) "latency max" (Stats.Sample_set.max_value lats)
+    (List.fold_left (fun acc (_, e) -> Float.max acc e.Harness.Driver.e_latency_max_ms) 0.0 all);
+  check Alcotest.string "unnamed requests are not listed"
+    (render (List.remove_assoc own all))
+    (render by_entity);
+  let names = List.map fst by_entity in
+  check Alcotest.(list string) "sorted by name" [ "k0"; "k1"; "k2"; "k3" ] names;
+  check Alcotest.string "a timeout-only key is listed with zero counts" "k3 0/0/0/0 0x0p+0 0x0p+0"
+    (render [ List.nth by_entity 3 ]);
+  check Alcotest.string "engine-jobs 2 identical" (render by_entity)
+    (render (Harness.Driver.by_entity (run ~engine_jobs:2 ~name_own:false)))
 
 (* A one-arm plan over a few acquires, built by hand: the runner's
    behaviour, not a figure's, is under test. *)
@@ -380,6 +490,7 @@ let suite =
     Alcotest.test_case "driver: client crash" `Quick driver_client_crash_stops_stream;
     Alcotest.test_case "driver: no phantom releases" `Quick driver_never_releases_unacquired;
     Alcotest.test_case "driver: closed loop" `Quick driver_closed_loop_runs;
+    Alcotest.test_case "driver: by_entity folds the reply logs" `Quick driver_by_entity_fold;
     Alcotest.test_case "driver: rejects non-finite window" `Quick
       driver_rejects_non_finite_window;
     Alcotest.test_case "gateway: key names" `Quick gateway_key_names;
