@@ -62,28 +62,27 @@ let micro_benchmarks () =
       (Staged.stage (fun () -> ignore (Ml.Lstm.predict_next model series)))
   in
   (* A site's entity arena at gateway-fleet scale: a million keys in a
-     sharded directory, appended in bulk as a cluster registers them, and
-     a Zipfian-shaped access mix of hot head and cold tail. Lookups and
-     updates must stay flat in the fleet size (one hash into a directory
-     shard, then the arena slot) and the by-eid ledger scan every audit
-     pays must stay linear. The ~57 MB of directory and arena (names,
-     tables, one share per key) is allocated per test, outside the timed
-     part, and compacted away afterwards (make_with_resource): kept resident
-     it inflates every later allocating benchmark's numbers, since each
-     minor collection then drags a major-heap slice over the arena. *)
+     sharded directory, registered in bulk as a cluster does (a name and
+     a maximum each), seen from site 0 of 5, and a Zipfian-shaped access
+     mix of hot head and cold tail. Lookups and updates must stay flat in
+     the fleet size (one hash into a directory shard, then one probe of
+     the site's touched index), and a by-eid ledger scan must stay
+     linear: an untouched key costs one probe and the site's share of
+     its directory maximum. The directory's ~54 MiB (names, hash
+     tables, one maximum per key; the arena itself starts empty) is
+     allocated per test, outside the timed part, and compacted away
+     afterwards (make_with_resource): kept resident it inflates every
+     later allocating benchmark's numbers, since each minor collection
+     then drags a major-heap slice over it. *)
   let fleet = 1_000_000 in
   let fleet_name = Harness.Exp_gateway.key_name in
   let allocate_arena () =
     let directory = Samya.Entity_map.Directory.create ~shards:256 ~capacity:fleet () in
     let map : unit Samya.Entity_map.t =
-      Samya.Entity_map.create ~directory ~capacity:fleet ()
+      Samya.Entity_map.create ~directory ~site:0 ~sites:5 ()
     in
     for r = 0 to fleet - 1 do
-      ignore (Samya.Entity_map.Directory.add directory (fleet_name r))
-    done;
-    Samya.Entity_map.append map ~first_eid:0 ~count:fleet;
-    for eid = 0 to fleet - 1 do
-      Samya.Entity_map.set_share map eid 10
+      ignore (Samya.Entity_map.Directory.add directory (fleet_name r) ~maximum:50)
     done;
     (* 512 hot-head keys and 512 spread across the cold tail. *)
     let mix =

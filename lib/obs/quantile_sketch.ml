@@ -28,6 +28,12 @@ type t = {
 let create () =
   { buckets = Array.make n_buckets 0; count = 0; min = Float.nan; max = Float.nan }
 
+let clear t =
+  Array.fill t.buckets 0 n_buckets 0;
+  t.count <- 0;
+  t.min <- Float.nan;
+  t.max <- Float.nan
+
 let add t v =
   if not (Float.is_nan v) then begin
     let i = bucket_of v in

@@ -21,6 +21,10 @@ val create : unit -> t
 val add : t -> float -> unit
 (** NaN samples are ignored. *)
 
+val clear : t -> unit
+(** Empty [t] in place: afterwards it is {!equal} to a fresh {!create},
+    with no allocation. *)
+
 val merge : t -> t -> t
 (** Functional: inputs are unchanged. *)
 

@@ -28,8 +28,9 @@ type t = {
   regions : Geonet.Region.t array;
   sites : Site.t array;
   directory : Entity_map.Directory.t;
-      (* the one name -> eid map every site's arena indexes by; written
-         only between windows, read concurrently by lanes inside them *)
+      (* the one name -> (eid, maximum) map every site's arena indexes by;
+         written only between windows, read concurrently by lanes inside
+         them *)
   obs : Obs.Sink.port;
       (* one port shared by every site (each writes to its own lane) and
          by the cluster itself for fault events (lane -1) *)
@@ -126,24 +127,24 @@ let init_entity_shares t ~entity ~shares =
   if Array.exists (fun tokens -> tokens < 0) shares then
     invalid_arg (op ^ ": negative share");
   check_entity_name op entity;
-  let eid = Entity_map.Directory.add t.directory entity in
+  let eid =
+    Entity_map.Directory.add t.directory entity ~maximum:(Array.fold_left ( + ) 0 shares)
+  in
   Array.iteri (fun i tokens -> Site.init_entity t.sites.(i) ~eid ~tokens) shares
-
-(* Site [i]'s share of [maximum] split equally over [n] sites, the
-   remainder to the lowest ids. *)
-let equal_share ~n ~maximum i = (maximum / n) + if i < maximum mod n then 1 else 0
 
 let init_entity t ~entity ~maximum =
   if maximum < 0 then invalid_arg "Cluster.init_entity: negative maximum";
-  let n = Array.length t.sites in
-  init_entity_shares t ~entity ~shares:(Array.init n (equal_share ~n ~maximum))
+  let sites = Array.length t.sites in
+  init_entity_shares t ~entity
+    ~shares:(Array.init sites (Entity_map.equal_share ~sites ~maximum))
 
 (* Bulk fleet registration: the same equal split as [init_entity], but the
-   entities start cold at every site (see {!Site.register_entities}).
-   All-or-nothing: a bad entry or a duplicate (within the batch or already
-   registered) rolls the directory back before any site changes. Each
-   name is hashed once, into the directory; one more pass over the batch
-   writes every site's share by eid, in list order. *)
+   entities start cold at every site (see {!Site.register_entities}), so
+   a key is one directory entry — its name and its maximum — and no site
+   holds anything for it until it touches it. All-or-nothing: a bad entry
+   or a duplicate (within the batch or already registered) rolls the
+   directory back before any site changes. Each name is hashed once,
+   into the directory. *)
 let register_entities t entities =
   let op = "Cluster.register_entities" in
   check_between_windows t op;
@@ -153,21 +154,12 @@ let register_entities t entities =
        (fun (entity, maximum) ->
          if maximum < 0 then invalid_arg (op ^ ": negative maximum");
          check_entity_name op entity;
-         ignore (Entity_map.Directory.add t.directory entity))
+         ignore (Entity_map.Directory.add t.directory entity ~maximum))
        entities
    with Invalid_argument _ as e ->
      Entity_map.Directory.truncate t.directory first_eid;
      raise e);
   let count = Entity_map.Directory.length t.directory - first_eid in
-  let arenas = Array.map Site.arena t.sites in
-  let n = Array.length arenas in
-  Array.iter (fun arena -> Entity_map.append arena ~first_eid ~count) arenas;
-  List.iteri
-    (fun k (_, maximum) ->
-      for i = 0 to n - 1 do
-        Entity_map.set_share arenas.(i) (first_eid + k) (equal_share ~n ~maximum i)
-      done)
-    entities;
   Array.iter (fun site -> Site.register_entities site ~first_eid ~count) t.sites
 
 let entity_count t = Entity_map.Directory.length t.directory
@@ -325,28 +317,50 @@ let arm_flight t (attachment : Obs.Flight_recorder.attachment) =
     attachment.Obs.Flight_recorder.hot;
   Obs.Sink.arm t.obs attachment
 
-(* One ledger field of [eid] summed over every site ([0] for the unknown
-   eid [-1]): every site's arena holds every directory eid. Reads only —
-   no core is materialised and nothing is allocated. *)
-let total t eid field =
-  let sum = ref 0 in
-  if eid >= 0 then
-    for i = 0 to Array.length t.sites - 1 do
-      sum := !sum + field (Site.arena t.sites.(i)) eid
+(* The audit's one pass over the sites for [eid], handing [k x] the
+   key's tokens left and acquired, summed ([0] and [0] for the unknown eid
+   [-1]). Each site's index is probed once: a site that touched the key
+   answers from its core; one that never did holds its equal share of the
+   directory maximum ({!Entity_map.equal_share}) and has acquired
+   nothing. Those shares are added after the loop: the maximum itself
+   when every site is cold, else [maximum / n] per cold site plus one for
+   each cold site below the remainder. Reads only — no core is
+   materialised and, with a [k] that captures nothing, nothing is
+   allocated. *)
+let fold_ledger t eid x k =
+  if eid < 0 then k x 0 0
+  else begin
+    let n = Array.length t.sites in
+    let maximum = Entity_map.Directory.maximum t.directory eid in
+    let low = maximum mod n in
+    let left = ref 0 and acquired = ref 0 and cold = ref 0 and cold_low = ref 0 in
+    for i = 0 to n - 1 do
+      let core = Entity_map.touched (Site.arena t.sites.(i)) eid in
+      if core.Entity_map.eid < 0 then begin
+        incr cold;
+        if i < low then incr cold_low
+      end
+      else begin
+        left := !left + core.Entity_map.tokens_left;
+        acquired := !acquired + core.Entity_map.acquired_net
+      end
     done;
-  !sum
+    let cold_left =
+      if !cold = n then maximum
+      else if !cold = 0 then 0
+      else (!cold * (maximum / n)) + !cold_low
+    in
+    k x (!left + cold_left) !acquired
+  end
 
-let total_tokens_left t ~entity =
-  total t (Entity_map.Directory.find t.directory entity) Entity_map.tokens_left
+let find t entity = Entity_map.Directory.find t.directory entity
+
+let total_tokens_left t ~entity = fold_ledger t (find t entity) () (fun () left _ -> left)
 
 let total_acquired t ~entity =
-  total t (Entity_map.Directory.find t.directory entity) Entity_map.acquired_net
+  fold_ledger t (find t entity) () (fun () _ acquired -> acquired)
 
-(* The audit resolves the name once and reads each site's ledger by eid. *)
-let check_invariant t ~entity ~maximum =
-  let eid = Entity_map.Directory.find t.directory entity in
-  let left = total t eid Entity_map.tokens_left
-  and acquired = total t eid Entity_map.acquired_net in
+let conservation maximum left acquired =
   if acquired < 0 then Error (Printf.sprintf "negative total acquisition: %d" acquired)
   else if acquired > maximum then
     Error (Printf.sprintf "constraint violated: %d acquired > maximum %d" acquired maximum)
@@ -355,6 +369,10 @@ let check_invariant t ~entity ~maximum =
       (Printf.sprintf "tokens not conserved: left %d + acquired %d <> maximum %d" left
          acquired maximum)
   else Ok ()
+
+(* The audit resolves the name once and reads each site's index by eid. *)
+let check_invariant t ~entity ~maximum =
+  fold_ledger t (find t entity) maximum conservation
 
 let pin_policy t ~entity policy =
   Array.iter (fun site -> Site.pin_policy site ~entity policy) t.sites

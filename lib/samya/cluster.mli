@@ -86,31 +86,55 @@ val sites : t -> Site.t array
 
     The cluster owns one {!Entity_map.Directory} (sharded by
     {!Config.t.entity_shards}, sized by {!Config.t.entity_capacity}):
-    each name is resolved to a dense eid once, and every site's arena
-    holds its share at that eid. Registration writes the directory, which
+    each name is resolved to a dense eid once, and the directory holds
+    the key's maximum beside its name. A site's arena holds only the keys
+    that site has touched; an untouched key's tokens there are the site's
+    equal share of that maximum. Registration writes the directory, which
     lanes read concurrently inside windows, so the functions below raise
     [Invalid_argument] when called inside a window (from a lane-local
     event); call them before running or from a {!schedule_global}
     callback. Each is all-or-nothing: a rejected call leaves every site
-    and the directory unchanged. The empty name is reserved. *)
+    and the directory unchanged. The empty name is reserved.
+
+    {b Hot or cold.} {!init_entity} and {!init_entity_shares} register a
+    key {e hot}: every site materialises its per-entity state (request
+    queue, demand tracker, protocol machine) at once, so from the first
+    request each site tracks the key's demand, its Prediction Module may
+    redistribute proactively and the anti-entropy loop asks peers about
+    it. {!register_entities} registers keys {e cold}: a site holds
+    nothing for a key until it touches it, then serves from a bare
+    ledger while its share suffices and heats the key on its first
+    shortfall. Under the freeze model the two are different runs of the
+    same workload, not a memory trade-off: proactive redistributions and
+    anti-entropy traffic differ, and so does everything after them
+    ([samya_cli chaos --seed 2 --variant star --freeze] grants 4,653,
+    rejects 40 and redistributes 18 times with its key hot; 4,926, 0 and
+    0 with it cold). Register hot for a key the experiment means to
+    contend from the start (the paper's single "VM" key), cold for a
+    fleet of which only a few keys heat. Under crash-amnesia
+    {!register_entities} heats every key at registration too, since each
+    needs a durable image. *)
 
 val init_entity : t -> entity:Types.entity -> maximum:int -> unit
-(** Splits [maximum] tokens equally across sites (remainder to the lowest
-    ids), as in the paper's setup (M_e = 5000 over 5 sites → 1000 each).
-    Raises [Invalid_argument] on a negative maximum or a duplicate name. *)
+(** Registers the key hot, splitting [maximum] tokens equally across
+    sites (remainder to the lowest ids), as in the paper's setup (M_e =
+    5000 over 5 sites → 1000 each). Raises [Invalid_argument] on a
+    negative maximum or a duplicate name. *)
 
 val init_entity_shares : t -> entity:Types.entity -> shares:int array -> unit
-(** Uneven initial allocation (e.g. derived from historic demand). Raises
+(** Registers the key hot with an uneven initial allocation (e.g. derived
+    from historic demand); its maximum is the sum of [shares]. Raises
     [Invalid_argument] unless there is one non-negative share per site,
     or on a duplicate name. *)
 
 val register_entities : t -> (Types.entity * int) list -> unit
 (** Bulk fleet registration: each [(entity, maximum)] is split equally
-    across sites like {!init_entity}, but the entities start cold —
-    compact cores that heat on first contention ({!Site.register_entities}).
-    List order fixes the dense entity ids. Raises [Invalid_argument] on a
-    negative maximum or a duplicate name (within the batch or already
-    registered) before any site changes. *)
+    across sites like {!init_entity}, but the keys start cold: one
+    directory entry each — name and maximum — and nothing at any site
+    until it touches the key ({!Site.register_entities}). List order
+    fixes the dense entity ids. Raises [Invalid_argument] on a negative
+    maximum or a duplicate name (within the batch or already registered)
+    before any site changes. *)
 
 val entity_count : t -> int
 (** Registered entities (the directory's size). *)
@@ -170,8 +194,11 @@ val check_invariant : t -> entity:Types.entity -> maximum:int -> (unit, string) 
 (** Equation 1 plus token conservation: [0 <= total_acquired <= maximum]
     and [total_tokens_left + total_acquired = maximum]. Meaningful at
     quiescent points (no decision deliveries in flight). Resolves the
-    name once and reads every site's ledger by eid; reads leave cold
-    entities cold and allocate nothing. *)
+    name once and adds up the key in one pass over the sites, like
+    {!total_tokens_left} and {!total_acquired}: a site that touched the
+    key answers from the core in its touched index, and a key no site
+    has touched holds its directory maximum. Reads leave cold entities
+    cold and allocate nothing. *)
 
 val pin_policy : t -> entity:Types.entity -> Config.Controller.policy -> unit
 (** {!Site.pin_policy} on every site: pin the entity's token-movement

@@ -226,7 +226,7 @@ let validate t =
          t.entity_shards)
   else if t.entity_capacity < 1 then
     Error
-      (Printf.sprintf "entity_capacity must be >= 1 (got %d): the entity arena cannot start empty"
+      (Printf.sprintf "entity_capacity must be >= 1 (got %d): the entity directory cannot start empty"
          t.entity_capacity)
   else if t.protocol_batch < 1 then
     Error

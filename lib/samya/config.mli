@@ -151,8 +151,10 @@ type t = {
           for the single-entity experiments, the gateway fleet uses
           hundreds *)
   entity_capacity : int;
-      (** size hint for the entity directory and each site's arena
-          (number of expected entities) *)
+      (** size hint for the entity directory (number of expected
+          entities): it pre-sizes the directory's tables, names and
+          maxima. A site's arena is not sized by it; its touched index
+          grows with the entities that site touches. *)
   protocol_batch : int;
       (** 1 (default): one Avantan machine per entity, the original
           layout. > 1: one site-level machine whose instances piggyback up

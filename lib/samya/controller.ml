@@ -120,9 +120,7 @@ let reset_window (ctx : Entity_state.t) ~now =
   ctx.Entity_state.ctl_shortfall <- 0;
   ctx.Entity_state.ctl_borrows <- 0;
   ctx.Entity_state.ctl_borrow_fails <- 0;
-  match ctx.Entity_state.ctl_wait with
-  | Some _ -> ctx.Entity_state.ctl_wait <- Some (Obs.Quantile_sketch.create ())
-  | None -> ()
+  Option.iter Obs.Quantile_sketch.clear ctx.Entity_state.ctl_wait
 
 let switch t (ctx : Entity_state.t) ~now next =
   let prev = ctx.Entity_state.ctl_mech in

@@ -22,6 +22,7 @@ module Directory = struct
     tables : int array array;
     used : int array;  (* names per shard *)
     mutable names : string array;  (* eid -> name *)
+    mutable maxima : int array;  (* eid -> the key's maximum *)
     mutable count : int;
   }
 
@@ -43,6 +44,7 @@ module Directory = struct
       tables = Array.init shards (fun _ -> Array.make (table_size per_shard) empty);
       used = Array.make shards 0;
       names = Array.make (max 8 capacity) "";
+      maxima = Array.make (max 8 capacity) 0;
       count = 0;
     }
 
@@ -76,6 +78,11 @@ module Directory = struct
       invalid_arg "Entity_map.Directory.name: out of range";
     t.names.(eid)
 
+  let maximum t eid =
+    if eid < 0 || eid >= t.count then
+      invalid_arg "Entity_map.Directory.maximum: out of range";
+    t.maxima.(eid)
+
   let rec free tbl i =
     if tbl.(i) = empty then i else free tbl ((i + 1) land (Array.length tbl - 1))
 
@@ -89,19 +96,23 @@ module Directory = struct
          (List.filter (fun s -> s <> empty) (Array.to_list old)));
     t.tables.(shard) <- tbl
 
-  let add t name =
+  let add t name ~maximum =
     let eid = t.count in
     if eid > eid_mask then
       invalid_arg "Entity_map.Directory.add: eids must stay below 2^31";
+    if maximum < 0 then invalid_arg "Entity_map.Directory.add: negative maximum";
     let h = Hashtbl.hash name in
     let shard = h mod t.shards in
     let tbl = t.tables.(shard) in
     let slot = probe t.names tbl h name (home t h tbl) in
     if tbl.(slot) <> empty then
       invalid_arg ("Entity_map.Directory.add: duplicate entity " ^ name);
-    if eid = Array.length t.names then
+    if eid = Array.length t.names then begin
       t.names <- Array.append t.names (Array.make eid "");
+      t.maxima <- Array.append t.maxima (Array.make eid 0)
+    end;
     t.names.(eid) <- name;
+    t.maxima.(eid) <- maximum;
     t.count <- eid + 1;
     tbl.(slot) <- (h lsl eid_bits) lor eid;
     t.used.(shard) <- t.used.(shard) + 1;
@@ -118,7 +129,8 @@ module Directory = struct
       let tbl = t.tables.(shard) in
       tbl.(probe t.names tbl h name (home t h tbl)) <- empty;
       t.used.(shard) <- t.used.(shard) - 1;
-      t.names.(eid) <- ""
+      t.names.(eid) <- "";
+      t.maxima.(eid) <- 0
     done;
     t.count <- n
 
@@ -137,20 +149,69 @@ end
 
 type 'hot t = {
   directory : Directory.t;
-  mutable shares : int array;
-      (* [shares.(eid)]: [>= 0] is a cold eid's starting share; [-1 - k]
-         points at its core, [cores.(k)] *)
+  site : int;
+  sites : int;  (* this arena's place in the equal split of every maximum *)
+  mutable index : int array;
+      (* the touched eids, open-addressed with linear probing over a
+         power-of-two table: [vacant] or [eid lsl core_bits lor k] for an
+         eid whose core is [cores.(k)] *)
+  mutable shift : int;  (* 63 - log2 (length index): a home slot is the top bits *)
   mutable cores : 'hot core array;
-      (* the touched cores, [cores.(0 .. touched - 1)]: appended in touch
+      (* the touched cores, [cores.(0 .. n_cores - 1)]: appended in touch
          order, sorted by eid when iterated *)
-  mutable touched : int;
+  mutable n_cores : int;
   mutable sorted : bool;
-  mutable n : int;
   mutable hot_n : int;
+  untouched : 'hot core;  (* {!touched}'s answer for a cold eid *)
 }
 
-let create ?directory ?shards ?(capacity = 16) () =
+let vacant = -1
+let core_bits = 31
+let core_mask = (1 lsl core_bits) - 1
+let initial_bits = 4
+
+(* Fibonacci hashing: the top bits of [eid] times an odd 63-bit constant
+   near 2^63 / golden ratio. Consecutive eids land far apart, so a dense
+   run of touched eids forms no probe cluster. *)
+let[@inline] home t eid = (eid * 0x4F1BBCDCBFA53E0B) lsr t.shift
+
+(* The run of occupied slots from [i] on: [eid]'s slot, or the vacant
+   slot that ends the run. *)
+let rec probe index eid i =
+  let s = Array.unsafe_get index i in
+  if s = vacant || s lsr core_bits = eid then i
+  else probe index eid ((i + 1) land (Array.length index - 1))
+
+(* [eid]'s slot in the touched index, or the vacant slot where it would
+   go. The home slot settles most lookups, so only a collision walks the
+   run. *)
+let[@inline] locate t eid =
+  let i = home t eid in
+  let s = Array.unsafe_get t.index i in
+  if s = vacant || s lsr core_bits = eid then i
+  else probe t.index eid ((i + 1) land (Array.length t.index - 1))
+
+(* [eid]'s core index [k], or [-1] if this arena has not touched it. *)
+let[@inline] slot t eid =
+  let s = Array.unsafe_get t.index (locate t eid) in
+  if s = vacant then -1 else s land core_mask
+
+let bits t = 63 - t.shift
+
+(* Re-place every touched eid in a table of [2^bits] slots, [cores.(k)]
+   at its current [k]. *)
+let reindex t bits =
+  t.index <- Array.make (1 lsl bits) vacant;
+  t.shift <- 63 - bits;
+  for k = 0 to t.n_cores - 1 do
+    let eid = t.cores.(k).eid in
+    t.index.(locate t eid) <- (eid lsl core_bits) lor k
+  done
+
+let create ?directory ?shards ?(capacity = 16) ?(site = 0) ?(sites = 1) () =
   if capacity < 1 then invalid_arg "Entity_map.create: capacity must be >= 1";
+  if site < 0 || site >= sites then
+    invalid_arg "Entity_map.create: site must be in [0, sites)";
   let directory =
     match directory with
     | Some d -> d
@@ -158,107 +219,115 @@ let create ?directory ?shards ?(capacity = 16) () =
   in
   {
     directory;
-    shares = Array.make (max 8 capacity) 0;
+    site;
+    sites;
+    index = Array.make (1 lsl initial_bits) vacant;
+    shift = 63 - initial_bits;
     cores = [||];
-    touched = 0;
+    n_cores = 0;
     sorted = true;
-    n = 0;
     hot_n = 0;
-  }
-
-let length t = t.n
-let hot_count t = t.hot_n
-
-let append t ~first_eid ~count =
-  if first_eid <> t.n then invalid_arg "Entity_map.append: eids must arrive in order";
-  if count < 0 || first_eid + count > Directory.length t.directory then
-    invalid_arg "Entity_map.append: eid not in the directory";
-  (* Slots past [n] are never written, so they already read as share 0. *)
-  let cap = Array.length t.shares in
-  if t.n + count > cap then
-    t.shares <- Array.append t.shares (Array.make (max count cap) 0);
-  t.n <- t.n + count
-
-let check_eid t eid =
-  if eid < 0 || eid >= t.n then invalid_arg "Entity_map: eid out of range"
-
-let set_share t eid tokens =
-  check_eid t eid;
-  if tokens < 0 then invalid_arg "Entity_map.set_share: negative tokens";
-  if t.shares.(eid) < 0 then invalid_arg "Entity_map.set_share: entity already touched";
-  t.shares.(eid) <- tokens
-
-(* Materialise [eid]'s core from its starting share on first touch. Only
-   the lane that owns the arena may call this. *)
-let touch t eid =
-  let share = t.shares.(eid) in
-  if share < 0 then t.cores.(-1 - share)
-  else begin
-    let core =
+    untouched =
       {
-        name = Directory.name t.directory eid;
-        eid;
-        tokens_left = share;
+        name = "";
+        eid = -1;
+        tokens_left = 0;
         acquired_net = 0;
         tokens_wanted = 0;
         exposed = false;
         hot = None;
-      }
-    in
-    let k = t.touched in
-    if k = Array.length t.cores then
-      t.cores <- Array.append t.cores (Array.make (max 8 k) core);
-    if k > 0 && t.cores.(k - 1).eid > eid then t.sorted <- false;
-    t.cores.(k) <- core;
-    t.touched <- k + 1;
-    t.shares.(eid) <- -1 - k;
-    core
-  end
+      };
+  }
+
+let length t = Directory.length t.directory
+let hot_count t = t.hot_n
+
+let[@inline] check_eid t eid =
+  if eid < 0 || eid >= t.directory.Directory.count then
+    invalid_arg "Entity_map: eid out of range"
+
+(* One division: the remainder is what the quotient leaves. *)
+let[@inline] equal_share ~sites ~maximum site =
+  let q = maximum / sites in
+  q + if site < maximum - (q * sites) then 1 else 0
+
+(* A cold eid's tokens here: this site's equal share of its maximum.
+   Callers have checked [eid] against the directory. *)
+let[@inline] share t eid =
+  equal_share ~sites:t.sites ~maximum:(Array.unsafe_get t.directory.Directory.maxima eid) t.site
+
+(* Give [eid], untouched, its core holding [tokens]; [i] is the vacant
+   index slot [eid] probed to. Only the lane that owns the arena may call
+   this. *)
+let add_core t i eid tokens =
+  let core =
+    {
+      name = Directory.name t.directory eid;
+      eid;
+      tokens_left = tokens;
+      acquired_net = 0;
+      tokens_wanted = 0;
+      exposed = false;
+      hot = None;
+    }
+  in
+  let k = t.n_cores in
+  if k = Array.length t.cores then
+    t.cores <- Array.append t.cores (Array.make (max 8 k) t.untouched);
+  if k > 0 && t.cores.(k - 1).eid > eid then t.sorted <- false;
+  t.cores.(k) <- core;
+  t.n_cores <- k + 1;
+  t.index.(i) <- (eid lsl core_bits) lor k;
+  if 2 * t.n_cores > Array.length t.index then reindex t (bits t + 1);
+  core
+
+(* Materialise [eid]'s core from its share on first touch. *)
+let touch t eid =
+  let i = locate t eid in
+  let s = t.index.(i) in
+  if s <> vacant then t.cores.(s land core_mask) else add_core t i eid (share t eid)
 
 let by_eid t eid =
   check_eid t eid;
   touch t eid
 
+let install t eid ~tokens =
+  check_eid t eid;
+  if tokens < 0 then invalid_arg "Entity_map.install: negative tokens";
+  let i = locate t eid in
+  if t.index.(i) <> vacant then invalid_arg "Entity_map.install: entity already touched";
+  add_core t i eid tokens
+
 let register t ~entity ~tokens =
   if tokens < 0 then invalid_arg "Entity_map.register: negative tokens";
-  if t.n <> Directory.length t.directory then
-    invalid_arg "Entity_map.register: arena lags its directory";
-  let eid = Directory.add t.directory entity in
-  append t ~first_eid:eid ~count:1;
-  t.shares.(eid) <- tokens;
-  touch t eid
+  install t (Directory.add t.directory entity ~maximum:tokens) ~tokens
 
-(* The directory's eid, if this arena has reached it (an arena on a
-   shared directory may lag it). *)
-let eid t name =
-  let eid = Directory.find t.directory name in
-  if eid < t.n then eid else -1
+let eid t name = Directory.find t.directory name
 
 let find t name = match eid t name with -1 -> None | eid -> Some (touch t eid)
 
 let peek t name =
   match eid t name with
   | -1 -> None
-  | eid ->
-      let share = t.shares.(eid) in
-      if share < 0 then Some t.cores.(-1 - share) else None
+  | eid -> ( match slot t eid with -1 -> None | k -> Some t.cores.(k))
 
-(* One slot answers every ledger read: a cold eid has its share left,
+let touched t eid =
+  check_eid t eid;
+  match slot t eid with -1 -> t.untouched | k -> t.cores.(k)
+
+(* One probe answers every ledger read: a cold eid has its share left,
    and has acquired and wants nothing. *)
 let tokens_left t eid =
   check_eid t eid;
-  let share = t.shares.(eid) in
-  if share >= 0 then share else t.cores.(-1 - share).tokens_left
+  match slot t eid with -1 -> share t eid | k -> t.cores.(k).tokens_left
 
 let acquired_net t eid =
   check_eid t eid;
-  let share = t.shares.(eid) in
-  if share >= 0 then 0 else t.cores.(-1 - share).acquired_net
+  match slot t eid with -1 -> 0 | k -> t.cores.(k).acquired_net
 
 let tokens_wanted t eid =
   check_eid t eid;
-  let share = t.shares.(eid) in
-  if share >= 0 then 0 else t.cores.(-1 - share).tokens_wanted
+  match slot t eid with -1 -> 0 | k -> t.cores.(k).tokens_wanted
 
 let set_hot t core state =
   (match core.hot with None -> t.hot_n <- t.hot_n + 1 | Some _ -> ());
@@ -270,14 +339,14 @@ let set_hot t core state =
    without disturbing the outer walk. *)
 let iter f t =
   if not t.sorted then begin
-    let cores = Array.sub t.cores 0 t.touched in
+    let cores = Array.sub t.cores 0 t.n_cores in
     Array.sort (fun a b -> Int.compare a.eid b.eid) cores;
-    Array.iteri (fun k core -> t.shares.(core.eid) <- -1 - k) cores;
     t.cores <- cores;
+    reindex t (bits t);
     t.sorted <- true
   end;
   let cores = t.cores in
-  for k = 0 to t.touched - 1 do
+  for k = 0 to t.n_cores - 1 do
     f cores.(k)
   done
 

@@ -1,35 +1,38 @@
-(** Entity arena: dense entity ids, one [int] slot per entity holding a
-    cold entity's starting share or a touched entity's core index, a
-    compact {!core} per touched entity, and lazily materialised "hot"
-    state.
+(** Entity arena: per site, a compact {!core} for each entity this site
+    has touched, found through a small touched-only index, and lazily
+    materialised "hot" state; the name and the maximum of every entity
+    live once per cluster, in the shared {!Directory}.
 
     A production gateway holds millions of aggregate objects of which only
     a few are contended at any moment, so an entity costs what its lane
     has done with it:
-    - {e cold}: never touched by the owning site — exactly one [int] in
-      the arena, its starting share ([>= 0]);
+    - {e cold}: never touched by the owning site — nothing in the arena.
+      Its tokens here are the site's equal share of the maximum the
+      directory holds (remainder to the lowest sites, {!equal_share});
     - {e touched}: a request, an exposure to a batch scope or heating
       allocated its {!core} — name, dense id, token ledger — from that
-      share; the same slot now holds [-1 - k], the core's index in a dense
-      core vector;
+      share; the arena's index maps the eid to the core, open-addressed
+      and sized by the touched eids alone;
     - {e hot}: contended — the heavyweight ['hot] payload (request queue,
       demand tracker, decided log, protocol machine) attached by the
       owning {!Site}.
 
-    Only the lane that owns the arena touches: {!find}, {!by_eid} and
-    {!register} materialise a core; {!peek}, {!eid} and the by-eid ledger
-    reads never allocate one.
+    Only the lane that owns the arena touches: {!find}, {!by_eid},
+    {!install} and {!register} materialise a core and write the index;
+    {!peek}, {!eid}, {!touched} and the by-eid ledger reads never do.
 
     Names resolve through a {!Directory}: name → dense eid, one
     [Hashtbl.hash] per lookup, open-addressed into one of [shards] flat
-    [int] tables whose slots tag each eid with its name's hash. The
-    namespace is the same at every site — only the token values are
-    partitioned — so a {!Cluster} owns one directory and each site's arena
-    is indexed by its eids: a name is hashed once per cluster at
-    registration, not once per site. The directory is written only
-    between simulation windows; lanes read it concurrently inside them.
-    Iteration runs in dense-eid (registration) order, so results never
-    depend on the shard count or on the order entities were touched. *)
+    [int] tables whose slots tag each eid with its name's hash, plus one
+    [int] per eid for its maximum. The namespace and the maxima are the
+    same at every site — only the token values are partitioned — so a
+    {!Cluster} owns one directory and each site's arena is indexed by its
+    eids: a name is hashed once per cluster at registration, not once per
+    site, and a key no site has touched costs its one directory entry.
+    The directory is written only between simulation windows; lanes read
+    it concurrently inside them. Iteration runs in dense-eid
+    (registration) order, so results never depend on the shard count or
+    on the order entities were touched. *)
 
 type 'hot core = {
   name : string;
@@ -57,9 +60,10 @@ module Directory : sig
       tables. Raises [Invalid_argument] unless [shards >= 1] and
       [capacity >= 1]. *)
 
-  val add : t -> string -> int
-  (** Assign the next dense eid to a new name. Raises [Invalid_argument]
-      on a duplicate, or past 2^31 names (eids fill 31 bits of a slot). *)
+  val add : t -> string -> maximum:int -> int
+  (** Assign the next dense eid to a new name whose {!maximum} is
+      [maximum]. Raises [Invalid_argument] on a duplicate, a negative
+      maximum, or past 2^31 names (eids fill 31 bits of a slot). *)
 
   val find : t -> string -> int
   (** The name's eid, or [-1] for an unknown name (no allocation). *)
@@ -67,12 +71,16 @@ module Directory : sig
   val name : t -> int -> string
   (** Raises [Invalid_argument] out of range. *)
 
+  val maximum : t -> int -> int
+  (** The entity's maximum, as added. Raises [Invalid_argument] out of
+      range. *)
+
   val length : t -> int
 
   val truncate : t -> int -> unit
-  (** [truncate d n] forgets every name whose eid is [>= n] — the
-      rollback of a rejected batch. Only valid while no arena on [d] has
-      appended those eids. *)
+  (** [truncate d n] forgets every name (and maximum) whose eid is
+      [>= n] — the rollback of a rejected batch. Only valid while no arena
+      on [d] has touched those eids. *)
 
   val max_probe : t -> int
   (** The longest probe any present name takes: [1] when every name sits
@@ -82,35 +90,42 @@ end
 type 'hot t
 
 val create :
-  ?directory:Directory.t -> ?shards:int -> ?capacity:int -> unit -> 'hot t
+  ?directory:Directory.t ->
+  ?shards:int ->
+  ?capacity:int ->
+  ?site:int ->
+  ?sites:int ->
+  unit ->
+  'hot t
 (** An empty arena on [directory]; without one the arena gets its own,
-    built with [shards] and [capacity] ([shards] is ignored otherwise).
-    [capacity] is a size hint for the eid-indexed arrays. Raises
-    [Invalid_argument] unless [shards >= 1] and [capacity >= 1]. *)
+    built with [shards] and [capacity] (both ignored otherwise). The
+    arena is site [site] (default [0]) of [sites] (default [1]) in the
+    equal split that gives a cold entity its tokens here. The touched
+    index starts small and grows with the touched eids alone. Raises
+    [Invalid_argument] unless [shards >= 1], [capacity >= 1] and
+    [0 <= site < sites]. *)
 
-val append : 'hot t -> first_eid:int -> count:int -> unit
-(** [append t ~first_eid ~count] adds cold entities the directory already
-    holds, eids [first_eid ..], with share 0, no hashing and no core.
-    [first_eid] must equal {!length}. Raises [Invalid_argument]
-    otherwise, or on an eid the directory does not hold. *)
+val equal_share : sites:int -> maximum:int -> int -> int
+(** [equal_share ~sites ~maximum i]: site [i]'s share of [maximum] split
+    equally over [sites], the remainder to the lowest ids. *)
 
-val set_share : 'hot t -> int -> int -> unit
-(** [set_share t eid tokens]: a cold entity's starting share. Raises
-    [Invalid_argument] on an eid not appended, negative tokens or a
-    touched entity. *)
+val install : 'hot t -> int -> tokens:int -> 'hot core
+(** [install t eid ~tokens] touches a cold eid with [tokens] in place of
+    its equal share (a key registered with explicit shares). Raises
+    [Invalid_argument] on an eid out of range, negative tokens or a
+    touched eid. *)
 
 val register : 'hot t -> entity:string -> tokens:int -> 'hot core
-(** Add a new name to the directory, {!append} it and return its core.
-    Raises [Invalid_argument] on a duplicate name, negative tokens, or
-    an arena that has not appended every eid of its directory. *)
+(** Add a new name to the directory with maximum [tokens] and {!install}
+    it here with [tokens]. Raises [Invalid_argument] on a duplicate name
+    or negative tokens. *)
 
 val find : 'hot t -> string -> 'hot core option
 (** One directory lookup, then the entity's core, materialised on first
-    touch; [None] for an unknown name or an eid this arena has not
-    appended yet. Owning lane only. *)
+    touch; [None] for an unknown name. Owning lane only. *)
 
 val by_eid : 'hot t -> int -> 'hot core
-(** The core of an appended eid, materialised on first touch. Owning
+(** The core of a directory eid, materialised on first touch. Owning
     lane only. Raises [Invalid_argument] out of range. *)
 
 val peek : 'hot t -> string -> 'hot core option
@@ -118,10 +133,17 @@ val peek : 'hot t -> string -> 'hot core option
     unknown. Never allocates a core. *)
 
 val eid : 'hot t -> string -> int
-(** The entity's eid, or [-1] if unknown or not appended yet. *)
+(** The entity's eid, or [-1] if unknown. *)
+
+val touched : 'hot t -> int -> 'hot core
+(** [touched t eid]: the core if this arena has touched [eid]; otherwise
+    the arena's one placeholder, whose [eid] is [-1] and which must never
+    be written. One index probe, no allocation, never a touch: the read a
+    cluster-wide audit makes per site. Raises [Invalid_argument] out of
+    range. *)
 
 (** Ledger reads by eid, cold or touched; none allocates. Each raises
-    [Invalid_argument] on an eid this arena has not appended. *)
+    [Invalid_argument] on an eid out of the directory's range. *)
 
 val tokens_left : 'hot t -> int -> int
 val acquired_net : 'hot t -> int -> int
@@ -131,7 +153,7 @@ val set_hot : 'hot t -> 'hot core -> 'hot -> unit
 (** Attach hot state to a core (keeps {!hot_count} correct). *)
 
 val length : 'hot t -> int
-(** Entities appended so far. *)
+(** Entities in the directory: every one of them has an eid here. *)
 
 val hot_count : 'hot t -> int
 

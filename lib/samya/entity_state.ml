@@ -66,7 +66,7 @@ type t = {
   mutable ctl_borrows : int;  (** window: borrows finished *)
   mutable ctl_borrow_fails : int;
       (** window: borrows that ended unsatisfied *)
-  mutable ctl_wait : Obs.Quantile_sketch.t option;
+  ctl_wait : Obs.Quantile_sketch.t option;
       (** window: engagement latencies (shortfall -> mechanism outcome);
           allocated only when the controller is on, so the million-key
           arena pays nothing *)
@@ -169,9 +169,7 @@ let restore t ~(config : Config.t) ~tokens_left ~acquired_net ~applied_origins
   t.ctl_shortfall <- 0;
   t.ctl_borrows <- 0;
   t.ctl_borrow_fails <- 0;
-  (match t.ctl_wait with
-  | Some _ -> t.ctl_wait <- Some (Obs.Quantile_sketch.create ())
-  | None -> ())
+  Option.iter Obs.Quantile_sketch.clear t.ctl_wait
 (* [queue_peak], [breaker_trips], [ctl_switches] and the per-entity pin
    ([ctl_pinned], topology not volatile state) are run statistics, not
    protocol state: they survive recovery like the handler's counters do. *)

@@ -86,9 +86,10 @@ type t = {
   mutable ctl_shortfall : int;  (** window: shortfall events *)
   mutable ctl_borrows : int;  (** window: borrows finished *)
   mutable ctl_borrow_fails : int;  (** window: unsatisfied borrows *)
-  mutable ctl_wait : Obs.Quantile_sketch.t option;
+  ctl_wait : Obs.Quantile_sketch.t option;
       (** window: engagement latencies (shortfall to mechanism outcome);
-          allocated only when the controller is on *)
+          allocated only when the controller is on, and cleared in place
+          at each window reset *)
   mutable ctl_switches : int;  (** run statistic: mechanism switches *)
 }
 

@@ -29,8 +29,8 @@ type stats = {
 }
 
 (* The site is a thin coordinator: per-entity state lives in the
-   {!Entity_map} arena (a starting share per cold entity, a core per
-   touched one, lazily heated {!Entity_state} records), and the four
+   {!Entity_map} arena (nothing per cold entity, a core per touched one,
+   lazily heated {!Entity_state} records), and the four
    Fig. 2 modules — {!Request_handler}, {!Prediction}, {!Protocol_driver},
    {!Redistribution_policy} — are wired to each other through closures
    built in {!create}. *)
@@ -167,9 +167,7 @@ let create ~config ~network ~directory ~id ?forecaster ?on_protocol_event
   let n_sites = Geonet.Network.node_count network in
   let is_alive = ref true in
   let incarnation = ref 0 in
-  let entities =
-    Entity_map.create ~directory ~capacity:config.Config.entity_capacity ()
-  in
+  let entities = Entity_map.create ~directory ~site:id ~sites:n_sites () in
   let durable =
     if config.Config.amnesia_on_crash then
       Some (Storage.Durable.create ~policy:config.Config.durability_sync ())
@@ -375,9 +373,7 @@ let ensure_anti_entropy t =
   end
 
 let init_entity t ~eid ~tokens =
-  Entity_map.append t.entities ~first_eid:eid ~count:1;
-  Entity_map.set_share t.entities eid tokens;
-  ignore (t.heat (Entity_map.by_eid t.entities eid));
+  ignore (t.heat (Entity_map.install t.entities eid ~tokens));
   ensure_anti_entropy t
 
 let register_entities t ~first_eid ~count =

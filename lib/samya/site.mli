@@ -53,8 +53,10 @@ val create :
   unit ->
   t
 (** Registers the site's handler with the network at node [id]. The
-    site's entity arena resolves names through [directory], which the
-    {!Cluster} shares among all its sites. Without a
+    site's entity arena resolves names and maxima through [directory],
+    which the {!Cluster} shares among all its sites; a cold entity's
+    tokens here are site [id]'s equal share of its maximum over the
+    network's nodes. Without a
     [forecaster] the site falls back to a persistence forecast of the last
     epoch's demand (prediction can still be disabled entirely via
     [config]). [on_protocol_event] observes every {!Avantan_core.event} of
@@ -74,21 +76,21 @@ val id : t -> int
 
 val init_entity : t -> eid:int -> tokens:int -> unit
 (** Installs this site's initial share of the entity the directory
-    resolved to [eid], hot: the per-entity state is materialised and
+    resolved to [eid], hot: the core is built from [tokens]
+    ({!Entity_map.install}), the per-entity state is materialised and
     attached to the protocol driver immediately, and the site's one
     anti-entropy loop (see {!register_entities}) is armed if it was not.
-    Every site must be initialised consistently, eids in order
-    ({!Entity_map.append}); {!Cluster} does this. *)
+    Every site must be initialised consistently; {!Cluster} does this. *)
 
 val register_entities : t -> first_eid:int -> count:int -> unit
-(** Bulk registration for large fleets, once {!Cluster} has appended
-    [count] eids from [first_eid] to this site's {!arena} with their
-    shares. Each entity stays cold — one int, no core, no queue/tracker/
-    protocol state — gets its core when this site first touches it and
-    heats on first contention. The site's one anti-entropy loop covers
-    every entity, registered either way (querying only entities whose
-    tokens can have moved: hot ones and those exposed to a live
-    instance).
+(** Bulk registration for large fleets, once {!Cluster} has added
+    [count] names from [first_eid] to the directory with their maxima.
+    Each entity stays cold — nothing in this site's {!arena}, no
+    queue/tracker/protocol state — gets its core from its equal share of
+    the maximum when this site first touches it, and heats on first
+    contention. The site's one anti-entropy loop covers every entity,
+    registered either way (querying only entities whose tokens can have
+    moved: hot ones and those exposed to a live instance).
     Under crash-amnesia the entities register hot instead, since each
     needs a durable image from the start. *)
 
@@ -97,6 +99,7 @@ val arena : t -> Entity_state.t Entity_map.t
     the site's own lane may materialise a core in it. *)
 
 val entity_count : t -> int
+(** Entities registered in the directory, cold or not. *)
 
 val hot_entities : t -> int
 (** Entities whose heavyweight state is currently materialised. *)

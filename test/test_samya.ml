@@ -1165,39 +1165,45 @@ let entity_map_validation () =
 
 let entity_map_shared_directory () =
   (* Two arenas on one directory — the shape of a cluster's sites: eids
-     come from the directory, and an arena only finds what it appended. *)
+     and maxima come from the directory, and an arena holds only the
+     entities it touched; a cold one reads its equal share there. *)
   let directory = Samya.Entity_map.Directory.create ~shards:4 () in
-  let a : unit Samya.Entity_map.t = Samya.Entity_map.create ~directory () in
-  let b : unit Samya.Entity_map.t = Samya.Entity_map.create ~directory () in
+  let a : unit Samya.Entity_map.t =
+    Samya.Entity_map.create ~directory ~site:0 ~sites:2 ()
+  in
+  let b : unit Samya.Entity_map.t =
+    Samya.Entity_map.create ~directory ~site:1 ~sites:2 ()
+  in
   for r = 0 to 9 do
-    ignore (Samya.Entity_map.register a ~entity:(Printf.sprintf "n%d" r) ~tokens:r)
-  done;
-  Samya.Entity_map.append b ~first_eid:0 ~count:5;
-  for eid = 0 to 4 do
-    Samya.Entity_map.set_share b eid (100 + eid)
+    ignore (Samya.Entity_map.register a ~entity:(Printf.sprintf "n%d" r) ~tokens:(100 + r))
   done;
   check int "one directory" 10 (Samya.Entity_map.Directory.length directory);
+  check int "maximum kept" 103 (Samya.Entity_map.Directory.maximum directory 3);
+  check bool "b cold before a read" true (Samya.Entity_map.peek b "n3" = None);
+  check int "b reads its share cold" 51 (Samya.Entity_map.tokens_left b 3);
   (match (Samya.Entity_map.find a "n3", Samya.Entity_map.find b "n3") with
   | Some ca, Some cb ->
       check int "same eid" ca.Samya.Entity_map.eid cb.Samya.Entity_map.eid;
       check Alcotest.string "same name" ca.Samya.Entity_map.name cb.Samya.Entity_map.name;
-      check int "own ledger a" 3 ca.Samya.Entity_map.tokens_left;
-      check int "own ledger b" 103 cb.Samya.Entity_map.tokens_left
+      check int "own ledger a" 103 ca.Samya.Entity_map.tokens_left;
+      check int "own ledger b" 51 cb.Samya.Entity_map.tokens_left
   | _ -> Alcotest.fail "shared name not found in both arenas");
-  check bool "lagging arena: not yet appended" true (Samya.Entity_map.find b "n7" = None);
-  check bool "leading arena finds it" true (Samya.Entity_map.find a "n7" <> None);
+  check int "share of the lowest site takes the remainder" 52
+    (Samya.Entity_map.tokens_left (Samya.Entity_map.create ~directory ~site:0 ~sites:2 ()) 3);
   let invalid f = try ignore (f ()); false with Invalid_argument _ -> true in
-  check bool "out-of-order append" true
-    (invalid (fun () -> Samya.Entity_map.append b ~first_eid:6 ~count:1));
-  check bool "re-append" true
-    (invalid (fun () -> Samya.Entity_map.append b ~first_eid:4 ~count:1));
-  check bool "past the directory" true
-    (invalid (fun () -> Samya.Entity_map.append b ~first_eid:5 ~count:6));
-  check bool "register on a lagging arena" true
-    (invalid (fun () -> Samya.Entity_map.register b ~entity:"late" ~tokens:1));
-  check int "rejections left b alone" 5 (Samya.Entity_map.length b);
-  Samya.Entity_map.append b ~first_eid:5 ~count:1;
-  check bool "caught up" true (Samya.Entity_map.find b "n5" <> None)
+  check bool "install on a touched eid" true
+    (invalid (fun () -> Samya.Entity_map.install b 3 ~tokens:1));
+  check bool "install past the directory" true
+    (invalid (fun () -> Samya.Entity_map.install b 10 ~tokens:1));
+  check bool "install negative tokens" true
+    (invalid (fun () -> Samya.Entity_map.install b 4 ~tokens:(-1)));
+  check bool "register a name the directory holds" true
+    (invalid (fun () -> Samya.Entity_map.register b ~entity:"n7" ~tokens:1));
+  check int "rejections left the directory alone" 10 (Samya.Entity_map.length b);
+  check bool "rejections touched nothing" true (Samya.Entity_map.peek b "n4" = None);
+  let installed = Samya.Entity_map.install b 4 ~tokens:7 in
+  check int "installed with its own tokens" 7 installed.Samya.Entity_map.tokens_left;
+  check bool "installed is touched" true (Samya.Entity_map.peek b "n4" <> None)
 
 let site_counts cluster =
   Array.map Samya.Site.entity_count (Samya.Cluster.sites cluster)
@@ -1348,7 +1354,7 @@ let directory_matches_model =
               | Add i ->
                   let name = Printf.sprintf "n%d" i in
                   let fresh = not (Hashtbl.mem model name) in
-                  (match D.add d name with
+                  (match D.add d name ~maximum:i with
                   | eid ->
                       Hashtbl.replace model name eid;
                       names := Array.append !names [| name |];
@@ -1376,7 +1382,7 @@ let directory_probe_runs_stay_short () =
      and runs of hundreds of probes; measured here: a longest run of 16. *)
   let d = Samya.Entity_map.Directory.create ~shards:256 ~capacity:100_000 () in
   for r = 0 to 99_999 do
-    ignore (Samya.Entity_map.Directory.add d (Printf.sprintf "key%07d" r))
+    ignore (Samya.Entity_map.Directory.add d (Printf.sprintf "key%07d" r) ~maximum:1)
   done;
   let longest = Samya.Entity_map.Directory.max_probe d in
   if longest > 40 then
@@ -1404,36 +1410,42 @@ let directory_hash_collisions () =
       let module D = Samya.Entity_map.Directory in
       let d = D.create ~shards ~capacity:4 () in
       let label what = Printf.sprintf "%s (shards %d)" what shards in
-      check int (label "first") 0 (D.add d a);
+      check int (label "first") 0 (D.add d a ~maximum:1);
       check int (label "second on the same hash") (-1) (D.find d b);
-      check int (label "second added") 1 (D.add d b);
+      check int (label "second added") 1 (D.add d b ~maximum:1);
       check int (label "a resolves") 0 (D.find d a);
       check int (label "b resolves") 1 (D.find d b);
       check bool (label "duplicate of b refused") true
-        (try ignore (D.add d b); false with Invalid_argument _ -> true);
+        (try ignore (D.add d b ~maximum:1); false with Invalid_argument _ -> true);
       D.truncate d 1;
       check int (label "a survives the truncate") 0 (D.find d a);
       check int (label "b is gone") (-1) (D.find d b);
-      check int (label "b re-added") 1 (D.add d b);
+      check int (label "b re-added") 1 (D.add d b ~maximum:1);
       D.truncate d 0;
       check int (label "a is gone") (-1) (D.find d a);
-      check int (label "b added first") 0 (D.add d b);
-      check int (label "a after it") 1 (D.add d a);
+      check int (label "b added first") 0 (D.add d b ~maximum:1);
+      check int (label "a after it") 1 (D.add d a ~maximum:1);
       check int (label "b still first") 0 (D.find d b))
     [ 1; 3; 256 ]
 
 (* Two arenas on one directory against a model: per arena, each eid's
    starting share and, once touched, its ledger and heat. Names are added
-   to the directory and appended to both arenas together; every other
-   operation acts on one arena. *)
+   to the directory with their maxima, and each arena (site 0 and site 1
+   of 2) starts a cold eid at its equal share of that maximum; every
+   other operation acts on one arena. A rollback adds names and
+   truncates them away again before any arena sees them. A sweep
+   touches a run of eids newest first, out of eid order, growing the
+   touched index through several doublings. *)
 type arena_op =
   | Register of int  (* this many new names *)
+  | Rollback of int  (* this many names added and truncated away *)
   | By_eid of bool * int
   | Find of bool * int  (* indices past the end name unknown entities *)
   | Peek of bool * int
   | Read of bool * int
   | Bump of bool * int * int  (* touch and move the ledger by a delta *)
   | Heat of bool * int
+  | Sweep of bool * int  (* touch eids [i mod n .. n - 1], newest first *)
 
 let arena_ops =
   let open QCheck.Gen in
@@ -1442,22 +1454,26 @@ let arena_ops =
     (frequency
        [
          (2, map (fun n -> Register n) (int_range 1 40));
+         (1, map (fun n -> Rollback n) (int_range 1 20));
          (2, map2 (fun s i -> By_eid (s, i)) side index);
          (2, map2 (fun s i -> Find (s, i)) side (int_bound 239));
          (2, map2 (fun s i -> Peek (s, i)) side index);
          (3, map2 (fun s i -> Read (s, i)) side index);
          (2, map3 (fun s i d -> Bump (s, i, d)) side index (int_range (-5) 5));
          (1, map2 (fun s i -> Heat (s, i)) side index);
+         (1, map2 (fun s i -> Sweep (s, i)) side index);
        ])
 
 let arena_op_to_string = function
   | Register n -> Printf.sprintf "register %d" n
+  | Rollback n -> Printf.sprintf "rollback %d" n
   | By_eid (s, i) -> Printf.sprintf "by_eid %b %d" s i
   | Find (s, i) -> Printf.sprintf "find %b %d" s i
   | Peek (s, i) -> Printf.sprintf "peek %b %d" s i
   | Read (s, i) -> Printf.sprintf "read %b %d" s i
   | Bump (s, i, d) -> Printf.sprintf "bump %b %d %+d" s i d
   | Heat (s, i) -> Printf.sprintf "heat %b %d" s i
+  | Sweep (s, i) -> Printf.sprintf "sweep %b %d" s i
 
 (* A touched eid's ledger in the model: (left, acquired, wanted, hot). *)
 type model_ledger = { mutable left : int; mutable acq : int; mutable want : int; mutable heat : bool }
@@ -1471,9 +1487,11 @@ let arena_matches_model =
           let module M = Samya.Entity_map in
           let directory = M.Directory.create ~shards ~capacity:4 () in
           let arenas : string M.t array =
-            [| M.create ~directory ~capacity:2 (); M.create ~directory ~capacity:2 () |]
+            [| M.create ~directory ~site:0 ~sites:2 (); M.create ~directory ~site:1 ~sites:2 () |]
           in
-          let share side eid = ((eid * 7) + side) mod 50 in
+          let maximum eid = (eid * 7) mod 51 in
+          (* Site [side]'s equal share of two: the odd token goes to site 0. *)
+          let share side eid = (maximum eid / 2) + if side < maximum eid mod 2 then 1 else 0 in
           let touched = [| Hashtbl.create 16; Hashtbl.create 16 |] in
           let n = ref 0 in
           let name eid = Printf.sprintf "a%d" eid in
@@ -1508,11 +1526,17 @@ let arena_matches_model =
             && M.acquired_net arenas.(s) eid = acq
             && M.tokens_wanted arenas.(s) eid = want
           in
-          (* After every step: [iter] visits exactly the touched eids, in
-             eid order; a cold name peeks [None]; [hot_count] matches; and
-             none of these reads materialised a core. *)
+          (* After every step: the directory holds every maximum; [iter]
+             visits exactly the touched eids, in eid order; a cold name
+             peeks [None] and a cold eid's [touched] is the placeholder;
+             [hot_count] matches; and none of these reads materialised a
+             core. *)
           let consistent () =
-            Array.for_all
+            M.Directory.length directory = !n
+            && List.for_all
+                 (fun eid -> M.Directory.maximum directory eid = maximum eid)
+                 (List.init !n Fun.id)
+            && Array.for_all
               (fun s ->
                 let a = arenas.(s) in
                 let visited = ref [] in
@@ -1529,7 +1553,11 @@ let arena_matches_model =
                        reads_agree s eid
                        && (match M.peek a (name eid) with
                           | None -> not (Hashtbl.mem touched.(s) eid)
-                          | Some core -> same_core s eid core))
+                          | Some core -> same_core s eid core)
+                       &&
+                       let core = M.touched a eid in
+                       if core.M.eid < 0 then not (Hashtbl.mem touched.(s) eid)
+                       else same_core s eid core)
                      (List.init !n Fun.id))
               [| 0; 1 |]
           in
@@ -1538,19 +1566,25 @@ let arena_matches_model =
               let in_range _ = !n > 0 in
               (match op with
               | Register k ->
-                  let first_eid = !n in
-                  for eid = first_eid to first_eid + k - 1 do
-                    ignore (M.Directory.add directory (name eid))
+                  for eid = !n to !n + k - 1 do
+                    ignore (M.Directory.add directory (name eid) ~maximum:(maximum eid))
                   done;
                   n := !n + k;
-                  Array.iteri
-                    (fun s a ->
-                      M.append a ~first_eid ~count:k;
-                      for eid = first_eid to !n - 1 do
-                        M.set_share a eid (share s eid)
-                      done)
-                    arenas;
                   true
+              | Rollback k ->
+                  for eid = !n to !n + k - 1 do
+                    ignore (M.Directory.add directory (name eid) ~maximum:(1_000 + eid))
+                  done;
+                  let added =
+                    List.for_all
+                      (fun eid -> M.Directory.maximum directory eid = 1_000 + eid)
+                      (List.init k (fun j -> !n + j))
+                  in
+                  M.Directory.truncate directory !n;
+                  added
+                  && M.Directory.find directory (name !n) = -1
+                  && (try ignore (M.Directory.maximum directory !n); false
+                      with Invalid_argument _ -> true)
               | By_eid (s, i) when in_range i ->
                   let s = side s and eid = i mod !n in
                   ignore (touch s eid);
@@ -1583,7 +1617,15 @@ let arena_matches_model =
                   M.set_hot arenas.(s) core "hot";
                   (touch s eid).heat <- true;
                   same_core s eid core
-              | By_eid _ | Read _ | Bump _ | Heat _ -> true)
+              | Sweep (s, i) when in_range i ->
+                  let s = side s in
+                  let ok = ref true in
+                  for eid = !n - 1 downto i mod !n do
+                    ignore (touch s eid);
+                    ok := !ok && same_core s eid (M.by_eid arenas.(s) eid)
+                  done;
+                  !ok
+              | By_eid _ | Read _ | Bump _ | Heat _ | Sweep _ -> true)
               && consistent ())
             ops)
         [ 1; 3; 256 ])
@@ -1613,6 +1655,29 @@ let cold_reads_stay_cold () =
        (Samya.Cluster.sites cluster));
   if words_per_key > 0.01 then
     Alcotest.failf "audit allocates %.3f minor words per key (bound 0.01)" words_per_key
+
+let cold_keys_cost_no_site_words () =
+  (* A key registered cold is one directory entry — its eid's name slot,
+     its maximum, its hash slots — whatever the number of sites. At 10^5
+     keys on five sites, with the directory pre-sized, the live heap
+     grows by ~4.7 words per key beyond the names themselves; one int per
+     key per site, as an eid-dense share array at every site holds,
+     makes it ~8.7. *)
+  let keys = 100_000 in
+  let config = { Samya.Config.default with Samya.Config.entity_capacity = keys } in
+  let batch = List.init keys (fun r -> (Printf.sprintf "key%07d" r, 50)) in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let cluster = Samya.Cluster.create ~config ~regions:(regions ()) () in
+  Samya.Cluster.register_entities cluster batch;
+  Gc.full_major ();
+  let words_per_key =
+    float_of_int ((Gc.stat ()).Gc.live_words - before) /. float_of_int keys
+  in
+  check int "all five sites" 5 (Samya.Cluster.n_sites cluster);
+  check int "every key registered" (List.length batch) (Samya.Cluster.entity_count cluster);
+  if words_per_key > 6.0 then
+    Alcotest.failf "a cold key costs %.2f live words (bound 6)" words_per_key
 
 let suite =
   [
@@ -1673,6 +1738,8 @@ let suite =
     Alcotest.test_case "directory: probe runs stay short" `Quick
       directory_probe_runs_stay_short;
     Alcotest.test_case "invariant: cold reads stay cold" `Quick cold_reads_stay_cold;
+    Alcotest.test_case "registration: a cold key costs no per-site words" `Quick
+      cold_keys_cost_no_site_words;
     Alcotest.test_case "failure: route is the nearest live site" `Quick
       route_matches_linear_scan;
     Alcotest.test_case "failure: a send whose home was down fails over" `Quick

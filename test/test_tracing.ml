@@ -96,6 +96,17 @@ let sketch_merge_is_concat =
         (Obs.Quantile_sketch.merge (sketch_of xs) (sketch_of ys))
         (sketch_of (xs @ ys)))
 
+(* A cleared sketch is a fresh one: the controller resets its window
+   sketch in place instead of allocating another. *)
+let sketch_clear_is_fresh =
+  QCheck.Test.make ~count:200 ~name:"sketch clear equals a fresh sketch"
+    QCheck.(pair values_gen values_gen)
+    (fun (xs, ys) ->
+      let s = sketch_of xs in
+      Obs.Quantile_sketch.clear s;
+      List.iter (Obs.Quantile_sketch.add s) ys;
+      Obs.Quantile_sketch.equal s (sketch_of ys))
+
 (* The documented contract: for the exact nearest-rank value v (> 1e-3),
    the sketch reports v' with v <= v' < v * gamma. Checked against the
    harness's exact order statistics on a deterministic heavy-tailed
@@ -612,4 +623,5 @@ let suite =
       slo_counts_unindexable_stamps;
     Alcotest.test_case "explain: deterministic and >=95% attributed" `Slow
       explain_deterministic_and_attributed;
+    QCheck_alcotest.to_alcotest sketch_clear_is_fresh;
   ]
