@@ -67,8 +67,8 @@ let micro_benchmarks () =
      mix of hot head and cold tail. Lookups and updates must stay flat in
      the fleet size (one hash into a directory shard, then one probe of
      the site's touched index), and a by-eid ledger scan must stay
-     linear: an untouched key costs one probe and the site's share of
-     its directory maximum. The directory's ~54 MiB (names, hash
+     linear: an untouched key costs one bit read of the site's touched
+     bitmap and the site's share of its directory maximum. The directory's ~54 MiB (names, hash
      tables, one maximum per key; the arena itself starts empty) is
      allocated per test, outside the timed part, and compacted away
      afterwards (make_with_resource): kept resident it inflates every

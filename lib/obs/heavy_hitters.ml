@@ -18,9 +18,17 @@
    can therefore hold more than [k] keys; [k] only bounds what each lane
    tracks online. *)
 
+(* The online sketch keeps its keys and counts in two flat arrays,
+   [keys.(0 .. n - 1)] and [counts.(0 .. n - 1)], in no particular
+   order. [k] is small, so a linear scan (physical equality first, then
+   [String.equal]) finds a key without hashing it, and a tracked hit or
+   a decrement round writes in place and allocates nothing. The arrays
+   grow only past [k], which only a merged sketch does. *)
 type t = {
   k : int;
-  counts : (string, int ref) Hashtbl.t;
+  mutable keys : string array;
+  mutable counts : int array;
+  mutable n : int;
   mutable decrements : int;
   mutable total : int;
 }
@@ -28,62 +36,89 @@ type t = {
 let create ~k () =
   if k <= 0 then
     invalid_arg (Printf.sprintf "Heavy_hitters.create: k must be positive (got %d)" k);
-  { k; counts = Hashtbl.create (2 * k); decrements = 0; total = 0 }
+  { k; keys = Array.make k ""; counts = Array.make k 0; n = 0; decrements = 0; total = 0 }
 
 let copy t =
-  let counts = Hashtbl.create (2 * t.k) in
-  Hashtbl.iter (fun key r -> Hashtbl.add counts key (ref !r)) t.counts;
-  { k = t.k; counts; decrements = t.decrements; total = t.total }
+  { t with keys = Array.copy t.keys; counts = Array.copy t.counts }
+
+(* The key's position at or after [i], or [-1] if untracked. *)
+let rec index t key i =
+  if i = t.n then -1
+  else
+    let s = Array.unsafe_get t.keys i in
+    if s == key || String.equal s key then i else index t key (i + 1)
+
+(* Track a new key with [count], growing the arrays when full. *)
+let push t key count =
+  if t.n = Array.length t.keys then begin
+    let cap = max 8 (2 * t.n) in
+    let keys = Array.make cap "" and counts = Array.make cap 0 in
+    Array.blit t.keys 0 keys 0 t.n;
+    Array.blit t.counts 0 counts 0 t.n;
+    t.keys <- keys;
+    t.counts <- counts
+  end;
+  t.keys.(t.n) <- key;
+  t.counts.(t.n) <- count;
+  t.n <- t.n + 1
 
 let min_tracked t =
-  Hashtbl.fold (fun _ r acc -> min !r acc) t.counts max_int
+  let m = ref max_int in
+  for i = 0 to t.n - 1 do
+    m := min !m t.counts.(i)
+  done;
+  !m
 
 let observe ?(count = 1) t key =
   if count > 0 then begin
     t.total <- t.total + count;
-    match Hashtbl.find_opt t.counts key with
-    | Some r -> r := !r + count
-    | None ->
-        if Hashtbl.length t.counts < t.k then
-          Hashtbl.add t.counts key (ref count)
-        else begin
-          (* Table full: absorb as much of the batch as the smallest
-             tracked count allows, decrementing everyone in lockstep. *)
-          let d = min count (min_tracked t) in
-          let zeroed = ref [] in
-          Hashtbl.iter
-            (fun key r ->
-              r := !r - d;
-              if !r = 0 then zeroed := key :: !zeroed)
-            t.counts;
-          List.iter (fun key -> Hashtbl.remove t.counts key) !zeroed;
-          t.decrements <- t.decrements + d;
-          let rest = count - d in
-          if rest > 0 then Hashtbl.add t.counts key (ref rest)
+    let i = index t key 0 in
+    if i >= 0 then t.counts.(i) <- t.counts.(i) + count
+    else if t.n < t.k then push t key count
+    else begin
+      (* Table full: absorb as much of the batch as the smallest tracked
+         count allows, decrementing everyone in lockstep; the keys that
+         reach zero are compacted out. *)
+      let d = min count (min_tracked t) in
+      let kept = ref 0 in
+      for i = 0 to t.n - 1 do
+        let c = t.counts.(i) - d in
+        if c > 0 then begin
+          t.keys.(!kept) <- t.keys.(i);
+          t.counts.(!kept) <- c;
+          incr kept
         end
+      done;
+      Array.fill t.keys !kept (t.n - !kept) "";
+      t.n <- !kept;
+      t.decrements <- t.decrements + d;
+      let rest = count - d in
+      if rest > 0 then push t key rest
+    end
   end
 
 let merge a b =
-  let m = copy a in
-  Hashtbl.iter
-    (fun key r ->
-      match Hashtbl.find_opt m.counts key with
-      | Some r' -> r' := !r' + !r
-      | None -> Hashtbl.add m.counts key (ref !r))
-    b.counts;
+  let m = { (copy a) with k = max a.k b.k } in
+  let at = Hashtbl.create (2 * (a.n + b.n)) in
+  for i = 0 to m.n - 1 do
+    Hashtbl.replace at m.keys.(i) i
+  done;
+  for j = 0 to b.n - 1 do
+    match Hashtbl.find_opt at b.keys.(j) with
+    | Some i -> m.counts.(i) <- m.counts.(i) + b.counts.(j)
+    | None -> push m b.keys.(j) b.counts.(j)
+  done;
   m.decrements <- a.decrements + b.decrements;
   m.total <- a.total + b.total;
-  { m with k = max a.k b.k }
+  m
 
-let estimate t key =
-  match Hashtbl.find_opt t.counts key with Some r -> !r | None -> 0
-
+let estimate t key = match index t key 0 with -1 -> 0 | i -> t.counts.(i)
 let error t = t.decrements
 let total t = t.total
-let tracked t = Hashtbl.length t.counts
+let tracked t = t.n
 
 let top ?n t =
-  let all = Hashtbl.fold (fun key r acc -> (key, !r) :: acc) t.counts [] in
+  let all = List.init t.n (fun i -> (t.keys.(i), t.counts.(i))) in
   let sorted =
     List.sort
       (fun (ka, ca) (kb, cb) ->

@@ -319,7 +319,8 @@ let arm_flight t (attachment : Obs.Flight_recorder.attachment) =
 
 (* The audit's one pass over the sites for [eid], handing [k x] the
    key's tokens left and acquired, summed ([0] and [0] for the unknown eid
-   [-1]). Each site's index is probed once: a site that touched the key
+   [-1]). Each site is asked once ({!Entity_map.touched}: one bit read
+   when the site never touched the key): a site that touched the key
    answers from its core; one that never did holds its equal share of the
    directory maximum ({!Entity_map.equal_share}) and has acquired
    nothing. Those shares are added after the loop: the maximum itself

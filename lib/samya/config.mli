@@ -147,9 +147,9 @@ type t = {
           what the chaos auditor exists to catch. *)
   entity_shards : int;
       (** hash shards of the cluster's one {!Entity_map.Directory}
-          (name → dense eid, shared by every site's arena); 1 suffices
-          for the single-entity experiments, the gateway fleet uses
-          hundreds *)
+          (name → dense eid, shared by every site's arena), rounded up
+          to a power of two; 1 suffices for the single-entity
+          experiments, the gateway fleet uses hundreds *)
   entity_capacity : int;
       (** size hint for the entity directory (number of expected
           entities): it pre-sizes the directory's tables, names and

@@ -18,7 +18,7 @@ module Directory = struct
      removing the newest eids newest-first restores the older table
      exactly — which is all [truncate] needs to keep probe chains intact. *)
   type t = {
-    shards : int;
+    shard_bits : int;  (* log2 of the shard count, a power of two *)
     tables : int array array;
     used : int array;  (* names per shard *)
     mutable names : string array;  (* eid -> name *)
@@ -38,9 +38,12 @@ module Directory = struct
     if shards < 1 then invalid_arg "Entity_map.Directory.create: shards must be >= 1";
     if capacity < 1 then
       invalid_arg "Entity_map.Directory.create: capacity must be >= 1";
+    let rec log2_ceil b = if 1 lsl b >= shards then b else log2_ceil (b + 1) in
+    let shard_bits = log2_ceil 0 in
+    let shards = 1 lsl shard_bits in
     let per_shard = (capacity + shards - 1) / shards in
     {
-      shards;
+      shard_bits;
       tables = Array.init shards (fun _ -> Array.make (table_size per_shard) empty);
       used = Array.make shards 0;
       names = Array.make (max 8 capacity) "";
@@ -50,11 +53,13 @@ module Directory = struct
 
   let length t = t.count
 
-  (* One hash per name. The shard is [h mod shards] and the home slot is
-     drawn from [h / shards]: taking both from the same low bits would
-     leave every name of shard [s] on the 1/shards of its table's slots
-     congruent to [s], and probes would degrade into long runs. *)
-  let home t h tbl = (h / t.shards) land (Array.length tbl - 1)
+  (* One hash per name. The shard is its low [shard_bits] bits and the
+     home slot is drawn from the bits above them: taking both from the
+     same low bits would leave every name of shard [s] on the 1/shards of
+     its table's slots congruent to [s], and probes would degrade into
+     long runs. *)
+  let[@inline] shard t h = h land ((1 lsl t.shard_bits) - 1)
+  let[@inline] home t h tbl = (h lsr t.shard_bits) land (Array.length tbl - 1)
 
   (* The slot of [name] (hash [h]) in [tbl], or the free slot where it
      would go. *)
@@ -69,7 +74,7 @@ module Directory = struct
 
   let find t name =
     let h = Hashtbl.hash name in
-    let tbl = t.tables.(h mod t.shards) in
+    let tbl = t.tables.(shard t h) in
     let slot = tbl.(probe t.names tbl h name (home t h tbl)) in
     if slot = empty then -1 else slot land eid_mask
 
@@ -86,14 +91,22 @@ module Directory = struct
   let rec free tbl i =
     if tbl.(i) = empty then i else free tbl ((i + 1) land (Array.length tbl - 1))
 
+  (* Double [shard]'s table: its occupied slots, sorted by eid, are
+     re-placed in that order. *)
   let grow t shard =
     let old = t.tables.(shard) in
+    let slots = Array.make t.used.(shard) empty in
+    let n = ref 0 in
+    Array.iter
+      (fun s ->
+        if s <> empty then begin
+          slots.(!n) <- s;
+          incr n
+        end)
+      old;
+    Array.sort (fun a b -> Int.compare (a land eid_mask) (b land eid_mask)) slots;
     let tbl = Array.make (2 * Array.length old) empty in
-    List.iter
-      (fun s -> tbl.(free tbl (home t (s lsr eid_bits) tbl)) <- s)
-      (List.sort
-         (fun a b -> Int.compare (a land eid_mask) (b land eid_mask))
-         (List.filter (fun s -> s <> empty) (Array.to_list old)));
+    Array.iter (fun s -> tbl.(free tbl (home t (s lsr eid_bits) tbl)) <- s) slots;
     t.tables.(shard) <- tbl
 
   let add t name ~maximum =
@@ -102,7 +115,7 @@ module Directory = struct
       invalid_arg "Entity_map.Directory.add: eids must stay below 2^31";
     if maximum < 0 then invalid_arg "Entity_map.Directory.add: negative maximum";
     let h = Hashtbl.hash name in
-    let shard = h mod t.shards in
+    let shard = shard t h in
     let tbl = t.tables.(shard) in
     let slot = probe t.names tbl h name (home t h tbl) in
     if tbl.(slot) <> empty then
@@ -125,7 +138,7 @@ module Directory = struct
     for eid = t.count - 1 downto n do
       let name = t.names.(eid) in
       let h = Hashtbl.hash name in
-      let shard = h mod t.shards in
+      let shard = shard t h in
       let tbl = t.tables.(shard) in
       tbl.(probe t.names tbl h name (home t h tbl)) <- empty;
       t.used.(shard) <- t.used.(shard) - 1;
@@ -139,7 +152,7 @@ module Directory = struct
     for eid = 0 to t.count - 1 do
       let name = t.names.(eid) in
       let h = Hashtbl.hash name in
-      let tbl = t.tables.(h mod t.shards) in
+      let tbl = t.tables.(shard t h) in
       let start = home t h tbl in
       let run = ((probe t.names tbl h name start - start) land (Array.length tbl - 1)) + 1 in
       longest := max !longest run
@@ -151,6 +164,10 @@ type 'hot t = {
   directory : Directory.t;
   site : int;
   sites : int;  (* this arena's place in the equal split of every maximum *)
+  mutable bitmap : Bytes.t;
+      (* bit [eid] set iff this arena has touched [eid], grown by
+         doubling to reach the highest touched eid. Read before [index],
+         so a cold eid costs one sequential bit read, not a random probe *)
   mutable index : int array;
       (* the touched eids, open-addressed with linear probing over a
          power-of-two table: [vacant] or [eid lsl core_bits lor k] for an
@@ -191,10 +208,31 @@ let[@inline] locate t eid =
   if s = vacant || s lsr core_bits = eid then i
   else probe t.index eid ((i + 1) land (Array.length t.index - 1))
 
+(* Whether [eid]'s bit is set; [eid >= 0]. *)
+let[@inline] marked t eid =
+  let byte = eid lsr 3 in
+  byte < Bytes.length t.bitmap
+  && Char.code (Bytes.unsafe_get t.bitmap byte) land (1 lsl (eid land 7)) <> 0
+
 (* [eid]'s core index [k], or [-1] if this arena has not touched it. *)
 let[@inline] slot t eid =
-  let s = Array.unsafe_get t.index (locate t eid) in
-  if s = vacant then -1 else s land core_mask
+  if not (marked t eid) then -1
+  else Array.unsafe_get t.index (locate t eid) land core_mask
+
+(* Set [eid]'s bit, doubling the bitmap until it reaches [eid]. *)
+let mark t eid =
+  let byte = eid lsr 3 in
+  let len = Bytes.length t.bitmap in
+  if byte >= len then begin
+    let rec size n = if n > byte then n else size (2 * n) in
+    let bitmap = Bytes.make (size (max 8 len)) '\000' in
+    Bytes.blit t.bitmap 0 bitmap 0 len;
+    t.bitmap <- bitmap
+  end;
+  Bytes.unsafe_set t.bitmap byte
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.bitmap byte) lor (1 lsl (eid land 7))))
+
+let bitmap_bits t = 8 * Bytes.length t.bitmap
 
 let bits t = 63 - t.shift
 
@@ -221,6 +259,7 @@ let create ?directory ?shards ?(capacity = 16) ?(site = 0) ?(sites = 1) () =
     directory;
     site;
     sites;
+    bitmap = Bytes.empty;
     index = Array.make (1 lsl initial_bits) vacant;
     shift = 63 - initial_bits;
     cores = [||];
@@ -278,6 +317,7 @@ let add_core t i eid tokens =
   t.cores.(k) <- core;
   t.n_cores <- k + 1;
   t.index.(i) <- (eid lsl core_bits) lor k;
+  mark t eid;
   if 2 * t.n_cores > Array.length t.index then reindex t (bits t + 1);
   core
 

@@ -1,6 +1,6 @@
 (** Entity arena: per site, a compact {!core} for each entity this site
-    has touched, found through a small touched-only index, and lazily
-    materialised "hot" state; the name and the maximum of every entity
+    has touched, found through a small touched-only index behind a
+    touched bitmap, and lazily materialised "hot" state; the name and the maximum of every entity
     live once per cluster, in the shared {!Directory}.
 
     A production gateway holds millions of aggregate objects of which only
@@ -12,7 +12,10 @@
     - {e touched}: a request, an exposure to a batch scope or heating
       allocated its {!core} — name, dense id, token ledger — from that
       share; the arena's index maps the eid to the core, open-addressed
-      and sized by the touched eids alone;
+      and sized by the touched eids alone, and its bitmap sets the eid's
+      bit (one bit per eid up to the highest touched, grown by
+      doubling), so a read of an eid whose bit is clear — or past the
+      bitmap's end — answers "cold" without probing the index;
     - {e hot}: contended — the heavyweight ['hot] payload (request queue,
       demand tracker, decided log, protocol machine) attached by the
       owning {!Site}.
@@ -24,7 +27,9 @@
     Names resolve through a {!Directory}: name → dense eid, one
     [Hashtbl.hash] per lookup, open-addressed into one of [shards] flat
     [int] tables whose slots tag each eid with its name's hash, plus one
-    [int] per eid for its maximum. The namespace and the maxima are the
+    [int] per eid for its maximum. [shards] is rounded up to a power of
+    two: the hash's low bits pick the shard and the bits above them the
+    home slot, two masks and no division. The namespace and the maxima are the
     same at every site — only the token values are partitioned — so a
     {!Cluster} owns one directory and each site's arena is indexed by its
     eids: a name is hashed once per cluster at registration, not once per
@@ -56,7 +61,8 @@ module Directory : sig
   type t
 
   val create : ?shards:int -> ?capacity:int -> unit -> t
-  (** [capacity] is a size hint (expected entities) that pre-sizes the
+  (** [shards] (default [1]) is rounded up to a power of two (3 → 4);
+      [capacity] is a size hint (expected entities) that pre-sizes the
       tables. Raises [Invalid_argument] unless [shards >= 1] and
       [capacity >= 1]. *)
 
@@ -138,9 +144,14 @@ val eid : 'hot t -> string -> int
 val touched : 'hot t -> int -> 'hot core
 (** [touched t eid]: the core if this arena has touched [eid]; otherwise
     the arena's one placeholder, whose [eid] is [-1] and which must never
-    be written. One index probe, no allocation, never a touch: the read a
-    cluster-wide audit makes per site. Raises [Invalid_argument] out of
-    range. *)
+    be written. One bit read for a cold eid, one index probe for a
+    touched one; no allocation, never a touch: the read a cluster-wide
+    audit makes per site. Raises [Invalid_argument] out of range. *)
+
+val bitmap_bits : 'hot t -> int
+(** The eids the touched bitmap covers, [0 .. bitmap_bits t - 1]: every
+    touched eid is below it, and every eid at or past it is cold here.
+    [0] until the first touch. *)
 
 (** Ledger reads by eid, cold or touched; none allocates. Each raises
     [Invalid_argument] on an eid out of the directory's range. *)

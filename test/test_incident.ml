@@ -165,6 +165,100 @@ let merge_lossless_on_disjoint =
       && Obs.Heavy_hitters.total m
          = Obs.Heavy_hitters.total a + Obs.Heavy_hitters.total b)
 
+(* The Misra-Gries sketch as a generic [Hashtbl], kept as the reference
+   the flat-array sketch is checked against: every read, including merged
+   sketches that track more than [k] keys and are observed again, must
+   agree with it. *)
+module Hh_ref = struct
+  type t = {
+    k : int;
+    counts : (string, int ref) Hashtbl.t;
+    mutable decrements : int;
+    mutable total : int;
+  }
+
+  let create ~k = { k; counts = Hashtbl.create (2 * k); decrements = 0; total = 0 }
+
+  let copy t =
+    let counts = Hashtbl.create (2 * t.k) in
+    Hashtbl.iter (fun key r -> Hashtbl.add counts key (ref !r)) t.counts;
+    { t with counts }
+
+  let observe ~count t key =
+    if count > 0 then begin
+      t.total <- t.total + count;
+      match Hashtbl.find_opt t.counts key with
+      | Some r -> r := !r + count
+      | None ->
+          if Hashtbl.length t.counts < t.k then Hashtbl.add t.counts key (ref count)
+          else begin
+            let d = min count (Hashtbl.fold (fun _ r acc -> min !r acc) t.counts max_int) in
+            let zeroed = ref [] in
+            Hashtbl.iter
+              (fun key r ->
+                r := !r - d;
+                if !r = 0 then zeroed := key :: !zeroed)
+              t.counts;
+            List.iter (Hashtbl.remove t.counts) !zeroed;
+            t.decrements <- t.decrements + d;
+            if count > d then Hashtbl.add t.counts key (ref (count - d))
+          end
+    end
+
+  let merge a b =
+    let m = copy a in
+    Hashtbl.iter
+      (fun key r ->
+        match Hashtbl.find_opt m.counts key with
+        | Some r' -> r' := !r' + !r
+        | None -> Hashtbl.add m.counts key (ref !r))
+      b.counts;
+    { m with k = max a.k b.k; decrements = a.decrements + b.decrements; total = a.total + b.total }
+
+  let estimate t key = match Hashtbl.find_opt t.counts key with Some r -> !r | None -> 0
+
+  let top t =
+    Hashtbl.fold (fun key r acc -> (key, !r) :: acc) t.counts []
+    |> List.sort (fun (ka, ca) (kb, cb) ->
+           if ca <> cb then compare cb ca else String.compare ka kb)
+
+end
+
+(* Two streams into sketches of random [k], merged, then a third stream
+   into the merged sketch. [count] 0 is fed too (it must be ignored). *)
+let hh_matches_reference =
+  let stream = QCheck.(small_list (pair (int_bound 11) (int_range 0 9))) in
+  QCheck.Test.make ~name:"hh: flat sketch matches a Hashtbl reference" ~count:500
+    QCheck.(quad (int_range 1 6) stream stream stream)
+    (fun (k, xs, ys, zs) ->
+      let module H = Obs.Heavy_hitters in
+      let name key = Printf.sprintf "k%d" key in
+      let feed (t, r) ops =
+        List.iter
+          (fun (key, count) ->
+            H.observe ~count t (name key);
+            Hh_ref.observe ~count r (name key))
+          ops
+      in
+      let fresh k = (H.create ~k (), Hh_ref.create ~k) in
+      let agree (t, (r : Hh_ref.t)) =
+        H.dump t = (r.k, r.decrements, r.total, Hh_ref.top r)
+        && H.error t = r.decrements
+        && H.total t = r.total
+        && H.tracked t = Hashtbl.length r.counts
+        && H.top ~n:2 t = List.filteri (fun i _ -> i < 2) (Hh_ref.top r)
+        && List.for_all
+             (fun key -> H.estimate t (name key) = Hh_ref.estimate r (name key))
+             (List.init 13 Fun.id)
+      in
+      let a = fresh k and b = fresh (k + 1) in
+      feed a xs;
+      feed b ys;
+      let m = (H.merge (fst a) (fst b), Hh_ref.merge (snd a) (snd b)) in
+      let ok = agree a && agree b && agree m in
+      feed m zs;
+      ok && agree m && agree a && agree b)
+
 let zipfian_error_bound () =
   (* A Zipf(0.99) stream over 500 keys through a k=16 sketch: every
      estimate obeys [estimate <= true <= estimate + error], and the
@@ -200,6 +294,25 @@ let zipfian_error_bound () =
   match Obs.Heavy_hitters.top ~n:1 sketch with
   | [ (sk, _) ] -> check string "sketch finds the true hottest key" true_top sk
   | _ -> fail "sketch tracked nothing"
+
+let hh_observe_allocates_nothing () =
+  (* Once a k=16 sketch is full, 10k tracked hits and 10k untracked
+     arrivals (each a decrement round, some zeroing keys that later
+     arrivals re-track) write in place: only the two [Gc.minor_words]
+     readings themselves allocate. *)
+  let module H = Obs.Heavy_hitters in
+  let keys = Array.init 64 (Printf.sprintf "key%02d") in
+  let sketch = H.create ~k:16 () in
+  Array.iteri (fun i key -> if i < 16 then H.observe sketch key) keys;
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    H.observe sketch keys.(i land 15);
+    H.observe sketch keys.(16 + (i mod 48))
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool (Printf.sprintf "observe allocates nothing (%.0f minor words)" words) true
+    (words <= 16.0);
+  check bool "the stream made decrement rounds" true (H.error sketch > 0)
 
 let windowed_lane_independence () =
   (* The same timestamped stream fed through 1 lane and split across 3
@@ -586,6 +699,8 @@ let suite =
     qcheck merge_associative;
     qcheck merge_lossless_on_disjoint;
     test_case "hh: zipfian error bound" `Quick zipfian_error_bound;
+    qcheck hh_matches_reference;
+    test_case "hh: observe allocates nothing" `Quick hh_observe_allocates_nothing;
     test_case "hh: windowed lane independence" `Quick
       windowed_lane_independence;
     test_case "hh: windowed rejects non-finite window" `Quick

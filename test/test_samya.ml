@@ -1388,6 +1388,32 @@ let directory_probe_runs_stay_short () =
   if longest > 40 then
     Alcotest.failf "longest probe run %d over 100k names exceeds 40" longest
 
+let directory_growth_keeps_runs_short () =
+  (* Created at capacity 16, the 256 shards double their tables many
+     times over on the way to 100k names; each doubling re-places the
+     shard's names in eid order. The runs stay within the pre-sized
+     bound, and truncating after growth leaves [find] answering exactly
+     as it did before the truncated names were added. *)
+  let module D = Samya.Entity_map.Directory in
+  let d = D.create ~shards:256 ~capacity:16 () in
+  let names = Array.init 100_000 (Printf.sprintf "key%07d") in
+  let half = 50_000 in
+  let unknown = Array.init 1_000 (Printf.sprintf "other%d") in
+  let answers () = Array.map (D.find d) (Array.append names unknown) in
+  Array.iteri
+    (fun eid name -> if eid < half then check int "eid in order" eid (D.add d name ~maximum:eid))
+    names;
+  let before = answers () in
+  for eid = half to Array.length names - 1 do
+    check int "eid in order" eid (D.add d names.(eid) ~maximum:eid)
+  done;
+  let longest = D.max_probe d in
+  if longest > 40 then
+    Alcotest.failf "longest probe run %d after growth to 100k names exceeds 40" longest;
+  D.truncate d half;
+  check bool "find after the truncate is find before the growth" true (answers () = before);
+  check int "re-added after the truncate" half (D.add d names.(half) ~maximum:0)
+
 let directory_hash_collisions () =
   (* Slots tag each eid with its name's 30-bit hash, so two names on equal
      hashes must still be told apart by their strings. By the birthday
@@ -1446,6 +1472,9 @@ type arena_op =
   | Bump of bool * int * int  (* touch and move the ledger by a delta *)
   | Heat of bool * int
   | Sweep of bool * int  (* touch eids [i mod n .. n - 1], newest first *)
+  | Far of bool
+      (* register names up to eight times the arena's bitmap length, in
+         bits (or just that length), and touch that eid *)
 
 let arena_ops =
   let open QCheck.Gen in
@@ -1462,6 +1491,7 @@ let arena_ops =
          (2, map3 (fun s i d -> Bump (s, i, d)) side index (int_range (-5) 5));
          (1, map2 (fun s i -> Heat (s, i)) side index);
          (1, map2 (fun s i -> Sweep (s, i)) side index);
+         (1, map (fun s -> Far s) side);
        ])
 
 let arena_op_to_string = function
@@ -1474,9 +1504,13 @@ let arena_op_to_string = function
   | Bump (s, i, d) -> Printf.sprintf "bump %b %d %+d" s i d
   | Heat (s, i) -> Printf.sprintf "heat %b %d" s i
   | Sweep (s, i) -> Printf.sprintf "sweep %b %d" s i
+  | Far s -> Printf.sprintf "far %b" s
 
 (* A touched eid's ledger in the model: (left, acquired, wanted, hot). *)
 type model_ledger = { mutable left : int; mutable acq : int; mutable want : int; mutable heat : bool }
+
+(* The model's names, built once: the per-step scans look every eid up. *)
+let arena_names = Array.init 1_024 (Printf.sprintf "a%d")
 
 let arena_matches_model =
   QCheck.Test.make ~count:150 ~name:"entity map: two arenas match a model (shards 1/3/256)"
@@ -1494,7 +1528,9 @@ let arena_matches_model =
           let share side eid = (maximum eid / 2) + if side < maximum eid mod 2 then 1 else 0 in
           let touched = [| Hashtbl.create 16; Hashtbl.create 16 |] in
           let n = ref 0 in
-          let name eid = Printf.sprintf "a%d" eid in
+          let name eid =
+            if eid < Array.length arena_names then arena_names.(eid) else Printf.sprintf "a%d" eid
+          in
           let side s = if s then 1 else 0 in
           (* A write path's touch: the model's ledger, made from the share
              on first touch. *)
@@ -1545,7 +1581,23 @@ let arena_matches_model =
                   List.sort Int.compare (Hashtbl.fold (fun eid _ acc -> eid :: acc) touched.(s) [])
                 in
                 let hot = Hashtbl.fold (fun _ l acc -> if l.heat then acc + 1 else acc) touched.(s) 0 in
+                (* The bitmap covers every touched eid; the eids at, just
+                   below, just past and far past its end read as the
+                   model says (cold unless touched). *)
+                let bits = M.bitmap_bits a in
+                let probes =
+                  List.filter
+                    (fun eid -> eid >= 0 && eid < !n)
+                    [ bits - 1; bits; bits + 1; 8 * bits; !n - 1 ]
+                in
                 List.rev !visited = expected
+                && List.for_all (fun eid -> eid < bits) expected
+                && List.for_all
+                     (fun eid ->
+                       reads_agree s eid
+                       && (eid < bits
+                          || (not (Hashtbl.mem touched.(s) eid)) && (M.touched a eid).M.eid < 0))
+                     probes
                 && M.hot_count a = hot
                 && M.length a = !n
                 && List.for_all
@@ -1625,6 +1677,22 @@ let arena_matches_model =
                     ok := !ok && same_core s eid (M.by_eid arenas.(s) eid)
                   done;
                   !ok
+              | Far s ->
+                  (* Eight times past the end, the bitmap doubles several
+                     times at once; once that would pass 512 names, the
+                     eid at the end. *)
+                  let s = side s in
+                  let bits = M.bitmap_bits arenas.(s) in
+                  let eid = if 8 * max 8 bits <= 512 then 8 * max 8 bits else bits in
+                  eid > 512
+                  || begin
+                       for e = !n to eid do
+                         ignore (M.Directory.add directory (name e) ~maximum:(maximum e))
+                       done;
+                       n := max !n (eid + 1);
+                       ignore (touch s eid);
+                       same_core s eid (M.by_eid arenas.(s) eid) && M.bitmap_bits arenas.(s) > eid
+                     end
               | By_eid _ | Read _ | Bump _ | Heat _ | Sweep _ -> true)
               && consistent ())
             ops)
@@ -1737,6 +1805,8 @@ let suite =
     QCheck_alcotest.to_alcotest arena_matches_model;
     Alcotest.test_case "directory: probe runs stay short" `Quick
       directory_probe_runs_stay_short;
+    Alcotest.test_case "directory: growth keeps probe runs short" `Quick
+      directory_growth_keeps_runs_short;
     Alcotest.test_case "invariant: cold reads stay cold" `Quick cold_reads_stay_cold;
     Alcotest.test_case "registration: a cold key costs no per-site words" `Quick
       cold_keys_cost_no_site_words;
