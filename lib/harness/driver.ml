@@ -180,7 +180,9 @@ type acc = {
   replies : reply_log array;  (* empty unless [spec.track_entities] *)
   (* per-phase accounting (clients x phases); empty unless [spec.phases] *)
   n_phases : int;
-  ph_lat : Stats.Sample_set.t array array;
+  ph_tags : Bytes.t array;
+      (* per client, the phase of its latency sample [i] as byte [i]: each
+         commit latency is stored once, in [lat] *)
   ph_committed : int array array;
   ph_aborted : int array array;
 }
@@ -249,30 +251,44 @@ let acc_create ?(n_phases = 0) ?(track_entities = false) ~n_clients:slots ~windo
     replied = Array.make slots 0;
     replies = (if track_entities then Array.map log_create lat else [||]);
     n_phases;
-    ph_lat =
-      Array.init slots (fun _ ->
-          Array.init n_phases (fun _ -> Stats.Sample_set.create ()));
+    ph_tags = Array.make slots Bytes.empty;
     ph_committed = Array.init slots (fun _ -> Array.make n_phases 0);
     ph_aborted = Array.init slots (fun _ -> Array.make n_phases 0);
   }
 
+(* Tags the client's newest latency sample (just added) with phase [ph]. *)
+let tag_phase acc client ph =
+  let i = Stats.Sample_set.count acc.lat.(client) - 1 in
+  if i = Bytes.length acc.ph_tags.(client) then
+    acc.ph_tags.(client) <- Bytes.extend acc.ph_tags.(client) 0 (max 64 i);
+  Bytes.set acc.ph_tags.(client) i (Char.unsafe_chr ph)
+
+(* Phase [p]'s total over the slots' [counts]. *)
+let phase_total counts p = Array.fold_left (fun n slot -> n + slot.(p)) 0 counts
+
+(* Each phase's commit latencies, at the exact size its commit count
+   gives, in slot order and each slot in reply order: a function of the
+   simulation alone, never of the domain count. *)
+let phase_latencies acc =
+  if acc.n_phases = 0 then [||]
+  else
+    Stats.Sample_set.partition acc.lat ~tags:acc.ph_tags
+      ~sizes:(Array.init acc.n_phases (phase_total acc.ph_committed))
+
 let acc_result acc ~duration_ms : result =
   let sum = Array.fold_left ( + ) 0 in
-  let latencies = Stats.Sample_set.create () in
-  Array.iter (fun s -> Stats.Sample_set.merge_into s ~into:latencies) acc.lat;
+  let latencies = Stats.Sample_set.concat acc.lat in
   let throughput = Stats.Throughput.create ~window_ms:acc.window_ms in
   Array.iter (fun t -> Stats.Throughput.merge_into t ~into:throughput) acc.tp;
-  (* Phase merge in slot order — deterministic at any domain count. *)
   let by_phase =
-    Array.init acc.n_phases (fun p ->
-        let lat = Stats.Sample_set.create () in
-        let committed = ref 0 and aborted = ref 0 in
-        for s = 0 to Array.length acc.lat - 1 do
-          Stats.Sample_set.merge_into acc.ph_lat.(s).(p) ~into:lat;
-          committed := !committed + acc.ph_committed.(s).(p);
-          aborted := !aborted + acc.ph_aborted.(s).(p)
-        done;
-        { p_committed = !committed; p_aborted = !aborted; p_latencies = lat })
+    Array.mapi
+      (fun p lat ->
+        {
+          p_committed = Stats.Sample_set.count lat;
+          p_aborted = phase_total acc.ph_aborted p;
+          p_latencies = lat;
+        })
+      (phase_latencies acc)
   in
   {
     committed = sum acc.committed;
@@ -347,6 +363,11 @@ let validate_spec (spec : spec) =
       if i > 0 && not (b > spec.phases.(i - 1)) then
         invalid_arg "Driver.run: phase boundaries must be strictly ascending")
     spec.phases;
+  (* A commit's phase is stored as one byte. *)
+  if Array.length spec.phases > 255 then
+    invalid_arg
+      (Printf.sprintf "Driver.run: at most 255 phase boundaries (got %d)"
+         (Array.length spec.phases));
   match spec.retry with
   | None -> ()
   | Some r ->
@@ -465,7 +486,7 @@ let terminal c p ~now ~tag =
     let ph = phase_of c p in
     if tag = 0 then begin
       acc.ph_committed.(client).(ph) <- acc.ph_committed.(client).(ph) + 1;
-      Stats.Sample_set.add acc.ph_lat.(client).(ph) lat
+      tag_phase acc client ph
     end
     else acc.ph_aborted.(client).(ph) <- acc.ph_aborted.(client).(ph) + 1
   end;

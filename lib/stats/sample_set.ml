@@ -34,12 +34,16 @@ let get t i =
    polymorphic [compare]: both use the same total order (NaN first, then
    -inf .. +inf), so the sorted values — and every percentile — are the
    same; only ties can land in another order, and tied floats are equal
-   (bar the sign of a zero). *)
+   (bar the sign of a zero). An exact-size set (from [concat] or
+   [partition]) sorts its array in place, with no copy. *)
 let ensure_sorted t =
   if not t.sorted then begin
-    let live = Array.sub t.data 0 t.size in
-    Array.stable_sort Float.compare live;
-    Array.blit live 0 t.data 0 t.size;
+    if Array.length t.data = t.size then Array.stable_sort Float.compare t.data
+    else begin
+      let live = Array.sub t.data 0 t.size in
+      Array.stable_sort Float.compare live;
+      Array.blit live 0 t.data 0 t.size
+    end;
     t.sorted <- true
   end
 
@@ -65,14 +69,39 @@ let min_value t = percentile t 0.0
 
 let max_value t = percentile t 100.0
 
-(* Element-by-element append: the destination's running [sum] follows the
-   same left-to-right association as if every sample had been [add]ed to
-   it directly, so merged statistics are a deterministic function of the
-   merge order alone. *)
-let merge_into src ~into =
-  for i = 0 to src.size - 1 do
-    add into src.data.(i)
-  done
+(* The sum runs over the array left to right from 0.0: the association
+   [add] gives the same samples added in this order, bit for bit. *)
+let of_array data =
+  let total = ref 0.0 in
+  for i = 0 to Array.length data - 1 do
+    total := !total +. data.(i)
+  done;
+  { data; size = Array.length data; sorted = false; sum = { total = !total } }
+
+let concat parts =
+  let data = Array.create_float (Array.fold_left (fun n s -> n + s.size) 0 parts) in
+  let filled = ref 0 in
+  Array.iter
+    (fun s ->
+      Array.blit s.data 0 data !filled s.size;
+      filled := !filled + s.size)
+    parts;
+  of_array data
+
+let partition parts ~tags ~sizes =
+  let data = Array.map Array.create_float sizes in
+  let filled = Array.make (Array.length sizes) 0 in
+  Array.iteri
+    (fun s part ->
+      let tags = tags.(s) in
+      for i = 0 to part.size - 1 do
+        let k = Char.code (Bytes.get tags i) in
+        data.(k).(filled.(k)) <- part.data.(i);
+        filled.(k) <- filled.(k) + 1
+      done)
+    parts;
+  if filled <> sizes then invalid_arg "Sample_set.partition: sizes do not match the tags";
+  Array.map of_array data
 
 let to_sorted_array t =
   ensure_sorted t;

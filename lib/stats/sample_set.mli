@@ -30,12 +30,22 @@ val min_value : t -> float
 
 val max_value : t -> float
 
-val merge_into : t -> into:t -> unit
-(** [merge_into src ~into] appends [src]'s samples to [into] in [src]'s
-    current storage order, updating the running sum sample-by-sample — so
-    merging per-slot sets in a fixed order yields bit-identical statistics
-    to having added the samples to one set in that order. [src] is
+val concat : t array -> t
+(** [concat parts] holds every part's samples, part after part, each in
+    its current storage order: the statistics of one set that [add]ed
+    them all in that order ([mean] bit for bit, since the sum runs left to
+    right over the whole sequence, not part by part). It allocates the
+    total once and copies each part with one blit; the parts are
     unchanged. *)
+
+val partition : t array -> tags:Bytes.t array -> sizes:int array -> t array
+(** [partition parts ~tags ~sizes] splits the parts' samples by a tag
+    byte: sample [i] of [parts.(s)] goes to set [Char.code (Bytes.get
+    tags.(s) i)], part after part, each part in its current storage
+    order — so every set holds its samples in the order {!concat} would,
+    with the statistics of adding them one by one in that order. Set [k]
+    is allocated once, at [sizes.(k)]. Raises [Invalid_argument] unless
+    [sizes.(k)] is exactly the number of samples tagged [k]. *)
 
 val to_sorted_array : t -> float array
 (** A copy, ascending. *)

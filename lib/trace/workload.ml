@@ -40,6 +40,53 @@ let of_trace ~rng ~trace ~site ?(start_interval = 0) ?intervals ?(amount = 1) ()
   Array.sort compare_time arr;
   arr
 
+(* A growable array of requests in generation order, grown by doubling:
+   the generators emit in time order, so [contents] is the stream. *)
+type buffer = { mutable items : request array; mutable len : int }
+
+let buffer () = { items = [||]; len = 0 }
+
+let push b r =
+  if b.len = Array.length b.items then begin
+    let items = Array.make (max 1024 (2 * b.len)) r in
+    Array.blit b.items 0 items 0 b.len;
+    b.items <- items
+  end;
+  b.items.(b.len) <- r;
+  b.len <- b.len + 1
+
+let contents b = Array.sub b.items 0 b.len
+
+(* Piecewise-Poisson 1-token Acquires on one entity: segments
+   [(until_ms, rate_per_s, home_affinity)] one after another from 0, all
+   drawn from the same rng. Each segment ends the thinning clock at its
+   boundary: the next segment's first gap is drawn fresh at its own
+   rate. *)
+let segments ~rng ~entity ~home ~n_clients list =
+  let b = buffer () in
+  let t = ref 0.0 in
+  List.iter
+    (fun (until_ms, rate_per_s, home_affinity) ->
+      let rate = rate_per_s /. 1000.0 (* per ms *) in
+      let continue = ref true in
+      while !continue do
+        let next = !t +. Des.Rng.exponential rng ~rate in
+        if next > until_ms then begin
+          t := until_ms;
+          continue := false
+        end
+        else begin
+          t := next;
+          let site =
+            if Des.Rng.bool rng home_affinity then home
+            else Des.Rng.int rng n_clients
+          in
+          push b { time_ms = !t; site; kind = Acquire; amount = 1; entity }
+        end
+      done)
+    list;
+  contents b
+
 let gateway ~rng ~zipf ~key_name ~key_home ~n_clients ~rate_per_s ~duration_ms
     ?(home_affinity = 0.8) ?(read_ratio = 0.05) () =
   if n_clients < 1 then invalid_arg "Workload.gateway: n_clients must be >= 1";
@@ -54,7 +101,7 @@ let gateway ~rng ~zipf ~key_name ~key_home ~n_clients ~rate_per_s ~duration_ms
      calls the EU gateway" skew), uniform otherwise. Releases are not
      emitted: gateway tokens return via the driver's grant-driven
      releases, whose lifetime models the rate-limit window. *)
-  let out = ref [] and count = ref 0 in
+  let b = buffer () in
   let t = ref 0.0 in
   let rate = rate_per_s /. 1000.0 (* per ms *) in
   let continue = ref true in
@@ -69,14 +116,10 @@ let gateway ~rng ~zipf ~key_name ~key_home ~n_clients ~rate_per_s ~duration_ms
         else Des.Rng.int rng n_clients
       in
       let kind = if Des.Rng.bool rng read_ratio then Read else Acquire in
-      out := { time_ms = !t; site; kind; amount = 1; entity = key_name key } :: !out;
-      incr count
+      push b { time_ms = !t; site; kind; amount = 1; entity = key_name key }
     end
   done;
-  let arr = Array.make !count { time_ms = 0.0; site = 0; kind = Read; amount = 0; entity = "" } in
-  (* The stream was generated in time order; reverse the accumulator. *)
-  List.iteri (fun i r -> arr.(!count - 1 - i) <- r) !out;
-  arr
+  contents b
 
 let flash_sale ~rng ~entity ~home ~n_clients ~base_rate_per_s ~spike_rate_per_s
     ~spike_start_ms ~spike_end_ms ~duration_ms ?(home_affinity = 0.9) () =
@@ -100,37 +143,12 @@ let flash_sale ~rng ~entity ~home ~n_clients ~base_rate_per_s ~spike_rate_per_s
      so the stream is one deterministic sequence. Every arrival is a
      1-token Acquire (flash-sale checkouts); releases come back through
      the driver's grant-driven lifetimes. *)
-  let out = ref [] and count = ref 0 in
-  let t = ref 0.0 in
-  let segment ~rate_per_s ~until_ms =
-    let rate = rate_per_s /. 1000.0 (* per ms *) in
-    let continue = ref true in
-    while !continue do
-      let next = !t +. Des.Rng.exponential rng ~rate in
-      if next > until_ms then begin
-        (* Restart the thinning clock at the boundary: the next segment's
-           first gap is drawn fresh at its own rate. *)
-        t := until_ms;
-        continue := false
-      end
-      else begin
-        t := next;
-        let site =
-          if Des.Rng.bool rng home_affinity then home
-          else Des.Rng.int rng n_clients
-        in
-        out := { time_ms = !t; site; kind = Acquire; amount = 1; entity } :: !out;
-        incr count
-      end
-    done
-  in
-  segment ~rate_per_s:base_rate_per_s ~until_ms:spike_start_ms;
-  segment ~rate_per_s:spike_rate_per_s ~until_ms:spike_end_ms;
-  segment ~rate_per_s:base_rate_per_s ~until_ms:duration_ms;
-  let arr = Array.make !count { time_ms = 0.0; site = 0; kind = Read; amount = 0; entity = "" } in
-  (* The stream was generated in time order; reverse the accumulator. *)
-  List.iteri (fun i r -> arr.(!count - 1 - i) <- r) !out;
-  arr
+  segments ~rng ~entity ~home ~n_clients
+    [
+      (spike_start_ms, base_rate_per_s, home_affinity);
+      (spike_end_ms, spike_rate_per_s, home_affinity);
+      (duration_ms, base_rate_per_s, home_affinity);
+    ]
 
 type ramp_phase = {
   until_ms : float;  (** segment end (absolute); segments are contiguous *)
@@ -160,35 +178,8 @@ let skew_ramp ~rng ~entity ~home ~n_clients ~phases () =
      global pressure. Every arrival is a 1-token Acquire; releases come
      back through the driver's grant-driven lifetimes. All phases draw
      from the same rng, so the stream is one deterministic sequence. *)
-  let out = ref [] and count = ref 0 in
-  let t = ref 0.0 in
-  List.iter
-    (fun { until_ms; rate_per_s; home_affinity } ->
-      let rate = rate_per_s /. 1000.0 (* per ms *) in
-      let continue = ref true in
-      while !continue do
-        let next = !t +. Des.Rng.exponential rng ~rate in
-        if next > until_ms then begin
-          (* Restart the thinning clock at the boundary: the next phase's
-             first gap is drawn fresh at its own rate. *)
-          t := until_ms;
-          continue := false
-        end
-        else begin
-          t := next;
-          let site =
-            if Des.Rng.bool rng home_affinity then home
-            else Des.Rng.int rng n_clients
-          in
-          out := { time_ms = !t; site; kind = Acquire; amount = 1; entity } :: !out;
-          incr count
-        end
-      done)
-    phases;
-  let arr = Array.make !count { time_ms = 0.0; site = 0; kind = Read; amount = 0; entity = "" } in
-  (* The stream was generated in time order; reverse the accumulator. *)
-  List.iteri (fun i r -> arr.(!count - 1 - i) <- r) !out;
-  arr
+  segments ~rng ~entity ~home ~n_clients
+    (List.map (fun p -> (p.until_ms, p.rate_per_s, p.home_affinity)) phases)
 
 let merge streams =
   let arr = Array.concat streams in

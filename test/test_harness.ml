@@ -404,6 +404,120 @@ let driver_by_entity_fold () =
   check Alcotest.string "engine-jobs 2 identical" (render by_entity)
     (render (Harness.Driver.by_entity (run ~engine_jobs:2 ~name_own:false)))
 
+(* [by_phase] reads each commit's phase from a tag byte beside its one
+   latency sample. A stream of acquires and reads over 6 s with four
+   phase boundaries, a retry policy with a finite client timeout,
+   grant-driven releases, site 1 crashed for 1.5 s (timeouts and
+   retries) and client 3 crashed at 4.2 s. The phases must account for
+   every counted outcome, hold between them exactly the run's latency
+   samples, and come out the same at one and two engine workers. *)
+let driver_by_phase_split () =
+  let run ~engine_jobs =
+    let regions = regions () in
+    let cluster =
+      Samya.Cluster.create ~seed:11L ~engine_jobs ~config:Samya.Config.default ~regions ()
+    in
+    Samya.Cluster.init_entity cluster ~entity:"VM" ~maximum:30;
+    let t_system =
+      Facade.of_samya_cluster ~hooks:(Facade.samya_hooks ()) ~regions ~entity:"VM" cluster
+    in
+    let requests =
+      Array.init 1_200 (fun i ->
+          {
+            Trace.Workload.time_ms = 5.0 *. float_of_int i;
+            site = i mod 5;
+            kind = (if i mod 7 = 6 then Trace.Workload.Read else Trace.Workload.Acquire);
+            amount = 1;
+            entity = "";
+          })
+    in
+    let spec =
+      {
+        (Harness.Driver.default_spec ~client_regions:regions ~requests ~duration_ms:6_000.0)
+        with
+        Harness.Driver.events =
+          [
+            { Harness.Driver.at_ms = 2_000.0; action = (fun () -> t_system.crash_site 1) };
+            { Harness.Driver.at_ms = 3_500.0; action = (fun () -> t_system.recover_site 1) };
+          ];
+        client_crash = [ (4_200.0, 3) ];
+        client_timeout_ms = 40.0;
+        grant_driven_release_ms = Some 300.0;
+        retry =
+          Some
+            {
+              Harness.Driver.max_attempts = 2;
+              base_backoff_ms = 5.0;
+              max_backoff_ms = 20.0;
+              jitter = 0.5;
+              jitter_seed = 3L;
+            };
+        phases = [| 1_000.0; 2_500.0; 3_000.0; 4_500.0 |];
+      }
+    in
+    Harness.Driver.run ~t_system spec
+  in
+  let bits_sorted s = Array.map Int64.bits_of_float (Stats.Sample_set.to_sorted_array s) in
+  let render (r : Harness.Driver.result) =
+    String.concat "; "
+      (Printf.sprintf "%d/%d/%d/%d/%d/%d" r.committed r.rejected r.unavailable r.shed
+         r.timed_out r.retries
+      :: Array.to_list
+           (Array.map
+              (fun (p : Harness.Driver.phase_stats) ->
+                Printf.sprintf "%d/%d %h %h" p.p_committed p.p_aborted
+                  (Stats.Sample_set.mean p.p_latencies)
+                  (Stats.Sample_set.percentile p.p_latencies 99.0))
+              r.by_phase))
+  in
+  let r = run ~engine_jobs:1 in
+  let phases = Array.to_list r.Harness.Driver.by_phase in
+  let sum f = List.fold_left (fun n p -> n + f p) 0 phases in
+  check int "five phases" 5 (List.length phases);
+  check bool "timeouts and retries occur" true
+    (r.Harness.Driver.timed_out > 0 && r.Harness.Driver.retries > 0);
+  check bool "every phase commits" true
+    (List.for_all (fun p -> p.Harness.Driver.p_committed > 0) phases);
+  check int "phase commits sum to the total" r.Harness.Driver.committed
+    (sum (fun p -> p.Harness.Driver.p_committed));
+  check int "phase aborts sum to the total aborts"
+    Harness.Driver.(r.rejected + r.unavailable + r.shed + r.timed_out)
+    (sum (fun p -> p.Harness.Driver.p_aborted));
+  List.iter
+    (fun p ->
+      check int "a phase's commits are its samples" p.Harness.Driver.p_committed
+        (Stats.Sample_set.count p.Harness.Driver.p_latencies))
+    phases;
+  let together =
+    Array.concat (List.map (fun p -> bits_sorted p.Harness.Driver.p_latencies) phases)
+  in
+  Array.sort compare together;
+  let all = bits_sorted r.Harness.Driver.latencies in
+  Array.sort compare all;
+  check Alcotest.(array int64) "the phases' samples are the run's samples" all together;
+  check Alcotest.string "engine-jobs 2 identical" (render r) (render (run ~engine_jobs:2))
+
+let driver_rejects_too_many_phases () =
+  let regions = regions () in
+  let cluster =
+    Samya.Cluster.create ~seed:1L ~config:Samya.Config.default ~regions ()
+  in
+  Samya.Cluster.init_entity cluster ~entity:"VM" ~maximum:10;
+  let t_system =
+    Facade.of_samya_cluster ~hooks:(Facade.samya_hooks ()) ~regions ~entity:"VM" cluster
+  in
+  let spec =
+    {
+      (Harness.Driver.default_spec ~client_regions:regions ~requests:[||]
+         ~duration_ms:1_000.0)
+      with
+      Harness.Driver.phases = Array.init 256 (fun i -> float_of_int (i + 1));
+    }
+  in
+  Alcotest.check_raises "256 boundaries"
+    (Invalid_argument "Driver.run: at most 255 phase boundaries (got 256)") (fun () ->
+      ignore (Harness.Driver.run ~t_system spec))
+
 (* A one-arm plan over a few acquires, built by hand: the runner's
    behaviour, not a figure's, is under test. *)
 let one_arm_plan ?(faults = []) build : Harness.Scenario.plan =
@@ -491,6 +605,10 @@ let suite =
     Alcotest.test_case "driver: no phantom releases" `Quick driver_never_releases_unacquired;
     Alcotest.test_case "driver: closed loop" `Quick driver_closed_loop_runs;
     Alcotest.test_case "driver: by_entity folds the reply logs" `Quick driver_by_entity_fold;
+    Alcotest.test_case "driver: by_phase splits the run's samples" `Quick
+      driver_by_phase_split;
+    Alcotest.test_case "driver: at most 255 phase boundaries" `Quick
+      driver_rejects_too_many_phases;
     Alcotest.test_case "driver: rejects non-finite window" `Quick
       driver_rejects_non_finite_window;
     Alcotest.test_case "gateway: key names" `Quick gateway_key_names;

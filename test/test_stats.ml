@@ -127,9 +127,12 @@ let sample_set_sort_matches_reference =
         [ 0.0; 1.0; 25.0; 50.0; 75.0; 90.0; 99.0; 99.9; 100.0 ]
       && Array.map bits (Stats.Sample_set.to_sorted_array s) = Array.map bits reference)
 
-(* [merge_into] keeps the running sum's association: a set built by
-   merging has the mean of one built by adding the same samples in the
-   same order, bit for bit. *)
+(* [concat] keeps the running sum's association: a set built by
+   concatenating parts has the samples, the mean and the percentiles of
+   one built by adding the same samples in the same order, bit for bit —
+   with the parts as drawn, with empty parts around and between them, and
+   as a single part. Summing each part and then adding the partial sums
+   gives another mean. *)
 let sample_set_merge_mean_bit_identical =
   QCheck.Test.make ~count:200
     ~name:"sample_set: merged mean equals direct adds bit for bit"
@@ -144,12 +147,68 @@ let sample_set_merge_mean_bit_identical =
         List.iter (Stats.Sample_set.add s) l;
         s
       in
-      let merged = of_list xs in
-      Stats.Sample_set.merge_into (of_list ys) ~into:merged;
-      Stats.Sample_set.merge_into (of_list zs) ~into:merged;
       let direct = of_list (xs @ ys @ zs) in
-      Stats.Sample_set.count merged = Stats.Sample_set.count direct
-      && bits (Stats.Sample_set.mean merged) = bits (Stats.Sample_set.mean direct))
+      let n = Stats.Sample_set.count direct in
+      let samples s = Array.init (Stats.Sample_set.count s) (Stats.Sample_set.get s) in
+      let expected = Array.map bits (samples direct) in
+      let same merged =
+        Stats.Sample_set.count merged = n
+        && Array.map bits (samples merged) = expected
+        && bits (Stats.Sample_set.mean merged) = bits (Stats.Sample_set.mean direct)
+        && List.for_all
+             (fun p ->
+               bits (Stats.Sample_set.percentile merged p)
+               = bits (Stats.Sample_set.percentile direct p))
+             [ 0.0; 50.0; 99.0; 100.0 ]
+      in
+      let concat parts = Stats.Sample_set.concat (Array.of_list (List.map of_list parts)) in
+      (* [same] sorts [direct] on its first percentile read. *)
+      let as_drawn = concat [ xs; ys; zs ]
+      and with_empties = concat [ []; xs; []; ys; zs; [] ]
+      and single = concat [ xs @ ys @ zs ] in
+      same as_drawn && same with_empties && same single
+      && Stats.Sample_set.count (Stats.Sample_set.concat [||]) = 0)
+
+(* [partition] gives each tag the set that adds its samples one by one,
+   part after part, bit for bit; wrong sizes are refused. *)
+let sample_set_partition_matches_adds =
+  QCheck.Test.make ~count:200 ~name:"sample_set: partition equals per-tag adds"
+    QCheck.(
+      pair
+        (list (pair (int_bound 2) (float_range (-1e6) 1e6)))
+        (list (pair (int_bound 2) (float_range (-1e6) 1e6))))
+    (fun (xs, ys) ->
+      let part l =
+        let s = Stats.Sample_set.create () in
+        List.iter (fun (_, x) -> Stats.Sample_set.add s x) l;
+        (s, Bytes.of_seq (Seq.map (fun (k, _) -> Char.chr k) (List.to_seq l)))
+      in
+      let (px, tx) = part xs and (py, ty) = part ys in
+      let direct k =
+        let s = Stats.Sample_set.create () in
+        List.iter (fun (k', x) -> if k' = k then Stats.Sample_set.add s x) (xs @ ys);
+        s
+      in
+      let sizes = Array.init 3 (fun k -> Stats.Sample_set.count (direct k)) in
+      let sets = Stats.Sample_set.partition [| px; py |] ~tags:[| tx; ty |] ~sizes in
+      let samples s =
+        Array.init (Stats.Sample_set.count s) (fun i -> bits (Stats.Sample_set.get s i))
+      in
+      let refused =
+        try
+          ignore
+            (Stats.Sample_set.partition [| px; py |] ~tags:[| tx; ty |]
+               ~sizes:(Array.map (fun n -> n + 1) sizes));
+          false
+        with Invalid_argument _ -> true
+      in
+      refused
+      && List.for_all
+           (fun k ->
+             let d = direct k in
+             samples sets.(k) = samples d
+             && bits (Stats.Sample_set.mean sets.(k)) = bits (Stats.Sample_set.mean d))
+           [ 0; 1; 2 ])
 
 let throughput_windows () =
   let t = Stats.Throughput.create ~window_ms:1000.0 in
@@ -248,4 +307,5 @@ let suite =
     Alcotest.test_case "series: windows" `Quick series_windows;
     QCheck_alcotest.to_alcotest sample_set_sort_matches_reference;
     QCheck_alcotest.to_alcotest sample_set_merge_mean_bit_identical;
+    QCheck_alcotest.to_alcotest sample_set_partition_matches_adds;
   ]

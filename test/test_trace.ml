@@ -273,6 +273,129 @@ let gateway_stream_shape () =
   let ratio = float_of_int !reads /. float_of_int (Array.length requests) in
   check bool "read ratio near 5%" true (ratio > 0.02 && ratio < 0.09)
 
+(* The list-built generators the buffered ones replaced, kept as the
+   reference: each conses a reversed list, then copies it out in time
+   order. *)
+module Reference = struct
+  open Trace.Workload
+
+  let of_reversed out = Array.of_list (List.rev out)
+
+  let gateway ~rng ~zipf ~key_name ~key_home ~n_clients ~rate_per_s ~duration_ms
+      ~home_affinity ~read_ratio =
+    let out = ref [] and t = ref 0.0 in
+    let rate = rate_per_s /. 1000.0 in
+    let continue = ref true in
+    while !continue do
+      t := !t +. Des.Rng.exponential rng ~rate;
+      if !t > duration_ms then continue := false
+      else begin
+        let key = Trace.Zipf.sample zipf rng in
+        let home = key_home key in
+        let site =
+          if Des.Rng.bool rng home_affinity then home else Des.Rng.int rng n_clients
+        in
+        let kind = if Des.Rng.bool rng read_ratio then Read else Acquire in
+        out := { time_ms = !t; site; kind; amount = 1; entity = key_name key } :: !out
+      end
+    done;
+    of_reversed !out
+
+  (* flash_sale's three segments and skew_ramp's phases alike. *)
+  let segments ~rng ~entity ~home ~n_clients list =
+    let out = ref [] and t = ref 0.0 in
+    List.iter
+      (fun (until_ms, rate_per_s, home_affinity) ->
+        let rate = rate_per_s /. 1000.0 in
+        let continue = ref true in
+        while !continue do
+          let next = !t +. Des.Rng.exponential rng ~rate in
+          if next > until_ms then begin
+            t := until_ms;
+            continue := false
+          end
+          else begin
+            t := next;
+            let site =
+              if Des.Rng.bool rng home_affinity then home else Des.Rng.int rng n_clients
+            in
+            out := { time_ms = !t; site; kind = Acquire; amount = 1; entity } :: !out
+          end
+        done)
+      list;
+    of_reversed !out
+end
+
+let fingerprint stream =
+  Array.map
+    (fun (r : Trace.Workload.request) ->
+      Printf.sprintf "%Ld %d %s %d %s"
+        (Int64.bits_of_float r.time_ms)
+        r.site
+        (match r.kind with
+        | Trace.Workload.Acquire -> "a"
+        | Trace.Workload.Release -> "r"
+        | Trace.Workload.Read -> "q")
+        r.amount r.entity)
+    stream
+  |> Array.to_list
+
+(* The buffered generators emit the reference's streams byte for byte,
+   over a few seeds, across several buffer doublings, and with a flash
+   sale whose first or middle segment is empty. *)
+let generators_match_reference () =
+  let streams = Alcotest.(list string) in
+  List.iter
+    (fun seed ->
+      let rng () = Des.Rng.stream seed 3 in
+      let zipf = Trace.Zipf.create 500 in
+      let key_name = Printf.sprintf "k%03d" and key_home r = r mod 3 in
+      check streams
+        (Printf.sprintf "gateway, seed %Ld" seed)
+        (fingerprint
+           (Reference.gateway ~rng:(rng ()) ~zipf ~key_name ~key_home ~n_clients:3
+              ~rate_per_s:2_000.0 ~duration_ms:5_000.0 ~home_affinity:0.8
+              ~read_ratio:0.05))
+        (fingerprint
+           (Trace.Workload.gateway ~rng:(rng ()) ~zipf ~key_name ~key_home ~n_clients:3
+              ~rate_per_s:2_000.0 ~duration_ms:5_000.0 ()));
+      List.iter
+        (fun (spike_start_ms, spike_end_ms) ->
+          check streams
+            (Printf.sprintf "flash_sale [%g, %g), seed %Ld" spike_start_ms spike_end_ms seed)
+            (fingerprint
+               (Reference.segments ~rng:(rng ()) ~entity:"sku" ~home:1 ~n_clients:4
+                  [
+                    (spike_start_ms, 300.0, 0.9);
+                    (spike_end_ms, 3_000.0, 0.9);
+                    (6_000.0, 300.0, 0.9);
+                  ]))
+            (fingerprint
+               (Trace.Workload.flash_sale ~rng:(rng ()) ~entity:"sku" ~home:1 ~n_clients:4
+                  ~base_rate_per_s:300.0 ~spike_rate_per_s:3_000.0 ~spike_start_ms
+                  ~spike_end_ms ~duration_ms:6_000.0 ())))
+        [ (2_000.0, 4_000.0); (0.0, 1_000.0); (3_000.0, 3_000.0) ];
+      let phases =
+        Trace.Workload.
+          [
+            { until_ms = 2_000.0; rate_per_s = 100.0; home_affinity = 0.2 };
+            { until_ms = 4_000.0; rate_per_s = 600.0; home_affinity = 0.7 };
+            { until_ms = 7_000.0; rate_per_s = 1_800.0; home_affinity = 0.95 };
+          ]
+      in
+      check streams
+        (Printf.sprintf "skew_ramp, seed %Ld" seed)
+        (fingerprint
+           (Reference.segments ~rng:(rng ()) ~entity:"hot" ~home:2 ~n_clients:5
+              (List.map
+                 (fun (p : Trace.Workload.ramp_phase) ->
+                   (p.until_ms, p.rate_per_s, p.home_affinity))
+                 phases)))
+        (fingerprint
+           (Trace.Workload.skew_ramp ~rng:(rng ()) ~entity:"hot" ~home:2 ~n_clients:5
+              ~phases ())))
+    [ 1L; 7L; 21L; 99L ]
+
 let suite =
   [
     Alcotest.test_case "trace: deterministic" `Quick generator_deterministic;
@@ -293,4 +416,6 @@ let suite =
     Alcotest.test_case "zipf: empirical frequency" `Quick zipf_sample_tracks_probability;
     Alcotest.test_case "zipf: validation" `Quick zipf_validation;
     Alcotest.test_case "workload: gateway stream shape" `Quick gateway_stream_shape;
+    Alcotest.test_case "workload: generators match the list-built reference" `Quick
+      generators_match_reference;
   ]
