@@ -106,12 +106,10 @@ let heal t kind =
   | Nemesis.Latency_spike { src; dst; _ } -> refresh_latency t ~src ~dst
   | Nemesis.Duplication _ -> refresh_duplication t
 
-(* [schedule_at] is the caller's scheduling slot: a plain engine
-   [schedule_at] on a legacy system, the facade's barrier-aligned
-   [schedule_global] on a region-sharded one (every fault mutates state
-   all lanes read, so it must run between windows there). *)
-let install ?on_fault ~schedule_at ~network ~crash ~recover
-    (schedule : Nemesis.schedule) =
+(* [schedule_at] is the caller's scheduling slot: the facade's
+   barrier-aligned [schedule_global] (every fault mutates state all lanes
+   read, so it must run between windows). *)
+let install ~schedule_at ~network ~crash ~recover (schedule : Nemesis.schedule) =
   let t = create ~network ~crash ~recover () in
   List.iter
     (fun (fault : Nemesis.fault) ->
@@ -120,12 +118,10 @@ let install ?on_fault ~schedule_at ~network ~crash ~recover
       schedule_at ~time_ms:fault.Nemesis.at_ms (fun () ->
           t.injected <- t.injected + 1;
           t.active <- (id, fault.Nemesis.kind) :: t.active;
-          start t fault.Nemesis.kind;
-          match on_fault with Some f -> f fault `Inject | None -> ());
+          start t fault.Nemesis.kind);
       schedule_at ~time_ms:fault.Nemesis.heal_ms (fun () ->
           t.healed <- t.healed + 1;
           t.active <- List.filter (fun (i, _) -> i <> id) t.active;
-          heal t fault.Nemesis.kind;
-          match on_fault with Some f -> f fault `Heal | None -> ()))
+          heal t fault.Nemesis.kind))
     schedule.Nemesis.faults;
   t

@@ -11,7 +11,6 @@
 type 'msg t
 
 val install :
-  ?on_fault:(Nemesis.fault -> [ `Inject | `Heal ] -> unit) ->
   schedule_at:(time_ms:float -> (unit -> unit) -> unit) ->
   network:'msg Geonet.Network.t ->
   crash:(int -> unit) ->
@@ -19,11 +18,9 @@ val install :
   Nemesis.schedule ->
   'msg t
 (** Schedules every fault's injection and heal through [schedule_at] —
-    pass {!Des.Engine.schedule_at} on a legacy system or the facade's
-    barrier-aligned [schedule_global] on a sharded one (faults mutate
+    pass the facade's barrier-aligned [schedule_global] (faults mutate
     state every lane reads). [crash] and [recover] act on site indices
-    (wire to {!Samya.Cluster.crash_site} / [recover_site]); [on_fault]
-    observes both edges of every fault. *)
+    (wire to {!Samya.Cluster.crash_site} / [recover_site]). *)
 
 val injected : _ t -> int
 val healed : _ t -> int

@@ -111,7 +111,3 @@ let resend_pending t =
 let pending_count t = Hashtbl.length t.pending
 
 let commit_index t = t.commit_index
-
-let log_length t = Storage.Wal.length t.log
-
-let log_entry t i = Storage.Wal.get t.log i

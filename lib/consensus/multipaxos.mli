@@ -46,7 +46,3 @@ val pending_count : 'c t -> int
 
 val commit_index : 'c t -> int
 (** Index of the last committed entry; [-1] when none. *)
-
-val log_length : 'c t -> int
-
-val log_entry : 'c t -> int -> 'c

@@ -22,7 +22,6 @@ type 'c t = {
   timeout_range : float * float;
   heartbeat_ms : float;
   on_apply : (int -> 'c -> unit) option;
-  on_leader_change : (bool -> unit) option;
   rng : Des.Rng.t;
   log : 'c entry Storage.Wal.t;
   mutable term : int;
@@ -41,7 +40,7 @@ type 'c t = {
 }
 
 let create ~engine ~id ~nodes ~send ?(election_timeout_ms = (150.0, 300.0))
-    ?heartbeat_ms ?on_apply ?on_leader_change () =
+    ?heartbeat_ms ?on_apply () =
   let heartbeat_ms =
     Option.value heartbeat_ms ~default:(fst election_timeout_ms /. 3.0)
   in
@@ -53,7 +52,6 @@ let create ~engine ~id ~nodes ~send ?(election_timeout_ms = (150.0, 300.0))
     timeout_range = election_timeout_ms;
     heartbeat_ms;
     on_apply;
-    on_leader_change;
     rng = Des.Rng.split (Des.Engine.rng engine);
     log = Storage.Wal.create ();
     term = 0;
@@ -89,9 +87,6 @@ let apply_committed t =
     | Some f -> f t.applied (Storage.Wal.get t.log t.applied).command
     | None -> ()
   done
-
-let notify_leader_change t now_leader =
-  match t.on_leader_change with Some f -> f now_leader | None -> ()
 
 let rec arm_election_timer t =
   cancel_timer t.election_timer;
@@ -130,7 +125,6 @@ and become_leader t =
       Hashtbl.replace t.next_index node next;
       Hashtbl.replace t.match_index node (-1))
     (peers t);
-  notify_leader_change t true;
   send_heartbeats t;
   arm_heartbeat_timer t
 
@@ -165,13 +159,11 @@ and send_append t node =
 and send_heartbeats t = List.iter (send_append t) (peers t)
 
 let step_down t new_term =
-  let was_leader = t.role = Leader in
   t.term <- new_term;
   t.role <- Follower;
   t.voted_for <- None;
   cancel_timer t.heartbeat_timer;
   t.heartbeat_timer <- None;
-  if was_leader then notify_leader_change t false;
   arm_election_timer t
 
 let advance_leader_commit t =
@@ -307,10 +299,7 @@ let submit t command ~on_commit =
 let role t = t.role
 let is_leader t = t.role = Leader
 let current_term t = t.term
-let leader_hint t = t.leader
 let commit_index t = t.commit_index
-let log_length t = Storage.Wal.length t.log
-let log_entry t i = Storage.Wal.get t.log i
 
 let pause t =
   t.paused <- true;
@@ -318,7 +307,6 @@ let pause t =
   cancel_timer t.heartbeat_timer;
   t.election_timer <- None;
   t.heartbeat_timer <- None;
-  if t.role = Leader then notify_leader_change t false;
   t.role <- Follower;
   t.leader <- None;
   Hashtbl.reset t.waiters

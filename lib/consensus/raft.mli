@@ -39,7 +39,6 @@ val create :
   ?election_timeout_ms:float * float ->
   ?heartbeat_ms:float ->
   ?on_apply:(int -> 'c -> unit) ->
-  ?on_leader_change:(bool -> unit) ->
   unit ->
   'c t
 (** [election_timeout_ms] is the (min, max) randomization range (default
@@ -61,12 +60,8 @@ val submit : 'c t -> 'c -> on_commit:(unit -> unit) -> (int, int option) result
 val role : 'c t -> role
 val is_leader : 'c t -> bool
 val current_term : 'c t -> int
-val leader_hint : 'c t -> int option
 val commit_index : 'c t -> int
 (** [-1] when nothing is committed. *)
-
-val log_length : 'c t -> int
-val log_entry : 'c t -> int -> 'c entry
 
 val pause : 'c t -> unit
 (** Crash: cancels timers and ignores messages until {!resume}. Durable

@@ -127,8 +127,6 @@ let pop t =
     Some (key, pop_unsafe t)
   end
 
-let peek t = if t.size = 0 then None else Some (t.keys.(0), t.values.(t.slots.(0)))
-
 (* Batched drains: the per-event [is_empty]/[min_key] probing of a
    caller-side loop collapses into one bounds-checked root read per
    iteration. [f] may push back into the heap (events scheduling events);
@@ -154,11 +152,3 @@ let drain_to t ~limit f =
       if key <= limit then f key (pop_unsafe t) else running := false
     end
   done
-
-let clear t =
-  t.keys <- [||];
-  t.seqs <- [||];
-  t.slots <- [||];
-  t.values <- [||];
-  t.size <- 0;
-  t.next_seq <- 0

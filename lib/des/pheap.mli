@@ -61,8 +61,3 @@ val drain_below : 'a t -> limit:float -> (float -> 'a -> unit) -> unit
 
 val drain_to : 'a t -> limit:float -> (float -> 'a -> unit) -> unit
 (** Inclusive variant of {!drain_below}: drains keys [<= limit]. *)
-
-val peek : 'a t -> (float * 'a) option
-(** Like {!pop} without removal. *)
-
-val clear : 'a t -> unit

@@ -23,8 +23,6 @@ let all =
 let default_five =
   [ Us_west1; Asia_east2; Europe_west2; Australia_southeast1; Southamerica_east1 ]
 
-let multipax_five = [ Us_west1; Us_central1; Us_east1; Asia_east2; Europe_west2 ]
-
 let index = function
   | Us_west1 -> 0
   | Us_central1 -> 1

@@ -27,9 +27,6 @@ val all : t list
 val default_five : t list
 (** The five regions used by most experiments, in the paper's order. *)
 
-val multipax_five : t list
-(** Placement used for MultiPaxSys: three US regions plus Asia and Europe. *)
-
 val rtt_ms : t -> t -> float
 (** Symmetric inter-region round-trip time. Within a region the RTT models
     zone-local networking (~1 ms). *)

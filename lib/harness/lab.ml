@@ -102,8 +102,7 @@ let runtime_forecaster t =
 let mix_seed seed i = Int64.add seed (Int64.of_int ((i + 1) * 7_919))
 
 let workload t ~client_regions ~duration_ms ?(compress = 60) ?(read_ratio = 0.0)
-    ?(demand_scale = 1.0) ?usage_scale ?(start_hours = 0.0) ~seed () =
-  let usage_scale = Option.value usage_scale ~default:demand_scale in
+    ?(usage_scale = 1.0) ?(start_hours = 0.0) ~seed () =
   let interval_ms = t.base.Trace.Azure_trace.interval_s *. 1000.0 /. float_of_int compress in
   let intervals = int_of_float (Float.ceil (duration_ms /. interval_ms)) in
   let start_interval = int_of_float (Float.round (start_hours *. 12.0)) in
@@ -115,7 +114,6 @@ let workload t ~client_regions ~duration_ms ?(compress = 60) ?(read_ratio = 0.0)
              {
                t.params with
                Trace.Azure_trace.seed = mix_seed seed client;
-               mean_demand = t.params.Trace.Azure_trace.mean_demand *. demand_scale;
                usage_level = t.params.Trace.Azure_trace.usage_level *. usage_scale;
                usage_swing = t.params.Trace.Azure_trace.usage_swing *. usage_scale;
                usage_growth_per_day =

@@ -27,7 +27,6 @@ val workload :
   duration_ms:float ->
   ?compress:int ->
   ?read_ratio:float ->
-  ?demand_scale:float ->
   ?usage_scale:float ->
   ?start_hours:float ->
   seed:int64 ->
@@ -35,10 +34,10 @@ val workload :
   Trace.Workload.request array
 (** One request stream per client index (phase-shifted to its region,
     §5.1.2), merged and time-sorted. [compress] is the interval shrink
-    factor (default 60: 5 min → 5 s). [demand_scale] scales the per-client
-    churn volume; [usage_scale] (default [demand_scale]) scales the net
-    usage footprint independently — the scalability experiment adds sites
-    with full request intensity but proportionally smaller footprints so
-    the aggregate stays comparable to the limit. [start_hours] skips into
+    factor (default 60: 5 min → 5 s). [usage_scale] (default 1) scales the
+    net usage footprint but not the churn volume — the scalability
+    experiment adds sites with full request intensity but proportionally
+    smaller footprints so the aggregate stays comparable to the limit.
+    [start_hours] skips into
     the original trace (quick runs start near the daily peak so contention
     appears within a short window). *)

@@ -30,8 +30,6 @@ let info t node =
   if node < 0 || node >= Array.length t.units then invalid_arg "Org: unknown node";
   t.units.(node)
 
-let node_name t node = (info t node).name
-
 let add_unit t ~parent ~name ?limit () =
   let _ = info t parent in
   (match limit with

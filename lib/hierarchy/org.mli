@@ -34,8 +34,6 @@ val add_unit : t -> parent:node -> name:string -> ?limit:int -> unit -> node
     pure grouping node. Raises [Invalid_argument] on duplicate names under
     one parent or non-positive limits. *)
 
-val node_name : t -> node -> string
-
 val path : t -> node -> string
 (** Slash-separated path from the root, e.g. ["eCommerce.com/retail/clothing"]. *)
 

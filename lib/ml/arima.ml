@@ -1,8 +1,7 @@
 type model = {
   p : int;
   d : int;
-  seasonal_lag : int; (* 0 = none *)
-  beta : float array; (* intercept :: AR coefficients (:: seasonal) *)
+  beta : float array; (* intercept :: AR coefficients *)
 }
 
 let rec difference times xs = if times = 0 then xs else difference (times - 1) (Stats.Series.diff xs)
@@ -10,29 +9,24 @@ let rec difference times xs = if times = 0 then xs else difference (times - 1) (
 (* Regressor vector for predicting the step after position [t] (inclusive
    end of history) of the differenced series [z]. *)
 let regressors model z t =
-  let terms = 1 + model.p + if model.seasonal_lag > 0 then 1 else 0 in
-  let row = Array.make terms 1.0 in
+  let row = Array.make (1 + model.p) 1.0 in
   for i = 1 to model.p do
     row.(i) <- z.(t - i + 1)
   done;
-  if model.seasonal_lag > 0 then row.(terms - 1) <- z.(t - model.seasonal_lag + 1);
   row
 
-let fit ?(p = 3) ?(d = 1) ?(seasonal_lag = 0) series =
+let fit ?(p = 3) ?(d = 1) series =
   if p < 1 then invalid_arg "Arima.fit: p must be >= 1";
   if d < 0 then invalid_arg "Arima.fit: d must be >= 0";
-  if seasonal_lag < 0 then invalid_arg "Arima.fit: seasonal lag must be >= 0";
-  let needed = p + d + seasonal_lag + 2 in
-  if Array.length series < needed then invalid_arg "Arima.fit: series too short";
-  let model0 = { p; d; seasonal_lag; beta = [||] } in
+  if Array.length series < p + d + 2 then invalid_arg "Arima.fit: series too short";
+  let model0 = { p; d; beta = [||] } in
   let z = difference d series in
-  let max_lag = max p seasonal_lag in
   let n = Array.length z in
-  let terms = 1 + p + if seasonal_lag > 0 then 1 else 0 in
+  let terms = 1 + p in
   (* Normal equations with a small ridge for numerical stability. *)
   let xtx = Matrix.create terms terms in
   let xty = Array.make terms 0.0 in
-  for t = max_lag - 1 to n - 2 do
+  for t = p - 1 to n - 2 do
     let row = regressors model0 z t in
     let y = z.(t + 1) in
     for i = 0 to terms - 1 do
@@ -48,14 +42,11 @@ let fit ?(p = 3) ?(d = 1) ?(seasonal_lag = 0) series =
   let beta = Matrix.solve xtx xty in
   { model0 with beta }
 
-let order model = (model.p, model.d)
-
 let coefficients model = Array.copy model.beta
 
 let predict_next model history =
   let n = Array.length history in
-  let max_lag = max model.p model.seasonal_lag in
-  if n < model.d + max_lag + 1 then (if n = 0 then 0.0 else history.(n - 1))
+  if n < model.d + model.p + 1 then (if n = 0 then 0.0 else history.(n - 1))
   else begin
     let z = difference model.d history in
     let zn = Array.length z in
@@ -77,5 +68,5 @@ let predict_next model history =
 let forecaster model =
   Forecaster.of_fn
     ~name:(Printf.sprintf "arima(%d,%d,0)" model.p model.d)
-    ~min_history:(model.d + max model.p model.seasonal_lag + 1)
+    ~min_history:(model.d + model.p + 1)
     (predict_next model)

@@ -6,8 +6,6 @@ type t = {
 
 let of_fn ~name ?(min_history = 1) predict = { name; min_history; predict }
 
-let constant v = { name = "constant"; min_history = 0; predict = (fun _ -> v) }
-
 let rolling_eval t ~train ~test =
   let n_test = Array.length test in
   let history = Array.make (Array.length train + n_test) 0.0 in

@@ -3,7 +3,7 @@
     The paper's Prediction Module is pluggable; this type is the plug. A
     forecaster maps a demand history (one value per epoch, oldest first) to
     a prediction for the next epoch. Implementations: {!Random_walk},
-    {!Arima}, {!Lstm}, plus test oracles built with {!constant} / {!of_fn}. *)
+    {!Arima}, {!Lstm}, plus test oracles built with {!of_fn}. *)
 
 type t = {
   name : string;
@@ -14,10 +14,6 @@ type t = {
 }
 
 val of_fn : name:string -> ?min_history:int -> (float array -> float) -> t
-
-val constant : float -> t
-(** Always predicts the given value — useful as a pessimistic / optimistic
-    oracle in tests and ablations. *)
 
 val rolling_eval : t -> train:float array -> test:float array -> float array
 (** One-step rolling forecast over [test]: the i-th prediction sees

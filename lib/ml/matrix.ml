@@ -37,8 +37,6 @@ let cols m = m.cols
 let get m i j = m.data.((i * m.cols) + j)
 let set m i j v = m.data.((i * m.cols) + j) <- v
 
-let copy m = { m with data = Array.copy m.data }
-
 let matmul a b =
   if a.cols <> b.rows then invalid_arg "Matrix.matmul: dimension mismatch";
   let out = create a.rows b.cols in
@@ -81,7 +79,6 @@ let zip_with op a b =
 
 let add a b = zip_with ( +. ) a b
 let sub a b = zip_with ( -. ) a b
-let hadamard a b = zip_with ( *. ) a b
 
 let scale k m = { m with data = Array.map (fun x -> k *. x) m.data }
 
@@ -93,13 +90,6 @@ let add_in_place acc m =
   for i = 0 to Array.length acc.data - 1 do
     acc.data.(i) <- acc.data.(i) +. m.data.(i)
   done
-
-let scale_in_place k m =
-  for i = 0 to Array.length m.data - 1 do
-    m.data.(i) <- k *. m.data.(i)
-  done
-
-let fill m v = Array.fill m.data 0 (Array.length m.data) v
 
 let outer u v =
   let m = create (Array.length u) (Array.length v) in

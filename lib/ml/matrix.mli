@@ -22,8 +22,6 @@ val cols : t -> int
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 
-val copy : t -> t
-
 val matmul : t -> t -> t
 (** Raises [Invalid_argument] on dimension mismatch. *)
 
@@ -37,17 +35,11 @@ val transpose : t -> t
 
 val add : t -> t -> t
 val sub : t -> t -> t
-val hadamard : t -> t
- -> t
 val scale : float -> t -> t
 val map : (float -> float) -> t -> t
 
 val add_in_place : t -> t -> unit
 (** [add_in_place acc m]: [acc <- acc + m]. *)
-
-val scale_in_place : float -> t -> unit
-
-val fill : t -> float -> unit
 
 val outer : float array -> float array -> t
 (** [outer u v] is the [|u| x |v|] rank-one product. *)

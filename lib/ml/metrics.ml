@@ -19,24 +19,3 @@ let rmse ~actual ~predicted =
     acc := !acc +. ((actual.(i) -. predicted.(i)) ** 2.0)
   done;
   sqrt (!acc /. float_of_int n)
-
-let mape ~actual ~predicted =
-  let n = check actual predicted in
-  let acc = ref 0.0 and used = ref 0 in
-  for i = 0 to n - 1 do
-    if actual.(i) <> 0.0 then begin
-      acc := !acc +. Float.abs ((actual.(i) -. predicted.(i)) /. actual.(i));
-      incr used
-    end
-  done;
-  if !used = 0 then nan else 100.0 *. !acc /. float_of_int !used
-
-let smape ~actual ~predicted =
-  let n = check actual predicted in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    let denom = (Float.abs actual.(i) +. Float.abs predicted.(i)) /. 2.0 in
-    if denom > 0.0 then
-      acc := !acc +. (Float.abs (actual.(i) -. predicted.(i)) /. denom)
-  done;
-  100.0 *. !acc /. float_of_int n

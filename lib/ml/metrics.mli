@@ -5,9 +5,3 @@ val mae : actual:float array -> predicted:float array -> float
     empty input. *)
 
 val rmse : actual:float array -> predicted:float array -> float
-
-val mape : actual:float array -> predicted:float array -> float
-(** Mean absolute percentage error; zero actuals are skipped. *)
-
-val smape : actual:float array -> predicted:float array -> float
-(** Symmetric MAPE in [\[0, 200\]]. *)

@@ -4,14 +4,3 @@ let last_or_zero history =
 
 let forecaster () =
   Forecaster.of_fn ~name:"random-walk" ~min_history:1 last_or_zero
-
-let with_drift () =
-  let predict history =
-    let n = Array.length history in
-    if n < 2 then last_or_zero history
-    else begin
-      let drift = (history.(n - 1) -. history.(0)) /. float_of_int (n - 1) in
-      history.(n - 1) +. drift
-    end
-  in
-  Forecaster.of_fn ~name:"random-walk-drift" ~min_history:2 predict

@@ -2,6 +2,3 @@
     last observed value. The paper's baseline model in Table 2a. *)
 
 val forecaster : unit -> Forecaster.t
-
-val with_drift : unit -> Forecaster.t
-(** Adds the mean historical step — random walk with drift. *)

@@ -26,5 +26,3 @@ let transform t x = (x -. t.shift) /. t.span
 let inverse t y = (y *. t.span) +. t.shift
 
 let transform_array t xs = Array.map (transform t) xs
-
-let inverse_array t xs = Array.map (inverse t) xs

@@ -19,5 +19,3 @@ val inverse : t -> float -> float
 (** [inverse t (transform t x) = x] up to rounding. *)
 
 val transform_array : t -> float array -> float array
-
-val inverse_array : t -> float array -> float array

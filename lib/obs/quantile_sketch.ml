@@ -50,8 +50,6 @@ let add t v =
   end
 
 let count t = t.count
-let min_value t = t.min
-let max_value t = t.max
 
 let pick_min a b =
   if Float.is_nan a then b else if Float.is_nan b then a else Float.min a b

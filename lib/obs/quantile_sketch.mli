@@ -32,11 +32,6 @@ val equal : t -> t -> bool
 
 val count : t -> int
 
-val min_value : t -> float
-(** [nan] while empty, likewise {!max_value}. *)
-
-val max_value : t -> float
-
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [[0,1]]; nearest-rank on the bucket
     cumulative counts, reported as the bucket's upper bound clamped into

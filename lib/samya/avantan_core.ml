@@ -37,11 +37,15 @@ type env = {
   on_outcome : Protocol.outcome -> unit;
   on_event : event -> unit;
   persist : unit -> unit;
-  election_timeout_ms : float;
-  accept_timeout_ms : float;
-  cohort_timeout_ms : float;
-  status_retry_ms : float;
 }
+
+(* Protocol timers, tuned for the five-region topology: each sits well
+   above the worst one-way WAN latency (~150 ms). The cohort's failure
+   detector must outlast the leader's election patience. *)
+let election_timeout_ms = 800.0 (* leader phase-1 patience *)
+let accept_timeout_ms = 800.0 (* leader phase-2 retry period *)
+let cohort_timeout_ms = 2_500.0 (* cohort's leader-failure detector *)
+let status_retry_ms = 1_000.0 (* Avantan[*] Status-Query retry while blocked *)
 
 (* What a cohort tells a prospective leader; the leader's own state is
    stored in the same form. Policies without carried accept state leave
@@ -457,7 +461,7 @@ let rec start t =
        amnesiac restart could reuse it for a different instance. *)
     t.env.persist ();
     broadcast t (Protocol.Election_get_value { bal = t.ballot; scope = t.scope });
-    arm_timer t t.env.election_timeout_ms (fun () -> on_election_timeout t);
+    arm_timer t election_timeout_ms (fun () -> on_election_timeout t);
     (* Degenerate single-site system: we are our own quorum. *)
     try_construct t
   end
@@ -532,7 +536,7 @@ and construct t bal responses =
     let accept = Protocol.Accept_value { bal; value; decision = false } in
     if t.pol.scope_to_participants then send_members t value accept
     else broadcast t accept;
-    arm_timer t t.env.accept_timeout_ms (fun () -> on_accept_timeout t);
+    arm_timer t accept_timeout_ms (fun () -> on_accept_timeout t);
     try_decide t
   end
 
@@ -559,7 +563,7 @@ and on_accept_timeout t =
               t.env.send site (Protocol.Accept_value { bal; value; decision = false }))
           (members value)
       else broadcast t (Protocol.Accept_value { bal; value; decision = false });
-      arm_timer t t.env.accept_timeout_ms (fun () -> on_accept_timeout t)
+      arm_timer t accept_timeout_ms (fun () -> on_accept_timeout t)
   | Leading_election _ | Cohort_waiting _ | Cohort_accepted _ | Recovering _ | Idle -> ()
 
 and try_decide t =
@@ -592,7 +596,7 @@ and on_cohort_timeout t =
           let replies = Hashtbl.create 8 in
           t.phase <- Recovering { bal; value; replies };
           send_members t value (Protocol.Status_query { bal });
-          arm_timer t t.env.status_retry_ms (fun () -> on_status_retry t)
+          arm_timer t status_retry_ms (fun () -> on_status_retry t)
       | Recovering _ | Leading_election _ | Leading_accept _ | Idle -> ())
 
 and on_status_retry t =
@@ -603,7 +607,7 @@ and on_status_retry t =
           if site <> t.env.self && not (Hashtbl.mem replies site) then
             t.env.send site (Protocol.Status_query { bal }))
         (members value);
-      arm_timer t t.env.status_retry_ms (fun () -> on_status_retry t)
+      arm_timer t status_retry_ms (fun () -> on_status_retry t)
   | Cohort_waiting _ | Cohort_accepted _ | Leading_election _ | Leading_accept _ | Idle
     ->
       ()
@@ -675,7 +679,7 @@ let restore t (image : image) =
            timeout interrogates the participant set as usual. *)
         let leader = value.Protocol.origin.Ballot.site in
         t.phase <- Cohort_accepted { bal = image.i_accept_num; leader; value };
-        arm_timer t t.env.cohort_timeout_ms (fun () -> on_cohort_timeout t)
+        arm_timer t cohort_timeout_ms (fun () -> on_cohort_timeout t)
     | None -> ()
 
 let status_for t ~bal =
@@ -725,7 +729,7 @@ let handle t ~src msg =
                accept_num = report.r_accept_num;
                decision = report.r_decision;
              });
-        arm_timer t t.env.cohort_timeout_ms (fun () -> on_cohort_timeout t)
+        arm_timer t cohort_timeout_ms (fun () -> on_cohort_timeout t)
       end
       else if t.pol.busy_cohort_rejects then
         t.env.send src (Protocol.Election_reject { bal = t.ballot })
@@ -788,7 +792,7 @@ let handle t ~src msg =
           else begin
             t.phase <- Cohort_accepted { bal; leader = src; value };
             t.env.on_event (Value_accepted { ballot = bal; leader = src });
-            arm_timer t t.env.cohort_timeout_ms (fun () -> on_cohort_timeout t)
+            arm_timer t cohort_timeout_ms (fun () -> on_cohort_timeout t)
           end
         end
         else
@@ -806,7 +810,7 @@ let handle t ~src msg =
             t.env.on_event (Value_accepted { ballot = bal; leader = src });
             t.env.persist ();
             t.env.send src (Protocol.Accept_ok { bal });
-            arm_timer t t.env.cohort_timeout_ms (fun () -> on_cohort_timeout t)
+            arm_timer t cohort_timeout_ms (fun () -> on_cohort_timeout t)
         | Cohort_accepted { bal = b; leader; _ } when Ballot.equal b bal && leader = src
           ->
             (* Duplicate (leader retrying): re-ack. *)

@@ -81,11 +81,11 @@ type env = {
           {e before} the message that reveals the change is sent — the
           Paxos write-ahead discipline. The site wires this to its durable
           image under crash-amnesia; use [ignore] for the freeze model. *)
-  election_timeout_ms : float;
-  accept_timeout_ms : float;
-  cohort_timeout_ms : float;
-  status_retry_ms : float;  (** Status-Query retry period while blocked *)
 }
+(** The protocol timers are constants of the implementation (DESIGN.md
+    §3.1): election and accept patience 800 ms, the cohort's
+    leader-failure detector 2,500 ms, the Avantan[*] Status-Query retry
+    1,000 ms. *)
 
 (** {1 Quorum policy} *)
 

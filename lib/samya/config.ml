@@ -146,13 +146,8 @@ type t = {
   prediction_enabled : bool;
   enforce_constraint : bool;
   redistribution_cooldown_ms : float;
-  election_timeout_ms : float;
-  accept_timeout_ms : float;
-  cohort_timeout_ms : float;
-  status_retry_ms : float;
   local_processing_ms : float;
   decided_log_retention : int;
-  reallocation_policy : Reallocation.policy;
   amnesia_on_crash : bool;
   durability_sync : Storage.Durable.sync_policy;
   entity_shards : int;
@@ -170,13 +165,8 @@ let default =
     prediction_enabled = true;
     enforce_constraint = true;
     redistribution_cooldown_ms = 2_000.0;
-    election_timeout_ms = 800.0;
-    accept_timeout_ms = 800.0;
-    cohort_timeout_ms = 2_500.0;
-    status_retry_ms = 1_000.0;
     local_processing_ms = 0.15;
     decided_log_retention = 1_024;
-    reallocation_policy = Reallocation.default_policy;
     amnesia_on_crash = false;
     durability_sync = Storage.Durable.Sync_always;
     entity_shards = 1;
@@ -188,29 +178,11 @@ let default =
     controller = Controller.default;
   }
 
-(* Every protocol timer is armed on the DES heap, which does not check
-   times: a NaN delay silently breaks heap order, so each is refused here. *)
+(* The CPU and cooldown times are armed on the DES heap, which does not
+   check times: a NaN delay silently breaks heap order, so each is refused
+   here. *)
 let validate t =
-  if not (positive_finite t.election_timeout_ms) then
-    Error
-      (Printf.sprintf "election_timeout_ms must be positive and finite (got %g)"
-         t.election_timeout_ms)
-  else if not (positive_finite t.accept_timeout_ms) then
-    Error
-      (Printf.sprintf "accept_timeout_ms must be positive and finite (got %g)"
-         t.accept_timeout_ms)
-  else if
-    not (positive_finite t.cohort_timeout_ms && t.cohort_timeout_ms > t.election_timeout_ms)
-  then
-    Error
-      (Printf.sprintf
-         "cohort_timeout_ms must be finite and exceed the election timeout (got %g): it is the cohort's leader-failure detector"
-         t.cohort_timeout_ms)
-  else if not (positive_finite t.status_retry_ms) then
-    Error
-      (Printf.sprintf "status_retry_ms must be positive and finite (got %g)"
-         t.status_retry_ms)
-  else if not (non_negative_finite t.local_processing_ms) then
+  if not (non_negative_finite t.local_processing_ms) then
     Error
       (Printf.sprintf "local_processing_ms must be >= 0 and finite (got %g)"
          t.local_processing_ms)

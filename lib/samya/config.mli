@@ -116,10 +116,6 @@ type t = {
   redistribution_cooldown_ms : float;
       (** minimum spacing between redistributions triggered by one site —
           guards against redistribution storms under global scarcity *)
-  election_timeout_ms : float;  (** leader phase-1 patience *)
-  accept_timeout_ms : float;  (** leader phase-2 retry period *)
-  cohort_timeout_ms : float;  (** cohort's leader-failure detector *)
-  status_retry_ms : float;  (** Avantan[*] recovery retry period *)
   local_processing_ms : float;  (** CPU cost to serve one request locally *)
   decided_log_retention : int;
       (** how many decided values each site keeps per entity (newest
@@ -128,9 +124,6 @@ type t = {
           its own crash window, so recovery replays correctly as long as
           fewer than this many instances decide while a peer is down;
           older entries are dropped to bound site state. *)
-  reallocation_policy : Reallocation.policy;
-      (** the pluggable Redistribution Module (§4.4); must be identical at
-          every site, since participants compute the outcome locally *)
   amnesia_on_crash : bool;
       (** failure model. [false] (default) is the historical freeze model:
           a crashed site keeps its in-memory state and resumes from it —
@@ -173,13 +166,14 @@ type t = {
 }
 
 val default : t
-(** Tuned for the five-region GCP-like topology: timeouts comfortably above
-    the worst one-way latency (~150 ms). Byte-compatible with the pre-grouping
-    flat defaults: every sub-record default reproduces the old flat values. *)
+(** Tuned for the five-region GCP-like topology. Byte-compatible with the
+    pre-grouping flat defaults: every sub-record default reproduces the old
+    flat values. The Avantan timers are not settable; they are constants of
+    {!Avantan_core} (DESIGN.md §3.1). *)
 
 val validate : t -> (unit, string) result
 (** Rejects inconsistent settings with an explanatory message; the
     overload knobs are NaN-safe (a NaN budget or target is rejected, not
-    silently treated as disabled), and so are the protocol timers and
-    the CPU and cooldown times, which the event heap would otherwise
-    accept as NaN. Delegates to the sub-record validators. *)
+    silently treated as disabled), and so are the CPU and cooldown times,
+    which the event heap would otherwise accept as NaN. Delegates to the
+    sub-record validators. *)

@@ -224,5 +224,3 @@ let pin t (ctx : Entity_state.t) policy =
   | Config.Controller.Static m -> ctx.Entity_state.ctl_mech <- m
   | Config.Controller.Adaptive -> ());
   ignore t
-
-let pinned (ctx : Entity_state.t) = ctx.Entity_state.ctl_pinned

@@ -96,5 +96,3 @@ val pin : t -> Entity_state.t -> Config.Controller.policy -> unit
     topology): a static pin switches the entity to that mechanism
     immediately and freezes it; an adaptive pin re-enables the state
     machine. *)
-
-val pinned : Entity_state.t -> Config.Controller.policy option

@@ -74,5 +74,3 @@ let current_epoch_demand t =
 let current_epoch_peak t =
   roll t;
   t.current.peak
-
-let epoch_index t = epoch_of t

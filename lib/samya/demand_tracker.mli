@@ -26,6 +26,3 @@ val current_epoch_demand : t -> float
 (** Demand accumulated so far in the not-yet-complete epoch. *)
 
 val current_epoch_peak : t -> float
-
-val epoch_index : t -> int
-(** Index of the current epoch (floor(now / epoch_ms)). *)

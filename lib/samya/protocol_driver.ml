@@ -81,10 +81,7 @@ let apply_group t (ctx : Entity_state.t) ~origin (g : Protocol.group) =
     in
     match mine with
     | Some init_entry ->
-        let grants =
-          Reallocation.redistribute_with t.config.Config.reallocation_policy
-            g.Protocol.g_entries
-        in
+        let grants = Reallocation.redistribute g.Protocol.g_entries in
         let grant =
           List.find (fun (g : Reallocation.grant) -> g.site = t.site_id) grants
         in
@@ -265,10 +262,6 @@ let open_channel t ch =
       on_outcome = (fun outcome -> on_outcome t ch outcome);
       on_event = (fun event -> t.on_event ch.label event);
       persist = (fun () -> Option.iter t.persist ch.owner);
-      election_timeout_ms = t.config.Config.election_timeout_ms;
-      accept_timeout_ms = t.config.Config.accept_timeout_ms;
-      cohort_timeout_ms = t.config.Config.cohort_timeout_ms;
-      status_retry_ms = t.config.Config.status_retry_ms;
     }
 
 let create ~config ~engine ~site_id ~n_sites ~entities ~send ~set_timer

@@ -17,8 +17,9 @@
 
     Decision application is idempotent per (entity, instance)
     (origin-keyed) and conserving under races: each site moves its own
-    tokens by the delta between its InitVal contribution and the grant the
-    reallocation policy computes from the decided group. *)
+    tokens by the delta between its InitVal contribution and the grant
+    Algorithm 2 ({!Reallocation.redistribute}) computes from the decided
+    group. *)
 
 type t
 

@@ -21,10 +21,26 @@ let validate entries =
       Hashtbl.replace seen e.site ())
     entries
 
-(* Shared allocation tail: grant [granted_of e] to each entry, then split
-   the leftover pool equally with the integer remainder assigned in
-   ascending site order so tokens are conserved exactly. *)
-let allocate entries ~pool ~granted_of ~satisfied_of =
+(* Algorithm 2: reject ascending by wanted until demand fits the pool,
+   grant every surviving request in full, then split the leftover pool
+   equally with the integer remainder assigned in ascending site order so
+   tokens are conserved exactly. *)
+let redistribute entries =
+  validate entries;
+  let pool = spare entries in
+  let by_wanted =
+    List.sort (fun a b -> compare (a.tokens_wanted, a.site) (b.tokens_wanted, b.site)) entries
+  in
+  let rejected = Hashtbl.create 8 in
+  let remaining = ref (total_wanted entries) in
+  List.iter
+    (fun e ->
+      if !remaining > pool && e.tokens_wanted > 0 then begin
+        remaining := !remaining - e.tokens_wanted;
+        Hashtbl.replace rejected e.site ()
+      end)
+    by_wanted;
+  let granted_of (e : entry) = if Hashtbl.mem rejected e.site then 0 else e.tokens_wanted in
   let in_site_order =
     List.sort (fun (a : entry) (b : entry) -> compare a.site b.site) entries
   in
@@ -39,84 +55,9 @@ let allocate entries ~pool ~granted_of ~satisfied_of =
       {
         site = e.site;
         new_tokens_left = granted_of e + share + bonus;
-        wanted_satisfied = satisfied_of e;
+        wanted_satisfied = not (Hashtbl.mem rejected e.site);
       })
     in_site_order
-
-(* Algorithm 2: reject ascending by wanted until demand fits the pool. *)
-let redistribute_max_usage entries =
-  let pool = spare entries in
-  let wanted = total_wanted entries in
-  let by_wanted =
-    List.sort (fun a b -> compare (a.tokens_wanted, a.site) (b.tokens_wanted, b.site)) entries
-  in
-  let rejected = Hashtbl.create 8 in
-  let remaining = ref wanted in
-  List.iter
-    (fun e ->
-      if !remaining > pool && e.tokens_wanted > 0 then begin
-        remaining := !remaining - e.tokens_wanted;
-        Hashtbl.replace rejected e.site ()
-      end)
-    by_wanted;
-  allocate entries ~pool
-    ~granted_of:(fun e -> if Hashtbl.mem rejected e.site then 0 else e.tokens_wanted)
-    ~satisfied_of:(fun e -> not (Hashtbl.mem rejected e.site))
-
-(* Reject descending by wanted: keeps as many requests whole as possible. *)
-let redistribute_max_requests entries =
-  let pool = spare entries in
-  let wanted = total_wanted entries in
-  let by_wanted_desc =
-    List.sort
-      (fun a b -> compare (b.tokens_wanted, b.site) (a.tokens_wanted, a.site))
-      entries
-  in
-  let rejected = Hashtbl.create 8 in
-  let remaining = ref wanted in
-  List.iter
-    (fun e ->
-      if !remaining > pool && e.tokens_wanted > 0 then begin
-        remaining := !remaining - e.tokens_wanted;
-        Hashtbl.replace rejected e.site ()
-      end)
-    by_wanted_desc;
-  allocate entries ~pool
-    ~granted_of:(fun e -> if Hashtbl.mem rejected e.site then 0 else e.tokens_wanted)
-    ~satisfied_of:(fun e -> not (Hashtbl.mem rejected e.site))
-
-(* Scale every request by the scarcity ratio instead of rejecting. *)
-let redistribute_proportional entries =
-  let pool = spare entries in
-  let wanted = total_wanted entries in
-  if wanted <= pool then
-    allocate entries ~pool
-      ~granted_of:(fun e -> e.tokens_wanted)
-      ~satisfied_of:(fun _ -> true)
-  else begin
-    let scale = float_of_int pool /. float_of_int wanted in
-    allocate entries ~pool
-      ~granted_of:(fun e -> int_of_float (float_of_int e.tokens_wanted *. scale))
-      ~satisfied_of:(fun e -> e.tokens_wanted = 0)
-  end
-
-type policy = Max_usage | Max_requests | Proportional
-
-let default_policy = Max_usage
-
-let policy_name = function
-  | Max_usage -> "max-usage (Algorithm 2)"
-  | Max_requests -> "max-requests"
-  | Proportional -> "proportional"
-
-let redistribute_with policy entries =
-  validate entries;
-  match policy with
-  | Max_usage -> redistribute_max_usage entries
-  | Max_requests -> redistribute_max_requests entries
-  | Proportional -> redistribute_proportional entries
-
-let redistribute entries = redistribute_with Max_usage entries
 
 let conserves_tokens entries grants =
   spare entries = List.fold_left (fun acc g -> acc + g.new_tokens_left) 0 grants

@@ -15,9 +15,7 @@
       amount, which is the interpretation implemented and tested here.)
     - every surviving request is granted in full, and any leftover spare is
       split equally, with the integer remainder assigned in ascending
-      site-id order so that tokens are conserved exactly.
-
-    The procedure is pluggable at the {!Site} level; this is the default. *)
+      site-id order so that tokens are conserved exactly. *)
 
 type entry = { site : int; tokens_left : int; tokens_wanted : int }
 
@@ -30,28 +28,6 @@ type grant = {
 val redistribute : entry list -> grant list
 (** Result is in ascending site order. Raises [Invalid_argument] on
     duplicate sites or negative token counts. *)
-
-(** Alternative strategies for the pluggable Redistribution Module. All
-    conserve tokens exactly and never grant more than the pool; they
-    differ in how scarcity is shared:
-
-    - [Max_usage]: the paper's Algorithm 2 — reject the smallest requests
-      first, maximising overall token usage ({!redistribute}).
-    - [Max_requests]: reject the {e largest} requests first, maximising
-      the number of satisfied requests.
-    - [Proportional]: under scarcity every request is scaled by
-      [spare / total_wanted] (no all-or-nothing rejection); leftovers
-      split equally as usual. [wanted_satisfied] is true only for fully
-      served requests. *)
-type policy = Max_usage | Max_requests | Proportional
-
-val default_policy : policy
-
-val policy_name : policy -> string
-
-val redistribute_with : policy -> entry list -> grant list
-(** Every participant must run the same policy: the procedure is
-    deterministic so sites agree on the outcome without communication. *)
 
 val spare : entry list -> int
 (** Total spare tokens [S_t]. *)

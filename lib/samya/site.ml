@@ -425,7 +425,6 @@ let submit t request ~reply =
 (* Accessors / failure injection                                        *)
 
 let tokens_left t ~entity = read t entity Entity_map.tokens_left
-let tokens_wanted t ~entity = read t entity Entity_map.tokens_wanted
 let acquired_net t ~entity = read t entity Entity_map.acquired_net
 
 let queued t ~entity =

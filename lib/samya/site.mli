@@ -114,8 +114,6 @@ val submit : t -> Types.request -> reply:Types.reply -> unit
 
 val tokens_left : t -> entity:Types.entity -> int
 
-val tokens_wanted : t -> entity:Types.entity -> int
-
 val acquired_net : t -> entity:Types.entity -> int
 (** Granted acquires minus granted releases at this site — summed across
     sites this must never exceed the entity's maximum (Equation 1). *)

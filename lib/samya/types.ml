@@ -38,13 +38,6 @@ let validate = function
       Error "deadline_ms must not be NaN"
   | Acquire _ | Release _ | Read _ -> Ok ()
 
-let pp_request fmt = function
-  | Acquire { entity; amount; _ } ->
-      Format.fprintf fmt "acquireTokens(%s, %d)" entity amount
-  | Release { entity; amount; _ } ->
-      Format.fprintf fmt "releaseTokens(%s, %d)" entity amount
-  | Read { entity; _ } -> Format.fprintf fmt "readTokens(%s)" entity
-
 let pp_response fmt = function
   | Granted -> Format.fprintf fmt "granted"
   | Rejected -> Format.fprintf fmt "rejected"

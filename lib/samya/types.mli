@@ -50,5 +50,4 @@ val read : ?deadline_ms:float -> entity:entity -> unit -> request
 val validate : request -> (unit, string) result
 (** Rejects non-positive amounts and NaN deadlines. *)
 
-val pp_request : Format.formatter -> request -> unit
 val pp_response : Format.formatter -> response -> unit

@@ -65,8 +65,6 @@ let median t = percentile t 50.0
 
 let mean t = if t.size = 0 then nan else t.sum.total /. float_of_int t.size
 
-let min_value t = percentile t 0.0
-
 let max_value t = percentile t 100.0
 
 (* The sum runs over the array left to right from 0.0: the association

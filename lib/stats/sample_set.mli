@@ -26,8 +26,6 @@ val median : t -> float
 
 val mean : t -> float
 
-val min_value : t -> float
-
 val max_value : t -> float
 
 val concat : t array -> t

@@ -63,7 +63,3 @@ let windows ~input xs =
   if input <= 0 || n <= input then [||]
   else
     Array.init (n - input) (fun i -> (Array.sub xs i input, xs.(i + input)))
-
-let scale_linear factor xs = Array.map (fun x -> x *. factor) xs
-
-let clamp_non_negative xs = Array.map (fun x -> Float.max 0.0 x) xs

@@ -30,7 +30,3 @@ val windows : input:int -> float array -> (float array * float) array
 (** [windows ~input xs] builds supervised pairs: each item is ([input]
     consecutive values, the next value). Returns [||] when [xs] is too
     short. *)
-
-val scale_linear : float -> float array -> float array
-
-val clamp_non_negative : float array -> float array

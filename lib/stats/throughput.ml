@@ -60,7 +60,3 @@ let merge_into src ~into =
   for window = 0 to src.max_window do
     add into window src.counts.(window)
   done
-
-let average_tps t ~duration_ms =
-  if duration_ms <= 0.0 then nan
-  else float_of_int t.total /. (duration_ms /. 1000.0)

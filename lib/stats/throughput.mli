@@ -29,6 +29,3 @@ val merge_into : t -> into:t -> unit
 (** [merge_into src ~into] adds [src]'s per-window counts into [into].
     Raises [Invalid_argument] on window-width mismatch. [src] is
     unchanged. *)
-
-val average_tps : t -> duration_ms:float -> float
-(** [total / duration] in events per second. *)

@@ -10,7 +10,6 @@ type 'a t = {
   store : 'a Stable_store.t;
   pending : (string, 'a) Hashtbl.t;
   mutable pending_writes : int;
-  mutable puts : int;
   mutable syncs : int;
 }
 
@@ -23,7 +22,6 @@ let create ~policy () =
     store = Stable_store.create ();
     pending = Hashtbl.create 8;
     pending_writes = 0;
-    puts = 0;
     syncs = 0;
   }
 
@@ -45,7 +43,6 @@ let sync t =
   end
 
 let put t ~key value =
-  t.puts <- t.puts + 1;
   match t.policy with
   | Sync_always ->
       Stable_store.put t.store ~key value;
@@ -57,7 +54,6 @@ let put t ~key value =
   | Sync_never -> Hashtbl.replace t.pending key value
 
 let force t ~key value =
-  t.puts <- t.puts + 1;
   Hashtbl.remove t.pending key;
   Stable_store.put t.store ~key value;
   t.syncs <- t.syncs + 1
@@ -69,8 +65,6 @@ let lose_unsynced t =
   Hashtbl.reset t.pending;
   t.pending_writes <- 0;
   lost
-
-let put_count t = t.puts
 
 let sync_count t = t.syncs
 

@@ -41,9 +41,7 @@ val lose_unsynced : 'a t -> int
 (** Crash: discard the volatile buffer, returning how many keys lost
     unsynced updates. *)
 
-val put_count : _ t -> int
 val sync_count : _ t -> int
-(** [put_count] counts logical writes; [sync_count] counts stable-storage
-    flushes (a proxy for fsync cost). *)
+(** Stable-storage flushes (a proxy for fsync cost). *)
 
 val pending_count : _ t -> int

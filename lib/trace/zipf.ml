@@ -26,8 +26,6 @@ let create ?(theta = 0.99) n =
   cdf.(n - 1) <- 1.0;
   { n; theta; cdf }
 
-let size t = t.n
-
 let theta t = t.theta
 
 let probability t rank =

@@ -13,8 +13,6 @@ val create : ?theta:float -> int -> t
     [theta] defaults to [0.99] (the YCSB constant). Raises
     [Invalid_argument] when [n < 1] or [theta < 0]. *)
 
-val size : t -> int
-
 val theta : t -> float
 
 val probability : t -> int -> float

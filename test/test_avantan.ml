@@ -54,10 +54,6 @@ let core_env script ~self ~n_sites =
     on_outcome = (fun outcome -> script.outcomes := outcome :: !(script.outcomes));
     on_event = (fun event -> script.events := event :: !(script.events));
     persist = (fun () -> ());
-    election_timeout_ms = 800.0;
-    accept_timeout_ms = 800.0;
-    cohort_timeout_ms = 2_500.0;
-    status_retry_ms = 1_000.0;
   }
 
 (* A machine under each policy, driven by a scripted environment. *)

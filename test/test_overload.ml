@@ -78,14 +78,8 @@ let config_rejects_degenerate_timings () =
   let module C = Samya.Config in
   let cases =
     [
-      ("election_timeout_ms", { C.default with C.election_timeout_ms = Float.nan });
-      ("accept_timeout_ms", { C.default with C.accept_timeout_ms = Float.nan });
-      ("cohort_timeout_ms", { C.default with C.cohort_timeout_ms = Float.nan });
-      ("cohort_timeout_ms", { C.default with C.cohort_timeout_ms = infinity });
       ("local_processing_ms", { C.default with C.local_processing_ms = Float.nan });
       ("local_processing_ms", { C.default with C.local_processing_ms = infinity });
-      ("status_retry_ms", { C.default with C.status_retry_ms = 0.0 });
-      ("status_retry_ms", { C.default with C.status_retry_ms = Float.nan });
       ( "redistribution_cooldown_ms",
         { C.default with C.redistribution_cooldown_ms = -5.0 } );
       ( "redistribution_cooldown_ms",
@@ -108,7 +102,27 @@ let config_rejects_degenerate_timings () =
             (Printf.sprintf "%s named with its value: %s" field reason)
             true
             (contains reason field && contains reason "(got "))
-    cases
+    cases;
+  (* Structural refusals: each error names the knob it refuses. *)
+  let refusals =
+    [
+      ("protocol_batch", { C.default with C.protocol_batch = 0 });
+      ( "protocol_batch",
+        { C.default with C.protocol_batch = 8; amnesia_on_crash = true } );
+      ("entity_shards", { C.default with C.entity_shards = 0 });
+      ("entity_capacity", { C.default with C.entity_capacity = 0 });
+      ("decided_log_retention", { C.default with C.decided_log_retention = 0 });
+    ]
+  in
+  List.iter
+    (fun (field, config) ->
+      match C.validate config with
+      | Ok () -> Alcotest.failf "%s: refused setting accepted" field
+      | Error reason ->
+          check bool
+            (Printf.sprintf "%s named: %s" field reason)
+            true (contains reason field))
+    refusals
 
 let request_rejects_nan_deadline () =
   let nan_req = Samya.Types.acquire ~deadline_ms:Float.nan ~entity ~amount:1 () in

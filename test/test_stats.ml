@@ -1,41 +1,11 @@
-(* Tests for the statistics toolkit: summaries, exact percentiles,
-   throughput windows and series utilities. *)
+(* Tests for the statistics toolkit: exact percentiles, throughput
+   windows and series utilities. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 let feq = Alcotest.float 1e-9
 let fapprox = Alcotest.float 1e-6
-
-let summary_matches_naive () =
-  let values = [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
-  let s = Stats.Summary.create () in
-  List.iter (Stats.Summary.add s) values;
-  check fapprox "mean" 5.0 (Stats.Summary.mean s);
-  check fapprox "stddev (sample)" (sqrt (32.0 /. 7.0)) (Stats.Summary.stddev s);
-  check feq "min" 2.0 (Stats.Summary.min_value s);
-  check feq "max" 9.0 (Stats.Summary.max_value s);
-  check int "count" 8 (Stats.Summary.count s);
-  check feq "total" 40.0 (Stats.Summary.total s)
-
-let summary_empty () =
-  let s = Stats.Summary.create () in
-  check bool "mean nan" true (Float.is_nan (Stats.Summary.mean s));
-  check bool "variance nan" true (Float.is_nan (Stats.Summary.variance s))
-
-let summary_merge =
-  QCheck.Test.make ~count:100 ~name:"summary merge equals concatenation"
-    QCheck.(pair (list (float_range (-100.) 100.)) (list (float_range (-100.) 100.)))
-    (fun (xs, ys) ->
-      QCheck.assume (xs <> [] && ys <> []);
-      let a = Stats.Summary.create () and b = Stats.Summary.create () in
-      List.iter (Stats.Summary.add a) xs;
-      List.iter (Stats.Summary.add b) ys;
-      let merged = Stats.Summary.merge a b in
-      let whole = Stats.Summary.create () in
-      List.iter (Stats.Summary.add whole) (xs @ ys);
-      Float.abs (Stats.Summary.mean merged -. Stats.Summary.mean whole) < 1e-6
-      && Stats.Summary.count merged = Stats.Summary.count whole)
 
 let sample_set_percentiles () =
   let s = Stats.Sample_set.create () in
@@ -288,9 +258,6 @@ let series_windows () =
 
 let suite =
   [
-    Alcotest.test_case "summary: matches naive" `Quick summary_matches_naive;
-    Alcotest.test_case "summary: empty" `Quick summary_empty;
-    QCheck_alcotest.to_alcotest summary_merge;
     Alcotest.test_case "sample_set: percentiles" `Quick sample_set_percentiles;
     Alcotest.test_case "sample_set: unsorted input" `Quick sample_set_unsorted_input;
     Alcotest.test_case "sample_set: bounds" `Quick sample_set_bounds;
